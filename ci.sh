@@ -148,6 +148,14 @@ stage "reactor-soak"
 REACTOR_SOAK_PEERS=1000 REACTOR_SOAK_SEEDS="11,23" \
     cargo test -p sheriff-wire --test reactor_soak --quiet
 
+# The repository's benchmark (BENCHMARK.json → pricebench/) is a
+# workspace of its own with path dependencies on crates/*, so neither
+# tier-1 nor any stage above compiles it: an API change in sheriff-wire
+# could break it unnoticed. Its own tests run every workload at smoke
+# scale (about 5 s after the build).
+stage "pricebench smoke"
+cargo test --offline --manifest-path pricebench/Cargo.toml
+
 # Benchmark summaries: the criterion stand-in prints one median line per
 # benchmark; archive them as machine-readable BENCH_<group>.json at the
 # repo root (committed — `target/` is wiped by `cargo clean`, which is

@@ -102,7 +102,10 @@ fn bench_tcp_reactor(c: &mut Criterion) {
     cfg.proc_per_reply_ms = 2.0;
     cfg.context_switch_alpha = 0.0;
     cfg.job_deadline_ms = 8_000;
+    // No beacons, and a staleness threshold to match (the defaults' 3×
+    // ratio) — at the default 30 s every server is written off mid-run.
     cfg.heartbeat_every_ms = 3_600_000;
+    cfg.heartbeat_timeout_ms = 3 * cfg.heartbeat_every_ms;
     let d = MiniDeployment::start_with(world, cfg, &peers(64)).expect("deployment starts");
     let d = &d;
 

@@ -51,7 +51,8 @@ use sheriff_telemetry::Registry;
 use crate::proto::{rows_from_check, Envelope, ResultRow};
 use crate::reactor::reactor::Reactor;
 use crate::reactor::shard::{
-    default_shard_count, shard_of, ByzShim, FaultShim, NodeSlot, Role, ShardCtx,
+    default_shard_count, ring_owner, shard_of, ByzShim, Doorbell, FaultShim, NodeSlot, Role,
+    ShardCtx,
 };
 use crate::reactor::DeployOptions;
 use crate::storage::FileStorage;
@@ -116,6 +117,9 @@ pub struct MiniDeployment {
     /// Fault-plan node indices (bind order — the DES numbering) grouped
     /// by owning reactor shard.
     shards: Vec<Vec<usize>>,
+    /// One wake-up line per reactor shard; rung after every injected
+    /// frame so the owning shard does not sit out its idle wait.
+    bells: Arc<[Doorbell]>,
     /// Local tags of checks begun but not yet completed or rejected.
     in_flight: Mutex<Vec<u64>>,
     /// On-disk home of the Database server's WAL + snapshot (v2 only);
@@ -129,12 +133,7 @@ impl MiniDeployment {
     /// shrunk to wall-clock test scale. The full configuration surface is
     /// [`MiniDeployment::start_with`].
     pub fn start(world: World, peers: &[(u64, Country)]) -> io::Result<MiniDeployment> {
-        let mut cfg = SheriffConfig::v1(7);
-        cfg.ipc_locations.clear();
-        cfg.proc_per_reply_ms = 2.0;
-        cfg.context_switch_alpha = 0.0;
-        cfg.job_deadline_ms = 8_000;
-        cfg.heartbeat_every_ms = 3_600_000;
+        let cfg = Self::start_config();
         let specs: Vec<PpcSpec> = peers
             .iter()
             .map(|&(peer_id, country)| PpcSpec {
@@ -150,6 +149,21 @@ impl MiniDeployment {
             })
             .collect();
         Self::start_with(world, cfg, &specs)
+    }
+
+    /// The configuration [`MiniDeployment::start`] runs.
+    fn start_config() -> SheriffConfig {
+        let mut cfg = SheriffConfig::v1(7);
+        cfg.ipc_locations.clear();
+        cfg.proc_per_reply_ms = 2.0;
+        cfg.context_switch_alpha = 0.0;
+        cfg.job_deadline_ms = 8_000;
+        // In effect no beacons — so the staleness threshold must move
+        // with the period (the defaults' 3× ratio), or the Coordinator
+        // writes every server off 30 s in.
+        cfg.heartbeat_every_ms = 3_600_000;
+        cfg.heartbeat_timeout_ms = 3 * cfg.heartbeat_every_ms;
+        cfg
     }
 
     /// Starts the full system over TCP with the *same* configuration type
@@ -405,6 +419,7 @@ impl MiniDeployment {
         } else {
             opts.shards.clamp(1, n_nodes.max(1))
         };
+        let bells: Arc<[Doorbell]> = (0..n_shards).map(|_| Doorbell::new()).collect();
         let ctx = ShardCtx {
             dir: Arc::clone(&dir),
             wire: Arc::clone(&wire),
@@ -416,6 +431,10 @@ impl MiniDeployment {
             unknown_timers: telemetry.counter("protocol.unknown_timers"),
             wakeups: telemetry.counter("wire.reactor_wakeups"),
             queue_depth: telemetry.gauge("wire.shard_queue_depth"),
+            doorbell_wakes: telemetry.counter("wire.reactor_doorbell_wakes"),
+            idle_timeouts: telemetry.counter("wire.reactor_idle_timeouts"),
+            bells: Arc::clone(&bells),
+            shard: 0,
         };
         let mut groups: Vec<Vec<(NodeSlot, TcpListener)>> =
             (0..n_shards).map(|_| Vec::new()).collect();
@@ -428,8 +447,12 @@ impl MiniDeployment {
         }
         let handles = groups
             .into_iter()
-            .map(|nodes| {
-                let ctx = ctx.clone();
+            .enumerate()
+            .map(|(shard, nodes)| {
+                let ctx = ShardCtx {
+                    shard,
+                    ..ctx.clone()
+                };
                 std::thread::spawn(move || Reactor::new(ctx, nodes).run())
             })
             .collect();
@@ -445,6 +468,7 @@ impl MiniDeployment {
             shim,
             byz,
             shards,
+            bells,
             in_flight: Mutex::new(Vec::new()),
             db_dir,
         })
@@ -588,7 +612,9 @@ impl MiniDeployment {
         let mut s = TcpStream::connect(addr).map_err(|e| e.to_string())?;
         Envelope { from, msg }
             .send_counted(&mut s, &self.wire)
-            .map_err(|e| e.to_string())
+            .map_err(|e| e.to_string())?;
+        ring_owner(&self.bells, to);
+        Ok(())
     }
 
     fn shutdown_impl(&mut self) {
@@ -694,12 +720,8 @@ mod tests {
     /// two far-away IPC vantages for cross-country rows.
     fn deployment_with(plan: FaultPlan) -> MiniDeployment {
         let world = World::build(&WorldConfig::small(), 77);
-        let mut cfg = SheriffConfig::v1(7);
+        let mut cfg = MiniDeployment::start_config();
         cfg.ipc_locations = vec![(Country::US, 0), (Country::JP, 0)];
-        cfg.proc_per_reply_ms = 2.0;
-        cfg.context_switch_alpha = 0.0;
-        cfg.job_deadline_ms = 8_000;
-        cfg.heartbeat_every_ms = 3_600_000;
         let specs: Vec<PpcSpec> = [10u64, 11, 12, 13]
             .iter()
             .map(|&peer_id| PpcSpec {
@@ -828,6 +850,31 @@ mod tests {
             .expect("check");
         assert!(!rows.is_empty());
         drop(d); // Drop must shut the shard threads down, not leak them.
+    }
+
+    /// `start()` all but switches beacons off, so its staleness threshold
+    /// has to move with the period: at the 30 s default the Coordinator
+    /// wrote its only server off and every later check failed
+    /// `NoServerAvailable`. Machine-level and in virtual time — the
+    /// sweep is handed the clock reading, nobody waits 31 s.
+    #[test]
+    fn start_config_keeps_its_server_past_thirty_seconds() {
+        use sheriff_core::protocol::{Output, TimerKind};
+
+        let cfg = MiniDeployment::start_config();
+        let mut coordinator = Coordinator::new(Whitelist::with_domains(Vec::<String>::new()));
+        coordinator.heartbeat_timeout_ms = cfg.heartbeat_timeout_ms;
+        coordinator.register_server("ms-0", 80, 0);
+        let mut proto = CoordinatorProto::new(coordinator, cfg.ppc_per_request);
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut out: Vec<Output> = Vec::new();
+        proto.on_timer(31_000, TimerKind::CoordSweep, &mut rng, &mut out);
+        assert!(
+            proto.coordinator.servers()[0].online,
+            "server written off {} ms into a deployment that beacons every {} ms",
+            31_000,
+            cfg.heartbeat_every_ms
+        );
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! * each shard is one thread running an event loop
 //!   ([`reactor::Reactor`]) that owns its nodes' listeners, live
 //!   connections ([`conn`]), and a virtual-time timer queue — no
-//!   per-node threads, no blocking reads, no per-thread sleeps;
+//!   per-node threads, no blocking reads; an idle shard parks on its
+//!   doorbell ([`shard::Doorbell`]) until a peer shard rings or a
+//!   bounded wait runs out;
 //! * the sans-IO protocol machines from `sheriff_core::protocol` are
 //!   driven byte-for-byte as before: the reliable channel wraps
 //!   inbound frames, outputs become per-link FIFO writes, timer

@@ -1,5 +1,5 @@
 //! The per-shard event loop: one thread, all the sockets and timers of
-//! its nodes, zero blocking calls.
+//! its nodes, and exactly one place it ever parks — its own doorbell.
 //!
 //! Each iteration of [`Reactor::run`] is one readiness sweep:
 //!
@@ -18,16 +18,39 @@
 //!    per `(node, destination)` pair so the blocking backend's per-link
 //!    FIFO order is preserved.
 //!
-//! An iteration that did any work counts one `wire.reactor_wakeups`;
-//! an idle iteration sleeps ~1 ms (bounded by the next timer deadline),
-//! which is far inside every protocol timeout — the retransmit backoff
-//! floor is 250 ms even in test configurations.
+//! Every socket call is nonblocking. An iteration that did any work
+//! counts one `wire.reactor_wakeups` and sweeps again; an idle one waits
+//! on the shard's [`Doorbell`](super::shard::Doorbell) for at most
+//! [`IDLE_SLEEP`] (less when a timer is due sooner).
+//!
+//! **Who rings.** The outbound stage rings the destination's shard when
+//! it opens a connection toward a node of a *foreign* shard and again
+//! when that frame's last byte is written — the two moments the
+//! destination's accept and inbound stages have something new to find.
+//! Fault-delayed and duplicated copies pass through the same stage, so
+//! they ring too. The deployment rings after each frame it injects from
+//! outside. A ring carries nothing: the sweep finds the work on the
+//! sockets, and the frame and byte books are untouched by it.
+//!
+//! **No lost wake-up.** The bell's flag is set under its mutex and
+//! cleared only by the waiter, which checks it under that mutex before
+//! parking. A ring that lands while the shard is mid-sweep therefore
+//! makes the next wait return at once; the cost is at most one sweep
+//! that finds nothing.
+//!
+//! **Why the wait stays bounded.** The bell is an accelerator, never the
+//! only path. Sockets nobody rings for — an outside client connecting
+//! straight to a listener, a Byzantine raw stream, the tail of a frame
+//! larger than one socket buffer — are found by the same ≤ 1 ms sweep
+//! as before, which is far inside every protocol timeout (the retransmit
+//! backoff floor is 250 ms even in test configurations). A
+//! multi-process deployment would swap the bell for OS readiness
+//! (`epoll` on the shard's descriptors) without touching the sweep.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
 use std::time::Duration;
 
 use sheriff_core::byzantine;
@@ -38,7 +61,7 @@ use super::conn::{Inbound, InboundEvent, Outbound, OutboundEvent, RawOutbound, I
 use super::shard::{drain_peer, NodeSlot, Role, ShardCtx};
 use crate::proto::Envelope;
 
-/// Idle nap between readiness sweeps when nothing at all happened.
+/// Longest idle wait between readiness sweeps when nobody rings.
 const IDLE_SLEEP: Duration = Duration::from_millis(1);
 
 /// How long a finished shard keeps flushing its outbound queues before
@@ -171,12 +194,12 @@ impl Reactor {
             if work > 0 {
                 self.ctx.wakeups.inc();
             } else {
-                std::thread::sleep(self.idle_nap(now_ms));
+                self.ctx.idle_wait(self.idle_nap(now_ms));
             }
         }
     }
 
-    /// Idle sleep bounded by the next timer deadline.
+    /// Idle wait bounded by the next timer deadline.
     fn idle_nap(&self, now_ms: u64) -> Duration {
         let until_timer = self
             .timers
@@ -281,7 +304,7 @@ impl Reactor {
             };
             let mut defer_to = None;
             {
-                let sink = Arc::clone(&self.ctx.sink);
+                let sink = &self.ctx.sink;
                 let Some(node) = self.nodes.get_mut(local) else {
                     continue;
                 };
@@ -305,7 +328,7 @@ impl Reactor {
                             {
                                 if let Role::Peer { proto } = &mut node.slot.role {
                                     proto.on_send_abandoned(&abandoned);
-                                    drain_peer(proto, &sink);
+                                    drain_peer(proto, sink);
                                 }
                             }
                         }
@@ -422,7 +445,7 @@ impl Reactor {
     /// early-return before any output exists. Split from the dispatch
     /// half so the scratch buffer is restored on every path.
     fn deliver_inner(&mut self, local: usize, env: Envelope, now_ms: u64, out: &mut Vec<Output>) {
-        let ctx = self.ctx.clone();
+        let ctx = &self.ctx;
         let Some(node) = self.nodes.get_mut(local) else {
             return;
         };
@@ -509,50 +532,53 @@ impl Reactor {
         if !self.ctx.dir.contains_key(&to) {
             return;
         }
-        let msgs: Vec<ProtoMsg> = match self.ctx.byz.clone() {
-            Some(byz) => {
-                let d = byz.decide(me, to, byzantine::price_bearing(&msg));
-                if d.is_honest() {
-                    vec![msg]
-                } else if let Some(attack) = d.codec {
+        let decision = self
+            .ctx
+            .byz
+            .as_ref()
+            .map(|byz| byz.decide(me, to, byzantine::price_bearing(&msg)));
+        match decision {
+            Some(d) if !d.is_honest() => {
+                if let Some(attack) = d.codec {
                     // Byte-level attack: the protocol message is
                     // consumed and a raw frame goes out instead,
                     // outside the fault schedule (which never saw this
                     // send on the DES side either).
                     self.launch_codec_attack(to, attack, d.occurrence);
                     return;
-                } else {
-                    let applied = byzantine::apply(&d, msg);
-                    let mut v = Vec::new();
-                    v.extend(applied.primary);
-                    v.extend(applied.junk);
-                    v
+                }
+                let applied = byzantine::apply(&d, msg);
+                for msg in applied.primary.into_iter().chain(applied.junk) {
+                    self.send_copy(local, me, to, msg, now_ms);
                 }
             }
-            None => vec![msg],
+            _ => self.send_copy(local, me, to, msg, now_ms),
+        }
+    }
+
+    /// The fault-shim half of the write edge, once per emitted message
+    /// (primary and junk alike face the schedule individually).
+    fn send_copy(&mut self, local: usize, me: Address, to: Address, msg: ProtoMsg, now_ms: u64) {
+        let (copies, delay_ms) = match &self.ctx.shim {
+            Some(shim) => match shim.outbound(now_ms, me, to) {
+                Some(verdict) => verdict,
+                None => return, // dropped by the schedule
+            },
+            None => (1, 0),
         };
-        for msg in msgs {
-            let (copies, delay_ms) = match &self.ctx.shim {
-                Some(shim) => match shim.outbound(now_ms, me, to) {
-                    Some(verdict) => verdict,
-                    None => continue, // dropped by the schedule
-                },
-                None => (1, 0),
-            };
-            let env = Envelope { from: me, msg };
-            if delay_ms == 0 {
-                self.enqueue_out(local, to, env, copies);
-            } else {
-                self.seq += 1;
-                self.delayed.push(DelayedSend {
-                    due_ms: now_ms + delay_ms,
-                    seq: self.seq,
-                    local,
-                    to,
-                    env,
-                    copies,
-                });
-            }
+        let env = Envelope { from: me, msg };
+        if delay_ms == 0 {
+            self.enqueue_out(local, to, env, copies);
+        } else {
+            self.seq += 1;
+            self.delayed.push(DelayedSend {
+                due_ms: now_ms + delay_ms,
+                seq: self.seq,
+                local,
+                to,
+                env,
+                copies,
+            });
         }
     }
 
@@ -657,11 +683,19 @@ impl Reactor {
                     // failed connect.
                     if let Some(o) = Outbound::open(addr, &env) {
                         link.inflight = Some(o);
+                        // Something to accept over there.
+                        self.ctx.ring_foreign(link.to);
                     }
                     work += 1;
                 }
                 match link.inflight.as_mut().map(|o| o.pump(&self.ctx.wire)) {
-                    Some(OutboundEvent::Done | OutboundEvent::Failed) => {
+                    Some(OutboundEvent::Done) => {
+                        link.inflight = None;
+                        work += 1;
+                        // Something to read over there.
+                        self.ctx.ring_foreign(link.to);
+                    }
+                    Some(OutboundEvent::Failed) => {
                         link.inflight = None;
                         work += 1;
                     }

@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -88,8 +88,68 @@ impl NodeSlot {
     }
 }
 
-/// Context shared by every shard of one deployment. Cheap to clone —
-/// all heavy state is behind `Arc`s.
+/// A shard's wake-up line: whoever hands the shard work (a foreign
+/// shard opening or finishing a frame toward one of its nodes, the
+/// deployment injecting one) rings it, and the shard's idle wait returns
+/// at once instead of running out its nap.
+///
+/// No wake-up is lost: the flag is set under the mutex and cleared only
+/// by the waiter, which checks it under the same mutex before parking —
+/// a ring that lands mid-sweep makes the next wait return immediately,
+/// at the price of at most one sweep that finds nothing. A ring carries
+/// no frame; the sweep still finds the work on the sockets.
+pub(crate) struct Doorbell {
+    rung: std::sync::Mutex<bool>,
+    cv: std::sync::Condvar,
+}
+
+impl Doorbell {
+    pub(crate) fn new() -> Doorbell {
+        Doorbell {
+            rung: std::sync::Mutex::new(false),
+            cv: std::sync::Condvar::new(),
+        }
+    }
+
+    /// Wakes the owning shard, now or at its next wait. Rings ahead of a
+    /// wait coalesce: the first one notified, and the flag is still up.
+    /// (The critical sections here cannot panic, so the poisoned arms
+    /// below are unreachable; they exist because this tree is panic-free.)
+    pub(crate) fn ring(&self) {
+        let Ok(mut rung) = self.rung.lock() else {
+            return;
+        };
+        if !std::mem::replace(&mut *rung, true) {
+            self.cv.notify_one();
+        }
+    }
+
+    /// Parks until rung or `timeout`, whichever is first, and clears the
+    /// flag. `true` means a ring ended the wait.
+    pub(crate) fn wait(&self, timeout: Duration) -> bool {
+        let Ok(mut rung) = self.rung.lock() else {
+            return false;
+        };
+        if !*rung {
+            match self.cv.wait_timeout(rung, timeout) {
+                Ok((guard, _)) => rung = guard,
+                Err(_) => return false,
+            }
+        }
+        std::mem::take(&mut *rung)
+    }
+}
+
+/// Rings the bell of the shard that owns `to` (one bell per shard, so
+/// `bells.len()` is the shard count [`shard_of`] reduces by).
+pub(crate) fn ring_owner(bells: &[Doorbell], to: Address) {
+    if let Some(bell) = bells.get(shard_of(to, bells.len())) {
+        bell.ring();
+    }
+}
+
+/// Context shared by every shard of one deployment; each shard's copy
+/// differs only in `shard`. All heavy state is behind `Arc`s.
 #[derive(Clone)]
 pub(crate) struct ShardCtx {
     /// Logical address → listener socket address.
@@ -114,11 +174,41 @@ pub(crate) struct ShardCtx {
     /// (inbound connections + queued frames + delayed sends) across all
     /// shards.
     pub(crate) queue_depth: Arc<Gauge>,
+    /// `wire.reactor_doorbell_wakes`: idle waits ended by a ring.
+    pub(crate) doorbell_wakes: Arc<Counter>,
+    /// `wire.reactor_idle_timeouts`: idle waits that ran out (each one
+    /// is followed by a fallback sweep nobody asked for).
+    pub(crate) idle_timeouts: Arc<Counter>,
+    /// One bell per shard, indexed like [`shard_of`].
+    pub(crate) bells: Arc<[Doorbell]>,
+    /// The shard this copy of the context belongs to.
+    pub(crate) shard: usize,
 }
 
 impl ShardCtx {
     pub(crate) fn now_ms(&self) -> u64 {
         self.epoch.elapsed().as_millis() as u64
+    }
+
+    /// Rings the owner of `to` when that is another shard; this shard
+    /// is awake, or it could not be sending.
+    pub(crate) fn ring_foreign(&self, to: Address) {
+        let owner = shard_of(to, self.bells.len());
+        if owner != self.shard {
+            if let Some(bell) = self.bells.get(owner) {
+                bell.ring();
+            }
+        }
+    }
+
+    /// The idle wait on this shard's own bell; counts how it ended.
+    pub(crate) fn idle_wait(&self, timeout: Duration) {
+        let rung = self.bells.get(self.shard).is_some_and(|b| b.wait(timeout));
+        if rung {
+            self.doorbell_wakes.inc();
+        } else {
+            self.idle_timeouts.inc();
+        }
     }
 }
 
@@ -278,4 +368,74 @@ pub(crate) fn shard_of(addr: Address, n_shards: usize) -> usize {
 /// thousand-peer soaks spread across eight.
 pub(crate) fn default_shard_count(n_nodes: usize) -> usize {
     n_nodes.div_ceil(8).clamp(1, 8)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Far beyond anything a test should sit out: a wait that returns
+    /// `true` well inside it was ended by the ring, not the clock.
+    const LONG: Duration = Duration::from_secs(30);
+
+    #[test]
+    fn ring_before_wait_returns_without_sleeping() {
+        let bell = Doorbell::new();
+        bell.ring();
+        let t = Instant::now();
+        assert!(bell.wait(LONG), "a ring that came first must end the wait");
+        assert!(t.elapsed() < LONG / 10, "waited {:?}", t.elapsed());
+    }
+
+    #[test]
+    fn ring_from_another_thread_ends_a_long_wait_early() {
+        // The waiter signals just before it parks; the ring then lands
+        // either before the park or during it — the no-lost-wake-up
+        // argument says both must end the wait, so the test does not
+        // need to know which one it got.
+        let bell = Doorbell::new();
+        let (about_to_wait, go) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let bell = &bell;
+            s.spawn(move || {
+                go.recv().expect("waiter signals");
+                bell.ring();
+            });
+            let t = Instant::now();
+            about_to_wait.send(()).expect("ringer listens");
+            assert!(bell.wait(LONG));
+            assert!(t.elapsed() < LONG / 10, "waited {:?}", t.elapsed());
+        });
+    }
+
+    #[test]
+    fn unrung_wait_times_out_and_leaves_the_flag_clear() {
+        let bell = Doorbell::new();
+        assert!(!bell.wait(Duration::from_millis(5)));
+        assert!(!*bell.rung.lock().expect("not poisoned"));
+        assert!(!bell.wait(Duration::from_millis(1)));
+    }
+
+    #[test]
+    fn two_rings_coalesce_into_one_wake() {
+        let bell = Doorbell::new();
+        bell.ring();
+        bell.ring();
+        assert!(bell.wait(LONG));
+        assert!(
+            !bell.wait(Duration::from_millis(1)),
+            "second ring must not survive the wake"
+        );
+    }
+
+    #[test]
+    fn ring_owner_rings_exactly_the_owning_shard() {
+        let bells: Vec<Doorbell> = (0..3).map(|_| Doorbell::new()).collect();
+        let to = Address::Peer { id: 42 };
+        ring_owner(&bells, to);
+        for (i, bell) in bells.iter().enumerate() {
+            let rung = bell.wait(Duration::from_millis(1));
+            assert_eq!(rung, i == shard_of(to, bells.len()), "bell {i}");
+        }
+    }
 }

@@ -11,18 +11,59 @@
 
 use std::sync::Arc;
 
+use sheriff_core::system::{PpcSpec, SheriffConfig};
 use sheriff_geo::Country;
+use sheriff_market::pricing::{Browser, Os};
 use sheriff_market::world::WorldConfig;
-use sheriff_market::{ProductId, World};
-use sheriff_wire::MiniDeployment;
+use sheriff_market::{ProductId, UserAgent, World};
+use sheriff_netsim::FaultPlan;
+use sheriff_wire::{DeployOptions, MiniDeployment};
 
 const PEERS: [(u64, Country); 2] = [(40, Country::ES), (41, Country::ES)];
 
 #[test]
 fn twenty_rapid_shutdown_cycles_never_wedge_or_lose_tags() {
+    // Five nodes: the default layout is a single shard.
+    rapid_shutdown_cycles(|world| MiniDeployment::start(world, &PEERS));
+}
+
+/// The same cycles with the roster split over two event loops, so
+/// teardown also meets a shard parked on its doorbell while its sibling
+/// is still draining.
+#[test]
+fn twenty_rapid_shutdown_cycles_on_two_shards() {
+    rapid_shutdown_cycles(|world| {
+        let mut cfg = SheriffConfig::v1(7);
+        cfg.ipc_locations.clear();
+        cfg.proc_per_reply_ms = 2.0;
+        let specs: Vec<PpcSpec> = PEERS
+            .iter()
+            .map(|&(peer_id, country)| PpcSpec {
+                peer_id,
+                country,
+                city_idx: 0,
+                user_agent: UserAgent {
+                    os: Os::Linux,
+                    browser: Browser::Firefox,
+                },
+                affluence: 0.3,
+                logged_in_domains: vec![],
+            })
+            .collect();
+        let opts = DeployOptions {
+            shards: 2,
+            ..DeployOptions::default()
+        };
+        let d = MiniDeployment::start_with_options(world, cfg, &specs, FaultPlan::new(0), opts)?;
+        assert_eq!(d.shard_count(), 2);
+        Ok(d)
+    });
+}
+
+fn rapid_shutdown_cycles(start: impl Fn(World) -> std::io::Result<MiniDeployment>) {
     for round in 0..20u64 {
         let world = World::build(&WorldConfig::small(), 100 + round);
-        let d = MiniDeployment::start(world, &PEERS).expect("deployment starts");
+        let d = start(world).expect("deployment starts");
         let telemetry = Arc::clone(d.telemetry());
 
         // One check driven to completion before teardown begins.
