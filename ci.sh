@@ -187,4 +187,11 @@ for group in "${BENCH_GROUPS[@]}"; do
     echo "bench summary archived at BENCH_${group}.json"
 done
 
+# First-party line counts per crate, so a PR's size delta is read off
+# two CI logs instead of asserted in its description.
+stage "first-party src/ line counts"
+for d in crates/*/; do
+    printf '%-12s %6d\n' "$(basename "$d")" "$(find "${d}src" -name '*.rs' -exec cat {} + | wc -l)"
+done
+
 stage "CI green"

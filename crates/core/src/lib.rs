@@ -27,6 +27,8 @@
 //! * [`durability`] — the Database server's WAL + snapshot persistence
 //!   and deterministic crash recovery;
 //! * [`proxy`] — IPC and PPC fetch engines against the synthetic web;
+//! * [`roster`] — the one builder of a deployment's node roster, in the
+//!   order both backends and both fault plans number nodes;
 //! * [`system`] — the whole distributed system wired over the
 //!   discrete-event simulator, in both the v1 ($heriff, single server,
 //!   integrated DB) and v2 (Price $heriff) configurations;
@@ -50,6 +52,7 @@ pub mod pollution;
 pub mod protocol;
 pub mod proxy;
 pub mod records;
+pub mod roster;
 pub mod system;
 pub mod whitelist;
 

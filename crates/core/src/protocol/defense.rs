@@ -148,6 +148,17 @@ pub struct DefenseTotals {
     pub budget_exhaustions: u64,
 }
 
+impl std::ops::AddAssign for DefenseTotals {
+    fn add_assign(&mut self, t: DefenseTotals) {
+        self.validation_rejects += t.validation_rejects;
+        self.quota_trips += t.quota_trips;
+        self.quarantines += t.quarantines;
+        self.paroles += t.paroles;
+        self.quarantine_drops += t.quarantine_drops;
+        self.budget_exhaustions += t.budget_exhaustions;
+    }
+}
+
 struct DefenseTelemetry {
     validation_rejects: Arc<Counter>,
     quota_trips: Arc<Counter>,

@@ -18,9 +18,9 @@ use crate::protocol::{
 };
 use crate::records::{PriceCheck, PriceObservation, VantageKind};
 
-/// Observable outcomes the driver may turn into telemetry. The state
-/// machine stays instrumentation-free; the DES adapter maps these onto
-/// its counters/histograms/spans, the TCP adapter ignores most of them.
+/// Observable outcomes of one step. The state machine stays
+/// instrumentation-free; `protocol::node::NodeTelemetry` maps these onto
+/// counters/histograms/spans, identically on every backend.
 #[derive(Clone, Debug, PartialEq)]
 pub enum MeasEvent {
     /// A proxy reply arrived in time and was folded into the job.

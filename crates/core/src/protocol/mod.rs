@@ -6,11 +6,13 @@
 //! typed input events (`on_message` / `on_timer`) and emits
 //! [`Output`] commands: `(destination, message)` pairs plus timer
 //! requests. The machines know nothing about the netsim simulator or
-//! TCP sockets; `core::system` drives them over the discrete-event
-//! simulator and `sheriff_wire::deploy` drives the *same* machines over
-//! framed TCP, so protocol semantics (job assignment, fan-out,
-//! pollution budgets, doppelganger redemption) cannot drift between
-//! backends.
+//! TCP sockets. [`node::RoleNode`] is the one host for a machine and its
+//! reliable channel; `core::system` (discrete-event simulator),
+//! `sheriff_wire::reactor` (framed TCP) and `sheriff_model` (model
+//! checker) all step the *same* nodes through its three entry points,
+//! so neither protocol semantics (job assignment, fan-out, pollution
+//! budgets, doppelganger redemption) nor the plumbing around them
+//! (ack/dedup, give-up release, restart) can drift between backends.
 //!
 //! Destinations are logical [`Address`]es; each backend owns the
 //! mapping to its transport endpoints (netsim `NodeId`s, socket
@@ -33,6 +35,7 @@ pub mod digest;
 mod ipc;
 mod measurement;
 pub mod messages;
+pub mod node;
 mod peer;
 pub mod reliable;
 
@@ -46,6 +49,7 @@ pub use digest::Digest;
 pub use ipc::IpcProto;
 pub use measurement::{MeasEvent, MeasurementParams, MeasurementProto};
 pub use messages::ProtoMsg;
+pub use node::{NodeTelemetry, Role, RoleNode, StepBuf};
 pub use peer::{CompletedProtoCheck, PeerProto};
 pub use reliable::{Channel, ReliableConfig};
 
@@ -157,8 +161,8 @@ impl TimerKind {
     }
 
     /// Inverse of [`TimerKind::token`]. Unknown kinds map to `None`;
-    /// drivers must count those (`protocol.unknown_timers`) rather than
-    /// drop them silently.
+    /// [`node::RoleNode::on_timer`] counts those
+    /// (`protocol.unknown_timers`) rather than drop them silently.
     pub fn from_token(token: u64) -> Option<TimerKind> {
         if token == TIMER_HEARTBEAT {
             return Some(TimerKind::Heartbeat);

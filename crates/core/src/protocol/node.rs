@@ -1,0 +1,562 @@
+//! One hosted node: a role machine, its reliable channel, and the only
+//! code that drives either.
+//!
+//! Every backend — the discrete-event simulator (`core::system`), the
+//! TCP reactor (`sheriff_wire::reactor`) and the model checker's worlds
+//! (`sheriff_model::world`) — holds [`RoleNode`]s and feeds them through
+//! the same three entry points:
+//!
+//! * [`RoleNode::on_message`] — channel `accept` (ack, dedup, unwrap),
+//!   the machine's `on_message`, channel `harden`;
+//! * [`RoleNode::on_timer`] — token decode (unknown tokens are counted,
+//!   never dropped silently), retransmit give-up → the machine's
+//!   `on_send_abandoned` for every role that pins state on a send, any
+//!   other kind → the machine's `on_timer`, then `harden`;
+//! * [`RoleNode::on_restart`] — the §10.3 restart edge: a Measurement
+//!   server re-announces itself with state intact, the Database loses
+//!   its volatile state (channel windows included) and recovers from
+//!   snapshot + WAL.
+//!
+//! What comes back is a [`StepBuf`]: commands for the transport plus the
+//! machines' observable events. The backend owns everything else — how
+//! an [`Address`] becomes an endpoint, what a timer queue looks like,
+//! which faults sit on the send edge — and publishes the events through
+//! the one fold, [`NodeTelemetry::fold`], so `measurement.*` and `db.*`
+//! mean the same thing on every backend.
+
+use std::sync::Arc;
+
+use parking_lot::Mutex;
+use rand::rngs::StdRng;
+use sheriff_market::World;
+use sheriff_telemetry::{Counter, FieldValue, Gauge, Histogram, Registry};
+
+use crate::protocol::{
+    Address, AggregatorProto, Channel, CoordinatorProto, DbEvent, DbProto, IpcProto, MeasEvent,
+    MeasurementProto, Output, PeerProto, ProtoMsg, TimerKind,
+};
+
+/// The role a node plays: one sans-IO machine plus, for the two proxy
+/// roles, the synthetic web their fetches run against (content
+/// generation is immediate; fetch *timing* belongs to the transport).
+pub enum Role {
+    /// The Coordinator.
+    Coordinator(Box<CoordinatorProto>),
+    /// The Aggregator.
+    Aggregator(AggregatorProto),
+    /// A Measurement server.
+    Measurement(Box<MeasurementProto>),
+    /// The dedicated Database server (v2).
+    Database(Box<DbProto>),
+    /// An Infrastructure Proxy Client.
+    Ipc {
+        /// The machine.
+        proto: Box<IpcProto>,
+        /// The web it fetches from.
+        world: Arc<Mutex<World>>,
+    },
+    /// A PPC / browser add-on.
+    Peer {
+        /// The machine.
+        proto: Box<PeerProto>,
+        /// The web it fetches from.
+        world: Arc<Mutex<World>>,
+    },
+}
+
+/// What one step hands back to its backend. The backend drains `out`
+/// into its transport and the event lists into [`NodeTelemetry::fold`]
+/// (or inspects them first, as the model checker does); reusing one
+/// buffer across steps keeps the steady-state event path allocation-free.
+#[derive(Default)]
+pub struct StepBuf {
+    /// Sends and timer requests, already hardened.
+    pub out: Vec<Output>,
+    /// Measurement-server outcomes of this step.
+    pub meas: Vec<MeasEvent>,
+    /// Database-server outcomes of this step.
+    pub db: Vec<DbEvent>,
+    /// Timer tokens that decoded to no [`TimerKind`].
+    pub unknown_timers: u64,
+}
+
+/// One node of a deployment. See the module docs.
+pub struct RoleNode {
+    /// Logical address.
+    pub me: Address,
+    /// The machine.
+    pub role: Role,
+    /// This node's end of the at-least-once layer.
+    pub chan: Channel,
+}
+
+impl RoleNode {
+    /// A message from `from` arrived. `rng` is the backend's randomness
+    /// source (only the Coordinator draws from it).
+    pub fn on_message(
+        &mut self,
+        now_ms: u64,
+        from: Address,
+        msg: ProtoMsg,
+        rng: &mut StdRng,
+        buf: &mut StepBuf,
+    ) {
+        // The reliable layer acks, dedups and unwraps first; only
+        // genuinely new payloads reach the machine.
+        if let Some(msg) = self.chan.accept(from, msg, &mut buf.out) {
+            let out = &mut buf.out;
+            match &mut self.role {
+                Role::Coordinator(p) => p.on_message(now_ms, from, msg, rng, out),
+                Role::Aggregator(p) => p.on_message(from, msg, out),
+                Role::Measurement(p) => p.on_message(now_ms, from, msg, out, &mut buf.meas),
+                Role::Database(p) => p.on_message(now_ms, from, msg, out, &mut buf.db),
+                Role::Ipc { proto, world } => {
+                    proto.on_message(now_ms, from, msg, &mut world.lock(), out);
+                }
+                Role::Peer { proto, world } => {
+                    proto.on_message(now_ms, from, msg, &mut world.lock(), out);
+                }
+            }
+        }
+        self.chan.harden(&mut buf.out);
+    }
+
+    /// The timer carrying `token` fired.
+    pub fn on_timer(&mut self, now_ms: u64, token: u64, rng: &mut StdRng, buf: &mut StepBuf) {
+        let out = &mut buf.out;
+        match TimerKind::from_token(token) {
+            None => {
+                buf.unknown_timers += 1;
+                return;
+            }
+            Some(TimerKind::Retransmit(seq)) => {
+                // A give-up means whatever the machine pinned on that
+                // send can never resolve: an admitted job that cannot be
+                // assigned (Coordinator), a DbAck that cannot arrive
+                // (Measurement), a request nobody will answer (Peer).
+                if let Some((_, abandoned)) = self.chan.on_retransmit(seq, out) {
+                    match &mut self.role {
+                        Role::Coordinator(p) => p.on_send_abandoned(&abandoned),
+                        Role::Measurement(p) => {
+                            p.on_send_abandoned(now_ms, &abandoned, out, &mut buf.meas);
+                        }
+                        Role::Peer { proto, .. } => proto.on_send_abandoned(&abandoned),
+                        // No per-send bookkeeping; the channel already
+                        // counted the give-up.
+                        Role::Aggregator(_) | Role::Database(_) | Role::Ipc { .. } => {}
+                    }
+                }
+            }
+            Some(kind) => match &mut self.role {
+                Role::Coordinator(p) => p.on_timer(now_ms, kind, rng, out),
+                Role::Measurement(p) => p.on_timer(now_ms, kind, out, &mut buf.meas),
+                Role::Database(p) => p.on_timer(kind, out, &mut buf.db),
+                Role::Aggregator(_) | Role::Ipc { .. } | Role::Peer { .. } => {}
+            },
+        }
+        self.chan.harden(&mut buf.out);
+    }
+
+    /// The node came back from a crash window.
+    pub fn on_restart(&mut self, now_ms: u64, buf: &mut StepBuf) {
+        match &mut self.role {
+            // State intact: re-announce liveness at once so the
+            // Coordinator puts the server back in rotation without
+            // waiting a full beacon period.
+            Role::Measurement(p) => p.on_restart(now_ms, &mut buf.out),
+            // Genuine volatile-state loss: the memory table, in-flight
+            // queries and the channel's windows are gone; the durable
+            // prefix comes back from snapshot + WAL replay and the
+            // un-barriered log tail is truncated. Senders whose stores
+            // were torn off retransmit into the fresh windows.
+            Role::Database(p) => {
+                self.chan.on_restart();
+                p.on_restart(&mut buf.db);
+            }
+            _ => {}
+        }
+        self.chan.harden(&mut buf.out);
+    }
+}
+
+/// Fan-out latency buckets (ms): proxy fetches are heavy-tailed (§5), so
+/// the grid spans two decades up to the job-deadline scale.
+const FANOUT_LATENCY_EDGES: &[f64] = &[
+    100.0, 250.0, 500.0, 1_000.0, 2_000.0, 4_000.0, 8_000.0, 16_000.0, 32_000.0, 64_000.0,
+];
+
+/// Modeled CPU cost buckets (ms) for extraction/assembly and DB stores.
+const CPU_COST_EDGES: &[f64] = &[
+    1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1_000.0, 5_000.0,
+];
+
+/// Cached handles for the Measurement-server hot path. Histograms are
+/// shared across servers (same metric name); the active-jobs gauge is
+/// per server.
+struct MeasurementTelemetry {
+    registry: Arc<Registry>,
+    fanout_latency: Arc<Histogram>,
+    assembly_cpu: Arc<Histogram>,
+    replies: Arc<Counter>,
+    late_replies: Arc<Counter>,
+    bytes_stored: Arc<Counter>,
+    bytes_full: Arc<Counter>,
+    jobs_finished: Arc<Counter>,
+    active_jobs: Arc<Gauge>,
+    /// v1 integrated-RDBMS cost, published under the same names as the
+    /// dedicated Database server so v1/v2 run reports line up.
+    db_query_cost: Arc<Histogram>,
+    db_queries: Arc<Counter>,
+    /// Duplicate `FetchReply` deliveries suppressed by the per-job
+    /// vantage dedup (same counter as the reliable channel's dedup — both
+    /// mean "a transport duplicate was absorbed").
+    dedup_hits: Arc<Counter>,
+    /// Half-open jobs reaped at the deadline (partner message lost).
+    orphans_reaped: Arc<Counter>,
+}
+
+impl MeasurementTelemetry {
+    fn new(registry: &Arc<Registry>, index: usize) -> Self {
+        MeasurementTelemetry {
+            db_query_cost: registry.histogram("db.query_cost_ms", CPU_COST_EDGES),
+            db_queries: registry.counter("db.queries_total"),
+            dedup_hits: registry.counter("protocol.dedup_hits"),
+            orphans_reaped: registry.counter("measurement.orphans_reaped"),
+            fanout_latency: registry
+                .histogram("measurement.fanout_latency_ms", FANOUT_LATENCY_EDGES),
+            assembly_cpu: registry.histogram("measurement.assembly_cpu_ms", CPU_COST_EDGES),
+            replies: registry.counter("measurement.replies_total"),
+            late_replies: registry.counter("measurement.late_replies"),
+            bytes_stored: registry.counter("measurement.diff_bytes_stored"),
+            bytes_full: registry.counter("measurement.diff_bytes_full"),
+            jobs_finished: registry.counter("measurement.jobs_finished"),
+            active_jobs: registry.gauge(&format!("measurement.{index:03}.active_jobs")),
+            registry: Arc::clone(registry),
+        }
+    }
+
+    /// Folds the machine's observable outcomes into the registry.
+    fn apply(&self, index: usize, now_ms: u64, events: &mut Vec<MeasEvent>) {
+        for e in events.drain(..) {
+            match e {
+                MeasEvent::ReplyAccepted { since_fanout_ms } => {
+                    self.replies.inc();
+                    self.fanout_latency.observe(since_fanout_ms as f64);
+                }
+                MeasEvent::ReplyLate => self.late_replies.inc(),
+                MeasEvent::ReplyDuplicate => self.dedup_hits.inc(),
+                MeasEvent::OrphanReaped { job } => {
+                    self.orphans_reaped.inc();
+                    self.registry.event(
+                        now_ms,
+                        "measurement.orphan_reaped",
+                        vec![
+                            ("job", FieldValue::U64(job.0)),
+                            ("server", FieldValue::U64(index as u64)),
+                        ],
+                    );
+                }
+                MeasEvent::AssemblyScheduled {
+                    proc_ms,
+                    db_ms,
+                    active_jobs,
+                } => {
+                    if let Some(db_ms) = db_ms {
+                        self.db_queries.inc();
+                        self.db_query_cost.observe(db_ms);
+                    }
+                    self.assembly_cpu.observe(proc_ms);
+                    self.active_jobs.set(active_jobs as i64);
+                }
+                MeasEvent::JobFinished {
+                    job,
+                    stored,
+                    full,
+                    received,
+                    fanout_at_ms,
+                    active_jobs,
+                } => {
+                    self.bytes_stored.add(stored as u64);
+                    self.bytes_full.add(full as u64);
+                    self.jobs_finished.inc();
+                    self.active_jobs.set(active_jobs as i64);
+                    self.registry.span(
+                        fanout_at_ms,
+                        now_ms,
+                        "measurement.job",
+                        vec![
+                            ("job", FieldValue::U64(job.0)),
+                            ("server", FieldValue::U64(index as u64)),
+                            ("replies", FieldValue::U64(received as u64)),
+                        ],
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Cached handles for the Database-server hot path.
+struct DbTelemetry {
+    query_cost: Arc<Histogram>,
+    queries: Arc<Counter>,
+    active: Arc<Gauge>,
+    max_active: Arc<Gauge>,
+    wal_appends: Arc<Counter>,
+    wal_bytes: Arc<Counter>,
+    snapshots: Arc<Counter>,
+    recovered: Arc<Counter>,
+    dup_stores: Arc<Counter>,
+    ack_loss_window: Arc<Counter>,
+}
+
+impl DbTelemetry {
+    fn new(registry: &Arc<Registry>) -> Self {
+        DbTelemetry {
+            query_cost: registry.histogram("db.query_cost_ms", CPU_COST_EDGES),
+            queries: registry.counter("db.queries_total"),
+            active: registry.gauge("db.active_queries"),
+            max_active: registry.gauge("db.active_queries_max"),
+            wal_appends: registry.counter("db.wal_appends"),
+            wal_bytes: registry.counter("db.wal_bytes"),
+            snapshots: registry.counter("db.snapshots"),
+            recovered: registry.counter("db.recovered_records"),
+            dup_stores: registry.counter("db.duplicate_stores"),
+            ack_loss_window: registry.counter("db.ack_loss_window"),
+        }
+    }
+
+    fn apply(&self, events: &mut Vec<DbEvent>) {
+        for e in events.drain(..) {
+            match e {
+                DbEvent::QueryScheduled { cost_ms, active } => {
+                    self.queries.inc();
+                    self.query_cost.observe(cost_ms as f64);
+                    self.active.set(active as i64);
+                    if (active as i64) > self.max_active.get() {
+                        self.max_active.set(active as i64);
+                    }
+                }
+                DbEvent::QueryDone { active } => self.active.set(active as i64),
+                DbEvent::WalAppended { bytes } => {
+                    self.wal_appends.inc();
+                    self.wal_bytes.add(bytes);
+                }
+                DbEvent::SnapshotInstalled { .. } => self.snapshots.inc(),
+                DbEvent::Recovered { records, .. } => self.recovered.add(records),
+                DbEvent::DuplicateStoreAbsorbed { .. } => self.dup_stores.inc(),
+                DbEvent::AckLossWindow { .. } => self.ack_loss_window.inc(),
+            }
+        }
+    }
+}
+
+/// The one place machine events become metrics. Built once per
+/// deployment from its roster; every backend that has a registry calls
+/// [`NodeTelemetry::fold`] after each step.
+pub struct NodeTelemetry {
+    unknown_timers: Arc<Counter>,
+    /// One entry per Measurement server, by server index.
+    measurement: Vec<MeasurementTelemetry>,
+    /// Present when the roster has a Database server.
+    db: Option<DbTelemetry>,
+}
+
+impl NodeTelemetry {
+    /// Registers the `measurement.*`, `db.*` and
+    /// `protocol.unknown_timers` handles the roles in `roster` publish.
+    pub fn new(registry: &Arc<Registry>, roster: &[RoleNode]) -> NodeTelemetry {
+        let mut measurement = Vec::new();
+        let mut db = None;
+        for node in roster {
+            match node.role {
+                Role::Measurement(_) => {
+                    measurement.push(MeasurementTelemetry::new(registry, measurement.len()));
+                }
+                Role::Database(_) => db = Some(DbTelemetry::new(registry)),
+                _ => {}
+            }
+        }
+        NodeTelemetry {
+            unknown_timers: registry.counter("protocol.unknown_timers"),
+            measurement,
+            db,
+        }
+    }
+
+    /// Publishes (and drains) the events node `me` produced in one step.
+    pub fn fold(&self, me: Address, now_ms: u64, buf: &mut StepBuf) {
+        if buf.unknown_timers > 0 {
+            self.unknown_timers
+                .add(std::mem::take(&mut buf.unknown_timers));
+        }
+        match me {
+            Address::Server { index } => {
+                if let Some(t) = self.measurement.get(index) {
+                    t.apply(index, now_ms, &mut buf.meas);
+                }
+            }
+            Address::Database => {
+                if let Some(t) = &self.db {
+                    t.apply(&mut buf.db);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::SeedableRng;
+    use sheriff_currency::FixedRates;
+    use sheriff_geo::{Country, IpV4};
+    use sheriff_html::tagspath::TagsPath;
+    use sheriff_market::ProductId;
+
+    use crate::coordinator::{Coordinator, JobId, PeerId};
+    use crate::db::DbCostModel;
+    use crate::protocol::{DefenseParams, MeasurementParams, ReliableConfig};
+    use crate::records::{PriceObservation, VantageKind};
+    use crate::whitelist::Whitelist;
+
+    /// One retransmission, then give-up.
+    fn one_attempt() -> Channel {
+        Channel::new(ReliableConfig {
+            max_attempts: 1,
+            ..ReliableConfig::default()
+        })
+    }
+
+    /// Fires every timer the node arms, earliest first, while the
+    /// network eats every send — the node's view of a total partition.
+    /// Returns once nothing is armed.
+    fn run_partitioned(node: &mut RoleNode, rng: &mut StdRng, buf: &mut StepBuf) {
+        let mut armed: Vec<(u64, u64)> = Vec::new();
+        let mut now_ms = 0;
+        loop {
+            for o in buf.out.drain(..) {
+                if let Output::Timer { delay_ms, kind } = o {
+                    armed.push((now_ms + delay_ms, kind.token()));
+                }
+            }
+            let Some(next) = (0..armed.len()).min_by_key(|&i| armed[i].0) else {
+                return;
+            };
+            let (due_ms, token) = armed.remove(next);
+            now_ms = due_ms;
+            node.on_timer(now_ms, token, rng, buf);
+        }
+    }
+
+    #[test]
+    fn coordinator_give_up_releases_the_origin_through_the_step() {
+        let mut coordinator = Coordinator::new(Whitelist::with_domains(["amazon.com"]));
+        coordinator.register_server("ms-0", 80, 0);
+        let mut node = RoleNode {
+            me: Address::Coordinator,
+            role: Role::Coordinator(Box::new(CoordinatorProto::new(coordinator, 0))),
+            chan: one_attempt(),
+        };
+        let (mut rng, mut buf) = (StdRng::seed_from_u64(7), StepBuf::default());
+        node.on_message(
+            0,
+            Address::Peer { id: 1 },
+            ProtoMsg::CoordRequest {
+                url: "https://amazon.com/product/1".into(),
+                peer: PeerId(1),
+                local_tag: 42,
+            },
+            &mut rng,
+            &mut buf,
+        );
+        let open = |node: &RoleNode| match &node.role {
+            Role::Coordinator(p) => (p.open_origins(), p.coordinator.pending_jobs(0)),
+            _ => unreachable!(),
+        };
+        // Admitted: CoordAssign and PpcList are both awaiting acks.
+        assert_eq!(open(&node), (1, 1));
+        assert_eq!(node.chan.in_flight(), 2);
+
+        run_partitioned(&mut node, &mut rng, &mut buf);
+        assert_eq!(open(&node), (0, 0), "abandoned assignment must not leak");
+        assert_eq!(node.chan.in_flight(), 0);
+    }
+
+    #[test]
+    fn measurement_give_up_finishes_the_job_through_the_step() {
+        let proto = MeasurementProto::new(MeasurementParams {
+            index: 0,
+            ipcs: vec![],
+            rates: FixedRates::paper_era(),
+            target_currency: "EUR".into(),
+            proc_per_reply_ms: 1.0,
+            context_switch_alpha: 0.0,
+            job_deadline_ms: 2_000,
+            db_cost: DbCostModel::dedicated(),
+            integrated_db: false,
+            heartbeat_every_ms: 60_000,
+            ipc_countries: vec![],
+            defense: DefenseParams::default(),
+        });
+        let mut node = RoleNode {
+            me: Address::Server { index: 0 },
+            role: Role::Measurement(Box::new(proto)),
+            chan: one_attempt(),
+        };
+        let (mut rng, mut buf) = (StdRng::seed_from_u64(7), StepBuf::default());
+        let job = JobId(1);
+        node.on_message(
+            0,
+            Address::Coordinator,
+            ProtoMsg::PpcList { job, ppcs: vec![] },
+            &mut rng,
+            &mut buf,
+        );
+        node.on_message(
+            0,
+            Address::Peer { id: 9 },
+            ProtoMsg::JobSubmit {
+                job,
+                domain: "amazon.com".into(),
+                product: ProductId(0),
+                tags_path: TagsPath { steps: vec![] },
+                initiator_html: String::new(),
+                initiator_obs: Box::new(PriceObservation {
+                    vantage: VantageKind::Initiator,
+                    vantage_id: 9,
+                    country: Country::ES,
+                    city: None,
+                    ip: IpV4(0x0A00_0001),
+                    raw_text: "EUR 10.00".into(),
+                    currency: "EUR".into(),
+                    amount: 10.0,
+                    amount_eur: 10.0,
+                    low_confidence: false,
+                    failed: false,
+                }),
+            },
+            &mut rng,
+            &mut buf,
+        );
+        let open_jobs = |node: &RoleNode| match &node.role {
+            Role::Measurement(p) => p.open_jobs(),
+            _ => unreachable!(),
+        };
+        assert_eq!(open_jobs(&node), 1);
+
+        // Deadline → assembly → StoreCheck, which nobody ever acks: the
+        // DbAck that would finish the job cannot arrive.
+        run_partitioned(&mut node, &mut rng, &mut buf);
+        assert_eq!(open_jobs(&node), 0, "abandoned StoreCheck must not leak");
+        assert_eq!(node.chan.in_flight(), 0);
+        assert!(
+            buf.meas
+                .iter()
+                .any(|e| matches!(e, MeasEvent::JobFinished { job: j, .. } if *j == job)),
+            "the give-up path reports the finished job: {:?}",
+            buf.meas
+        );
+    }
+}

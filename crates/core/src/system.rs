@@ -9,13 +9,14 @@
 //! heavy-tailed proxy delays of §5), only content generation is immediate.
 //!
 //! The §3.2 protocol itself lives in [`crate::protocol`] as sans-IO state
-//! machines; this module is the *discrete-event adapter*. Each netsim node
-//! wraps one role machine, translates deliveries into protocol events,
-//! maps the emitted `(Address, ProtoMsg)` commands back onto `NodeId`s,
-//! samples fetch latency for `SendFetched` outputs, and turns the
-//! machines' observable outcomes into telemetry. The TCP deployment in
-//! `sheriff-wire` drives the *same* machines, so both backends execute
-//! one protocol implementation.
+//! machines, the roster comes from [`crate::roster::build_roster`], and
+//! hosting a machine (channel, give-up release, restart, telemetry fold)
+//! is [`crate::protocol::RoleNode`]'s job. What is left here is the
+//! *discrete-event* part: one netsim node type that translates `NodeId`s
+//! to logical addresses and back, samples fetch latency for
+//! `SendFetched` outputs, and consults the Byzantine plan at its send
+//! edge. The TCP deployment in `sheriff-wire` steps the *same*
+//! `RoleNode`s, so both backends execute one protocol implementation.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -24,30 +25,24 @@ use parking_lot::Mutex;
 use rand::Rng;
 use rand::SeedableRng;
 
-use sheriff_geo::{Country, GeoLocator, Granularity, IpAllocator};
+use sheriff_geo::Country;
 use sheriff_market::{ProductId, UserAgent, World};
 use sheriff_netsim::{
     latency::sample_standard_normal, ByzStats, ByzantinePlan, Ctx, FaultPlan, FaultStats, Node,
     NodeId, SimTime, Simulator,
 };
-use sheriff_telemetry::{Counter, FieldValue, Gauge, Histogram, Registry};
+use sheriff_telemetry::Registry;
 
-use crate::latency::{GeoLatency, GeoLatencyConfig};
-
-use crate::browser::BrowserProfile;
 use crate::byzantine;
-use crate::coordinator::{Coordinator, PeerId};
 use crate::db::DbCostModel;
 use crate::durability::MemStorage;
-use crate::pollution::PollutionLedger;
+use crate::latency::{GeoLatency, GeoLatencyConfig};
 use crate::protocol::{
-    Address, AggregatorProto, Channel, CoordinatorProto, DbEvent, DbProto, DefenseBook,
-    DefenseParams, DefenseTotals, IpcProto, MeasEvent, MeasurementParams, MeasurementProto, Output,
-    PeerProto, ProtoMsg, ReliableConfig, TimerKind,
+    Address, CoordinatorProto, DbProto, DefenseParams, DefenseTotals, MeasurementProto,
+    NodeTelemetry, Output, PeerProto, ProtoMsg, Role, RoleNode, StepBuf, TimerKind,
 };
-use crate::proxy::{IpcEngine, PpcEngine};
 use crate::records::PriceCheck;
-use crate::whitelist::Whitelist;
+use crate::roster::build_roster;
 
 /// Which architecture generation runs (Table 1's "Old" vs "New").
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -252,13 +247,10 @@ fn fetch_delay<R: Rng + ?Sized>(
 // ---------------------------------------------------------------------
 
 /// Immutable logical-address ↔ `NodeId` directory, shared by every
-/// adapter node. NodeIds are sequential: `[coordinator, aggregator, db?,
-/// servers…, ipcs…, ppcs…]`.
+/// adapter node. NodeIds are roster positions: `[coordinator,
+/// aggregator, db?, servers…, ipcs…, ppcs…]`.
 struct AddrMap {
-    db: Option<NodeId>,
-    first_server: usize,
-    first_ipc: usize,
-    peer_nodes: BTreeMap<u64, NodeId>,
+    node_of: BTreeMap<Address, NodeId>,
     addr_of: Vec<Address>,
     /// Deployment-wide Byzantine plan, consulted at every node's send
     /// edge (the DES twin of the TCP reactor's shim). `None` until a
@@ -269,18 +261,11 @@ struct AddrMap {
 
 impl AddrMap {
     fn node(&self, addr: Address) -> Option<NodeId> {
-        match addr {
-            Address::Coordinator => Some(NodeId(0)),
-            Address::Aggregator => Some(NodeId(1)),
-            Address::Database => self.db,
-            Address::Server { index } => Some(NodeId(self.first_server + index)),
-            Address::Ipc { index } => Some(NodeId(self.first_ipc + index)),
-            Address::Peer { id } => self.peer_nodes.get(&id).copied(),
-        }
+        self.node_of.get(&addr).copied()
     }
 
-    fn addr(&self, node: NodeId) -> Address {
-        self.addr_of[node.0]
+    fn addr(&self, node: NodeId) -> Option<Address> {
+        self.addr_of.get(node.0).copied()
     }
 }
 
@@ -296,14 +281,14 @@ struct FetchTiming {
 
 /// Maps protocol outputs onto the simulator: sends become deliveries,
 /// `SendFetched` samples the proxy delay first, timers pack their kind
-/// into the u64 token space.
+/// into the u64 token space. Drains `out` so the node's buffer is reused.
 fn dispatch(
     map: &AddrMap,
     ctx: &mut Ctx<'_, ProtoMsg>,
-    out: Vec<Output>,
+    out: &mut Vec<Output>,
     fetch: Option<FetchTiming>,
 ) {
-    for o in out {
+    for o in out.drain(..) {
         match o {
             Output::Send { to, msg } => {
                 if let Some(node) = map.node(to) {
@@ -311,20 +296,23 @@ fn dispatch(
                 }
             }
             Output::SendFetched { to, msg } => {
-                let t = fetch.expect("role without fetch timing emitted SendFetched");
                 // The single proxy-fetch latency is drawn *before* the
                 // Byzantine consult and shared by every emitted copy, so
                 // an installed-but-all-zero plan perturbs no RNG draws.
-                let delay = fetch_delay(
-                    ctx.rng(),
-                    t.median_ms,
-                    t.sigma,
-                    t.overload_prob,
-                    t.overload_ms,
-                    t.kill_ms,
-                );
+                // (Only the proxy roles emit this, and both carry a
+                // timing; any other sender's reply leaves at once.)
+                let delay = fetch.map(|t| {
+                    fetch_delay(
+                        ctx.rng(),
+                        t.median_ms,
+                        t.sigma,
+                        t.overload_prob,
+                        t.overload_ms,
+                        t.kill_ms,
+                    )
+                });
                 if let Some(node) = map.node(to) {
-                    byz_send(map, ctx, node, msg, Some(delay));
+                    byz_send(map, ctx, node, msg, delay);
                 }
             }
             Output::Timer { delay_ms, kind } => {
@@ -375,404 +363,56 @@ fn byz_send(
 }
 
 // ---------------------------------------------------------------------
-// Adapter nodes
+// The adapter node
 // ---------------------------------------------------------------------
 
-struct CoordinatorNode {
-    proto: CoordinatorProto,
+/// One simulated node: a [`RoleNode`] plus the parts of hosting it that
+/// really are discrete-event — the `NodeId` directory, proxy-fetch
+/// latency sampling, and the Byzantine send edge behind [`dispatch`].
+struct DesNode {
+    node: RoleNode,
     map: Arc<AddrMap>,
-    chan: Channel,
-    unknown_timers: Arc<Counter>,
+    telemetry: Arc<NodeTelemetry>,
+    /// Set for the proxy roles (IPC, PPC), the only `SendFetched` sources.
+    timing: Option<FetchTiming>,
+    buf: StepBuf,
 }
 
-impl Node<ProtoMsg> for CoordinatorNode {
+impl DesNode {
+    /// Publishes the step's events, then hands its commands to the
+    /// simulator.
+    fn finish(&mut self, ctx: &mut Ctx<'_, ProtoMsg>) {
+        self.telemetry
+            .fold(self.node.me, ctx.now.as_millis(), &mut self.buf);
+        dispatch(&self.map, ctx, &mut self.buf.out, self.timing);
+    }
+}
+
+impl Node<ProtoMsg> for DesNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_, ProtoMsg>, from: NodeId, msg: ProtoMsg) {
-        let from = self.map.addr(from);
-        let mut out = Vec::new();
-        if let Some(msg) = self.chan.accept(from, msg, &mut out) {
-            self.proto
-                .on_message(ctx.now.as_millis(), from, msg, ctx.rng(), &mut out);
-        }
-        self.chan.harden(&mut out);
-        dispatch(&self.map, ctx, out, None);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, ProtoMsg>, token: u64) {
-        let mut out = Vec::new();
-        match TimerKind::from_token(token) {
-            None => {
-                self.unknown_timers.inc();
-                return;
-            }
-            Some(TimerKind::Retransmit(seq)) => {
-                // A give-up means the admitted job can never be worked:
-                // let the machine release its origin/ledger bookkeeping.
-                if let Some((_, abandoned)) = self.chan.on_retransmit(seq, &mut out) {
-                    self.proto.on_send_abandoned(&abandoned);
-                }
-            }
-            Some(kind) => self
-                .proto
-                .on_timer(ctx.now.as_millis(), kind, ctx.rng(), &mut out),
-        }
-        self.chan.harden(&mut out);
-        dispatch(&self.map, ctx, out, None);
-    }
-}
-
-struct AggregatorNode {
-    proto: AggregatorProto,
-    map: Arc<AddrMap>,
-    chan: Channel,
-    unknown_timers: Arc<Counter>,
-}
-
-impl Node<ProtoMsg> for AggregatorNode {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, ProtoMsg>, from: NodeId, msg: ProtoMsg) {
-        let from = self.map.addr(from);
-        let mut out = Vec::new();
-        if let Some(msg) = self.chan.accept(from, msg, &mut out) {
-            self.proto.on_message(from, msg, &mut out);
-        }
-        self.chan.harden(&mut out);
-        dispatch(&self.map, ctx, out, None);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, ProtoMsg>, token: u64) {
-        let mut out = Vec::new();
-        match TimerKind::from_token(token) {
-            None => {
-                self.unknown_timers.inc();
-                return;
-            }
-            Some(TimerKind::Retransmit(seq)) => {
-                // This machine keeps no per-send bookkeeping; the channel
-                // already counted the give-up.
-                let _ = self.chan.on_retransmit(seq, &mut out);
-            }
-            Some(_) => {}
-        }
-        dispatch(&self.map, ctx, out, None);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Measurement server node
-// ---------------------------------------------------------------------
-
-/// Fan-out latency buckets (virtual ms): proxy fetches are heavy-tailed
-/// (§5), so the grid spans two decades up to the job-deadline scale.
-const FANOUT_LATENCY_EDGES: &[f64] = &[
-    100.0, 250.0, 500.0, 1_000.0, 2_000.0, 4_000.0, 8_000.0, 16_000.0, 32_000.0, 64_000.0,
-];
-
-/// Modeled CPU cost buckets (ms) for extraction/assembly and DB stores.
-const CPU_COST_EDGES: &[f64] = &[
-    1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1_000.0, 5_000.0,
-];
-
-/// Cached handles for the Measurement-server hot path. Histograms are
-/// shared across servers (same metric name); the active-jobs gauge is
-/// per server.
-struct MeasurementTelemetry {
-    registry: Arc<Registry>,
-    fanout_latency: Arc<Histogram>,
-    assembly_cpu: Arc<Histogram>,
-    replies: Arc<Counter>,
-    late_replies: Arc<Counter>,
-    bytes_stored: Arc<Counter>,
-    bytes_full: Arc<Counter>,
-    jobs_finished: Arc<Counter>,
-    active_jobs: Arc<Gauge>,
-    /// v1 integrated-RDBMS cost, published under the same names as the
-    /// dedicated Database server so v1/v2 run reports line up.
-    db_query_cost: Arc<Histogram>,
-    db_queries: Arc<Counter>,
-    /// Duplicate `FetchReply` deliveries suppressed by the per-job
-    /// vantage dedup (same counter as the reliable channel's dedup — both
-    /// mean "a transport duplicate was absorbed").
-    dedup_hits: Arc<Counter>,
-    /// Half-open jobs reaped at the deadline (partner message lost).
-    orphans_reaped: Arc<Counter>,
-}
-
-impl MeasurementTelemetry {
-    fn new(registry: &Arc<Registry>, index: usize) -> Self {
-        MeasurementTelemetry {
-            db_query_cost: registry.histogram("db.query_cost_ms", CPU_COST_EDGES),
-            db_queries: registry.counter("db.queries_total"),
-            dedup_hits: registry.counter("protocol.dedup_hits"),
-            orphans_reaped: registry.counter("measurement.orphans_reaped"),
-            fanout_latency: registry
-                .histogram("measurement.fanout_latency_ms", FANOUT_LATENCY_EDGES),
-            assembly_cpu: registry.histogram("measurement.assembly_cpu_ms", CPU_COST_EDGES),
-            replies: registry.counter("measurement.replies_total"),
-            late_replies: registry.counter("measurement.late_replies"),
-            bytes_stored: registry.counter("measurement.diff_bytes_stored"),
-            bytes_full: registry.counter("measurement.diff_bytes_full"),
-            jobs_finished: registry.counter("measurement.jobs_finished"),
-            active_jobs: registry.gauge(&format!("measurement.{index:03}.active_jobs")),
-            registry: Arc::clone(registry),
-        }
-    }
-
-    /// Folds the machine's observable outcomes into the registry.
-    fn apply(&self, index: usize, now_ms: u64, events: Vec<MeasEvent>) {
-        for e in events {
-            match e {
-                MeasEvent::ReplyAccepted { since_fanout_ms } => {
-                    self.replies.inc();
-                    self.fanout_latency.observe(since_fanout_ms as f64);
-                }
-                MeasEvent::ReplyLate => self.late_replies.inc(),
-                MeasEvent::ReplyDuplicate => self.dedup_hits.inc(),
-                MeasEvent::OrphanReaped { job } => {
-                    self.orphans_reaped.inc();
-                    self.registry.event(
-                        now_ms,
-                        "measurement.orphan_reaped",
-                        vec![
-                            ("job", FieldValue::U64(job.0)),
-                            ("server", FieldValue::U64(index as u64)),
-                        ],
-                    );
-                }
-                MeasEvent::AssemblyScheduled {
-                    proc_ms,
-                    db_ms,
-                    active_jobs,
-                } => {
-                    if let Some(db_ms) = db_ms {
-                        self.db_queries.inc();
-                        self.db_query_cost.observe(db_ms);
-                    }
-                    self.assembly_cpu.observe(proc_ms);
-                    self.active_jobs.set(active_jobs as i64);
-                }
-                MeasEvent::JobFinished {
-                    job,
-                    stored,
-                    full,
-                    received,
-                    fanout_at_ms,
-                    active_jobs,
-                } => {
-                    self.bytes_stored.add(stored as u64);
-                    self.bytes_full.add(full as u64);
-                    self.jobs_finished.inc();
-                    self.active_jobs.set(active_jobs as i64);
-                    self.registry.span(
-                        fanout_at_ms,
-                        now_ms,
-                        "measurement.job",
-                        vec![
-                            ("job", FieldValue::U64(job.0)),
-                            ("server", FieldValue::U64(index as u64)),
-                            ("replies", FieldValue::U64(received as u64)),
-                        ],
-                    );
-                }
-            }
-        }
-    }
-}
-
-struct MeasurementNode {
-    index: usize,
-    proto: MeasurementProto,
-    map: Arc<AddrMap>,
-    telemetry: MeasurementTelemetry,
-    chan: Channel,
-    unknown_timers: Arc<Counter>,
-}
-
-impl Node<ProtoMsg> for MeasurementNode {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, ProtoMsg>, from: NodeId, msg: ProtoMsg) {
-        let from = self.map.addr(from);
+        let Some(from) = self.map.addr(from) else {
+            return;
+        };
         let now = ctx.now.as_millis();
-        let (mut out, mut events) = (Vec::new(), Vec::new());
-        if let Some(msg) = self.chan.accept(from, msg, &mut out) {
-            self.proto.on_message(now, from, msg, &mut out, &mut events);
-        }
-        self.telemetry.apply(self.index, now, events);
-        self.chan.harden(&mut out);
-        dispatch(&self.map, ctx, out, None);
+        self.node
+            .on_message(now, from, msg, ctx.rng(), &mut self.buf);
+        self.finish(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, ProtoMsg>, token: u64) {
         let now = ctx.now.as_millis();
-        let (mut out, mut events) = (Vec::new(), Vec::new());
-        match TimerKind::from_token(token) {
-            None => {
-                self.unknown_timers.inc();
-                return;
-            }
-            Some(TimerKind::Retransmit(seq)) => {
-                // A give-up on a StoreCheck means the DbAck can never
-                // arrive: let the machine finish the job locally.
-                if let Some((_, abandoned)) = self.chan.on_retransmit(seq, &mut out) {
-                    self.proto
-                        .on_send_abandoned(now, &abandoned, &mut out, &mut events);
-                }
-            }
-            Some(kind) => self.proto.on_timer(now, kind, &mut out, &mut events),
-        }
-        self.telemetry.apply(self.index, now, events);
-        self.chan.harden(&mut out);
-        dispatch(&self.map, ctx, out, None);
+        self.node.on_timer(now, token, ctx.rng(), &mut self.buf);
+        self.finish(ctx);
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx<'_, ProtoMsg>) {
-        // Crash recovery (§10.3): re-announce liveness immediately so the
-        // Coordinator puts the server back in rotation without waiting a
-        // full beacon period.
-        let now = ctx.now.as_millis();
-        let mut out = Vec::new();
-        self.proto.on_restart(now, &mut out);
-        self.chan.harden(&mut out);
-        dispatch(&self.map, ctx, out, None);
+        self.node.on_restart(ctx.now.as_millis(), &mut self.buf);
+        self.finish(ctx);
     }
 }
 
 // ---------------------------------------------------------------------
-// Database server node (v2)
-// ---------------------------------------------------------------------
-
-/// Cached handles for the Database-server hot path.
-struct DbTelemetry {
-    query_cost: Arc<Histogram>,
-    queries: Arc<Counter>,
-    active: Arc<Gauge>,
-    max_active: Arc<Gauge>,
-    wal_appends: Arc<Counter>,
-    wal_bytes: Arc<Counter>,
-    snapshots: Arc<Counter>,
-    recovered: Arc<Counter>,
-    dup_stores: Arc<Counter>,
-    ack_loss_window: Arc<Counter>,
-}
-
-impl DbTelemetry {
-    fn new(registry: &Arc<Registry>) -> Self {
-        DbTelemetry {
-            query_cost: registry.histogram("db.query_cost_ms", CPU_COST_EDGES),
-            queries: registry.counter("db.queries_total"),
-            active: registry.gauge("db.active_queries"),
-            max_active: registry.gauge("db.active_queries_max"),
-            wal_appends: registry.counter("db.wal_appends"),
-            wal_bytes: registry.counter("db.wal_bytes"),
-            snapshots: registry.counter("db.snapshots"),
-            recovered: registry.counter("db.recovered_records"),
-            dup_stores: registry.counter("db.duplicate_stores"),
-            ack_loss_window: registry.counter("db.ack_loss_window"),
-        }
-    }
-
-    fn apply(&self, events: Vec<DbEvent>) {
-        for e in events {
-            match e {
-                DbEvent::QueryScheduled { cost_ms, active } => {
-                    self.queries.inc();
-                    self.query_cost.observe(cost_ms as f64);
-                    self.active.set(active as i64);
-                    if (active as i64) > self.max_active.get() {
-                        self.max_active.set(active as i64);
-                    }
-                }
-                DbEvent::QueryDone { active } => self.active.set(active as i64),
-                DbEvent::WalAppended { bytes } => {
-                    self.wal_appends.inc();
-                    self.wal_bytes.add(bytes);
-                }
-                DbEvent::SnapshotInstalled { .. } => self.snapshots.inc(),
-                DbEvent::Recovered { records, .. } => self.recovered.add(records),
-                DbEvent::DuplicateStoreAbsorbed { .. } => self.dup_stores.inc(),
-                DbEvent::AckLossWindow { .. } => self.ack_loss_window.inc(),
-            }
-        }
-    }
-}
-
-struct DbNode {
-    proto: DbProto,
-    map: Arc<AddrMap>,
-    telemetry: DbTelemetry,
-    chan: Channel,
-    unknown_timers: Arc<Counter>,
-}
-
-impl Node<ProtoMsg> for DbNode {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, ProtoMsg>, from: NodeId, msg: ProtoMsg) {
-        let from = self.map.addr(from);
-        let now = ctx.now.as_millis();
-        let (mut out, mut events) = (Vec::new(), Vec::new());
-        if let Some(msg) = self.chan.accept(from, msg, &mut out) {
-            self.proto.on_message(now, from, msg, &mut out, &mut events);
-        }
-        self.telemetry.apply(events);
-        self.chan.harden(&mut out);
-        dispatch(&self.map, ctx, out, None);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, ProtoMsg>, token: u64) {
-        let (mut out, mut events) = (Vec::new(), Vec::new());
-        match TimerKind::from_token(token) {
-            None => {
-                self.unknown_timers.inc();
-                return;
-            }
-            Some(TimerKind::Retransmit(seq)) => {
-                // This machine keeps no per-send bookkeeping; the channel
-                // already counted the give-up.
-                let _ = self.chan.on_retransmit(seq, &mut out);
-            }
-            Some(kind) => self.proto.on_timer(kind, &mut out, &mut events),
-        }
-        self.telemetry.apply(events);
-        self.chan.harden(&mut out);
-        dispatch(&self.map, ctx, out, None);
-    }
-
-    fn on_restart(&mut self, _ctx: &mut Ctx<'_, ProtoMsg>) {
-        // Process restart: everything volatile — the memory table,
-        // in-flight queries, the reliable channel's dedup windows — is
-        // gone; the durable prefix comes back from snapshot + WAL
-        // replay, and the un-barriered log tail is truncated
-        // deterministically. Senders whose stores were torn off simply
-        // retransmit into the fresh windows.
-        self.chan.on_restart();
-        let mut events = Vec::new();
-        self.proto.on_restart(&mut events);
-        self.telemetry.apply(events);
-    }
-}
-
-// ---------------------------------------------------------------------
-// IPC node
-// ---------------------------------------------------------------------
-
-struct IpcNode {
-    proto: IpcProto,
-    world: Arc<Mutex<World>>,
-    map: Arc<AddrMap>,
-    timing: FetchTiming,
-}
-
-impl Node<ProtoMsg> for IpcNode {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, ProtoMsg>, from: NodeId, msg: ProtoMsg) {
-        let from = self.map.addr(from);
-        let mut out = Vec::new();
-        {
-            let mut world = self.world.lock();
-            self.proto
-                .on_message(ctx.now.as_millis(), from, msg, &mut world, &mut out);
-        }
-        dispatch(&self.map, ctx, out, Some(self.timing));
-    }
-}
-
-// ---------------------------------------------------------------------
-// PPC / add-on node
+// Facade
 // ---------------------------------------------------------------------
 
 /// A completed price check as recorded by the initiating add-on.
@@ -785,50 +425,6 @@ pub struct CompletedCheck {
     /// When the result page finished.
     pub completed: SimTime,
 }
-
-struct AddonNode {
-    proto: PeerProto,
-    world: Arc<Mutex<World>>,
-    map: Arc<AddrMap>,
-    timing: FetchTiming,
-    chan: Channel,
-    unknown_timers: Arc<Counter>,
-}
-
-impl Node<ProtoMsg> for AddonNode {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, ProtoMsg>, from: NodeId, msg: ProtoMsg) {
-        let from = self.map.addr(from);
-        let mut out = Vec::new();
-        if let Some(msg) = self.chan.accept(from, msg, &mut out) {
-            let mut world = self.world.lock();
-            self.proto
-                .on_message(ctx.now.as_millis(), from, msg, &mut world, &mut out);
-        }
-        self.chan.harden(&mut out);
-        dispatch(&self.map, ctx, out, Some(self.timing));
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, ProtoMsg>, token: u64) {
-        let mut out = Vec::new();
-        match TimerKind::from_token(token) {
-            None => {
-                self.unknown_timers.inc();
-                return;
-            }
-            Some(TimerKind::Retransmit(seq)) => {
-                if let Some((_, abandoned)) = self.chan.on_retransmit(seq, &mut out) {
-                    self.proto.on_send_abandoned(&abandoned);
-                }
-            }
-            Some(_) => {}
-        }
-        dispatch(&self.map, ctx, out, Some(self.timing));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Facade
-// ---------------------------------------------------------------------
 
 /// Specification of one peer joining the system.
 #[derive(Clone, Debug)]
@@ -878,10 +474,6 @@ pub struct PpcSpec {
 pub struct PriceSheriff {
     /// The underlying simulator (exposed for custom drivers).
     pub sim: Simulator<ProtoMsg>,
-    coordinator: NodeId,
-    aggregator: NodeId,
-    db: Option<NodeId>,
-    ppc_nodes: BTreeMap<u64, NodeId>,
     world: Arc<Mutex<World>>,
     next_tag: u64,
     cfg: SheriffConfig,
@@ -895,232 +487,93 @@ impl PriceSheriff {
     /// Builds the full system over `world` with the given peers. Every
     /// world domain is whitelisted (the deployment's manual curation).
     pub fn new(cfg: SheriffConfig, world: World, ppcs: &[PpcSpec]) -> Self {
-        let whitelist = Whitelist::with_domains(world.domains().map(str::to_string));
         let world = Arc::new(Mutex::new(world));
-        let rates = world.lock().rates.clone();
-        let mut alloc = IpAllocator::new();
-        let locator = GeoLocator::new(Granularity::City);
-
-        // NodeIds are sequential, so precompute the layout:
-        // [coordinator, aggregator, db?, servers…, ipcs…, ppcs…].
-        let n_servers = if cfg.version == SystemVersion::V1 {
-            1
-        } else {
-            cfg.n_measurement_servers
-        };
-        let has_db = cfg.version == SystemVersion::V2;
-        let coordinator_id = NodeId(0);
-        let aggregator_id = NodeId(1);
-        let db_id = if has_db { Some(NodeId(2)) } else { None };
-        let first_server = 2 + usize::from(has_db);
-        let server_ids: Vec<NodeId> = (0..n_servers).map(|i| NodeId(first_server + i)).collect();
-        let first_ipc = first_server + n_servers;
-        let first_ppc = first_ipc + cfg.ipc_locations.len();
-
-        // Geography-aware message latency: infrastructure (coordinator,
-        // aggregator, DB, measurement servers) is "in the cloud"; IPCs and
-        // PPCs sit in their countries.
-        let mut node_countries: Vec<Option<Country>> = vec![None; first_ipc];
-        node_countries.extend(cfg.ipc_locations.iter().map(|&(c, _)| Some(c)));
-        node_countries.extend(ppcs.iter().map(|s| Some(s.country)));
-        let latency = GeoLatency::new(GeoLatencyConfig::default(), node_countries);
-        let mut sim: Simulator<ProtoMsg> = Simulator::new(Box::new(latency), cfg.seed);
-
         // One shared registry for the whole system: coordinator, servers,
         // DB, and the simulation engine all publish into it, and the run
         // report / monitoring panel read from it.
         let telemetry = Arc::new(Registry::new());
+        let roster = build_roster(&cfg, &world, ppcs, &telemetry, Box::new(MemStorage::new()));
+
+        // Geography-aware message latency: infrastructure (coordinator,
+        // aggregator, DB, measurement servers) is "in the cloud"; IPCs and
+        // PPCs sit in their countries.
+        let node_countries = roster
+            .iter()
+            .map(|n| match &n.role {
+                Role::Ipc { proto, .. } => Some(proto.engine.country),
+                Role::Peer { proto, .. } => Some(proto.engine.country),
+                _ => None,
+            })
+            .collect();
+        let latency = GeoLatency::new(GeoLatencyConfig::default(), node_countries);
+        let mut sim: Simulator<ProtoMsg> = Simulator::new(Box::new(latency), cfg.seed);
         sim.set_telemetry(Arc::clone(&telemetry));
 
-        // One at-least-once channel per node (shared counter names, so
-        // the registry aggregates across the deployment), plus the
-        // "unknown timer token" counter every driver must maintain.
-        let reliable_cfg = ReliableConfig {
-            base_backoff_ms: cfg.retransmit_base_ms,
-            ..ReliableConfig::default()
-        };
-        let mk_chan = || Channel::new(reliable_cfg).with_telemetry(&telemetry);
-        let unknown_timers = telemetry.counter("protocol.unknown_timers");
-
-        // Coordinator state.
-        let mut coordinator = Coordinator::with_telemetry(whitelist, Arc::clone(&telemetry));
-        coordinator.heartbeat_timeout_ms = cfg.heartbeat_timeout_ms;
-        for i in 0..n_servers {
-            coordinator.register_server(&format!("ms-{i}"), 80, 0);
-        }
-        let mut peer_nodes = BTreeMap::new();
-        let mut ppc_specs_with_ip = Vec::new();
-        for (i, spec) in ppcs.iter().enumerate() {
-            let ip = alloc.allocate(spec.country, spec.city_idx);
-            let node = NodeId(first_ppc + i);
-            peer_nodes.insert(spec.peer_id, node);
-            let location = locator.locate(ip).expect("allocated IPs always geolocate");
-            coordinator.peer_online(PeerId(spec.peer_id), ip, location.clone());
-            ppc_specs_with_ip.push((spec.clone(), ip, location));
-        }
-
-        // The shared Address ↔ NodeId directory.
-        let mut addr_of: Vec<Address> = vec![Address::Coordinator, Address::Aggregator];
-        if has_db {
-            addr_of.push(Address::Database);
-        }
-        addr_of.extend((0..n_servers).map(|index| Address::Server { index }));
-        addr_of.extend((0..cfg.ipc_locations.len()).map(|index| Address::Ipc { index }));
-        addr_of.extend(ppcs.iter().map(|s| Address::Peer { id: s.peer_id }));
+        let addr_of: Vec<Address> = roster.iter().map(|n| n.me).collect();
         let map = Arc::new(AddrMap {
-            db: db_id,
-            first_server,
-            first_ipc,
-            peer_nodes: peer_nodes.clone(),
+            node_of: addr_of
+                .iter()
+                .enumerate()
+                .map(|(i, &a)| (a, NodeId(i)))
+                .collect(),
             addr_of,
             byz: Mutex::new(None),
         });
-
-        let mut coord_proto = CoordinatorProto::new(coordinator, cfg.ppc_per_request);
-        coord_proto.sweep_every_ms = cfg.coord_sweep_every_ms;
-        coord_proto.defense = DefenseBook::new(cfg.defense).with_telemetry(&telemetry);
-        let coord_node = CoordinatorNode {
-            proto: coord_proto,
-            map: Arc::clone(&map),
-            chan: mk_chan(),
-            unknown_timers: Arc::clone(&unknown_timers),
-        };
-        assert_eq!(sim.add_node(Box::new(coord_node)), coordinator_id);
-        // The §10.3 recovery sweep: expire heartbeats, requeue orphans.
-        sim.inject_timer(
-            SimTime::from_millis(cfg.coord_sweep_every_ms),
-            coordinator_id,
-            TimerKind::CoordSweep.token(),
-        );
-
-        let agg_node = AggregatorNode {
-            proto: AggregatorProto::new(),
-            map: Arc::clone(&map),
-            chan: mk_chan(),
-            unknown_timers: Arc::clone(&unknown_timers),
-        };
-        assert_eq!(sim.add_node(Box::new(agg_node)), aggregator_id);
-
-        if has_db {
-            let db_node = DbNode {
-                proto: DbProto::with_storage(
-                    cfg.db_cost,
-                    Box::new(MemStorage::new()),
-                    cfg.db_snapshot_every,
+        let node_telemetry = Arc::new(NodeTelemetry::new(&telemetry, &roster));
+        for node in roster {
+            let (me, timing) = (node.me, Self::fetch_timing(&cfg, &node.role));
+            let id = sim.add_node(Box::new(DesNode {
+                node,
+                map: Arc::clone(&map),
+                telemetry: Arc::clone(&node_telemetry),
+                timing,
+                buf: StepBuf::default(),
+            }));
+            debug_assert_eq!(map.node(me), Some(id));
+            // The phase of the two self-sustaining timers is the
+            // backend's to pick: the §10.3 recovery sweep one period in,
+            // the first liveness beacon almost at once.
+            match me {
+                Address::Coordinator => sim.inject_timer(
+                    SimTime::from_millis(cfg.coord_sweep_every_ms),
+                    id,
+                    TimerKind::CoordSweep.token(),
                 ),
-                map: Arc::clone(&map),
-                telemetry: DbTelemetry::new(&telemetry),
-                chan: mk_chan(),
-                unknown_timers: Arc::clone(&unknown_timers),
-            };
-            assert_eq!(sim.add_node(Box::new(db_node)), db_id.expect("has_db"));
-        }
-
-        let ipc_addrs: Vec<Address> = (0..cfg.ipc_locations.len())
-            .map(|index| Address::Ipc { index })
-            .collect();
-        for (i, &sid) in server_ids.iter().enumerate() {
-            let mut meas_proto = MeasurementProto::new(MeasurementParams {
-                index: i,
-                ipcs: ipc_addrs.clone(),
-                rates: rates.clone(),
-                target_currency: cfg.target_currency.clone(),
-                proc_per_reply_ms: cfg.proc_per_reply_ms,
-                context_switch_alpha: cfg.context_switch_alpha,
-                job_deadline_ms: cfg.job_deadline_ms,
-                db_cost: cfg.db_cost,
-                integrated_db: cfg.version == SystemVersion::V1,
-                heartbeat_every_ms: cfg.heartbeat_every_ms,
-                ipc_countries: cfg.ipc_locations.iter().map(|&(c, _)| c).collect(),
-                defense: cfg.defense,
-            });
-            meas_proto.defense = DefenseBook::new(cfg.defense).with_telemetry(&telemetry);
-            let node = MeasurementNode {
-                index: i,
-                proto: meas_proto,
-                map: Arc::clone(&map),
-                telemetry: MeasurementTelemetry::new(&telemetry, i),
-                chan: mk_chan(),
-                unknown_timers: Arc::clone(&unknown_timers),
-            };
-            assert_eq!(sim.add_node(Box::new(node)), sid);
-            sim.inject_timer(SimTime::from_millis(100), sid, TimerKind::Heartbeat.token());
-        }
-
-        for (i, &(country, city_idx)) in cfg.ipc_locations.iter().enumerate() {
-            let ip = alloc.allocate(country, city_idx);
-            let city = locator.locate(ip).and_then(|l| l.city);
-            let node = IpcNode {
-                proto: IpcProto {
-                    engine: IpcEngine {
-                        id: i as u64,
-                        country,
-                        city_idx,
-                        ip,
-                        user_agent: UserAgent {
-                            os: sheriff_market::pricing::Os::Linux,
-                            browser: sheriff_market::pricing::Browser::Firefox,
-                        },
-                    },
-                    city,
-                },
-                world: Arc::clone(&world),
-                map: Arc::clone(&map),
-                timing: FetchTiming {
-                    median_ms: cfg.ipc_fetch_median_ms,
-                    sigma: cfg.fetch_sigma,
-                    overload_prob: cfg.ipc_overload_prob,
-                    overload_ms: cfg.ipc_overload_ms,
-                    kill_ms: cfg.fetch_kill_ms,
-                },
-            };
-            assert_eq!(sim.add_node(Box::new(node)), NodeId(first_ipc + i));
-        }
-
-        for (i, (spec, ip, location)) in ppc_specs_with_ip.into_iter().enumerate() {
-            let node = AddonNode {
-                proto: PeerProto::new(
-                    PpcEngine {
-                        peer_id: spec.peer_id,
-                        browser: BrowserProfile::new(),
-                        ledger: PollutionLedger::new(),
-                        ip,
-                        country: spec.country,
-                        city_idx: spec.city_idx,
-                        user_agent: spec.user_agent,
-                        affluence: spec.affluence,
-                        logged_in_domains: spec.logged_in_domains.clone(),
-                    },
-                    location.city,
-                    cfg.target_currency.clone(),
-                    cfg.enable_doppelgangers,
-                ),
-                world: Arc::clone(&world),
-                map: Arc::clone(&map),
-                timing: FetchTiming {
-                    median_ms: cfg.ppc_fetch_median_ms,
-                    sigma: cfg.fetch_sigma,
-                    overload_prob: 0.0,
-                    overload_ms: 0,
-                    kill_ms: cfg.fetch_kill_ms,
-                },
-                chan: mk_chan(),
-                unknown_timers: Arc::clone(&unknown_timers),
-            };
-            assert_eq!(sim.add_node(Box::new(node)), NodeId(first_ppc + i));
+                Address::Server { .. } => {
+                    sim.inject_timer(SimTime::from_millis(100), id, TimerKind::Heartbeat.token());
+                }
+                _ => {}
+            }
         }
 
         PriceSheriff {
             sim,
-            coordinator: coordinator_id,
-            aggregator: aggregator_id,
-            db: db_id,
-            ppc_nodes: peer_nodes,
             world,
             next_tag: 1,
             cfg,
             telemetry,
             map,
+        }
+    }
+
+    /// The modeled page-fetch latency of a proxy role (§5).
+    fn fetch_timing(cfg: &SheriffConfig, role: &Role) -> Option<FetchTiming> {
+        match role {
+            Role::Ipc { .. } => Some(FetchTiming {
+                median_ms: cfg.ipc_fetch_median_ms,
+                sigma: cfg.fetch_sigma,
+                overload_prob: cfg.ipc_overload_prob,
+                overload_ms: cfg.ipc_overload_ms,
+                kill_ms: cfg.fetch_kill_ms,
+            }),
+            Role::Peer { .. } => Some(FetchTiming {
+                median_ms: cfg.ppc_fetch_median_ms,
+                sigma: cfg.fetch_sigma,
+                overload_prob: 0.0,
+                overload_ms: 0,
+                kill_ms: cfg.fetch_kill_ms,
+            }),
+            _ => None,
         }
     }
 
@@ -1139,12 +592,63 @@ impl PriceSheriff {
         &self.cfg
     }
 
+    /// The machine at `addr`.
+    fn role(&self, addr: Address) -> Option<&Role> {
+        let node = self.sim.node_ref::<DesNode>(self.map.node(addr)?)?;
+        Some(&node.node.role)
+    }
+
+    fn role_mut(&mut self, addr: Address) -> Option<&mut Role> {
+        let node = self.sim.node_mut::<DesNode>(self.map.node(addr)?)?;
+        Some(&mut node.node.role)
+    }
+
+    /// Every machine, in roster order.
+    fn roles(&self) -> impl Iterator<Item = &Role> {
+        (0..self.sim.node_count())
+            .filter_map(|i| self.sim.node_ref::<DesNode>(NodeId(i)))
+            .map(|n| &n.node.role)
+    }
+
+    /// Every add-on, in roster order.
+    fn peers(&self) -> impl Iterator<Item = (u64, &PeerProto)> {
+        self.roles().filter_map(|role| match role {
+            Role::Peer { proto, .. } => Some((proto.engine.peer_id, &**proto)),
+            _ => None,
+        })
+    }
+
+    /// Every Measurement server, in server order.
+    fn servers(&self) -> impl Iterator<Item = &MeasurementProto> {
+        self.roles().filter_map(|role| match role {
+            Role::Measurement(proto) => Some(&**proto),
+            _ => None,
+        })
+    }
+
+    fn coordinator(&self) -> Option<&CoordinatorProto> {
+        match self.role(Address::Coordinator) {
+            Some(Role::Coordinator(proto)) => Some(proto),
+            _ => None,
+        }
+    }
+
+    fn database(&self) -> Option<&DbProto> {
+        match self.role(Address::Database) {
+            Some(Role::Database(proto)) => Some(proto),
+            _ => None,
+        }
+    }
+
+    fn peer_node(&self, peer: u64) -> NodeId {
+        self.map
+            .node(Address::Peer { id: peer })
+            .unwrap_or_else(|| panic!("unknown peer {peer}"))
+    }
+
     /// Submits a price check from `peer` at virtual time `at`.
     pub fn submit_check(&mut self, at: SimTime, peer: u64, domain: &str, product: ProductId) {
-        let node = *self
-            .ppc_nodes
-            .get(&peer)
-            .unwrap_or_else(|| panic!("unknown peer {peer}"));
+        let node = self.peer_node(peer);
         let tag = self.next_tag;
         self.next_tag += 1;
         self.sim.inject(
@@ -1163,24 +667,24 @@ impl PriceSheriff {
     /// to decommission Measurement server `index`; the outcome lands in
     /// [`PriceSheriff::server_removals`].
     pub fn request_remove_server(&mut self, at: SimTime, peer: u64, index: usize) {
-        let node = *self
-            .ppc_nodes
-            .get(&peer)
-            .unwrap_or_else(|| panic!("unknown peer {peer}"));
+        let node = self.peer_node(peer);
+        let coordinator = self
+            .map
+            .node(Address::Coordinator)
+            .expect("every roster has a coordinator");
         self.sim
-            .inject(at, self.coordinator, node, ProtoMsg::RemoveServer { index });
+            .inject(at, coordinator, node, ProtoMsg::RemoveServer { index });
     }
 
     /// Lets a peer browse a product page for themselves (builds pollution
     /// budget and realistic state).
     pub fn prime_visit(&mut self, peer: u64, domain: &str, product: ProductId, n: u64) {
-        let node = *self.ppc_nodes.get(&peer).expect("unknown peer");
-        let world = Arc::clone(&self.world);
-        let addon = self.sim.node_mut::<AddonNode>(node).expect("ppc node type");
+        let Some(Role::Peer { proto, world }) = self.role_mut(Address::Peer { id: peer }) else {
+            panic!("unknown peer {peer}");
+        };
         let mut w = world.lock();
         for i in 0..n {
-            addon
-                .proto
+            proto
                 .engine
                 .user_visit(&mut w, domain, product, 0, i * 1000, i);
         }
@@ -1196,22 +700,14 @@ impl PriceSheriff {
         seed: u64,
     ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let tokens = {
-            let coord = self
-                .sim
-                .node_mut::<CoordinatorNode>(self.coordinator)
-                .expect("coordinator node");
-            coord.proto.universe = universe.to_vec();
-            coord
-                .proto
-                .dopp_store
-                .train_all(centroids, universe, &mut rng)
+        let Some(Role::Coordinator(coord)) = self.role_mut(Address::Coordinator) else {
+            return;
         };
-        let agg = self
-            .sim
-            .node_mut::<AggregatorNode>(self.aggregator)
-            .expect("aggregator node");
-        agg.proto.install(assignments, tokens);
+        coord.universe = universe.to_vec();
+        let tokens = coord.dopp_store.train_all(centroids, universe, &mut rng);
+        if let Some(Role::Aggregator(agg)) = self.role_mut(Address::Aggregator) {
+            agg.install(assignments, tokens);
+        }
     }
 
     /// Runs the simulation until idle (bounded by `max_events`). Note the
@@ -1229,16 +725,15 @@ impl PriceSheriff {
 
     /// Harvests every completed check across all peers.
     pub fn completed(&self) -> Vec<CompletedCheck> {
-        let mut out = Vec::new();
-        for &node in self.ppc_nodes.values() {
-            if let Some(addon) = self.sim.node_ref::<AddonNode>(node) {
-                out.extend(addon.proto.completed.iter().map(|c| CompletedCheck {
-                    check: c.check.clone(),
-                    submitted: SimTime::from_millis(c.submitted_ms),
-                    completed: SimTime::from_millis(c.completed_ms),
-                }));
-            }
-        }
+        let mut out: Vec<CompletedCheck> = self
+            .peers()
+            .flat_map(|(_, p)| &p.completed)
+            .map(|c| CompletedCheck {
+                check: c.check.clone(),
+                submitted: SimTime::from_millis(c.submitted_ms),
+                completed: SimTime::from_millis(c.completed_ms),
+            })
+            .collect();
         out.sort_by_key(|c| c.check.job_id);
         out
     }
@@ -1246,18 +741,14 @@ impl PriceSheriff {
     /// Harvests every Coordinator rejection observed by the add-ons, as
     /// `(peer, local_tag, reason)`.
     pub fn rejections(&self) -> Vec<(u64, u64, String)> {
-        let mut out = Vec::new();
-        for (&peer, &node) in &self.ppc_nodes {
-            if let Some(addon) = self.sim.node_ref::<AddonNode>(node) {
-                out.extend(
-                    addon
-                        .proto
-                        .rejected
-                        .iter()
-                        .map(|(tag, reason)| (peer, *tag, reason.clone())),
-                );
-            }
-        }
+        let mut out: Vec<_> = self
+            .peers()
+            .flat_map(|(peer, p)| {
+                p.rejected
+                    .iter()
+                    .map(move |(tag, reason)| (peer, *tag, reason.clone()))
+            })
+            .collect();
         out.sort();
         out
     }
@@ -1265,12 +756,10 @@ impl PriceSheriff {
     /// Harvests every `ServerRemoved` ack observed by the add-ons, as
     /// `(server_index, removed)`.
     pub fn server_removals(&self) -> Vec<(usize, bool)> {
-        let mut out = Vec::new();
-        for &node in self.ppc_nodes.values() {
-            if let Some(addon) = self.sim.node_ref::<AddonNode>(node) {
-                out.extend(addon.proto.server_removals.iter().copied());
-            }
-        }
+        let mut out: Vec<_> = self
+            .peers()
+            .flat_map(|(_, p)| p.server_removals.iter().copied())
+            .collect();
         out.sort();
         out
     }
@@ -1279,11 +768,9 @@ impl PriceSheriff {
     /// `[clean, real-state, doppelganger]`.
     pub fn fetch_mode_counts(&self) -> [u64; 3] {
         let mut out = [0u64; 3];
-        for &node in self.ppc_nodes.values() {
-            if let Some(addon) = self.sim.node_ref::<AddonNode>(node) {
-                for (acc, n) in out.iter_mut().zip(addon.proto.fetches_by_mode) {
-                    *acc += n;
-                }
+        for (_, p) in self.peers() {
+            for (acc, n) in out.iter_mut().zip(p.fetches_by_mode) {
+                *acc += n;
             }
         }
         out
@@ -1292,11 +779,7 @@ impl PriceSheriff {
     /// Total sandbox violations observed across peers (must be 0 — the
     /// §3.6.1 validation).
     pub fn sandbox_violations(&self) -> usize {
-        self.ppc_nodes
-            .values()
-            .filter_map(|&n| self.sim.node_ref::<AddonNode>(n))
-            .map(|a| a.proto.sandbox_violations)
-            .sum()
+        self.peers().map(|(_, p)| p.sandbox_violations).sum()
     }
 
     /// Installs a deterministic fault schedule on the underlying
@@ -1325,38 +808,16 @@ impl PriceSheriff {
         self.map.byz.lock().as_ref().map(|p| p.stats)
     }
 
-    /// NodeIds of the Measurement servers, from the deterministic layout
-    /// `[coordinator, aggregator, db?, servers…, ipcs…, ppcs…]`.
-    fn server_node_ids(&self) -> Vec<NodeId> {
-        let n_servers = if self.cfg.version == SystemVersion::V1 {
-            1
-        } else {
-            self.cfg.n_measurement_servers
-        };
-        let first = 2 + usize::from(self.db.is_some());
-        (0..n_servers).map(|i| NodeId(first + i)).collect()
-    }
-
     /// Field-by-field sum of the Coordinator's and every Measurement
     /// server's defense ledgers — the registry-free twin of the
     /// `defense.*` counters.
     pub fn defense_totals(&self) -> DefenseTotals {
         let mut sum = DefenseTotals::default();
-        let mut add = |t: DefenseTotals| {
-            sum.validation_rejects += t.validation_rejects;
-            sum.quota_trips += t.quota_trips;
-            sum.quarantines += t.quarantines;
-            sum.paroles += t.paroles;
-            sum.quarantine_drops += t.quarantine_drops;
-            sum.budget_exhaustions += t.budget_exhaustions;
-        };
-        if let Some(c) = self.sim.node_ref::<CoordinatorNode>(self.coordinator) {
-            add(c.proto.defense.totals);
+        if let Some(c) = self.coordinator() {
+            sum += c.defense.totals;
         }
-        for id in self.server_node_ids() {
-            if let Some(s) = self.sim.node_ref::<MeasurementNode>(id) {
-                add(s.proto.defense.totals);
-            }
+        for s in self.servers() {
+            sum += s.defense.totals;
         }
         sum
     }
@@ -1364,20 +825,15 @@ impl PriceSheriff {
     /// Observations admitted from `peer` across all Measurement servers'
     /// influence ledgers — the pollution-budget readout.
     pub fn admitted_from_peer(&self, peer: u64) -> u64 {
-        self.server_node_ids()
-            .into_iter()
-            .filter_map(|id| self.sim.node_ref::<MeasurementNode>(id))
-            .map(|s| s.proto.defense.admitted_by(peer))
-            .sum()
+        self.servers().map(|s| s.defense.admitted_by(peer)).sum()
     }
 
     /// Jobs currently charged to each Measurement server, in server
     /// order — the Coordinator's ledger, not the panel text. All zeros
     /// once the system has drained (no leaked jobs).
     pub fn pending_jobs_per_server(&self) -> Vec<u32> {
-        self.sim
-            .node_ref::<CoordinatorNode>(self.coordinator)
-            .map(|c| c.proto.coordinator.pending_jobs_per_server())
+        self.coordinator()
+            .map(|c| c.coordinator.pending_jobs_per_server())
             .unwrap_or_default()
     }
 
@@ -1385,9 +841,8 @@ impl PriceSheriff {
     /// empty under v1's integrated model). After a crash window this is
     /// the recovered durable prefix plus everything re-stored since.
     pub fn database_checks(&self) -> Vec<PriceCheck> {
-        self.db
-            .and_then(|id| self.sim.node_ref::<DbNode>(id))
-            .map(|n| n.proto.database.checks().to_vec())
+        self.database()
+            .map(|db| db.database.checks().to_vec())
             .unwrap_or_default()
     }
 
@@ -1395,24 +850,19 @@ impl PriceSheriff {
     /// pure function of the seed under DES, so two replays must agree
     /// byte for byte. `None` without a Database node.
     pub fn db_wal_bytes(&self) -> Option<Vec<u8>> {
-        self.db
-            .and_then(|id| self.sim.node_ref::<DbNode>(id))
-            .map(|n| n.proto.wal_bytes())
+        self.database().map(DbProto::wal_bytes)
     }
 
     /// The Database server's durable snapshot image (empty before the
     /// first compaction). `None` without a Database node.
     pub fn db_snapshot_bytes(&self) -> Option<Vec<u8>> {
-        self.db
-            .and_then(|id| self.sim.node_ref::<DbNode>(id))
-            .map(|n| n.proto.snapshot_bytes())
+        self.database().map(DbProto::snapshot_bytes)
     }
 
     /// The Coordinator's Fig. 7 monitoring panel.
     pub fn monitoring_panel(&self) -> String {
-        self.sim
-            .node_ref::<CoordinatorNode>(self.coordinator)
-            .map(|c| c.proto.coordinator.monitoring_panel())
+        self.coordinator()
+            .map(|c| c.coordinator.monitoring_panel())
             .unwrap_or_default()
     }
 }

@@ -39,6 +39,7 @@ pub const WALL_CLOCK_ALLOWED: &[&str] = &[
 /// diffed in CI), so no hash-ordered container may feed it.
 pub const HASH_ITER_SCOPE: &[&str] = &[
     "core/src/protocol/",
+    "core/src/roster.rs",
     "core/src/system.rs",
     "core/src/coordinator.rs",
     "netsim/src/",
@@ -193,17 +194,16 @@ pub const TAINT_SINKS: &[&str] = &[
 pub const TAINT_EXEMPT: &[&str] = &["/tests/", "/benches/"];
 
 /// Paths whose *own* source-field reads do not seed taint. These are
-/// the backend drivers and the offline study pipeline: they read
+/// the roster builder and the offline study pipeline: they read
 /// `PpcSpec`/population fields to *construct* the simulated peers
 /// (synthetic spec plumbing), which is not a peer divulging data.
 /// Functions here still become tainted transitively — a protocol
 /// function handing them real peer plaintext flags their sinks as
-/// usual — they just are not origins.
-pub const TAINT_SEED_EXEMPT: &[&str] = &[
-    "wire/src/deploy.rs",
-    "core/src/system.rs",
-    "experiments/src/",
-];
+/// usual — they just are not origins. The backend drivers
+/// (`core/src/system.rs`, `wire/src/deploy.rs`) left this table when
+/// the roster builder took over peer construction: they no longer read
+/// a spec field.
+pub const TAINT_SEED_EXEMPT: &[&str] = &["core/src/roster.rs", "experiments/src/"];
 
 /// True when reading field `name` counts as touching a taint source.
 pub fn taint_source_field(_path: &str, name: &str) -> bool {
@@ -299,13 +299,14 @@ pub const ROUTING_TABLE: &[(&str, &[&str])] = &[
 /// only the sequence number.
 pub const TIMER_RELEASE_FNS: &[&str] = &["on_timer", "on_retransmit"];
 
-/// Per-file sanctions for timer variants the *drivers* release. The
-/// reliable channel arms `TimerKind::Retransmit(seq)` but never matches
-/// the variant itself: both backends' node shims match the token and
-/// call `Channel::on_retransmit(seq, …)` with the unpacked sequence —
-/// the give-up policy lives in the channel, the pattern lives in the
-/// driver. Every entry here must name its driver-side match site; an
-/// unmatched arm anywhere else is an SL105 finding.
+/// Per-file sanctions for timer variants released outside the arming
+/// file. The reliable channel arms `TimerKind::Retransmit(seq)` but
+/// never matches the variant itself: the shared node step
+/// (`core/src/protocol/node.rs`, `RoleNode::on_timer`) matches the
+/// token and calls `Channel::on_retransmit(seq, …)` with the unpacked
+/// sequence — the give-up policy lives in the channel, the pattern
+/// lives in the step every backend calls. Every entry here must name
+/// its match site; an unmatched arm anywhere else is an SL105 finding.
 pub const TIMER_DRIVER_HANDLED: &[(&str, &str)] =
     &[("core/src/protocol/reliable.rs", "Retransmit")];
 
@@ -468,6 +469,24 @@ mod tests {
     #[test]
     fn linter_is_inside_its_own_hash_iter_scope() {
         assert!(matches_any("crates/lint/src/graph.rs", HASH_ITER_SCOPE));
+    }
+
+    #[test]
+    fn shared_node_step_and_roster_builder_are_in_scope() {
+        // The one host of the protocol machines holds the machines' bar.
+        let step = "crates/core/src/protocol/node.rs";
+        assert!(matches_any(step, NO_PANIC_SCOPE));
+        assert!(matches_any(step, HASH_ITER_SCOPE));
+        assert!(step.contains(PROTOCOL_DIR));
+        // Roster order is the node numbering fault plans are phrased
+        // against, so the builder is order-sensitive; it is also the only
+        // driver-side code left that reads `PpcSpec` fields.
+        let roster = "crates/core/src/roster.rs";
+        assert!(matches_any(roster, HASH_ITER_SCOPE));
+        assert!(matches_any(roster, TAINT_SEED_EXEMPT));
+        for driver in ["crates/core/src/system.rs", "crates/wire/src/deploy.rs"] {
+            assert!(!matches_any(driver, TAINT_SEED_EXEMPT), "{driver}");
+        }
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Model-checking worlds: small closed systems built from the *same*
-//! sans-IO machines the DES and TCP backends drive, plus ghost
-//! environment actors standing in for add-on peers.
+//! [`RoleNode`]s the DES and TCP backends host — stepped through the
+//! same `on_message` / `on_timer` / `on_restart` entry points, so the
+//! checker explores the channel plumbing and give-up release the
+//! deployments run, not a copy of them — plus ghost environment actors
+//! standing in for add-on peers.
 //!
 //! A [`ModelWorld`] is a deterministic transition system. Its state is
-//! the protocol machines (with their reliable channels), a slot-stable
+//! the protocol nodes (machine + reliable channel), a slot-stable
 //! in-flight message set, and a slot-stable armed-timer set; its
 //! transitions are [`Event`]s — deliver/duplicate/drop a message, fire
 //! an earliest-due timer, crash-and-restart a node, or inject a
@@ -31,7 +34,8 @@ use sheriff_core::db::DbCostModel;
 use sheriff_core::measurement::VantageMeta;
 use sheriff_core::protocol::{
     Address, Channel, CoordinatorProto, DbEvent, DbProto, DefenseParams, Digest, MeasurementParams,
-    MeasurementProto, Output, ProtoMsg, ReliableConfig, Standing, TimerKind,
+    MeasurementProto, Output, ProtoMsg, ReliableConfig, Role, RoleNode, Standing, StepBuf,
+    TimerKind,
 };
 use sheriff_core::records::{PriceObservation, VantageKind};
 use sheriff_core::whitelist::Whitelist;
@@ -109,9 +113,10 @@ pub enum Mutation {
     /// The Measurement driver "forgets" to arm `Retransmit` for
     /// hardened sends — unacked envelopes are never retried/released.
     DropRetransmitArm,
-    /// Drivers discard the abandoned payload on retransmit give-up
-    /// (the pre-fix behavior): origins and job entries pinned on the
-    /// abandoned send leak forever.
+    /// The driver discards the abandoned payload on retransmit give-up
+    /// (the pre-fix behavior) — modeled by firing the timer into the
+    /// channel directly, around the shared step: origins and job
+    /// entries pinned on the abandoned send leak forever.
     IgnoreAbandoned,
 }
 
@@ -308,12 +313,8 @@ enum LadderCause {
 pub struct ModelWorld {
     cfg: WorldCfg,
     reliable: ReliableConfig,
-    coordinator: CoordinatorProto,
-    coord_chan: Channel,
-    measurement: MeasurementProto,
-    meas_chan: Channel,
-    db: Option<DbProto>,
-    db_chan: Channel,
+    /// `[coordinator, measurement server, database?]`.
+    nodes: Vec<RoleNode>,
     ghost_chans: BTreeMap<u64, Channel>,
     /// Slot-stable in-flight messages (`None` = consumed).
     pub in_flight: Vec<Option<Envelope>>,
@@ -427,7 +428,22 @@ impl ModelWorld {
             defense,
         });
 
-        let db = (!integrated).then(|| DbProto::new(DbCostModel::dedicated()));
+        let node = |me: Address, role: Role| RoleNode {
+            me,
+            role,
+            chan: Channel::new(reliable),
+        };
+        let mut nodes = vec![
+            node(
+                Address::Coordinator,
+                Role::Coordinator(Box::new(coordinator)),
+            ),
+            node(SERVER, Role::Measurement(Box::new(measurement))),
+        ];
+        if !integrated {
+            let db = DbProto::new(DbCostModel::dedicated());
+            nodes.push(node(Address::Database, Role::Database(Box::new(db))));
+        }
         let crashable = if cfg.crash_budget > 0 {
             vec![Address::Database]
         } else {
@@ -465,12 +481,7 @@ impl ModelWorld {
         ModelWorld {
             cfg,
             reliable,
-            coordinator,
-            coord_chan: Channel::new(reliable),
-            measurement,
-            meas_chan: Channel::new(reliable),
-            db,
-            db_chan: Channel::new(reliable),
+            nodes,
             ghost_chans: BTreeMap::new(),
             in_flight: vec![Some(stimulus)],
             timers: Vec::new(),
@@ -500,6 +511,27 @@ impl ModelWorld {
     /// Current virtual time (ms).
     pub fn now_ms(&self) -> u64 {
         self.now_ms
+    }
+
+    fn coordinator(&self) -> Option<&CoordinatorProto> {
+        self.nodes.iter().find_map(|n| match &n.role {
+            Role::Coordinator(p) => Some(&**p),
+            _ => None,
+        })
+    }
+
+    fn measurement(&self) -> Option<&MeasurementProto> {
+        self.nodes.iter().find_map(|n| match &n.role {
+            Role::Measurement(p) => Some(&**p),
+            _ => None,
+        })
+    }
+
+    fn db(&self) -> Option<&DbProto> {
+        self.nodes.iter().find_map(|n| match &n.role {
+            Role::Database(p) => Some(&**p),
+            _ => None,
+        })
     }
 
     // -- event enumeration ------------------------------------------------
@@ -698,68 +730,60 @@ impl ModelWorld {
             let TimerKind::Retransmit(seq) = t.kind else {
                 continue;
             };
-            let live = match t.node {
-                Address::Coordinator => self.coord_chan.unacked_seqs().any(|s| s == seq),
-                Address::Server { .. } => self.meas_chan.unacked_seqs().any(|s| s == seq),
-                Address::Database => self.db_chan.unacked_seqs().any(|s| s == seq),
-                _ => false,
-            };
+            let live = self
+                .nodes
+                .iter()
+                .any(|n| n.me == t.node && n.chan.unacked_seqs().any(|s| s == seq));
             if !live {
                 *slot = None;
             }
         }
     }
 
-    fn deliver(&mut self, env: Envelope, findings: &mut Vec<Finding>) {
-        let mut out = Vec::new();
-        match env.to {
-            Address::Coordinator => {
-                let pre = self.checking.then(|| self.coordinator.defense.standings());
-                if let Some(msg) = self.coord_chan.accept(env.from, env.msg, &mut out) {
-                    let mut rng = StdRng::seed_from_u64(0xC0DE);
-                    self.coordinator
-                        .on_message(self.now_ms, env.from, msg, &mut rng, &mut out);
-                }
-                self.coord_chan.harden(&mut out);
-                if let Some(pre) = pre {
-                    let post = self.coordinator.defense.standings();
-                    check_ladder("coordinator", &pre, &post, &LadderCause::Scored, findings);
-                }
-                self.route(Address::Coordinator, out);
-            }
-            Address::Server { .. } => {
-                let pre = self.checking.then(|| self.measurement.defense.standings());
-                let mut events = Vec::new();
-                if let Some(msg) = self.meas_chan.accept(env.from, env.msg, &mut out) {
-                    if let ProtoMsg::DbAck { job } = &msg {
-                        self.acked_stores.insert(job.0);
-                    }
-                    self.measurement
-                        .on_message(self.now_ms, env.from, msg, &mut out, &mut events);
-                }
-                self.meas_chan.harden(&mut out);
-                if let Some(pre) = pre {
-                    let post = self.measurement.defense.standings();
-                    check_ladder("measurement", &pre, &post, &LadderCause::Scored, findings);
-                }
-                self.route(SERVER, out);
-            }
-            Address::Database => {
-                let mut events = Vec::new();
-                if let Some(msg) = self.db_chan.accept(env.from, env.msg, &mut out) {
-                    if let Some(db) = self.db.as_mut() {
-                        db.on_message(self.now_ms, env.from, msg, &mut out, &mut events);
-                    }
-                }
-                self.db_chan.harden(&mut out);
-                self.fold_db_events(&events, findings);
-                self.route(Address::Database, out);
-            }
-            Address::Peer { id } => self.ghost_deliver(id, env),
-            // No Aggregator/IPC nodes in model worlds: absorb silently
-            // (the DES would route these to real nodes).
-            _ => {}
+    /// One call into the shared node step, wrapped in what only the
+    /// checker does around it: the defense-ladder comparison, the
+    /// DB-event findings, and routing the commands into the slot sets.
+    /// Addresses with no node here (Aggregator, IPCs — the DES would
+    /// route these to real nodes) absorb the event silently.
+    fn step(
+        &mut self,
+        addr: Address,
+        cause: &LadderCause,
+        findings: &mut Vec<Finding>,
+        call: impl FnOnce(&mut RoleNode, u64, &mut StdRng, &mut StepBuf),
+    ) {
+        let (now_ms, checking) = (self.now_ms, self.checking);
+        let Some(node) = self.nodes.iter_mut().find(|n| n.me == addr) else {
+            return;
+        };
+        let pre = checking.then(|| standings(node)).flatten();
+        let mut buf = StepBuf::default();
+        let mut rng = StdRng::seed_from_u64(0xC0DE);
+        call(node, now_ms, &mut rng, &mut buf);
+        if let (Some((book, pre)), Some((_, post))) = (pre, standings(node)) {
+            check_ladder(book, &pre, &post, cause, findings);
         }
+        self.fold_db_events(&buf.db, findings);
+        self.route(addr, buf.out);
+    }
+
+    fn deliver(&mut self, env: Envelope, findings: &mut Vec<Finding>) {
+        if let Address::Peer { id } = env.to {
+            return self.ghost_deliver(id, env);
+        }
+        // A `DbAck` reaching the Measurement server starts the
+        // durability obligation. Peeking inside the envelope ahead of
+        // the channel's dedup is exact: a duplicate's first copy already
+        // recorded the job.
+        if let (Address::Server { .. }, ProtoMsg::DbAck { job }) = (env.to, payload(&env.msg)) {
+            self.acked_stores.insert(job.0);
+        }
+        self.step(
+            env.to,
+            &LadderCause::Scored,
+            findings,
+            |node, now, rng, buf| node.on_message(now, env.from, env.msg, rng, buf),
+        );
     }
 
     /// Ghost peers are channel-only environment actors: they ack and
@@ -806,125 +830,24 @@ impl ModelWorld {
     }
 
     fn fire(&mut self, entry: TimerEntry, findings: &mut Vec<Finding>) {
-        let mut out = Vec::new();
-        match entry.node {
-            Address::Coordinator => {
-                let pre = self.checking.then(|| self.coordinator.defense.standings());
-                if let TimerKind::Retransmit(seq) = entry.kind {
-                    if let Some((_, abandoned)) = self.coord_chan.on_retransmit(seq, &mut out) {
-                        if self.cfg.mutation != Some(Mutation::IgnoreAbandoned) {
-                            self.coordinator.on_send_abandoned(&abandoned);
-                        }
-                    }
-                } else {
-                    let mut rng = StdRng::seed_from_u64(0xC0DE);
-                    self.coordinator
-                        .on_timer(self.now_ms, entry.kind, &mut rng, &mut out);
+        let ignore_abandoned = self.cfg.mutation == Some(Mutation::IgnoreAbandoned);
+        self.step(
+            entry.node,
+            &LadderCause::Timer(entry.kind),
+            findings,
+            |node, now, rng, buf| match entry.kind {
+                TimerKind::Retransmit(seq) if ignore_abandoned => {
+                    let _ = node.chan.on_retransmit(seq, &mut buf.out);
                 }
-                self.coord_chan.harden(&mut out);
-                if let Some(pre) = pre {
-                    let post = self.coordinator.defense.standings();
-                    check_ladder(
-                        "coordinator",
-                        &pre,
-                        &post,
-                        &LadderCause::Timer(entry.kind),
-                        findings,
-                    );
-                }
-                self.route(Address::Coordinator, out);
-            }
-            Address::Server { .. } => {
-                let pre = self.checking.then(|| self.measurement.defense.standings());
-                let mut events = Vec::new();
-                if let TimerKind::Retransmit(seq) = entry.kind {
-                    if let Some((_, abandoned)) = self.meas_chan.on_retransmit(seq, &mut out) {
-                        if self.cfg.mutation != Some(Mutation::IgnoreAbandoned) {
-                            self.measurement.on_send_abandoned(
-                                self.now_ms,
-                                &abandoned,
-                                &mut out,
-                                &mut events,
-                            );
-                        }
-                    }
-                } else {
-                    self.measurement
-                        .on_timer(self.now_ms, entry.kind, &mut out, &mut events);
-                }
-                self.meas_chan.harden(&mut out);
-                if let Some(pre) = pre {
-                    let post = self.measurement.defense.standings();
-                    check_ladder(
-                        "measurement",
-                        &pre,
-                        &post,
-                        &LadderCause::Timer(entry.kind),
-                        findings,
-                    );
-                }
-                self.route(SERVER, out);
-            }
-            Address::Database => {
-                let mut events = Vec::new();
-                if let TimerKind::Retransmit(seq) = entry.kind {
-                    // The Database machine keeps no per-send bookkeeping
-                    // (it acks after durability); mirror the DES driver.
-                    let _ = self.db_chan.on_retransmit(seq, &mut out);
-                } else if let Some(db) = self.db.as_mut() {
-                    db.on_timer(entry.kind, &mut out, &mut events);
-                }
-                self.db_chan.harden(&mut out);
-                self.fold_db_events(&events, findings);
-                self.route(Address::Database, out);
-            }
-            // Ghosts never arm timers.
-            _ => {}
-        }
+                kind => node.on_timer(now, kind.token(), rng, buf),
+            },
+        );
     }
 
     fn crash_restart(&mut self, node: Address, findings: &mut Vec<Finding>) {
-        match node {
-            Address::Database => {
-                let pre = self.checking.then(|| self.coordinator.defense.standings());
-                self.db_chan.on_restart();
-                let mut events = Vec::new();
-                if let Some(db) = self.db.as_mut() {
-                    db.on_restart(&mut events);
-                }
-                self.fold_db_events(&events, findings);
-                if let Some(pre) = pre {
-                    check_ladder(
-                        "coordinator",
-                        &pre,
-                        &self.coordinator.defense.standings(),
-                        &LadderCause::Crash,
-                        findings,
-                    );
-                }
-            }
-            Address::Server { .. } => {
-                let pre = self.checking.then(|| self.measurement.defense.standings());
-                self.meas_chan.on_restart();
-                let mut out = Vec::new();
-                self.measurement.on_restart(self.now_ms, &mut out);
-                self.meas_chan.harden(&mut out);
-                if let Some(pre) = pre {
-                    check_ladder(
-                        "measurement",
-                        &pre,
-                        &self.measurement.defense.standings(),
-                        &LadderCause::Crash,
-                        findings,
-                    );
-                }
-                self.route(SERVER, out);
-            }
-            Address::Coordinator => {
-                self.coord_chan.on_restart();
-            }
-            _ => {}
-        }
+        self.step(node, &LadderCause::Crash, findings, |node, now, _, buf| {
+            node.on_restart(now, buf);
+        });
     }
 
     fn route(&mut self, from: Address, out: Vec<Output>) {
@@ -992,7 +915,7 @@ impl ModelWorld {
     fn check_state(&self, findings: &mut Vec<Finding>) {
         // Channel-acked stores survive recovery: once the Measurement
         // server has seen DbAck{job}, the record must be durable.
-        if let Some(db) = &self.db {
+        if let Some(db) = self.db() {
             let stored: BTreeSet<u64> = db.stored_jobs().map(|j| j.0).collect();
             for job in &self.acked_stores {
                 if !stored.contains(job) {
@@ -1017,24 +940,24 @@ impl ModelWorld {
         }
         // Reliable sends: every unacked sequence number is covered by an
         // armed Retransmit timer on its own node.
-        for (node, chan) in [
-            (Address::Coordinator, &self.coord_chan),
-            (SERVER, &self.meas_chan),
-            (Address::Database, &self.db_chan),
-        ] {
-            for seq in chan.unacked_seqs() {
-                if !self.timer_armed(node, TimerKind::Retransmit(seq)) {
+        for node in &self.nodes {
+            for seq in node.chan.unacked_seqs() {
+                if !self.timer_armed(node.me, TimerKind::Retransmit(seq)) {
                     findings.push(Finding {
                         rule: "timer.obligation_leak",
                         detail: format!(
-                            "{node:?} holds unacked seq {seq} with no Retransmit timer armed"
+                            "{:?} holds unacked seq {seq} with no Retransmit timer armed",
+                            node.me
                         ),
                     });
                 }
             }
         }
         // No duplicate observations per (kind, id) vantage, ever.
-        if self.measurement.has_duplicate_vantage() {
+        if self
+            .measurement()
+            .is_some_and(MeasurementProto::has_duplicate_vantage)
+        {
             findings.push(Finding {
                 rule: "vantage.duplicate_observation",
                 detail: "a job folded in two observations from the same (kind, id) vantage".into(),
@@ -1046,25 +969,21 @@ impl ModelWorld {
     /// no armed timer): all transient bookkeeping must have drained.
     pub fn quiescence_findings(&self) -> Vec<Finding> {
         let mut findings = Vec::new();
-        if self.coordinator.open_origins() != 0 {
+        let origins = self.coordinator().map_or(0, CoordinatorProto::open_origins);
+        if origins != 0 {
             findings.push(Finding {
                 rule: "quiesce.leaked_state",
-                detail: format!(
-                    "coordinator holds {} job origin(s) at quiescence",
-                    self.coordinator.open_origins()
-                ),
+                detail: format!("coordinator holds {origins} job origin(s) at quiescence"),
             });
         }
-        if self.measurement.open_jobs() != 0 {
+        let open_jobs = self.measurement().map_or(0, MeasurementProto::open_jobs);
+        if open_jobs != 0 {
             findings.push(Finding {
                 rule: "quiesce.leaked_state",
-                detail: format!(
-                    "measurement holds {} open job(s) at quiescence",
-                    self.measurement.open_jobs()
-                ),
+                detail: format!("measurement holds {open_jobs} open job(s) at quiescence"),
             });
         }
-        if let Some(db) = &self.db {
+        if let Some(db) = self.db() {
             let pending = db.pending_jobs().count();
             if pending != 0 {
                 findings.push(Finding {
@@ -1073,17 +992,14 @@ impl ModelWorld {
                 });
             }
         }
-        for (name, chan) in [
-            ("coordinator", &self.coord_chan),
-            ("measurement", &self.meas_chan),
-            ("database", &self.db_chan),
-        ] {
-            if chan.in_flight() != 0 {
+        for node in &self.nodes {
+            if node.chan.in_flight() != 0 {
                 findings.push(Finding {
                     rule: "quiesce.leaked_state",
                     detail: format!(
-                        "{name} channel still holds {} unacked send(s) at quiescence",
-                        chan.in_flight()
+                        "{} channel still holds {} unacked send(s) at quiescence",
+                        role_name(&node.role),
+                        node.chan.in_flight()
                     ),
                 });
             }
@@ -1098,14 +1014,15 @@ impl ModelWorld {
     /// offsets (time-translation invariant), and the adversary budgets.
     pub fn digest(&self) -> u64 {
         let mut d = Digest::new();
-        self.coordinator.state_digest(&mut d);
-        self.coord_chan.state_digest(&mut d);
-        self.measurement.state_digest(&mut d);
-        self.meas_chan.state_digest(&mut d);
-        d.write_bool(self.db.is_some());
-        if let Some(db) = &self.db {
-            db.state_digest(&mut d);
-            self.db_chan.state_digest(&mut d);
+        d.write_u64(self.nodes.len() as u64);
+        for node in &self.nodes {
+            match &node.role {
+                Role::Coordinator(p) => p.state_digest(&mut d),
+                Role::Measurement(p) => p.state_digest(&mut d),
+                Role::Database(p) => p.state_digest(&mut d),
+                _ => {}
+            }
+            node.chan.state_digest(&mut d);
         }
         d.write_u64(self.ghost_chans.len() as u64);
         for (id, chan) in &self.ghost_chans {
@@ -1154,6 +1071,37 @@ impl ModelWorld {
         }
         d.finish()
     }
+}
+
+/// What a reliable envelope carries (or the bare message itself).
+fn payload(msg: &ProtoMsg) -> &ProtoMsg {
+    match msg {
+        ProtoMsg::Reliable { inner, .. } => inner,
+        other => other,
+    }
+}
+
+/// Report name of a hosted role.
+fn role_name(role: &Role) -> &'static str {
+    match role {
+        Role::Coordinator(_) => "coordinator",
+        Role::Aggregator(_) => "aggregator",
+        Role::Measurement(_) => "measurement",
+        Role::Database(_) => "database",
+        Role::Ipc { .. } => "ipc",
+        Role::Peer { .. } => "peer",
+    }
+}
+
+/// The defense book the ladder invariant watches on `node`, if its role
+/// keeps one.
+fn standings(node: &RoleNode) -> Option<(&'static str, Vec<(u64, Standing)>)> {
+    let book = match &node.role {
+        Role::Coordinator(p) => p.defense.standings(),
+        Role::Measurement(p) => p.defense.standings(),
+        _ => return None,
+    };
+    Some((role_name(&node.role), book))
 }
 
 fn msg_brief(msg: &ProtoMsg) -> String {

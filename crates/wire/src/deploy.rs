@@ -1,11 +1,12 @@
 //! A real localhost deployment of the Price $heriff over TCP.
 //!
-//! This is the "does it actually run on sockets" proof — and since the
-//! protocol refactor it is a *thin transport adapter*: every role
-//! (Coordinator, Aggregator, Measurement servers, Database server, IPCs,
-//! PPC add-ons) is one of the sans-IO state machines from
-//! [`sheriff_core::protocol`], exactly the ones the discrete-event
-//! simulation drives.
+//! This is the "does it actually run on sockets" proof — and a *thin
+//! transport adapter*: the roster comes from
+//! [`sheriff_core::roster::build_roster`], every node in it is a
+//! [`sheriff_core::protocol::RoleNode`], and the reactor steps those
+//! through the same three entry points the discrete-event simulation
+//! uses. What is built here is only what sockets need: listeners, the
+//! address directory, the fault shims, the shard threads.
 //!
 //! Since the reactor refactor the transport tier is *sharded*: the node
 //! roster is hashed over a small set of single-threaded event loops
@@ -28,31 +29,22 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use sheriff_core::coordinator::{Coordinator, PeerId};
-use sheriff_core::durability::recover;
-use sheriff_core::pollution::PollutionLedger;
-use sheriff_core::protocol::{
-    Address, AggregatorProto, Channel, CompletedProtoCheck, CoordinatorProto, DbProto, DefenseBook,
-    IpcProto, MeasurementParams, MeasurementProto, PeerProto, ProtoMsg, ReliableConfig,
-};
-use sheriff_core::proxy::{IpcEngine, PpcEngine};
+use sheriff_core::durability::{recover, MemStorage, Storage};
+use sheriff_core::protocol::{Address, CompletedProtoCheck, NodeTelemetry, ProtoMsg, TimerKind};
 use sheriff_core::records::PriceCheck;
+use sheriff_core::roster::build_roster;
 use sheriff_core::system::{PpcSpec, SheriffConfig, SystemVersion};
-use sheriff_core::{BrowserProfile, Whitelist};
-use sheriff_geo::{Country, GeoLocator, Granularity, IpAllocator};
+use sheriff_geo::Country;
 use sheriff_market::pricing::{Browser, Os};
 use sheriff_market::{ProductId, UserAgent, World};
 use sheriff_netsim::{ByzStats, FaultPlan, FaultStats};
 use sheriff_telemetry::Registry;
 
 use crate::proto::{rows_from_check, Envelope, ResultRow};
-use crate::reactor::reactor::Reactor;
+use crate::reactor::reactor::{Reactor, Seat};
 use crate::reactor::shard::{
-    default_shard_count, ring_owner, shard_of, ByzShim, Doorbell, FaultShim, NodeSlot, Role,
-    ShardCtx,
+    default_shard_count, ring_owner, shard_of, ByzShim, Doorbell, FaultShim, ShardCtx,
 };
 use crate::reactor::DeployOptions;
 use crate::storage::FileStorage;
@@ -202,11 +194,7 @@ impl MiniDeployment {
         plan: FaultPlan,
         opts: DeployOptions,
     ) -> io::Result<MiniDeployment> {
-        let whitelist = Whitelist::with_domains(world.domains().map(str::to_string));
         let world = Arc::new(Mutex::new(world));
-        let rates = world.lock().rates.clone();
-        let mut alloc = IpAllocator::new();
-        let locator = GeoLocator::new(Granularity::City);
         let telemetry = Arc::new(Registry::new());
         let wire = Arc::new(WireTelemetry::new(&telemetry));
         let sink = Arc::new(Sink {
@@ -214,16 +202,10 @@ impl MiniDeployment {
             cv: std::sync::Condvar::new(),
         });
 
-        let n_servers = if cfg.version == SystemVersion::V1 {
-            1
-        } else {
-            cfg.n_measurement_servers
-        };
-        let has_db = cfg.version == SystemVersion::V2;
         // Per-deployment on-disk home for the Database server's WAL +
         // snapshot; the pid/sequence pair keeps concurrent test binaries
         // and repeated deployments in one process apart.
-        let db_dir = has_db.then(|| {
+        let db_dir = (cfg.version == SystemVersion::V2).then(|| {
             static DB_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
             std::env::temp_dir().join(format!(
                 "sheriff-db-{}-{}",
@@ -231,60 +213,33 @@ impl MiniDeployment {
                 DB_DIR_SEQ.fetch_add(1, Ordering::Relaxed)
             ))
         });
-
-        // Coordinator state. IP allocation order matches the DES backend
-        // exactly (peers first, then IPCs) so both produce identical
-        // observation sets under the same world seed.
-        let mut coordinator = Coordinator::with_telemetry(whitelist, Arc::clone(&telemetry));
-        coordinator.heartbeat_timeout_ms = cfg.heartbeat_timeout_ms;
-        for i in 0..n_servers {
-            coordinator.register_server(&format!("ms-{i}"), 80, 0);
-        }
-        let mut peer_setups = Vec::new();
-        for spec in peers {
-            let ip = alloc.allocate(spec.country, spec.city_idx);
-            let location = locator.locate(ip).expect("allocated IPs always geolocate");
-            coordinator.peer_online(PeerId(spec.peer_id), ip, location.clone());
-            peer_setups.push((spec.clone(), ip, location));
-        }
+        let db_storage: Box<dyn Storage> = match &db_dir {
+            Some(dir) => Box::new(FileStorage::open(dir)),
+            None => Box::new(MemStorage::new()),
+        };
+        // The same roster, in the same order, as the DES backend: same
+        // machines, same IP allocation, same node numbering.
+        let roster = build_roster(&cfg, &world, peers, &telemetry, db_storage);
+        let node_telemetry = Arc::new(NodeTelemetry::new(&telemetry, &roster));
 
         // Bind every listener up front so the address directory is
         // complete before any shard runs.
-        let mut listeners: Vec<(Address, TcpListener)> = Vec::new();
+        let mut listeners = Vec::with_capacity(roster.len());
         let mut dir = HashMap::new();
-        let bind = |addr: Address,
-                    listeners: &mut Vec<(Address, TcpListener)>,
-                    dir: &mut HashMap<Address, SocketAddr>|
-         -> io::Result<()> {
+        for node in &roster {
             let l = TcpListener::bind("127.0.0.1:0")?;
-            dir.insert(addr, l.local_addr()?);
-            listeners.push((addr, l));
-            Ok(())
-        };
-        bind(Address::Coordinator, &mut listeners, &mut dir)?;
-        bind(Address::Aggregator, &mut listeners, &mut dir)?;
-        if has_db {
-            bind(Address::Database, &mut listeners, &mut dir)?;
-        }
-        for index in 0..n_servers {
-            bind(Address::Server { index }, &mut listeners, &mut dir)?;
-        }
-        for index in 0..cfg.ipc_locations.len() {
-            bind(Address::Ipc { index }, &mut listeners, &mut dir)?;
-        }
-        for spec in peers {
-            bind(Address::Peer { id: spec.peer_id }, &mut listeners, &mut dir)?;
+            dir.insert(node.me, l.local_addr()?);
+            listeners.push(l);
         }
         let dir = Arc::new(dir);
         let epoch = Instant::now();
 
-        // Bind order above is exactly the DES node layout, so enumerating
-        // it yields the index the fault and Byzantine plans are phrased
-        // against.
-        let index: HashMap<Address, usize> = listeners
+        // Roster order is the index the fault and Byzantine plans are
+        // phrased against.
+        let index: HashMap<Address, usize> = roster
             .iter()
             .enumerate()
-            .map(|(i, (addr, _))| (*addr, i))
+            .map(|(i, node)| (node.me, i))
             .collect();
         let shim = plan
             .is_active()
@@ -294,122 +249,6 @@ impl MiniDeployment {
             .clone()
             .filter(sheriff_netsim::ByzantinePlan::is_active)
             .map(|p| Arc::new(ByzShim::new(p, index)));
-        let reliable_cfg = ReliableConfig {
-            base_backoff_ms: cfg.retransmit_base_ms,
-            ..ReliableConfig::default()
-        };
-
-        let ipc_addrs: Vec<Address> = (0..cfg.ipc_locations.len())
-            .map(|index| Address::Ipc { index })
-            .collect();
-        let mut ipc_engines: HashMap<usize, (IpcEngine, Option<String>)> = HashMap::new();
-        for (i, &(country, city_idx)) in cfg.ipc_locations.iter().enumerate() {
-            let ip = alloc.allocate(country, city_idx);
-            let city = locator.locate(ip).and_then(|l| l.city);
-            ipc_engines.insert(
-                i,
-                (
-                    IpcEngine {
-                        id: i as u64,
-                        country,
-                        city_idx,
-                        ip,
-                        user_agent: UserAgent {
-                            os: Os::Linux,
-                            browser: Browser::Firefox,
-                        },
-                    },
-                    city,
-                ),
-            );
-        }
-        let mut peer_setups: HashMap<u64, _> = peer_setups
-            .into_iter()
-            .map(|(spec, ip, loc)| (spec.peer_id, (spec, ip, loc)))
-            .collect();
-        let mut coordinator = Some(coordinator);
-
-        // Instantiate every role machine in bind order.
-        let mut roster: Vec<(Address, TcpListener, Role)> = Vec::new();
-        for (addr, listener) in listeners {
-            let role = match addr {
-                Address::Coordinator => {
-                    let mut proto = CoordinatorProto::new(
-                        coordinator.take().expect("one coordinator"),
-                        cfg.ppc_per_request,
-                    );
-                    proto.sweep_every_ms = cfg.coord_sweep_every_ms;
-                    proto.defense = DefenseBook::new(cfg.defense).with_telemetry(&telemetry);
-                    Role::Coordinator {
-                        proto: Box::new(proto),
-                        rng: StdRng::seed_from_u64(cfg.seed),
-                        sweep_every_ms: cfg.coord_sweep_every_ms,
-                    }
-                }
-                Address::Aggregator => Role::Aggregator {
-                    proto: AggregatorProto::new(),
-                },
-                Address::Database => {
-                    let dir = db_dir.as_ref().expect("database role implies a db dir");
-                    Role::Database {
-                        proto: Box::new(DbProto::with_storage(
-                            cfg.db_cost,
-                            Box::new(FileStorage::open(dir)),
-                            cfg.db_snapshot_every,
-                        )),
-                    }
-                }
-                Address::Server { index } => {
-                    let mut proto = MeasurementProto::new(MeasurementParams {
-                        index,
-                        ipcs: ipc_addrs.clone(),
-                        rates: rates.clone(),
-                        target_currency: cfg.target_currency.clone(),
-                        proc_per_reply_ms: cfg.proc_per_reply_ms,
-                        context_switch_alpha: cfg.context_switch_alpha,
-                        job_deadline_ms: cfg.job_deadline_ms,
-                        db_cost: cfg.db_cost,
-                        integrated_db: cfg.version == SystemVersion::V1,
-                        heartbeat_every_ms: cfg.heartbeat_every_ms,
-                        ipc_countries: cfg.ipc_locations.iter().map(|&(c, _)| c).collect(),
-                        defense: cfg.defense,
-                    });
-                    proto.defense = DefenseBook::new(cfg.defense).with_telemetry(&telemetry);
-                    Role::Measurement {
-                        proto: Box::new(proto),
-                        beacon_every_ms: cfg.heartbeat_every_ms,
-                    }
-                }
-                Address::Ipc { index } => {
-                    let (engine, city) = ipc_engines.remove(&index).expect("ipc engine");
-                    Role::Ipc {
-                        proto: Box::new(IpcProto { engine, city }),
-                    }
-                }
-                Address::Peer { id } => {
-                    let (spec, ip, location) = peer_setups.remove(&id).expect("peer spec");
-                    Role::Peer {
-                        proto: Box::new(PeerProto::new(
-                            PpcEngine {
-                                peer_id: spec.peer_id,
-                                browser: BrowserProfile::new(),
-                                ledger: PollutionLedger::new(),
-                                ip,
-                                country: spec.country,
-                                city_idx: spec.city_idx,
-                                user_agent: spec.user_agent,
-                                affluence: spec.affluence,
-                                logged_in_domains: spec.logged_in_domains.clone(),
-                            },
-                            location.city,
-                            cfg.target_currency.clone(),
-                            cfg.enable_doppelgangers,
-                        )),
-                    }
-                }
-            };
-            roster.push((addr, listener, role));
-        }
 
         // Partition the roster over the reactor shards and spawn one
         // event-loop thread per shard.
@@ -423,12 +262,12 @@ impl MiniDeployment {
         let ctx = ShardCtx {
             dir: Arc::clone(&dir),
             wire: Arc::clone(&wire),
-            world: Arc::clone(&world),
             epoch,
             sink: Arc::clone(&sink),
             shim: shim.clone(),
             byz: byz.clone(),
-            unknown_timers: telemetry.counter("protocol.unknown_timers"),
+            telemetry: node_telemetry,
+            seed: cfg.seed,
             wakeups: telemetry.counter("wire.reactor_wakeups"),
             queue_depth: telemetry.gauge("wire.shard_queue_depth"),
             doorbell_wakes: telemetry.counter("wire.reactor_doorbell_wakes"),
@@ -436,13 +275,17 @@ impl MiniDeployment {
             bells: Arc::clone(&bells),
             shard: 0,
         };
-        let mut groups: Vec<Vec<(NodeSlot, TcpListener)>> =
-            (0..n_shards).map(|_| Vec::new()).collect();
+        let mut groups: Vec<Vec<Seat>> = (0..n_shards).map(|_| Vec::new()).collect();
         let mut shards: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-        for (fault_idx, (addr, listener, role)) in roster.into_iter().enumerate() {
-            let chan = Channel::new(reliable_cfg).with_telemetry(&telemetry);
-            let s = shard_of(addr, n_shards);
-            groups[s].push((NodeSlot::new(addr, role, chan), listener));
+        for (fault_idx, (node, listener)) in roster.into_iter().zip(listeners).enumerate() {
+            // Both self-sustaining timers first fire one period in.
+            let first_timer = match node.me {
+                Address::Coordinator => Some((cfg.coord_sweep_every_ms, TimerKind::CoordSweep)),
+                Address::Server { .. } => Some((cfg.heartbeat_every_ms, TimerKind::Heartbeat)),
+                _ => None,
+            };
+            let s = shard_of(node.me, n_shards);
+            groups[s].push((node, listener, first_timer));
             shards[s].push(fault_idx);
         }
         let handles = groups
@@ -859,7 +702,9 @@ mod tests {
     /// sweep is handed the clock reading, nobody waits 31 s.
     #[test]
     fn start_config_keeps_its_server_past_thirty_seconds() {
-        use sheriff_core::protocol::{Output, TimerKind};
+        use rand::{rngs::StdRng, SeedableRng};
+        use sheriff_core::protocol::{CoordinatorProto, Output};
+        use sheriff_core::{Coordinator, Whitelist};
 
         let cfg = MiniDeployment::start_config();
         let mut coordinator = Coordinator::new(Whitelist::with_domains(Vec::<String>::new()));

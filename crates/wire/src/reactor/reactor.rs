@@ -9,9 +9,9 @@
 //!    deadline passed; crashed nodes get theirs deferred to the restart
 //!    instant instead of fired;
 //! 3. **accept** — drain every listener's accept queue;
-//! 4. **inbound** — pump live connections; completed frames are
-//!    delivered through the reliable channel into the role machine
-//!    exactly as the worker threads did;
+//! 4. **inbound** — pump live connections; each completed frame is one
+//!    `RoleNode::on_message` step (the step every backend shares: the
+//!    reliable channel first, then the role machine);
 //! 5. **delayed sends** — release fault-injected extra latency whose
 //!    due time arrived (this replaces the old detached sleeper threads);
 //! 6. **outbound** — flush per-link write queues, one frame in flight
@@ -53,12 +53,15 @@ use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use sheriff_core::byzantine;
-use sheriff_core::protocol::{Address, Output, ProtoMsg, TimerKind};
+use sheriff_core::protocol::{Address, Output, ProtoMsg, Role, RoleNode, StepBuf, TimerKind};
 use sheriff_netsim::CodecAttack;
 
 use super::conn::{Inbound, InboundEvent, Outbound, OutboundEvent, RawOutbound, IDLE_CONN_MS};
-use super::shard::{drain_peer, NodeSlot, Role, ShardCtx};
+use super::shard::{drain_peer, ShardCtx};
+use crate::deploy::Sink;
 use crate::proto::Envelope;
 
 /// Longest idle wait between readiness sweeps when nobody rings.
@@ -68,12 +71,35 @@ const IDLE_SLEEP: Duration = Duration::from_millis(1);
 /// giving up on destinations that already exited.
 const DRAIN_GRACE_MS: u64 = 250;
 
-/// One node's socket-facing state inside the shard.
+/// What the deployment hands a shard per node: the protocol node, its
+/// bound listener, and the first firing `(due_ms, kind)` of its
+/// self-sustaining timer, if it has one (measurement liveness beacon,
+/// coordinator recovery sweep). The phase is the backend's to fix, and a
+/// fixed one keeps deployment frame counts deterministic.
+pub(crate) type Seat = (RoleNode, TcpListener, Option<(u64, TimerKind)>);
+
+/// One node inside the shard: the shared protocol node plus what only
+/// a socket backend needs to know about it.
 struct OwnedNode {
-    slot: NodeSlot,
+    node: RoleNode,
+    /// Inside a scheduled crash window right now; flipping back to
+    /// `false` is the restart edge.
+    crashed: bool,
+    /// Received its Shutdown frame; listener closed, timers discarded.
+    stopped: bool,
     /// `None` once the node received Shutdown (stop accepting, exactly
     /// like the blocking acceptor breaking out of its loop).
     listener: Option<TcpListener>,
+}
+
+impl OwnedNode {
+    /// After a step: a peer add-on's finished checks go to whoever is
+    /// blocked in `await_check`.
+    fn surface(&mut self, sink: &Sink) {
+        if let Role::Peer { proto, .. } = &mut self.node.role {
+            drain_peer(proto, sink);
+        }
+    }
 }
 
 /// A per-link outbound FIFO: only the head frame is in flight, so two
@@ -119,19 +145,21 @@ pub(crate) struct Reactor {
     /// Local high-water of pending work, mirrored into the shared
     /// `wire.shard_queue_depth` gauge when it grows.
     depth_hiwater: usize,
-    /// Reusable machine-output buffer threaded through the sweep
-    /// stages: `dispatch` drains it, `std::mem::take` loans it out past
-    /// the node borrow, so the steady-state event path reuses one
-    /// allocation instead of building a fresh `Vec` per event.
-    out_scratch: Vec<Output>,
+    /// Reusable step buffer threaded through the sweep stages: the
+    /// telemetry fold drains its events, `dispatch` its commands, and
+    /// `std::mem::take` loans it out past the node borrow, so the
+    /// steady-state event path reuses one set of allocations instead of
+    /// building fresh `Vec`s per event.
+    scratch: StepBuf,
+    /// The machines' randomness source (only the Coordinator draws).
+    rng: StdRng,
 }
 
 impl Reactor {
-    /// Builds a shard over `nodes` and seeds the phase-fixed initial
-    /// timers (measurement liveness beacon, coordinator recovery sweep)
-    /// exactly where the worker threads used to.
-    pub(crate) fn new(ctx: ShardCtx, nodes: Vec<(NodeSlot, TcpListener)>) -> Reactor {
+    /// Builds a shard over `nodes`, arming each one's first timer.
+    pub(crate) fn new(ctx: ShardCtx, nodes: Vec<Seat>) -> Reactor {
         let mut reactor = Reactor {
+            rng: StdRng::seed_from_u64(ctx.seed),
             ctx,
             nodes: Vec::new(),
             timers: BinaryHeap::new(),
@@ -141,22 +169,17 @@ impl Reactor {
             delayed: Vec::new(),
             raw: Vec::new(),
             depth_hiwater: 0,
-            out_scratch: Vec::new(),
+            scratch: StepBuf::default(),
         };
-        for (slot, listener) in nodes {
+        for (node, listener, first_timer) in nodes {
             let _ = listener.set_nonblocking(true);
-            let local = reactor.nodes.len();
-            match &slot.role {
-                Role::Measurement {
-                    beacon_every_ms, ..
-                } => reactor.push_timer(*beacon_every_ms, local, TimerKind::Heartbeat.token()),
-                Role::Coordinator { sweep_every_ms, .. } => {
-                    reactor.push_timer(*sweep_every_ms, local, TimerKind::CoordSweep.token());
-                }
-                _ => {}
+            if let Some((due_ms, kind)) = first_timer {
+                reactor.push_timer(due_ms, reactor.nodes.len(), kind.token());
             }
             reactor.nodes.push(OwnedNode {
-                slot,
+                node,
+                crashed: false,
+                stopped: false,
                 listener: Some(listener),
             });
         }
@@ -184,7 +207,7 @@ impl Reactor {
             work += self.pump_raw();
             self.note_depth();
 
-            if self.nodes.iter().all(|n| n.slot.stopped) {
+            if self.nodes.iter().all(|n| n.stopped) {
                 let deadline = *stop_deadline.get_or_insert(now_ms + DRAIN_GRACE_MS);
                 let drained = self.links.is_empty() && self.delayed.is_empty();
                 if drained || now_ms >= deadline {
@@ -226,65 +249,42 @@ impl Reactor {
         }
     }
 
-    /// Enters/leaves crash windows. Leaving one is the restart edge:
-    /// state-intact restart for most roles, volatile-state loss for the
-    /// Database — byte-for-byte the worker-thread semantics.
+    /// Enters/leaves crash windows. Leaving one is the restart edge —
+    /// `RoleNode::on_restart`, the DES engine's `Event::Restart`.
     fn sync_crash_states(&mut self, now_ms: u64) -> usize {
         let Some(shim) = self.ctx.shim.clone() else {
             return 0;
         };
         let mut work = 0;
-        let mut out = std::mem::take(&mut self.out_scratch);
+        let mut buf = std::mem::take(&mut self.scratch);
         // sheriff-lint: hot-loop
         for local in 0..self.nodes.len() {
             {
-                let Some(node) = self.nodes.get_mut(local) else {
+                let Some(owned) = self.nodes.get_mut(local) else {
                     continue;
                 };
-                if node.slot.stopped {
+                if owned.stopped {
                     continue;
                 }
-                if shim.crashed_until(node.slot.me, now_ms).is_some() {
-                    if !node.slot.crashed {
-                        node.slot.crashed = true;
+                if shim.crashed_until(owned.node.me, now_ms).is_some() {
+                    if !owned.crashed {
+                        owned.crashed = true;
                         work += 1;
                     }
                     continue;
                 }
-                if !node.slot.crashed {
+                if !owned.crashed {
                     continue;
                 }
-                // Back from the dead with state intact. A Measurement
-                // server announces liveness immediately: the Coordinator
-                // may have written it off and requeued its jobs, and the
-                // fresh heartbeat reopens the assignment path.
-                node.slot.crashed = false;
+                owned.crashed = false;
                 shim.node_restarts.inc();
-                match &mut node.slot.role {
-                    Role::Measurement { proto, .. } => proto.on_restart(now_ms, &mut out),
-                    Role::Database { proto } => {
-                        // The Database models genuine volatile-state
-                        // loss: the un-barriered WAL tail vanishes and
-                        // the store is rebuilt from the durable snapshot
-                        // + log prefix. The reliable channel forgets its
-                        // windows too (they lived in memory); peers
-                        // retransmit anything unacked. The event sink
-                        // below is a crash-recovery edge, not steady
-                        // state, and the TCP backend discards machine
-                        // events — the Vec never grows past empty.
-                        node.slot.chan.on_restart();
-                        // sheriff-lint: allow(hot-loop-allocation) — recovery edge; events are discarded
-                        let mut events = Vec::new();
-                        proto.on_restart(&mut events);
-                    }
-                    _ => {}
-                }
-                node.slot.chan.harden(&mut out);
+                owned.node.on_restart(now_ms, &mut buf);
+                self.ctx.telemetry.fold(owned.node.me, now_ms, &mut buf);
             }
-            self.dispatch(local, &mut out, now_ms);
+            self.dispatch(local, &mut buf.out, now_ms);
             work += 1;
         }
-        self.out_scratch = out;
+        self.scratch = buf;
         work
     }
 
@@ -292,7 +292,7 @@ impl Reactor {
     /// to its restart instant instead (counted, like the DES engine).
     fn fire_timers(&mut self, now_ms: u64) -> usize {
         let mut work = 0;
-        let mut out = std::mem::take(&mut self.out_scratch);
+        let mut buf = std::mem::take(&mut self.scratch);
         // sheriff-lint: hot-loop
         while self
             .timers
@@ -304,52 +304,21 @@ impl Reactor {
             };
             let mut defer_to = None;
             {
-                let sink = &self.ctx.sink;
-                let Some(node) = self.nodes.get_mut(local) else {
+                let Some(owned) = self.nodes.get_mut(local) else {
                     continue;
                 };
-                if node.slot.stopped {
+                if owned.stopped {
                     continue;
                 }
-                if node.slot.crashed {
+                if owned.crashed {
                     if let Some(shim) = &self.ctx.shim {
-                        defer_to = shim.crashed_until(node.slot.me, now_ms);
+                        defer_to = shim.crashed_until(owned.node.me, now_ms);
                     }
                 }
                 if defer_to.is_none() {
-                    match TimerKind::from_token(token) {
-                        None => {
-                            self.ctx.unknown_timers.inc();
-                            continue;
-                        }
-                        Some(TimerKind::Retransmit(seq)) => {
-                            if let Some((_, abandoned)) =
-                                node.slot.chan.on_retransmit(seq, &mut out)
-                            {
-                                if let Role::Peer { proto } = &mut node.slot.role {
-                                    proto.on_send_abandoned(&abandoned);
-                                    drain_peer(proto, sink);
-                                }
-                            }
-                        }
-                        Some(kind) => match &mut node.slot.role {
-                            Role::Coordinator { proto, rng, .. } => {
-                                proto.on_timer(now_ms, kind, rng, &mut out);
-                            }
-                            Role::Measurement { proto, .. } => {
-                                // sheriff-lint: allow(hot-loop-allocation) — event sink stays empty on the TCP backend
-                                let mut events = Vec::new();
-                                proto.on_timer(now_ms, kind, &mut out, &mut events);
-                            }
-                            Role::Database { proto } => {
-                                // sheriff-lint: allow(hot-loop-allocation) — event sink stays empty on the TCP backend
-                                let mut events = Vec::new();
-                                proto.on_timer(kind, &mut out, &mut events);
-                            }
-                            _ => {}
-                        },
-                    }
-                    node.slot.chan.harden(&mut out);
+                    owned.node.on_timer(now_ms, token, &mut self.rng, &mut buf);
+                    owned.surface(&self.ctx.sink);
+                    self.ctx.telemetry.fold(owned.node.me, now_ms, &mut buf);
                 }
             }
             if let Some(restart) = defer_to {
@@ -362,10 +331,10 @@ impl Reactor {
                 work += 1;
                 continue;
             }
-            self.dispatch(local, &mut out, now_ms);
+            self.dispatch(local, &mut buf.out, now_ms);
             work += 1;
         }
-        self.out_scratch = out;
+        self.scratch = buf;
         work
     }
 
@@ -435,73 +404,46 @@ impl Reactor {
     /// loop's message path (including the live crash re-check: a window
     /// that opened since the iteration began must still eat the frame).
     fn deliver(&mut self, local: usize, env: Envelope, now_ms: u64) {
-        let mut out = std::mem::take(&mut self.out_scratch);
-        self.deliver_inner(local, env, now_ms, &mut out);
-        self.dispatch(local, &mut out, now_ms);
-        self.out_scratch = out;
+        let mut buf = std::mem::take(&mut self.scratch);
+        self.deliver_inner(local, env, now_ms, &mut buf);
+        self.dispatch(local, &mut buf.out, now_ms);
+        self.scratch = buf;
     }
 
     /// The machine half of [`Reactor::deliver`]: everything that may
     /// early-return before any output exists. Split from the dispatch
     /// half so the scratch buffer is restored on every path.
-    fn deliver_inner(&mut self, local: usize, env: Envelope, now_ms: u64, out: &mut Vec<Output>) {
+    fn deliver_inner(&mut self, local: usize, env: Envelope, now_ms: u64, buf: &mut StepBuf) {
         let ctx = &self.ctx;
-        let Some(node) = self.nodes.get_mut(local) else {
+        let Some(owned) = self.nodes.get_mut(local) else {
             return;
         };
-        if node.slot.stopped {
+        if owned.stopped {
             return;
         }
         if env.msg == ProtoMsg::Shutdown {
             // Stop accepting and discard the node — but keep the
             // loop running until every sibling is down too.
-            node.slot.stopped = true;
-            node.listener = None;
+            owned.stopped = true;
+            owned.listener = None;
             return;
         }
-        let crashed_live = node.slot.crashed
+        let crashed_live = owned.crashed
             || ctx
                 .shim
                 .as_ref()
-                .is_some_and(|s| s.crashed_until(node.slot.me, ctx.now_ms()).is_some());
+                .is_some_and(|s| s.crashed_until(owned.node.me, ctx.now_ms()).is_some());
         if crashed_live {
             if let Some(shim) = &ctx.shim {
                 shim.crash_dropped.inc();
             }
             return;
         }
-        // The reliable layer acks, dedups and unwraps first; only
-        // genuinely new payloads reach the machine.
-        if let Some(msg) = node.slot.chan.accept(env.from, env.msg, out) {
-            match &mut node.slot.role {
-                Role::Coordinator { proto, rng, .. } => {
-                    proto.on_message(now_ms, env.from, msg, rng, out);
-                }
-                Role::Aggregator { proto } => proto.on_message(env.from, msg, out),
-                Role::Measurement { proto, .. } => {
-                    let mut events = Vec::new();
-                    proto.on_message(now_ms, env.from, msg, out, &mut events);
-                }
-                Role::Database { proto } => {
-                    let mut events = Vec::new();
-                    proto.on_message(now_ms, env.from, msg, out, &mut events);
-                }
-                Role::Ipc { proto } => {
-                    let mut world = ctx.world.lock();
-                    // sheriff-lint: allow(callback-under-lock) — the IPC machine's signature takes `&mut World`; the guard spans exactly this call and the world mutex is a leaf (no lock is ever taken inside a machine)
-                    proto.on_message(now_ms, env.from, msg, &mut world, out);
-                }
-                Role::Peer { proto } => {
-                    {
-                        let mut world = ctx.world.lock();
-                        // sheriff-lint: allow(callback-under-lock) — same shape as the Ipc arm: `&mut World` in the signature, leaf mutex, guard dropped before `drain_peer` touches the sink
-                        proto.on_message(now_ms, env.from, msg, &mut world, out);
-                    }
-                    drain_peer(proto, &ctx.sink);
-                }
-            }
-        }
-        node.slot.chan.harden(out);
+        owned
+            .node
+            .on_message(now_ms, env.from, env.msg, &mut self.rng, buf);
+        owned.surface(&ctx.sink);
+        ctx.telemetry.fold(owned.node.me, now_ms, buf);
     }
 
     /// Applies a machine's outputs: sends join the per-link write
@@ -526,7 +468,7 @@ impl Reactor {
     /// dispatch path), then the fault shim rules each emitted copy
     /// (drop / duplicate / delay), then the frame joins its link FIFO.
     fn send_from(&mut self, local: usize, to: Address, msg: ProtoMsg, now_ms: u64) {
-        let Some(me) = self.nodes.get(local).map(|n| n.slot.me) else {
+        let Some(me) = self.nodes.get(local).map(|n| n.node.me) else {
             return;
         };
         if !self.ctx.dir.contains_key(&to) {

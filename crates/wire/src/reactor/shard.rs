@@ -1,6 +1,6 @@
-//! Shard-level state: which node lives where, the per-node protocol
-//! slot the reactor drives, and the fault shim applied at the reactor's
-//! read/write edges.
+//! Shard-level state: which node lives where, the context every shard
+//! shares, and the fault shims applied at the reactor's read/write
+//! edges.
 //!
 //! A *shard* is a single-threaded event loop (see
 //! [`Reactor`](super::reactor::Reactor)) owning the listeners, live
@@ -10,9 +10,10 @@
 //! shards the same way — the soak tests recompute the layout to kill a
 //! whole shard deliberately.
 //!
-//! Everything protocol-visible stays byte-for-byte what the
-//! thread-per-node backend did: the [`Role`] enum and the fault-shim
-//! verdicts moved here unchanged; only the thread that runs them is new.
+//! The nodes themselves are `sheriff_core::protocol::RoleNode`s — the
+//! same type, stepped through the same three entry points, as on the
+//! DES backend; nothing role-specific lives in this tree beyond handing
+//! a peer's finished checks to the waiting client ([`drain_peer`]).
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -20,73 +21,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
 
-use sheriff_core::protocol::{
-    Address, AggregatorProto, Channel, CoordinatorProto, DbProto, IpcProto, MeasurementProto,
-    PeerProto,
-};
-use sheriff_market::World;
+use sheriff_core::protocol::{Address, NodeTelemetry, PeerProto};
 use sheriff_netsim::{ByzDecision, ByzStats, ByzantinePlan, FaultPlan, FaultStats};
 use sheriff_telemetry::{Counter, Gauge, Registry};
 
 use crate::deploy::Sink;
 use crate::telemetry::WireTelemetry;
-
-/// One role machine plus whatever driver-side state it needs — the same
-/// enum the worker threads used to own, now driven by a shard reactor.
-pub(crate) enum Role {
-    Coordinator {
-        proto: Box<CoordinatorProto>,
-        rng: StdRng,
-        /// Period (and first-fire phase) of the §10.3 recovery sweep.
-        sweep_every_ms: u64,
-    },
-    Aggregator {
-        proto: AggregatorProto,
-    },
-    Measurement {
-        proto: Box<MeasurementProto>,
-        /// Liveness beacon period; also when the first beacon fires (a
-        /// fixed phase keeps deployment frame counts deterministic).
-        beacon_every_ms: u64,
-    },
-    Database {
-        proto: Box<DbProto>,
-    },
-    Ipc {
-        proto: Box<IpcProto>,
-    },
-    Peer {
-        proto: Box<PeerProto>,
-    },
-}
-
-/// Per-node protocol state inside a shard: the machine, its reliable
-/// channel, and the crash/stop flags the reactor's edges consult.
-pub(crate) struct NodeSlot {
-    /// Logical address (also the key into the directory).
-    pub(crate) me: Address,
-    pub(crate) role: Role,
-    pub(crate) chan: Channel,
-    /// Inside a scheduled crash window right now; flipping back to
-    /// `false` is the restart edge.
-    pub(crate) crashed: bool,
-    /// Received its Shutdown frame; listener closed, timers discarded.
-    pub(crate) stopped: bool,
-}
-
-impl NodeSlot {
-    pub(crate) fn new(me: Address, role: Role, chan: Channel) -> NodeSlot {
-        NodeSlot {
-            me,
-            role,
-            chan,
-            crashed: false,
-            stopped: false,
-        }
-    }
-}
 
 /// A shard's wake-up line: whoever hands the shard work (a foreign
 /// shard opening or finishing a frame toward one of its nodes, the
@@ -155,7 +96,6 @@ pub(crate) struct ShardCtx {
     /// Logical address → listener socket address.
     pub(crate) dir: Arc<HashMap<Address, SocketAddr>>,
     pub(crate) wire: Arc<WireTelemetry>,
-    pub(crate) world: Arc<Mutex<World>>,
     /// Deployment start; virtual milliseconds are real elapsed time
     /// since this instant (the one place wall time enters the system).
     pub(crate) epoch: Instant,
@@ -167,7 +107,11 @@ pub(crate) struct ShardCtx {
     /// reactor's write edge exactly where the DES engine consults its
     /// twin, so both backends corrupt the same traffic.
     pub(crate) byz: Option<Arc<ByzShim>>,
-    pub(crate) unknown_timers: Arc<Counter>,
+    /// The machine-event fold (`measurement.*`, `db.*`,
+    /// `protocol.unknown_timers`) — the DES backend's, not a copy.
+    pub(crate) telemetry: Arc<NodeTelemetry>,
+    /// Seeds each shard's machine RNG (only the Coordinator draws).
+    pub(crate) seed: u64,
     /// `wire.reactor_wakeups`: iterations that found work to do.
     pub(crate) wakeups: Arc<Counter>,
     /// `wire.shard_queue_depth`: high-water mark of pending work

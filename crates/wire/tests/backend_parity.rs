@@ -6,7 +6,8 @@
 //!
 //! Timing differs by construction (virtual clock vs. wall clock), so the
 //! comparison is over the protocol-visible *content*: job ids, URLs, and
-//! the full sorted observation sets.
+//! the full sorted observation sets — and over the machine-event
+//! counters both backends now publish through the one telemetry fold.
 
 use sheriff_core::records::PriceObservation;
 use sheriff_core::system::{PpcSpec, PriceSheriff, SheriffConfig};
@@ -38,6 +39,16 @@ fn peers() -> Vec<PpcSpec> {
 /// The checks both backends run, in order.
 const CHECKS: [(u64, &str, u32); 2] = [(100, "steampowered.com", 0), (101, "jcpenney.com", 2)];
 
+/// Machine-event counters that are a pure function of the work done
+/// (one per finished job, per DB store, per WAL record), so both
+/// backends must report the same value — and a backend that drops the
+/// events reports none at all.
+const WORK_COUNTERS: [&str; 3] = [
+    "measurement.jobs_finished",
+    "db.queries_total",
+    "db.wal_appends",
+];
+
 fn sorted(mut obs: Vec<PriceObservation>) -> Vec<PriceObservation> {
     obs.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
     obs
@@ -62,6 +73,7 @@ fn same_seed_same_world_identical_observations_on_both_backends() {
     let des: Vec<_> = sheriff.completed();
     assert_eq!(des.len(), CHECKS.len(), "DES completed all checks");
     assert!(sheriff.rejections().is_empty());
+    let des_snap = sheriff.telemetry().snapshot();
 
     // --- TCP run over the same world and configuration.
     let world = World::build(&WorldConfig::small(), SEED);
@@ -75,7 +87,22 @@ fn same_seed_same_world_identical_observations_on_both_backends() {
                 .unwrap_or_else(|e| panic!("tcp check on {domain}: {e}")),
         );
     }
+    let tcp_snap = deployment.telemetry().snapshot();
     deployment.shutdown();
+
+    // --- Same work, same books.
+    for name in WORK_COUNTERS {
+        assert_eq!(
+            des_snap.counters.get(name).copied(),
+            Some(CHECKS.len() as u64),
+            "{name} on the DES backend"
+        );
+        assert_eq!(
+            tcp_snap.counters.get(name).copied(),
+            des_snap.counters.get(name).copied(),
+            "{name} diverged between backends"
+        );
+    }
 
     // --- Same jobs, same result sets.
     for (d, t) in des.iter().zip(&tcp) {
