@@ -157,34 +157,32 @@ stage "pricebench smoke"
 cargo test --offline --manifest-path pricebench/Cargo.toml
 
 # Benchmark summaries: the criterion stand-in prints one median line per
-# benchmark; archive them as machine-readable BENCH_<group>.json at the
-# repo root (committed — `target/` is wiped by `cargo clean`, which is
-# how every previous "baseline" silently vanished) so perf regressions
-# are diffable across CI runs and across checkouts. Every bench target
-# is archived — a group whose run emits no parseable bench line fails
-# the stage (a silently-empty summary would read as "no regression"
-# forever). The previous run's summary (when one exists) is kept as
-# *.before.json so a regression shows up as a same-machine
-# before/after diff.
+# benchmark; each run's summary lands in target/bench/BENCH_<group>.json
+# and is diffed against the committed baseline of the same name at the
+# repo root. The baselines are only ever changed by hand, in a reviewed
+# commit (copy the file over) — this stage never writes outside target/,
+# so a full CI run leaves `git status` clean. Every bench target is
+# summarised — a group whose run emits no parseable bench line fails the
+# stage (a silently-empty summary would read as "no regression" forever).
+# The diff is informational: medians move with the machine, so it gates
+# nothing.
 stage "bench summary archive"
 BENCH_GROUPS=(crypto_primitives private_kmeans extraction currency system_throughput)
+mkdir -p target/bench
 for group in "${BENCH_GROUPS[@]}"; do
-    if [ -f "BENCH_${group}.json" ]; then
-        cp "BENCH_${group}.json" "BENCH_${group}.before.json"
-        echo "previous summary kept at BENCH_${group}.before.json"
-    fi
     cargo bench -p sheriff-bench --bench "$group" \
-        | tee "target/bench-${group}.txt"
+        | tee "target/bench/${group}.txt"
     awk 'BEGIN { printf "[" }
          /^bench / { if (n++) printf ","
                      printf "\n  {\"bench\": \"%s\", \"median\": \"%s %s\"}", $2, $4, $5 }
-         END { print "\n]" }' "target/bench-${group}.txt" \
-        > "BENCH_${group}.json"
-    if ! grep -q '"bench"' "BENCH_${group}.json"; then
-        echo "bench group ${group} emitted no summary lines — archive would be empty" >&2
+         END { print "\n]" }' "target/bench/${group}.txt" \
+        > "target/bench/BENCH_${group}.json"
+    if ! grep -q '"bench"' "target/bench/BENCH_${group}.json"; then
+        echo "bench group ${group} emitted no summary lines — summary would be empty" >&2
         exit 1
     fi
-    echo "bench summary archived at BENCH_${group}.json"
+    echo "bench summary at target/bench/BENCH_${group}.json; against the committed baseline:"
+    diff -u "BENCH_${group}.json" "target/bench/BENCH_${group}.json" || true
 done
 
 # First-party line counts per crate, so a PR's size delta is read off

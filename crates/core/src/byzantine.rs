@@ -1,22 +1,23 @@
-//! Typed Byzantine message mutation.
+//! The Byzantine send edge: typed message mutation.
 //!
 //! [`sheriff_netsim::ByzantinePlan`] only *decides* — it knows nothing
-//! about [`ProtoMsg`]. This module turns a [`ByzDecision`] into concrete
-//! protocol-level misbehavior: price equivocation (recipient-dependent
-//! digit skew), fabricated vantage identities, stale replays, and
-//! request/ack flood junk. Both backends call [`apply`] at the sender's
-//! delivery edge — the DES in `system::dispatch`, the TCP reactor in
-//! `send_from` — so a given `(seed, edge, occurrence)` yields the same
-//! adversarial traffic on either transport and chaos parity stays
-//! pinned.
+//! about [`ProtoMsg`]. [`outbound`] is the one place a decision is asked
+//! for and turned into concrete protocol-level misbehavior: price
+//! equivocation (recipient-dependent digit skew), fabricated vantage
+//! identities, stale replays, and request/ack flood junk. Both backends
+//! pass every roster-to-roster send through it before their transport
+//! (and before the fault gate, which then rules on each emitted copy),
+//! so a given `(seed, edge, occurrence)` yields the same adversarial
+//! traffic on either and chaos parity stays pinned.
 //!
 //! Codec-boundary attacks (garbage, oversized length fields,
-//! slow-loris) are *not* handled here: they are byte-level, so the TCP
-//! backend emits raw attack frames and the DES — whose messages never
-//! pass through the codec — drops the message at dispatch. [`apply`]
-//! treats a codec decision as "primary consumed" for both.
+//! slow-loris) are byte-level: [`outbound`] consumes the message and
+//! names the attack in [`ByzApplied::codec`]. The TCP backend launches
+//! the raw frame; the DES — whose messages never pass through a codec —
+//! has nothing more to do, because on either backend nothing reaches the
+//! receiving machine.
 
-use sheriff_netsim::ByzDecision;
+use sheriff_netsim::{ByzDecision, ByzantinePlan, CodecAttack};
 
 use crate::protocol::ProtoMsg;
 
@@ -32,7 +33,7 @@ pub const JUNK_TAG_BIT: u64 = 1 << 63;
 /// Whether a message carries price evidence worth corrupting — the
 /// content arms (equivocate / fabricate / stale-replay) only fire on
 /// these; floods and codec attacks apply to any traffic.
-pub fn price_bearing(msg: &ProtoMsg) -> bool {
+fn price_bearing(msg: &ProtoMsg) -> bool {
     matches!(
         msg,
         ProtoMsg::FetchReply { .. } | ProtoMsg::DoppStateRequest { .. }
@@ -63,27 +64,45 @@ pub fn skew_html_prices(html: &str, zeros: usize) -> String {
     out
 }
 
-/// Result of applying a Byzantine decision to an outbound message.
+/// What the sender's Byzantine profile made of one outbound message.
 #[derive(Debug)]
 pub struct ByzApplied {
-    /// The (possibly mutated) original message; `None` when the
-    /// decision consumed it (codec attack — bytes on TCP, a drop on
-    /// the DES).
+    /// The (possibly mutated) original message; `None` when a codec
+    /// attack consumed it.
     pub primary: Option<ProtoMsg>,
     /// Flood junk emitted alongside the primary, in deterministic
     /// order.
     pub junk: Vec<ProtoMsg>,
+    /// The codec-boundary attack the send was turned into, with the
+    /// message's occurrence number on its link (salts the attack bytes).
+    pub codec: Option<(CodecAttack, u64)>,
+}
+
+impl ByzApplied {
+    /// The protocol messages to emit, primary first.
+    pub fn messages(self) -> impl Iterator<Item = ProtoMsg> {
+        self.primary.into_iter().chain(self.junk)
+    }
+}
+
+/// Passes one send on the directed link `from → to` (roster indices)
+/// through `plan`: asks for the decision — advancing the link's
+/// occurrence counter and the plan's totals — and applies it.
+pub fn outbound(plan: &mut ByzantinePlan, from: usize, to: usize, msg: ProtoMsg) -> ByzApplied {
+    let decision = plan.decide(from, to, price_bearing(&msg));
+    apply(&decision, msg)
 }
 
 /// Applies `decision` to `msg`. Pure: the same `(decision, msg)` pair
 /// yields the same traffic on every backend.
-pub fn apply(decision: &ByzDecision, msg: ProtoMsg) -> ByzApplied {
-    if decision.codec.is_some() {
+fn apply(decision: &ByzDecision, msg: ProtoMsg) -> ByzApplied {
+    if let Some(attack) = decision.codec {
         // Byte-level attack replaces the message entirely; the
         // transport edge owns what (if anything) goes on the wire.
         return ByzApplied {
             primary: None,
             junk: Vec::new(),
+            codec: Some((attack, decision.occurrence)),
         };
     }
 
@@ -92,6 +111,7 @@ pub fn apply(decision: &ByzDecision, msg: ProtoMsg) -> ByzApplied {
     ByzApplied {
         primary: Some(mutated),
         junk,
+        codec: None,
     }
 }
 
@@ -179,7 +199,7 @@ fn mix(x: u64) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use sheriff_netsim::{ByzDecision, CodecAttack};
+    use sheriff_netsim::ByzProfile;
 
     use super::*;
     use crate::coordinator::PeerId;
@@ -290,9 +310,31 @@ mod tests {
         let mut d = honest();
         d.codec = Some(CodecAttack::Garbage);
         d.flood_copies = 4; // decide() suppresses this; apply must too
+        d.occurrence = 6;
         let applied = apply(&d, reply());
         assert!(applied.primary.is_none());
         assert!(applied.junk.is_empty());
+        assert_eq!(applied.codec, Some((CodecAttack::Garbage, 6)));
+    }
+
+    #[test]
+    fn outbound_counts_occurrences_per_link_and_spares_honest_senders() {
+        let mut plan = ByzantinePlan::new(5).with_profile(
+            3,
+            ByzProfile {
+                codec_oversize: 1.0,
+                ..ByzProfile::HONEST
+            },
+        );
+        let honest = outbound(&mut plan, 4, 0, reply());
+        assert_eq!(honest.codec, None);
+        assert_eq!(honest.messages().collect::<Vec<_>>(), vec![reply()]);
+        for occurrence in 0..2 {
+            let attacked = outbound(&mut plan, 3, 0, reply());
+            assert_eq!(attacked.codec, Some((CodecAttack::Oversize, occurrence)));
+            assert_eq!(attacked.messages().count(), 0);
+        }
+        assert_eq!(plan.stats.codec_attacks, 2);
     }
 
     #[test]

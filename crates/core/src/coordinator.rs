@@ -10,7 +10,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use sheriff_geo::{IpV4, Location};
 use sheriff_telemetry::{panel, Counter, FieldValue, Gauge, Registry};
@@ -51,229 +50,6 @@ pub struct PeerEntry {
     pub online: bool,
 }
 
-// ---------------------------------------------------------------------
-// Sharded job table (job-tag hash → shard, read-mostly snapshots)
-// ---------------------------------------------------------------------
-
-/// Number of job-table shards a fresh Coordinator starts with.
-const INITIAL_JOB_SHARDS: usize = 4;
-/// Mean in-flight jobs per shard beyond which the table doubles its
-/// shard count (a rebalance).
-const REBALANCE_LOAD: usize = 8;
-/// Upper bound on shard growth.
-const MAX_JOB_SHARDS: usize = 256;
-
-/// FNV-1a placement hash: which shard of an `n_shards`-wide table owns
-/// `job`. Pure function of the job tag and the shard count, so a
-/// snapshot taken before a rebalance keeps resolving every tag it
-/// captured — it hashes against its *own* width, not the live one.
-fn job_shard(job: JobId, n_shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in job.0.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % n_shards.max(1) as u64) as usize
-}
-
-/// An immutable, self-consistent view of the sharded job ledger at one
-/// publication instant. Cheap to hold: shards are shared `Arc`s, so a
-/// snapshot costs one small `Vec` of pointers, and a reader keeping an
-/// old snapshot across a rebalance still resolves every job tag that
-/// was in flight when it was taken.
-#[derive(Clone, Debug, Default)]
-pub struct JobSnapshot {
-    shards: Vec<Arc<BTreeMap<JobId, usize>>>,
-    rebalances: u64,
-}
-
-impl JobSnapshot {
-    /// The server index `job` is charged to, if it was in flight when
-    /// this snapshot was published.
-    pub fn resolve(&self, job: JobId) -> Option<usize> {
-        self.shards
-            .get(job_shard(job, self.shards.len()))?
-            .get(&job)
-            .copied()
-    }
-
-    /// Shard count at publication time.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Per-shard in-flight job counts, in shard order.
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.len()).collect()
-    }
-
-    /// Total in-flight jobs.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    /// True when no job is in flight.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
-    }
-
-    /// How many rebalances the table had performed when this snapshot
-    /// was published.
-    pub fn rebalances(&self) -> u64 {
-        self.rebalances
-    }
-
-    /// Every `(job, server)` pair, in job-id order (shards partition by
-    /// hash, so a cross-shard sort restores the global order).
-    pub fn jobs_ordered(&self) -> Vec<(JobId, usize)> {
-        let mut all: Vec<(JobId, usize)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.iter().map(|(&j, &srv)| (j, srv)))
-            .collect();
-        all.sort_unstable();
-        all
-    }
-}
-
-/// Cheap-to-clone read handle onto the job table's published snapshot:
-/// the read-mostly hot path. `load` takes one brief read lock to clone
-/// an `Arc` (the arc-swap idiom, hand-rolled on the vendored
-/// `parking_lot`), so readers never contend with admission, sweeps or
-/// requeues beyond that pointer exchange.
-#[derive(Clone)]
-pub struct JobTableReader {
-    inner: Arc<RwLock<Arc<JobSnapshot>>>,
-}
-
-impl JobTableReader {
-    /// The most recently published snapshot.
-    pub fn load(&self) -> Arc<JobSnapshot> {
-        Arc::clone(&self.inner.read())
-    }
-}
-
-impl std::fmt::Debug for JobTableReader {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let snap = self.load();
-        f.debug_struct("JobTableReader")
-            .field("shards", &snap.shard_count())
-            .field("jobs", &snap.len())
-            .finish()
-    }
-}
-
-/// The writer side of the sharded job ledger. All mutation goes through
-/// the owning Coordinator; every mutation republishes the snapshot
-/// (copy-on-write per shard, so a publish is a `Vec<Arc>` clone).
-struct JobTable {
-    shards: Vec<Arc<BTreeMap<JobId, usize>>>,
-    published: JobTableReader,
-    rebalances: u64,
-    shard_rebalances: Arc<Counter>,
-}
-
-impl JobTable {
-    fn new(shard_rebalances: Arc<Counter>) -> Self {
-        let shards: Vec<Arc<BTreeMap<JobId, usize>>> = (0..INITIAL_JOB_SHARDS)
-            .map(|_| Arc::new(BTreeMap::new()))
-            .collect();
-        let snapshot = Arc::new(JobSnapshot {
-            shards: shards.clone(),
-            rebalances: 0,
-        });
-        JobTable {
-            shards,
-            published: JobTableReader {
-                inner: Arc::new(RwLock::new(snapshot)),
-            },
-            rebalances: 0,
-            shard_rebalances,
-        }
-    }
-
-    fn publish(&self) {
-        let snapshot = Arc::new(JobSnapshot {
-            shards: self.shards.clone(),
-            rebalances: self.rebalances,
-        });
-        *self.published.inner.write() = snapshot;
-    }
-
-    /// Doubles the shard count while the mean load exceeds
-    /// [`REBALANCE_LOAD`]. Driven purely by the in-flight count, so the
-    /// growth sequence is deterministic for a given admission schedule
-    /// (and therefore for a given seed).
-    fn maybe_rebalance(&mut self, upcoming_len: usize) {
-        while self.shards.len() < MAX_JOB_SHARDS
-            && upcoming_len > self.shards.len() * REBALANCE_LOAD
-        {
-            let wider = self.shards.len() * 2;
-            let mut next: Vec<BTreeMap<JobId, usize>> = vec![BTreeMap::new(); wider];
-            for shard in &self.shards {
-                for (&job, &srv) in shard.iter() {
-                    if let Some(s) = next.get_mut(job_shard(job, wider)) {
-                        s.insert(job, srv);
-                    }
-                }
-            }
-            self.shards = next.into_iter().map(Arc::new).collect();
-            self.rebalances += 1;
-            self.shard_rebalances.inc();
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    fn insert(&mut self, job: JobId, server: usize) {
-        self.maybe_rebalance(self.len() + 1);
-        let width = self.shards.len();
-        if let Some(shard) = self.shards.get_mut(job_shard(job, width)) {
-            Arc::make_mut(shard).insert(job, server);
-        }
-        self.publish();
-    }
-
-    fn remove(&mut self, job: JobId) -> Option<usize> {
-        let width = self.shards.len();
-        let shard = self.shards.get_mut(job_shard(job, width))?;
-        let removed = Arc::make_mut(shard).remove(&job);
-        if removed.is_some() {
-            self.publish();
-        }
-        removed
-    }
-
-    fn reader(&self) -> JobTableReader {
-        self.published.clone()
-    }
-
-    /// Every `(job, server)` pair in job-id order — the same order the
-    /// old single-map ledger iterated in, so requeue sequencing (an
-    /// observable event order) is unchanged by the sharding.
-    fn ordered(&self) -> Vec<(JobId, usize)> {
-        let mut all: Vec<(JobId, usize)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.iter().map(|(&j, &srv)| (j, srv)))
-            .collect();
-        all.sort_unstable();
-        all
-    }
-}
-
-impl std::fmt::Debug for JobTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobTable")
-            .field("shards", &self.shards.len())
-            .field("jobs", &self.len())
-            .field("rebalances", &self.rebalances)
-            .finish()
-    }
-}
-
 /// Why a price-check request was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RequestError {
@@ -298,9 +74,8 @@ pub struct Coordinator {
     // `BTreeMap` so every iteration below (orphan sweep, peers_near) is
     // key-ordered by construction — no sort step can be forgotten.
     peers: BTreeMap<PeerId, PeerEntry>,
-    /// In-flight job → server ledger, sharded by job-tag hash with
-    /// read-mostly published snapshots (see [`JobSnapshot`]).
-    jobs: JobTable,
+    /// In-flight job → index of the server it is charged to.
+    jobs: BTreeMap<JobId, usize>,
     next_job: u64,
     /// Heartbeat staleness threshold (ms) before a server goes offline.
     pub heartbeat_timeout_ms: u64,
@@ -326,7 +101,7 @@ impl Coordinator {
             whitelist,
             servers: Vec::new(),
             peers: BTreeMap::new(),
-            jobs: JobTable::new(telemetry.counter("coordinator.shard_rebalances")),
+            jobs: BTreeMap::new(),
             next_job: 1,
             heartbeat_timeout_ms: 30_000,
             requests_total: telemetry.counter("coordinator.requests_total"),
@@ -490,7 +265,7 @@ impl Coordinator {
     /// decreases. Unknown/duplicate job IDs are ignored (the network-issue
     /// corrective case of §10.3 re-sends completions).
     pub fn job_complete(&mut self, job: JobId) {
-        if let Some(server) = self.jobs.remove(job) {
+        if let Some(server) = self.jobs.remove(&job) {
             if let Some(s) = self.servers.get_mut(server) {
                 s.pending_jobs = s.pending_jobs.saturating_sub(1);
                 self.jobs_completed.inc();
@@ -500,14 +275,6 @@ impl Coordinator {
                 }
             }
         }
-    }
-
-    /// A cloneable handle onto the read-mostly job-ledger snapshots.
-    /// Readers resolve job tags against the snapshot they loaded without
-    /// touching the Coordinator's write path; a rebalance publishes a new
-    /// snapshot but never invalidates one already held.
-    pub fn jobs_reader(&self) -> JobTableReader {
-        self.jobs.reader()
     }
 
     /// Pending jobs on a server.
@@ -532,7 +299,7 @@ impl Coordinator {
             d.write_bool(s.online);
             d.write_u64(u64::from(s.pending_jobs));
         }
-        for (job, server) in self.jobs.ordered() {
+        for (job, &server) in &self.jobs {
             d.write_u64(job.0);
             d.write_u64(server as u64);
         }
@@ -552,18 +319,15 @@ impl Coordinator {
         if !self.servers.iter().any(|s| s.online) {
             return Vec::new();
         }
-        // `ordered()` restores global job-id order across the hash
-        // shards, so the requeue order matches the old single-map
-        // ledger exactly.
+        // Job-id order: the requeue sequence is an observable event order.
         let orphaned: Vec<JobId> = self
             .jobs
-            .ordered()
-            .into_iter()
-            .filter(|&(_, idx)| self.servers.get(idx).is_none_or(|s| !s.online))
-            .map(|(job, _)| job)
+            .iter()
+            .filter(|&(_, &idx)| self.servers.get(idx).is_none_or(|s| !s.online))
+            .map(|(&job, _)| job)
             .collect();
         for &job in &orphaned {
-            let Some(idx) = self.jobs.remove(job) else {
+            let Some(idx) = self.jobs.remove(&job) else {
                 continue;
             };
             if let Some(s) = self.servers.get_mut(idx) {
@@ -860,8 +624,16 @@ mod tests {
             c.telemetry().snapshot().counters["coordinator.jobs_requeued"],
             1
         );
-        // Idempotent: the job is no longer charged anywhere.
+        // Idempotent: the job is no longer charged anywhere, so neither a
+        // second sweep nor a late completion from the lapsed server
+        // finds it in the ledger.
         assert!(c.take_orphaned_jobs(50_001).is_empty());
+        c.job_complete(job);
+        assert_eq!(c.pending_jobs_per_server(), vec![0, 0]);
+        assert_eq!(
+            c.telemetry().snapshot().counters["coordinator.jobs_completed"],
+            0
+        );
     }
 
     #[test]
@@ -891,105 +663,5 @@ mod tests {
             .events
             .iter()
             .any(|e| e.name == "coordinator.heartbeat_expired"));
-    }
-
-    #[test]
-    fn pre_rebalance_snapshot_still_resolves_every_in_flight_tag() {
-        let mut c = coordinator();
-        c.register_server("s0", 80, 0);
-        // Pin a snapshot at the initial width, then admit enough jobs to
-        // force at least one shard doubling behind the reader's back.
-        let reader = c.jobs_reader();
-        let mut admitted = Vec::new();
-        let (first, s) = c.new_request("shop.com/p", 0).unwrap();
-        admitted.push(first);
-        let held = reader.load();
-        assert_eq!(held.shard_count(), INITIAL_JOB_SHARDS);
-        for i in 1..200u64 {
-            let (job, _) = c.new_request("shop.com/p", i).unwrap();
-            admitted.push(job);
-        }
-        let fresh = reader.load();
-        assert!(
-            fresh.shard_count() > held.shard_count(),
-            "admission never forced a rebalance"
-        );
-        // The stale snapshot keeps resolving the tag it was taken with,
-        // and the fresh one resolves every in-flight tag — a rebalance
-        // republishes, it never invalidates a held snapshot.
-        assert_eq!(held.resolve(first), Some(s));
-        for &job in &admitted {
-            assert_eq!(fresh.resolve(job), Some(s), "lost tag {job:?}");
-        }
-        assert_eq!(fresh.len(), admitted.len());
-        assert_eq!(fresh.jobs_ordered().len(), admitted.len());
-    }
-
-    #[test]
-    fn shard_counts_rebalance_deterministically_from_the_seed() {
-        let grow = |n: u64| {
-            let mut c = coordinator();
-            c.register_server("s0", 80, 0);
-            let mut trail = Vec::new();
-            for i in 0..n {
-                let _ = c.new_request("shop.com/p", i).unwrap();
-                trail.push((
-                    c.jobs_reader().load().shard_count(),
-                    c.jobs_reader().load().len(),
-                ));
-            }
-            trail
-        };
-        let a = grow(150);
-        let b = grow(150);
-        assert_eq!(a, b, "shard growth diverged across identical runs");
-        // Doubling kicks in exactly when mean load crosses REBALANCE_LOAD.
-        let widths: Vec<usize> = a.iter().map(|&(w, _)| w).collect();
-        assert_eq!(widths[0], INITIAL_JOB_SHARDS);
-        assert!(widths.windows(2).all(|w| w[1] == w[0] || w[1] == w[0] * 2));
-        let final_width = *widths.last().unwrap();
-        assert!(
-            final_width >= 16,
-            "150 in-flight jobs over load 8 must widen past 16 shards, got {final_width}"
-        );
-        let c = {
-            let mut c = coordinator();
-            c.register_server("s0", 80, 0);
-            for i in 0..150 {
-                let _ = c.new_request("shop.com/p", i).unwrap();
-            }
-            c
-        };
-        let snap = c.jobs_reader().load();
-        assert_eq!(snap.shard_count(), final_width);
-        assert_eq!(
-            c.telemetry().snapshot().counters["coordinator.shard_rebalances"],
-            snap.rebalances()
-        );
-        // No shard is pathologically hot: FNV spreads 150 tags so every
-        // occupied shard stays under 4x the mean.
-        let lens = snap.shard_lens();
-        let mean = 150.0 / lens.len() as f64;
-        assert!(lens.iter().all(|&l| (l as f64) < mean * 4.0 + 4.0));
-    }
-
-    #[test]
-    fn completion_and_requeue_update_the_published_snapshot() {
-        let mut c = coordinator();
-        c.register_server("s0", 80, 0);
-        c.register_server("s1", 80, 0);
-        let reader = c.jobs_reader();
-        let (job, srv) = c.new_request("shop.com/p", 0).unwrap();
-        assert_eq!(reader.load().resolve(job), Some(srv));
-        c.job_complete(job);
-        assert_eq!(reader.load().resolve(job), None);
-        assert!(reader.load().is_empty());
-        // A requeue also drops the tag from the ledger: keep the *other*
-        // server alive, lapse the one holding job2, reclaim.
-        let (job2, srv2) = c.new_request("shop.com/p", 1).unwrap();
-        c.heartbeat(1 - srv2, 49_999);
-        c.expire_heartbeats(50_000);
-        assert_eq!(c.take_orphaned_jobs(50_000), vec![job2]);
-        assert_eq!(reader.load().resolve(job2), None);
     }
 }

@@ -253,9 +253,8 @@ struct AddrMap {
     node_of: BTreeMap<Address, NodeId>,
     addr_of: Vec<Address>,
     /// Deployment-wide Byzantine plan, consulted at every node's send
-    /// edge (the DES twin of the TCP reactor's shim). `None` until a
-    /// plan is installed; the simulation is single-threaded, so the
-    /// lock is never contended.
+    /// edge ([`byz_send`]). `None` until a plan is installed; the
+    /// simulation is single-threaded, so the lock is never contended.
     byz: Mutex<Option<ByzantinePlan>>,
 }
 
@@ -322,11 +321,12 @@ fn dispatch(
     }
 }
 
-/// One send through the Byzantine edge: consult the plan (same decision
-/// function as the TCP reactor's shim), mutate/flood/drop accordingly.
-/// Codec-boundary attacks have no DES analogue — the bytes never decode
-/// on TCP, so here the message simply vanishes; either way nothing
-/// reaches the receiving machine and `defense.*` parity is preserved.
+/// One send through the Byzantine edge ([`byzantine::outbound`], the
+/// function the TCP reactor calls too), each emitted copy then going to
+/// the simulator. A codec-boundary attack has no DES analogue — the
+/// bytes never decode on TCP, so here the message simply vanishes;
+/// either way nothing reaches the receiving machine and `defense.*`
+/// parity is preserved.
 fn byz_send(
     map: &AddrMap,
     ctx: &mut Ctx<'_, ProtoMsg>,
@@ -338,27 +338,15 @@ fn byz_send(
         Some(d) => ctx.send_after(d, to, m),
         None => ctx.send(to, m),
     };
-    let decision = {
-        let mut guard = map.byz.lock();
-        match guard.as_mut() {
-            Some(plan) => plan.decide(ctx.self_id.0, to.0, byzantine::price_bearing(&msg)),
-            None => {
-                drop(guard);
-                send(ctx, msg);
-                return;
-            }
-        }
+    let mut guard = map.byz.lock();
+    let Some(plan) = guard.as_mut() else {
+        drop(guard);
+        return send(ctx, msg);
     };
-    if decision.is_honest() {
-        send(ctx, msg);
-        return;
-    }
-    let applied = byzantine::apply(&decision, msg);
-    if let Some(primary) = applied.primary {
-        send(ctx, primary);
-    }
-    for junk in applied.junk {
-        send(ctx, junk);
+    let applied = byzantine::outbound(plan, ctx.self_id.0, to.0, msg);
+    drop(guard);
+    for m in applied.messages() {
+        send(ctx, m);
     }
 }
 

@@ -360,32 +360,40 @@ fn temp_tree(name: &str, files: &[(&str, &str)]) -> PathBuf {
 #[test]
 fn reordering_the_wire_locks_is_caught_by_sl201() {
     // Re-introduce the deadlock shape the deployment layer designed
-    // out: the fault shim takes the completion sink's lock before its
-    // plan, while `drain_peer` takes the plan before the sink — a
-    // `wire::state` ↔ `wire::plan` cycle with one witness in each
-    // function. No pragma hides it: deploy.rs and shard.rs are kept
-    // pragma-free on purpose.
+    // out: the reactor asks the fault gate while holding the completion
+    // sink's lock, while `drain_peer` takes the gate before the sink — a
+    // `wire::state` ↔ `wire::gate` cycle with one witness in each
+    // function, in two files. No pragma hides it: deploy.rs and
+    // shard.rs are kept pragma-free on purpose.
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let deploy = std::fs::read_to_string(manifest.join("../wire/src/deploy.rs"))
-        .expect("live deploy readable");
-    let shard = std::fs::read_to_string(manifest.join("../wire/src/reactor/shard.rs"))
-        .expect("live shard readable");
-    let mutated = shard
-        .replace(
-            "        let mut plan = self.plan.lock();",
-            "        let _held = self.state.lock();\n        let mut plan = self.plan.lock();",
-        )
-        .replace(
-            "    let Ok(mut st) = sink.state.lock() else {",
-            "    let _gate = sink.plan.lock();\n    let Ok(mut st) = sink.state.lock() else {",
-        );
-    assert_ne!(shard, mutated, "mutation must apply");
+    let live = |rel: &str| {
+        std::fs::read_to_string(manifest.join("../wire/src").join(rel)).expect("live source")
+    };
+    let (deploy, shard, reactor) = (
+        live("deploy.rs"),
+        live("reactor/shard.rs"),
+        live("reactor/reactor.rs"),
+    );
+    let mutated_reactor = reactor.replace(
+        "            (Some(gate), Some(owned)) => ask(&mut gate.lock(), owned.idx),",
+        "            (Some(gate), Some(owned)) => {\n                \
+         let _held = self.ctx.sink.state.lock();\n                \
+         let mut gate = gate.lock();\n                \
+         ask(&mut gate, owned.idx)\n            }",
+    );
+    assert_ne!(reactor, mutated_reactor, "mutation must apply");
+    let mutated_shard = shard.replace(
+        "    let Ok(mut st) = sink.state.lock() else {",
+        "    let _gate = sink.gate.lock();\n    let Ok(mut st) = sink.state.lock() else {",
+    );
+    assert_ne!(shard, mutated_shard, "mutation must apply");
 
     let root = temp_tree(
         "sheriff-lint-sl201-mutation",
         &[
             ("crates/wire/src/deploy.rs", &deploy),
-            ("crates/wire/src/reactor/shard.rs", &mutated),
+            ("crates/wire/src/reactor/shard.rs", &mutated_shard),
+            ("crates/wire/src/reactor/reactor.rs", &mutated_reactor),
         ],
     );
     let findings = analyze_path(&root).expect("mutated tree analyzable");
@@ -394,7 +402,7 @@ fn reordering_the_wire_locks_is_caught_by_sl201() {
         .filter(|f| f.rule == Rule::LockOrderCycle)
         .collect();
     assert_eq!(cycles.len(), 1, "{findings:#?}");
-    for needle in ["wire::state", "wire::plan", "`outbound`", "`drain_peer`"] {
+    for needle in ["wire::state", "wire::gate", "`ask_gate`", "`drain_peer`"] {
         assert!(
             cycles[0].message.contains(needle),
             "missing {needle} in: {}",
@@ -402,16 +410,17 @@ fn reordering_the_wire_locks_is_caught_by_sl201() {
         );
     }
 
-    // And the unmutated pair is clean — the finding is the reorder,
+    // And the unmutated tree is clean — the finding is the reorder,
     // not the fixture plumbing.
     let root = temp_tree(
         "sheriff-lint-sl201-clean",
         &[
             ("crates/wire/src/deploy.rs", &deploy),
             ("crates/wire/src/reactor/shard.rs", &shard),
+            ("crates/wire/src/reactor/reactor.rs", &reactor),
         ],
     );
-    let findings = analyze_path(&root).expect("live pair analyzable");
+    let findings = analyze_path(&root).expect("live tree analyzable");
     assert!(findings.is_empty(), "{findings:#?}");
 }
 

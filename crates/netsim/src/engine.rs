@@ -1,15 +1,15 @@
 //! The simulation engine: virtual clock, event queue, node arena.
 
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sheriff_telemetry::{Counter, Gauge, Registry};
 
+use crate::agenda::Agenda;
 use crate::fault::{FaultPlan, FaultStats};
+use crate::gate::FaultGate;
 use crate::latency::LatencyModel;
 
 /// Virtual time in milliseconds since simulation start.
@@ -142,26 +142,13 @@ enum Event<M> {
     Restart { node: NodeId },
 }
 
-struct Scheduled<M> {
-    at: SimTime,
-    seq: u64,
-    event: Event<M>,
-}
-
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+impl<M> Event<M> {
+    /// The receiver, for message events.
+    fn deliver_to(&self) -> Option<NodeId> {
+        match self {
+            Event::Deliver { to, .. } => Some(*to),
+            Event::Timer { .. } | Event::Restart { .. } => None,
+        }
     }
 }
 
@@ -190,17 +177,22 @@ impl<M> Ord for Scheduled<M> {
 /// ```
 pub struct Simulator<M: 'static> {
     nodes: Vec<Box<dyn Node<M>>>,
-    queue: BinaryHeap<Reverse<Scheduled<M>>>,
+    /// Same-instant events fire in the order they were scheduled (the
+    /// [`Agenda`]'s rule), which is what makes a run replayable.
+    queue: Agenda<Event<M>>,
     latency: Box<dyn LatencyModel>,
     now: SimTime,
-    seq: u64,
     rng: StdRng,
     delivered: u64,
     telemetry: Option<SimTelemetry>,
-    fault: Option<FaultPlan>,
-    // Set alongside `fault` (which requires `M: Clone`); lets `step` clone
-    // messages for duplication without bounding the whole impl.
+    fault: FaultGate,
+    // Set alongside the fault plan (which requires `M: Clone`); lets the
+    // send path clone messages for duplication without bounding the
+    // whole impl.
     cloner: Option<fn(&M) -> M>,
+    /// What the running callback asked for; drained after every event
+    /// and kept for its capacity.
+    actions: Vec<Action<M>>,
 }
 
 /// Cached metric handles: the per-event hot path touches only atomics,
@@ -212,13 +204,6 @@ struct SimTelemetry {
     queue_depth: Arc<Gauge>,
     queue_depth_max: Arc<Gauge>,
     node_backlog: Vec<Arc<Gauge>>,
-    faults_dropped: Arc<Counter>,
-    faults_duplicated: Arc<Counter>,
-    faults_delayed: Arc<Counter>,
-    faults_partition_drops: Arc<Counter>,
-    faults_crash_dropped: Arc<Counter>,
-    faults_node_restarts: Arc<Counter>,
-    faults_timers_deferred: Arc<Counter>,
 }
 
 impl SimTelemetry {
@@ -229,26 +214,8 @@ impl SimTelemetry {
             queue_depth: registry.gauge("netsim.queue_depth"),
             queue_depth_max: registry.gauge("netsim.queue_depth_max"),
             node_backlog: Vec::new(),
-            faults_dropped: registry.counter("faults.dropped"),
-            faults_duplicated: registry.counter("faults.duplicated"),
-            faults_delayed: registry.counter("faults.delayed"),
-            faults_partition_drops: registry.counter("faults.partition_drops"),
-            faults_crash_dropped: registry.counter("faults.crash_dropped"),
-            faults_node_restarts: registry.counter("faults.node_restarts"),
-            faults_timers_deferred: registry.counter("faults.timers_deferred"),
             registry,
         }
-    }
-
-    /// Folds the plan's running totals into the registry as deltas (the
-    /// plan is consulted per send; counters must only ever increase).
-    fn fault_deltas(&self, before: FaultStats, after: FaultStats) {
-        self.faults_dropped.add(after.dropped - before.dropped);
-        self.faults_duplicated
-            .add(after.duplicated - before.duplicated);
-        self.faults_delayed.add(after.delayed - before.delayed);
-        self.faults_partition_drops
-            .add(after.partition_drops - before.partition_drops);
     }
 
     fn backlog(&mut self, node: NodeId) -> &Arc<Gauge> {
@@ -265,24 +232,17 @@ impl SimTelemetry {
     /// An event entered the queue (`deliver_to` set for message events).
     fn pushed(&mut self, deliver_to: Option<NodeId>) {
         self.queue_depth.add(1);
-        let depth = self.queue_depth.get();
-        if depth > self.queue_depth_max.get() {
-            self.queue_depth_max.set(depth);
-        }
+        self.queue_depth_max.raise_to(self.queue_depth.get());
         if let Some(to) = deliver_to {
             self.backlog(to).add(1);
         }
     }
 
-    /// An event left the queue and fired.
+    /// An event left the queue.
     fn popped(&mut self, deliver_to: Option<NodeId>) {
         self.queue_depth.add(-1);
-        match deliver_to {
-            Some(to) => {
-                self.delivered.inc();
-                self.backlog(to).add(-1);
-            }
-            None => self.timers_fired.inc(),
+        if let Some(to) = deliver_to {
+            self.backlog(to).add(-1);
         }
     }
 }
@@ -292,30 +252,29 @@ impl<M: 'static> Simulator<M> {
     pub fn new(latency: Box<dyn LatencyModel>, seed: u64) -> Self {
         Simulator {
             nodes: Vec::new(),
-            queue: BinaryHeap::new(),
+            queue: Agenda::new(),
             latency,
             now: SimTime::ZERO,
-            seq: 0,
             rng: StdRng::seed_from_u64(seed),
             delivered: 0,
             telemetry: None,
-            fault: None,
+            fault: FaultGate::default(),
             cloner: None,
+            actions: Vec::new(),
         }
     }
 
     /// Attaches a telemetry registry; the engine publishes event-queue
-    /// depth, delivered-message and timer counters, and per-node backlog
-    /// gauges into it. Gauges are seeded from events already queued, so
-    /// attaching mid-run stays consistent. Without a registry attached the
-    /// engine's behaviour (and cost) is unchanged.
+    /// depth, delivered-message and timer counters, per-node backlog
+    /// gauges and the `faults.*` counters into it. Gauges are seeded from
+    /// events already queued, so attaching mid-run stays consistent.
+    /// Without a registry attached the engine's behaviour (and cost) is
+    /// unchanged.
     pub fn set_telemetry(&mut self, registry: Arc<Registry>) {
+        self.fault.publish_to(&registry);
         let mut tel = SimTelemetry::new(registry);
-        for Reverse(sched) in &self.queue {
-            match sched.event {
-                Event::Deliver { to, .. } => tel.pushed(Some(to)),
-                Event::Timer { .. } | Event::Restart { .. } => tel.pushed(None),
-            }
+        for event in self.queue.iter() {
+            tel.pushed(event.deliver_to());
         }
         self.telemetry = Some(tel);
     }
@@ -362,34 +321,19 @@ impl<M: 'static> Simulator<M> {
     /// Injects a message from "outside" the simulation (e.g. a user click),
     /// delivered to `to` at `at`.
     pub fn inject(&mut self, at: SimTime, to: NodeId, from: NodeId, msg: M) {
-        let seq = self.bump_seq();
-        self.queue.push(Reverse(Scheduled {
-            at,
-            seq,
-            event: Event::Deliver { to, from, msg },
-        }));
-        if let Some(t) = &mut self.telemetry {
-            t.pushed(Some(to));
-        }
+        self.schedule(at, Event::Deliver { to, from, msg });
     }
 
     /// Arms a timer on `node` from outside the simulation.
     pub fn inject_timer(&mut self, at: SimTime, node: NodeId, token: u64) {
-        let seq = self.bump_seq();
-        self.queue.push(Reverse(Scheduled {
-            at,
-            seq,
-            event: Event::Timer { node, token },
-        }));
-        if let Some(t) = &mut self.telemetry {
-            t.pushed(None);
-        }
+        self.schedule(at, Event::Timer { node, token });
     }
 
-    fn bump_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
+    fn schedule(&mut self, at: SimTime, event: Event<M>) {
+        if let Some(t) = &mut self.telemetry {
+            t.pushed(event.deliver_to());
+        }
+        self.queue.push(at.as_millis(), event);
     }
 
     /// Runs until the queue drains or `max_events` fire. Returns the number
@@ -407,10 +351,11 @@ impl<M: 'static> Simulator<M> {
 
     /// Runs until virtual time exceeds `deadline` or the queue drains.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(Reverse(head)) = self.queue.peek() {
-            if head.at > deadline {
-                break;
-            }
+        while self
+            .queue
+            .next_due()
+            .is_some_and(|at| at <= deadline.as_millis())
+        {
             self.step();
         }
         self.now = self.now.max(deadline);
@@ -418,171 +363,93 @@ impl<M: 'static> Simulator<M> {
 
     /// Processes a single event. Returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(sched)) = self.queue.pop() else {
+        let Some((at, event)) = self.queue.pop_due(u64::MAX) else {
             return false;
         };
-        self.now = self.now.max(sched.at);
+        self.now = self.now.max(SimTime::from_millis(at));
         let now_ms = self.now.as_millis();
-        let mut actions: Vec<Action<M>> = Vec::new();
-
-        type Invoke<'a, M> = Box<dyn FnOnce(&mut dyn Node<M>, &mut Ctx<'_, M>) + 'a>;
-        let (node_id, invoke): (NodeId, Invoke<'_, M>) = match sched.event {
-            Event::Deliver { to, from, msg } => {
-                // A crashed receiver loses in-flight deliveries outright.
-                if self
-                    .fault
-                    .as_ref()
-                    .is_some_and(|f| f.is_crashed(to.0, now_ms))
-                {
-                    if let Some(t) = &mut self.telemetry {
-                        t.queue_depth.add(-1);
-                        t.backlog(to).add(-1);
-                        t.faults_crash_dropped.inc();
-                    }
-                    return true;
-                }
-                self.delivered += 1;
-                if let Some(t) = &mut self.telemetry {
-                    t.popped(Some(to));
-                }
-                (
-                    to,
-                    Box::new(move |node, ctx| node.on_message(ctx, from, msg)),
-                )
-            }
-            Event::Timer { node, token } => {
-                // Timers owed to a crashed node fire at its restart
-                // instant instead (deferred, never lost).
-                if let Some(restart) = self
-                    .fault
-                    .as_ref()
-                    .and_then(|f| f.restart_at(node.0, now_ms))
-                {
-                    let seq = self.bump_seq();
-                    self.queue.push(Reverse(Scheduled {
-                        at: SimTime::from_millis(restart),
-                        seq,
-                        event: Event::Timer { node, token },
-                    }));
-                    if let Some(t) = &mut self.telemetry {
-                        t.faults_timers_deferred.inc();
-                    }
-                    return true;
-                }
-                if let Some(t) = &mut self.telemetry {
-                    t.popped(None);
-                }
-                (
-                    node,
-                    Box::new(move |node_ref, ctx| node_ref.on_timer(ctx, token)),
-                )
-            }
-            Event::Restart { node } => {
-                if let Some(t) = &mut self.telemetry {
-                    t.queue_depth.add(-1);
-                }
-                // With overlapping crash windows only the last restart
-                // actually brings the node back.
-                if self
-                    .fault
-                    .as_ref()
-                    .is_some_and(|f| f.is_crashed(node.0, now_ms))
-                {
-                    return true;
-                }
-                if let Some(t) = &mut self.telemetry {
-                    t.faults_node_restarts.inc();
-                }
-                (node, Box::new(Node::on_restart))
-            }
-        };
-
-        if let Some(node) = self.nodes.get_mut(node_id.0) {
-            let mut ctx = Ctx {
-                now: self.now,
-                self_id: node_id,
-                actions: &mut actions,
-                rng: &mut self.rng,
-            };
-            invoke(node.as_mut(), &mut ctx);
+        if let Some(t) = &mut self.telemetry {
+            t.popped(event.deliver_to());
         }
+        match event {
+            Event::Deliver { to, from, msg } => {
+                if self.fault.admit_delivery(to.0, now_ms) {
+                    self.delivered += 1;
+                    if let Some(t) = &self.telemetry {
+                        t.delivered.inc();
+                    }
+                    self.invoke(to, |node, ctx| node.on_message(ctx, from, msg));
+                }
+            }
+            Event::Timer { node, token } => match self.fault.defer_timer(node.0, now_ms) {
+                Some(restart) => {
+                    self.schedule(SimTime::from_millis(restart), Event::Timer { node, token });
+                }
+                None => {
+                    if let Some(t) = &self.telemetry {
+                        t.timers_fired.inc();
+                    }
+                    self.invoke(node, |n, ctx| n.on_timer(ctx, token));
+                }
+            },
+            Event::Restart { node } => {
+                if self.fault.admit_restart(node.0, now_ms) {
+                    self.invoke(node, Node::on_restart);
+                }
+            }
+        }
+        true
+    }
 
-        for action in actions {
+    /// Runs one callback of node `id`, then schedules what it asked for.
+    fn invoke(&mut self, id: NodeId, call: impl FnOnce(&mut dyn Node<M>, &mut Ctx<'_, M>)) {
+        let Some(node) = self.nodes.get_mut(id.0) else {
+            return;
+        };
+        let mut actions = std::mem::take(&mut self.actions);
+        let mut ctx = Ctx {
+            now: self.now,
+            self_id: id,
+            actions: &mut actions,
+            rng: &mut self.rng,
+        };
+        call(node.as_mut(), &mut ctx);
+        for action in actions.drain(..) {
             match action {
                 Action::Send {
                     to,
                     msg,
                     extra_delay,
-                } => {
-                    // Latency is drawn from the shared RNG *before* the plan
-                    // is consulted, so a plan — active or not — never shifts
-                    // the RNG stream a plan-free run would draw.
-                    let lat = self.latency.latency(node_id, to, &mut self.rng);
-                    let mut at = self.now.plus(extra_delay).plus(lat);
-                    let mut dup_msg: Option<M> = None;
-                    if let Some(plan) = self.fault.as_mut().filter(|p| p.is_active()) {
-                        let before = plan.stats;
-                        let decision = plan.decide(now_ms, node_id.0, to.0);
-                        let after = plan.stats;
-                        if let Some(t) = &self.telemetry {
-                            t.fault_deltas(before, after);
-                        }
-                        if decision.drop {
-                            continue;
-                        }
-                        at = at.plus(SimTime::from_millis(decision.extra_delay_ms));
-                        if decision.duplicate {
-                            let clone = self.cloner.expect("cloner is set with the plan");
-                            dup_msg = Some(clone(&msg));
-                        }
-                    }
-                    let seq = self.bump_seq();
-                    self.queue.push(Reverse(Scheduled {
-                        at,
-                        seq,
-                        event: Event::Deliver {
-                            to,
-                            from: node_id,
-                            msg,
-                        },
-                    }));
-                    if let Some(t) = &mut self.telemetry {
-                        t.pushed(Some(to));
-                    }
-                    if let Some(copy) = dup_msg {
-                        let seq = self.bump_seq();
-                        self.queue.push(Reverse(Scheduled {
-                            at,
-                            seq,
-                            event: Event::Deliver {
-                                to,
-                                from: node_id,
-                                msg: copy,
-                            },
-                        }));
-                        if let Some(t) = &mut self.telemetry {
-                            t.pushed(Some(to));
-                        }
-                    }
-                }
+                } => self.send(id, to, msg, extra_delay),
                 Action::Timer { delay, token } => {
-                    let at = self.now.plus(delay);
-                    let seq = self.bump_seq();
-                    self.queue.push(Reverse(Scheduled {
-                        at,
-                        seq,
-                        event: Event::Timer {
-                            node: node_id,
-                            token,
-                        },
-                    }));
-                    if let Some(t) = &mut self.telemetry {
-                        t.pushed(None);
-                    }
+                    self.schedule(self.now.plus(delay), Event::Timer { node: id, token });
                 }
             }
         }
-        true
+        self.actions = actions;
+    }
+
+    fn send(&mut self, from: NodeId, to: NodeId, msg: M, extra_delay: SimTime) {
+        // Latency is drawn from the shared RNG *before* the gate is asked,
+        // so a plan — active or not — never shifts the RNG stream a
+        // plan-free run would draw.
+        let lat = self.latency.latency(from, to, &mut self.rng);
+        let Some((copies, held_ms)) = self.fault.send(self.now.as_millis(), from.0, to.0) else {
+            return;
+        };
+        let at = self
+            .now
+            .plus(extra_delay)
+            .plus(lat)
+            .plus(SimTime::from_millis(held_ms));
+        let copy = (copies > 1).then(|| {
+            let clone = self.cloner.expect("cloner is set with the plan");
+            clone(&msg)
+        });
+        self.schedule(at, Event::Deliver { to, from, msg });
+        if let Some(msg) = copy {
+            self.schedule(at, Event::Deliver { to, from, msg });
+        }
     }
 }
 
@@ -593,25 +460,19 @@ impl<M: Clone + 'static> Simulator<M> {
     /// carry a second copy of the message.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         for window in plan.crash_windows() {
-            let seq = self.bump_seq();
-            self.queue.push(Reverse(Scheduled {
-                at: SimTime::from_millis(window.until_ms),
-                seq,
-                event: Event::Restart {
-                    node: NodeId(window.node),
-                },
-            }));
-            if let Some(t) = &mut self.telemetry {
-                t.pushed(None);
-            }
+            let node = NodeId(window.node);
+            self.schedule(
+                SimTime::from_millis(window.until_ms),
+                Event::Restart { node },
+            );
         }
         self.cloner = Some(|m: &M| m.clone());
-        self.fault = Some(plan);
+        self.fault.install(plan);
     }
 
     /// Running decision totals of the installed plan, if any.
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.fault.as_ref().map(|p| p.stats)
+        self.fault.stats()
     }
 }
 

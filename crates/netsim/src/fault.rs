@@ -2,10 +2,10 @@
 //!
 //! A [`FaultPlan`] describes per-link loss/duplication/delay probabilities,
 //! scheduled node crash+restart windows, and network partitions. The same
-//! plan drives both backends: the discrete-event engine consults it on each
-//! [`crate::Simulator`] send, and the TCP deployment consults it in its
-//! socket shim — so one seeded schedule exercises the protocol identically
-//! under simulation and over real sockets.
+//! plan drives both backends, and through the same code: the
+//! [`crate::Simulator`] and the TCP reactor each hand it to a
+//! [`crate::FaultGate`] and ask that — so one seeded schedule exercises
+//! the protocol identically under simulation and over real sockets.
 //!
 //! Determinism contract: every per-message decision is a pure function of
 //! `(plan seed, from, to, n)` where `n` is the per-directed-link occurrence
@@ -111,8 +111,8 @@ impl FaultDecision {
     };
 }
 
-/// Running totals kept by the plan itself (transport-independent; each
-/// backend additionally folds these into its own telemetry registry).
+/// Running totals kept by the plan itself (transport-independent; the
+/// [`crate::FaultGate`] folds them into the telemetry registry).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Messages dropped by link-loss probability.
@@ -225,8 +225,8 @@ impl FaultPlan {
         self
     }
 
-    /// True when the plan can ever alter a delivery — used by drivers to
-    /// skip the consult entirely on the common fault-free path.
+    /// True when the plan can ever alter a delivery — the gate skips the
+    /// consult entirely on the common fault-free path.
     pub fn is_active(&self) -> bool {
         !self.default_link.is_none()
             || self.links.values().any(|l| !l.is_none())
@@ -235,7 +235,7 @@ impl FaultPlan {
             || !self.scripts.is_empty()
     }
 
-    /// The crash windows (for drivers that schedule restart events).
+    /// The crash windows (drivers schedule one restart event per window).
     pub fn crash_windows(&self) -> &[CrashWindow] {
         &self.crashes
     }

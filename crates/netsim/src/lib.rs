@@ -19,12 +19,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod agenda;
 pub mod byzantine;
 pub mod engine;
 pub mod fault;
+pub mod gate;
 pub mod latency;
 
+pub use agenda::Agenda;
 pub use byzantine::{ByzDecision, ByzProfile, ByzStats, ByzantinePlan, CodecAttack};
 pub use engine::{Ctx, Node, NodeId, SimTime, Simulator};
 pub use fault::{CrashWindow, FaultDecision, FaultPlan, FaultStats, LinkFaults, Partition};
+pub use gate::FaultGate;
 pub use latency::{ConstantLatency, HeavyTailLatency, LatencyModel, LognormalLatency};

@@ -52,6 +52,13 @@ impl Gauge {
         self.0.fetch_add(d, Ordering::Relaxed);
     }
 
+    /// Raises the level to `v` if it is below it — a high-water mark.
+    /// One atomic step, so concurrent raisers cannot overwrite a larger
+    /// value with a smaller one the way a `get` followed by `set` can.
+    pub fn raise_to(&self, v: i64) {
+        self.0.fetch_max(v, Ordering::Relaxed);
+    }
+
     /// Current level.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
@@ -213,6 +220,31 @@ impl HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn raise_to_keeps_the_true_maximum_across_threads() {
+        // Every thread walks its own residue class of 0..4000 upward and
+        // back down, all released together; only thread 3 ever offers
+        // 3999, and the smaller values the others (and its own descent)
+        // offer afterwards must not displace it.
+        let g = Gauge::new();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4i64 {
+                let (g, start) = (&g, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let mine = (0..1000).map(|i| i * 4 + t);
+                    for v in mine.clone().chain(mine.rev()) {
+                        g.raise_to(v);
+                    }
+                });
+            }
+        });
+        assert_eq!(g.get(), 3999);
+        g.raise_to(7);
+        assert_eq!(g.get(), 3999, "a lower offer is a no-op");
+    }
 
     #[test]
     fn buckets_partition_the_line() {

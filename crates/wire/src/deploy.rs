@@ -6,12 +6,12 @@
 //! [`sheriff_core::protocol::RoleNode`], and the reactor steps those
 //! through the same three entry points the discrete-event simulation
 //! uses. What is built here is only what sockets need: listeners, the
-//! address directory, the fault shims, the shard threads.
+//! address directory, the shard threads.
 //!
 //! Since the reactor refactor the transport tier is *sharded*: the node
 //! roster is hashed over a small set of single-threaded event loops
 //! (see [`crate::reactor`]), each owning its nodes' nonblocking
-//! listeners, live connections and a virtual-time timer queue. Thread
+//! listeners, live connections and a time-ordered agenda. Thread
 //! count is `O(shards)` instead of `O(nodes)`, which is what lets the
 //! TCP backend host rosters past the paper's 1265-peer deployment.
 //! Sends are still one [`Envelope`] per connection (connect–write–close)
@@ -38,14 +38,12 @@ use sheriff_core::system::{PpcSpec, SheriffConfig, SystemVersion};
 use sheriff_geo::Country;
 use sheriff_market::pricing::{Browser, Os};
 use sheriff_market::{ProductId, UserAgent, World};
-use sheriff_netsim::{ByzStats, FaultPlan, FaultStats};
+use sheriff_netsim::{ByzStats, ByzantinePlan, FaultGate, FaultPlan, FaultStats};
 use sheriff_telemetry::Registry;
 
 use crate::proto::{rows_from_check, Envelope, ResultRow};
 use crate::reactor::reactor::{Reactor, Seat};
-use crate::reactor::shard::{
-    default_shard_count, ring_owner, shard_of, ByzShim, Doorbell, FaultShim, ShardCtx,
-};
+use crate::reactor::shard::{default_shard_count, ring_owner, shard_of, Doorbell, ShardCtx};
 use crate::reactor::DeployOptions;
 use crate::storage::FileStorage;
 use crate::telemetry::WireTelemetry;
@@ -104,8 +102,8 @@ pub struct MiniDeployment {
     wire: Arc<WireTelemetry>,
     sink: Arc<Sink>,
     next_tag: AtomicU64,
-    shim: Option<Arc<FaultShim>>,
-    byz: Option<Arc<ByzShim>>,
+    gate: Option<Arc<Mutex<FaultGate>>>,
+    byz: Option<Arc<Mutex<ByzantinePlan>>>,
     /// Fault-plan node indices (bind order — the DES numbering) grouped
     /// by owning reactor shard.
     shards: Vec<Vec<usize>>,
@@ -172,10 +170,11 @@ impl MiniDeployment {
     }
 
     /// Like [`MiniDeployment::start_with`], with a deterministic fault
-    /// schedule applied at the reactor's socket edges — the very
-    /// [`FaultPlan`] type the DES engine consumes, against the same node
-    /// numbering, so one schedule exercises both backends identically. An
-    /// inactive (all-zero) plan is bypassed entirely: a strict no-op.
+    /// schedule applied by the reactor — the very [`FaultPlan`] type the
+    /// DES engine consumes, behind the same [`FaultGate`], against the
+    /// same node numbering, so one schedule exercises both backends
+    /// identically. An inactive (all-zero) plan is bypassed entirely: a
+    /// strict no-op.
     pub fn start_with_faults(
         world: World,
         cfg: SheriffConfig,
@@ -241,14 +240,17 @@ impl MiniDeployment {
             .enumerate()
             .map(|(i, node)| (node.me, i))
             .collect();
-        let shim = plan
-            .is_active()
-            .then(|| Arc::new(FaultShim::new(plan, index.clone(), &telemetry)));
+        let gate = plan.is_active().then(|| {
+            let mut gate = FaultGate::default();
+            gate.install(plan);
+            gate.publish_to(&telemetry);
+            Arc::new(Mutex::new(gate))
+        });
         let byz = opts
             .byzantine
             .clone()
-            .filter(sheriff_netsim::ByzantinePlan::is_active)
-            .map(|p| Arc::new(ByzShim::new(p, index)));
+            .filter(ByzantinePlan::is_active)
+            .map(|p| Arc::new(Mutex::new(p)));
 
         // Partition the roster over the reactor shards and spawn one
         // event-loop thread per shard.
@@ -264,7 +266,8 @@ impl MiniDeployment {
             wire: Arc::clone(&wire),
             epoch,
             sink: Arc::clone(&sink),
-            shim: shim.clone(),
+            index: Arc::new(index),
+            gate: gate.clone(),
             byz: byz.clone(),
             telemetry: node_telemetry,
             seed: cfg.seed,
@@ -285,7 +288,7 @@ impl MiniDeployment {
                 _ => None,
             };
             let s = shard_of(node.me, n_shards);
-            groups[s].push((node, listener, first_timer));
+            groups[s].push((node, fault_idx, listener, first_timer));
             shards[s].push(fault_idx);
         }
         let handles = groups
@@ -308,7 +311,7 @@ impl MiniDeployment {
             wire,
             sink,
             next_tag: AtomicU64::new(1),
-            shim,
+            gate,
             byz,
             shards,
             bells,
@@ -405,13 +408,13 @@ impl MiniDeployment {
 
     /// Running totals of the installed fault plan (`None` without one).
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.shim.as_ref().map(|s| s.stats())
+        self.gate.as_ref().and_then(|g| g.lock().stats())
     }
 
     /// Running totals of the installed Byzantine plan (`None` without
     /// an active one).
     pub fn byz_stats(&self) -> Option<ByzStats> {
-        self.byz.as_ref().map(|s| s.stats())
+        self.byz.as_ref().map(|p| p.lock().stats)
     }
 
     /// Like [`MiniDeployment::run_check`] but rendered as Fig. 2 result

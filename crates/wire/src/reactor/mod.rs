@@ -11,16 +11,17 @@
 //!   ([`shard::shard_of`]);
 //! * each shard is one thread running an event loop
 //!   ([`reactor::Reactor`]) that owns its nodes' listeners, live
-//!   connections ([`conn`]), and a virtual-time timer queue — no
+//!   connections ([`conn`]), and one time-ordered agenda — no
 //!   per-node threads, no blocking reads; an idle shard parks on its
 //!   doorbell ([`shard::Doorbell`]) until a peer shard rings or a
 //!   bounded wait runs out;
 //! * the sans-IO protocol machines from `sheriff_core::protocol` are
 //!   driven byte-for-byte as before: the reliable channel wraps
 //!   inbound frames, outputs become per-link FIFO writes, timer
-//!   requests land on the shard's queue, and the fault shim
-//!   ([`shard::FaultShim`]) applies the *same* deterministic schedule
-//!   the DES engine consumes at the read/write edges.
+//!   requests land on the shard's agenda, and the deployment's one
+//!   `sheriff_netsim::FaultGate` — the type the DES engine asks —
+//!   applies the *same* deterministic schedule to deliveries, timers,
+//!   restarts and sends.
 //!
 //! The parity, chaos-parity and durability-soak suites run unchanged on
 //! this backend — that invariance is the proof the refactor is a pure

@@ -3,25 +3,26 @@
 //!
 //! Each iteration of [`Reactor::run`] is one readiness sweep:
 //!
-//! 1. **crash sync** — enter/leave scheduled crash windows and run the
-//!    restart edge (the DES engine's `Event::Restart` semantics);
-//! 2. **timers** — pop every entry of the virtual-time queue whose
-//!    deadline passed; crashed nodes get theirs deferred to the restart
-//!    instant instead of fired;
-//! 3. **accept** — drain every listener's accept queue;
-//! 4. **inbound** — pump live connections; each completed frame is one
-//!    `RoleNode::on_message` step (the step every backend shares: the
-//!    reliable channel first, then the role machine);
-//! 5. **delayed sends** — release fault-injected extra latency whose
-//!    due time arrived (this replaces the old detached sleeper threads);
-//! 6. **outbound** — flush per-link write queues, one frame in flight
+//! 1. **agenda** — pop everything due on the shard's one time-ordered
+//!    queue (a `sheriff_netsim::Agenda`, the DES engine's queue type):
+//!    timers, the restart that ends a scheduled crash window, and sends
+//!    whose fault-injected extra latency ran out. The fault gate — the
+//!    DES engine's, not a copy — says whether a timer fires or waits for
+//!    its node's restart and whether a restart really brings the node
+//!    back;
+//! 2. **accept** — drain every listener's accept queue;
+//! 3. **inbound** — pump live connections; each completed frame the
+//!    gate admits is one `RoleNode::on_message` step (the step every
+//!    backend shares: the reliable channel first, then the role
+//!    machine);
+//! 4. **outbound** — flush per-link write queues, one frame in flight
 //!    per `(node, destination)` pair so the blocking backend's per-link
 //!    FIFO order is preserved.
 //!
 //! Every socket call is nonblocking. An iteration that did any work
 //! counts one `wire.reactor_wakeups` and sweeps again; an idle one waits
 //! on the shard's [`Doorbell`](super::shard::Doorbell) for at most
-//! [`IDLE_SLEEP`] (less when a timer is due sooner).
+//! [`IDLE_SLEEP`].
 //!
 //! **Who rings.** The outbound stage rings the destination's shard when
 //! it opens a connection toward a node of a *foreign* shard and again
@@ -47,8 +48,7 @@
 //! multi-process deployment would swap the bell for OS readiness
 //! (`epoll` on the shard's descriptors) without touching the sweep.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
@@ -57,7 +57,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sheriff_core::byzantine;
 use sheriff_core::protocol::{Address, Output, ProtoMsg, Role, RoleNode, StepBuf, TimerKind};
-use sheriff_netsim::CodecAttack;
+use sheriff_netsim::{Agenda, CodecAttack, FaultGate};
 
 use super::conn::{Inbound, InboundEvent, Outbound, OutboundEvent, RawOutbound, IDLE_CONN_MS};
 use super::shard::{drain_peer, ShardCtx};
@@ -72,19 +72,20 @@ const IDLE_SLEEP: Duration = Duration::from_millis(1);
 const DRAIN_GRACE_MS: u64 = 250;
 
 /// What the deployment hands a shard per node: the protocol node, its
-/// bound listener, and the first firing `(due_ms, kind)` of its
-/// self-sustaining timer, if it has one (measurement liveness beacon,
-/// coordinator recovery sweep). The phase is the backend's to fix, and a
-/// fixed one keeps deployment frame counts deterministic.
-pub(crate) type Seat = (RoleNode, TcpListener, Option<(u64, TimerKind)>);
+/// roster index, its bound listener, and the first firing `(due_ms,
+/// kind)` of its self-sustaining timer, if it has one (measurement
+/// liveness beacon, coordinator recovery sweep). The phase is the
+/// backend's to fix, and a fixed one keeps deployment frame counts
+/// deterministic.
+pub(crate) type Seat = (RoleNode, usize, TcpListener, Option<(u64, TimerKind)>);
 
 /// One node inside the shard: the shared protocol node plus what only
 /// a socket backend needs to know about it.
 struct OwnedNode {
     node: RoleNode,
-    /// Inside a scheduled crash window right now; flipping back to
-    /// `false` is the restart edge.
-    crashed: bool,
+    /// Roster position — the index the fault and Byzantine plans know
+    /// this node by.
+    idx: usize,
     /// Received its Shutdown frame; listener closed, timers discarded.
     stopped: bool,
     /// `None` once the node received Shutdown (stop accepting, exactly
@@ -113,82 +114,96 @@ struct OutLink {
     queue: VecDeque<Envelope>,
 }
 
-/// A send carrying fault-injected extra latency, parked until its due
-/// time. The old backend parked these on detached sleeper threads; the
-/// reactor parks them on plain data.
-struct DelayedSend {
-    due_ms: u64,
-    seq: u64,
-    local: usize,
-    to: Address,
-    env: Envelope,
-    copies: usize,
+/// What a shard schedules against its clock.
+enum Due {
+    Timer {
+        local: usize,
+        token: u64,
+    },
+    /// The end of one of `local`'s scheduled crash windows.
+    Restart {
+        local: usize,
+    },
+    /// A send the fault schedule held back. (The first TCP backend
+    /// parked these on detached sleeper threads.)
+    Send {
+        local: usize,
+        to: Address,
+        env: Envelope,
+        copies: usize,
+    },
 }
 
 /// The single-threaded event loop driving one shard's nodes.
 pub(crate) struct Reactor {
     ctx: ShardCtx,
     nodes: Vec<OwnedNode>,
-    /// Virtual-time timer queue: `(due_ms, seq, local_node, token)`.
-    /// The monotone `seq` makes same-millisecond firing order exactly
-    /// the insertion order — deterministic, like the DES event queue.
-    timers: BinaryHeap<Reverse<(u64, u64, usize, u64)>>,
-    seq: u64,
+    /// Everything waiting on the clock, in due order; entries for one
+    /// millisecond pop in the order they were pushed — deterministic,
+    /// and the DES event queue's rule because it is the same type.
+    agenda: Agenda<Due>,
+    /// How many `Due::Send`s sit on the agenda: frames still owed to the
+    /// wire, so they count as queue depth and hold up the final drain.
+    held_sends: usize,
     inbound: Vec<Inbound>,
     links: Vec<OutLink>,
-    delayed: Vec<DelayedSend>,
     /// Byzantine codec-attack connections (garbage / oversize /
     /// slow-loris raw frames). Deliberately *outside* the per-link
-    /// FIFOs: the DES twin drops the message entirely, so an attack
+    /// FIFOs: the DES backend drops the message entirely, so an attack
     /// frame must never delay the attacker's own later honest sends.
     raw: Vec<RawOutbound>,
     /// Local high-water of pending work, mirrored into the shared
     /// `wire.shard_queue_depth` gauge when it grows.
     depth_hiwater: usize,
-    /// Reusable step buffer threaded through the sweep stages: the
-    /// telemetry fold drains its events, `dispatch` its commands, and
-    /// `std::mem::take` loans it out past the node borrow, so the
-    /// steady-state event path reuses one set of allocations instead of
-    /// building fresh `Vec`s per event.
+    /// Reusable step buffer: [`Reactor::step`] loans it to the node,
+    /// the telemetry fold drains its events and `dispatch` its commands,
+    /// so the steady-state event path reuses one set of allocations
+    /// instead of building fresh `Vec`s per event.
     scratch: StepBuf,
     /// The machines' randomness source (only the Coordinator draws).
     rng: StdRng,
 }
 
 impl Reactor {
-    /// Builds a shard over `nodes`, arming each one's first timer.
+    /// Builds a shard over `nodes`, arming each one's first timer and
+    /// one restart per crash window of the fault plan. Queued here,
+    /// before anything runs, a restart sits ahead of every timer later
+    /// deferred to its millisecond — as on the DES.
     pub(crate) fn new(ctx: ShardCtx, nodes: Vec<Seat>) -> Reactor {
         let mut reactor = Reactor {
             rng: StdRng::seed_from_u64(ctx.seed),
             ctx,
             nodes: Vec::new(),
-            timers: BinaryHeap::new(),
-            seq: 0,
+            agenda: Agenda::new(),
+            held_sends: 0,
             inbound: Vec::new(),
             links: Vec::new(),
-            delayed: Vec::new(),
             raw: Vec::new(),
             depth_hiwater: 0,
             scratch: StepBuf::default(),
         };
-        for (node, listener, first_timer) in nodes {
+        for (node, idx, listener, first_timer) in nodes {
             let _ = listener.set_nonblocking(true);
             if let Some((due_ms, kind)) = first_timer {
-                reactor.push_timer(due_ms, reactor.nodes.len(), kind.token());
+                let local = reactor.nodes.len();
+                let token = kind.token();
+                reactor.agenda.push(due_ms, Due::Timer { local, token });
             }
             reactor.nodes.push(OwnedNode {
                 node,
-                crashed: false,
+                idx,
                 stopped: false,
                 listener: Some(listener),
             });
         }
+        if let Some(gate) = &reactor.ctx.gate {
+            for window in gate.lock().crash_windows() {
+                if let Some(local) = reactor.nodes.iter().position(|n| n.idx == window.node) {
+                    reactor.agenda.push(window.until_ms, Due::Restart { local });
+                }
+            }
+        }
         reactor
-    }
-
-    fn push_timer(&mut self, due_ms: u64, local: usize, token: u64) {
-        self.seq += 1;
-        self.timers.push(Reverse((due_ms, self.seq, local, token)));
     }
 
     /// Runs until every node in the shard has been shut down and the
@@ -198,18 +213,16 @@ impl Reactor {
         loop {
             let now_ms = self.ctx.now_ms();
             let mut work = 0usize;
-            work += self.sync_crash_states(now_ms);
-            work += self.fire_timers(now_ms);
+            work += self.run_due(now_ms);
             work += self.poll_accept(now_ms);
             work += self.pump_inbound(now_ms);
-            work += self.release_delayed(now_ms);
             work += self.pump_outbound();
             work += self.pump_raw();
             self.note_depth();
 
             if self.nodes.iter().all(|n| n.stopped) {
                 let deadline = *stop_deadline.get_or_insert(now_ms + DRAIN_GRACE_MS);
-                let drained = self.links.is_empty() && self.delayed.is_empty();
+                let drained = self.links.is_empty() && self.held_sends == 0;
                 if drained || now_ms >= deadline {
                     break;
                 }
@@ -217,24 +230,15 @@ impl Reactor {
             if work > 0 {
                 self.ctx.wakeups.inc();
             } else {
-                self.ctx.idle_wait(self.idle_nap(now_ms));
+                self.ctx.idle_wait(IDLE_SLEEP);
             }
         }
-    }
-
-    /// Idle wait bounded by the next timer deadline.
-    fn idle_nap(&self, now_ms: u64) -> Duration {
-        let until_timer = self
-            .timers
-            .peek()
-            .map_or(u64::MAX, |Reverse((due, ..))| due.saturating_sub(now_ms));
-        Duration::from_millis(until_timer.max(1)).min(IDLE_SLEEP)
     }
 
     /// Publishes the queue-depth high-water mark.
     fn note_depth(&mut self) {
         let depth = self.inbound.len()
-            + self.delayed.len()
+            + self.held_sends
             + self
                 .links
                 .iter()
@@ -242,100 +246,84 @@ impl Reactor {
                 .sum::<usize>();
         if depth > self.depth_hiwater {
             self.depth_hiwater = depth;
-            let shared = self.ctx.queue_depth.get();
-            if depth as i64 > shared {
-                self.ctx.queue_depth.set(depth as i64);
+            self.ctx.queue_depth.raise_to(depth as i64);
+        }
+    }
+
+    /// Pops everything due on the agenda, in due order.
+    fn run_due(&mut self, now_ms: u64) -> usize {
+        let mut work = 0;
+        // sheriff-lint: hot-loop
+        while let Some((_, due)) = self.agenda.pop_due(now_ms) {
+            self.fire(due, now_ms);
+            work += 1;
+        }
+        work
+    }
+
+    /// Acts on one due agenda entry, asking the gate where a crash
+    /// window could change the answer.
+    fn fire(&mut self, due: Due, now_ms: u64) {
+        match due {
+            Due::Send {
+                local,
+                to,
+                env,
+                copies,
+            } => {
+                self.held_sends -= 1;
+                self.enqueue_out(local, to, env, copies);
+            }
+            Due::Timer { local, token } => {
+                match self.ask_gate(local, None, |g, idx| g.defer_timer(idx, now_ms)) {
+                    Some(restart) => self.agenda.push(restart, Due::Timer { local, token }),
+                    None => self.step(local, now_ms, |node, rng, buf| {
+                        node.on_timer(now_ms, token, rng, buf);
+                    }),
+                }
+            }
+            Due::Restart { local } => {
+                if self.ask_gate(local, true, |g, idx| g.admit_restart(idx, now_ms)) {
+                    self.step(local, now_ms, |node, _, buf| node.on_restart(now_ms, buf));
+                }
             }
         }
     }
 
-    /// Enters/leaves crash windows. Leaving one is the restart edge —
-    /// `RoleNode::on_restart`, the DES engine's `Event::Restart`.
-    fn sync_crash_states(&mut self, now_ms: u64) -> usize {
-        let Some(shim) = self.ctx.shim.clone() else {
-            return 0;
-        };
-        let mut work = 0;
-        let mut buf = std::mem::take(&mut self.scratch);
-        // sheriff-lint: hot-loop
-        for local in 0..self.nodes.len() {
-            {
-                let Some(owned) = self.nodes.get_mut(local) else {
-                    continue;
-                };
-                if owned.stopped {
-                    continue;
-                }
-                if shim.crashed_until(owned.node.me, now_ms).is_some() {
-                    if !owned.crashed {
-                        owned.crashed = true;
-                        work += 1;
-                    }
-                    continue;
-                }
-                if !owned.crashed {
-                    continue;
-                }
-                owned.crashed = false;
-                shim.node_restarts.inc();
-                owned.node.on_restart(now_ms, &mut buf);
-                self.ctx.telemetry.fold(owned.node.me, now_ms, &mut buf);
-            }
-            self.dispatch(local, &mut buf.out, now_ms);
-            work += 1;
+    /// Asks the fault gate about node `local` (handed to `ask` as its
+    /// roster index); `absent` is the answer when no plan is installed,
+    /// and for a stopped node, which no schedule concerns any more. The
+    /// guard lasts for the one question only — never across a protocol
+    /// callback or a socket call.
+    fn ask_gate<T>(
+        &self,
+        local: usize,
+        absent: T,
+        ask: impl FnOnce(&mut FaultGate, usize) -> T,
+    ) -> T {
+        match (&self.ctx.gate, self.nodes.get(local).filter(|n| !n.stopped)) {
+            (Some(gate), Some(owned)) => ask(&mut gate.lock(), owned.idx),
+            _ => absent,
         }
-        self.scratch = buf;
-        work
     }
 
-    /// Fires every due timer; a crashed node's due timers are deferred
-    /// to its restart instant instead (counted, like the DES engine).
-    fn fire_timers(&mut self, now_ms: u64) -> usize {
-        let mut work = 0;
+    /// One step of node `local` (stopped nodes take none): run `call`,
+    /// hand a peer add-on's finished checks to whoever waits on them,
+    /// fold the step's events into telemetry, apply its commands.
+    fn step(
+        &mut self,
+        local: usize,
+        now_ms: u64,
+        call: impl FnOnce(&mut RoleNode, &mut StdRng, &mut StepBuf),
+    ) {
         let mut buf = std::mem::take(&mut self.scratch);
-        // sheriff-lint: hot-loop
-        while self
-            .timers
-            .peek()
-            .is_some_and(|Reverse((due, ..))| *due <= now_ms)
-        {
-            let Some(Reverse((_, _, local, token))) = self.timers.pop() else {
-                break;
-            };
-            let mut defer_to = None;
-            {
-                let Some(owned) = self.nodes.get_mut(local) else {
-                    continue;
-                };
-                if owned.stopped {
-                    continue;
-                }
-                if owned.crashed {
-                    if let Some(shim) = &self.ctx.shim {
-                        defer_to = shim.crashed_until(owned.node.me, now_ms);
-                    }
-                }
-                if defer_to.is_none() {
-                    owned.node.on_timer(now_ms, token, &mut self.rng, &mut buf);
-                    owned.surface(&self.ctx.sink);
-                    self.ctx.telemetry.fold(owned.node.me, now_ms, &mut buf);
-                }
-            }
-            if let Some(restart) = defer_to {
-                // Defer to the restart instant — the DES engine's crash
-                // semantics for a dead node's due timers.
-                if let Some(shim) = &self.ctx.shim {
-                    shim.timers_deferred.inc();
-                }
-                self.push_timer(restart, local, token);
-                work += 1;
-                continue;
-            }
-            self.dispatch(local, &mut buf.out, now_ms);
-            work += 1;
+        if let Some(owned) = self.nodes.get_mut(local).filter(|n| !n.stopped) {
+            call(&mut owned.node, &mut self.rng, &mut buf);
+            owned.surface(&self.ctx.sink);
+            self.ctx.telemetry.fold(owned.node.me, now_ms, &mut buf);
         }
+        self.dispatch(local, &mut buf.out, now_ms);
         self.scratch = buf;
-        work
     }
 
     /// Drains every live listener's accept queue.
@@ -400,27 +388,12 @@ impl Reactor {
         work
     }
 
-    /// Feeds one arrived envelope into its node, mirroring the worker
-    /// loop's message path (including the live crash re-check: a window
-    /// that opened since the iteration began must still eat the frame).
+    /// Feeds one arrived envelope into its node — unless the node is
+    /// gone, or inside a crash window (the gate counts the loss).
     fn deliver(&mut self, local: usize, env: Envelope, now_ms: u64) {
-        let mut buf = std::mem::take(&mut self.scratch);
-        self.deliver_inner(local, env, now_ms, &mut buf);
-        self.dispatch(local, &mut buf.out, now_ms);
-        self.scratch = buf;
-    }
-
-    /// The machine half of [`Reactor::deliver`]: everything that may
-    /// early-return before any output exists. Split from the dispatch
-    /// half so the scratch buffer is restored on every path.
-    fn deliver_inner(&mut self, local: usize, env: Envelope, now_ms: u64, buf: &mut StepBuf) {
-        let ctx = &self.ctx;
-        let Some(owned) = self.nodes.get_mut(local) else {
+        let Some(owned) = self.nodes.get_mut(local).filter(|n| !n.stopped) else {
             return;
         };
-        if owned.stopped {
-            return;
-        }
         if env.msg == ProtoMsg::Shutdown {
             // Stop accepting and discard the node — but keep the
             // loop running until every sibling is down too.
@@ -428,28 +401,16 @@ impl Reactor {
             owned.listener = None;
             return;
         }
-        let crashed_live = owned.crashed
-            || ctx
-                .shim
-                .as_ref()
-                .is_some_and(|s| s.crashed_until(owned.node.me, ctx.now_ms()).is_some());
-        if crashed_live {
-            if let Some(shim) = &ctx.shim {
-                shim.crash_dropped.inc();
-            }
-            return;
+        if self.ask_gate(local, true, |g, idx| g.admit_delivery(idx, now_ms)) {
+            self.step(local, now_ms, |node, rng, buf| {
+                node.on_message(now_ms, env.from, env.msg, rng, buf);
+            });
         }
-        owned
-            .node
-            .on_message(now_ms, env.from, env.msg, &mut self.rng, buf);
-        owned.surface(&ctx.sink);
-        ctx.telemetry.fold(owned.node.me, now_ms, buf);
     }
 
-    /// Applies a machine's outputs: sends join the per-link write
-    /// queues (or the delay park), timers join the virtual-time queue.
-    /// Drains the buffer so callers can hand the same scratch `Vec`
-    /// back in on the next event.
+    /// Applies a machine's outputs: sends go to the write edge, timers
+    /// join the agenda. Drains the buffer so callers can hand the same
+    /// scratch `Vec` back in on the next event.
     fn dispatch(&mut self, local: usize, out: &mut Vec<Output>, now_ms: u64) {
         for o in out.drain(..) {
             match o {
@@ -457,70 +418,63 @@ impl Reactor {
                     self.send_from(local, to, msg, now_ms);
                 }
                 Output::Timer { delay_ms, kind } => {
-                    self.push_timer(now_ms + delay_ms, local, kind.token());
+                    let token = kind.token();
+                    self.agenda
+                        .push(now_ms + delay_ms, Due::Timer { local, token });
                 }
             }
         }
     }
 
-    /// The reactor's write edge: the Byzantine shim rules first (the
-    /// sender's own misbehavior — same consult point as the DES
-    /// dispatch path), then the fault shim rules each emitted copy
-    /// (drop / duplicate / delay), then the frame joins its link FIFO.
+    /// The reactor's write edge. The Byzantine edge comes first — the
+    /// function the DES calls, at the same point: misbehavior is
+    /// something the sender does, not something the network does. A
+    /// codec attack leaves as a raw frame outside the fault schedule
+    /// (which never sees that send on the DES side either); every
+    /// protocol message it emits, primary and junk alike, then faces the
+    /// fault gate on its own.
     fn send_from(&mut self, local: usize, to: Address, msg: ProtoMsg, now_ms: u64) {
-        let Some(me) = self.nodes.get(local).map(|n| n.node.me) else {
+        let Some(from_idx) = self.nodes.get(local).map(|n| n.idx) else {
             return;
         };
-        if !self.ctx.dir.contains_key(&to) {
+        let Some(&to_idx) = self.ctx.index.get(&to) else {
             return;
+        };
+        let applied = match &self.ctx.byz {
+            Some(byz) => byzantine::outbound(&mut byz.lock(), from_idx, to_idx, msg),
+            None => return self.send_copy(local, to, to_idx, msg, now_ms),
+        };
+        if let Some((attack, occurrence)) = applied.codec {
+            self.launch_codec_attack(to, attack, occurrence);
         }
-        let decision = self
-            .ctx
-            .byz
-            .as_ref()
-            .map(|byz| byz.decide(me, to, byzantine::price_bearing(&msg)));
-        match decision {
-            Some(d) if !d.is_honest() => {
-                if let Some(attack) = d.codec {
-                    // Byte-level attack: the protocol message is
-                    // consumed and a raw frame goes out instead,
-                    // outside the fault schedule (which never saw this
-                    // send on the DES side either).
-                    self.launch_codec_attack(to, attack, d.occurrence);
-                    return;
-                }
-                let applied = byzantine::apply(&d, msg);
-                for msg in applied.primary.into_iter().chain(applied.junk) {
-                    self.send_copy(local, me, to, msg, now_ms);
-                }
-            }
-            _ => self.send_copy(local, me, to, msg, now_ms),
+        for msg in applied.messages() {
+            self.send_copy(local, to, to_idx, msg, now_ms);
         }
     }
 
-    /// The fault-shim half of the write edge, once per emitted message
-    /// (primary and junk alike face the schedule individually).
-    fn send_copy(&mut self, local: usize, me: Address, to: Address, msg: ProtoMsg, now_ms: u64) {
-        let (copies, delay_ms) = match &self.ctx.shim {
-            Some(shim) => match shim.outbound(now_ms, me, to) {
-                Some(verdict) => verdict,
-                None => return, // dropped by the schedule
-            },
-            None => (1, 0),
+    /// The fault-gate half of the write edge, once per emitted message:
+    /// eaten, or queued on its link as one or two copies — at once, or
+    /// via the agenda when the schedule holds it back.
+    fn send_copy(&mut self, local: usize, to: Address, to_idx: usize, msg: ProtoMsg, now_ms: u64) {
+        let Some(from) = self.nodes.get(local).map(|n| n.node.me) else {
+            return;
         };
-        let env = Envelope { from: me, msg };
+        let verdict = self.ask_gate(local, Some((1, 0)), |g, idx| g.send(now_ms, idx, to_idx));
+        let Some((copies, delay_ms)) = verdict else {
+            return;
+        };
+        let env = Envelope { from, msg };
         if delay_ms == 0 {
             self.enqueue_out(local, to, env, copies);
         } else {
-            self.seq += 1;
-            self.delayed.push(DelayedSend {
-                due_ms: now_ms + delay_ms,
-                seq: self.seq,
+            self.held_sends += 1;
+            let held = Due::Send {
                 local,
                 to,
                 env,
                 copies,
-            });
+            };
+            self.agenda.push(now_ms + delay_ms, held);
         }
     }
 
@@ -584,25 +538,6 @@ impl Reactor {
                 link.queue.push_back(env.clone());
             }
         }
-    }
-
-    /// Releases fault-delayed sends whose due time arrived, oldest
-    /// first (ties broken by issue order).
-    fn release_delayed(&mut self, now_ms: u64) -> usize {
-        if self.delayed.is_empty() {
-            return 0;
-        }
-        let (mut due, rest): (Vec<DelayedSend>, Vec<DelayedSend>) =
-            std::mem::take(&mut self.delayed)
-                .into_iter()
-                .partition(|d| d.due_ms <= now_ms);
-        self.delayed = rest;
-        due.sort_by_key(|d| (d.due_ms, d.seq));
-        let n = due.len();
-        for d in due {
-            self.enqueue_out(d.local, d.to, d.env, d.copies);
-        }
-        n
     }
 
     /// Flushes the per-link queues; when a frame finishes, the next one

@@ -1,10 +1,10 @@
-//! Shard-level state: which node lives where, the context every shard
-//! shares, and the fault shims applied at the reactor's read/write
-//! edges.
+//! Shard-level state: which node lives where, the wake-up line between
+//! shards, and the context every shard shares — including the one fault
+//! gate and the one Byzantine plan of the deployment.
 //!
 //! A *shard* is a single-threaded event loop (see
 //! [`Reactor`](super::reactor::Reactor)) owning the listeners, live
-//! connections and timer queue of a subset of the deployment's nodes.
+//! connections and agenda of a subset of the deployment's nodes.
 //! Placement is [`shard_of`]: a seed-free FNV-1a hash over a stable
 //! encoding of the logical [`Address`], so the same roster always
 //! shards the same way — the soak tests recompute the layout to kill a
@@ -23,8 +23,8 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use sheriff_core::protocol::{Address, NodeTelemetry, PeerProto};
-use sheriff_netsim::{ByzDecision, ByzStats, ByzantinePlan, FaultPlan, FaultStats};
-use sheriff_telemetry::{Counter, Gauge, Registry};
+use sheriff_netsim::{ByzantinePlan, FaultGate};
+use sheriff_telemetry::{Counter, Gauge};
 
 use crate::deploy::Sink;
 use crate::telemetry::WireTelemetry;
@@ -100,13 +100,18 @@ pub(crate) struct ShardCtx {
     /// since this instant (the one place wall time enters the system).
     pub(crate) epoch: Instant,
     pub(crate) sink: Arc<Sink>,
-    /// Installed only when the deployment was started with an *active*
-    /// fault plan, so the fault-free path is byte-identical to before.
-    pub(crate) shim: Option<Arc<FaultShim>>,
-    /// Installed only for an *active* Byzantine plan — consulted at the
-    /// reactor's write edge exactly where the DES engine consults its
-    /// twin, so both backends corrupt the same traffic.
-    pub(crate) byz: Option<Arc<ByzShim>>,
+    /// Logical address → roster position: the node numbering
+    /// (`coordinator, aggregator, db?, servers…, ipcs…, ppcs…`, as on
+    /// the DES) that both plans below are phrased against.
+    pub(crate) index: Arc<HashMap<Address, usize>>,
+    /// The fault plan applied — the gate type the DES engine asks, here
+    /// asked by every shard in elapsed real milliseconds. Installed
+    /// only for an *active* plan, so the fault-free path takes no lock.
+    pub(crate) gate: Option<Arc<Mutex<FaultGate>>>,
+    /// Installed only for an *active* Byzantine plan; the reactor's
+    /// write edge passes sends through it with the function the DES
+    /// uses, so both backends corrupt the same traffic.
+    pub(crate) byz: Option<Arc<Mutex<ByzantinePlan>>>,
     /// The machine-event fold (`measurement.*`, `db.*`,
     /// `protocol.unknown_timers`) — the DES backend's, not a copy.
     pub(crate) telemetry: Arc<NodeTelemetry>,
@@ -115,7 +120,7 @@ pub(crate) struct ShardCtx {
     /// `wire.reactor_wakeups`: iterations that found work to do.
     pub(crate) wakeups: Arc<Counter>,
     /// `wire.shard_queue_depth`: high-water mark of pending work
-    /// (inbound connections + queued frames + delayed sends) across all
+    /// (inbound connections + queued frames + fault-held sends) across all
     /// shards.
     pub(crate) queue_depth: Arc<Gauge>,
     /// `wire.reactor_doorbell_wakes`: idle waits ended by a ring.
@@ -153,120 +158,6 @@ impl ShardCtx {
         } else {
             self.idle_timeouts.inc();
         }
-    }
-}
-
-/// Applies a [`FaultPlan`] — the very schedule the DES engine consumes —
-/// at the reactor's socket edges. Nodes are numbered exactly like the
-/// DES deployment (`coordinator, aggregator, db?, servers…, ipcs…,
-/// ppcs…`), and the plan keys its decisions on per-link occurrence
-/// counters rather than wall-clock, so one schedule means the same
-/// drops, duplicates and crash windows on either backend. The *write*
-/// edge asks [`FaultShim::outbound`] before a frame is queued; the
-/// *read* edge drops completed frames for crashed nodes and defers
-/// their timers.
-pub(crate) struct FaultShim {
-    plan: Mutex<FaultPlan>,
-    index: HashMap<Address, usize>,
-    dropped: Arc<Counter>,
-    duplicated: Arc<Counter>,
-    delayed: Arc<Counter>,
-    partition_drops: Arc<Counter>,
-    pub(crate) crash_dropped: Arc<Counter>,
-    pub(crate) node_restarts: Arc<Counter>,
-    pub(crate) timers_deferred: Arc<Counter>,
-}
-
-impl FaultShim {
-    pub(crate) fn new(
-        plan: FaultPlan,
-        index: HashMap<Address, usize>,
-        registry: &Arc<Registry>,
-    ) -> FaultShim {
-        FaultShim {
-            plan: Mutex::new(plan),
-            index,
-            dropped: registry.counter("faults.dropped"),
-            duplicated: registry.counter("faults.duplicated"),
-            delayed: registry.counter("faults.delayed"),
-            partition_drops: registry.counter("faults.partition_drops"),
-            crash_dropped: registry.counter("faults.crash_dropped"),
-            node_restarts: registry.counter("faults.node_restarts"),
-            timers_deferred: registry.counter("faults.timers_deferred"),
-        }
-    }
-
-    /// Running totals of the schedule's decisions.
-    pub(crate) fn stats(&self) -> FaultStats {
-        self.plan.lock().stats
-    }
-
-    /// Send-time verdict for one envelope, mirroring the DES engine
-    /// (which consults the plan when the send output is dispatched):
-    /// `None` eats it, otherwise `(copies, extra_delay_ms)`.
-    pub(crate) fn outbound(&self, now_ms: u64, from: Address, to: Address) -> Option<(usize, u64)> {
-        let (Some(&f), Some(&t)) = (self.index.get(&from), self.index.get(&to)) else {
-            return Some((1, 0));
-        };
-        let mut plan = self.plan.lock();
-        let before = plan.stats;
-        let d = plan.decide(now_ms, f, t);
-        let after = plan.stats;
-        self.dropped.add(after.dropped - before.dropped);
-        self.duplicated.add(after.duplicated - before.duplicated);
-        self.delayed.add(after.delayed - before.delayed);
-        self.partition_drops
-            .add(after.partition_drops - before.partition_drops);
-        if d.drop {
-            None
-        } else {
-            Some((1 + d.duplicate as usize, d.extra_delay_ms))
-        }
-    }
-
-    /// The restart millisecond when `node` sits inside a crash window.
-    pub(crate) fn crashed_until(&self, node: Address, now_ms: u64) -> Option<u64> {
-        let &idx = self.index.get(&node)?;
-        self.plan.lock().restart_at(idx, now_ms)
-    }
-}
-
-/// Applies a [`ByzantinePlan`] — the very schedule the DES engine
-/// consumes — at the reactor's write edge. Nodes are numbered exactly
-/// like the DES deployment, and the plan keys its decisions on
-/// per-directed-link occurrence counters rather than wall-clock, so one
-/// schedule means the same equivocations, fabrications, replays and
-/// floods on either backend. Unlike the fault shim this one sits
-/// *before* the fault verdict: misbehavior is something the sender does,
-/// not something the network does, and every emitted copy (primary and
-/// junk alike) still faces the fault schedule individually — the same
-/// order the DES dispatch path uses.
-pub(crate) struct ByzShim {
-    plan: Mutex<ByzantinePlan>,
-    index: HashMap<Address, usize>,
-}
-
-impl ByzShim {
-    pub(crate) fn new(plan: ByzantinePlan, index: HashMap<Address, usize>) -> ByzShim {
-        ByzShim {
-            plan: Mutex::new(plan),
-            index,
-        }
-    }
-
-    /// Running totals of the schedule's decisions.
-    pub(crate) fn stats(&self) -> ByzStats {
-        self.plan.lock().stats
-    }
-
-    /// Send-time decision for one envelope. Links whose endpoints are
-    /// outside the roster (externally injected frames) are honest by
-    /// definition — the DES engine never sees those sends either.
-    pub(crate) fn decide(&self, from: Address, to: Address, price_bearing: bool) -> ByzDecision {
-        let (Some(&f), Some(&t)) = (self.index.get(&from), self.index.get(&to)) else {
-            return ByzDecision::HONEST;
-        };
-        self.plan.lock().decide(f, t, price_bearing)
     }
 }
 
