@@ -6,7 +6,20 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-stage() { printf '\n==> %s\n' "$*"; }
+# Each `stage` call closes the stage before it and prints the wall
+# seconds it took; the closing "CI green" stage prints them all as one
+# table, so what a gate costs is read off the log, not guessed.
+STAGE_NAMES=()
+STAGE_SECS=()
+stage() {
+    if [ "${#STAGE_NAMES[@]}" -gt 0 ]; then
+        STAGE_SECS+=("$((SECONDS - STAGE_T0))")
+        printf '    [%s: %d s]\n' "${STAGE_NAMES[-1]}" "${STAGE_SECS[-1]}"
+    fi
+    STAGE_NAMES+=("$*")
+    STAGE_T0=$SECONDS
+    printf '\n==> %s\n' "$*"
+}
 
 # Every first-party crate. The vendored stubs under vendor/ are excluded
 # from the style gates on purpose: they mirror upstream code and should
@@ -193,3 +206,7 @@ for d in crates/*/; do
 done
 
 stage "CI green"
+for i in "${!STAGE_SECS[@]}"; do
+    printf '%5d s  %s\n' "${STAGE_SECS[$i]}" "${STAGE_NAMES[$i]}"
+done
+printf '%5d s  total\n' "$SECONDS"

@@ -10,48 +10,31 @@
 
 use rand::rngs::StdRng;
 
-use sheriff_geo::country::Region;
 use sheriff_geo::Country;
 use sheriff_netsim::latency::sample_standard_normal;
 use sheriff_netsim::{LatencyModel, NodeId, SimTime};
 
-/// One-way base latencies in milliseconds.
-#[derive(Clone, Copy, Debug)]
-pub struct GeoLatencyConfig {
-    /// Same country.
-    pub intra_country_ms: u64,
-    /// Same region, different country.
-    pub intra_region_ms: u64,
-    /// Different region.
-    pub cross_region_ms: u64,
-    /// Lognormal sigma applied to the base.
-    pub sigma: f64,
-}
-
-impl Default for GeoLatencyConfig {
-    fn default() -> Self {
-        GeoLatencyConfig {
-            intra_country_ms: 15,
-            intra_region_ms: 35,
-            cross_region_ms: 110,
-            sigma: 0.25,
-        }
-    }
-}
+/// One-way base latency in milliseconds: same country.
+const INTRA_COUNTRY_MS: u64 = 15;
+/// Same region, different country.
+const INTRA_REGION_MS: u64 = 35;
+/// Different region.
+const CROSS_REGION_MS: u64 = 110;
+/// Lognormal sigma applied to the base.
+const SIGMA: f64 = 0.25;
 
 /// A [`LatencyModel`] that knows which country each node lives in.
 /// Nodes without a registered country (infrastructure in "the cloud") use
 /// the intra-region base.
 #[derive(Debug)]
 pub struct GeoLatency {
-    cfg: GeoLatencyConfig,
     countries: Vec<Option<Country>>,
 }
 
 impl GeoLatency {
     /// Builds from a per-node country table indexed by [`NodeId`].
-    pub fn new(cfg: GeoLatencyConfig, countries: Vec<Option<Country>>) -> Self {
-        GeoLatency { cfg, countries }
+    pub fn new(countries: Vec<Option<Country>>) -> Self {
+        GeoLatency { countries }
     }
 
     fn country(&self, n: NodeId) -> Option<Country> {
@@ -60,24 +43,20 @@ impl GeoLatency {
 
     fn base_ms(&self, from: NodeId, to: NodeId) -> u64 {
         match (self.country(from), self.country(to)) {
-            (Some(a), Some(b)) if a == b => self.cfg.intra_country_ms,
-            (Some(a), Some(b)) if region_of(a) == region_of(b) => self.cfg.intra_region_ms,
-            (Some(_), Some(_)) => self.cfg.cross_region_ms,
+            (Some(a), Some(b)) if a == b => INTRA_COUNTRY_MS,
+            (Some(a), Some(b)) if a.region() == b.region() => INTRA_REGION_MS,
+            (Some(_), Some(_)) => CROSS_REGION_MS,
             // One endpoint is cloud infrastructure: regional hop.
-            _ => self.cfg.intra_region_ms,
+            _ => INTRA_REGION_MS,
         }
     }
-}
-
-fn region_of(c: Country) -> Region {
-    c.region()
 }
 
 impl LatencyModel for GeoLatency {
     fn latency(&mut self, from: NodeId, to: NodeId, rng: &mut StdRng) -> SimTime {
         let base = self.base_ms(from, to) as f64;
         let z = sample_standard_normal(rng);
-        let ms = (base * (self.cfg.sigma * z).exp()).round().max(1.0) as u64;
+        let ms = (base * (SIGMA * z).exp()).round().max(1.0) as u64;
         SimTime::from_millis(ms)
     }
 }
@@ -88,16 +67,13 @@ mod tests {
     use rand::SeedableRng;
 
     fn model() -> GeoLatency {
-        GeoLatency::new(
-            GeoLatencyConfig::default(),
-            vec![
-                Some(Country::ES), // 0
-                Some(Country::ES), // 1
-                Some(Country::FR), // 2
-                Some(Country::JP), // 3
-                None,              // 4: cloud
-            ],
-        )
+        GeoLatency::new(vec![
+            Some(Country::ES), // 0
+            Some(Country::ES), // 1
+            Some(Country::FR), // 2
+            Some(Country::JP), // 3
+            None,              // 4: cloud
+        ])
     }
 
     fn median_ms(m: &mut GeoLatency, a: usize, b: usize) -> u64 {

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use sheriff_currency::{detect_price_with_hint, Confidence, FixedRates, RateProvider};
 use sheriff_geo::{Country, IpV4};
 use sheriff_html::tagspath::{extract_text_by_path, TagsPath};
-use sheriff_html::{DiffStorage, Document};
+use sheriff_html::Document;
 
 use crate::records::{PriceObservation, VantageKind};
 
@@ -103,37 +103,6 @@ pub fn tags_path_for_selection(html: &str, selection: &str) -> Option<TagsPath> 
     TagsPath::from_node(&doc, target)
 }
 
-/// Per-job page storage: the initiator's page in full, proxy responses as
-/// diffs (§10.5's DiffStorage module).
-#[derive(Debug)]
-pub struct JobPageStore {
-    store: DiffStorage,
-}
-
-impl JobPageStore {
-    /// Opens storage around the initiator's page.
-    pub fn new(initiator_html: &str) -> Self {
-        JobPageStore {
-            store: DiffStorage::new(initiator_html),
-        }
-    }
-
-    /// Stores one proxy response; returns its variant index.
-    pub fn store_response(&mut self, html: &str) -> usize {
-        self.store.store(html)
-    }
-
-    /// Reconstructs a stored response.
-    pub fn load_response(&self, idx: usize) -> Option<String> {
-        self.store.load(idx)
-    }
-
-    /// (bytes stored, bytes full copies would need).
-    pub fn accounting(&self) -> (usize, usize) {
-        self.store.storage_accounting()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,20 +194,5 @@ mod tests {
     #[test]
     fn missing_selection_yields_no_path() {
         assert!(tags_path_for_selection("<p>hello</p>", "EUR1.00").is_none());
-    }
-
-    #[test]
-    fn job_page_store_roundtrips() {
-        let base = page("EUR100.00");
-        let mut store = JobPageStore::new(&base);
-        let variant = page("EUR200.00");
-        let idx = store.store_response(&variant);
-        assert_eq!(store.load_response(idx).unwrap(), variant);
-        let (stored, full) = store.accounting();
-        // Tiny synthetic pages carry more op overhead than savings; just
-        // sanity-check the accounting (DiffStorage's own tests cover the
-        // compression win on realistic page sizes).
-        assert!(full >= base.len());
-        assert!(stored >= base.len());
     }
 }

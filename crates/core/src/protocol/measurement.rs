@@ -6,11 +6,12 @@ use std::collections::{btree_map::Entry, BTreeMap, BTreeSet};
 use sheriff_currency::FixedRates;
 use sheriff_geo::Country;
 use sheriff_html::tagspath::TagsPath;
+use sheriff_html::DiffStorage;
 use sheriff_market::ProductId;
 
 use crate::coordinator::JobId;
 use crate::db::{Database, DbCostModel};
-use crate::measurement::{process_response, JobPageStore, VantageMeta};
+use crate::measurement::{process_response, VantageMeta};
 use crate::protocol::digest::Digest;
 use crate::protocol::{
     day_of_ms, defense_key, Address, DefenseAction, DefenseBook, DefenseParams, Output, ProtoMsg,
@@ -69,7 +70,7 @@ struct JobState {
     domain: String,
     product: ProductId,
     tags_path: TagsPath,
-    page_store: JobPageStore,
+    page_store: DiffStorage,
     observations: Vec<PriceObservation>,
     initiator: Address,
     expected: usize,
@@ -180,7 +181,7 @@ impl MeasurementProto {
             domain: String::new(),
             product: ProductId(0),
             tags_path: TagsPath { steps: vec![] },
-            page_store: JobPageStore::new(""),
+            page_store: DiffStorage::new(""),
             observations: Vec::new(),
             initiator: from,
             expected: usize::MAX,
@@ -238,7 +239,7 @@ impl MeasurementProto {
         state.domain = submit.domain.clone();
         state.product = submit.product;
         state.tags_path = submit.tags_path.clone();
-        state.page_store = JobPageStore::new(&submit.initiator_html);
+        state.page_store = DiffStorage::new(&submit.initiator_html);
         state.observations.push(submit.initiator_obs);
         state.initiator = submit.initiator;
         state.fanned_out = true;
@@ -350,7 +351,7 @@ impl MeasurementProto {
             return;
         };
         self.defense.forget_job(job.0);
-        let (stored, full) = state.page_store.accounting();
+        let (stored, full) = state.page_store.storage_accounting();
         events.push(MeasEvent::JobFinished {
             job,
             stored,
@@ -491,7 +492,7 @@ impl MeasurementProto {
                     events.push(MeasEvent::ReplyAccepted {
                         since_fanout_ms: now_ms.saturating_sub(state.fanout_at_ms),
                     });
-                    state.page_store.store_response(&html);
+                    state.page_store.store(&html);
                     state.observations.push(obs);
                 }
                 state.received += 1;

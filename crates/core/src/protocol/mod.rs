@@ -107,7 +107,11 @@ impl Address {
     }
 }
 
-/// A timer a state machine asked its driver to arm.
+/// A timer a state machine asked its driver to arm. Drivers keep the
+/// value as it is and hand it back to [`node::RoleNode::on_timer`] when
+/// it fires; none of them does arithmetic on a job, sequence or peer id
+/// (the DES, whose engine API wants an integer, keeps a private slot
+/// table in `core::system` instead).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TimerKind {
     /// Give-up deadline for a job's outstanding fetches.
@@ -132,53 +136,25 @@ pub enum TimerKind {
     Parole(u64),
 }
 
-const TIMER_DEADLINE: u64 = 0;
-const TIMER_PROC_DONE: u64 = 1;
-const TIMER_DB_DONE: u64 = 2;
-const TIMER_HEARTBEAT: u64 = 3;
-const TIMER_RETRANSMIT: u64 = 4;
-const TIMER_COORD_SWEEP: u64 = 5;
-const TIMER_QUARANTINE: u64 = 6;
-const TIMER_PAROLE: u64 = 7;
-
 impl TimerKind {
-    /// Packs the timer into the u64 token space drivers carry
-    /// (`scope * 8 + kind`, where scope is the job id or reliable seq;
-    /// bare tokens 3 and 5 are the scope-free heartbeat and sweep —
-    /// collision-free because `JobId`s start at 1 and no job-scoped
-    /// kind shares their residues).
-    pub fn token(self) -> u64 {
-        match self {
-            TimerKind::JobDeadline(job) => job.0 * 8 + TIMER_DEADLINE,
-            TimerKind::ProcDone(job) => job.0 * 8 + TIMER_PROC_DONE,
-            TimerKind::DbDone(job) => job.0 * 8 + TIMER_DB_DONE,
-            TimerKind::Heartbeat => TIMER_HEARTBEAT,
-            TimerKind::Retransmit(seq) => seq * 8 + TIMER_RETRANSMIT,
-            TimerKind::CoordSweep => TIMER_COORD_SWEEP,
-            TimerKind::Quarantine(peer) => peer * 8 + TIMER_QUARANTINE,
-            TimerKind::Parole(peer) => peer * 8 + TIMER_PAROLE,
-        }
-    }
-
-    /// Inverse of [`TimerKind::token`]. Unknown kinds map to `None`;
-    /// [`node::RoleNode::on_timer`] counts those
-    /// (`protocol.unknown_timers`) rather than drop them silently.
-    pub fn from_token(token: u64) -> Option<TimerKind> {
-        if token == TIMER_HEARTBEAT {
-            return Some(TimerKind::Heartbeat);
-        }
-        if token == TIMER_COORD_SWEEP {
-            return Some(TimerKind::CoordSweep);
-        }
-        let scope = token / 8;
-        match token % 8 {
-            TIMER_DEADLINE => Some(TimerKind::JobDeadline(JobId(scope))),
-            TIMER_PROC_DONE => Some(TimerKind::ProcDone(JobId(scope))),
-            TIMER_DB_DONE => Some(TimerKind::DbDone(JobId(scope))),
-            TIMER_RETRANSMIT => Some(TimerKind::Retransmit(scope)),
-            TIMER_QUARANTINE => Some(TimerKind::Quarantine(scope)),
-            TIMER_PAROLE => Some(TimerKind::Parole(scope)),
-            _ => None,
+    /// Folds the timer into a model-checker state digest as a
+    /// discriminant tag plus, for the scoped kinds, the full-width
+    /// scoping id — distinct timers digest differently for every `u64`
+    /// scope (see [`digest::Digest`]).
+    pub fn fold_digest(self, d: &mut Digest) {
+        let (tag, scope) = match self {
+            TimerKind::JobDeadline(job) => (0, Some(job.0)),
+            TimerKind::ProcDone(job) => (1, Some(job.0)),
+            TimerKind::DbDone(job) => (2, Some(job.0)),
+            TimerKind::Heartbeat => (3, None),
+            TimerKind::Retransmit(seq) => (4, Some(seq)),
+            TimerKind::CoordSweep => (5, None),
+            TimerKind::Quarantine(peer) => (6, Some(peer)),
+            TimerKind::Parole(peer) => (7, Some(peer)),
+        };
+        d.write_u64(tag);
+        if let Some(scope) = scope {
+            d.write_u64(scope);
         }
     }
 }
@@ -232,45 +208,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn timer_tokens_round_trip() {
-        let kinds = [
-            TimerKind::JobDeadline(JobId(1)),
-            TimerKind::ProcDone(JobId(7)),
-            TimerKind::DbDone(JobId(123)),
-            TimerKind::Heartbeat,
-            TimerKind::Retransmit(0),
-            TimerKind::Retransmit(9_999),
-            TimerKind::CoordSweep,
-            TimerKind::Quarantine(100),
-            TimerKind::Parole(107),
-        ];
-        for k in kinds {
-            assert_eq!(TimerKind::from_token(k.token()), Some(k));
+    fn timer_digests_are_pairwise_distinct() {
+        // The model's state partition must not coarsen: every variant at
+        // every scope — the widest included — folds to its own digest.
+        let mut kinds = vec![TimerKind::Heartbeat, TimerKind::CoordSweep];
+        for scope in [0, 1, u64::MAX] {
+            kinds.extend([
+                TimerKind::JobDeadline(JobId(scope)),
+                TimerKind::ProcDone(JobId(scope)),
+                TimerKind::DbDone(JobId(scope)),
+                TimerKind::Retransmit(scope),
+                TimerKind::Quarantine(scope),
+                TimerKind::Parole(scope),
+            ]);
         }
-        // All eight residues are assigned now (6/7 went to the defense
-        // layer's quarantine/parole timers in peer-id scope).
-        assert_eq!(TimerKind::from_token(14), Some(TimerKind::Quarantine(1)));
-        assert_eq!(TimerKind::from_token(15), Some(TimerKind::Parole(1)));
-    }
-
-    #[test]
-    fn scoped_tokens_never_collide_with_bare_tokens() {
-        // Bare tokens 3 (heartbeat) and 5 (sweep) sit below every scoped
-        // token: jobs start at 1 and retransmit seqs use residue 4.
-        for job in 1..100 {
-            for k in [
-                TimerKind::JobDeadline(JobId(job)),
-                TimerKind::ProcDone(JobId(job)),
-                TimerKind::DbDone(JobId(job)),
-            ] {
-                assert!(k.token() > TIMER_COORD_SWEEP);
-            }
-        }
-        for seq in 0..100 {
-            let t = TimerKind::Retransmit(seq).token();
-            assert_ne!(t, TIMER_HEARTBEAT);
-            assert_ne!(t, TIMER_COORD_SWEEP);
-        }
+        let digests: std::collections::BTreeSet<u64> = kinds
+            .iter()
+            .map(|k| {
+                let mut d = Digest::new();
+                k.fold_digest(&mut d);
+                d.finish()
+            })
+            .collect();
+        assert_eq!(digests.len(), kinds.len());
     }
 
     #[test]

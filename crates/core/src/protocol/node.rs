@@ -8,10 +8,10 @@
 //!
 //! * [`RoleNode::on_message`] — channel `accept` (ack, dedup, unwrap),
 //!   the machine's `on_message`, channel `harden`;
-//! * [`RoleNode::on_timer`] — token decode (unknown tokens are counted,
-//!   never dropped silently), retransmit give-up → the machine's
-//!   `on_send_abandoned` for every role that pins state on a send, any
-//!   other kind → the machine's `on_timer`, then `harden`;
+//! * [`RoleNode::on_timer`] — takes the [`TimerKind`] the machine armed:
+//!   retransmit give-up → the machine's `on_send_abandoned` for every
+//!   role that pins state on a send, any other kind → the machine's
+//!   `on_timer`, then `harden`;
 //! * [`RoleNode::on_restart`] — the §10.3 restart edge: a Measurement
 //!   server re-announces itself with state intact, the Database loses
 //!   its volatile state (channel windows included) and recovers from
@@ -76,8 +76,6 @@ pub struct StepBuf {
     pub meas: Vec<MeasEvent>,
     /// Database-server outcomes of this step.
     pub db: Vec<DbEvent>,
-    /// Timer tokens that decoded to no [`TimerKind`].
-    pub unknown_timers: u64,
 }
 
 /// One node of a deployment. See the module docs.
@@ -121,15 +119,11 @@ impl RoleNode {
         self.chan.harden(&mut buf.out);
     }
 
-    /// The timer carrying `token` fired.
-    pub fn on_timer(&mut self, now_ms: u64, token: u64, rng: &mut StdRng, buf: &mut StepBuf) {
+    /// The timer `kind`, armed by an earlier step of this node, fired.
+    pub fn on_timer(&mut self, now_ms: u64, kind: TimerKind, rng: &mut StdRng, buf: &mut StepBuf) {
         let out = &mut buf.out;
-        match TimerKind::from_token(token) {
-            None => {
-                buf.unknown_timers += 1;
-                return;
-            }
-            Some(TimerKind::Retransmit(seq)) => {
+        match kind {
+            TimerKind::Retransmit(seq) => {
                 // A give-up means whatever the machine pinned on that
                 // send can never resolve: an admitted job that cannot be
                 // assigned (Coordinator), a DbAck that cannot arrive
@@ -147,7 +141,7 @@ impl RoleNode {
                     }
                 }
             }
-            Some(kind) => match &mut self.role {
+            kind => match &mut self.role {
                 Role::Coordinator(p) => p.on_timer(now_ms, kind, rng, out),
                 Role::Measurement(p) => p.on_timer(now_ms, kind, out, &mut buf.meas),
                 Role::Database(p) => p.on_timer(kind, out, &mut buf.db),
@@ -355,7 +349,6 @@ impl DbTelemetry {
 /// deployment from its roster; every backend that has a registry calls
 /// [`NodeTelemetry::fold`] after each step.
 pub struct NodeTelemetry {
-    unknown_timers: Arc<Counter>,
     /// One entry per Measurement server, by server index.
     measurement: Vec<MeasurementTelemetry>,
     /// Present when the roster has a Database server.
@@ -363,8 +356,8 @@ pub struct NodeTelemetry {
 }
 
 impl NodeTelemetry {
-    /// Registers the `measurement.*`, `db.*` and
-    /// `protocol.unknown_timers` handles the roles in `roster` publish.
+    /// Registers the `measurement.*` and `db.*` handles the roles in
+    /// `roster` publish.
     pub fn new(registry: &Arc<Registry>, roster: &[RoleNode]) -> NodeTelemetry {
         let mut measurement = Vec::new();
         let mut db = None;
@@ -377,19 +370,11 @@ impl NodeTelemetry {
                 _ => {}
             }
         }
-        NodeTelemetry {
-            unknown_timers: registry.counter("protocol.unknown_timers"),
-            measurement,
-            db,
-        }
+        NodeTelemetry { measurement, db }
     }
 
     /// Publishes (and drains) the events node `me` produced in one step.
     pub fn fold(&self, me: Address, now_ms: u64, buf: &mut StepBuf) {
-        if buf.unknown_timers > 0 {
-            self.unknown_timers
-                .add(std::mem::take(&mut buf.unknown_timers));
-        }
         match me {
             Address::Server { index } => {
                 if let Some(t) = self.measurement.get(index) {
@@ -417,7 +402,7 @@ mod tests {
 
     use crate::coordinator::{Coordinator, JobId, PeerId};
     use crate::db::DbCostModel;
-    use crate::protocol::{DefenseParams, MeasurementParams, ReliableConfig};
+    use crate::protocol::{DefenseParams, MeasurementParams, ReliableConfig, Standing};
     use crate::records::{PriceObservation, VantageKind};
     use crate::whitelist::Whitelist;
 
@@ -433,32 +418,36 @@ mod tests {
     /// network eats every send — the node's view of a total partition.
     /// Returns once nothing is armed.
     fn run_partitioned(node: &mut RoleNode, rng: &mut StdRng, buf: &mut StepBuf) {
-        let mut armed: Vec<(u64, u64)> = Vec::new();
+        let mut armed: Vec<(u64, TimerKind)> = Vec::new();
         let mut now_ms = 0;
         loop {
             for o in buf.out.drain(..) {
                 if let Output::Timer { delay_ms, kind } = o {
-                    armed.push((now_ms + delay_ms, kind.token()));
+                    armed.push((now_ms + delay_ms, kind));
                 }
             }
             let Some(next) = (0..armed.len()).min_by_key(|&i| armed[i].0) else {
                 return;
             };
-            let (due_ms, token) = armed.remove(next);
+            let (due_ms, kind) = armed.remove(next);
             now_ms = due_ms;
-            node.on_timer(now_ms, token, rng, buf);
+            node.on_timer(now_ms, kind, rng, buf);
+        }
+    }
+
+    fn coordinator_node() -> RoleNode {
+        let mut coordinator = Coordinator::new(Whitelist::with_domains(["amazon.com"]));
+        coordinator.register_server("ms-0", 80, 0);
+        RoleNode {
+            me: Address::Coordinator,
+            role: Role::Coordinator(Box::new(CoordinatorProto::new(coordinator, 0))),
+            chan: one_attempt(),
         }
     }
 
     #[test]
     fn coordinator_give_up_releases_the_origin_through_the_step() {
-        let mut coordinator = Coordinator::new(Whitelist::with_domains(["amazon.com"]));
-        coordinator.register_server("ms-0", 80, 0);
-        let mut node = RoleNode {
-            me: Address::Coordinator,
-            role: Role::Coordinator(Box::new(CoordinatorProto::new(coordinator, 0))),
-            chan: one_attempt(),
-        };
+        let mut node = coordinator_node();
         let (mut rng, mut buf) = (StdRng::seed_from_u64(7), StepBuf::default());
         node.on_message(
             0,
@@ -482,6 +471,56 @@ mod tests {
         run_partitioned(&mut node, &mut rng, &mut buf);
         assert_eq!(open(&node), (0, 0), "abandoned assignment must not leak");
         assert_eq!(node.chan.in_flight(), 0);
+    }
+
+    #[test]
+    fn defense_timers_of_the_widest_peer_id_come_back_as_themselves() {
+        // The id is whatever an envelope claimed; no roster vetted it.
+        const WIDE: u64 = u64::MAX;
+        let mut node = coordinator_node();
+        let (mut rng, mut buf) = (StdRng::seed_from_u64(7), StepBuf::default());
+        // Three requests in someone else's name: +2 each, threshold 6.
+        for local_tag in 0..3 {
+            node.on_message(
+                0,
+                Address::Peer { id: WIDE },
+                ProtoMsg::CoordRequest {
+                    url: "https://amazon.com/product/1".into(),
+                    peer: PeerId(1),
+                    local_tag,
+                },
+                &mut rng,
+                &mut buf,
+            );
+        }
+        let standing = |node: &RoleNode| match &node.role {
+            Role::Coordinator(p) => p.defense.standing(WIDE),
+            _ => unreachable!(),
+        };
+        // The defense timers the last step armed (the reject replies'
+        // retransmit timers are not this test's business).
+        let armed = |buf: &mut StepBuf| -> Vec<TimerKind> {
+            let defense = |o| match o {
+                Output::Timer {
+                    kind: kind @ (TimerKind::Quarantine(_) | TimerKind::Parole(_)),
+                    ..
+                } => Some(kind),
+                _ => None,
+            };
+            buf.out.drain(..).filter_map(defense).collect()
+        };
+        assert_eq!(standing(&node), Standing::Quarantined);
+        let kinds = armed(&mut buf);
+        assert_eq!(kinds, [TimerKind::Quarantine(WIDE)]);
+
+        node.on_timer(30_000, kinds[0], &mut rng, &mut buf);
+        assert_eq!(standing(&node), Standing::Parole);
+        let kinds = armed(&mut buf);
+        assert_eq!(kinds, [TimerKind::Parole(WIDE)]);
+
+        node.on_timer(45_000, kinds[0], &mut rng, &mut buf);
+        assert_eq!(standing(&node), Standing::Good);
+        assert!(armed(&mut buf).is_empty());
     }
 
     #[test]

@@ -36,7 +36,7 @@ use sheriff_telemetry::Registry;
 use crate::byzantine;
 use crate::db::DbCostModel;
 use crate::durability::MemStorage;
-use crate::latency::{GeoLatency, GeoLatencyConfig};
+use crate::latency::GeoLatency;
 use crate::protocol::{
     Address, CoordinatorProto, DbProto, DefenseParams, DefenseTotals, MeasurementProto,
     NodeTelemetry, Output, PeerProto, ProtoMsg, Role, RoleNode, StepBuf, TimerKind,
@@ -278,14 +278,39 @@ struct FetchTiming {
     kill_ms: u64,
 }
 
+/// The timers one node has armed and the engine has not fired yet, by
+/// the opaque slot id the engine carries for each. `netsim`'s timer API
+/// is generic and wants a `u64`; a counter-issued slot gives it one
+/// without doing arithmetic on a job, sequence or peer id, so every
+/// [`TimerKind`] — whatever its scope — comes back as itself. (The
+/// engine defers a crashed node's timers, never drops them, so each
+/// slot is removed exactly once.)
+#[derive(Default)]
+struct ArmedTimers {
+    slots: BTreeMap<u64, TimerKind>,
+    next_slot: u64,
+}
+
+impl ArmedTimers {
+    /// Remembers `kind` and returns the slot to hand the engine.
+    fn arm(&mut self, kind: TimerKind) -> u64 {
+        let slot = self.next_slot;
+        self.next_slot += 1;
+        self.slots.insert(slot, kind);
+        slot
+    }
+}
+
 /// Maps protocol outputs onto the simulator: sends become deliveries,
-/// `SendFetched` samples the proxy delay first, timers pack their kind
-/// into the u64 token space. Drains `out` so the node's buffer is reused.
+/// `SendFetched` samples the proxy delay first, timers go to the engine
+/// under a fresh slot of `armed`. Drains `out` so the node's buffer is
+/// reused.
 fn dispatch(
     map: &AddrMap,
     ctx: &mut Ctx<'_, ProtoMsg>,
     out: &mut Vec<Output>,
     fetch: Option<FetchTiming>,
+    armed: &mut ArmedTimers,
 ) {
     for o in out.drain(..) {
         match o {
@@ -315,7 +340,7 @@ fn dispatch(
                 }
             }
             Output::Timer { delay_ms, kind } => {
-                ctx.set_timer(SimTime::from_millis(delay_ms), kind.token());
+                ctx.set_timer(SimTime::from_millis(delay_ms), armed.arm(kind));
             }
         }
     }
@@ -364,6 +389,7 @@ struct DesNode {
     /// Set for the proxy roles (IPC, PPC), the only `SendFetched` sources.
     timing: Option<FetchTiming>,
     buf: StepBuf,
+    armed: ArmedTimers,
 }
 
 impl DesNode {
@@ -372,7 +398,13 @@ impl DesNode {
     fn finish(&mut self, ctx: &mut Ctx<'_, ProtoMsg>) {
         self.telemetry
             .fold(self.node.me, ctx.now.as_millis(), &mut self.buf);
-        dispatch(&self.map, ctx, &mut self.buf.out, self.timing);
+        dispatch(
+            &self.map,
+            ctx,
+            &mut self.buf.out,
+            self.timing,
+            &mut self.armed,
+        );
     }
 }
 
@@ -387,9 +419,13 @@ impl Node<ProtoMsg> for DesNode {
         self.finish(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, ProtoMsg>, token: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, ProtoMsg>, slot: u64) {
+        // Every slot the engine holds was issued by `ArmedTimers::arm`.
+        let Some(kind) = self.armed.slots.remove(&slot) else {
+            return;
+        };
         let now = ctx.now.as_millis();
-        self.node.on_timer(now, token, ctx.rng(), &mut self.buf);
+        self.node.on_timer(now, kind, ctx.rng(), &mut self.buf);
         self.finish(ctx);
     }
 
@@ -493,7 +529,7 @@ impl PriceSheriff {
                 _ => None,
             })
             .collect();
-        let latency = GeoLatency::new(GeoLatencyConfig::default(), node_countries);
+        let latency = GeoLatency::new(node_countries);
         let mut sim: Simulator<ProtoMsg> = Simulator::new(Box::new(latency), cfg.seed);
         sim.set_telemetry(Arc::clone(&telemetry));
 
@@ -510,27 +546,28 @@ impl PriceSheriff {
         let node_telemetry = Arc::new(NodeTelemetry::new(&telemetry, &roster));
         for node in roster {
             let (me, timing) = (node.me, Self::fetch_timing(&cfg, &node.role));
+            // The phase of the two self-sustaining timers is the
+            // backend's to pick: the §10.3 recovery sweep one period in,
+            // the first liveness beacon almost at once.
+            let mut armed = ArmedTimers::default();
+            let first_timer = match me {
+                Address::Coordinator => {
+                    Some((cfg.coord_sweep_every_ms, armed.arm(TimerKind::CoordSweep)))
+                }
+                Address::Server { .. } => Some((100, armed.arm(TimerKind::Heartbeat))),
+                _ => None,
+            };
             let id = sim.add_node(Box::new(DesNode {
                 node,
                 map: Arc::clone(&map),
                 telemetry: Arc::clone(&node_telemetry),
                 timing,
                 buf: StepBuf::default(),
+                armed,
             }));
             debug_assert_eq!(map.node(me), Some(id));
-            // The phase of the two self-sustaining timers is the
-            // backend's to pick: the §10.3 recovery sweep one period in,
-            // the first liveness beacon almost at once.
-            match me {
-                Address::Coordinator => sim.inject_timer(
-                    SimTime::from_millis(cfg.coord_sweep_every_ms),
-                    id,
-                    TimerKind::CoordSweep.token(),
-                ),
-                Address::Server { .. } => {
-                    sim.inject_timer(SimTime::from_millis(100), id, TimerKind::Heartbeat.token());
-                }
-                _ => {}
+            if let Some((due_ms, slot)) = first_timer {
+                sim.inject_timer(SimTime::from_millis(due_ms), id, slot);
             }
         }
 

@@ -8,19 +8,13 @@
 //! * a **Measurement server** pinned a job entry forever when its
 //!   `StoreCheck` could never reach the Database server (the `DbAck`
 //!   that finishes the job can then never arrive).
-//!
-//! Also the SL006 regression anchor: proptests that `TimerKind::token` /
-//! `from_token` round-trip for every variant and that distinct
-//! `(kind, scope)` pairs never collide in the u64 token space.
 
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sheriff_core::coordinator::{Coordinator, JobId, PeerId};
 use sheriff_core::db::DbCostModel;
 use sheriff_core::protocol::{
-    Address, CoordinatorProto, DefenseParams, MeasurementParams, MeasurementProto, Output,
-    ProtoMsg, TimerKind,
+    Address, CoordinatorProto, DefenseParams, MeasurementParams, MeasurementProto, Output, ProtoMsg,
 };
 use sheriff_core::records::{PriceCheck, PriceObservation, VantageKind};
 use sheriff_core::whitelist::Whitelist;
@@ -171,42 +165,4 @@ fn measurement_finishes_job_when_store_check_is_abandoned() {
     );
     assert_eq!(proto.open_jobs(), 0);
     assert!(out2.is_empty());
-}
-
-// ---------------------------------------------------------------------
-// SL006 regression anchor: token packing is injective.
-// ---------------------------------------------------------------------
-
-/// Scopes that cannot overflow `scope * 8 + residue`.
-const MAX_SCOPE: u64 = (u64::MAX - 7) / 8;
-
-fn arb_kind() -> impl Strategy<Value = TimerKind> {
-    (0u8..8u8, 0u64..=MAX_SCOPE).prop_map(|(variant, scope)| match variant {
-        0 => TimerKind::JobDeadline(JobId(scope)),
-        1 => TimerKind::ProcDone(JobId(scope)),
-        2 => TimerKind::DbDone(JobId(scope)),
-        3 => TimerKind::Heartbeat,
-        4 => TimerKind::Retransmit(scope),
-        5 => TimerKind::CoordSweep,
-        6 => TimerKind::Quarantine(scope),
-        _ => TimerKind::Parole(scope),
-    })
-}
-
-proptest! {
-    /// Every variant survives `token` → `from_token` exactly.
-    #[test]
-    fn timer_tokens_round_trip(kind in arb_kind()) {
-        prop_assert_eq!(TimerKind::from_token(kind.token()), Some(kind));
-    }
-
-    /// Distinct `(kind, scope)` pairs never collide in the token space —
-    /// in particular no scoped token ever lands on the bare
-    /// `Heartbeat`/`CoordSweep` tokens.
-    #[test]
-    fn distinct_kinds_never_collide(a in arb_kind(), b in arb_kind()) {
-        if a != b {
-            prop_assert_ne!(a.token(), b.token());
-        }
-    }
 }

@@ -1,14 +1,17 @@
 //! Failure injection: the system must degrade gracefully when the world
 //! misbehaves — CAPTCHAs, straggler proxies cut by the deadline, unknown
-//! products, and rejected domains under load.
+//! products, rejected domains under load, and a misbehaving peer whose
+//! id fills the top of the `u64` range.
 
+use sheriff_core::coordinator::PeerId;
+use sheriff_core::protocol::ProtoMsg;
 use sheriff_core::system::{PpcSpec, PriceSheriff, SheriffConfig};
 use sheriff_geo::Country;
 use sheriff_market::bot::BotDetector;
 use sheriff_market::pricing::{Browser, Os};
 use sheriff_market::world::WorldConfig;
 use sheriff_market::{ProductId, UserAgent, World};
-use sheriff_netsim::SimTime;
+use sheriff_netsim::{NodeId, SimTime};
 
 fn specs(n: u64) -> Vec<PpcSpec> {
     (0..n)
@@ -171,5 +174,41 @@ fn zero_peer_system_still_answers_with_ipcs_only() {
     assert!(
         done[0].check.observations.len() >= 31,
         "initiator + 30 IPCs"
+    );
+}
+
+#[test]
+fn quarantine_of_a_wide_peer_id_still_paroles() {
+    // A timer's scope is whatever id the machine put in it; the DES
+    // hands its engine an opaque slot, so an id of 2^61 (where `id * 8`
+    // no longer fits a u64) comes back as itself.
+    const WIDE: u64 = 1 << 61;
+    let world = World::build(&WorldConfig::small(), 83);
+    let mut peers = specs(1);
+    peers[0].peer_id = WIDE;
+    let mut sheriff = PriceSheriff::new(SheriffConfig::fast(83), world, &peers);
+
+    // Roster order: the Coordinator is node 0, the only peer comes last.
+    let (coordinator, peer) = (NodeId(0), NodeId(sheriff.sim.node_count() - 1));
+    // Three requests in someone else's name: +2 each, threshold 6.
+    for local_tag in 0..3 {
+        sheriff.sim.inject(
+            SimTime::from_millis(local_tag * 10),
+            coordinator,
+            peer,
+            ProtoMsg::CoordRequest {
+                url: "https://amazon.com/product/0".into(),
+                peer: PeerId(30),
+                local_tag,
+            },
+        );
+    }
+    // Default ladder: 30 s of quarantine, then 15 s of parole.
+    sheriff.run_until(SimTime::from_secs(50));
+    let totals = sheriff.defense_totals();
+    assert_eq!(totals.quarantines, 1);
+    assert_eq!(
+        totals.paroles, totals.quarantines,
+        "the quarantine never ended"
     );
 }

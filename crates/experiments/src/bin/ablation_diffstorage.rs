@@ -4,10 +4,10 @@
 //!
 //! `cargo run --release -p sheriff-experiments --bin ablation_diffstorage`
 
-use sheriff_core::measurement::JobPageStore;
 use sheriff_experiments::report::{write_json, Table};
 use sheriff_experiments::seed_from_args;
 use sheriff_geo::{Country, IpAllocator};
+use sheriff_html::DiffStorage;
 use sheriff_market::pricing::{Browser, FetchContext, Os};
 use sheriff_market::world::WorldConfig;
 use sheriff_market::{CookieJar, FetchResult, ProductId, UserAgent, World};
@@ -56,13 +56,13 @@ fn main() {
             }
         };
         let base = fetch(&mut world, Country::ES, 1);
-        let mut store = JobPageStore::new(&base);
+        let mut store = DiffStorage::new(&base);
         // …then the paper's 30-IPC fan-out.
         for (i, &c) in countries.iter().enumerate() {
             let page = fetch(&mut world, c, 100 + i as u64);
-            store.store_response(&page);
+            store.store(&page);
         }
-        let (stored, full) = store.accounting();
+        let (stored, full) = store.storage_accounting();
         totals.0 += stored;
         totals.1 += full;
         table.row([

@@ -288,14 +288,14 @@ pub const ROUTING_TABLE: &[(&str, &[&str])] = &[
 ];
 
 // ---------------------------------------------------------------------
-// Timer obligation / token packing passes (crate::timers)
+// Timer obligation pass (crate::timers)
 // ---------------------------------------------------------------------
 
 /// Functions that count as *release* sites for an armed timer: a
 /// `TimerKind::Variant` pattern inside one of these (in the same
 /// machine file) discharges the obligation the arm created. `on_timer`
 /// is the canonical release handler; `on_retransmit` exists because the
-/// reliable channel's drivers unpack the token themselves and forward
+/// shared node step matches `Retransmit` itself and hands the channel
 /// only the sequence number.
 pub const TIMER_RELEASE_FNS: &[&str] = &["on_timer", "on_retransmit"];
 
@@ -303,15 +303,15 @@ pub const TIMER_RELEASE_FNS: &[&str] = &["on_timer", "on_retransmit"];
 /// file. The reliable channel arms `TimerKind::Retransmit(seq)` but
 /// never matches the variant itself: the shared node step
 /// (`core/src/protocol/node.rs`, `RoleNode::on_timer`) matches the
-/// token and calls `Channel::on_retransmit(seq, …)` with the unpacked
-/// sequence — the give-up policy lives in the channel, the pattern
-/// lives in the step every backend calls. Every entry here must name
+/// variant and calls `Channel::on_retransmit(seq, …)` with its sequence
+/// number — the give-up policy lives in the channel, the pattern lives
+/// in the step every backend calls. Every entry here must name
 /// its match site; an unmatched arm anywhere else is an SL105 finding.
 pub const TIMER_DRIVER_HANDLED: &[(&str, &str)] =
     &[("core/src/protocol/reliable.rs", "Retransmit")];
 
 /// True when `path`'s machine file sanctions arming `variant` without a
-/// local release pattern (the drivers release it instead).
+/// local release pattern (the shared node step releases it instead).
 pub fn timer_driver_handled(path: &str, variant: &str) -> bool {
     TIMER_DRIVER_HANDLED
         .iter()

@@ -19,12 +19,12 @@
 //! * **Per-file token rules** ([`rules`]) — the original five, run over
 //!   each file's token stream in isolation.
 //! * **Flow-aware passes** — an item parser ([`parser`]) and a
-//!   workspace call graph ([`graph`]) feed five cross-file rules:
+//!   workspace call graph ([`graph`]) feed four cross-file rules:
 //!   privacy taint ([`taint`]), the protocol routing matrix
 //!   ([`routing`]), transitive panic-freedom ([`reach`]), and the
-//!   timer-obligation pair ([`timers`]): token-packing injectivity and
-//!   armed-without-release leaks — the static shadow of the model
-//!   checker's `timer.obligation_leak` invariant (`crates/model`).
+//!   timer-obligation pass ([`timers`]): armed-without-release leaks —
+//!   the static shadow of the model checker's `timer.obligation_leak`
+//!   invariant (`crates/model`).
 //!
 //! Every file is lexed exactly once; the same token stream feeds the
 //! per-file rules, the `#[cfg(test)]` region marks, and the parser.
@@ -296,7 +296,7 @@ pub fn render_json(report: &Report) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"tool\": \"sheriff-lint\",\n");
-    out.push_str("  \"schema_version\": 4,\n");
+    out.push_str("  \"schema_version\": 5,\n");
     out.push_str(&format!("  \"files_scanned\": {},\n", report.files));
     out.push_str("  \"findings\": [");
     for (i, f) in report.findings.iter().enumerate() {

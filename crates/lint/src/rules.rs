@@ -34,11 +34,6 @@ pub enum Rule {
     /// Counter/gauge/histogram names must follow `subsystem.snake_case`
     /// so panel and exporter joins never drift.
     TelemetryNaming,
-    /// `TimerKind::token`/`from_token` packing: scaled arms must share
-    /// one multiplier with pairwise-distinct residues, bare tokens must
-    /// not alias any scaled residue class, and the inverse must map
-    /// every residue back to the variant that produced it.
-    TimerTokenInjectivity,
     /// Cross-file: peer plaintext / doppelganger profile data reaching
     /// a wire, telemetry, or report sink without passing through a
     /// `crypto::elgamal`/`crypto::ipfe` encryption entry point.
@@ -82,13 +77,12 @@ pub enum Rule {
 }
 
 /// Every rule, in reporting order.
-pub const ALL_RULES: [Rule; 15] = [
+pub const ALL_RULES: [Rule; 14] = [
     Rule::WallClock,
     Rule::AmbientEntropy,
     Rule::HashIter,
     Rule::NoPanicProtocol,
     Rule::TelemetryNaming,
-    Rule::TimerTokenInjectivity,
     Rule::UnusedPragma,
     Rule::PrivacyTaint,
     Rule::ProtoRouting,
@@ -109,7 +103,6 @@ impl Rule {
             Rule::HashIter => "hash-iter",
             Rule::NoPanicProtocol => "no-panic-protocol",
             Rule::TelemetryNaming => "telemetry-naming",
-            Rule::TimerTokenInjectivity => "timer-token-injectivity",
             Rule::PrivacyTaint => "privacy-taint",
             Rule::ProtoRouting => "proto-routing",
             Rule::TransitivePanic => "transitive-panic",
@@ -134,7 +127,6 @@ impl Rule {
             Rule::HashIter => "SL003",
             Rule::NoPanicProtocol => "SL004",
             Rule::TelemetryNaming => "SL005",
-            Rule::TimerTokenInjectivity => "SL006",
             Rule::UnusedPragma => "SL007",
             Rule::PrivacyTaint => "SL101",
             Rule::ProtoRouting => "SL102",
@@ -184,9 +176,6 @@ impl Rule {
             Rule::TransitivePanic => {
                 "panic site reachable from a protocol entry point, in any crate"
             }
-            Rule::TimerTokenInjectivity => {
-                "TimerKind token/from_token packing must be collision-free and self-inverse"
-            }
             Rule::ObligationLeak => {
                 "timer armed without a release handler arm or driver-handled sanction"
             }
@@ -216,7 +205,6 @@ impl Rule {
             Rule::PrivacyTaint
             | Rule::ProtoRouting
             | Rule::TransitivePanic
-            | Rule::TimerTokenInjectivity
             | Rule::ObligationLeak
             | Rule::UnusedPragma
             | Rule::LockOrderCycle
@@ -316,7 +304,6 @@ pub(crate) fn check_tokens_tracked(
             Rule::PrivacyTaint
             | Rule::ProtoRouting
             | Rule::TransitivePanic
-            | Rule::TimerTokenInjectivity
             | Rule::ObligationLeak
             | Rule::UnusedPragma
             | Rule::LockOrderCycle

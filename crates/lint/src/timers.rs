@@ -1,510 +1,49 @@
-//! Timer-obligation linearity, statically: the two passes that shadow
-//! the model checker's `timer.obligation_leak` invariant.
+//! Timer-obligation linearity, statically: the pass that shadows the
+//! model checker's `timer.obligation_leak` invariant.
 //!
 //! The model checker (`crates/model`) proves dynamically, over every
 //! interleaving to a bounded depth, that an armed timer is always
-//! consumed by a handler that recognizes it. These passes enforce the
+//! consumed by a handler that recognizes it. This pass enforces the
 //! same contract over *every line on every CI run*, at the resolution a
-//! linter can see:
+//! linter can see. (That a fired timer reaches the arm that armed it at
+//! all needs no pass: drivers carry the `TimerKind` value itself, so
+//! there is no integer encoding to get wrong.)
 //!
-//! * **SL006 `timer-token-injectivity`** — the `token`/`from_token`
-//!   packing pair must be collision-free and self-inverse. The drivers
-//!   carry timers as bare `u64` tokens; if two `TimerKind` variants can
-//!   pack to the same token, a fired timer is routed to the wrong
-//!   release arm and the obligation leaks *silently* — no dynamic test
-//!   catches it unless the colliding scopes happen to coexist. The pass
-//!   reads the packing table straight out of the source: scaled arms
-//!   (`scope * M + RESIDUE`) must share one multiplier with pairwise
-//!   distinct residues below it, bare tokens must not alias any scaled
-//!   residue class, and `from_token` must map every residue and bare
-//!   value back to the variant that produced it.
+//! **SL105 `obligation-leak`** — a protocol machine that arms a
+//! `TimerKind` variant (`kind: TimerKind::V { … }` in an `Output::
+//! Timer` construction) must also *release* it: a pattern for the
+//! variant in one of the machine's release handlers
+//! ([`config::TIMER_RELEASE_FNS`]), or a per-file sanction in
+//! [`config::TIMER_DRIVER_HANDLED`] naming the code that matches the
+//! variant instead (the reliable channel's `Retransmit`, matched by
+//! `RoleNode::on_timer`, is the one live case). This is the static
+//! shadow of the mutation the model kills dynamically: delete a
+//! machine's `on_timer` arm and the checker finds a leaking schedule —
+//! this pass finds the deleted arm without running anything.
 //!
-//! * **SL105 `obligation-leak`** — a protocol machine that arms a
-//!   `TimerKind` variant (`kind: TimerKind::V { … }` in an `Output::
-//!   Timer` construction) must also *release* it: a pattern for the
-//!   variant in one of the machine's release handlers
-//!   ([`config::TIMER_RELEASE_FNS`]), or a per-file sanction in
-//!   [`config::TIMER_DRIVER_HANDLED`] naming the driver that unpacks
-//!   the token instead (the reliable channel's `Retransmit` is the one
-//!   live case). This is the static shadow of the mutation the model
-//!   kills dynamically: delete a machine's `on_timer` arm and the
-//!   checker finds a leaking schedule — this pass finds the deleted arm
-//!   without running anything.
-//!
-//! Both passes are cross-layer (they need the item parser), run
-//! per-file, and are deliberately under-approximate: an arm or packing
-//! expression the token scanner cannot read is skipped, never guessed
-//! at. Suppression uses the standard pragmas
-//! (`// sheriff-lint: allow(obligation-leak)` per line,
-//! `allow-item(timer-token-injectivity)` per function).
+//! The pass is cross-layer (it needs the item parser), runs per-file,
+//! and is deliberately under-approximate: an arm the token scanner
+//! cannot read is skipped, never guessed at. Suppression uses the
+//! standard per-line pragma (`// sheriff-lint: allow(obligation-leak)`).
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::config;
 use crate::graph::SourceFile;
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::TokKind;
 use crate::parser::ItemKind;
 use crate::routing::{is_pattern, matches_macro_pattern_ranges};
 use crate::rules::{Finding, Rule};
 
-/// Runs both timer passes over the analyzed files.
+/// Runs the timer pass over the analyzed files.
 pub fn check(files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for file in files {
-        check_token_packing(file, &mut findings);
         check_obligations(file, &mut findings);
     }
     findings.sort_by(|a, b| (&a.path, a.line, &a.message).cmp(&(&b.path, b.line, &b.message)));
     findings
 }
-
-// ---------------------------------------------------------------------
-// SL006 — timer-token-injectivity
-// ---------------------------------------------------------------------
-
-/// How one `token()` match arm packs its variant.
-enum ArmShape {
-    /// `scope * mult + residue`.
-    Scaled { mult: u64, residue: u64 },
-    /// A bare constant token (scope-free variant).
-    Bare { value: u64 },
-}
-
-struct PackArm {
-    variant: String,
-    line: u32,
-    shape: ArmShape,
-}
-
-fn check_token_packing(file: &SourceFile, findings: &mut Vec<Finding>) {
-    // The pass triggers on a `token`/`from_token` fn pair sharing a
-    // self type — the packing contract, wherever it is declared.
-    let mut pairs: BTreeSet<&str> = BTreeSet::new();
-    for item in &file.items {
-        let Some(self_ty) = item.self_ty.as_deref() else {
-            continue;
-        };
-        if item.kind != ItemKind::Fn || item.in_tests {
-            continue;
-        }
-        if item.name == "token"
-            && file.items.iter().any(|o| {
-                o.kind == ItemKind::Fn
-                    && !o.in_tests
-                    && o.name == "from_token"
-                    && o.self_ty.as_deref() == Some(self_ty)
-            })
-        {
-            pairs.insert(self_ty);
-        }
-    }
-    let consts = const_table(&file.toks);
-    for self_ty in pairs {
-        let token_fn = file
-            .items
-            .iter()
-            .find(|i| {
-                i.kind == ItemKind::Fn
-                    && !i.in_tests
-                    && i.name == "token"
-                    && i.self_ty.as_deref() == Some(self_ty)
-            })
-            .expect("pair membership implies presence");
-        let from_fn = file
-            .items
-            .iter()
-            .find(|i| {
-                i.kind == ItemKind::Fn
-                    && !i.in_tests
-                    && i.name == "from_token"
-                    && i.self_ty.as_deref() == Some(self_ty)
-            })
-            .expect("pair membership implies presence");
-
-        let arms = parse_token_arms(file, self_ty, token_fn.start, token_fn.end, &consts);
-        let inverse = parse_from_token(file, self_ty, from_fn.start, from_fn.end, &consts);
-
-        let push = |findings: &mut Vec<Finding>, line: u32, message: String| {
-            findings.push(Finding {
-                path: file.path.clone(),
-                line,
-                rule: Rule::TimerTokenInjectivity,
-                message,
-            });
-        };
-
-        // One multiplier across every scaled arm.
-        let mult = arms.iter().find_map(|a| match a.shape {
-            ArmShape::Scaled { mult, .. } => Some(mult),
-            ArmShape::Bare { .. } => None,
-        });
-        let mut scaled_residues: BTreeMap<u64, &str> = BTreeMap::new();
-        let mut bare_values: BTreeMap<u64, &str> = BTreeMap::new();
-        for arm in &arms {
-            match arm.shape {
-                ArmShape::Scaled { mult: m, residue } => {
-                    let m0 = mult.unwrap_or(m);
-                    if m != m0 {
-                        push(
-                            findings,
-                            arm.line,
-                            format!(
-                                "`{self_ty}::{}` packs with multiplier {m} but the first \
-                                 scaled arm uses {m0}: scaled arms must share one multiplier",
-                                arm.variant
-                            ),
-                        );
-                        continue;
-                    }
-                    if residue >= m {
-                        push(
-                            findings,
-                            arm.line,
-                            format!(
-                                "`{self_ty}::{}` uses residue {residue} ≥ multiplier {m}: \
-                                 the token collides with another scope's class",
-                                arm.variant
-                            ),
-                        );
-                        continue;
-                    }
-                    if let Some(prev) = scaled_residues.get(&residue) {
-                        push(
-                            findings,
-                            arm.line,
-                            format!(
-                                "`{self_ty}::{}` reuses residue {residue}, already taken by \
-                                 `{self_ty}::{prev}`: the two pack to identical tokens",
-                                arm.variant
-                            ),
-                        );
-                    } else {
-                        scaled_residues.insert(residue, &arm.variant);
-                    }
-                }
-                ArmShape::Bare { value } => {
-                    if let Some(prev) = bare_values.get(&value) {
-                        push(
-                            findings,
-                            arm.line,
-                            format!(
-                                "`{self_ty}::{}` reuses bare token {value}, already taken \
-                                 by `{self_ty}::{prev}`",
-                                arm.variant
-                            ),
-                        );
-                    } else {
-                        bare_values.insert(value, &arm.variant);
-                    }
-                }
-            }
-        }
-        // Bare tokens must not alias a scaled residue class.
-        if let Some(m) = mult {
-            for arm in &arms {
-                if let ArmShape::Bare { value } = arm.shape {
-                    if let Some(scaled) = scaled_residues.get(&(value % m)) {
-                        push(
-                            findings,
-                            arm.line,
-                            format!(
-                                "bare token {value} of `{self_ty}::{}` aliases the residue \
-                                 class of `{self_ty}::{scaled}` (mod {m}): `from_token` \
-                                 cannot tell them apart",
-                                arm.variant
-                            ),
-                        );
-                    }
-                }
-            }
-            // The inverse must reduce by the same multiplier it packs with.
-            if let Some(md) = inverse.modulus {
-                if md != m {
-                    push(
-                        findings,
-                        from_fn.line,
-                        format!(
-                            "`from_token` reduces modulo {md} but `token` packs with \
-                             multiplier {m}: the inverse decodes a different token space"
-                        ),
-                    );
-                }
-            }
-        }
-        // Self-inverse: every packed value must map back to its variant.
-        for arm in &arms {
-            match arm.shape {
-                ArmShape::Scaled { residue, .. } => match inverse.residues.get(&residue) {
-                    None => push(
-                        findings,
-                        from_fn.line,
-                        format!(
-                            "`from_token` never maps residue {residue} back to \
-                             `{self_ty}::{}`: its timers fire into the unknown-token path",
-                            arm.variant
-                        ),
-                    ),
-                    Some(got) if *got != arm.variant => push(
-                        findings,
-                        from_fn.line,
-                        format!(
-                            "`from_token` maps residue {residue} to `{self_ty}::{got}` \
-                             but `token` packs it from `{self_ty}::{}`",
-                            arm.variant
-                        ),
-                    ),
-                    Some(_) => {}
-                },
-                ArmShape::Bare { value } => match inverse.bares.get(&value) {
-                    None => push(
-                        findings,
-                        from_fn.line,
-                        format!(
-                            "`from_token` never maps bare token {value} back to \
-                             `{self_ty}::{}`: its timers fire into the unknown-token path",
-                            arm.variant
-                        ),
-                    ),
-                    Some(got) if *got != arm.variant => push(
-                        findings,
-                        from_fn.line,
-                        format!(
-                            "`from_token` maps bare token {value} to `{self_ty}::{got}` \
-                             but `token` packs it from `{self_ty}::{}`",
-                            arm.variant
-                        ),
-                    ),
-                    Some(_) => {}
-                },
-            }
-        }
-    }
-}
-
-/// Extracts `const NAME: ty = <decimal>;` bindings from a token stream.
-fn const_table(toks: &[Tok]) -> BTreeMap<String, u64> {
-    let mut out = BTreeMap::new();
-    let mut i = 0;
-    while i + 2 < toks.len() {
-        if toks[i].is_ident("const") && toks[i + 1].kind == TokKind::Ident {
-            let name = toks[i + 1].text.clone();
-            let mut j = i + 2;
-            while j < toks.len() && !toks[j].is_punct('=') && !toks[j].is_punct(';') {
-                j += 1;
-            }
-            if j + 1 < toks.len() && toks[j].is_punct('=') && toks[j + 1].kind == TokKind::Num {
-                if let Some(v) = num_value(&toks[j + 1].text) {
-                    out.insert(name, v);
-                }
-            }
-            i = j;
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Decimal value of a numeric literal's source spelling (underscores
-/// and suffixes tolerated); `None` for non-decimal bases.
-fn num_value(text: &str) -> Option<u64> {
-    if text.starts_with("0x") || text.starts_with("0b") || text.starts_with("0o") {
-        return None;
-    }
-    let digits: String = text
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '_')
-        .filter(|c| *c != '_')
-        .collect();
-    digits.parse().ok()
-}
-
-/// Value of a token that should denote a number: a literal, or a name
-/// in the const table.
-fn value_of(tok: &Tok, consts: &BTreeMap<String, u64>) -> Option<u64> {
-    match tok.kind {
-        TokKind::Num => num_value(&tok.text),
-        TokKind::Ident => consts.get(&tok.text).copied(),
-        _ => None,
-    }
-}
-
-/// Parses the `match` arms of a `token()` body: `Ty::Variant(..) =>
-/// <expr>,` where the expression is `scope * M + R` or a bare value.
-/// Arms whose expression does not fit either shape are skipped — the
-/// pass under-approximates rather than guesses.
-fn parse_token_arms(
-    file: &SourceFile,
-    self_ty: &str,
-    start: usize,
-    end: usize,
-    consts: &BTreeMap<String, u64>,
-) -> Vec<PackArm> {
-    let toks = &file.toks;
-    let end = end.min(toks.len());
-    let mut arms = Vec::new();
-    let mut i = start;
-    while i + 3 < end {
-        if !(toks[i].is_ident(self_ty)
-            && toks[i + 1].is_punct(':')
-            && toks[i + 2].is_punct(':')
-            && toks[i + 3].kind == TokKind::Ident)
-        {
-            i += 1;
-            continue;
-        }
-        let variant = toks[i + 3].text.clone();
-        let line = toks[i + 3].line;
-        let mut j = i + 4;
-        // Skip the variant's binder group, if any.
-        if toks
-            .get(j)
-            .is_some_and(|t| t.is_punct('(') || t.is_punct('{'))
-        {
-            let open = if toks[j].is_punct('(') { '(' } else { '{' };
-            let close = if open == '(' { ')' } else { '}' };
-            let mut depth = 0i32;
-            while j < end {
-                if toks[j].is_punct(open) {
-                    depth += 1;
-                } else if toks[j].is_punct(close) {
-                    depth -= 1;
-                    if depth == 0 {
-                        j += 1;
-                        break;
-                    }
-                }
-                j += 1;
-            }
-        }
-        if !(j + 1 < end && toks[j].is_punct('=') && toks[j + 1].is_punct('>')) {
-            i += 4;
-            continue;
-        }
-        // Body runs to the arm's depth-0 comma (or the match's close).
-        let body_start = j + 2;
-        let mut k = body_start;
-        let mut depth = 0i32;
-        while k < end {
-            let t = &toks[k];
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                if depth == 0 {
-                    break;
-                }
-                depth -= 1;
-            } else if t.is_punct(',') && depth == 0 {
-                break;
-            }
-            k += 1;
-        }
-        if let Some(shape) = parse_pack_expr(&toks[body_start..k], consts) {
-            arms.push(PackArm {
-                variant,
-                line,
-                shape,
-            });
-        }
-        i = k;
-    }
-    arms
-}
-
-/// Classifies a packing expression: `… * M + R` is scaled, a single
-/// value is bare, anything else is unreadable (`None`).
-fn parse_pack_expr(body: &[Tok], consts: &BTreeMap<String, u64>) -> Option<ArmShape> {
-    if let Some(star) = body.iter().position(|t| t.is_punct('*')) {
-        let mult = value_of(body.get(star + 1)?, consts)?;
-        let plus = star + 1 + body[star + 1..].iter().position(|t| t.is_punct('+'))?;
-        let residue = value_of(body.get(plus + 1)?, consts)?;
-        return Some(ArmShape::Scaled { mult, residue });
-    }
-    let meaningful: Vec<&Tok> = body
-        .iter()
-        .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
-        .collect();
-    if meaningful.len() == 1 {
-        return value_of(meaningful[0], consts).map(|value| ArmShape::Bare { value });
-    }
-    None
-}
-
-/// What a `from_token()` body decodes: bare-token equality checks,
-/// residue match arms, and the reduction modulus.
-struct InverseMap {
-    /// `token == V` guards mapped to the variant they return.
-    bares: BTreeMap<u64, String>,
-    /// Residue match arms (`V => Some(Ty::Variant…)`).
-    residues: BTreeMap<u64, String>,
-    /// Operand of the first `%` reduction, when readable.
-    modulus: Option<u64>,
-}
-
-/// How far past a decoded value the pass scans for the `Ty::Variant`
-/// path it maps to — wide enough for `Some(Ty::Variant(Inner(scope)))`.
-const VARIANT_SCAN_WINDOW: usize = 14;
-
-fn parse_from_token(
-    file: &SourceFile,
-    self_ty: &str,
-    start: usize,
-    end: usize,
-    consts: &BTreeMap<String, u64>,
-) -> InverseMap {
-    let toks = &file.toks;
-    let end = end.min(toks.len());
-    let mut map = InverseMap {
-        bares: BTreeMap::new(),
-        residues: BTreeMap::new(),
-        modulus: None,
-    };
-    let variant_after = |from: usize| -> Option<String> {
-        let stop = (from + VARIANT_SCAN_WINDOW).min(end);
-        let mut j = from;
-        while j + 3 < stop {
-            if toks[j].is_ident(self_ty)
-                && toks[j + 1].is_punct(':')
-                && toks[j + 2].is_punct(':')
-                && toks[j + 3].kind == TokKind::Ident
-            {
-                return Some(toks[j + 3].text.clone());
-            }
-            j += 1;
-        }
-        None
-    };
-    let mut i = start;
-    while i + 1 < end {
-        // `token == V { return Some(Ty::Variant); }` — bare decode.
-        if toks[i].is_punct('=') && toks[i + 1].is_punct('=') {
-            if let Some(v) = toks.get(i + 2).and_then(|t| value_of(t, consts)) {
-                if let Some(variant) = variant_after(i + 3) {
-                    map.bares.entry(v).or_insert(variant);
-                }
-            }
-            i += 2;
-            continue;
-        }
-        // `token % M` — the reduction modulus.
-        if toks[i].is_punct('%') && map.modulus.is_none() {
-            map.modulus = toks.get(i + 1).and_then(|t| value_of(t, consts));
-        }
-        // `V => Some(Ty::Variant…)` — residue match arm.
-        if toks[i + 1].is_punct('=') && toks.get(i + 2).is_some_and(|t| t.is_punct('>')) {
-            if let Some(v) = value_of(&toks[i], consts) {
-                if let Some(variant) = variant_after(i + 3) {
-                    map.residues.entry(v).or_insert(variant);
-                }
-            }
-        }
-        i += 1;
-    }
-    map
-}
-
-// ---------------------------------------------------------------------
-// SL105 — obligation-leak
-// ---------------------------------------------------------------------
 
 fn check_obligations(file: &SourceFile, findings: &mut Vec<Finding>) {
     if !file.path.contains(config::PROTOCOL_DIR) {
@@ -600,72 +139,6 @@ mod tests {
             test_marks,
             items,
         }
-    }
-
-    fn pack_impl(token_body: &str, from_body: &str) -> SourceFile {
-        file(
-            "crates/core/src/protocol/mod.rs",
-            &format!(
-                "const T_A: u64 = 0;\nconst T_B: u64 = 1;\nconst T_C: u64 = 3;\n\
-                 impl Timer {{\n\
-                 pub fn token(self) -> u64 {{ match self {{ {token_body} }} }}\n\
-                 pub fn from_token(token: u64) -> Option<Timer> {{ {from_body} }}\n\
-                 }}",
-            ),
-        )
-    }
-
-    #[test]
-    fn consistent_packing_is_clean() {
-        let f = pack_impl(
-            "Timer::A(s) => s.0 * 8 + T_A, Timer::B(s) => s * 8 + T_B, Timer::C => T_C,",
-            "if token == T_C { return Some(Timer::C); } let scope = token / 8; \
-             match token % 8 { T_A => Some(Timer::A(Id(scope))), \
-             T_B => Some(Timer::B(scope)), _ => None }",
-        );
-        let findings = check(&[f]);
-        assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn duplicate_residue_and_bare_alias_are_flagged() {
-        let f = pack_impl(
-            "Timer::A(s) => s * 8 + T_B, Timer::B(s) => s * 8 + T_B, Timer::C => 9,",
-            "let scope = token / 8; match token % 8 { \
-             T_B => Some(Timer::A(scope)), _ => None }",
-        );
-        let findings = check(&[f]);
-        // B reuses A's residue (and so its inverse decodes to A); bare 9
-        // aliases class 1; from_token never maps C's bare token back.
-        assert_eq!(findings.len(), 4, "{findings:?}");
-        assert!(findings
-            .iter()
-            .any(|f| f.message.contains("reuses residue 1")));
-        assert!(findings
-            .iter()
-            .any(|f| f.message.contains("aliases the residue class")));
-        assert!(findings
-            .iter()
-            .any(|f| f.message.contains("never maps bare token 9")));
-    }
-
-    #[test]
-    fn multiplier_mismatch_and_wrong_inverse_are_flagged() {
-        let f = pack_impl(
-            "Timer::A(s) => s * 8 + T_A, Timer::B(s) => s * 4 + T_B,",
-            "let scope = token / 8; match token % 16 { \
-             T_A => Some(Timer::B(scope)), _ => None }",
-        );
-        let findings = check(&[f]);
-        assert!(findings
-            .iter()
-            .any(|f| f.message.contains("must share one multiplier")));
-        assert!(findings
-            .iter()
-            .any(|f| f.message.contains("reduces modulo 16")));
-        assert!(findings
-            .iter()
-            .any(|f| f.message.contains("maps residue 0 to `Timer::B`")));
     }
 
     #[test]

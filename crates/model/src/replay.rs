@@ -30,9 +30,10 @@ use sheriff_netsim::{FaultDecision, FaultPlan};
 use crate::world::{Event, ModelWorld, WorldCfg};
 
 /// The node layout of a deployed system, for mapping protocol
-/// [`Address`]es to the engine's fault indices. Mirrors the node
-/// creation order in `sheriff_core::system::World::build`: Coordinator,
-/// Aggregator, Database (v2 only), Measurement servers, IPCs, peers.
+/// [`Address`]es to the engine's fault indices. Mirrors the order of
+/// `sheriff_core::roster::build_roster`'s output (pinned against it in
+/// `tests/model.rs`): Coordinator, Aggregator, Database (v2 only),
+/// Measurement servers, IPCs, peers.
 #[derive(Clone, Debug)]
 pub struct Topology {
     /// Whether the deployment runs a dedicated Database server (v2).

@@ -839,7 +839,7 @@ impl ModelWorld {
                 TimerKind::Retransmit(seq) if ignore_abandoned => {
                     let _ = node.chan.on_retransmit(seq, &mut buf.out);
                 }
-                kind => node.on_timer(now, kind.token(), rng, buf),
+                kind => node.on_timer(now, kind, rng, buf),
             },
         );
     }
@@ -1055,7 +1055,7 @@ impl ModelWorld {
         d.write_u64(armed.len() as u64);
         for t in armed {
             t.node.fold_digest(&mut d);
-            d.write_u64(t.kind.token());
+            t.kind.fold_digest(&mut d);
             d.write_u64(t.due_ms.saturating_sub(self.now_ms));
         }
         d.write_u64(u64::from(self.dup_used));

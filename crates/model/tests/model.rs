@@ -7,7 +7,17 @@
 //! validated by replaying their known minimized schedules through
 //! [`reproduces`], which costs one world replay instead of a search.
 
+use std::sync::Arc;
+
+use parking_lot::Mutex;
+use sheriff_core::durability::MemStorage;
 use sheriff_core::protocol::Address;
+use sheriff_core::roster::build_roster;
+use sheriff_core::system::{PpcSpec, SheriffConfig, SystemVersion};
+use sheriff_geo::Country;
+use sheriff_market::pricing::{Browser, Os};
+use sheriff_market::world::WorldConfig;
+use sheriff_market::{UserAgent, World};
 use sheriff_model::{
     explore, is_waived, reproduces, to_fault_plan, Event, Mutation, Topology, WorldCfg, WorldKind,
     WAIVERS,
@@ -172,4 +182,51 @@ fn counterexample_translates_to_a_scripted_fault_plan() {
         !drop_plan.decide(0, 3, 2).drop,
         "later sends on the link are untouched"
     );
+}
+
+#[test]
+fn topology_formula_matches_the_roster_builder() {
+    // `Topology::fault_index` is a formula; the numbering a fault plan
+    // is phrased against is the order `build_roster` returns. Pin one to
+    // the other for the deployment `replay_des.rs` replays onto, and for
+    // its v1 twin (no Database node, so everything after shifts down).
+    let peers: Vec<PpcSpec> = [100, 101]
+        .into_iter()
+        .map(|peer_id| PpcSpec {
+            peer_id,
+            country: Country::ES,
+            city_idx: 0,
+            user_agent: UserAgent {
+                os: Os::Linux,
+                browser: Browser::Firefox,
+            },
+            affluence: 0.2,
+            logged_in_domains: vec![],
+        })
+        .collect();
+    for cfg in [SheriffConfig::fast(17), SheriffConfig::v1(17)] {
+        let world = Arc::new(Mutex::new(World::build(&WorldConfig::small(), 17)));
+        let roster = build_roster(
+            &cfg,
+            &world,
+            &peers,
+            &Arc::new(sheriff_telemetry::Registry::new()),
+            Box::new(MemStorage::new()),
+        );
+        let topology = Topology {
+            has_db: cfg.version == SystemVersion::V2,
+            n_servers: cfg.n_measurement_servers,
+            n_ipcs: cfg.ipc_locations.len(),
+            peer_ids: peers.iter().map(|p| p.peer_id).collect(),
+        };
+        for (position, node) in roster.iter().enumerate() {
+            assert_eq!(
+                topology.fault_index(node.me),
+                Some(position),
+                "{:?} under {:?}",
+                node.me,
+                cfg.version
+            );
+        }
+    }
 }

@@ -52,25 +52,7 @@ impl Envelope {
         let Some(payload) = read_frame(r)? else {
             return Ok(None);
         };
-        Self::parse(&payload).map(Some)
-    }
-
-    /// Reads one envelope, recording any received frame in the wire
-    /// counters (even frames whose payload then fails to parse — the
-    /// bytes did arrive).
-    pub fn recv_counted<R: std::io::Read>(
-        r: &mut R,
-        telemetry: &WireTelemetry,
-    ) -> Result<Option<Envelope>, FrameError> {
-        let Some(payload) = read_frame(r)? else {
-            return Ok(None);
-        };
-        telemetry.received(payload.len());
-        Self::parse(&payload).map(Some)
-    }
-
-    fn parse(payload: &[u8]) -> Result<Envelope, FrameError> {
-        serde_json::from_slice(payload).map_err(|e| {
+        serde_json::from_slice(&payload).map(Some).map_err(|e| {
             FrameError::Io(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!("bad message: {e}"),

@@ -5,12 +5,13 @@
 //! *how* the bytes move — both directions are nonblocking and
 //! incremental, so a shard's event loop is never parked on a socket:
 //!
-//! * [`Inbound`] assembles one length-prefixed frame a readiness burst
-//!   at a time and surfaces it as an [`InboundEvent`];
+//! * [`Inbound`] feeds each readiness burst to the crate's one
+//!   [`FrameAssembler`] — the byte rule the blocking `read_frame` runs
+//!   on too — and surfaces the finished frame as an [`InboundEvent`];
 //! * [`Outbound`] holds one already-encoded frame and flushes it as the
 //!   socket accepts bytes, counting it in the wire telemetry only once
 //!   the final byte is written (the same point the blocking
-//!   `send_counted` path counted at).
+//!   `send_counted` path counts at).
 //!
 //! This file is inside the `sheriff-lint` panic-freedom scope: every
 //! slice access goes through `get`, every fallible call is handled.
@@ -20,17 +21,13 @@ use std::net::{SocketAddr, TcpStream};
 
 use sheriff_netsim::CodecAttack;
 
-use crate::frame::MAX_FRAME_LEN;
+use crate::frame::{encode_frame, FrameAssembler, MAX_FRAME_LEN, READ_CHUNK};
 use crate::proto::Envelope;
 use crate::telemetry::WireTelemetry;
 
 /// How long a silent inbound connection may sit before the reactor reaps
 /// it — the same guard the blocking acceptor expressed as a read timeout.
 pub(crate) const IDLE_CONN_MS: u64 = 5_000;
-
-/// Read-buffer granularity. Frames are typically well under this; large
-/// fetch replies just take a few extra passes.
-const READ_CHUNK: usize = 16 * 1024;
 
 /// What one pump pass over an [`Inbound`] connection produced.
 pub(crate) enum InboundEvent {
@@ -54,7 +51,7 @@ pub(crate) struct Inbound {
     pub(crate) slot: usize,
     /// Virtual-ms timestamp of the accept, for idle reaping.
     pub(crate) opened_ms: u64,
-    buf: Vec<u8>,
+    frame: FrameAssembler,
 }
 
 impl Inbound {
@@ -63,43 +60,34 @@ impl Inbound {
             stream,
             slot,
             opened_ms,
-            buf: Vec::new(),
+            frame: FrameAssembler::default(),
         }
     }
 
-    /// Announced payload length once the 4-byte prefix is buffered.
-    fn announced_len(&self) -> Option<usize> {
-        let prefix = self.buf.get(..4)?;
-        Some(
-            prefix
-                .iter()
-                .fold(0usize, |acc, &b| (acc << 8) | usize::from(b)),
-        )
-    }
-
     /// Drains whatever the socket has ready right now and returns the
-    /// connection's new state.
+    /// connection's new state. Reads by the chunk, not by the
+    /// assembler's exact `wants()`: one read per burst instead of one
+    /// for the prefix and one for the payload.
     pub(crate) fn pump(&mut self, wire: &WireTelemetry) -> InboundEvent {
         let mut chunk = [0u8; READ_CHUNK];
         loop {
-            if let Some(len) = self.announced_len() {
-                if len > MAX_FRAME_LEN {
-                    return InboundEvent::Closed;
-                }
-                if self.buf.len() >= 4 + len {
-                    // Count the frame exactly like `recv_counted`: the
-                    // bytes arrived even if the payload fails to parse.
-                    wire.received(len);
-                    let payload = self.buf.get(4..4 + len).unwrap_or(&[]);
-                    return match serde_json::from_slice::<Envelope>(payload) {
+            match self.frame.take() {
+                Ok(None) => {}
+                Ok(Some(payload)) => {
+                    // Counted once whole: the bytes arrived even if the
+                    // payload then fails to parse.
+                    wire.received(payload.len());
+                    return match serde_json::from_slice::<Envelope>(&payload) {
                         Ok(env) => InboundEvent::Frame(Box::new(env)),
                         Err(_) => InboundEvent::Closed,
                     };
                 }
+                // A length prefix past the cap.
+                Err(_) => return InboundEvent::Closed,
             }
             match self.stream.read(&mut chunk) {
                 Ok(0) => return InboundEvent::Closed,
-                Ok(n) => self.buf.extend_from_slice(chunk.get(..n).unwrap_or(&[])),
+                Ok(n) => self.frame.feed(chunk.get(..n).unwrap_or(&[])),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return InboundEvent::Pending,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => return InboundEvent::Closed,
@@ -138,20 +126,14 @@ impl Outbound {
     /// oversized); the caller drops the frame, as the blocking path did.
     pub(crate) fn open(addr: SocketAddr, env: &Envelope) -> Option<Outbound> {
         let payload = serde_json::to_vec(env).ok()?;
-        if payload.len() > MAX_FRAME_LEN {
-            return None;
-        }
+        let frame = encode_frame(&payload).ok()?.into();
         let stream = TcpStream::connect(addr).ok()?;
         stream.set_nonblocking(true).ok()?;
-        let payload_len = payload.len();
-        let mut frame = Vec::with_capacity(4 + payload_len);
-        frame.extend_from_slice(&(payload_len as u32).to_be_bytes());
-        frame.extend_from_slice(&payload);
         Some(Outbound {
             stream,
             frame,
             written: 0,
-            payload_len,
+            payload_len: payload.len(),
         })
     }
 

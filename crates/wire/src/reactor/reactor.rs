@@ -118,7 +118,7 @@ struct OutLink {
 enum Due {
     Timer {
         local: usize,
-        token: u64,
+        kind: TimerKind,
     },
     /// The end of one of `local`'s scheduled crash windows.
     Restart {
@@ -186,8 +186,7 @@ impl Reactor {
             let _ = listener.set_nonblocking(true);
             if let Some((due_ms, kind)) = first_timer {
                 let local = reactor.nodes.len();
-                let token = kind.token();
-                reactor.agenda.push(due_ms, Due::Timer { local, token });
+                reactor.agenda.push(due_ms, Due::Timer { local, kind });
             }
             reactor.nodes.push(OwnedNode {
                 node,
@@ -274,11 +273,11 @@ impl Reactor {
                 self.held_sends -= 1;
                 self.enqueue_out(local, to, env, copies);
             }
-            Due::Timer { local, token } => {
+            Due::Timer { local, kind } => {
                 match self.ask_gate(local, None, |g, idx| g.defer_timer(idx, now_ms)) {
-                    Some(restart) => self.agenda.push(restart, Due::Timer { local, token }),
+                    Some(restart) => self.agenda.push(restart, Due::Timer { local, kind }),
                     None => self.step(local, now_ms, |node, rng, buf| {
-                        node.on_timer(now_ms, token, rng, buf);
+                        node.on_timer(now_ms, kind, rng, buf);
                     }),
                 }
             }
@@ -418,9 +417,8 @@ impl Reactor {
                     self.send_from(local, to, msg, now_ms);
                 }
                 Output::Timer { delay_ms, kind } => {
-                    let token = kind.token();
                     self.agenda
-                        .push(now_ms + delay_ms, Due::Timer { local, token });
+                        .push(now_ms + delay_ms, Due::Timer { local, kind });
                 }
             }
         }

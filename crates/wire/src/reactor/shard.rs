@@ -112,8 +112,8 @@ pub(crate) struct ShardCtx {
     /// write edge passes sends through it with the function the DES
     /// uses, so both backends corrupt the same traffic.
     pub(crate) byz: Option<Arc<Mutex<ByzantinePlan>>>,
-    /// The machine-event fold (`measurement.*`, `db.*`,
-    /// `protocol.unknown_timers`) — the DES backend's, not a copy.
+    /// The machine-event fold (`measurement.*`, `db.*`) — the DES
+    /// backend's, not a copy.
     pub(crate) telemetry: Arc<NodeTelemetry>,
     /// Seeds each shard's machine RNG (only the Coordinator draws).
     pub(crate) seed: u64,

@@ -1,12 +1,12 @@
 //! Frame and byte accounting for the TCP deployment.
 //!
-//! Every framed send/receive in the mini-deployment (and its add-on
-//! client) goes through [`Envelope::send_counted`] /
-//! [`Envelope::recv_counted`](crate::proto::Envelope::recv_counted) with a
-//! shared [`WireTelemetry`], so over loopback the invariant *frames out ==
-//! frames in* (and likewise for bytes) holds once the deployment drains —
-//! the concurrency tests assert no increments are lost under parallel
-//! clients.
+//! Every frame the mini-deployment sends — the reactor's outbound
+//! connections, and [`Envelope::send_counted`] for what the deployment
+//! injects from outside — and every frame a reactor's inbound connection
+//! completes is recorded in one shared [`WireTelemetry`], so over
+//! loopback the invariant *frames out == frames in* (and likewise for
+//! bytes) holds once the deployment drains — the concurrency tests
+//! assert no increments are lost under parallel clients.
 //!
 //! [`Envelope::send_counted`]: crate::proto::Envelope::send_counted
 

@@ -8,10 +8,12 @@
 
 use std::sync::Arc;
 
+use sheriff_core::coordinator::PeerId;
+use sheriff_core::protocol::{Address, ProtoMsg};
 use sheriff_geo::Country;
 use sheriff_market::world::WorldConfig;
 use sheriff_market::{ProductId, World};
-use sheriff_wire::MiniDeployment;
+use sheriff_wire::{Envelope, MiniDeployment};
 
 const PEERS: [(u64, Country); 4] = [
     (20, Country::ES),
@@ -120,11 +122,30 @@ fn deployment_survives_client_that_disconnects_mid_protocol() {
         let mut s = std::net::TcpStream::connect(deployment.coordinator_addr()).expect("connect");
         let _ = s.write_all(&[0, 0, 0, 4, b'j', b'u', b'n', b'k']);
     }
+    // A lying client: well-framed requests "from" a peer id as wide as a
+    // u64, each claiming to be peer 30. Three validation rejects (+2
+    // each) reach the default quarantine threshold, so the Coordinator
+    // arms `Quarantine(u64::MAX)` — a timer no roster check ever vetted.
+    for local_tag in 0..3 {
+        let mut s = std::net::TcpStream::connect(deployment.coordinator_addr()).expect("connect");
+        Envelope {
+            from: Address::Peer { id: u64::MAX },
+            msg: ProtoMsg::CoordRequest {
+                url: "https://amazon.com/product/0".into(),
+                peer: PeerId(30),
+                local_tag,
+            },
+        }
+        .send(&mut s)
+        .expect("frame written");
+    }
 
     // The deployment still serves a well-behaved client afterwards.
     let rows = deployment
         .run_price_check(30, "amazon.com", ProductId(0))
         .expect("served after rude clients");
     assert!(!rows.is_empty());
+    let telemetry = Arc::clone(deployment.telemetry());
     deployment.shutdown();
+    assert_eq!(telemetry.snapshot().counters["defense.quarantines"], 1);
 }
