@@ -165,9 +165,13 @@ REACTOR_SOAK_PEERS=1000 REACTOR_SOAK_SEEDS="11,23" \
 # workspace of its own with path dependencies on crates/*, so neither
 # tier-1 nor any stage above compiles it: an API change in sheriff-wire
 # could break it unnoticed. Its own tests run every workload at smoke
-# scale (about 5 s after the build).
+# scale (about 5 s after the build). The closing diff catches a manifest
+# edit in crates/* that made cargo rewrite the benchmark's lockfile (or
+# any other stray edit under the benchmark's pinned paths) here, not at
+# the benchmark driver.
 stage "pricebench smoke"
 cargo test --offline --manifest-path pricebench/Cargo.toml
+git diff --exit-code -- BENCHMARK.json pricebench/
 
 # Benchmark summaries: the criterion stand-in prints one median line per
 # benchmark; each run's summary lands in target/bench/BENCH_<group>.json

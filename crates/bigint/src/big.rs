@@ -37,14 +37,14 @@ impl Big {
     }
 
     /// Builds from little-endian `u32` limbs (normalizing).
-    pub fn from_limbs(limbs: Vec<u32>) -> Self {
+    pub(crate) fn from_limbs(limbs: Vec<u32>) -> Self {
         let mut b = Big { limbs };
         b.normalize();
         b
     }
 
     /// Read-only view of the little-endian limbs.
-    pub fn limbs(&self) -> &[u32] {
+    pub(crate) fn limbs(&self) -> &[u32] {
         &self.limbs
     }
 

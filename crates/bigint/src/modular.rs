@@ -1,13 +1,14 @@
-//! Modular arithmetic helpers over [`Big`] values.
+//! One-shot modular arithmetic over [`Big`] values, modulus last.
 //!
-//! All functions take the modulus last and assume (but where cheap, assert)
-//! that inputs are already reduced. The exponentiation uses a 4-bit window
-//! which cuts multiplication counts roughly 25% versus plain
-//! square-and-multiply — a worthwhile constant factor because the
-//! privacy-preserving *k*-means protocol performs `O(n·k·m)` exponentiations
-//! per iteration (paper Fig. 8c).
+//! `mod_mul`, `mod_pow` and `mod_inv` are total over moduli: an odd modulus
+//! greater than 1 goes through a throw-away [`Montgomery`] context (operands
+//! are reduced on entry); an even one, which has no Montgomery form, keeps
+//! plain [`Big::mul`] + [`Big::rem`]. Callers that work modulo one prime all
+//! day (the `O(n·k·m)` exponentiations per private *k*-means iteration,
+//! paper Fig. 8c) keep a context instead of calling these.
 
 use crate::big::Big;
+use crate::montgomery::Montgomery;
 
 /// `(a + b) mod m` for reduced `a`, `b`.
 pub fn mod_add(a: &Big, b: &Big, m: &Big) -> Big {
@@ -30,108 +31,48 @@ pub fn mod_sub(a: &Big, b: &Big, m: &Big) -> Big {
 
 /// `(a * b) mod m`.
 pub fn mod_mul(a: &Big, b: &Big, m: &Big) -> Big {
-    a.mul(b).rem(m)
+    match Montgomery::new(m) {
+        Some(ctx) => ctx.mul(a, b),
+        None => a.mul(b).rem(m),
+    }
 }
 
-/// `base^exp mod m` using a fixed 4-bit window.
+/// `base^exp mod m`.
 ///
 /// Returns 1 for `exp == 0` (including `base == 0`, matching the usual
 /// convention), and panics on a zero modulus.
 pub fn mod_pow(base: &Big, exp: &Big, m: &Big) -> Big {
     assert!(!m.is_zero(), "mod_pow: zero modulus");
-    if m.is_one() {
-        return Big::zero();
+    if let Some(ctx) = Montgomery::new(m) {
+        return ctx.pow(base, exp);
     }
-    if exp.is_zero() {
-        return Big::one();
-    }
-    let base = base.rem(m);
-    if base.is_zero() {
-        return Big::zero();
-    }
-
-    // Precompute base^0..base^15.
-    let mut table = Vec::with_capacity(16);
-    table.push(Big::one());
-    for i in 1..16 {
-        let prev: &Big = &table[i - 1];
-        table.push(mod_mul(prev, &base, m));
-    }
-
-    let bits = exp.bit_len();
-    let mut acc = Big::one();
-    // Process the exponent in 4-bit nibbles, most significant first.
-    let nibbles = bits.div_ceil(4);
-    for i in (0..nibbles).rev() {
-        for _ in 0..4 {
-            acc = mod_mul(&acc, &acc, m);
-        }
-        let mut nib = 0usize;
-        for b in 0..4 {
-            if exp.bit(i * 4 + (3 - b)) {
-                nib |= 1 << (3 - b);
-            }
-        }
-        if nib != 0 {
-            acc = mod_mul(&acc, &table[nib], m);
+    // Even modulus (or 1): plain square-and-multiply.
+    let mut acc = Big::one().rem(m);
+    for i in (0..exp.bit_len()).rev() {
+        acc = acc.mul(&acc).rem(m);
+        if exp.bit(i) {
+            acc = acc.mul(base).rem(m);
         }
     }
     acc
 }
 
-/// Modular inverse of `a` mod `m` via the extended Euclidean algorithm.
-///
-/// Returns `None` when `gcd(a, m) != 1`.
+/// Modular inverse of `a` mod `m`, or `None` when `gcd(a, m) != 1`.
 pub fn mod_inv(a: &Big, m: &Big) -> Option<Big> {
+    if let Some(ctx) = Montgomery::new(m) {
+        return ctx.inv(a);
+    }
     if m.is_zero() || m.is_one() {
         return None;
     }
-    // Extended Euclid with coefficients tracked as (value, negative?) pairs
-    // to avoid a signed big-integer type.
-    let mut r0 = m.clone();
-    let mut r1 = a.rem(m);
-    if r1.is_zero() {
-        return None;
+    // Even modulus: a unit `a` is odd, so swap the roles. With
+    // `y = m⁻¹ mod a`, `m·y = 1 + t·a` and `a·(m − t) ≡ 1 (mod m)`.
+    let a = a.rem(m);
+    if a.is_one() {
+        return Some(a);
     }
-    // t0 = 0, t1 = 1; signs tracked separately.
-    let mut t0 = Big::zero();
-    let mut t0_neg = false;
-    let mut t1 = Big::one();
-    let mut t1_neg = false;
-
-    while !r1.is_zero() {
-        let (q, r2) = r0.div_rem(&r1);
-        // t2 = t0 - q * t1 (signed arithmetic on magnitudes).
-        let qt1 = q.mul(&t1);
-        let (t2, t2_neg) = signed_sub(&t0, t0_neg, &qt1, t1_neg);
-        r0 = r1;
-        r1 = r2;
-        t0 = t1;
-        t0_neg = t1_neg;
-        t1 = t2;
-        t1_neg = t2_neg;
-    }
-    if !r0.is_one() {
-        return None; // not coprime
-    }
-    let inv = if t0_neg { m.sub(&t0.rem(m)) } else { t0.rem(m) };
-    Some(inv.rem(m))
-}
-
-/// Signed subtraction `x - q` where `x = (xv, x_neg)` and the subtrahend's
-/// sign is `q_neg` (i.e. computes `x - (±q)`); returns magnitude and sign.
-fn signed_sub(xv: &Big, x_neg: bool, qv: &Big, q_neg: bool) -> (Big, bool) {
-    // x - q*sign: the subtrahend is qv with sign q_neg; we subtract it, so its
-    // effective sign flips.
-    let sub_neg = !q_neg;
-    if x_neg == sub_neg {
-        // Same sign: magnitudes add.
-        (xv.add(qv), x_neg)
-    } else if xv >= qv {
-        (xv.sub(qv), x_neg)
-    } else {
-        (qv.sub(xv), sub_neg)
-    }
+    let y = Montgomery::new(&a)?.inv(m)?;
+    Some(m.sub(&m.mul(&y).sub(&Big::one()).div_rem(&a).0))
 }
 
 #[cfg(test)]
@@ -197,6 +138,16 @@ mod tests {
         assert!(mod_inv(&b(6), &b(9)).is_none());
         assert!(mod_inv(&b(0), &b(7)).is_none());
         assert!(mod_inv(&b(5), &Big::one()).is_none());
+    }
+
+    #[test]
+    fn inverse_even_modulus() {
+        assert_eq!(mod_inv(&b(3), &b(10)), Some(b(7)));
+        assert_eq!(mod_inv(&b(13), &b(10)), Some(b(7)));
+        assert_eq!(mod_inv(&b(1), &b(2)), Some(b(1)));
+        for a in [0u64, 4, 5, 10] {
+            assert!(mod_inv(&b(a), &b(10)).is_none(), "a={a}");
+        }
     }
 
     #[test]

@@ -17,12 +17,13 @@ use crate::group::GroupParams;
 #[derive(Clone, Debug)]
 pub struct DlogTable {
     params: GroupParams,
-    /// Baby steps: `g^j → j` for `j in [0, t)`.
-    baby: HashMap<Big, u64>,
+    /// Baby steps: `g^j → j` for `j in [0, t)`, keyed in the Montgomery
+    /// form the giant steps are walked in.
+    baby: HashMap<Vec<u64>, u64>,
     /// Step size `t = ⌈√bound⌉`.
     t: u64,
-    /// `g^{-t}` for giant stepping.
-    giant_step: Big,
+    /// `g^{-t}` for giant stepping, in Montgomery form.
+    giant_step: Vec<u64>,
     /// Exclusive upper bound on recoverable values.
     bound: u64,
 }
@@ -36,14 +37,16 @@ impl DlogTable {
     pub fn build(params: &GroupParams, bound: u64) -> Self {
         let bound = bound.max(1);
         let t = (bound as f64).sqrt().ceil() as u64 + 1;
+        let mont = &params.mont_p;
         let mut baby = HashMap::with_capacity(t as usize);
-        let mut cur = Big::one();
+        let (g, mut scratch) = (mont.enter(&params.g), mont.scratch());
+        let mut cur = mont.enter(&Big::one());
         for j in 0..t {
             baby.entry(cur.clone()).or_insert(j);
-            cur = params.mul(&cur, &params.g);
+            mont.mul_assign(&mut cur, &g, &mut scratch);
         }
         // g^{-t} = (g^t)^{-1}; cur currently holds g^t.
-        let giant_step = params.inv(&cur);
+        let giant_step = mont.enter(&params.inv(&mont.leave(&cur)));
         DlogTable {
             params: params.clone(),
             baby,
@@ -53,15 +56,14 @@ impl DlogTable {
         }
     }
 
-    /// Exclusive upper bound this table can recover.
-    pub fn bound(&self) -> u64 {
-        self.bound
-    }
-
     /// Finds `m ∈ [0, bound)` with `g^m == target`, or `None` if the value
-    /// is out of range.
+    /// is out of range or `target` is not a group element in `[1, p)`.
     pub fn solve(&self, target: &Big) -> Option<u64> {
-        let mut gamma = target.clone();
+        if !self.params.contains(target) {
+            return None;
+        }
+        let mont = &self.params.mont_p;
+        let (mut gamma, mut scratch) = (mont.enter(target), mont.scratch());
         let giants = self.bound / self.t + 1;
         for i in 0..=giants {
             if let Some(&j) = self.baby.get(&gamma) {
@@ -71,17 +73,21 @@ impl DlogTable {
                 }
                 return None;
             }
-            gamma = self.params.mul(&gamma, &self.giant_step);
+            mont.mul_assign(&mut gamma, &self.giant_step, &mut scratch);
         }
         None
     }
 
     /// Solves a signed value in `(-bound, bound)`: tries the non-negative
     /// range first, then the negated element. Used where homomorphic
-    /// arithmetic may produce small negative results mod `q`.
+    /// arithmetic may produce small negative results mod `q`. `None` too for
+    /// a `target` outside `[1, p)`, which has no inverse to try.
     pub fn solve_signed(&self, target: &Big) -> Option<i64> {
         if let Some(m) = self.solve(target) {
             return i64::try_from(m).ok();
+        }
+        if !self.params.contains(target) {
+            return None;
         }
         let neg = self.params.inv(target);
         self.solve(&neg)
@@ -127,6 +133,16 @@ mod tests {
             let e = gp.exponent_from_i64(m);
             let target = gp.g_pow(&e);
             assert_eq!(table.solve_signed(&target), Some(m), "m={m}");
+        }
+    }
+
+    #[test]
+    fn non_elements_have_no_logarithm() {
+        let gp = GroupParams::test_64();
+        let table = DlogTable::build(&gp, 500);
+        for bad in [Big::zero(), gp.p.clone(), gp.p.add(&Big::one())] {
+            assert_eq!(table.solve(&bad), None);
+            assert_eq!(table.solve_signed(&bad), None);
         }
     }
 

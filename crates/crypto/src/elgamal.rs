@@ -15,7 +15,7 @@
 
 use rand::Rng;
 
-use sheriff_bigint::{mod_add, Big};
+use sheriff_bigint::Big;
 
 use crate::group::GroupParams;
 
@@ -77,13 +77,6 @@ impl SecretKey {
         let gp = &self.params;
         let mask = gp.pow(&ct.alpha, &self.x[i]);
         gp.div(&ct.betas[i], &mask)
-    }
-
-    /// Decrypts all components to group elements `g^{c_i}`.
-    pub fn decrypt_all(&self, ct: &Ciphertext) -> Vec<Big> {
-        (0..ct.betas.len().min(self.x.len()))
-            .map(|i| self.decrypt_component(ct, i))
-            .collect()
     }
 }
 
@@ -161,14 +154,13 @@ impl Ciphertext {
     pub fn dims(&self) -> usize {
         self.betas.len()
     }
-}
 
-/// Sums a batch of exponents modulo the subgroup order. Helper shared by the
-/// function-key derivation and tests.
-pub fn sum_exponents(values: &[Big], q: &Big) -> Big {
-    values
-        .iter()
-        .fold(Big::zero(), |acc, v| mod_add(&acc, &v.rem(q), q))
+    /// True when every component lies in `[1, p)`. Decryption and
+    /// inner-product evaluation divide by powers of the components, so a
+    /// ciphertext from another party is checked before it reaches them.
+    pub fn is_well_formed(&self, params: &GroupParams) -> bool {
+        params.contains(&self.alpha) && self.betas.iter().all(|b| params.contains(b))
+    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 
 use rand::Rng;
 
-use sheriff_bigint::{gen_safe_prime, mod_inv, mod_mul, mod_pow, Big};
+use sheriff_bigint::{gen_safe_prime, mod_mul, Big, Montgomery};
 
 /// Parameters of a prime-order DDH group: subgroup of `Z_p^*` of order `q`
 /// where `p = 2q + 1` is a safe prime and `g` generates the subgroup.
@@ -19,6 +19,10 @@ pub struct GroupParams {
     pub q: Big,
     /// Generator of the order-`q` subgroup.
     pub g: Big,
+    /// Montgomery contexts for `p` (every group operation below) and `q`
+    /// (exponent arithmetic), built once.
+    pub(crate) mont_p: Montgomery,
+    mont_q: Montgomery,
 }
 
 /// 64-bit safe-prime group — *test only*, trivially breakable.
@@ -42,14 +46,22 @@ const P_2048: &str = concat!(
 );
 
 impl GroupParams {
-    fn from_hex_p(hex: &str) -> Self {
-        let p = Big::from_hex(hex).expect("valid baked-in hex prime");
+    /// The one place a group is assembled from its safe prime and generator.
+    fn assemble(p: Big, g: Big) -> Self {
         let q = p.sub(&Big::one()).shr(1);
+        let context = |m| Montgomery::new(m).expect("p and q are odd primes");
         GroupParams {
+            mont_p: context(&p),
+            mont_q: context(&q),
             p,
             q,
-            g: Big::from_u64(4),
+            g,
         }
+    }
+
+    fn from_hex_p(hex: &str) -> Self {
+        let p = Big::from_hex(hex).expect("valid baked-in hex prime");
+        Self::assemble(p, Big::from_u64(4))
     }
 
     /// 64-bit test group. Fast; cryptographically worthless.
@@ -82,14 +94,13 @@ impl GroupParams {
     /// sizes; prefer the pre-baked groups.
     pub fn generate<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> Self {
         let p = gen_safe_prime(rng, bits);
-        let q = p.sub(&Big::one()).shr(1);
         // Square small candidates until we find a generator (any quadratic
         // residue != 1 generates the full order-q subgroup since q is prime).
         let mut h = Big::from_u64(2);
         loop {
             let g = mod_mul(&h, &h, &p);
             if !g.is_one() {
-                return GroupParams { p, q, g };
+                return Self::assemble(p, g);
             }
             h = h.add(&Big::one());
         }
@@ -109,15 +120,21 @@ impl GroupParams {
         }
     }
 
+    /// True for `a ∈ [1, p)`, an element of `Z_p^*` in canonical form: the
+    /// check on what another party sent, before anything inverts it.
+    pub fn contains(&self, a: &Big) -> bool {
+        !a.is_zero() && *a < self.p
+    }
+
     /// Group operation: `a * b mod p`.
     pub fn mul(&self, a: &Big, b: &Big) -> Big {
-        mod_mul(a, b, &self.p)
+        self.mont_p.mul(a, b)
     }
 
     /// `base^e mod p`. Exponents are reduced mod `q` by the caller when they
     /// may exceed the subgroup order (all subgroup elements have order `q`).
     pub fn pow(&self, base: &Big, e: &Big) -> Big {
-        mod_pow(base, e, &self.p)
+        self.mont_p.pow(base, e)
     }
 
     /// `g^e mod p`.
@@ -125,9 +142,9 @@ impl GroupParams {
         self.pow(&self.g, e)
     }
 
-    /// Multiplicative inverse in `Z_p^*`.
+    /// Multiplicative inverse in `Z_p^*`; panics on `a ≡ 0 (mod p)`.
     pub fn inv(&self, a: &Big) -> Big {
-        mod_inv(a, &self.p).expect("element of Z_p^* is invertible")
+        self.mont_p.inv(a).expect("element of Z_p^* is invertible")
     }
 
     /// `a / b mod p`.
@@ -143,6 +160,11 @@ impl GroupParams {
                 return r;
             }
         }
+    }
+
+    /// `e⁻¹ mod q` for an exponent `e ≢ 0`: undoes a blinding by `e`.
+    pub fn exponent_inv(&self, e: &Big) -> Big {
+        self.mont_q.inv(e).expect("q prime, exponent nonzero")
     }
 
     /// Reduces a possibly-negative integer exponent into `[0, q)`.

@@ -35,20 +35,26 @@ pub fn derive_function_key(sk: &SecretKey, s: &[i64]) -> Big {
 /// Evaluates `g^{c·s}` from a ciphertext of `c`, the function vector `s`,
 /// and its function key `f`.
 ///
+/// Factors with `s_i < 0` are raised to `|s_i|` and join `α^f` below the
+/// line, so every exponent but `f` is as small as the entry itself: the same
+/// element as `β_i^{q − |s_i|}` above the line whenever `β_i` lies in the
+/// order-`q` subgroup, as every component of an honest ciphertext does.
+///
 /// # Panics
-/// If dimensions disagree.
+/// If dimensions disagree, or what ends up below the line is `≡ 0 (mod p)`:
+/// callers check [`Ciphertext::is_well_formed`] first.
 pub fn eval_inner_product(params: &GroupParams, ct: &Ciphertext, s: &[i64], f: &Big) -> Big {
     assert_eq!(
         s.len(),
         ct.betas.len(),
         "function vector dimension mismatch"
     );
-    let mut num = Big::one();
-    for (si, beta) in s.iter().zip(&ct.betas) {
-        let e = params.exponent_from_i64(*si);
-        num = params.mul(&num, &params.pow(beta, &e));
+    let (mut num, mut denom) = (Big::one(), params.pow(&ct.alpha, f));
+    for (&si, beta) in s.iter().zip(&ct.betas) {
+        let factor = params.pow(beta, &Big::from_u64(si.unsigned_abs()));
+        let side = if si >= 0 { &mut num } else { &mut denom };
+        *side = params.mul(side, &factor);
     }
-    let denom = params.pow(&ct.alpha, f);
     params.div(&num, &denom)
 }
 

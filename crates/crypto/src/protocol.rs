@@ -40,10 +40,19 @@
 //! profile dimensions `[2, t)` and forwards the aggregate with the cluster
 //! cardinality `n`; the Coordinator decrypts each dimension (values ≤ n·Q,
 //! still small), divides by `n`, and obtains the new centroid.
+//!
+//! ### Well-formedness
+//!
+//! Both protocols divide by powers of what the other party sent, so every
+//! element crossing between the roles must lie in `[1, p)`
+//! ([`Ciphertext::is_well_formed`], `GroupParams::contains`).
+//! [`BlindedQuery::unblind`] and [`decrypt_centroid`] answer `None` for
+//! input that does not; [`coordinator_evaluate`] returns a bare element, so
+//! its caller checks the ciphertext first.
 
 use rand::Rng;
 
-use sheriff_bigint::{mod_inv, Big};
+use sheriff_bigint::Big;
 
 use crate::dlog::DlogTable;
 use crate::elgamal::{Ciphertext, SecretKey};
@@ -88,15 +97,15 @@ impl BlindedQuery {
     /// Step 1 (Aggregator): blind a stored client ciphertext.
     pub fn blind<R: Rng + ?Sized>(params: &GroupParams, ct: &Ciphertext, rng: &mut R) -> Self {
         let rho = params.random_exponent(rng);
-        let rho_inv = mod_inv(&rho, &params.q).expect("q prime, rho nonzero");
         BlindedQuery {
             blinded: ct.pow_all(&rho, params),
-            rho_inv,
+            rho_inv: params.exponent_inv(&rho),
         }
     }
 
     /// Step 3 (Aggregator): unblind the Coordinator's response and recover
-    /// the squared distance, if it falls within `table`'s range.
+    /// the squared distance, if it falls within `table`'s range and the
+    /// response is a group element (not `0`, not `>= p`).
     pub fn unblind(&self, params: &GroupParams, response: &Big, table: &DlogTable) -> Option<i64> {
         let gamma = params.pow(response, &self.rho_inv);
         table.solve_signed(&gamma)
@@ -105,6 +114,7 @@ impl BlindedQuery {
 
 /// Step 2 (Coordinator): evaluate `g^{ρ·(c·s)}` on a blinded ciphertext for
 /// centroid function vector `s` (already in `(1, Σb², -2b..)` form).
+/// Panics unless `blinded` [`Ciphertext::is_well_formed`]: the caller checks.
 pub fn coordinator_evaluate(sk: &SecretKey, blinded: &Ciphertext, s: &[i64]) -> Big {
     let f = derive_function_key(sk, s);
     eval_inner_product(&sk.params, blinded, s, &f)
@@ -129,8 +139,9 @@ pub fn aggregate_cluster(params: &GroupParams, members: &[&Ciphertext]) -> Optio
 /// sums and divide by the cluster cardinality (rounding to nearest).
 ///
 /// `key_offset` is the dimension offset of the aggregate inside the full key
-/// vector (always 2 in the paper's layout). Returns `None` if any component
-/// exceeds the discrete-log table's range, which indicates a protocol error.
+/// vector (always 2 in the paper's layout). Returns `None` if the aggregate
+/// is not well-formed or any component exceeds the discrete-log table's
+/// range, either of which indicates a protocol error.
 pub fn decrypt_centroid(
     sk: &SecretKey,
     aggregate: &Ciphertext,
@@ -140,6 +151,9 @@ pub fn decrypt_centroid(
 ) -> Option<Vec<u64>> {
     assert!(cardinality > 0, "decrypt_centroid: empty cluster");
     let gp = &sk.params;
+    if !aggregate.is_well_formed(gp) {
+        return None;
+    }
     let mut centroid = Vec::with_capacity(aggregate.dims());
     for (i, beta) in aggregate.betas.iter().enumerate() {
         let mask = gp.pow(&aggregate.alpha, &sk.x[key_offset + i]);
@@ -184,6 +198,26 @@ mod tests {
         let d2 = query.unblind(&gp, &response, &table);
 
         assert_eq!(d2, Some(squared_distance(&a, &b)));
+    }
+
+    #[test]
+    fn non_element_responses_and_aggregates_are_none() {
+        let c = client_vector(&[9, 0, 4]);
+        let (gp, sk, mut rng) = keys(c.len(), 42);
+        let ct = sk.public_key().encrypt(&c, &mut rng);
+        let query = BlindedQuery::blind(&gp, &ct, &mut rng);
+        let table = DlogTable::build(&gp, 4096);
+        assert_eq!(query.unblind(&gp, &Big::zero(), &table), None);
+        assert_eq!(query.unblind(&gp, &gp.p, &table), None);
+
+        assert!(ct.is_well_formed(&gp));
+        let mut agg = aggregate_cluster(&gp, &[&ct]).unwrap();
+        agg.alpha = Big::zero();
+        assert!(!agg.is_well_formed(&gp));
+        assert_eq!(decrypt_centroid(&sk, &agg, 1, 2, &table), None);
+        agg.alpha = ct.alpha.clone();
+        agg.betas[1] = gp.p.clone();
+        assert_eq!(decrypt_centroid(&sk, &agg, 1, 2, &table), None);
     }
 
     #[test]

@@ -5,13 +5,50 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use sheriff_bigint::Big;
 use sheriff_crypto::dlog::DlogTable;
-use sheriff_crypto::elgamal::SecretKey;
-use sheriff_crypto::ipfe::{client_vector, server_vector, squared_distance};
+use sheriff_crypto::elgamal::{Ciphertext, SecretKey};
+use sheriff_crypto::ipfe::{client_vector, eval_inner_product, server_vector, squared_distance};
 use sheriff_crypto::protocol::{
     aggregate_cluster, coordinator_evaluate, decrypt_centroid, BlindedQuery,
 };
 use sheriff_crypto::GroupParams;
+
+/// `eval_inner_product` as it was before it split by sign: every entry of
+/// `s`, negative ones as `q − |s_i|`, raised above the line.
+fn eval_inner_product_unsplit(params: &GroupParams, ct: &Ciphertext, s: &[i64], f: &Big) -> Big {
+    let mut num = Big::one();
+    for (si, beta) in s.iter().zip(&ct.betas) {
+        let e = params.exponent_from_i64(*si);
+        num = params.mul(&num, &params.pow(beta, &e));
+    }
+    params.div(&num, &params.pow(&ct.alpha, f))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn split_inner_product_equals_full_width_form(
+        s in proptest::collection::vec(-6000i64..6000, 1..9),
+        seed in 0u64..1_000,
+    ) {
+        // Any subgroup elements will do: the identity is about the group,
+        // not about well-keyed ciphertexts.
+        let gp = if seed.is_multiple_of(2) { GroupParams::test_64() } else { GroupParams::test_128() };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut element = || gp.g_pow(&gp.random_exponent(&mut rng));
+        let ct = Ciphertext {
+            alpha: element(),
+            betas: s.iter().map(|_| element()).collect(),
+        };
+        let f = gp.random_exponent(&mut StdRng::seed_from_u64(!seed));
+        prop_assert_eq!(
+            eval_inner_product(&gp, &ct, &s, &f),
+            eval_inner_product_unsplit(&gp, &ct, &s, &f)
+        );
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]

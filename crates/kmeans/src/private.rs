@@ -26,10 +26,8 @@ use sheriff_bigint::Big;
 use sheriff_crypto::dlog::DlogTable;
 use sheriff_crypto::elgamal::{Ciphertext, SecretKey};
 use sheriff_crypto::ipfe::{client_vector, server_vector};
-use sheriff_crypto::protocol::{
-    aggregate_cluster, coordinator_evaluate, decrypt_centroid, BlindedQuery,
-};
-use sheriff_crypto::GroupParams;
+use sheriff_crypto::protocol::{aggregate_cluster, decrypt_centroid, BlindedQuery};
+use sheriff_crypto::{derive_function_key, eval_inner_product, GroupParams};
 
 /// Configuration for a private k-means run.
 #[derive(Clone, Debug)]
@@ -76,6 +74,9 @@ pub struct PrivateResult {
 pub struct Coordinator {
     sk: SecretKey,
     centroids: Vec<Vec<u64>>,
+    /// Per centroid, its function vector `s` and function key, derived when
+    /// the centroid changes and not per (client, centroid) evaluation.
+    functions: Vec<(Vec<i64>, Big)>,
 }
 
 impl Coordinator {
@@ -92,13 +93,26 @@ impl Coordinator {
         let centroids = (0..k)
             .map(|_| (0..m).map(|_| rng.gen_range(0..=scale)).collect())
             .collect();
-        Coordinator { sk, centroids }
+        let mut coordinator = Coordinator {
+            sk,
+            centroids: Vec::new(),
+            functions: Vec::new(),
+        };
+        coordinator.set_centroids(centroids);
+        coordinator
     }
 
     /// Overrides the initial centroids (for reproducible comparisons with
     /// the cleartext reference).
     pub fn set_centroids(&mut self, centroids: Vec<Vec<u64>>) {
+        self.functions = centroids.iter().map(|b| self.function_of(b)).collect();
         self.centroids = centroids;
+    }
+
+    fn function_of(&self, centroid: &[u64]) -> (Vec<i64>, Big) {
+        let s = server_vector(centroid);
+        let f = derive_function_key(&self.sk, &s);
+        (s, f)
     }
 
     /// Public keys the clients encrypt under.
@@ -112,14 +126,15 @@ impl Coordinator {
     }
 
     /// Phase (a), Coordinator side: evaluate `g^{ρ·d²}` of a blinded client
-    /// ciphertext against every centroid.
+    /// ciphertext against every centroid. A ciphertext that is not
+    /// well-formed gets no responses (evaluating it would divide by zero).
     pub fn evaluate_all(&self, blinded: &Ciphertext) -> Vec<Big> {
-        self.centroids
+        if !blinded.is_well_formed(&self.sk.params) {
+            return Vec::new();
+        }
+        self.functions
             .iter()
-            .map(|b| {
-                let s = server_vector(b);
-                coordinator_evaluate(&self.sk, blinded, &s)
-            })
+            .map(|(s, f)| eval_inner_product(&self.sk.params, blinded, s, f))
             .collect()
     }
 
@@ -135,6 +150,7 @@ impl Coordinator {
         if let Some(agg) = aggregate {
             if cardinality > 0 {
                 if let Some(c) = decrypt_centroid(&self.sk, agg, cardinality, 2, table) {
+                    self.functions[cluster] = self.function_of(&c);
                     self.centroids[cluster] = c;
                 }
             }
@@ -253,16 +269,16 @@ fn assign_one<R: Rng + ?Sized>(
 ) -> usize {
     let query = BlindedQuery::blind(params, ct, rng);
     let responses = coordinator.evaluate_all(&query.blinded);
-    let mut best = (0usize, i64::MAX);
-    for (j, resp) in responses.iter().enumerate() {
-        // A failed unblind means the distance overflowed the table — treat
-        // as "very far" rather than aborting the whole clustering.
-        let d2 = query.unblind(params, resp, dist_table).unwrap_or(i64::MAX);
-        if d2 < best.1 {
-            best = (j, d2);
-        }
-    }
-    best.0
+    nearest(params, &query, &responses, dist_table)
+}
+
+/// Index of the smallest unblinded distance (ties to the lowest index). A
+/// failed unblind — the distance overflowed the table, or the response is
+/// not a group element — counts as "very far" rather than aborting the
+/// whole clustering.
+fn nearest(gp: &GroupParams, query: &BlindedQuery, resp: &[Big], table: &DlogTable) -> usize {
+    let d2 = |j: &usize| query.unblind(gp, &resp[*j], table).unwrap_or(i64::MAX);
+    (0..resp.len()).min_by_key(d2).unwrap_or(0)
 }
 
 /// Runs the full protocol over cleartext quantized `points` (the driver
@@ -436,6 +452,44 @@ mod tests {
         let reference = reference_integer_kmeans(&points, init, 10, 0.0);
         assert_eq!(private.centroids, reference.centroids);
         assert_eq!(private.assignments, reference.assignments);
+    }
+
+    #[test]
+    fn zero_response_is_very_far_not_a_panic() {
+        let params = GroupParams::test_64();
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut coordinator = Coordinator::setup(&params, 3, 3, 16, &mut rng);
+        coordinator.set_centroids(vec![vec![0, 0, 0], vec![1, 0, 1], vec![16, 16, 16]]);
+        let ct = coordinator
+            .public_key()
+            .encrypt(&client_vector(&[0, 1, 0]), &mut rng);
+        let table = DlogTable::build(&params, 3 * 16 * 16 + 1);
+        let query = BlindedQuery::blind(&params, &ct, &mut rng);
+        let mut responses = coordinator.evaluate_all(&query.blinded);
+        assert_eq!(nearest(&params, &query, &responses, &table), 0);
+        // One bad Coordinator reply: the client maps to the nearest of the rest.
+        responses[0] = Big::zero();
+        assert_eq!(nearest(&params, &query, &responses, &table), 1);
+        responses[1] = params.p.clone();
+        assert_eq!(nearest(&params, &query, &responses, &table), 2);
+    }
+
+    #[test]
+    fn malformed_ciphertext_gets_no_responses_and_freezes_its_cluster() {
+        let params = GroupParams::test_64();
+        let mut rng = StdRng::seed_from_u64(78);
+        let mut coordinator = Coordinator::setup(&params, 2, 2, 16, &mut rng);
+        let mut ct = coordinator
+            .public_key()
+            .encrypt(&client_vector(&[3, 4]), &mut rng);
+        ct.alpha = Big::zero();
+        assert!(coordinator.evaluate_all(&ct).is_empty());
+        let before = coordinator.centroids().to_vec();
+        let mut aggregator = Aggregator::new(&params, vec![ct]);
+        let table = DlogTable::build(&params, 64);
+        assert_eq!(aggregator.map_clients(&coordinator, &table, 1, &mut rng), 1);
+        aggregator.update_centroids(&mut coordinator, 2, &table);
+        assert_eq!(coordinator.centroids(), before);
     }
 
     #[test]
