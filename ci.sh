@@ -97,10 +97,10 @@ echo "lock-order cycle fixture correctly rejected"
 
 # Bounded model checker: exhaustively explore the sans-IO protocol
 # worlds (delivery orderings, duplications, drops, timer firings, node
-# crash/restarts) to the CI-pinned depths. Exit 1 means a non-waived
-# invariant violation with a minimized, replayable counterexample in
-# the report. See DESIGN.md "Model checking the protocol layer" and
-# crates/model.
+# crash/restarts) to the CI-pinned depths. No finding is accepted: exit
+# 1 means an invariant violation, with a minimized, replayable
+# counterexample in the report. See DESIGN.md "Model checking the
+# protocol layer" and crates/model.
 stage "sheriff-model"
 cargo run --release -q -p sheriff-model -- --json target/model-report.json
 echo "model report archived at target/model-report.json"
@@ -203,10 +203,17 @@ for group in "${BENCH_GROUPS[@]}"; do
 done
 
 # First-party line counts per crate, so a PR's size delta is read off
-# two CI logs instead of asserted in its description.
+# two CI logs instead of asserted in its description. A file's product
+# lines end at its first module-level `#[cfg(test)]`; the rest are test
+# lines.
 stage "first-party src/ line counts"
+printf '%-12s %8s %6s\n' crate product test
 for d in crates/*/; do
-    printf '%-12s %6d\n' "$(basename "$d")" "$(find "${d}src" -name '*.rs' -exec cat {} + | wc -l)"
+    find "${d}src" -name '*.rs' -exec awk -v crate="$(basename "$d")" '
+        FNR == 1 { in_test = 0 }
+        /^#\[cfg\(test\)\]/ { in_test = 1 }
+        { if (in_test) test++; else product++ }
+        END { printf "%-12s %8d %6d\n", crate, product, test }' {} +
 done
 
 stage "CI green"

@@ -120,11 +120,6 @@ impl Coordinator {
         &self.telemetry
     }
 
-    /// Mutable whitelist access (manual curation).
-    pub fn whitelist_mut(&mut self) -> &mut Whitelist {
-        &mut self.whitelist
-    }
-
     // ----- Measurement-server management (§3.4, §10.2.1) -----
 
     /// Registers a Measurement server (the admin web-interface flow).

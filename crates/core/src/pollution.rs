@@ -99,16 +99,6 @@ impl PollutionLedger {
     }
 }
 
-/// Server-side influence budget for robust aggregation: the same ¼
-/// tolerance the per-domain ledger enforces client-side, applied to the
-/// total observations one peer may contribute across `expected_serves`
-/// fan-out slots. Exceeding it is a pollution signal the defense layer
-/// scores (see `protocol::defense`), bounding any single Byzantine
-/// peer's influence on the stored record.
-pub fn influence_budget(expected_serves: u64) -> u64 {
-    (expected_serves / 4).max(4)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,12 +14,17 @@
 //! Crash recovery ([`DbProto::on_restart`]): volatile state — the
 //! memory table, in-flight queries, the reliable channel's windows — is
 //! gone; the un-barriered WAL tail is discarded deterministically; the
-//! snapshot plus the surviving log tail are replayed. The rebuilt
-//! stored-job set makes at-least-once redelivery idempotent: a
-//! retransmitted `StoreCheck` for a job that survived is re-acked
-//! without a second store (the per-job analogue of the measurement
-//! tier's per-`(kind, id)` vantage dedup), while one whose record was
-//! torn off with the tail is simply stored again.
+//! snapshot plus the surviving log tail are replayed. Nobody here
+//! remembers whom a torn store was owed to, so the *requester* closes
+//! that window: a Measurement server sends its `StoreCheck` again every
+//! job deadline until the `DbAck` arrives. The rebuilt stored-job set
+//! makes that redelivery idempotent: a `StoreCheck` for a job that
+//! survived is re-acked without a second store (the per-job analogue of
+//! the measurement tier's per-`(kind, id)` vantage dedup), one whose
+//! record was torn off with the tail is simply stored again, and one
+//! whose first copy is still waiting for its barrier is absorbed
+//! without an ack — the `DbDone` already armed sends the only one, so
+//! no ack ever runs ahead of the flush.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -58,18 +63,10 @@ pub enum DbEvent {
         /// Records in the snapshot image.
         records: u64,
     },
-    /// A redelivered `StoreCheck` for an already-durable job was
-    /// re-acked without a second store.
+    /// A redelivered `StoreCheck` for a job already in the log was
+    /// absorbed without a second store.
     DuplicateStoreAbsorbed {
         /// The redelivered job.
-        job: JobId,
-    },
-    /// A deferred `DbDone` timer fired for a job no longer pending —
-    /// the record was torn off with the unflushed tail by a crash, so
-    /// the requester is never acked (the PR 7 "accepted loss window",
-    /// now observable as `db.ack_loss_window`).
-    AckLossWindow {
-        /// The torn job whose ack never leaves.
         job: JobId,
     },
     /// Crash recovery replayed the durable prefix.
@@ -159,11 +156,14 @@ impl DbProto {
             return;
         };
         if self.stored_jobs.contains(&job) {
-            // At-least-once redelivery of a durable store: the ack was
-            // lost (or the sender crashed past our first one) — re-ack,
-            // never store twice.
+            // Redelivery: never store twice. A durable job is re-acked
+            // (the first ack was lost); one still pending is not — its
+            // record is appended but unflushed, and the `DbDone` already
+            // armed acks it after the barrier.
             events.push(DbEvent::DuplicateStoreAbsorbed { job });
-            out.push(Output::send(from, ProtoMsg::DbAck { job }));
+            if !self.pending.contains_key(&job) {
+                out.push(Output::send(from, ProtoMsg::DbAck { job }));
+            }
             return;
         }
         self.active += 1;
@@ -207,11 +207,10 @@ impl DbProto {
         events.push(DbEvent::QueryDone {
             active: self.active,
         });
+        // A timer deferred across a crash finds its store gone with the
+        // rest of the volatile state: nobody to ack. The requester's job
+        // deadline sends the check again.
         let Some(requester) = self.pending.remove(&job) else {
-            // A timer deferred across a crash for a store whose record
-            // was torn off with the unflushed tail: nothing to ack —
-            // the sender's retransmit will store it again.
-            events.push(DbEvent::AckLossWindow { job });
             return;
         };
         // Flush-before-ack: group-commit everything appended so far,
@@ -439,14 +438,50 @@ mod tests {
         store(&mut proto, 100, 1, 3);
         let mut events = Vec::new();
         proto.on_restart(&mut events); // crash before the DbDone fired
-        let (out, events) = finish(&mut proto, 1); // the deferred timer arrives late
+        let (out, _) = finish(&mut proto, 1); // the deferred timer arrives late
         assert!(out.is_empty(), "no ack for a store the crash destroyed");
         assert!(proto.database.is_empty());
-        assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, DbEvent::AckLossWindow { job } if job.0 == 1)),
-            "the loss window is observable, not silent"
+    }
+
+    fn acks(out: &[Output]) -> usize {
+        out.iter()
+            .filter(
+                |o| matches!(o, Output::Send { msg: ProtoMsg::DbAck { job }, .. } if job.0 == 1),
+            )
+            .count()
+    }
+
+    #[test]
+    fn resent_store_is_never_acked_ahead_of_its_barrier() {
+        let mut proto = DbProto::new(DbCostModel::dedicated());
+        store(&mut proto, 100, 1, 3);
+        // The requester's deadline re-sends while the first copy still
+        // waits for its barrier: absorbed, and not acknowledged.
+        let out = store(&mut proto, 150, 1, 3);
+        assert!(out.is_empty(), "no ack, no second query: {out:?}");
+        assert_eq!(proto.pending_jobs().count(), 1);
+        assert!(proto.wal_bytes().is_empty(), "still unflushed");
+        let (out, _) = finish(&mut proto, 1);
+        assert_eq!(acks(&out), 1, "the one ack follows the barrier");
+        assert_eq!(proto.database.len(), 1);
+
+        // Durable and no longer pending — also after a crash rebuilt the
+        // set from the log: a further copy is re-acked at once.
+        proto.on_restart(&mut Vec::new());
+        let (mut out, mut events) = (Vec::new(), Vec::new());
+        proto.on_message(
+            300,
+            server(),
+            ProtoMsg::StoreCheck {
+                job: JobId(1),
+                check: Box::new(check(1, 3)),
+            },
+            &mut out,
+            &mut events,
         );
+        assert_eq!(events, [DbEvent::DuplicateStoreAbsorbed { job: JobId(1) }]);
+        assert_eq!(acks(&out), 1);
+        assert_eq!(out.len(), 1, "no query is scheduled for a duplicate");
+        assert_eq!(proto.database.len(), 1);
     }
 }

@@ -17,8 +17,8 @@
 //! * **Doppelganger mismatches** — a state request bearing an unknown /
 //!   corrupted token (+3 score).
 //! * **Pollution-budget exhaustion** — a peer exceeded its server-side
-//!   influence budget of admitted observations (+1 score); see
-//!   [`crate::pollution::influence_budget`].
+//!   influence budget of admitted observations,
+//!   [`DefenseParams::admit_budget`] (+1 score).
 //!
 //! Standing walks `Good → Probation` (any score) `→ Quarantined` (score
 //! reaches the threshold) `→ Parole` (quarantine timer elapses) `→ Good`

@@ -1,5 +1,19 @@
 //! Measurement-server role: fan-out, reply collection, extraction and
 //! assembly on a modeled shared CPU, persistence, result streaming.
+//!
+//! A v2 job that fanned out is watched by one `JobDeadline` timer until
+//! it finishes. Its first firing is §10.3's corrective path (assemble
+//! with whatever arrived); every later one finds the job waiting for
+//! the Database's `DbAck` and sends the `StoreCheck` again. The hop ack
+//! of the reliable channel only says the Database *received* a store —
+//! a crash between its WAL append and the barrier tears the record off
+//! with nobody left to retransmit — so the requester is the one party
+//! that can tell a store was lost, and this timer is how it does. Each
+//! re-send is a fresh reliable send: against a Database that is gone
+//! for good one of them is abandoned and
+//! [`MeasurementProto::on_send_abandoned`] finishes the job, which is
+//! what ends the loop. (v1 stores on its own CPU queue: its deadline
+//! stays the one-shot it always was.)
 
 use std::collections::{btree_map::Entry, BTreeMap, BTreeSet};
 
@@ -82,6 +96,13 @@ struct JobState {
     ppcs: Option<Vec<Address>>,
     submit: Option<Box<SubmitData>>,
     assembled: bool,
+    /// A `StoreCheck` has gone to the Database (v2) and the job waits
+    /// for its `DbAck`.
+    storing: bool,
+    /// When the fan-out watchdog next falls due. A `JobDeadline` that
+    /// fires earlier is the creation-time reap timer; one that fires in
+    /// the same millisecond as the watchdog finds this already moved on.
+    deadline_at_ms: u64,
     /// Vantages already folded in — fetches are not retransmission-
     /// protected, so a fault-duplicated `FetchReply` must be absorbed
     /// here to keep observation sets duplicate-free.
@@ -192,6 +213,8 @@ impl MeasurementProto {
             ppcs: None,
             submit: None,
             assembled: false,
+            storing: false,
+            deadline_at_ms: 0,
             seen_vantages: BTreeSet::new(),
         }
     }
@@ -244,6 +267,7 @@ impl MeasurementProto {
         state.initiator = submit.initiator;
         state.fanned_out = true;
         state.fanout_at_ms = now_ms;
+        state.deadline_at_ms = now_ms + self.job_deadline_ms;
         state.expected = self.ipcs.len() + ppcs.len();
 
         let mut seq = job.0 * 100;
@@ -526,12 +550,17 @@ impl MeasurementProto {
                     kind: TimerKind::Heartbeat,
                 });
             }
-            TimerKind::JobDeadline(job) => match self.jobs.get(&job) {
+            TimerKind::JobDeadline(job) => {
+                // A finished job is simply not found: the happy path
+                // ends here, arming and sending nothing.
+                let Some(s) = self.jobs.get_mut(&job) else {
+                    return;
+                };
                 // Half-open at the deadline: the partner message never
                 // arrived. Reap the entry and release the job upstream
                 // (the initiator's own abort may have released it
                 // already; `job_complete` is idempotent).
-                Some(s) if !s.fanned_out => {
+                if !s.fanned_out {
                     self.jobs.remove(&job);
                     self.defense.forget_job(job.0);
                     out.push(Output::send(
@@ -539,37 +568,42 @@ impl MeasurementProto {
                         ProtoMsg::JobComplete { job },
                     ));
                     events.push(MeasEvent::OrphanReaped { job });
+                    return;
                 }
-                // Assemble with whatever arrived (§10.3's corrective
-                // path) — but only on the timer armed at fan-out; the
-                // earlier creation-time reap timer is not a deadline.
-                Some(s) if !s.assembled && now_ms >= s.fanout_at_ms + self.job_deadline_ms => {
+                // Only the watchdog acts; the creation-time reap timer
+                // of a job that did fan out is not a deadline.
+                if now_ms < s.deadline_at_ms {
+                    return;
+                }
+                s.deadline_at_ms = now_ms + self.job_deadline_ms;
+                if s.storing {
+                    // Hop-acked but never `DbAck`ed for a whole deadline:
+                    // the store may have been torn off by a Database
+                    // crash. The Database absorbs a duplicate.
+                    out.push(store_check(job, s));
+                } else {
+                    // Assemble with whatever arrived (§10.3's corrective
+                    // path); a job already waiting for the CPU stays put.
                     self.begin_assembly(now_ms, job, out, events);
                 }
-                _ => {}
-            },
+                // v1 stores inside `finish_job`: no store to lose, and
+                // `ProcDone` covers the job from assembly on.
+                if !self.integrated_db {
+                    out.push(Output::Timer {
+                        delay_ms: self.job_deadline_ms,
+                        kind: TimerKind::JobDeadline(job),
+                    });
+                }
+            }
             TimerKind::ProcDone(job) => {
                 if self.integrated_db {
                     // DB cost already charged on the CPU queue.
                     self.finish_job(now_ms, job, out, events);
-                } else if let Some(state) = self.jobs.get(&job) {
-                    let check = PriceCheck {
-                        job_id: job.0,
-                        domain: state.domain.clone(),
-                        url: format!("{}/product/{}", state.domain, state.product.0),
-                        day: state.day,
-                        observations: state.observations.clone(),
-                    };
-                    out.push(Output::send(
-                        Address::Database,
-                        ProtoMsg::StoreCheck {
-                            job,
-                            check: Box::new(check),
-                        },
-                    ));
+                } else if let Some(state) = self.jobs.get_mut(&job) {
+                    state.storing = true;
+                    out.push(store_check(job, state));
                 }
             }
-            TimerKind::DbDone(job) => self.finish_job(now_ms, job, out, events),
             TimerKind::Quarantine(peer) => {
                 if self.defense.on_quarantine_elapsed(peer) {
                     out.push(Output::Timer {
@@ -579,9 +613,9 @@ impl MeasurementProto {
                 }
             }
             TimerKind::Parole(peer) => self.defense.on_parole_elapsed(peer),
-            // Retransmit timers belong to the driver's reliable channel;
-            // the sweep belongs to the Coordinator.
-            TimerKind::Retransmit(_) | TimerKind::CoordSweep => {}
+            // Retransmit timers belong to the driver's reliable channel,
+            // the sweep to the Coordinator, `DbDone` to the Database.
+            TimerKind::Retransmit(_) | TimerKind::CoordSweep | TimerKind::DbDone(_) => {}
         }
     }
 
@@ -599,12 +633,13 @@ impl MeasurementProto {
     }
 
     /// The driver's reliable channel gave up retransmitting one of this
-    /// machine's sends. Only a `StoreCheck` pins job state here: the
-    /// `DbAck` that would have finished the job can now never arrive,
-    /// so the job is finished locally (results still stream to the
-    /// initiator — the observations exist; only durable storage was
-    /// lost, which the next day's check re-measures anyway). Any other
-    /// abandoned payload pins nothing.
+    /// machine's sends. Only a `StoreCheck` pins job state here: one
+    /// copy went unacknowledged through its whole retransmit budget, so
+    /// the Database is taken for gone and the job is finished locally
+    /// (results still stream to the initiator — the observations exist;
+    /// only durable storage was lost, which the next day's check
+    /// re-measures anyway). This is also what stops the deadline's
+    /// re-sends. Any other abandoned payload pins nothing.
     pub fn on_send_abandoned(
         &mut self,
         now_ms: u64,
@@ -617,10 +652,11 @@ impl MeasurementProto {
         }
     }
 
-    /// Open (unfinished) jobs — the model checker's quiescence invariant
-    /// requires this table to drain once no events remain.
-    pub fn open_jobs(&self) -> usize {
-        self.jobs.len()
+    /// Open (unfinished) jobs. The model checker requires each to be
+    /// covered by an armed `JobDeadline`/`ProcDone` timer, and the table
+    /// to drain once no events remain.
+    pub fn open_jobs(&self) -> impl Iterator<Item = JobId> + '_ {
+        self.jobs.keys().copied()
     }
 
     /// True when any job folded in two observations from the same
@@ -652,6 +688,7 @@ impl MeasurementProto {
             d.write_u64(u64::from(s.day));
             d.write_bool(s.fanned_out);
             d.write_bool(s.assembled);
+            d.write_bool(s.storing);
             d.write_bool(s.submit.is_some());
             d.write_u64(s.observations.len() as u64);
             for o in &s.observations {
@@ -679,6 +716,24 @@ impl MeasurementProto {
         d.write_u64(self.database.len() as u64);
         self.defense.state_digest(d);
     }
+}
+
+/// The `StoreCheck` carrying what `job` has observed so far.
+fn store_check(job: JobId, state: &JobState) -> Output {
+    let check = PriceCheck {
+        job_id: job.0,
+        domain: state.domain.clone(),
+        url: format!("{}/product/{}", state.domain, state.product.0),
+        day: state.day,
+        observations: state.observations.clone(),
+    };
+    Output::send(
+        Address::Database,
+        ProtoMsg::StoreCheck {
+            job,
+            check: Box::new(check),
+        },
+    )
 }
 
 /// Envelope validation for a fetch reply: the claimed vantage identity

@@ -161,8 +161,9 @@ impl RoleNode {
             // Genuine volatile-state loss: the memory table, in-flight
             // queries and the channel's windows are gone; the durable
             // prefix comes back from snapshot + WAL replay and the
-            // un-barriered log tail is truncated. Senders whose stores
-            // were torn off retransmit into the fresh windows.
+            // un-barriered log tail is truncated. A sender whose store
+            // was torn off sends it again at its job deadline, into the
+            // fresh windows.
             Role::Database(p) => {
                 self.chan.on_restart();
                 p.on_restart(&mut buf.db);
@@ -301,7 +302,6 @@ struct DbTelemetry {
     snapshots: Arc<Counter>,
     recovered: Arc<Counter>,
     dup_stores: Arc<Counter>,
-    ack_loss_window: Arc<Counter>,
 }
 
 impl DbTelemetry {
@@ -316,7 +316,6 @@ impl DbTelemetry {
             snapshots: registry.counter("db.snapshots"),
             recovered: registry.counter("db.recovered_records"),
             dup_stores: registry.counter("db.duplicate_stores"),
-            ack_loss_window: registry.counter("db.ack_loss_window"),
         }
     }
 
@@ -339,7 +338,6 @@ impl DbTelemetry {
                 DbEvent::SnapshotInstalled { .. } => self.snapshots.inc(),
                 DbEvent::Recovered { records, .. } => self.recovered.add(records),
                 DbEvent::DuplicateStoreAbsorbed { .. } => self.dup_stores.inc(),
-                DbEvent::AckLossWindow { .. } => self.ack_loss_window.inc(),
             }
         }
     }
@@ -416,18 +414,24 @@ mod tests {
 
     /// Fires every timer the node arms, earliest first, while the
     /// network eats every send — the node's view of a total partition.
-    /// Returns once nothing is armed.
-    fn run_partitioned(node: &mut RoleNode, rng: &mut StdRng, buf: &mut StepBuf) {
+    /// Returns what was eaten once nothing is armed (retransmitted
+    /// copies included, unwrapped from their envelopes).
+    fn run_partitioned(node: &mut RoleNode, rng: &mut StdRng, buf: &mut StepBuf) -> Vec<ProtoMsg> {
         let mut armed: Vec<(u64, TimerKind)> = Vec::new();
+        let mut eaten = Vec::new();
         let mut now_ms = 0;
         loop {
             for o in buf.out.drain(..) {
-                if let Output::Timer { delay_ms, kind } = o {
-                    armed.push((now_ms + delay_ms, kind));
+                match o {
+                    Output::Timer { delay_ms, kind } => armed.push((now_ms + delay_ms, kind)),
+                    Output::Send { msg, .. } | Output::SendFetched { msg, .. } => match msg {
+                        ProtoMsg::Reliable { inner, .. } => eaten.push(*inner),
+                        bare => eaten.push(bare),
+                    },
                 }
             }
             let Some(next) = (0..armed.len()).min_by_key(|&i| armed[i].0) else {
-                return;
+                return eaten;
             };
             let (due_ms, kind) = armed.remove(next);
             now_ms = due_ms;
@@ -523,8 +527,14 @@ mod tests {
         assert!(armed(&mut buf).is_empty());
     }
 
-    #[test]
-    fn measurement_give_up_finishes_the_job_through_the_step() {
+    /// A v2 Measurement node with one fanned-out job (no vantages, so
+    /// it assembles at the 2 s deadline) and `buf` holding the timers
+    /// that armed.
+    fn measurement_node_with_open_job(
+        chan: Channel,
+        rng: &mut StdRng,
+        buf: &mut StepBuf,
+    ) -> (RoleNode, JobId) {
         let proto = MeasurementProto::new(MeasurementParams {
             index: 0,
             ipcs: vec![],
@@ -542,16 +552,15 @@ mod tests {
         let mut node = RoleNode {
             me: Address::Server { index: 0 },
             role: Role::Measurement(Box::new(proto)),
-            chan: one_attempt(),
+            chan,
         };
-        let (mut rng, mut buf) = (StdRng::seed_from_u64(7), StepBuf::default());
         let job = JobId(1);
         node.on_message(
             0,
             Address::Coordinator,
             ProtoMsg::PpcList { job, ppcs: vec![] },
-            &mut rng,
-            &mut buf,
+            rng,
+            buf,
         );
         node.on_message(
             0,
@@ -576,13 +585,23 @@ mod tests {
                     failed: false,
                 }),
             },
-            &mut rng,
-            &mut buf,
+            rng,
+            buf,
         );
-        let open_jobs = |node: &RoleNode| match &node.role {
-            Role::Measurement(p) => p.open_jobs(),
+        (node, job)
+    }
+
+    fn open_jobs(node: &RoleNode) -> usize {
+        match &node.role {
+            Role::Measurement(p) => p.open_jobs().count(),
             _ => unreachable!(),
-        };
+        }
+    }
+
+    #[test]
+    fn measurement_give_up_finishes_the_job_through_the_step() {
+        let (mut rng, mut buf) = (StdRng::seed_from_u64(7), StepBuf::default());
+        let (mut node, job) = measurement_node_with_open_job(one_attempt(), &mut rng, &mut buf);
         assert_eq!(open_jobs(&node), 1);
 
         // Deadline → assembly → StoreCheck, which nobody ever acks: the
@@ -596,6 +615,42 @@ mod tests {
                 .any(|e| matches!(e, MeasEvent::JobFinished { job: j, .. } if *j == job)),
             "the give-up path reports the finished job: {:?}",
             buf.meas
+        );
+    }
+
+    #[test]
+    fn unacknowledged_store_is_resent_every_deadline_until_the_give_up() {
+        // The deployed retransmit budget outlasts many 2 s deadlines, so
+        // the watchdog gets to re-send before the first copy is
+        // abandoned. Nothing counts attempts: that give-up finishes the
+        // job, and a finished job is what stops the watchdog.
+        let (mut rng, mut buf) = (StdRng::seed_from_u64(7), StepBuf::default());
+        let chan = Channel::new(ReliableConfig::default());
+        let (mut node, job) = measurement_node_with_open_job(chan, &mut rng, &mut buf);
+
+        let eaten = run_partitioned(&mut node, &mut rng, &mut buf);
+        assert_eq!(open_jobs(&node), 0, "the give-up still ends it");
+        assert_eq!(node.chan.in_flight(), 0);
+        let finished =
+            |e: &&MeasEvent| matches!(e, MeasEvent::JobFinished { job: j, .. } if *j == job);
+        assert_eq!(buf.meas.iter().filter(finished).count(), 1);
+
+        let cfg = ReliableConfig::default();
+        let budget = u64::from(cfg.max_attempts) + 1;
+        let copies = eaten
+            .iter()
+            .filter(|m| matches!(m, ProtoMsg::StoreCheck { job: j, .. } if *j == job))
+            .count() as u64;
+        assert!(
+            copies > budget,
+            "{copies} copies are one send's retransmits; the deadline re-sent nothing"
+        );
+        // The first copy is abandoned within `budget` backoffs of at most
+        // 1.25 × the ceiling; until then, one fresh send per 2 s deadline.
+        let deadlines = budget * (cfg.max_backoff_ms + cfg.max_backoff_ms / 4) / 2_000;
+        assert!(
+            copies <= budget * (1 + deadlines),
+            "{copies} copies: the loop is not bounded"
         );
     }
 }

@@ -60,8 +60,6 @@ pub struct PeerProto {
     pub server_removals: Vec<(usize, bool)>,
     /// Sandbox failures observed while serving (must stay 0).
     pub sandbox_violations: usize,
-    /// Remote fetches served per mode: [clean, real-state, doppelganger].
-    pub fetches_by_mode: [u64; 3],
     /// Quarantine notices received from the Coordinator (the add-on
     /// surfaces these to the user).
     pub quarantine_notices: Vec<u64>,
@@ -87,7 +85,6 @@ impl PeerProto {
             rejected: Vec::new(),
             server_removals: Vec::new(),
             sandbox_violations: 0,
-            fetches_by_mode: [0; 3],
             quarantine_notices: Vec::new(),
         }
     }
@@ -114,14 +111,6 @@ impl PeerProto {
         };
         if fetch.sandbox.is_some_and(|r| !r.is_clean()) {
             self.sandbox_violations += 1;
-        }
-        let slot = match fetch.mode {
-            FetchMode::CleanOwnState => 0,
-            FetchMode::RealOwnState => 1,
-            FetchMode::Doppelganger => 2,
-        };
-        if let Some(count) = self.fetches_by_mode.get_mut(slot) {
-            *count += 1;
         }
         let meta = VantageMeta {
             kind: VantageKind::Ppc,

@@ -72,8 +72,6 @@ pub struct SheriffConfig {
     pub seed: u64,
     /// Median IPC page-fetch time, ms (PlanetLab vantage).
     pub ipc_fetch_median_ms: u64,
-    /// Lognormal sigma of fetch times.
-    pub fetch_sigma: f64,
     /// Probability an IPC fetch lands on an overloaded node (§5).
     pub ipc_overload_prob: f64,
     /// Overloaded-node fetch time, ms.
@@ -119,7 +117,6 @@ impl SheriffConfig {
             target_currency: "EUR".into(),
             seed,
             ipc_fetch_median_ms: 18_000,
-            fetch_sigma: 0.45,
             ipc_overload_prob: 0.005,
             ipc_overload_ms: 300_000,
             fetch_kill_ms: 120_000,
@@ -148,7 +145,6 @@ impl SheriffConfig {
             target_currency: "EUR".into(),
             seed,
             ipc_fetch_median_ms: 18_000,
-            fetch_sigma: 0.45,
             ipc_overload_prob: 0.005,
             ipc_overload_ms: 300_000,
             fetch_kill_ms: 120_000,
@@ -223,11 +219,13 @@ pub fn default_ipc_locations() -> Vec<(Country, usize)> {
     out
 }
 
+/// Lognormal sigma of proxy fetch times (§5's heavy tail).
+const FETCH_SIGMA: f64 = 0.45;
+
 /// Lognormal sample around `median_ms`, clipped at `kill_ms`.
 fn fetch_delay<R: Rng + ?Sized>(
     rng: &mut R,
     median_ms: u64,
-    sigma: f64,
     overload_prob: f64,
     overload_ms: u64,
     kill_ms: u64,
@@ -237,7 +235,7 @@ fn fetch_delay<R: Rng + ?Sized>(
     } else {
         let mut srng = rand::rngs::StdRng::seed_from_u64(rng.gen());
         let z = sample_standard_normal(&mut srng);
-        (median_ms as f64 * (sigma * z).exp()).round() as u64
+        (median_ms as f64 * (FETCH_SIGMA * z).exp()).round() as u64
     };
     SimTime::from_millis(raw.min(kill_ms))
 }
@@ -272,7 +270,6 @@ impl AddrMap {
 #[derive(Clone, Copy)]
 struct FetchTiming {
     median_ms: u64,
-    sigma: f64,
     overload_prob: f64,
     overload_ms: u64,
     kill_ms: u64,
@@ -329,7 +326,6 @@ fn dispatch(
                     fetch_delay(
                         ctx.rng(),
                         t.median_ms,
-                        t.sigma,
                         t.overload_prob,
                         t.overload_ms,
                         t.kill_ms,
@@ -586,14 +582,12 @@ impl PriceSheriff {
         match role {
             Role::Ipc { .. } => Some(FetchTiming {
                 median_ms: cfg.ipc_fetch_median_ms,
-                sigma: cfg.fetch_sigma,
                 overload_prob: cfg.ipc_overload_prob,
                 overload_ms: cfg.ipc_overload_ms,
                 kill_ms: cfg.fetch_kill_ms,
             }),
             Role::Peer { .. } => Some(FetchTiming {
                 median_ms: cfg.ppc_fetch_median_ms,
-                sigma: cfg.fetch_sigma,
                 overload_prob: 0.0,
                 overload_ms: 0,
                 kill_ms: cfg.fetch_kill_ms,
@@ -786,18 +780,6 @@ impl PriceSheriff {
             .flat_map(|(_, p)| p.server_removals.iter().copied())
             .collect();
         out.sort();
-        out
-    }
-
-    /// Remote fetches served per mode across all peers:
-    /// `[clean, real-state, doppelganger]`.
-    pub fn fetch_mode_counts(&self) -> [u64; 3] {
-        let mut out = [0u64; 3];
-        for (_, p) in self.peers() {
-            for (acc, n) in out.iter_mut().zip(p.fetches_by_mode) {
-                *acc += n;
-            }
-        }
         out
     }
 

@@ -112,7 +112,7 @@ fn measurement_finishes_job_when_store_check_is_abandoned() {
         &mut out,
         &mut events,
     );
-    assert_eq!(proto.open_jobs(), 1);
+    assert_eq!(proto.open_jobs().count(), 1);
 
     let check = PriceCheck {
         job_id: 1,
@@ -143,7 +143,11 @@ fn measurement_finishes_job_when_store_check_is_abandoned() {
         &mut out,
         &mut events,
     );
-    assert_eq!(proto.open_jobs(), 0, "abandoned StoreCheck must not leak");
+    assert_eq!(
+        proto.open_jobs().count(),
+        0,
+        "abandoned StoreCheck must not leak"
+    );
     assert!(
         out.iter().any(|o| matches!(
             o,
@@ -163,6 +167,6 @@ fn measurement_finishes_job_when_store_check_is_abandoned() {
         &mut out2,
         &mut events2,
     );
-    assert_eq!(proto.open_jobs(), 0);
+    assert_eq!(proto.open_jobs().count(), 0);
     assert!(out2.is_empty());
 }

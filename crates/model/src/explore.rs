@@ -28,35 +28,19 @@
 //!   cached state is re-expanded when reached with a sleep set that is
 //!   not a superset of one it was already expanded under.
 //!
-//! A transition that produces a non-waived finding becomes a
-//! counterexample: its prefix is greedily minimized ([`crate::trace`])
-//! and the branch is pruned (the damage is already proven). Waived
-//! findings — the explicitly accepted `db.ack_loss_window` trace — are
-//! recorded and the search continues through them, verifying the system
-//! *recovers* from the accepted anomaly.
+//! A transition that produces a finding becomes a counterexample: its
+//! prefix is greedily minimized ([`crate::trace`]) and the branch is
+//! pruned (the damage is already proven). No finding is accepted: any
+//! one, in any world, fails the run.
 
 use std::collections::{HashMap, HashSet};
 
 use crate::trace::{minimize, TraceStep};
-use crate::world::{independent, Event, Finding, ModelWorld, WorldCfg, WorldKind};
+use crate::world::{independent, Event, Finding, ModelWorld, WorldCfg};
 
-/// Counterexample traces kept in full per rule bucket; occurrences
-/// beyond this are only counted.
+/// Counterexample traces kept in full; occurrences beyond this are
+/// only counted.
 const MAX_TRACES: usize = 8;
-
-/// The waiver table: `(world, rule)` pairs the checker is expected to
-/// find and accept. Exactly one entry — the §WAL ack-loss window: a
-/// Database crash between WAL-append and flush tears the newest record
-/// off the durable prefix, the deferred `DbDone` discovers the tear
-/// after recovery, and *no ack leaves* — the sender's retransmit
-/// re-stores the check, so at-least-once delivery (not durability) is
-/// what the window costs. Any other finding, anywhere, fails the run.
-pub const WAIVERS: &[(WorldKind, &str)] = &[(WorldKind::Small, "db.ack_loss_window")];
-
-/// True when `rule` in `kind`'s world is an accepted behavior.
-pub fn is_waived(kind: WorldKind, rule: &str) -> bool {
-    WAIVERS.iter().any(|&(k, r)| k == kind && r == rule)
-}
 
 /// Search counters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -93,20 +77,16 @@ pub struct Outcome {
     pub cfg: WorldCfg,
     /// The depth bound used.
     pub depth_limit: usize,
-    /// Non-waived findings (distinct per `(state, rule)`), minimized.
+    /// Findings (distinct per `(state, rule)`), minimized.
     pub violations: Vec<Violation>,
-    /// Total non-waived `(state, rule)` occurrences (uncapped).
+    /// Total `(state, rule)` occurrences (uncapped).
     pub violations_total: u64,
-    /// Waived findings, also minimized.
-    pub waived: Vec<Violation>,
-    /// Total waived `(state, rule)` occurrences (uncapped).
-    pub waived_total: u64,
     /// Search counters.
     pub stats: Stats,
 }
 
 impl Outcome {
-    /// True when the run is clean: nothing non-waived was found.
+    /// True when the run is clean: nothing was found.
     pub fn ok(&self) -> bool {
         self.violations_total == 0
     }
@@ -125,8 +105,6 @@ pub fn explore(cfg: WorldCfg, depth_limit: usize) -> Outcome {
             depth_limit,
             violations: Vec::new(),
             violations_total: 0,
-            waived: Vec::new(),
-            waived_total: 0,
             stats: Stats::default(),
         },
     };
@@ -211,16 +189,15 @@ impl Explorer {
                 self.outcome.stats.deduped += 1;
             }
 
-            let mut fatal = false;
+            let mut fatal = !findings.is_empty();
             for f in &findings {
-                fatal |= !is_waived(self.cfg.kind, f.rule);
                 self.record(digest, f, prefix, false);
             }
             // Quiescence invariants are a pure function of the state, so
             // the first visit covers them.
             if first_visit && w.protocol_quiescent() {
                 for f in w.quiescence_findings() {
-                    fatal |= !is_waived(self.cfg.kind, f.rule);
+                    fatal = true;
                     self.record(digest, &f, prefix, true);
                 }
             }
@@ -251,19 +228,10 @@ impl Explorer {
         if !self.recorded.insert((digest, f.rule)) {
             return;
         }
-        let waived = is_waived(self.cfg.kind, f.rule);
-        let (bucket, total) = if waived {
-            (&mut self.outcome.waived, &mut self.outcome.waived_total)
-        } else {
-            (
-                &mut self.outcome.violations,
-                &mut self.outcome.violations_total,
-            )
-        };
-        *total += 1;
-        if bucket.len() < MAX_TRACES {
+        self.outcome.violations_total += 1;
+        if self.outcome.violations.len() < MAX_TRACES {
             let trace = minimize(self.cfg, prefix, f.rule, at_quiescence);
-            bucket.push(Violation {
+            self.outcome.violations.push(Violation {
                 rule: f.rule.to_string(),
                 detail: f.detail.clone(),
                 at_quiescence,

@@ -11,16 +11,15 @@
 //!
 //! * **Durability** — once a `DbAck` is delivered, the acked record
 //!   survives any crash (`durability.acked_store_lost`).
-//! * **Ack-loss window** — the checker must *find* the one accepted
-//!   anomaly (crash between WAL-append and flush ⇒ deferred `DbDone`
-//!   meets a torn record ⇒ no ack) and match it against the explicit
-//!   waiver table ([`explore::WAIVERS`]); anything else fails the run.
 //! * **Vantage dedup** — no job ever folds in two observations from
 //!   the same `(kind, id)` vantage (`vantage.duplicate_observation`).
 //! * **Timer obligations** — every pending Database store has a live
-//!   `DbDone` timer and every unacked reliable send a live `Retransmit`
-//!   timer (`timer.obligation_leak`) — the dynamic twin of the SL105
-//!   lint.
+//!   `DbDone` timer, every unacked reliable send a live `Retransmit`
+//!   timer, and every open Measurement job a live `JobDeadline` or
+//!   `ProcDone` (`timer.obligation_leak`) — the dynamic twin of the
+//!   SL105 lint. The last is what a store torn off by a Database crash
+//!   would break: the requester's deadline keeps re-sending it, so no
+//!   finding is accepted anywhere.
 //! * **Quiescence** — when nothing is in flight and no timer armed, no
 //!   job origins, open jobs, pending stores, or unacked sends remain
 //!   (`quiesce.leaked_state`).
@@ -40,7 +39,7 @@ pub mod report;
 pub mod trace;
 pub mod world;
 
-pub use explore::{explore, is_waived, Outcome, Stats, Violation, WAIVERS};
+pub use explore::{explore, Outcome, Stats, Violation};
 pub use replay::{to_fault_plan, Topology};
 pub use report::{outcome_json, report_json, SCHEMA_VERSION};
 pub use trace::{minimize, render, reproduces, TraceStep};

@@ -10,8 +10,8 @@
 //! With no `--world`, all three canonical worlds run; with no
 //! `--depth`, each world uses its CI-pinned depth
 //! ([`WorldKind::ci_depth`]). Exit status: `0`
-//! when every run is clean (waived findings allowed), `1` when any
-//! non-waived violation was found, `2` on usage errors.
+//! when every run is clean, `1` when any violation was found, `2` on
+//! usage errors.
 
 use std::process::ExitCode;
 
@@ -66,21 +66,15 @@ fn main() -> ExitCode {
         let depth = depth.unwrap_or_else(|| kind.ci_depth());
         let outcome = explore(cfg, depth);
         println!(
-            "world {:>9}  depth {:>2}  states {:>7}  transitions {:>8}  violations {}  waived {}",
+            "world {:>9}  depth {:>2}  states {:>7}  transitions {:>8}  violations {}",
             kind.name(),
             depth,
             outcome.stats.states,
             outcome.stats.transitions,
             outcome.violations_total,
-            outcome.waived_total,
         );
-        for v in outcome.violations.iter().chain(outcome.waived.iter()) {
-            let tag = if sheriff_model::is_waived(kind, &v.rule) {
-                "waived"
-            } else {
-                "VIOLATION"
-            };
-            println!("  {tag} {}: {}", v.rule, v.detail);
+        for v in &outcome.violations {
+            println!("  VIOLATION {}: {}", v.rule, v.detail);
             for (i, step) in v.trace.iter().enumerate() {
                 println!("    {i:>2}. {}", step.desc);
             }

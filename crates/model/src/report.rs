@@ -11,7 +11,7 @@ use crate::explore::{Outcome, Violation};
 use crate::world::Event;
 
 /// Bumped whenever the report shape changes.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 fn esc(out: &mut String, s: &str) {
     out.push('"');
@@ -110,15 +110,9 @@ pub fn outcome_json(outcome: &Outcome) -> String {
         outcome.stats.truncated,
         outcome.stats.max_depth
     );
-    let _ = write!(
-        out,
-        ",\"violations_total\":{},\"waived_total\":{}",
-        outcome.violations_total, outcome.waived_total
-    );
+    let _ = write!(out, ",\"violations_total\":{}", outcome.violations_total);
     out.push_str(",\"violations\":");
     violations_json(&mut out, &outcome.violations);
-    out.push_str(",\"waived\":");
-    violations_json(&mut out, &outcome.waived);
     let _ = write!(out, ",\"ok\":{}}}", outcome.ok());
     out
 }

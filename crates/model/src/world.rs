@@ -20,9 +20,12 @@
 //! the next timer", which covers every DES-realizable ordering. Only
 //! earliest-due timers are fireable, matching the DES scheduler.
 //! Crash+restart is atomic and leaves armed timers in place — the
-//! netsim engine defers a dead node's timers to after its restart, and
-//! that deferral is exactly what makes the accepted
-//! `db.ack_loss_window` trace reachable.
+//! netsim engine defers a dead node's timers to after its restart, so a
+//! Database crash between a WAL append and its flush leaves a `DbDone`
+//! that fires into a recovered machine with nobody to ack. The
+//! requester's `JobDeadline` closes that window by sending the store
+//! again; the job-coverage rule of `check_state` is what proves the
+//! checker looks there.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -33,7 +36,7 @@ use sheriff_core::coordinator::{Coordinator, JobId, PeerId};
 use sheriff_core::db::DbCostModel;
 use sheriff_core::measurement::VantageMeta;
 use sheriff_core::protocol::{
-    Address, Channel, CoordinatorProto, DbEvent, DbProto, DefenseParams, Digest, MeasurementParams,
+    Address, Channel, CoordinatorProto, DbProto, DefenseParams, Digest, MeasurementParams,
     MeasurementProto, Output, ProtoMsg, ReliableConfig, Role, RoleNode, Standing, StepBuf,
     TimerKind,
 };
@@ -90,8 +93,8 @@ impl WorldKind {
 
     /// The CI-pinned exploration depth for this world: deep enough to
     /// reach the behaviors the world exists to find (the small world's
-    /// 10-step ack-loss trace, the giveup world's 13-step
-    /// undeliverable-`StoreCheck` quiescence, the byzantine world's
+    /// 10-step crash between WAL append and flush, the giveup world's
+    /// 13-step undeliverable-`StoreCheck` give-up, the byzantine world's
     /// quarantine→parole walk), shallow enough that all three finish
     /// inside one CI minute.
     pub fn ci_depth(self) -> usize {
@@ -115,8 +118,9 @@ pub enum Mutation {
     DropRetransmitArm,
     /// The driver discards the abandoned payload on retransmit give-up
     /// (the pre-fix behavior) — modeled by firing the timer into the
-    /// channel directly, around the shared step: origins and job
-    /// entries pinned on the abandoned send leak forever.
+    /// channel directly, around the shared step: a job origin pinned on
+    /// an abandoned assignment leaks forever. (A job pinned on an
+    /// abandoned `StoreCheck` does not: its deadline sends another.)
     IgnoreAbandoned,
 }
 
@@ -278,8 +282,7 @@ pub fn independent(a: &Event, b: &Event) -> bool {
     }
 }
 
-/// An invariant violation (or waivable accepted behavior) observed
-/// while applying one event.
+/// An invariant violation observed while applying one event.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
     /// Stable rule id (`durability.acked_store_lost`, …).
@@ -325,8 +328,8 @@ pub struct ModelWorld {
     /// Jobs whose `DbAck` the Measurement server has received — from
     /// that instant the store must survive any crash.
     acked_stores: BTreeSet<u64>,
-    /// When false, invariant evaluation (state checks, ladder capture,
-    /// db-event folding) is skipped — used by the explorer when
+    /// When false, invariant evaluation (state checks, ladder capture)
+    /// is skipped — used by the explorer when
     /// replaying an already-checked prefix, where only the state
     /// transition matters. Never affects the state reached.
     checking: bool,
@@ -532,6 +535,18 @@ impl ModelWorld {
             Role::Database(p) => Some(&**p),
             _ => None,
         })
+    }
+
+    /// Jobs with a record in the Database's log or snapshot.
+    pub fn stored_jobs(&self) -> BTreeSet<u64> {
+        self.db()
+            .map(|db| db.stored_jobs().map(|j| j.0).collect())
+            .unwrap_or_default()
+    }
+
+    /// Jobs whose `DbAck` reached the Measurement server.
+    pub fn acked_stores(&self) -> &BTreeSet<u64> {
+        &self.acked_stores
     }
 
     // -- event enumeration ------------------------------------------------
@@ -741,8 +756,8 @@ impl ModelWorld {
     }
 
     /// One call into the shared node step, wrapped in what only the
-    /// checker does around it: the defense-ladder comparison, the
-    /// DB-event findings, and routing the commands into the slot sets.
+    /// checker does around it: the defense-ladder comparison and
+    /// routing the commands into the slot sets.
     /// Addresses with no node here (Aggregator, IPCs — the DES would
     /// route these to real nodes) absorb the event silently.
     fn step(
@@ -763,7 +778,6 @@ impl ModelWorld {
         if let (Some((book, pre)), Some((_, post))) = (pre, standings(node)) {
             check_ladder(book, &pre, &post, cause, findings);
         }
-        self.fold_db_events(&buf.db, findings);
         self.route(addr, buf.out);
     }
 
@@ -884,24 +898,6 @@ impl ModelWorld {
         }
     }
 
-    fn fold_db_events(&self, events: &[DbEvent], findings: &mut Vec<Finding>) {
-        if !self.checking {
-            return;
-        }
-        for e in events {
-            if let DbEvent::AckLossWindow { job } = e {
-                findings.push(Finding {
-                    rule: "db.ack_loss_window",
-                    detail: format!(
-                        "deferred DbDone for job {} found its record torn off by the crash; \
-                         no ack leaves (sender's retransmit re-stores it)",
-                        job.0
-                    ),
-                });
-            }
-        }
-    }
-
     // -- invariants -------------------------------------------------------
 
     fn timer_armed(&self, node: Address, kind: TimerKind) -> bool {
@@ -916,7 +912,7 @@ impl ModelWorld {
         // Channel-acked stores survive recovery: once the Measurement
         // server has seen DbAck{job}, the record must be durable.
         if let Some(db) = self.db() {
-            let stored: BTreeSet<u64> = db.stored_jobs().map(|j| j.0).collect();
+            let stored = self.stored_jobs();
             for job in &self.acked_stores {
                 if !stored.contains(job) {
                     findings.push(Finding {
@@ -953,6 +949,28 @@ impl ModelWorld {
                 }
             }
         }
+        // Every open Measurement job is watched: a `JobDeadline` (reap,
+        // assembly, then store re-send) or the `ProcDone` of its assembly
+        // is armed on its server. A job nothing will ever look at again
+        // is a lost check, whatever the rest of the system does.
+        for node in &self.nodes {
+            let Role::Measurement(p) = &node.role else {
+                continue;
+            };
+            for job in p.open_jobs() {
+                if !self.timer_armed(node.me, TimerKind::JobDeadline(job))
+                    && !self.timer_armed(node.me, TimerKind::ProcDone(job))
+                {
+                    findings.push(Finding {
+                        rule: "timer.obligation_leak",
+                        detail: format!(
+                            "{:?} holds open job {} with no JobDeadline or ProcDone timer armed",
+                            node.me, job.0
+                        ),
+                    });
+                }
+            }
+        }
         // No duplicate observations per (kind, id) vantage, ever.
         if self
             .measurement()
@@ -976,7 +994,7 @@ impl ModelWorld {
                 detail: format!("coordinator holds {origins} job origin(s) at quiescence"),
             });
         }
-        let open_jobs = self.measurement().map_or(0, MeasurementProto::open_jobs);
+        let open_jobs = self.measurement().map_or(0, |p| p.open_jobs().count());
         if open_jobs != 0 {
             findings.push(Finding {
                 rule: "quiesce.leaked_state",

@@ -19,15 +19,14 @@ use sheriff_market::pricing::{Browser, Os};
 use sheriff_market::world::WorldConfig;
 use sheriff_market::{UserAgent, World};
 use sheriff_model::{
-    explore, is_waived, reproduces, to_fault_plan, Event, Mutation, Topology, WorldCfg, WorldKind,
-    WAIVERS,
+    explore, reproduces, to_fault_plan, Event, ModelWorld, Mutation, Topology, WorldCfg, WorldKind,
 };
 
-/// The minimized 10-step small-world schedule of the accepted §WAL
-/// ack-loss window, exactly as the explorer reports it: the happy path
-/// to a delivered `StoreCheck`, a Database crash in the store window,
-/// and the deferred `DbDone` discovering the torn record.
-fn ack_loss_schedule() -> Vec<Event> {
+/// The 10-step small-world schedule that tears a store off the log: the
+/// happy path to a delivered (and hop-acked) `StoreCheck`, a Database
+/// crash between the WAL append and its flush, and the deferred
+/// `DbDone` finding nobody to ack.
+fn torn_store_schedule() -> Vec<Event> {
     vec![
         Event::Deliver { slot: 0 },   // CoordRequest → Coordinator
         Event::Deliver { slot: 1 },   // Reliable(PpcList) → Server
@@ -40,14 +39,13 @@ fn ack_loss_schedule() -> Vec<Event> {
         Event::CrashRestart {
             node: Address::Database,
         },
-        Event::FireTimer { slot: 6 }, // deferred DbDone meets the tear
+        Event::FireTimer { slot: 6 }, // deferred DbDone: nobody to ack
     ]
 }
 
-/// The minimized 13-step giveup-world schedule that leaks state when
-/// the `IgnoreAbandoned` mutation discards the give-up payload: both
-/// copies of the `StoreCheck` are destroyed, the channel abandons the
-/// send, and nobody releases the job pinned on it.
+/// The 13-step giveup-world schedule that makes a `StoreCheck`
+/// undeliverable: both copies are destroyed and the channel abandons
+/// the send, which is what finishes the job pinned on it.
 fn abandoned_store_schedule() -> Vec<Event> {
     vec![
         Event::Deliver { slot: 0 },   // CoordRequest → Coordinator
@@ -56,41 +54,61 @@ fn abandoned_store_schedule() -> Vec<Event> {
         Event::Deliver { slot: 3 },   // Ack → Coordinator
         Event::Deliver { slot: 4 },   // Ack → Coordinator
         Event::Deliver { slot: 5 },   // JobSubmit → Server
-        Event::FireTimer { slot: 2 }, // creation JobDeadline (no-op)
-        Event::FireTimer { slot: 3 }, // fan-out JobDeadline → assembly
+        Event::FireTimer { slot: 2 }, // JobDeadline → assembly, re-armed
+        Event::FireTimer { slot: 3 }, // its same-millisecond twin (no-op)
         Event::FireTimer { slot: 4 }, // ProcDone → StoreCheck out
         Event::Drop { slot: 6 },      // StoreCheck copy 1 destroyed
-        Event::FireTimer { slot: 5 }, // Retransmit → resend
+        Event::FireTimer { slot: 6 }, // Retransmit → resend
         Event::Drop { slot: 7 },      // StoreCheck copy 2 destroyed
-        Event::FireTimer { slot: 6 }, // Retransmit → give-up
+        Event::FireTimer { slot: 7 }, // Retransmit → give-up
+    ]
+}
+
+/// The 9-step schedule that cuts the Coordinator off from both parties
+/// of a job it just admitted: `PpcList` and `CoordAssign` are destroyed
+/// twice each, so nobody downstream ever hears of the job and only the
+/// give-up hook can release its origin.
+fn abandoned_assignment_schedule() -> Vec<Event> {
+    vec![
+        Event::Deliver { slot: 0 },   // CoordRequest → Coordinator
+        Event::Drop { slot: 1 },      // PpcList copy 1 destroyed
+        Event::Drop { slot: 2 },      // CoordAssign copy 1 destroyed
+        Event::FireTimer { slot: 0 }, // Retransmit → resend PpcList
+        Event::Drop { slot: 3 },      // PpcList copy 2 destroyed
+        Event::FireTimer { slot: 1 }, // Retransmit → resend CoordAssign
+        Event::Drop { slot: 4 },      // CoordAssign copy 2 destroyed
+        Event::FireTimer { slot: 2 }, // Retransmit → give-up
+        Event::FireTimer { slot: 3 }, // Retransmit → give-up
     ]
 }
 
 #[test]
-fn waiver_table_is_exactly_the_small_world_ack_loss_window() {
-    assert_eq!(WAIVERS, &[(WorldKind::Small, "db.ack_loss_window")]);
-    assert!(is_waived(WorldKind::Small, "db.ack_loss_window"));
-    assert!(!is_waived(WorldKind::Giveup, "db.ack_loss_window"));
-    assert!(!is_waived(WorldKind::Small, "durability.acked_store_lost"));
-}
-
-#[test]
-fn ack_loss_schedule_reproduces_and_is_minimal() {
-    let cfg = WorldCfg::preset(WorldKind::Small);
-    let schedule = ack_loss_schedule();
-    assert!(
-        reproduces(cfg, &schedule, "db.ack_loss_window", false),
-        "the canonical ack-loss schedule must reproduce its finding"
-    );
-    // 1-minimality: removing any single event kills the reproduction.
-    for skip in 0..schedule.len() {
-        let mut shorter = schedule.clone();
-        shorter.remove(skip);
-        assert!(
-            !reproduces(cfg, &shorter, "db.ack_loss_window", false),
-            "schedule without step {skip} should not reproduce"
-        );
+fn torn_store_is_resent_by_the_requester_and_the_check_completes() {
+    let mut w = ModelWorld::new(WorldCfg::preset(WorldKind::Small));
+    let apply = |w: &mut ModelWorld, e: Event| {
+        let findings = w.apply_event(e).expect("scheduled event applies");
+        assert!(findings.is_empty(), "{}: {findings:?}", w.describe(e));
+    };
+    for e in torn_store_schedule() {
+        apply(&mut w, e);
     }
+    assert!(w.stored_jobs().is_empty(), "the crash tore the record off");
+    // From here the adversary is out of moves that matter: only what an
+    // undisturbed network and clock do — deliveries, timer firings.
+    let mut steps = 0;
+    while !w.protocol_quiescent() {
+        let next = w
+            .enabled_events()
+            .into_iter()
+            .find(|e| matches!(e, Event::Deliver { .. } | Event::FireTimer { .. }))
+            .expect("not quiescent, so something is deliverable or armed");
+        apply(&mut w, next);
+        steps += 1;
+        assert!(steps < 64, "the recovery must itself quiesce");
+    }
+    assert_eq!(w.quiescence_findings(), [], "no job, origin or send left");
+    assert!(w.stored_jobs().contains(&1), "the re-sent check is stored");
+    assert!(w.acked_stores().contains(&1), "and its DbAck was delivered");
 }
 
 #[test]
@@ -129,19 +147,53 @@ fn drop_retransmit_arm_mutation_is_discovered_with_replayable_trace() {
 }
 
 #[test]
+fn drop_db_done_arm_mutation_is_caught_when_the_store_lands() {
+    // The torn-store schedule up to the StoreCheck's delivery: the
+    // Database accepts the store and (mutated) arms nothing to finish it.
+    let schedule = &torn_store_schedule()[..8];
+    let small = WorldCfg::preset(WorldKind::Small);
+    assert!(reproduces(
+        small.with_mutation(Mutation::DropDbDoneArm),
+        schedule,
+        "timer.obligation_leak",
+        false
+    ));
+    assert!(!reproduces(small, schedule, "timer.obligation_leak", false));
+}
+
+#[test]
 fn ignore_abandoned_mutation_leaks_state_at_quiescence() {
-    let mutated = WorldCfg::preset(WorldKind::Giveup).with_mutation(Mutation::IgnoreAbandoned);
-    let schedule = abandoned_store_schedule();
+    // Four drops: the preset's two cannot silence both messages. (On the
+    // Measurement side the mutation no longer leaks within any finite
+    // drop budget: the job deadline keeps re-sending the `StoreCheck`,
+    // so discarding the give-up there costs liveness against a Database
+    // that is gone for good, not state.)
+    let cut_off = WorldCfg {
+        drop_budget: 4,
+        ..WorldCfg::preset(WorldKind::Giveup)
+    };
+    let schedule = abandoned_assignment_schedule();
     assert!(
-        reproduces(mutated, &schedule, "quiesce.leaked_state", true),
-        "discarding the abandoned StoreCheck must leak pinned state"
+        reproduces(
+            cut_off.with_mutation(Mutation::IgnoreAbandoned),
+            &schedule,
+            "quiesce.leaked_state",
+            true
+        ),
+        "discarding the abandoned assignment must leak the job's origin"
     );
-    // The un-mutated giveup world releases everything on give-up: the
-    // same schedule quiesces clean (the release hook emits the
-    // JobComplete/Results pair, so the state is not even quiescent yet).
+    // Un-mutated, the same schedule quiesces clean, and so does the
+    // undeliverable `StoreCheck` (whose release hook emits the
+    // JobComplete/Results pair, so that state is not even quiescent yet).
+    assert!(!reproduces(
+        cut_off,
+        &schedule,
+        "quiesce.leaked_state",
+        true
+    ));
     assert!(!reproduces(
         WorldCfg::preset(WorldKind::Giveup),
-        &schedule,
+        &abandoned_store_schedule(),
         "quiesce.leaked_state",
         true
     ));
@@ -156,7 +208,7 @@ fn counterexample_translates_to_a_scripted_fault_plan() {
         n_ipcs: 0,
         peer_ids: vec![1, 2],
     };
-    let plan = to_fault_plan(cfg, &ack_loss_schedule(), &topology, 7, 40);
+    let plan = to_fault_plan(cfg, &torn_store_schedule(), &topology, 7, 40);
     assert!(plan.is_active(), "a crash schedule must produce a plan");
     assert_eq!(plan.crash_windows().len(), 1);
     assert_eq!(

@@ -1,24 +1,21 @@
-//! Model counterexample → DES regression replay.
+//! Model schedule → DES regression replay.
 //!
-//! The checker's waived `db.ack_loss_window` counterexample is not just
-//! a report — it is a schedule. This test pushes it back through
-//! [`to_fault_plan`] and re-runs it under the full discrete-event
-//! simulation: the plan skeleton pins *which* node crashes, and because
-//! model virtual time and DES virtual time are different clocks (the
-//! module docs call the translation a skeleton for exactly this
-//! reason), the test scans a band of DES crash windows around the store
-//! instant. At least one window must land in the append→flush gap and
-//! raise the `db.ack_loss_window` telemetry counter.
+//! The checker's torn-store schedule (a Database crash between a WAL
+//! append and its flush) is not just a trace — it is a schedule. This
+//! test pushes it back through [`to_fault_plan`] and re-runs it under
+//! the full discrete-event simulation: the plan skeleton pins *which*
+//! node crashes, and because model virtual time and DES virtual time
+//! are different clocks (the module docs call the translation a
+//! skeleton for exactly this reason), the test scans a band of DES
+//! crash windows around the store instant. At least one window must
+//! land in the append→flush gap and tear the record off.
 //!
-//! Under the DES the anomaly is *silent*: the channel-level ack already
-//! stopped the sender's retransmit, so when the crash tears the
-//! unflushed record off, nobody ever re-sends it — the deferred
-//! `DbDone` fires into the void and the check never completes. What
-//! stays true in every window, loss or not, is the invariant the model
-//! actually enforces: the store never diverges from the completed set
-//! (a *completed* check is always durably stored). The counter is the
-//! only witness the window happened, which is exactly why PR 7 made it
-//! observable.
+//! The hop ack that stopped the channel's retransmit left when the
+//! `StoreCheck` was *received*, so inside the gap nobody at the
+//! Database end knows a store is owed. The Measurement server's job
+//! deadline does: it sends the check again, the recovered Database
+//! appends it a second time, and the check completes — in every window
+//! the completed set and the stored set are both exactly the one job.
 
 use std::collections::BTreeSet;
 
@@ -30,8 +27,8 @@ use sheriff_market::{ProductId, UserAgent, World};
 use sheriff_model::{to_fault_plan, Event, Topology, WorldCfg, WorldKind};
 use sheriff_netsim::{FaultPlan, SimTime};
 
-/// The checker's minimized ack-loss schedule (see `tests/model.rs`).
-fn ack_loss_schedule() -> Vec<Event> {
+/// The torn-store schedule (see `tests/model.rs`).
+fn torn_store_schedule() -> Vec<Event> {
     vec![
         Event::Deliver { slot: 0 },
         Event::Deliver { slot: 1 },
@@ -65,7 +62,7 @@ fn specs(n: u64) -> Vec<PpcSpec> {
 }
 
 /// One DES run of the small v2 deployment with `plan` installed;
-/// returns `(ack_loss_windows, completed_jobs, stored_jobs)`.
+/// returns `(wal_appends, completed_jobs, stored_jobs)`.
 fn replay(seed: u64, plan: FaultPlan) -> (u64, BTreeSet<u64>, BTreeSet<u64>) {
     let world = World::build(&WorldConfig::small(), seed);
     let mut sheriff = PriceSheriff::new(SheriffConfig::fast(seed), world, &specs(1));
@@ -73,18 +70,14 @@ fn replay(seed: u64, plan: FaultPlan) -> (u64, BTreeSet<u64>, BTreeSet<u64>) {
     sheriff.submit_check(SimTime::from_millis(0), 100, "amazon.com", ProductId(0));
     sheriff.run_until(SimTime::from_mins(3));
     let snap = sheriff.telemetry().snapshot();
-    let loss = snap
-        .counters
-        .get("db.ack_loss_window")
-        .copied()
-        .unwrap_or(0);
+    let appends = snap.counters.get("db.wal_appends").copied().unwrap_or(0);
     let completed = sheriff.completed().iter().map(|c| c.check.job_id).collect();
     let stored = sheriff.database_checks().iter().map(|c| c.job_id).collect();
-    (loss, completed, stored)
+    (appends, completed, stored)
 }
 
 #[test]
-fn model_ack_loss_counterexample_replays_under_the_des() {
+fn model_torn_store_schedule_recovers_under_the_des() {
     let topology = Topology {
         has_db: true,
         n_servers: 1,
@@ -93,7 +86,7 @@ fn model_ack_loss_counterexample_replays_under_the_des() {
     };
     let skeleton = to_fault_plan(
         WorldCfg::preset(WorldKind::Small),
-        &ack_loss_schedule(),
+        &torn_store_schedule(),
         &topology,
         17,
         40,
@@ -107,38 +100,28 @@ fn model_ack_loss_counterexample_replays_under_the_des() {
     // (the job deadline assembles at 2 s; seed 17 appends the record
     // around 2.6 s). The append→flush gap is a few milliseconds wide, so
     // the scan steps by 1 ms.
-    let mut hits = 0u64;
+    let mut torn = 0u64;
     for start in 2_550..2_650 {
         let plan = FaultPlan::new(17).with_crash(db_index, start, start + 900);
-        let (loss, completed, stored) = replay(17, plan);
-        hits += loss;
-        // The durability invariant holds in *every* window — the store
-        // never diverges from the completed set.
+        let (appends, completed, stored) = replay(17, plan);
+        // Before the gap the dead node eats the delivery and the channel
+        // retransmits; after it the store was already durable; inside it
+        // the record is appended, torn off, and appended again when the
+        // job deadline re-sends the check. The outcome is the same.
+        assert_eq!(
+            completed.len(),
+            1,
+            "crash window at {start}ms lost the check"
+        );
         assert_eq!(
             completed, stored,
-            "crash window at {start}ms left a completed check unstored"
+            "crash window at {start}ms: completed and stored diverge"
         );
-        if loss == 0 {
-            // Outside the gap the check rides out the crash: either the
-            // store was already durable, or the dead node ate the
-            // delivery and the retransmit re-stored it after restart.
-            assert_eq!(
-                completed.len(),
-                1,
-                "no-loss window at {start}ms must complete the check"
-            );
-        } else {
-            // Inside the gap the loss is silent: the channel-level ack
-            // already stopped the retransmit, the crash tore the record,
-            // and the check never completes — only the counter remains.
-            assert!(
-                completed.is_empty(),
-                "loss window at {start}ms cannot also complete the check"
-            );
-        }
+        assert!((1..=2).contains(&appends), "{appends} appends at {start}ms");
+        torn += appends - 1;
     }
     assert!(
-        hits >= 1,
-        "no scanned crash window reproduced the ack-loss anomaly the model found"
+        torn >= 1,
+        "no scanned crash window landed between the WAL append and its flush"
     );
 }

@@ -65,11 +65,6 @@ impl Snapshot {
         serde_json::to_string(self).expect("snapshot serialises")
     }
 
-    /// Pretty-printed deterministic JSON (run reports on disk).
-    pub fn to_json_pretty(&self) -> String {
-        serde_json::to_string_pretty(self).expect("snapshot serialises")
-    }
-
     /// Parses a snapshot back from JSON (report tooling, merge pipelines).
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(json)
