@@ -129,6 +129,31 @@ cargo test --workspace --quiet
 stage "cross-backend parity"
 cargo test -p sheriff-wire --test backend_parity --quiet
 
+# DES goldens: what `table1_performance` and `fig6_distribution` print
+# and count at the pinned seed is committed under ci/golden/ — stdout and
+# the telemetry snapshot, so `measurement.diff_bytes_stored`, every
+# `db.*` key, timer and event counts, and the schedule behind them are
+# compared byte for byte. A change that is not meant to move the
+# simulation must pass this untouched; one that is says so by
+# re-baselining in the same reviewed commit.
+stage "des goldens"
+mkdir -p target/golden
+for bin in table1_performance fig6_distribution; do
+    cargo run -q --release -p sheriff-experiments --bin "$bin" -- --seed 1742 \
+        > "target/golden/${bin}.stdout"
+    cp "target/experiments/${bin}_telemetry.json" target/golden/
+done
+for want in ci/golden/*; do
+    got="target/golden/$(basename "$want")"
+    if ! cmp -s "$want" "$got"; then
+        diff -u "$want" "$got" | head -n 80 || true
+        echo "DES output diverges from $want" >&2
+        echo "(if the simulation was meant to change: cp target/golden/* ci/golden/ and commit)" >&2
+        exit 1
+    fi
+done
+echo "stdout and telemetry of both experiments match ci/golden/"
+
 # Chaos gate: seed-deterministic fault schedules (drops, dups, delays, a
 # server crash, a partition) must leave no leaked jobs and no duplicate
 # observations, and the same schedule must produce identical observation

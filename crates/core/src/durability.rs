@@ -69,6 +69,15 @@ pub trait Storage: Send {
     fn barrier(&mut self);
     /// Atomically replaces the snapshot and truncates the WAL to empty.
     fn install_snapshot(&mut self, bytes: &[u8]);
+    /// Atomically appends whole record `frames` to the snapshot image
+    /// (starting one if there is none) and truncates the WAL. A medium
+    /// that can grow its image in place overrides this; the default
+    /// rewrites it.
+    fn extend_snapshot(&mut self, frames: &[u8]) {
+        let mut image = self.read_snapshot();
+        extend_image(&mut image, frames);
+        self.install_snapshot(&image);
+    }
     /// Power-loss: the un-barriered WAL tail is gone. Returns how many
     /// bytes were discarded.
     fn lose_unflushed(&mut self) -> usize;
@@ -121,6 +130,12 @@ impl Storage for MemStorage {
 
     fn install_snapshot(&mut self, bytes: &[u8]) {
         self.snapshot = bytes.to_vec();
+        self.wal.clear();
+        self.flushed = 0;
+    }
+
+    fn extend_snapshot(&mut self, frames: &[u8]) {
+        extend_image(&mut self.snapshot, frames);
         self.wal.clear();
         self.flushed = 0;
     }
@@ -384,13 +399,13 @@ pub fn encode_snapshot(records: &[WalRecord]) -> Vec<u8> {
     out
 }
 
-/// Decodes a snapshot image; a missing or corrupt header yields an
-/// empty store (durability cannot invent data, and must not panic).
-pub fn decode_snapshot(bytes: &[u8]) -> Vec<WalRecord> {
-    match bytes.strip_prefix(&SNAPSHOT_MAGIC) {
-        Some(rest) => decode_records(rest).0,
-        None => Vec::new(),
+/// Appends whole record `frames` to a snapshot `image` (header first if it
+/// is empty): byte for byte [`encode_snapshot`] of the records in order.
+pub fn extend_image(image: &mut Vec<u8>, frames: &[u8]) {
+    if image.is_empty() {
+        image.extend_from_slice(&SNAPSHOT_MAGIC);
     }
+    image.extend_from_slice(frames);
 }
 
 /// What recovery reconstructed from a [`Storage`].
@@ -405,6 +420,13 @@ pub struct Recovered {
     /// Records contributed by the log tail (also the live machine's
     /// "records since last snapshot" counter after recovery).
     pub wal_records: usize,
+    /// Bytes of the snapshot image past its last whole record (the whole
+    /// image when its header is bad).
+    pub snapshot_torn: usize,
+    /// Bytes of the durable log past its last whole record. Frames
+    /// appended behind such a tail would be invisible to the next
+    /// recovery, so whoever keeps writing must drop it first.
+    pub wal_torn: usize,
 }
 
 /// Replays `storage`: snapshot image first, then the durable log tail,
@@ -413,13 +435,25 @@ pub struct Recovered {
 pub fn recover(storage: &dyn Storage) -> Recovered {
     let mut out = Recovered::default();
     let mut seen: BTreeSet<u64> = BTreeSet::new();
-    for rec in decode_snapshot(&storage.read_snapshot()) {
+    let snapshot = storage.read_snapshot();
+    // A missing or corrupt header yields no records, never a panic.
+    let (image, whole) = match snapshot.strip_prefix(&SNAPSHOT_MAGIC) {
+        Some(frames) => {
+            let (records, end) = decode_records(frames);
+            (records, SNAPSHOT_MAGIC.len() + end)
+        }
+        None => (Vec::new(), 0),
+    };
+    out.snapshot_torn = snapshot.len() - whole;
+    for rec in image {
         if seen.insert(rec.job) {
             out.records.push(rec);
             out.snapshot_records += 1;
         }
     }
-    let (tail, _) = decode_records(&storage.read_wal());
+    let wal = storage.read_wal();
+    let (tail, whole) = decode_records(&wal);
+    out.wal_torn = wal.len() - whole;
     for rec in tail {
         out.wal_records += 1;
         if seen.insert(rec.job) {
@@ -528,9 +562,12 @@ mod tests {
             })
             .collect();
         let img = encode_snapshot(&records);
-        assert_eq!(decode_snapshot(&img), records);
-        assert!(decode_snapshot(b"junk").is_empty());
-        assert!(decode_snapshot(&[]).is_empty());
+        let from = |image: &[u8]| recover(&MemStorage::with_contents(image.to_vec(), Vec::new()));
+        let whole = from(&img);
+        assert_eq!((whole.records, whole.snapshot_torn), (records, 0));
+        let junk = from(b"junk");
+        assert_eq!((junk.records, junk.snapshot_torn), (Vec::new(), 4));
+        assert!(from(&[]).records.is_empty());
     }
 
     #[test]

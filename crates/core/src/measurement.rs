@@ -25,11 +25,8 @@ pub struct VantageMeta {
     pub ip: IpV4,
 }
 
-/// Processes one proxy response into a [`PriceObservation`].
-///
-/// `html` is the fetched page (possibly a CAPTCHA page), `path` the
-/// initiator's Tags Path, `target` the currency the initiator wants results
-/// in (Fig. 2's "Converted Value" column).
+/// Processes one proxy response into a [`PriceObservation`]: parses
+/// `html`, then [`process_document`].
 pub fn process_response(
     html: &str,
     path: &TagsPath,
@@ -37,54 +34,60 @@ pub fn process_response(
     target: &str,
     rates: &FixedRates,
 ) -> PriceObservation {
-    let failed = |raw: String| PriceObservation {
+    process_document(&Document::parse(html), path, meta, target, rates)
+}
+
+/// Processes one parsed proxy response into a [`PriceObservation`].
+///
+/// `doc` is the fetched page (possibly a CAPTCHA page), `path` the
+/// initiator's Tags Path, `target` the currency the initiator wants results
+/// in (Fig. 2's "Converted Value" column).
+pub fn process_document(
+    doc: &Document,
+    path: &TagsPath,
+    meta: &VantageMeta,
+    target: &str,
+    rates: &FixedRates,
+) -> PriceObservation {
+    // Failed until a price is extracted, detected and converted.
+    let mut obs = PriceObservation {
         vantage: meta.kind,
         vantage_id: meta.id,
         country: meta.country,
         city: meta.city.clone(),
         ip: meta.ip,
-        raw_text: raw,
+        raw_text: String::new(),
         currency: String::new(),
         amount: 0.0,
         amount_eur: 0.0,
         low_confidence: false,
         failed: true,
     };
-
-    let doc = Document::parse(html);
-    let Some((raw_text, _quality)) = extract_text_by_path(&doc, path) else {
-        return failed(String::new());
+    let Some((raw_text, _quality)) = extract_text_by_path(doc, path) else {
+        return obs;
     };
+    obs.raw_text = raw_text;
     // Geo-hinting for ambiguous symbols: when `$`/`kr`/`¥` could denote
     // several currencies, prefer the vantage country's own currency (a
     // Canadian proxy seeing `$912` is looking at CAD) — including its
     // decimal convention during parsing. The observation stays flagged
     // low-confidence — the Fig. 2 red asterisk — and the §6/§7 analyses
     // treat it accordingly.
-    let Ok(detected) = detect_price_with_hint(&raw_text, meta.country.currency()) else {
-        return failed(raw_text);
+    let Ok(detected) = detect_price_with_hint(&obs.raw_text, meta.country.currency()) else {
+        return obs;
     };
     let currency_iso = detected.currency.iso;
     let Some(in_target) = rates.convert(detected.amount, currency_iso, target) else {
-        return failed(raw_text);
+        return obs;
     };
-    let amount_eur = rates
+    obs.currency = currency_iso.to_string();
+    obs.amount = detected.amount;
+    obs.amount_eur = rates
         .convert(detected.amount, currency_iso, "EUR")
         .unwrap_or(in_target);
-
-    PriceObservation {
-        vantage: meta.kind,
-        vantage_id: meta.id,
-        country: meta.country,
-        city: meta.city.clone(),
-        ip: meta.ip,
-        raw_text,
-        currency: currency_iso.to_string(),
-        amount: detected.amount,
-        amount_eur,
-        low_confidence: detected.confidence == Confidence::Low,
-        failed: false,
-    }
+    obs.low_confidence = detected.confidence == Confidence::Low;
+    obs.failed = false;
+    obs
 }
 
 /// Builds the initiator's Tags Path from their own page by locating the
@@ -96,7 +99,6 @@ pub fn tags_path_for_selection(html: &str, selection: &str) -> Option<TagsPath> 
     let doc = Document::parse(html);
     let target = doc
         .descendants(doc.root())
-        .into_iter()
         .rev() // deepest-last in DFS order — prefer the innermost element
         .filter(|&id| doc.name(id).is_some())
         .find(|&id| doc.text_content(id).trim() == selection.trim())?;
@@ -182,6 +184,24 @@ mod tests {
             assert!(!obs.failed, "{fmt:?} {cur}: {text}");
             assert_eq!(obs.currency, cur, "{text}");
         }
+    }
+
+    #[test]
+    fn deeply_nested_reply_is_processed_on_a_small_stack() {
+        // A Byzantine PPC's reply: the price element, then 200 000 open
+        // <b>s. Reactor shards run on 2 MiB thread stacks; a subtree walk
+        // that recursed per level would abort the whole process there.
+        let html = format!("<span class=\"price\">{}EUR9.00", "<b>".repeat(200_000));
+        let path = path_for(&page("EUR1.00"), "EUR1.00");
+        let obs = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || process_response(&html, &path, &meta(), "EUR", &FixedRates::paper_era()))
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow");
+        assert!(!obs.failed);
+        assert_eq!(obs.raw_text, "EUR9.00");
+        assert!((obs.amount_eur - 9.0).abs() < 1e-9);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! enters the in-memory table; the `DbDone` timer that models the
 //! query's I/O cost runs a durability barrier *before* the `DbAck`
 //! leaves, so an acknowledged store is always on disk. Every
-//! `snapshot_every` records the table is folded into a snapshot and the
-//! log truncated, with the compaction I/O charged to the triggering
-//! query.
+//! `snapshot_every` records the log is folded into the snapshot and
+//! truncated, with the compaction I/O charged to the triggering query;
+//! a WAL record is already an image frame, so nothing is re-encoded.
 //!
 //! Crash recovery ([`DbProto::on_restart`]): volatile state — the
 //! memory table, in-flight queries, the reliable channel's windows — is
@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::coordinator::JobId;
 use crate::db::{Database, DbCostModel};
-use crate::durability::{self, MemStorage, Storage, WalRecord};
+use crate::durability::{self, MemStorage, Storage};
 use crate::protocol::digest::Digest;
 use crate::protocol::{Address, Output, ProtoMsg, TimerKind};
 
@@ -58,7 +58,7 @@ pub enum DbEvent {
         /// Encoded record size.
         bytes: u64,
     },
-    /// The table was folded into a snapshot and the log truncated.
+    /// The log was folded into the snapshot and truncated.
     SnapshotInstalled {
         /// Records in the snapshot image.
         records: u64,
@@ -92,9 +92,6 @@ pub struct DbProto {
     /// Jobs with a record in the WAL or snapshot — the at-least-once
     /// dedup set, rebuilt on recovery.
     stored_jobs: BTreeSet<JobId>,
-    /// `(vt_ms, job)` per stored check, aligned with the table's store
-    /// order, so a snapshot re-encodes the original records.
-    meta: Vec<(u64, JobId)>,
 }
 
 impl DbProto {
@@ -121,7 +118,6 @@ impl DbProto {
             snapshot_every: snapshot_every.max(1),
             since_snapshot: 0,
             stored_jobs: BTreeSet::new(),
-            meta: Vec::new(),
         };
         proto.replay();
         proto
@@ -133,11 +129,21 @@ impl DbProto {
         let recovered = durability::recover(self.storage.as_ref());
         self.since_snapshot = recovered.wal_records;
         for rec in recovered.records {
-            let job = JobId(rec.job);
-            if self.stored_jobs.insert(job) {
-                self.meta.push((rec.vt_ms, job));
+            if self.stored_jobs.insert(JobId(rec.job)) {
                 self.database.store(rec.check);
             }
+        }
+        // A region ending in a torn frame (a write the dying process raced)
+        // must not be appended to: the next recovery would stop at that
+        // frame and lose what is behind it. Install what is whole instead.
+        if recovered.snapshot_torn + recovered.wal_torn > 0 {
+            let mut image = self.storage.read_snapshot();
+            image.truncate(image.len().saturating_sub(recovered.snapshot_torn));
+            let log = self.storage.read_wal();
+            let whole = log.len().saturating_sub(recovered.wal_torn);
+            durability::extend_image(&mut image, log.get(..whole).unwrap_or_default());
+            self.storage.install_snapshot(&image);
+            self.since_snapshot = 0;
         }
         self.database.len() as u64
     }
@@ -181,7 +187,6 @@ impl DbProto {
         if self.since_snapshot >= self.snapshot_every {
             cost += self.cost.compaction_cost_ms(self.database.len() + 1);
         }
-        self.meta.push((now_ms, job));
         self.database.store(*check);
         self.stored_jobs.insert(job);
         self.pending.insert(job, from);
@@ -214,25 +219,18 @@ impl DbProto {
             return;
         };
         // Flush-before-ack: group-commit everything appended so far,
-        // then (at the cadence) fold the table into a snapshot — both
-        // already charged into this query's cost at schedule time.
+        // then (at the cadence) fold the log into the snapshot — both
+        // already charged into this query's cost at schedule time. Both
+        // regions are whole here: images are installed atomically, `replay`
+        // dropped any torn tail it found, and every append since was one
+        // whole frame, now barriered.
         self.storage.barrier();
         if self.since_snapshot >= self.snapshot_every {
-            let records: Vec<WalRecord> = self
-                .meta
-                .iter()
-                .zip(self.database.checks())
-                .map(|(&(vt_ms, job), check)| WalRecord {
-                    vt_ms,
-                    job: job.0,
-                    check: check.clone(),
-                })
-                .collect();
-            self.storage
-                .install_snapshot(&durability::encode_snapshot(&records));
+            let log = self.storage.read_wal();
+            self.storage.extend_snapshot(&log);
             self.since_snapshot = 0;
             events.push(DbEvent::SnapshotInstalled {
-                records: records.len() as u64,
+                records: self.database.len() as u64,
             });
         }
         out.push(Output::send(requester, ProtoMsg::DbAck { job }));
@@ -247,7 +245,6 @@ impl DbProto {
         self.pending.clear();
         self.database = Database::new();
         self.stored_jobs.clear();
-        self.meta.clear();
         self.since_snapshot = 0;
         let records = self.replay();
         events.push(DbEvent::Recovered {
@@ -280,9 +277,8 @@ impl DbProto {
     }
 
     /// Folds the machine's logical state into `d` for model-checker
-    /// state canonicalization. The WAL-record timestamps (`meta`, and
-    /// the stamps embedded in the durable byte images) carry absolute
-    /// time, so durable contents are folded as the *job-id set* plus
+    /// state canonicalization. The WAL-record timestamps (the stamps
+    /// embedded in the durable byte images) carry absolute time, so durable contents are folded as the *job-id set* plus
     /// table length — behaviorally complete for the checker because
     /// dedup and recovery consult exactly `stored_jobs` and the record
     /// count, never the stamps.

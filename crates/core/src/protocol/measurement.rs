@@ -20,12 +20,12 @@ use std::collections::{btree_map::Entry, BTreeMap, BTreeSet};
 use sheriff_currency::FixedRates;
 use sheriff_geo::Country;
 use sheriff_html::tagspath::TagsPath;
-use sheriff_html::DiffStorage;
+use sheriff_html::{DiffStorage, Document};
 use sheriff_market::ProductId;
 
 use crate::coordinator::JobId;
 use crate::db::{Database, DbCostModel};
-use crate::measurement::{process_response, VantageMeta};
+use crate::measurement::{process_document, VantageMeta};
 use crate::protocol::digest::Digest;
 use crate::protocol::{
     day_of_ms, defense_key, Address, DefenseAction, DefenseBook, DefenseParams, Output, ProtoMsg,
@@ -259,10 +259,11 @@ impl MeasurementProto {
             return;
         };
 
+        let submit = *submit;
         state.domain = submit.domain.clone();
         state.product = submit.product;
-        state.tags_path = submit.tags_path.clone();
-        state.page_store = DiffStorage::new(&submit.initiator_html);
+        state.tags_path = submit.tags_path;
+        state.page_store = DiffStorage::new(submit.initiator_html);
         state.observations.push(submit.initiator_obs);
         state.initiator = submit.initiator;
         state.fanned_out = true;
@@ -270,23 +271,9 @@ impl MeasurementProto {
         state.deadline_at_ms = now_ms + self.job_deadline_ms;
         state.expected = self.ipcs.len() + ppcs.len();
 
-        let mut seq = job.0 * 100;
-        for &ipc in &self.ipcs {
-            seq += 1;
+        for (seq, &vantage) in (job.0 * 100 + 1..).zip(self.ipcs.iter().chain(&ppcs)) {
             out.push(Output::send(
-                ipc,
-                ProtoMsg::FetchOrder {
-                    job,
-                    domain: submit.domain.clone(),
-                    product: submit.product,
-                    seq,
-                },
-            ));
-        }
-        for &ppc in &ppcs {
-            seq += 1;
-            out.push(Output::send(
-                ppc,
+                vantage,
                 ProtoMsg::FetchOrder {
                     job,
                     domain: submit.domain.clone(),
@@ -490,8 +477,8 @@ impl MeasurementProto {
                 // influence budget. Either rejection still counts the
                 // vantage as heard so honest jobs never stall on a
                 // Byzantine peer's slot.
-                let obs = process_response(
-                    &html,
+                let obs = process_document(
+                    &Document::parse(&html),
                     &state.tags_path,
                     &meta,
                     &self.target_currency,

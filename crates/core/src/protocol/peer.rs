@@ -8,7 +8,7 @@ use sheriff_html::Document;
 use sheriff_market::{CookieJar, ProductId, World};
 
 use crate::coordinator::{JobId, PeerId};
-use crate::measurement::{process_response, VantageMeta};
+use crate::measurement::{process_document, VantageMeta};
 use crate::pollution::FetchMode;
 use crate::protocol::{day_of_ms, quarter_of_ms, Address, Output, ProtoMsg};
 use crate::proxy::PpcEngine;
@@ -248,11 +248,8 @@ impl PeerProto {
                 let template = world.retailer(&domain).map_or(0, |r| r.template);
                 let selection_el = sheriff_market::page::price_markup(template);
                 let doc = Document::parse(&html);
-                let Some(el) = doc.find_by_class(selection_el.0, selection_el.1) else {
-                    abort(self, out);
-                    return;
-                };
-                let Some(tags_path) = TagsPath::from_node(&doc, el) else {
+                let price_el = doc.find_by_class(selection_el.0, selection_el.1);
+                let Some(tags_path) = price_el.and_then(|el| TagsPath::from_node(&doc, el)) else {
                     abort(self, out);
                     return;
                 };
@@ -263,13 +260,8 @@ impl PeerProto {
                     city: self.city.clone(),
                     ip: self.engine.ip,
                 };
-                let obs = process_response(
-                    &html,
-                    &tags_path,
-                    &meta,
-                    &self.target_currency,
-                    &world.rates.clone(),
-                );
+                let obs =
+                    process_document(&doc, &tags_path, &meta, &self.target_currency, &world.rates);
                 out.push(Output::send(
                     server,
                     ProtoMsg::JobSubmit {

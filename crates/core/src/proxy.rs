@@ -68,9 +68,8 @@ impl IpcEngine {
             request_seq,
             client_id: 0xffff_0000 | self.id, // infrastructure namespace
         };
-        let rates = world.rates.clone();
-        let retailer = world.retailer_mut(domain)?;
-        let result = retailer.fetch(product, &ctx, now_ms, &rates, 0.0, ctx.client_id)?;
+        let (retailer, rates) = world.retailer_and_rates(domain)?;
+        let result = retailer.fetch(product, &ctx, now_ms, rates, 0.0, ctx.client_id)?;
         Some(match result {
             FetchResult::Page {
                 html, price_eur, ..
@@ -127,7 +126,6 @@ impl PpcEngine {
         now_ms: u64,
         request_seq: u64,
     ) {
-        let rates = world.rates.clone();
         let logged_in = self.logged_in_domains.iter().any(|d| d == domain);
         let jar = self.browser.cookies.snapshot();
         let ctx = FetchContext {
@@ -141,11 +139,11 @@ impl PpcEngine {
             request_seq,
             client_id: self.peer_id,
         };
-        let Some(retailer) = world.retailer_mut(domain) else {
+        let Some((retailer, rates)) = world.retailer_and_rates(domain) else {
             return;
         };
         let Some(result) =
-            retailer.fetch(product, &ctx, now_ms, &rates, self.affluence, self.peer_id)
+            retailer.fetch(product, &ctx, now_ms, rates, self.affluence, self.peer_id)
         else {
             return;
         };
@@ -171,7 +169,6 @@ impl PpcEngine {
         now_ms: u64,
         request_seq: u64,
     ) -> Option<String> {
-        let rates = world.rates.clone();
         let logged_in = self.logged_in_domains.iter().any(|d| d == domain);
         let jar = self.browser.cookies.snapshot();
         let ctx = FetchContext {
@@ -185,8 +182,8 @@ impl PpcEngine {
             request_seq,
             client_id: self.peer_id,
         };
-        let retailer = world.retailer_mut(domain)?;
-        let result = retailer.fetch(product, &ctx, now_ms, &rates, self.affluence, self.peer_id)?;
+        let (retailer, rates) = world.retailer_and_rates(domain)?;
+        let result = retailer.fetch(product, &ctx, now_ms, rates, self.affluence, self.peer_id)?;
         match result {
             FetchResult::Page {
                 html, set_cookies, ..
@@ -232,7 +229,6 @@ impl PpcEngine {
         doppelganger_state: Option<&CookieJar>,
     ) -> Option<ProxyFetch> {
         let mode = self.ledger.decide_and_charge(domain);
-        let rates = world.rates.clone();
         let logged_in =
             mode == FetchMode::RealOwnState && self.logged_in_domains.iter().any(|d| d == domain);
 
@@ -274,13 +270,13 @@ impl PpcEngine {
             client_id,
         };
 
-        let retailer = world.retailer_mut(domain)?;
+        let (retailer, rates) = world.retailer_and_rates(domain)?;
         let affluence = if mode == FetchMode::Doppelganger {
             0.5 // the doppelganger's own (cluster-average) persona
         } else {
             self.affluence
         };
-        let result = retailer.fetch(product, &ctx, now_ms, &rates, affluence, client_id)?;
+        let result = retailer.fetch(product, &ctx, now_ms, rates, affluence, client_id)?;
 
         let (html, captcha, truth_eur, set_cookies) = match result {
             FetchResult::Page {

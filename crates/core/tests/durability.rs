@@ -19,9 +19,10 @@ use proptest::prelude::*;
 use sheriff_core::coordinator::JobId;
 use sheriff_core::db::DbCostModel;
 use sheriff_core::durability::{
-    decode_records, encode_record, record_boundaries, recover, MemStorage, WalRecord,
+    decode_records, encode_record, encode_snapshot, record_boundaries, recover, MemStorage,
+    WalRecord,
 };
-use sheriff_core::protocol::{Address, DbProto, ProtoMsg, TimerKind};
+use sheriff_core::protocol::{Address, DbEvent, DbProto, ProtoMsg, TimerKind};
 use sheriff_core::records::{PriceCheck, PriceObservation, VantageKind};
 use sheriff_core::system::{PpcSpec, PriceSheriff, SheriffConfig};
 use sheriff_geo::{Country, IpV4};
@@ -60,29 +61,60 @@ fn check(job: u64, n: usize) -> PriceCheck {
     }
 }
 
-/// Drives `n` stores (message + DbDone timer each) through a fresh
-/// `DbProto` at the given snapshot cadence and returns the proto.
-fn run_stores(n: u64, snapshot_every: usize) -> DbProto {
-    let mut proto = DbProto::with_storage(
-        DbCostModel::dedicated(),
-        Box::new(MemStorage::new()),
-        snapshot_every,
+/// The record `store_one` writes for `job`.
+fn record(job: u64) -> WalRecord {
+    WalRecord {
+        vt_ms: job * 100,
+        job,
+        check: check(job, 3 + (job % 4) as usize),
+    }
+}
+
+/// One store (message + DbDone timer) of `record(job)`; true when it
+/// installed a snapshot.
+fn store_one(proto: &mut DbProto, job: u64) -> bool {
+    let (mut out, mut events) = (Vec::new(), Vec::new());
+    let rec = record(job);
+    proto.on_message(
+        rec.vt_ms,
+        Address::Server { index: 0 },
+        ProtoMsg::StoreCheck {
+            job: JobId(job),
+            check: Box::new(rec.check),
+        },
+        &mut out,
+        &mut events,
     );
+    proto.on_timer(TimerKind::DbDone(JobId(job)), &mut out, &mut events);
+    events
+        .iter()
+        .any(|e| matches!(e, DbEvent::SnapshotInstalled { .. }))
+}
+
+fn reborn(snapshot: Vec<u8>, wal: Vec<u8>, snapshot_every: usize) -> DbProto {
+    DbProto::with_storage(
+        DbCostModel::dedicated(),
+        Box::new(MemStorage::with_contents(snapshot, wal)),
+        snapshot_every,
+    )
+}
+
+/// Drives `n` stores through a fresh `DbProto` at the given snapshot
+/// cadence and returns the proto.
+fn run_stores(n: u64, snapshot_every: usize) -> DbProto {
+    let mut proto = reborn(Vec::new(), Vec::new(), snapshot_every);
     for job in 1..=n {
-        let (mut out, mut events) = (Vec::new(), Vec::new());
-        proto.on_message(
-            job * 100,
-            Address::Server { index: 0 },
-            ProtoMsg::StoreCheck {
-                job: JobId(job),
-                check: Box::new(check(job, 3 + (job % 4) as usize)),
-            },
-            &mut out,
-            &mut events,
-        );
-        proto.on_timer(TimerKind::DbDone(JobId(job)), &mut out, &mut events);
+        store_one(&mut proto, job);
     }
     proto
+}
+
+/// What a crash right now would recover from `proto`'s durable bytes.
+fn durable(proto: &DbProto) -> sheriff_core::durability::Recovered {
+    recover(&MemStorage::with_contents(
+        proto.snapshot_bytes(),
+        proto.wal_bytes(),
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -157,6 +189,116 @@ fn recovery_matrix_with_snapshots_spans_both_regions() {
             assert_eq!(rec.job, i as u64 + 1, "store order survives, cut {cut}");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The snapshot is built by concatenation, and must not show it
+// ---------------------------------------------------------------------
+
+#[test]
+fn every_installed_image_is_the_encoding_of_all_records_in_store_order() {
+    let mut proto = reborn(Vec::new(), Vec::new(), 3);
+    let mut installs = 0;
+    for job in 1..=20 {
+        if store_one(&mut proto, job) {
+            installs += 1;
+            let all: Vec<WalRecord> = (1..=job).map(record).collect();
+            assert_eq!(proto.snapshot_bytes(), encode_snapshot(&all), "job {job}");
+            assert!(proto.wal_bytes().is_empty(), "log folded at job {job}");
+        }
+    }
+    assert_eq!(installs, 6);
+}
+
+#[test]
+fn images_installed_after_every_crash_point_are_canonical_and_complete() {
+    // Cadence 2 over 5 stores: a 4-record image plus a 1-record log.
+    // Reboot over every cut of that log (most of them mid-record: a torn
+    // tail), keep storing, and look at every image installed afterwards.
+    let before = run_stores(5, 2);
+    let (snapshot, wal) = (before.snapshot_bytes(), before.wal_bytes());
+    for cut in 0..=wal.len() {
+        let mut proto = reborn(snapshot.clone(), wal[..cut].to_vec(), 2);
+        let survivors = if cut == wal.len() { 5 } else { 4 };
+        assert_eq!(proto.database.len(), survivors as usize, "cut {cut}");
+        let mut expected: Vec<WalRecord> = (1..=survivors).map(record).collect();
+        let mut installs = 0;
+        for job in 6..=9 {
+            expected.push(record(job));
+            if store_one(&mut proto, job) {
+                installs += 1;
+                assert_eq!(
+                    proto.snapshot_bytes(),
+                    encode_snapshot(&expected),
+                    "cut {cut}, job {job}"
+                );
+            }
+            // Whatever was acknowledged is recoverable, in store order.
+            assert_eq!(durable(&proto).records, expected, "cut {cut}, job {job}");
+        }
+        assert!(installs >= 1, "cut {cut}");
+    }
+}
+
+#[test]
+fn store_behind_a_torn_wal_tail_is_recovered() {
+    // The dying process raced a partial third record into the log. A
+    // record appended behind it would be invisible to the next recovery
+    // (decoding stops at the torn frame), so the reboot must not leave
+    // the tail where it is.
+    let wal = run_stores(3, 1_000).wal_bytes();
+    let bounds = record_boundaries(&wal);
+    let torn = wal[..bounds[2] + 7].to_vec();
+    let mut proto = reborn(Vec::new(), torn, 1_000);
+    assert_eq!(proto.database.len(), 2, "the whole records survive");
+    assert!(!store_one(&mut proto, 9), "cadence not reached");
+    let jobs: Vec<u64> = durable(&proto).records.iter().map(|r| r.job).collect();
+    assert_eq!(jobs, [1, 2, 9], "the store after the torn tail is durable");
+    // A snapshot with a torn tail is cut back the same way.
+    let mut image = encode_snapshot(&[record(1), record(2)]);
+    image.extend_from_slice(&wal[bounds[2]..bounds[2] + 7]);
+    let mut proto = reborn(image, Vec::new(), 2);
+    store_one(&mut proto, 8);
+    assert!(store_one(&mut proto, 9), "cadence reached");
+    let all = [record(1), record(2), record(8), record(9)];
+    assert_eq!(proto.snapshot_bytes(), encode_snapshot(&all));
+}
+
+#[test]
+fn des_run_of_300_stores_keeps_the_image_canonical() {
+    let world = World::build(&WorldConfig::small(), 29);
+    let mut sheriff = PriceSheriff::new(SheriffConfig::fast(29), world, &specs(2));
+    // One Database crash in the middle of the feed.
+    sheriff.install_fault_plan(FaultPlan::new(29).with_crash(2, 200_000, 203_000));
+    for i in 0..300u64 {
+        let (domain, product) = [("amazon.com", 0), ("chegg.com", 1)][(i % 2) as usize];
+        sheriff.submit_check(
+            SimTime::from_millis(i * 1_500),
+            100 + i % 2,
+            domain,
+            ProductId(product),
+        );
+    }
+    let mut images = BTreeSet::new();
+    for step in 1..=60u64 {
+        sheriff.run_until(SimTime::from_millis(step * 10_000));
+        let snapshot = sheriff.db_snapshot_bytes().expect("v2 has a database");
+        let wal = sheriff.db_wal_bytes().expect("v2 has a database");
+        let recovered = recover(&MemStorage::with_contents(snapshot.clone(), wal));
+        let in_image = &recovered.records[..recovered.snapshot_records];
+        assert_eq!(snapshot, encode_snapshot(in_image), "at {step}0 s");
+        let stored = sheriff.database_checks();
+        let durable: Vec<&PriceCheck> = recovered.records.iter().map(|r| &r.check).collect();
+        // Everything but the not-yet-barriered tail of the table.
+        assert!(durable.len() <= stored.len() && stored.len() - durable.len() <= 8);
+        assert!(durable.iter().zip(&stored).all(|(a, b)| *a == b));
+        images.insert(snapshot.len());
+    }
+    assert_eq!(sheriff.database_checks().len(), 300, "every check stored");
+    assert!(
+        images.len() >= 5,
+        "the image was looked at across several installs: {images:?}"
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -8,7 +8,8 @@
 //! user's add-on and just saving the difference" for the proxy responses.
 //!
 //! The diff is a classic LCS line diff: ops either copy a run of base lines
-//! or insert new lines. Reconstruction is exact.
+//! or insert new lines. Reconstruction is exact. The table is only built
+//! for the lines between the pages' common head and tail.
 
 use serde::{Deserialize, Serialize};
 
@@ -34,29 +35,50 @@ pub struct LineDiff {
 
 impl LineDiff {
     /// Computes the diff turning `base` into `variant`.
-    // Textbook LCS backtrack: `i`/`j` only decrease from `b.len()`/`v.len()`
-    // and every index is guarded by `i > 0`/`j > 0`; rewriting with `.get`
-    // would bury the algorithm under plumbing.
+    ///
+    /// The table is filled for the differing middle only, and trimming
+    /// changes no op (DESIGN.md, "HTML"): the backtrack consumes the common
+    /// suffix first anyway, and copies a common prefix line for line once
+    /// that prefix's last line occurs in neither remaining middle — so the
+    /// prefix is shortened until that holds (`A B` → `A A B` needs it).
+    // Textbook LCS backtrack: `i`/`j` only decrease from the middle's
+    // lengths and every index is guarded by `i > 0`/`j > 0`; rewriting
+    // with `.get` would bury the algorithm under plumbing.
     // sheriff-lint: allow-item(transitive-panic)
     pub fn compute(base: &str, variant: &str) -> LineDiff {
         let b: Vec<&str> = base.split('\n').collect();
         let v: Vec<&str> = variant.split('\n').collect();
-        let lcs = lcs_table(&b, &v);
+        let same = |(x, y): &(&&str, &&str)| x == y;
+        let suffix = b.iter().rev().zip(v.iter().rev()).take_while(same).count();
+        let (b_end, v_end) = (b.len() - suffix, v.len() - suffix);
+        let mut prefix = b[..b_end].iter().zip(&v[..v_end]).take_while(same).count();
+        while prefix > 0
+            && (b[prefix..b_end].contains(&b[prefix - 1])
+                || v[prefix..v_end].contains(&b[prefix - 1]))
+        {
+            prefix -= 1;
+        }
+        let (b_mid, v_mid) = (&b[prefix..b_end], &v[prefix..v_end]);
+        let lcs = lcs_table(b_mid, v_mid);
+        let width = v_mid.len() + 1;
 
-        // Walk the table back to produce ops.
-        let mut ops: Vec<DiffOp> = Vec::new();
-        let (mut i, mut j) = (b.len(), v.len());
-        let mut rev: Vec<DiffOp> = Vec::new();
+        // Walk the table back (ops come out last first), then coalesce
+        // adjacent ops.
+        let mut rev = vec![DiffOp::Copy {
+            start: b_end,
+            len: suffix,
+        }];
+        let (mut i, mut j) = (b_mid.len(), v_mid.len());
         while i > 0 || j > 0 {
-            if i > 0 && j > 0 && b[i - 1] == v[j - 1] {
+            if i > 0 && j > 0 && b_mid[i - 1] == v_mid[j - 1] {
                 rev.push(DiffOp::Copy {
-                    start: i - 1,
+                    start: prefix + i - 1,
                     len: 1,
                 });
                 i -= 1;
                 j -= 1;
-            } else if j > 0 && (i == 0 || lcs[i][j - 1] >= lcs[i - 1][j]) {
-                rev.push(DiffOp::Insert(vec![v[j - 1].to_string()]));
+            } else if j > 0 && (i == 0 || lcs[i * width + j - 1] >= lcs[(i - 1) * width + j]) {
+                rev.push(DiffOp::Insert(vec![v_mid[j - 1].to_string()]));
                 j -= 1;
             } else {
                 // Deletion from base: nothing to emit, the copy ops simply
@@ -64,10 +86,14 @@ impl LineDiff {
                 i -= 1;
             }
         }
-        rev.reverse();
-        // Coalesce adjacent ops.
-        for op in rev {
+        rev.push(DiffOp::Copy {
+            start: 0,
+            len: prefix,
+        });
+        let mut ops: Vec<DiffOp> = Vec::new();
+        for op in rev.into_iter().rev() {
             match (ops.last_mut(), op) {
+                (_, DiffOp::Copy { len: 0, .. }) => {}
                 (Some(DiffOp::Copy { start, len }), DiffOp::Copy { start: s2, len: l2 })
                     if *start + *len == s2 =>
                 {
@@ -80,6 +106,11 @@ impl LineDiff {
             }
         }
         LineDiff { ops }
+    }
+
+    /// The ops, in application order.
+    pub fn ops(&self) -> &[DiffOp] {
+        &self.ops
     }
 
     /// Applies the diff to `base`, reconstructing the variant exactly.
@@ -114,24 +145,20 @@ impl LineDiff {
             })
             .sum()
     }
-
-    /// Number of ops (diagnostics).
-    pub fn op_count(&self) -> usize {
-        self.ops.len()
-    }
 }
 
-// The table is allocated (a.len()+1) × (b.len()+1) on the first line;
+// The table is (a.len()+1) × (b.len()+1), row-major in one allocation;
 // every index below stays inside those bounds by loop construction.
 // sheriff-lint: allow-item(transitive-panic)
-fn lcs_table(a: &[&str], b: &[&str]) -> Vec<Vec<u32>> {
-    let mut t = vec![vec![0u32; b.len() + 1]; a.len() + 1];
+fn lcs_table(a: &[&str], b: &[&str]) -> Vec<u32> {
+    let width = b.len() + 1;
+    let mut t = vec![0u32; (a.len() + 1) * width];
     for i in 1..=a.len() {
         for j in 1..=b.len() {
-            t[i][j] = if a[i - 1] == b[j - 1] {
-                t[i - 1][j - 1] + 1
+            t[i * width + j] = if a[i - 1] == b[j - 1] {
+                t[(i - 1) * width + j - 1] + 1
             } else {
-                t[i - 1][j].max(t[i][j - 1])
+                t[(i - 1) * width + j].max(t[i * width + j - 1])
             };
         }
     }
@@ -143,20 +170,25 @@ fn lcs_table(a: &[&str], b: &[&str]) -> Vec<Vec<u32>> {
 pub struct DiffStorage {
     base: String,
     variants: Vec<LineDiff>,
+    /// Bytes of every stored page as received (a diff reconstructs its
+    /// page exactly, so this is what full copies would take).
+    full_bytes: usize,
 }
 
 impl DiffStorage {
     /// Creates storage around the initiator's full page.
-    pub fn new(base_page: &str) -> Self {
+    pub fn new(base_page: impl Into<String>) -> Self {
         DiffStorage {
-            base: base_page.to_string(),
+            base: base_page.into(),
             variants: Vec::new(),
+            full_bytes: 0,
         }
     }
 
     /// Stores a proxy response as a diff; returns its index.
     pub fn store(&mut self, page: &str) -> usize {
         self.variants.push(LineDiff::compute(&self.base, page));
+        self.full_bytes += page.len();
         self.variants.len() - 1
     }
 
@@ -165,38 +197,11 @@ impl DiffStorage {
         self.variants.get(idx)?.apply(&self.base)
     }
 
-    /// The stored base page.
-    pub fn base(&self) -> &str {
-        &self.base
-    }
-
-    /// Number of stored variants.
-    pub fn len(&self) -> usize {
-        self.variants.len()
-    }
-
-    /// True when no variants are stored.
-    pub fn is_empty(&self) -> bool {
-        self.variants.is_empty()
-    }
-
     /// Total bytes stored (base + diffs) versus what full copies would
     /// need. Returns `(stored, full_copies)`.
     pub fn storage_accounting(&self) -> (usize, usize) {
-        let stored = self.base.len()
-            + self
-                .variants
-                .iter()
-                .map(LineDiff::stored_bytes)
-                .sum::<usize>();
-        let full: usize = self.base.len()
-            + self
-                .variants
-                .iter()
-                .filter_map(|d| d.apply(&self.base))
-                .map(|p| p.len())
-                .sum::<usize>();
-        (stored, full)
+        let diffs: usize = self.variants.iter().map(LineDiff::stored_bytes).sum();
+        (self.base.len() + diffs, self.base.len() + self.full_bytes)
     }
 }
 
@@ -210,7 +215,7 @@ mod tests {
     fn identical_pages_roundtrip() {
         let d = LineDiff::compute(BASE, BASE);
         assert_eq!(d.apply(BASE).unwrap(), BASE);
-        assert_eq!(d.op_count(), 1, "one coalesced copy op");
+        assert_eq!(d.ops().len(), 1, "one coalesced copy op");
     }
 
     #[test]
@@ -219,7 +224,7 @@ mod tests {
         let d = LineDiff::compute(BASE, variant);
         assert_eq!(d.apply(BASE).unwrap(), variant);
         // Only the changed line is stored literally.
-        assert_eq!(d.op_count(), 3, "copy, insert, copy");
+        assert_eq!(d.ops().len(), 3, "copy, insert, copy");
     }
 
     #[test]

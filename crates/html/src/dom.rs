@@ -1,130 +1,262 @@
-//! Arena-based DOM with a forgiving tree builder and serializer.
+//! A flat DOM: one node table in document order over one owned copy of
+//! the page. A subtree is a contiguous index range, so child, sibling and
+//! subtree walks are loops over indices — nesting depth costs no call
+//! stack — and names, values and text are byte ranges, so parsing
+//! allocates nothing per node. DESIGN.md ("HTML") has the reasoning.
 
 use std::collections::BTreeMap;
 
-use crate::tokenizer::{tokenize, Token};
+use crate::tokenizer;
 
-/// Handle to a node in a [`Document`] arena.
+/// Handle to a node in a [`Document`] table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
-/// Node payload.
-#[derive(Clone, Debug, PartialEq)]
+/// What a node is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodeKind {
     /// The document root (not a real element).
     Document,
-    /// An element with its attributes.
-    Element {
-        /// Lower-cased tag name.
-        name: String,
-        /// Attributes.
-        attrs: BTreeMap<String, String>,
-    },
-    /// A text node.
-    Text(String),
+    /// An element; see [`Document::name`] and [`Document::attrs`].
+    Element,
+    /// A text node; [`Document::text_content`] returns its text.
+    Text,
 }
 
-#[derive(Clone, Debug)]
+/// A byte range of `Document::text`, or a row range of the attribute slab.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    pub(crate) fn new(start: usize, end: usize) -> Span {
+        Span {
+            start: start as u32,
+            end: end as u32,
+        }
+    }
+
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.end as usize
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
 struct Node {
     kind: NodeKind,
-    parent: Option<NodeId>,
-    children: Vec<NodeId>,
+    /// Element: lower-cased name. Text: entity-decoded text.
+    text: Span,
+    /// Rows of `Document::attrs`, sorted by name, one per name.
+    attrs: Span,
+    parent: u32,
+    /// One past the last node of this subtree.
+    end: u32,
 }
 
 /// A parsed HTML document.
 #[derive(Clone, Debug)]
 pub struct Document {
+    /// The page (names lower-cased in place), then the entity-decoded
+    /// copy of every run that contains an `&`.
+    text: String,
+    /// Nodes in document order; the root is node 0.
     nodes: Vec<Node>,
+    /// `(name, value)` rows; each element owns a contiguous run.
+    attrs: Vec<(Span, Span)>,
 }
 
+/// Longest page parsed; the rest is cut. Derived strings are never
+/// longer than the source run they come from, so `text` stays below
+/// `u32::MAX` and every `Span` is exact. (A wire frame is at most 8 MiB.)
+const MAX_PAGE_BYTES: usize = (u32::MAX / 2) as usize;
+
 /// Elements that never have children.
-fn is_void(name: &str) -> bool {
-    matches!(
-        name,
-        "img"
-            | "br"
-            | "hr"
-            | "input"
-            | "meta"
-            | "link"
-            | "area"
-            | "base"
-            | "col"
-            | "embed"
-            | "source"
-            | "track"
-            | "wbr"
-    )
+const VOID: [&str; 13] = [
+    "img", "br", "hr", "input", "meta", "link", "area", "base", "col", "embed", "source", "track",
+    "wbr",
+];
+
+/// The tree under construction: what [`tokenizer::tokenize`] feeds.
+pub(crate) struct TreeBuilder {
+    doc: Document,
+    /// Open elements, root first.
+    stack: Vec<u32>,
+    /// Open elements per name, kept from the first end tag that does
+    /// not close the innermost element: "is any `name` open?" without
+    /// walking the stack, so unmatched end tags under deep nesting cost a
+    /// lookup each, not a scan each. Well-nested pages never build it.
+    open_names: Option<BTreeMap<String, u32>>,
+}
+
+impl TreeBuilder {
+    /// The page's bytes `start..end` as a lower-cased name. The copy this
+    /// document owns is lowered in place: nothing else reads a name's bytes.
+    pub(crate) fn lowered(&mut self, start: usize, end: usize) -> Span {
+        if let Some(name) = self.doc.text.get_mut(start..end) {
+            name.make_ascii_lowercase();
+        }
+        Span::new(start, end)
+    }
+
+    /// The span of `s` (at byte `at` of the page) with entities decoded:
+    /// the source range itself unless it holds an `&`.
+    pub(crate) fn decoded(&mut self, at: usize, s: &str) -> Span {
+        if !s.contains('&') {
+            return Span::new(at, at + s.len());
+        }
+        let start = self.doc.text.len();
+        tokenizer::decode_entities(s, &mut self.doc.text);
+        Span::new(start, self.doc.text.len())
+    }
+
+    /// Records one attribute of the start tag being lexed.
+    pub(crate) fn attr(&mut self, name: Span, value: Span) {
+        self.doc.attrs.push((name, value));
+    }
+
+    /// Adds an element owning the last `n_attrs` recorded attributes.
+    // In-place compaction of the sorted rows: `kept <= r < rows.len()`
+    // throughout, and `n_attrs` counts rows this tag's lexer just pushed.
+    // sheriff-lint: allow-item(transitive-panic)
+    pub(crate) fn start_tag(&mut self, name: Span, n_attrs: usize, self_closing: bool) {
+        // Rows in name order, first occurrence of a name wins (the sort
+        // is stable): what `attr` searches and `serialize` prints.
+        let from = self.doc.attrs.len() - n_attrs;
+        if n_attrs > 1 {
+            let text = &self.doc.text;
+            let key = |row: &(Span, Span)| text.get(row.0.range()).unwrap_or_default();
+            let rows = self.doc.attrs.get_mut(from..).unwrap_or_default();
+            rows.sort_by(|a, b| key(a).cmp(key(b)));
+            let mut kept = 1;
+            for r in 1..rows.len() {
+                if key(&rows[r]) != key(&rows[kept - 1]) {
+                    rows[kept] = rows[r];
+                    kept += 1;
+                }
+            }
+            self.doc.attrs.truncate(from + kept);
+        }
+        let attrs = Span::new(from, self.doc.attrs.len());
+        let id = self.push(NodeKind::Element, name, attrs);
+        if !self_closing && !VOID.contains(&self.name_of(id)) {
+            self.stack.push(id);
+            self.count_open(id, 1);
+        }
+    }
+
+    /// Closes the nearest open element called `name` (any case) and
+    /// everything opened inside it; ignored when no such element is open.
+    pub(crate) fn end_tag(&mut self, name: &str) {
+        let innermost = self.stack.len() - 1;
+        if self
+            .stack
+            .last()
+            .is_some_and(|&id| self.name_of(id).eq_ignore_ascii_case(name))
+        {
+            return self.pop_to(innermost);
+        }
+        if self.open_names.is_none() {
+            self.open_names = Some(BTreeMap::new());
+            for id in self.stack.clone() {
+                self.count_open(id, 1);
+            }
+        }
+        let name = name.to_ascii_lowercase();
+        let open = self.open_names.as_ref().and_then(|open| open.get(&name));
+        if open.is_some_and(|&n| n > 0) {
+            let pos = self.stack.iter().rposition(|&id| self.name_of(id) == name);
+            self.pop_to(pos.unwrap_or(self.stack.len()));
+        }
+    }
+
+    /// Adds a text node for `s`, which starts at byte `at` of the page.
+    /// Between tags (`drop_blank`) whitespace-only text is no node.
+    pub(crate) fn text(&mut self, at: usize, s: &str, drop_blank: bool) {
+        let span = self.decoded(at, s);
+        if !(drop_blank && self.doc.str(span).trim().is_empty()) {
+            self.push(NodeKind::Text, span, Span::default());
+        }
+    }
+
+    fn push(&mut self, kind: NodeKind, text: Span, attrs: Span) -> u32 {
+        let id = self.doc.nodes.len() as u32;
+        self.doc.nodes.push(Node {
+            kind,
+            text,
+            attrs,
+            parent: self.stack.last().copied().unwrap_or(0),
+            end: id + 1,
+        });
+        id
+    }
+
+    /// Closes `stack[pos..]`: their subtrees end at the current table end.
+    fn pop_to(&mut self, pos: usize) {
+        let end = self.doc.nodes.len() as u32;
+        while self.stack.len() > pos {
+            let id = self.stack.pop().unwrap_or(0);
+            self.count_open(id, -1);
+            if let Some(node) = self.doc.nodes.get_mut(id as usize) {
+                node.end = end;
+            }
+        }
+    }
+
+    fn name_of(&self, id: u32) -> &str {
+        self.doc.name(NodeId(id as usize)).unwrap_or_default()
+    }
+
+    /// Keeps `open_names`, once built, in step with the stack.
+    fn count_open(&mut self, id: u32, delta: i32) {
+        if let Some(open) = &mut self.open_names {
+            let name = self.doc.name(NodeId(id as usize)).unwrap_or_default();
+            match open.get_mut(name) {
+                Some(n) => *n = n.saturating_add_signed(delta),
+                None => drop(open.insert(name.to_string(), 1)),
+            }
+        }
+    }
 }
 
 impl Document {
     /// Parses HTML into a tree. Unclosed tags are closed implicitly;
     /// unmatched end tags are ignored — retailer markup demands tolerance.
+    /// Time and memory are linear in the page length whatever the markup.
     pub fn parse(html: &str) -> Document {
-        let mut doc = Document {
-            nodes: vec![Node {
-                kind: NodeKind::Document,
-                parent: None,
-                children: Vec::new(),
-            }],
+        let cut = html.floor_char_boundary(MAX_PAGE_BYTES);
+        let html = html.get(..cut).unwrap_or_default();
+        let mut text = String::with_capacity(html.len() + html.len() / 16);
+        text.push_str(html);
+        let doc = Document {
+            text,
+            nodes: Vec::with_capacity(html.len() / 24 + 1),
+            attrs: Vec::with_capacity(html.len() / 32),
         };
-        let root = NodeId(0);
-        let mut stack = vec![root];
-
-        for tok in tokenize(html) {
-            match tok {
-                Token::StartTag {
-                    name,
-                    attrs,
-                    self_closing,
-                } => {
-                    let leaf = self_closing || is_void(&name);
-                    let parent = stack.last().copied().unwrap_or(root);
-                    let id = doc.push(NodeKind::Element { name, attrs }, parent);
-                    if !leaf {
-                        stack.push(id);
-                    }
-                }
-                Token::EndTag { name } => {
-                    // Pop to the nearest matching open element, if any.
-                    if let Some(pos) = stack.iter().rposition(|&id| {
-                        matches!(&doc.node(id).kind, NodeKind::Element { name: n, .. } if *n == name)
-                    }) {
-                        if pos > 0 {
-                            stack.truncate(pos);
-                        }
-                    }
-                }
-                Token::Text(t) => {
-                    let parent = stack.last().copied().unwrap_or(root);
-                    doc.push(NodeKind::Text(t), parent);
-                }
-                Token::Comment | Token::Doctype => {}
-            }
-        }
-        doc
+        let mut tree = TreeBuilder {
+            doc,
+            stack: Vec::new(),
+            open_names: None,
+        };
+        let root = tree.push(NodeKind::Document, Span::default(), Span::default());
+        tree.stack.push(root);
+        tokenizer::tokenize(html, &mut tree);
+        tree.pop_to(0);
+        tree.doc
     }
 
-    fn push(&mut self, kind: NodeKind, parent: NodeId) -> NodeId {
-        let id = NodeId(self.nodes.len());
-        self.nodes.push(Node {
-            kind,
-            parent: Some(parent),
-            children: Vec::new(),
-        });
-        if let Some(p) = self.nodes.get_mut(parent.0) {
-            p.children.push(id);
-        }
-        id
-    }
-
-    // NodeId is an arena handle minted only by `push`/`root` on this same
-    // Document, so the index is in range by construction; a handle from
-    // another document is a caller bug that should fail loudly rather
-    // than silently resolve to an arbitrary node.
+    // NodeId is a table handle minted only by this same Document, so the
+    // index is in range by construction; a handle from another document
+    // is a caller bug that should fail loudly rather than silently
+    // resolve to an arbitrary node.
     // sheriff-lint: allow-item(transitive-panic)
     fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.0]
+    }
+
+    fn str(&self, span: Span) -> &str {
+        self.text.get(span.range()).unwrap_or_default()
     }
 
     /// The document root.
@@ -132,19 +264,36 @@ impl Document {
         NodeId(0)
     }
 
-    /// Node payload.
-    pub fn kind(&self, id: NodeId) -> &NodeKind {
-        &self.node(id).kind
+    /// What `id` is.
+    pub fn kind(&self, id: NodeId) -> NodeKind {
+        self.node(id).kind
     }
 
     /// Parent, `None` for the root.
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.node(id).parent
+        (id.0 != 0).then(|| NodeId(self.node(id).parent as usize))
+    }
+
+    /// One past the last node of the subtree rooted at `id`.
+    pub(crate) fn subtree_end(&self, id: NodeId) -> usize {
+        self.node(id).end as usize
+    }
+
+    /// The first child: the next record, unless the subtree ends there.
+    pub(crate) fn first_child(&self, id: NodeId) -> Option<NodeId> {
+        (id.0 + 1 < self.subtree_end(id)).then_some(NodeId(id.0 + 1))
+    }
+
+    /// The next sibling starts where this subtree ends, unless the
+    /// parent's ends there too.
+    pub(crate) fn next_sibling(&self, id: NodeId) -> Option<NodeId> {
+        let next = self.subtree_end(id);
+        (next < self.subtree_end(self.parent(id)?)).then_some(NodeId(next))
     }
 
     /// Children in document order.
-    pub fn children(&self, id: NodeId) -> &[NodeId] {
-        &self.node(id).children
+    pub fn children(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::successors(self.first_child(id), |&c| self.next_sibling(c))
     }
 
     /// Total node count (including root).
@@ -159,62 +308,55 @@ impl Document {
 
     /// Element name, if `id` is an element.
     pub fn name(&self, id: NodeId) -> Option<&str> {
-        match &self.node(id).kind {
-            NodeKind::Element { name, .. } => Some(name),
-            _ => None,
-        }
+        let node = self.node(id);
+        (node.kind == NodeKind::Element).then(|| self.str(node.text))
+    }
+
+    /// Attributes of `id` as `(name, value)`, in name order (none unless
+    /// `id` is an element).
+    pub fn attrs(&self, id: NodeId) -> impl Iterator<Item = (&str, &str)> {
+        let rows = self.attrs.get(self.node(id).attrs.range());
+        rows.unwrap_or_default()
+            .iter()
+            .map(|&(name, value)| (self.str(name), self.str(value)))
     }
 
     /// Attribute value, if `id` is an element carrying it.
     pub fn attr(&self, id: NodeId, key: &str) -> Option<&str> {
-        match &self.node(id).kind {
-            NodeKind::Element { attrs, .. } => attrs.get(key).map(String::as_str),
-            _ => None,
-        }
+        let rows = self.attrs.get(self.node(id).attrs.range())?;
+        let at = rows.binary_search_by(|&(name, _)| self.str(name).cmp(key));
+        rows.get(at.ok()?).map(|&(_, value)| self.str(value))
     }
 
     /// Concatenated text of the subtree rooted at `id`.
     pub fn text_content(&self, id: NodeId) -> String {
-        let mut out = String::new();
-        self.collect_text(id, &mut out);
-        out
+        self.texts(id).collect()
     }
 
-    fn collect_text(&self, id: NodeId, out: &mut String) {
-        match &self.node(id).kind {
-            NodeKind::Text(t) => out.push_str(t),
-            _ => {
-                for &c in &self.node(id).children {
-                    self.collect_text(c, out);
-                }
-            }
-        }
+    /// The text nodes of the subtree rooted at `id`, in document order.
+    pub(crate) fn texts(&self, id: NodeId) -> impl Iterator<Item = &str> {
+        let subtree = self.nodes.get(id.0..self.subtree_end(id));
+        let texts = subtree.unwrap_or_default().iter();
+        texts
+            .filter(|n| n.kind == NodeKind::Text)
+            .map(|n| self.str(n.text))
     }
 
-    /// Depth-first iterator over all node ids (document order).
-    pub fn descendants(&self, id: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            out.push(n);
-            for &c in self.node(n).children.iter().rev() {
-                stack.push(c);
-            }
-        }
-        out
+    /// All node ids of the subtree rooted at `id`, in document order.
+    pub fn descendants(&self, id: NodeId) -> impl DoubleEndedIterator<Item = NodeId> {
+        (id.0..self.subtree_end(id)).map(NodeId)
     }
 
     /// All elements with the given tag name, in document order.
     pub fn elements_named(&self, name: &str) -> Vec<NodeId> {
         self.descendants(self.root())
-            .into_iter()
             .filter(|&id| self.name(id) == Some(name))
             .collect()
     }
 
     /// First element matching `name` and carrying class `class`.
     pub fn find_by_class(&self, name: &str, class: &str) -> Option<NodeId> {
-        self.descendants(self.root()).into_iter().find(|&id| {
+        self.descendants(self.root()).find(|&id| {
             self.name(id) == Some(name)
                 && self
                     .attr(id, "class")
@@ -225,54 +367,52 @@ impl Document {
     /// Serializes the subtree at `id` back to HTML.
     pub fn serialize(&self, id: NodeId) -> String {
         let mut out = String::new();
-        self.serialize_into(id, &mut out);
+        // Elements whose end tag is still owed, innermost last.
+        let mut open: Vec<NodeId> = Vec::new();
+        for n in self.descendants(id).chain([NodeId(usize::MAX)]) {
+            while let Some(el) = open.pop_if(|el| self.subtree_end(*el) <= n.0) {
+                out.push_str("</");
+                out.push_str(self.name(el).unwrap_or_default());
+                out.push('>');
+            }
+            let Some(node) = self.nodes.get(n.0) else {
+                break;
+            };
+            match node.kind {
+                NodeKind::Document => {}
+                NodeKind::Text => escape_into(&mut out, self.str(node.text), false),
+                NodeKind::Element => {
+                    let name = self.str(node.text);
+                    out.push('<');
+                    out.push_str(name);
+                    for (k, v) in self.attrs(n) {
+                        out.push(' ');
+                        out.push_str(k);
+                        out.push_str("=\"");
+                        escape_into(&mut out, v, true);
+                        out.push('"');
+                    }
+                    out.push('>');
+                    if !VOID.contains(&name) {
+                        open.push(n);
+                    }
+                }
+            }
+        }
         out
     }
+}
 
-    fn serialize_into(&self, id: NodeId, out: &mut String) {
-        match &self.node(id).kind {
-            NodeKind::Document => {
-                for &c in &self.node(id).children {
-                    self.serialize_into(c, out);
-                }
-            }
-            NodeKind::Text(t) => {
-                // Re-escape the characters that would change parsing.
-                for ch in t.chars() {
-                    match ch {
-                        '&' => out.push_str("&amp;"),
-                        '<' => out.push_str("&lt;"),
-                        '>' => out.push_str("&gt;"),
-                        c => out.push(c),
-                    }
-                }
-            }
-            NodeKind::Element { name, attrs } => {
-                out.push('<');
-                out.push_str(name);
-                for (k, v) in attrs {
-                    out.push(' ');
-                    out.push_str(k);
-                    out.push_str("=\"");
-                    for ch in v.chars() {
-                        match ch {
-                            '&' => out.push_str("&amp;"),
-                            '"' => out.push_str("&quot;"),
-                            c => out.push(c),
-                        }
-                    }
-                    out.push('"');
-                }
-                out.push('>');
-                if !is_void(name) {
-                    for &c in &self.node(id).children {
-                        self.serialize_into(c, out);
-                    }
-                    out.push_str("</");
-                    out.push_str(name);
-                    out.push('>');
-                }
-            }
+/// Re-escapes the characters that would change parsing: `&` and, in text,
+/// the angle brackets; in an attribute value the quote.
+fn escape_into(out: &mut String, s: &str, in_attr: bool) {
+    for ch in s.chars() {
+        match ch {
+            '&' => out.push_str("&amp;"),
+            '<' if !in_attr => out.push_str("&lt;"),
+            '>' if !in_attr => out.push_str("&gt;"),
+            '"' if in_attr => out.push_str("&quot;"),
+            c => out.push(c),
         }
     }
 }
@@ -293,7 +433,7 @@ mod tests {
     #[test]
     fn parse_builds_expected_structure() {
         let doc = Document::parse(PAGE);
-        let html = doc.children(doc.root())[0];
+        let html = doc.children(doc.root()).next().unwrap();
         assert_eq!(doc.name(html), Some("html"));
         let span = doc.find_by_class("span", "price").unwrap();
         assert_eq!(doc.text_content(span), "$10.00");
@@ -313,6 +453,8 @@ mod tests {
         let ps = doc.elements_named("p");
         assert_eq!(ps.len(), 2);
         assert!(doc.text_content(doc.root()).contains("after"));
+        let after = doc.children(doc.root()).last().unwrap();
+        assert_eq!(doc.kind(after), NodeKind::Text);
     }
 
     #[test]
@@ -326,7 +468,7 @@ mod tests {
     fn void_elements_take_no_children() {
         let doc = Document::parse("<img src='a'><span>x</span>");
         let img = doc.elements_named("img")[0];
-        assert!(doc.children(img).is_empty());
+        assert!(doc.children(img).next().is_none());
         // span is a sibling, not a child of img.
         assert_eq!(doc.parent(doc.elements_named("span")[0]), Some(doc.root()));
     }
@@ -353,7 +495,6 @@ mod tests {
         let doc = Document::parse("<a><b></b><c></c></a>");
         let names: Vec<&str> = doc
             .descendants(doc.root())
-            .into_iter()
             .filter_map(|id| doc.name(id))
             .collect();
         assert_eq!(names, vec!["a", "b", "c"]);
@@ -364,5 +505,27 @@ mod tests {
         assert!(Document::parse("").is_empty());
         let doc = Document::parse("<<<<");
         assert!(!doc.is_empty());
+    }
+
+    #[test]
+    fn attributes_are_sorted_and_the_first_of_a_name_wins() {
+        let doc = Document::parse(r#"<a id=x CLASS="one" href='/h' class="two" id=y>t</a>"#);
+        let a = doc.elements_named("a")[0];
+        let attrs: Vec<_> = doc.attrs(a).collect();
+        assert_eq!(attrs, [("class", "one"), ("href", "/h"), ("id", "x")]);
+        assert_eq!(doc.attr(a, "class"), Some("one"));
+        assert_eq!(doc.attr(a, "missing"), None);
+    }
+
+    #[test]
+    fn misnested_and_unmatched_end_tags_close_only_what_is_open() {
+        // </i> matches nothing, </div> closes the open <b> with it, and
+        // the second </b> finds no <b> left.
+        let doc = Document::parse("<div><b>x</i>y</div></b><p>z</p>");
+        let div = doc.elements_named("div")[0];
+        assert_eq!(doc.text_content(div), "xy");
+        let p = doc.elements_named("p")[0];
+        assert_eq!(doc.parent(p), Some(doc.root()));
+        assert_eq!(doc.serialize(doc.root()), "<div><b>xy</b></div><p>z</p>");
     }
 }

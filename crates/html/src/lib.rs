@@ -1,4 +1,4 @@
-//! HTML substrate: tokenizer, DOM, Tags Path, and diff storage.
+//! HTML substrate: DOM, Tags Path, and diff storage.
 //!
 //! The Price $heriff locates a product price inside retailer HTML through a
 //! *Tags Path* — the bottom-up chain of tags from the end of the document to
@@ -7,10 +7,8 @@
 //! which may differ (dynamic content, per-location ads), so matching must be
 //! tolerant. This crate provides:
 //!
-//! * [`tokenizer`] — a pragmatic HTML tokenizer (tags, attributes, text,
-//!   comments, raw-text elements);
-//! * [`dom`] — an arena-based DOM with a forgiving tree builder and a
-//!   serializer;
+//! * [`dom`] — a flat DOM (one node table over one copy of the page) with
+//!   a forgiving one-pass parser and a serializer;
 //! * [`tagspath`] — Tags Path construction and tolerant extraction with the
 //!   fallback ladder real pages need;
 //! * [`diff`] — the `DiffStorage` module of §10.5: store the initiator's
@@ -22,9 +20,8 @@
 pub mod diff;
 pub mod dom;
 pub mod tagspath;
-pub mod tokenizer;
+mod tokenizer;
 
 pub use diff::{DiffStorage, LineDiff};
 pub use dom::{Document, NodeId, NodeKind};
 pub use tagspath::{extract_by_path, TagsPath};
-pub use tokenizer::{tokenize, Token};

@@ -77,9 +77,8 @@ impl TagsPath {
             let parent = doc.parent(cur)?;
             let nth_of_name = doc
                 .children(parent)
-                .iter()
-                .filter(|&&c| doc.name(c) == Some(name.as_str()))
-                .position(|&c| c == cur)
+                .filter(|&c| doc.name(c) == Some(name.as_str()))
+                .position(|c| c == cur)
                 .unwrap_or(0);
             steps.push(PathStep {
                 class: doc.attr(cur, "class").map(str::to_string),
@@ -87,7 +86,7 @@ impl TagsPath {
                 name,
                 nth_of_name,
             });
-            if matches!(doc.kind(parent), NodeKind::Document) {
+            if doc.kind(parent) == NodeKind::Document {
                 break;
             }
             cur = parent;
@@ -149,31 +148,20 @@ pub fn extract_text_by_path(doc: &Document, path: &TagsPath) -> Option<(String, 
     extract_by_path(doc, path).map(|(n, q)| (doc.text_content(n).trim().to_string(), q))
 }
 
-fn step_matches(doc: &Document, id: NodeId, step: &PathStep, check_class: bool) -> bool {
-    if doc.name(id) != Some(step.name.as_str()) {
-        return false;
-    }
-    if check_class {
-        if let Some(class) = &step.class {
-            if doc.attr(id, "class") != Some(class.as_str()) {
-                return false;
-            }
-        }
-    }
-    true
+/// Name and, when the step recorded one, class.
+fn step_matches(doc: &Document, id: NodeId, step: &PathStep) -> bool {
+    let class_ok = |class: &String| doc.attr(id, "class") == Some(class.as_str());
+    doc.name(id) == Some(step.name.as_str()) && step.class.as_ref().is_none_or(class_ok)
 }
 
 fn walk_exact(doc: &Document, path: &TagsPath) -> Option<NodeId> {
     let mut cur = doc.root();
     for step in &path.steps {
-        let same_name: Vec<NodeId> = doc
+        let cand = doc
             .children(cur)
-            .iter()
-            .copied()
             .filter(|&c| doc.name(c) == Some(step.name.as_str()))
-            .collect();
-        let cand = *same_name.get(step.nth_of_name)?;
-        if !step_matches(doc, cand, step, true) {
+            .nth(step.nth_of_name)?;
+        if !step_matches(doc, cand, step) {
             return None;
         }
         cur = cand;
@@ -181,51 +169,62 @@ fn walk_exact(doc: &Document, path: &TagsPath) -> Option<NodeId> {
     Some(cur)
 }
 
+/// Depth-first, first hit: at every level any child matching the step may
+/// carry the rest of the path. Backtracks over the parent links, so
+/// neither the page's depth nor the path's costs call stack, and every
+/// node is looked at once.
 fn walk_relaxed(doc: &Document, path: &TagsPath) -> Option<NodeId> {
-    fn rec(doc: &Document, cur: NodeId, steps: &[PathStep]) -> Option<NodeId> {
-        let Some((step, rest)) = steps.split_first() else {
-            return Some(cur);
-        };
-        for &c in doc.children(cur) {
-            if step_matches(doc, c, step, true) {
-                if let Some(hit) = rec(doc, c, rest) {
-                    return Some(hit);
+    // `cur` is the next candidate for `steps[depth]` among `parent`'s
+    // children.
+    let (mut depth, mut parent) = (0, doc.root());
+    let mut cur = doc.first_child(parent);
+    loop {
+        match cur {
+            Some(c) if step_matches(doc, c, path.steps.get(depth)?) => {
+                if depth + 1 == path.steps.len() {
+                    return Some(c);
                 }
+                (depth, parent, cur) = (depth + 1, c, doc.first_child(c));
+            }
+            Some(c) => cur = doc.next_sibling(c),
+            // Nothing under this parent: resume after it, one level up.
+            None => {
+                depth = depth.checked_sub(1)?;
+                (cur, parent) = (doc.next_sibling(parent), doc.parent(parent)?);
             }
         }
-        None
     }
-    rec(doc, doc.root(), &path.steps)
 }
 
 fn global_search(doc: &Document, path: &TagsPath) -> Option<NodeId> {
     let last = path.steps.last()?;
-    let candidates: Vec<NodeId> = doc
-        .descendants(doc.root())
-        .into_iter()
-        .filter(|&id| {
-            if doc.name(id) != Some(last.name.as_str()) {
-                return false;
+    // The final step's name plus its id or class: without any
+    // distinguishing attribute a bare global name match is too weak.
+    let has =
+        |id, key, want: &Option<String>| want.is_some() && doc.attr(id, key) == want.as_deref();
+    let is_candidate = |id: NodeId| {
+        doc.name(id) == Some(last.name.as_str())
+            && (has(id, "id", &last.id_attr) || has(id, "class", &last.class))
+    };
+    // Prefer the first candidate whose text looks like a price (contains
+    // a digit), else the first candidate. One backward pass: a subtree is
+    // an index range, so it holds a digit iff the nearest digit-bearing
+    // text node at or after the candidate lies inside it.
+    let (mut first, mut first_with_digit) = (None, None);
+    let mut digit_at = usize::MAX;
+    for id in doc.descendants(doc.root()).rev() {
+        if doc.kind(id) == NodeKind::Text {
+            if doc.texts(id).any(|t| t.bytes().any(|b| b.is_ascii_digit())) {
+                digit_at = id.0;
             }
-            if let Some(idv) = &last.id_attr {
-                if doc.attr(id, "id") == Some(idv.as_str()) {
-                    return true;
-                }
+        } else if is_candidate(id) {
+            first = Some(id);
+            if digit_at < doc.subtree_end(id) {
+                first_with_digit = Some(id);
             }
-            // Without any distinguishing attribute a bare global name
-            // match is too weak to trust.
-            match &last.class {
-                Some(c) => doc.attr(id, "class") == Some(c.as_str()),
-                None => false,
-            }
-        })
-        .collect();
-    // Prefer a candidate whose text looks like a price (contains a digit).
-    candidates
-        .iter()
-        .copied()
-        .find(|&id| doc.text_content(id).chars().any(|c| c.is_ascii_digit()))
-        .or_else(|| candidates.first().copied())
+        }
+    }
+    first_with_digit.or(first)
 }
 
 #[cfg(test)]
@@ -330,7 +329,6 @@ mod tests {
         let product = doc.find_by_class("div", "product").unwrap();
         let span = doc
             .descendants(product)
-            .into_iter()
             .find(|&id| doc.name(id) == Some("span"))
             .unwrap();
         let path = TagsPath::from_node(&doc, span).unwrap();
@@ -343,7 +341,7 @@ mod tests {
     fn text_node_has_no_path() {
         let doc = Document::parse("<p>just text</p>");
         let p = doc.elements_named("p")[0];
-        let text_node = doc.children(p)[0];
+        let text_node = doc.children(p).next().unwrap();
         assert!(TagsPath::from_node(&doc, text_node).is_none());
     }
 

@@ -1,4 +1,4 @@
-//! A pragmatic HTML tokenizer.
+//! A pragmatic one-pass HTML scanner.
 //!
 //! Handles what retailer product pages actually contain: nested elements,
 //! quoted/unquoted attributes, comments, doctype, self-closing tags, and
@@ -6,406 +6,328 @@
 //! as markup. It does not attempt full WHATWG conformance — the tree builder
 //! in [`crate::dom`] is tolerant by design, mirroring how the deployed
 //! add-on had to cope with "complex site layouts" (§2.1 req. 3).
+//!
+//! There is no token stream: each tag, attribute and text run is handed
+//! to the [`TreeBuilder`] as a byte range the moment it is recognised.
 
-use std::collections::BTreeMap;
+use crate::dom::{Span, TreeBuilder};
 
-/// One lexical token.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Token {
-    /// `<name attr="v">`; `self_closing` for `<img … />`.
-    StartTag {
-        /// Lower-cased element name.
-        name: String,
-        /// Attributes in source order (BTreeMap: deterministic iteration).
-        attrs: BTreeMap<String, String>,
-        /// Trailing `/>`.
-        self_closing: bool,
-    },
-    /// `</name>`.
-    EndTag {
-        /// Lower-cased element name.
-        name: String,
-    },
-    /// Text between tags (entity-decoded for the few entities that matter
-    /// for prices: `&amp;`, `&nbsp;`, `&lt;`, `&gt;`, `&quot;`, `&#NNN;`).
-    Text(String),
-    /// `<!-- … -->` (content dropped).
-    Comment,
-    /// `<!DOCTYPE …>`.
-    Doctype,
+/// For an element whose content is raw text, the prefix of its end tag.
+fn raw_text_close(name: &str) -> Option<&'static str> {
+    ["</script", "</style"]
+        .into_iter()
+        .find(|close| close.get(2..).is_some_and(|n| n.eq_ignore_ascii_case(name)))
 }
 
-/// Elements whose content is raw text until the matching end tag.
-fn is_raw_text(name: &str) -> bool {
-    matches!(name, "script" | "style")
+/// Index of the first byte at or after `from` that `stop` accepts, else
+/// the length.
+fn scan(bytes: &[u8], from: usize, stop: impl Fn(u8) -> bool) -> usize {
+    let rest = bytes.get(from..).unwrap_or_default();
+    rest.iter()
+        .position(|&b| stop(b))
+        .map_or(bytes.len(), |p| from + p)
 }
 
-/// Tokenizes `input` into a flat token stream. Never fails: malformed
-/// markup degrades to text.
+/// Scans `input` into `tree`. Never fails: malformed markup degrades to
+/// text.
 // Byte-cursor scanner: every `bytes[i]` below sits behind an `i < bytes.len()`
 // loop guard, and the `stray_angle_brackets_survive` test exercises the
 // malformed-input paths end to end.
 // sheriff-lint: allow-item(transitive-panic)
-pub fn tokenize(input: &str) -> Vec<Token> {
+pub(crate) fn tokenize(input: &str, tree: &mut TreeBuilder) {
     let bytes = input.as_bytes();
-    let mut tokens = Vec::new();
     let mut i = 0usize;
-    let mut raw_until: Option<String> = None;
-
     while i < bytes.len() {
-        if let Some(raw_name) = raw_until.clone() {
-            // Scan for `</raw_name` case-insensitively.
-            let close = format!("</{raw_name}");
-            let rest = &input[i..];
-            let pos = find_case_insensitive(rest, &close);
-            match pos {
-                Some(p) => {
-                    if p > 0 {
-                        tokens.push(Token::Text(decode_entities(&rest[..p])));
-                    }
-                    // Consume until `>` of the end tag.
-                    let after = i + p;
-                    let gt = input[after..]
-                        .find('>')
-                        .map_or(bytes.len(), |g| after + g + 1);
-                    tokens.push(Token::EndTag { name: raw_name });
-                    i = gt;
-                    raw_until = None;
-                }
-                None => {
-                    tokens.push(Token::Text(decode_entities(rest)));
-                    i = bytes.len();
-                }
-            }
-            continue;
-        }
-
-        if bytes[i] == b'<' {
-            if input[i..].starts_with("<!--") {
-                let end = input[i + 4..]
-                    .find("-->")
-                    .map_or(bytes.len(), |p| i + 4 + p + 3);
-                tokens.push(Token::Comment);
-                i = end;
-            } else if input[i..].len() >= 2 && (bytes[i + 1] == b'!' || bytes[i + 1] == b'?') {
-                let end = input[i..].find('>').map_or(bytes.len(), |p| i + p + 1);
-                tokens.push(Token::Doctype);
-                i = end;
-            } else if bytes.get(i + 1) == Some(&b'/') {
-                let end = input[i..].find('>').map_or(bytes.len(), |p| i + p);
-                let name = input[i + 2..end].trim().to_ascii_lowercase();
-                if !name.is_empty() {
-                    tokens.push(Token::EndTag { name });
-                }
-                i = (end + 1).min(bytes.len());
-            } else if bytes.get(i + 1).is_some_and(u8::is_ascii_alphabetic) {
-                let (tok, next) = lex_start_tag(input, i);
-                if let Token::StartTag {
-                    ref name,
-                    self_closing,
-                    ..
-                } = tok
-                {
-                    if !self_closing && is_raw_text(name) {
-                        raw_until = Some(name.clone());
-                    }
-                }
-                tokens.push(tok);
-                i = next;
-            } else {
-                // Stray '<' treated as text.
-                tokens.push(Token::Text("<".to_string()));
-                i += 1;
-            }
-        } else {
-            let end = input[i..].find('<').map_or(bytes.len(), |p| i + p);
-            let text = decode_entities(&input[i..end]);
-            if !text.trim().is_empty() {
-                tokens.push(Token::Text(text));
-            }
+        if bytes[i] != b'<' {
+            let end = scan(bytes, i, |b| b == b'<');
+            tree.text(i, &input[i..end], true);
             i = end;
+        } else if input[i..].starts_with("<!--") {
+            i = input[i + 4..]
+                .find("-->")
+                .map_or(bytes.len(), |p| i + 4 + p + 3);
+        } else if matches!(bytes.get(i + 1), Some(b'!' | b'?')) {
+            i = (scan(bytes, i, |b| b == b'>') + 1).min(bytes.len());
+        } else if bytes.get(i + 1) == Some(&b'/') {
+            let end = scan(bytes, i, |b| b == b'>');
+            let name = input[i + 2..end].trim();
+            if !name.is_empty() {
+                tree.end_tag(name);
+            }
+            i = (end + 1).min(bytes.len());
+        } else if bytes.get(i + 1).is_some_and(u8::is_ascii_alphabetic) {
+            i = lex_start_tag(input, i, tree);
+        } else {
+            // Stray '<' treated as text.
+            tree.text(i, "<", false);
+            i += 1;
         }
     }
-    tokens
-}
-
-// Window scan: `h[i..]`/`n` indices are bounded by the `windows`-style
-// length check on the line above each access.
-// sheriff-lint: allow-item(transitive-panic)
-fn find_case_insensitive(haystack: &str, needle: &str) -> Option<usize> {
-    let h = haystack.as_bytes();
-    let n = needle.as_bytes();
-    if n.is_empty() || h.len() < n.len() {
-        return None;
-    }
-    (0..=h.len() - n.len()).find(|&i| {
-        h[i..i + n.len()]
-            .iter()
-            .zip(n)
-            .all(|(a, b)| a.eq_ignore_ascii_case(b))
-    })
 }
 
 // Byte-cursor scanner continuing `tokenize`'s stream: all indexing is
 // behind `i < bytes.len()` guards; malformed tags fall out as text.
 // sheriff-lint: allow-item(transitive-panic)
-fn lex_start_tag(input: &str, start: usize) -> (Token, usize) {
+fn lex_start_tag(input: &str, start: usize, tree: &mut TreeBuilder) -> usize {
     // start points at '<'. Parse name.
     let bytes = input.as_bytes();
-    let mut i = start + 1;
-    let name_start = i;
-    while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'-') {
-        i += 1;
-    }
-    let name = input[name_start..i].to_ascii_lowercase();
-    let mut attrs = BTreeMap::new();
-    let mut self_closing = false;
-
-    loop {
-        // Skip whitespace.
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
+    let not_space = |b: u8| !b.is_ascii_whitespace();
+    let name_end = scan(bytes, start + 1, |b| {
+        !b.is_ascii_alphanumeric() && b != b'-'
+    });
+    let raw_name = &input[start + 1..name_end];
+    let name = tree.lowered(start + 1, name_end);
+    let (mut n_attrs, mut self_closing) = (0, false);
+    let mut i = scan(bytes, name_end, not_space);
+    while i < bytes.len() && bytes[i] != b'>' {
+        if bytes[i] == b'/' {
+            self_closing = true;
             i += 1;
-        }
-        if i >= bytes.len() {
-            break;
-        }
-        match bytes[i] {
-            b'>' => {
-                i += 1;
-                break;
-            }
-            b'/' => {
-                self_closing = true;
-                i += 1;
-            }
-            _ => {
-                // Attribute name.
-                let an_start = i;
-                while i < bytes.len()
-                    && !bytes[i].is_ascii_whitespace()
-                    && bytes[i] != b'='
-                    && bytes[i] != b'>'
-                    && bytes[i] != b'/'
-                {
-                    i += 1;
-                }
-                let aname = input[an_start..i].to_ascii_lowercase();
-                while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-                    i += 1;
-                }
-                let mut aval = String::new();
-                if i < bytes.len() && bytes[i] == b'=' {
-                    i += 1;
-                    while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-                        i += 1;
-                    }
-                    if i < bytes.len() && (bytes[i] == b'"' || bytes[i] == b'\'') {
-                        let quote = bytes[i];
-                        i += 1;
-                        let v_start = i;
-                        while i < bytes.len() && bytes[i] != quote {
-                            i += 1;
-                        }
-                        aval = decode_entities(&input[v_start..i]);
-                        i = (i + 1).min(bytes.len());
-                    } else {
-                        let v_start = i;
-                        while i < bytes.len() && !bytes[i].is_ascii_whitespace() && bytes[i] != b'>'
-                        {
-                            i += 1;
-                        }
-                        aval = input[v_start..i].to_string();
-                    }
-                }
-                if !aname.is_empty() {
-                    attrs.entry(aname).or_insert(aval);
+        } else {
+            let an_start = i;
+            let an_end = scan(bytes, i, |b| {
+                !not_space(b) || matches!(b, b'=' | b'>' | b'/')
+            });
+            i = scan(bytes, an_end, not_space);
+            let mut value = Span::default();
+            if i < bytes.len() && bytes[i] == b'=' {
+                i = scan(bytes, i + 1, not_space);
+                if i < bytes.len() && (bytes[i] == b'"' || bytes[i] == b'\'') {
+                    let end = scan(bytes, i + 1, |b| b == bytes[i]);
+                    value = tree.decoded(i + 1, &input[i + 1..end]);
+                    i = (end + 1).min(bytes.len());
+                } else {
+                    let end = scan(bytes, i, |b| !not_space(b) || b == b'>');
+                    value = Span::new(i, end);
+                    i = end;
                 }
             }
+            if an_end > an_start {
+                let aname = tree.lowered(an_start, an_end);
+                tree.attr(aname, value);
+                n_attrs += 1;
+            }
         }
+        i = scan(bytes, i, not_space);
     }
-    (
-        Token::StartTag {
-            name,
-            attrs,
-            self_closing,
-        },
-        i,
-    )
+    i = (i + 1).min(bytes.len());
+    tree.start_tag(name, n_attrs, self_closing);
+
+    // A raw-text element's body runs to its end tag, markup and all.
+    let Some(close) = raw_text_close(raw_name).filter(|_| !self_closing && i < bytes.len()) else {
+        return i;
+    };
+    let rest = &input[i..];
+    let is_close = |at: &usize| {
+        let tag = rest.as_bytes().get(*at..*at + close.len());
+        tag.is_some_and(|t| t.eq_ignore_ascii_case(close.as_bytes()))
+    };
+    let body_len = rest.match_indices("</").map(|(at, _)| at).find(is_close);
+    let body_len = body_len.unwrap_or(rest.len());
+    if body_len > 0 {
+        tree.text(i, &rest[..body_len], false);
+    }
+    if body_len == rest.len() {
+        return bytes.len();
+    }
+    tree.end_tag(&close[2..]);
+    (scan(bytes, i + body_len, |b| b == b'>') + 1).min(bytes.len())
 }
 
-/// Decodes the small entity set that matters for price text.
-// Byte-cursor scanner over a single entity reference: indices are bounded
-// by the `i < bytes.len()` guards in each branch.
-// sheriff-lint: allow-item(transitive-panic)
-pub fn decode_entities(s: &str) -> String {
-    if !s.contains('&') {
-        return s.to_string();
-    }
-    let mut out = String::with_capacity(s.len());
+/// The character a named or numeric entity (`amp`, `#36`, `#x24`, …: the
+/// small set that matters for price text) stands for.
+fn entity(name: &str) -> Option<char> {
+    Some(match name {
+        "amp" => '&',
+        "lt" => '<',
+        "gt" => '>',
+        "quot" => '"',
+        "apos" => '\'',
+        "nbsp" => '\u{a0}',
+        "euro" => '€',
+        "pound" => '£',
+        "yen" => '¥',
+        _ => {
+            let code = match name.strip_prefix("#x").or_else(|| name.strip_prefix("#X")) {
+                Some(hex) => u32::from_str_radix(hex, 16),
+                None => name.strip_prefix('#')?.parse::<u32>(),
+            };
+            char::from_u32(code.ok()?)?
+        }
+    })
+}
+
+/// Appends `s` to `out` with entities decoded; anything that is not a
+/// known entity (within 8 bytes of its `&`) stays as written.
+pub(crate) fn decode_entities(s: &str, out: &mut String) {
     let mut rest = s;
     while let Some(pos) = rest.find('&') {
-        out.push_str(&rest[..pos]);
-        rest = &rest[pos..];
-        let semi = rest.find(';');
-        match semi {
-            Some(end) if end <= 8 => {
-                let ent = &rest[1..end];
-                let decoded = match ent {
-                    "amp" => Some('&'),
-                    "lt" => Some('<'),
-                    "gt" => Some('>'),
-                    "quot" => Some('"'),
-                    "apos" => Some('\''),
-                    "nbsp" => Some('\u{a0}'),
-                    "euro" => Some('€'),
-                    "pound" => Some('£'),
-                    "yen" => Some('¥'),
-                    _ => {
-                        if let Some(num) = ent.strip_prefix("#x").or_else(|| ent.strip_prefix("#X"))
-                        {
-                            u32::from_str_radix(num, 16).ok().and_then(char::from_u32)
-                        } else if let Some(num) = ent.strip_prefix('#') {
-                            num.parse::<u32>().ok().and_then(char::from_u32)
-                        } else {
-                            None
-                        }
-                    }
-                };
-                match decoded {
-                    Some(c) => {
-                        out.push(c);
-                        rest = &rest[end + 1..];
-                    }
-                    None => {
-                        out.push('&');
-                        rest = &rest[1..];
-                    }
-                }
+        let (before, at) = rest.split_at(pos);
+        out.push_str(before);
+        let end = at.find(';').filter(|&end| end <= 8);
+        match end.and_then(|end| Some((entity(at.get(1..end)?)?, end))) {
+            Some((c, end)) => {
+                out.push(c);
+                rest = at.get(end + 1..).unwrap_or_default();
             }
-            _ => {
+            None => {
                 out.push('&');
-                rest = &rest[1..];
+                rest = at.get(1..).unwrap_or_default();
             }
         }
     }
     out.push_str(rest);
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dom::{Document, NodeId, NodeKind};
 
-    fn start(name: &str) -> Token {
-        Token::StartTag {
-            name: name.to_string(),
-            attrs: BTreeMap::new(),
-            self_closing: false,
-        }
+    /// The parsed tree as `(depth, what)` rows: `<name k=v …>` or `"text"`.
+    fn outline(html: &str) -> Vec<(usize, String)> {
+        let doc = Document::parse(html);
+        let depth = |mut id: NodeId| {
+            let mut d = 0;
+            while let Some(p) = doc.parent(id) {
+                (id, d) = (p, d + 1);
+            }
+            d
+        };
+        doc.descendants(doc.root())
+            .skip(1)
+            .map(|id| {
+                let what = match doc.kind(id) {
+                    NodeKind::Element => {
+                        let attrs: String =
+                            doc.attrs(id).map(|(k, v)| format!(" {k}={v}")).collect();
+                        format!("<{}{attrs}>", doc.name(id).unwrap())
+                    }
+                    _ => format!("{:?}", doc.text_content(id)),
+                };
+                (depth(id), what)
+            })
+            .collect()
+    }
+
+    fn rows(expected: &[(usize, &str)]) -> Vec<(usize, String)> {
+        expected.iter().map(|&(d, s)| (d, s.to_string())).collect()
+    }
+
+    fn decoded(s: &str) -> String {
+        let mut out = String::new();
+        decode_entities(s, &mut out);
+        out
     }
 
     #[test]
     fn simple_document() {
-        let toks = tokenize("<html><body>hi</body></html>");
         assert_eq!(
-            toks,
-            vec![
-                start("html"),
-                start("body"),
-                Token::Text("hi".into()),
-                Token::EndTag {
-                    name: "body".into()
-                },
-                Token::EndTag {
-                    name: "html".into()
-                },
-            ]
+            outline("<html><body>hi</body></html>after"),
+            rows(&[
+                (1, "<html>"),
+                (2, "<body>"),
+                (3, "\"hi\""),
+                (1, "\"after\"")
+            ])
         );
     }
 
     #[test]
     fn attributes_parse() {
-        let toks = tokenize(r#"<span class="price" id=main data-x='7'>$10</span>"#);
-        match &toks[0] {
-            Token::StartTag { name, attrs, .. } => {
-                assert_eq!(name, "span");
-                assert_eq!(attrs.get("class").map(String::as_str), Some("price"));
-                assert_eq!(attrs.get("id").map(String::as_str), Some("main"));
-                assert_eq!(attrs.get("data-x").map(String::as_str), Some("7"));
-            }
-            other => panic!("expected start tag, got {other:?}"),
-        }
+        assert_eq!(
+            outline(r#"<span class="price" id=main data-x='7' hidden>$10</span>"#),
+            rows(&[
+                (1, "<span class=price data-x=7 hidden= id=main>"),
+                (2, "\"$10\"")
+            ])
+        );
     }
 
     #[test]
     fn self_closing_and_void() {
-        let toks = tokenize(r#"<img src="p.jpg"/><br>"#);
-        assert!(matches!(
-            &toks[0],
-            Token::StartTag {
-                self_closing: true,
-                ..
-            }
-        ));
-        assert!(matches!(&toks[1], Token::StartTag { name, .. } if name == "br"));
+        // Neither takes the text that follows as a child.
+        assert_eq!(
+            outline(r#"<img src="p.jpg"/>a<div/>b<br>c"#),
+            rows(&[
+                (1, "<img src=p.jpg>"),
+                (1, "\"a\""),
+                (1, "<div>"),
+                (1, "\"b\""),
+                (1, "<br>"),
+                (1, "\"c\"")
+            ])
+        );
     }
 
     #[test]
     fn comments_and_doctype() {
-        let toks = tokenize("<!DOCTYPE html><!-- hidden <b>price</b> -->text");
-        assert_eq!(toks[0], Token::Doctype);
-        assert_eq!(toks[1], Token::Comment);
-        assert_eq!(toks[2], Token::Text("text".into()));
+        assert_eq!(
+            outline("<!DOCTYPE html><?xml?><!-- hidden <b>price</b> -->text<!-- open"),
+            rows(&[(1, "\"text\"")])
+        );
     }
 
     #[test]
     fn script_body_is_raw() {
-        let toks = tokenize(r#"<script>if (a < b) { price = "<span>"; }</script><p>x</p>"#);
-        assert!(matches!(&toks[0], Token::StartTag { name, .. } if name == "script"));
-        assert!(matches!(&toks[1], Token::Text(t) if t.contains("a < b")));
         assert_eq!(
-            toks[2],
-            Token::EndTag {
-                name: "script".into()
-            }
+            outline(
+                r#"<script>if (a < b) { price = "<span>"; }</SCRIPT ><p>x</p><style> </style>"#
+            ),
+            rows(&[
+                (1, "<script>"),
+                (2, r#""if (a < b) { price = \"<span>\"; }""#),
+                (1, "<p>"),
+                (2, "\"x\""),
+                (1, "<style>"),
+                (2, "\" \"")
+            ])
+        );
+        // An unclosed raw-text element swallows the rest of the page.
+        assert_eq!(
+            outline("<style>a<b>"),
+            rows(&[(1, "<style>"), (2, "\"a<b>\"")])
         );
     }
 
     #[test]
     fn entities_decode() {
-        assert_eq!(decode_entities("a&amp;b"), "a&b");
-        assert_eq!(decode_entities("&euro;654"), "€654");
-        assert_eq!(decode_entities("&#36;10"), "$10");
-        assert_eq!(decode_entities("&#x24;10"), "$10");
-        assert_eq!(decode_entities("1&nbsp;234"), "1\u{a0}234");
+        assert_eq!(decoded("a&amp;b"), "a&b");
+        assert_eq!(decoded("&euro;654"), "€654");
+        assert_eq!(decoded("&#36;10"), "$10");
+        assert_eq!(decoded("&#x24;10"), "$10");
+        assert_eq!(decoded("1&nbsp;234"), "1\u{a0}234");
+        assert_eq!(decoded("broken &unknown; stays"), "broken &unknown; stays");
+        // In text and in quoted values, not in unquoted ones.
         assert_eq!(
-            decode_entities("broken &unknown; stays"),
-            "broken &unknown; stays"
+            outline("<a t='&lt;' u=&lt;>&pound;5</a>"),
+            rows(&[(1, "<a t=< u=&lt;>"), (2, "\"£5\"")])
         );
     }
 
     #[test]
     fn stray_angle_brackets_survive() {
-        let toks = tokenize("a < b");
-        assert!(toks
-            .iter()
-            .any(|t| matches!(t, Token::Text(x) if x.contains('a'))));
+        assert_eq!(
+            outline("a < b"),
+            rows(&[(1, "\"a \""), (1, "\"<\""), (1, "\" b\"")])
+        );
         // Must not panic, must terminate.
-        let _ = tokenize("<<<>>><");
-        let _ = tokenize("<span");
+        let _ = Document::parse("<<<>>><");
+        let _ = Document::parse("<span");
+        let _ = Document::parse("<span class='x");
+        let _ = Document::parse("</");
     }
 
     #[test]
     fn case_insensitive_names() {
-        let toks = tokenize("<DIV CLASS='x'></DIV>");
-        assert!(matches!(&toks[0], Token::StartTag { name, attrs, .. }
-            if name == "div" && attrs.get("class").map(String::as_str) == Some("x")));
-        assert_eq!(toks[1], Token::EndTag { name: "div".into() });
+        assert_eq!(
+            outline("<DIV CLASS='x'>t</Div>u"),
+            rows(&[(1, "<div class=x>"), (2, "\"t\""), (1, "\"u\"")])
+        );
     }
 
     #[test]
     fn whitespace_only_text_dropped() {
-        let toks = tokenize("<p>  </p>");
-        assert_eq!(toks.len(), 2);
+        assert_eq!(outline("<p>  </p> \n&nbsp;"), rows(&[(1, "<p>")]));
     }
 }

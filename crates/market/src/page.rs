@@ -9,6 +9,9 @@
 //! with the fetch, so two fetches of the same product rarely produce
 //! byte-identical HTML.
 
+use std::borrow::Cow;
+use std::fmt::Write as _;
+
 use crate::hash_mix;
 use crate::product::Product;
 use crate::tracker::Tracker;
@@ -29,68 +32,35 @@ pub enum PriceFormat {
 /// Formats `amount` of `currency` per `format`, respecting the currency's
 /// customary decimal count (JPY/KRW print none).
 pub fn format_price(amount: f64, currency: &str, format: PriceFormat) -> String {
-    let decimals = sheriff_currency::CurrencyCatalog::by_iso(currency).map_or(2, |c| c.decimals);
-    let symbol = sheriff_currency::CurrencyCatalog::by_iso(currency).map_or("", |c| c.symbol);
+    let entry = sheriff_currency::CurrencyCatalog::by_iso(currency);
+    let (decimals, symbol) = entry.map_or((2, ""), |c| (c.decimals, c.symbol));
+    let us = || group(amount, decimals, ',', '.');
     match format {
-        PriceFormat::CodeConcat => {
-            format!("{currency}{}", group_us(amount, decimals))
-        }
-        PriceFormat::CodeSuffix => {
-            format!("{} {currency}", group_us(amount, decimals))
-        }
-        PriceFormat::SymbolPrefix => {
-            format!("{symbol}{}", group_us(amount, decimals))
-        }
-        PriceFormat::SymbolSuffixEu => {
-            format!("{} {symbol}", group_eu(amount, decimals))
-        }
+        PriceFormat::CodeConcat => format!("{currency}{}", us()),
+        PriceFormat::CodeSuffix => format!("{} {currency}", us()),
+        PriceFormat::SymbolPrefix => format!("{symbol}{}", us()),
+        PriceFormat::SymbolSuffixEu => format!("{} {symbol}", group(amount, decimals, '.', ',')),
     }
 }
 
-fn group_digits(int_part: u64, sep: char) -> String {
-    let s = int_part.to_string();
+/// `amount` rounded to `decimals`, thousands grouped by `sep`, fraction
+/// after `point`.
+fn group(amount: f64, decimals: u8, sep: char, point: char) -> String {
+    let scale = 10f64.powi(i32::from(decimals));
+    let minor = (amount * scale).round() as u64;
+    let digits = (minor / scale as u64).to_string();
     let mut out = String::new();
-    for (i, ch) in s.chars().enumerate() {
-        if i > 0 && (s.len() - i).is_multiple_of(3) {
+    for (i, ch) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i).is_multiple_of(3) {
             out.push(sep);
         }
         out.push(ch);
     }
+    if decimals > 0 {
+        let frac = minor % scale as u64;
+        let _ = write!(out, "{point}{frac:0width$}", width = decimals as usize);
+    }
     out
-}
-
-fn group_us(amount: f64, decimals: u8) -> String {
-    let scale = 10f64.powi(i32::from(decimals));
-    let minor = (amount * scale).round() as u64;
-    let int = minor / scale as u64;
-    let frac = minor % scale as u64;
-    if decimals == 0 {
-        group_digits(int, ',')
-    } else {
-        format!(
-            "{}.{:0width$}",
-            group_digits(int, ','),
-            frac,
-            width = decimals as usize
-        )
-    }
-}
-
-fn group_eu(amount: f64, decimals: u8) -> String {
-    let scale = 10f64.powi(i32::from(decimals));
-    let minor = (amount * scale).round() as u64;
-    let int = minor / scale as u64;
-    let frac = minor % scale as u64;
-    if decimals == 0 {
-        group_digits(int, '.')
-    } else {
-        format!(
-            "{},{:0width$}",
-            group_digits(int, '.'),
-            frac,
-            width = decimals as usize
-        )
-    }
 }
 
 /// Per-template markup of the price element: (tag, class).
@@ -133,29 +103,26 @@ pub struct PageSpec<'a> {
 /// Renders the page.
 pub fn render(spec: &PageSpec<'_>) -> String {
     let (tag, class) = price_markup(spec.template);
+    let name = &spec.product.name;
     let mut html = String::with_capacity(8192);
-    html.push_str("<!DOCTYPE html>\n<html>\n<head>\n");
-    html.push_str(&format!(
-        "<title>{} - {}</title>\n",
-        spec.product.name, spec.domain
-    ));
+    // `fmt::Write` into a `String` cannot fail; one `put!` per line keeps
+    // the page readable here and allocates nothing.
+    macro_rules! put {
+        ($($arg:tt)*) => {{ let _ = write!(html, $($arg)*); }};
+    }
+    put!("<!DOCTYPE html>\n<html>\n<head>\n");
+    put!("<title>{name} - {}</title>\n", spec.domain);
     // Static site chrome: identical on every fetch of this retailer, like
     // the navigation/footer boilerplate dominating real product pages —
     // and the reason DiffStorage pays off (§10.5).
-    html.push_str("<meta charset=\"utf-8\">\n");
+    put!("<meta charset=\"utf-8\">\n");
     for i in 0..18 {
-        html.push_str(&format!(
-            "<link rel=\"stylesheet\" href=\"/static/css/part-{i:02}.css\">\n"
-        ));
+        put!("<link rel=\"stylesheet\" href=\"/static/css/part-{i:02}.css\">\n");
     }
     for t in spec.trackers {
-        html.push_str(&format!(
-            "<script src=\"https://{}/tag.js\"></script>\n",
-            t.domain
-        ));
+        put!("<script src=\"https://{}/tag.js\"></script>\n", t.domain);
     }
-    html.push_str("</head>\n<body>\n");
-    html.push_str("<nav class=\"site-nav\">\n");
+    put!("</head>\n<body>\n<nav class=\"site-nav\">\n");
     for section in [
         "home",
         "new-arrivals",
@@ -173,72 +140,58 @@ pub fn render(spec: &PageSpec<'_>) -> String {
         "help",
         "account",
     ] {
-        html.push_str(&format!(
-            "<a class=\"nav-item nav-{section}\" href=\"/{section}\">{section}</a>\n"
-        ));
+        put!("<a class=\"nav-item nav-{section}\" href=\"/{section}\">{section}</a>\n");
     }
-    html.push_str("</nav>\n");
+    put!("</nav>\n");
 
     // Location/user-tailored banner noise: count and flavor vary by seed.
-    let n_ads = (hash_mix(&[spec.noise_seed, 0xad]) % 4) as usize;
+    let n_ads = hash_mix(&[spec.noise_seed, 0xad]) % 4;
     for i in 0..n_ads {
-        let flavor = hash_mix(&[spec.noise_seed, 0xad, i as u64]) % 1000;
-        html.push_str(&format!(
+        let flavor = hash_mix(&[spec.noise_seed, 0xad, i]) % 1000;
+        put!(
             "<div class=\"ad-banner\" data-campaign=\"c{flavor}\">Special offer {flavor}!</div>\n"
-        ));
+        );
     }
 
     // Structural templates differ in nesting around the price element.
-    let price_el = format!(
-        "<{tag} class=\"{class}\">{}</{tag}>",
-        escape(&spec.price_text)
-    );
+    let price = escape(&spec.price_text);
     match spec.template % 3 {
         0 => {
-            html.push_str("<div class=\"product\">\n");
-            html.push_str(&format!("<h1>{}</h1>\n", spec.product.name));
-            html.push_str(&format!(
+            put!("<div class=\"product\">\n<h1>{name}</h1>\n");
+            put!(
                 "<img src=\"{}.jpg\" alt=\"Product View\">\n",
                 spec.product.id.0
-            ));
-            html.push_str(&price_el);
-            html.push('\n');
-            html.push_str("</div>\n");
+            );
+            put!("<{tag} class=\"{class}\">{price}</{tag}>\n</div>\n");
         }
         1 => {
-            html.push_str("<main><section class=\"item-page\">\n");
-            html.push_str(&format!("<h2>{}</h2>\n", spec.product.name));
-            html.push_str("<div class=\"buy-box\"><div class=\"price-wrap\">\n");
-            html.push_str(&price_el);
-            html.push('\n');
-            html.push_str("</div><button>Add to cart</button></div>\n");
-            html.push_str("</section></main>\n");
+            put!("<main><section class=\"item-page\">\n<h2>{name}</h2>\n");
+            put!("<div class=\"buy-box\"><div class=\"price-wrap\">\n");
+            put!("<{tag} class=\"{class}\">{price}</{tag}>\n");
+            put!("</div><button>Add to cart</button></div>\n</section></main>\n");
         }
         _ => {
-            html.push_str("<table class=\"layout\"><tr><td class=\"info\">\n");
-            html.push_str(&format!("<h1>{}</h1>\n", spec.product.name));
-            html.push_str("</td><td class=\"purchase\">\n");
-            html.push_str(&price_el);
-            html.push('\n');
-            html.push_str("</td></tr></table>\n");
+            put!("<table class=\"layout\"><tr><td class=\"info\">\n<h1>{name}</h1>\n");
+            put!("</td><td class=\"purchase\">\n");
+            put!("<{tag} class=\"{class}\">{price}</{tag}>\n</td></tr></table>\n");
         }
     }
 
     // Recommendation strip: other products with their own price elements —
     // the multi-price ambiguity §3.3 warns about.
     if !spec.recommendations.is_empty() {
-        html.push_str("<div class=\"reco-strip\">\n");
+        put!("<div class=\"reco-strip\">\n");
         for (name, price) in spec.recommendations {
-            html.push_str(&format!(
+            put!(
                 "<div class=\"reco\"><span class=\"reco-name\">{}</span> <{tag} class=\"{class}\">{}</{tag}></div>\n",
                 escape(name),
                 escape(price),
-            ));
+            );
         }
-        html.push_str("</div>\n");
+        put!("</div>\n");
     }
 
-    html.push_str("<footer class=\"site-footer\">\n");
+    put!("<footer class=\"site-footer\">\n");
     for line in [
         "About us",
         "Careers",
@@ -256,14 +209,13 @@ pub fn render(spec: &PageSpec<'_>) -> String {
         "Gift registry",
         "Affiliate program",
     ] {
-        html.push_str(&format!("<div class=\"footer-line\">{line}</div>\n"));
+        put!("<div class=\"footer-line\">{line}</div>\n");
     }
-    html.push_str(&format!(
+    put!(
         "<div class=\"copyright\">&copy; {} — all rights reserved</div>\n",
         spec.domain
-    ));
-    html.push_str("</footer>\n");
-    html.push_str("</body>\n</html>\n");
+    );
+    put!("</footer>\n</body>\n</html>\n");
     html
 }
 
@@ -275,10 +227,16 @@ pub fn render_captcha(domain: &str) -> String {
     )
 }
 
-fn escape(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
+/// `s` with `&`, `<`, `>` escaped; borrowed when it holds none of them.
+fn escape(s: &str) -> Cow<'_, str> {
+    if !s.contains(['&', '<', '>']) {
+        return Cow::Borrowed(s);
+    }
+    Cow::Owned(
+        s.replace('&', "&amp;")
+            .replace('<', "&lt;")
+            .replace('>', "&gt;"),
+    )
 }
 
 #[cfg(test)]
@@ -398,7 +356,6 @@ mod tests {
         // Two price elements on the page: ambiguity the Tags Path resolves.
         let count = doc
             .descendants(doc.root())
-            .into_iter()
             .filter(|&id| doc.name(id) == Some(tag) && doc.attr(id, "class") == Some(class))
             .count();
         assert_eq!(count, 2);
@@ -413,9 +370,9 @@ mod tests {
 
     #[test]
     fn grouping_edge_cases() {
-        assert_eq!(group_us(0.994, 2), "0.99");
-        assert_eq!(group_us(1_000_000.0, 2), "1,000,000.00");
-        assert_eq!(group_eu(1_000.5, 2), "1.000,50");
-        assert_eq!(group_us(829075.0, 0), "829,075");
+        assert_eq!(group(0.994, 2, ',', '.'), "0.99");
+        assert_eq!(group(1_000_000.0, 2, ',', '.'), "1,000,000.00");
+        assert_eq!(group(1_000.5, 2, '.', ','), "1.000,50");
+        assert_eq!(group(829075.0, 0, ',', '.'), "829,075");
     }
 }

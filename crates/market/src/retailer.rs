@@ -144,7 +144,7 @@ impl Retailer {
             }
         }
 
-        let product = self.product(id)?.clone();
+        let product = self.product(id)?;
         let price_eur = self.price_eur(id, ctx)?;
         let currency = self.quote_currency(ctx.country);
         let price_quoted = rates
@@ -197,7 +197,7 @@ impl Retailer {
         ]);
         let html = page::render(&PageSpec {
             domain: &self.domain,
-            product: &product,
+            product,
             price_text,
             template: self.template,
             noise_seed,

@@ -183,6 +183,13 @@ impl World {
         self.retailers.get_mut(i)
     }
 
+    /// Mutable retailer by domain together with the world's rate table —
+    /// what a fetch needs, borrowed apart so the rates need no copy.
+    pub fn retailer_and_rates(&mut self, domain: &str) -> Option<(&mut Retailer, &FixedRates)> {
+        let i = *self.index.get(domain)?;
+        Some((self.retailers.get_mut(i)?, &self.rates))
+    }
+
     /// All domains, in construction order (named case studies first).
     pub fn domains(&self) -> impl Iterator<Item = &str> {
         self.retailers.iter().map(|r| r.domain.as_str())
