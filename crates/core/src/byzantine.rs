@@ -17,7 +17,7 @@
 //! has nothing more to do, because on either backend nothing reaches the
 //! receiving machine.
 
-use sheriff_netsim::{ByzDecision, ByzantinePlan, CodecAttack};
+use sheriff_netsim::{fault::splitmix64, ByzDecision, ByzantinePlan, CodecAttack};
 
 use crate::protocol::ProtoMsg;
 
@@ -33,11 +33,34 @@ pub const JUNK_TAG_BIT: u64 = 1 << 63;
 /// Whether a message carries price evidence worth corrupting — the
 /// content arms (equivocate / fabricate / stale-replay) only fire on
 /// these; floods and codec attacks apply to any traffic.
+#[deny(clippy::wildcard_enum_match_arm)]
 fn price_bearing(msg: &ProtoMsg) -> bool {
-    matches!(
-        msg,
-        ProtoMsg::FetchReply { .. } | ProtoMsg::DoppStateRequest { .. }
-    )
+    match msg {
+        ProtoMsg::FetchReply { .. } | ProtoMsg::DoppStateRequest { .. } => true,
+        ProtoMsg::StartCheck { .. }
+        | ProtoMsg::CoordRequest { .. }
+        | ProtoMsg::CoordAssign { .. }
+        | ProtoMsg::CoordReject { .. }
+        | ProtoMsg::PpcList { .. }
+        | ProtoMsg::JobSubmit { .. }
+        | ProtoMsg::FetchOrder { .. }
+        | ProtoMsg::DoppIdRequest { .. }
+        | ProtoMsg::DoppIdReply { .. }
+        | ProtoMsg::DoppStateReply { .. }
+        | ProtoMsg::TokenRotated { .. }
+        | ProtoMsg::StoreCheck { .. }
+        | ProtoMsg::DbAck { .. }
+        | ProtoMsg::JobComplete { .. }
+        | ProtoMsg::Results { .. }
+        | ProtoMsg::Heartbeat { .. }
+        | ProtoMsg::RemoveServer { .. }
+        | ProtoMsg::ServerRemoved { .. }
+        | ProtoMsg::MisbehaviorReport { .. }
+        | ProtoMsg::QuarantineNotice { .. }
+        | ProtoMsg::Reliable { .. }
+        | ProtoMsg::Ack { .. }
+        | ProtoMsg::Shutdown => false,
+    }
 }
 
 /// Inserts `zeros` zeros after the first digit of every digit run in
@@ -170,7 +193,8 @@ fn flood_junk(decision: &ByzDecision, primary: &ProtoMsg) -> Vec<ProtoMsg> {
     }
     let mut junk = Vec::with_capacity(copies as usize);
     for i in 0..copies {
-        let nonce = mix(decision.occurrence * 64 + i);
+        // Collision-free, and clear of the tag bit set below.
+        let nonce = splitmix64(decision.occurrence * 64 + i) & !JUNK_TAG_BIT;
         junk.push(match primary {
             ProtoMsg::CoordRequest { url, peer, .. } => ProtoMsg::CoordRequest {
                 url: url.clone(),
@@ -186,15 +210,6 @@ fn flood_junk(decision: &ByzDecision, primary: &ProtoMsg) -> Vec<ProtoMsg> {
         });
     }
     junk
-}
-
-/// splitmix64 finalizer — local copy (netsim keeps its own private);
-/// only used to derive collision-free junk nonces.
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (z ^ (z >> 31)) & !JUNK_TAG_BIT
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@ pub struct AggregatorProto {
     pub tokens: Vec<DoppelgangerId>,
 }
 
+#[deny(clippy::wildcard_enum_match_arm)]
 impl AggregatorProto {
     /// An empty directory (no clustered peers yet).
     pub fn new() -> Self {
@@ -42,7 +43,30 @@ impl AggregatorProto {
                     self.directory.update_token(pos, new);
                 }
             }
-            _ => {}
+            // For another role, the channel or the driver.
+            ProtoMsg::StartCheck { .. }
+            | ProtoMsg::CoordRequest { .. }
+            | ProtoMsg::CoordAssign { .. }
+            | ProtoMsg::CoordReject { .. }
+            | ProtoMsg::PpcList { .. }
+            | ProtoMsg::JobSubmit { .. }
+            | ProtoMsg::FetchOrder { .. }
+            | ProtoMsg::FetchReply { .. }
+            | ProtoMsg::DoppIdReply { .. }
+            | ProtoMsg::DoppStateRequest { .. }
+            | ProtoMsg::DoppStateReply { .. }
+            | ProtoMsg::StoreCheck { .. }
+            | ProtoMsg::DbAck { .. }
+            | ProtoMsg::JobComplete { .. }
+            | ProtoMsg::Results { .. }
+            | ProtoMsg::Heartbeat { .. }
+            | ProtoMsg::RemoveServer { .. }
+            | ProtoMsg::ServerRemoved { .. }
+            | ProtoMsg::MisbehaviorReport { .. }
+            | ProtoMsg::QuarantineNotice { .. }
+            | ProtoMsg::Reliable { .. }
+            | ProtoMsg::Ack { .. }
+            | ProtoMsg::Shutdown => {}
         }
     }
 }

@@ -46,6 +46,7 @@ pub struct CoordinatorProto {
     pub defense: DefenseBook,
 }
 
+#[deny(clippy::wildcard_enum_match_arm)]
 impl CoordinatorProto {
     /// Wraps a configured [`Coordinator`].
     pub fn new(coordinator: Coordinator, ppc_per_request: usize) -> Self {
@@ -149,8 +150,8 @@ impl CoordinatorProto {
         }
     }
 
-    /// A timer armed by this machine fired. Only [`TimerKind::CoordSweep`]
-    /// is coordinator-owned: expire lapsed heartbeats, take back jobs
+    /// A timer fired; one armed elsewhere is ignored. On
+    /// [`TimerKind::CoordSweep`]: expire lapsed heartbeats, take back jobs
     /// charged to offline servers, and re-admit each through the normal
     /// assignment path (new job id, same initiator tag — the peer's own
     /// tag bookkeeping makes whichever assignment finishes first win).
@@ -176,7 +177,11 @@ impl CoordinatorProto {
                 return;
             }
             TimerKind::CoordSweep => {}
-            _ => return,
+            TimerKind::JobDeadline(_)
+            | TimerKind::ProcDone(_)
+            | TimerKind::DbDone(_)
+            | TimerKind::Heartbeat
+            | TimerKind::Retransmit(_) => return,
         }
         self.coordinator.expire_heartbeats(now_ms);
         for job in self.coordinator.take_orphaned_jobs(now_ms) {
@@ -202,7 +207,30 @@ impl CoordinatorProto {
     pub fn on_send_abandoned(&mut self, msg: &ProtoMsg) {
         let job = match msg {
             ProtoMsg::PpcList { job, .. } | ProtoMsg::CoordAssign { job, .. } => *job,
-            _ => return,
+            // No other send pins state here.
+            ProtoMsg::StartCheck { .. }
+            | ProtoMsg::CoordRequest { .. }
+            | ProtoMsg::CoordReject { .. }
+            | ProtoMsg::JobSubmit { .. }
+            | ProtoMsg::FetchOrder { .. }
+            | ProtoMsg::FetchReply { .. }
+            | ProtoMsg::DoppIdRequest { .. }
+            | ProtoMsg::DoppIdReply { .. }
+            | ProtoMsg::DoppStateRequest { .. }
+            | ProtoMsg::DoppStateReply { .. }
+            | ProtoMsg::TokenRotated { .. }
+            | ProtoMsg::StoreCheck { .. }
+            | ProtoMsg::DbAck { .. }
+            | ProtoMsg::JobComplete { .. }
+            | ProtoMsg::Results { .. }
+            | ProtoMsg::Heartbeat { .. }
+            | ProtoMsg::RemoveServer { .. }
+            | ProtoMsg::ServerRemoved { .. }
+            | ProtoMsg::MisbehaviorReport { .. }
+            | ProtoMsg::QuarantineNotice { .. }
+            | ProtoMsg::Reliable { .. }
+            | ProtoMsg::Ack { .. }
+            | ProtoMsg::Shutdown => return,
         };
         self.coordinator.job_complete(job);
         self.origins.remove(&job);
@@ -366,7 +394,26 @@ impl CoordinatorProto {
                     ProtoMsg::ServerRemoved { index, removed },
                 ));
             }
-            _ => {}
+            // For another role, the channel or the driver.
+            ProtoMsg::StartCheck { .. }
+            | ProtoMsg::CoordAssign { .. }
+            | ProtoMsg::CoordReject { .. }
+            | ProtoMsg::PpcList { .. }
+            | ProtoMsg::JobSubmit { .. }
+            | ProtoMsg::FetchOrder { .. }
+            | ProtoMsg::FetchReply { .. }
+            | ProtoMsg::DoppIdRequest { .. }
+            | ProtoMsg::DoppIdReply { .. }
+            | ProtoMsg::DoppStateReply { .. }
+            | ProtoMsg::TokenRotated { .. }
+            | ProtoMsg::StoreCheck { .. }
+            | ProtoMsg::DbAck { .. }
+            | ProtoMsg::Results { .. }
+            | ProtoMsg::ServerRemoved { .. }
+            | ProtoMsg::QuarantineNotice { .. }
+            | ProtoMsg::Reliable { .. }
+            | ProtoMsg::Ack { .. }
+            | ProtoMsg::Shutdown => {}
         }
     }
 }

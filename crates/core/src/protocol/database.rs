@@ -94,6 +94,7 @@ pub struct DbProto {
     stored_jobs: BTreeSet<JobId>,
 }
 
+#[deny(clippy::wildcard_enum_match_arm)]
 impl DbProto {
     /// A fresh database under `cost`, backed by in-memory storage (the
     /// DES default) at the default snapshot cadence.
@@ -205,8 +206,16 @@ impl DbProto {
 
     /// Feeds one fired timer.
     pub fn on_timer(&mut self, kind: TimerKind, out: &mut Vec<Output>, events: &mut Vec<DbEvent>) {
-        let TimerKind::DbDone(job) = kind else {
-            return;
+        let job = match kind {
+            TimerKind::DbDone(job) => job,
+            // Armed by other roles, or by the channel.
+            TimerKind::JobDeadline(_)
+            | TimerKind::ProcDone(_)
+            | TimerKind::Heartbeat
+            | TimerKind::Retransmit(_)
+            | TimerKind::CoordSweep
+            | TimerKind::Quarantine(_)
+            | TimerKind::Parole(_) => return,
         };
         self.active = self.active.saturating_sub(1);
         events.push(DbEvent::QueryDone {

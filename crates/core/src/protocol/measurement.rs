@@ -171,6 +171,7 @@ pub struct MeasurementProto {
     pub defense: DefenseBook,
 }
 
+#[deny(clippy::wildcard_enum_match_arm)]
 impl MeasurementProto {
     /// Builds the machine from its parameters.
     pub fn new(params: MeasurementParams) -> Self {
@@ -512,7 +513,28 @@ impl MeasurementProto {
                 }
             }
             ProtoMsg::DbAck { job } => self.finish_job(now_ms, job, out, events),
-            _ => {}
+            // For another role, the channel or the driver.
+            ProtoMsg::StartCheck { .. }
+            | ProtoMsg::CoordRequest { .. }
+            | ProtoMsg::CoordAssign { .. }
+            | ProtoMsg::CoordReject { .. }
+            | ProtoMsg::FetchOrder { .. }
+            | ProtoMsg::DoppIdRequest { .. }
+            | ProtoMsg::DoppIdReply { .. }
+            | ProtoMsg::DoppStateRequest { .. }
+            | ProtoMsg::DoppStateReply { .. }
+            | ProtoMsg::TokenRotated { .. }
+            | ProtoMsg::StoreCheck { .. }
+            | ProtoMsg::JobComplete { .. }
+            | ProtoMsg::Results { .. }
+            | ProtoMsg::Heartbeat { .. }
+            | ProtoMsg::RemoveServer { .. }
+            | ProtoMsg::ServerRemoved { .. }
+            | ProtoMsg::MisbehaviorReport { .. }
+            | ProtoMsg::QuarantineNotice { .. }
+            | ProtoMsg::Reliable { .. }
+            | ProtoMsg::Ack { .. }
+            | ProtoMsg::Shutdown => {}
         }
     }
 
@@ -634,8 +656,32 @@ impl MeasurementProto {
         out: &mut Vec<Output>,
         events: &mut Vec<MeasEvent>,
     ) {
-        if let ProtoMsg::StoreCheck { job, .. } = msg {
-            self.finish_job(now_ms, *job, out, events);
+        match msg {
+            ProtoMsg::StoreCheck { job, .. } => self.finish_job(now_ms, *job, out, events),
+            ProtoMsg::StartCheck { .. }
+            | ProtoMsg::CoordRequest { .. }
+            | ProtoMsg::CoordAssign { .. }
+            | ProtoMsg::CoordReject { .. }
+            | ProtoMsg::PpcList { .. }
+            | ProtoMsg::JobSubmit { .. }
+            | ProtoMsg::FetchOrder { .. }
+            | ProtoMsg::FetchReply { .. }
+            | ProtoMsg::DoppIdRequest { .. }
+            | ProtoMsg::DoppIdReply { .. }
+            | ProtoMsg::DoppStateRequest { .. }
+            | ProtoMsg::DoppStateReply { .. }
+            | ProtoMsg::TokenRotated { .. }
+            | ProtoMsg::DbAck { .. }
+            | ProtoMsg::JobComplete { .. }
+            | ProtoMsg::Results { .. }
+            | ProtoMsg::Heartbeat { .. }
+            | ProtoMsg::RemoveServer { .. }
+            | ProtoMsg::ServerRemoved { .. }
+            | ProtoMsg::MisbehaviorReport { .. }
+            | ProtoMsg::QuarantineNotice { .. }
+            | ProtoMsg::Reliable { .. }
+            | ProtoMsg::Ack { .. }
+            | ProtoMsg::Shutdown => {}
         }
     }
 

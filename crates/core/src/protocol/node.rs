@@ -120,6 +120,7 @@ impl RoleNode {
     }
 
     /// The timer `kind`, armed by an earlier step of this node, fired.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn on_timer(&mut self, now_ms: u64, kind: TimerKind, rng: &mut StdRng, buf: &mut StepBuf) {
         let out = &mut buf.out;
         match kind {
@@ -141,7 +142,13 @@ impl RoleNode {
                     }
                 }
             }
-            kind => match &mut self.role {
+            TimerKind::JobDeadline(_)
+            | TimerKind::ProcDone(_)
+            | TimerKind::DbDone(_)
+            | TimerKind::Heartbeat
+            | TimerKind::CoordSweep
+            | TimerKind::Quarantine(_)
+            | TimerKind::Parole(_) => match &mut self.role {
                 Role::Coordinator(p) => p.on_timer(now_ms, kind, rng, out),
                 Role::Measurement(p) => p.on_timer(now_ms, kind, out, &mut buf.meas),
                 Role::Database(p) => p.on_timer(kind, out, &mut buf.db),
@@ -397,10 +404,11 @@ mod tests {
     use sheriff_geo::{Country, IpV4};
     use sheriff_html::tagspath::TagsPath;
     use sheriff_market::ProductId;
+    use std::mem::discriminant;
 
     use crate::coordinator::{Coordinator, JobId, PeerId};
     use crate::db::DbCostModel;
-    use crate::protocol::{DefenseParams, MeasurementParams, ReliableConfig, Standing};
+    use crate::protocol::{DefenseParams, Digest, MeasurementParams, ReliableConfig, Standing};
     use crate::records::{PriceObservation, VantageKind};
     use crate::whitelist::Whitelist;
 
@@ -449,6 +457,26 @@ mod tests {
         }
     }
 
+    /// A Coordinator that just quarantined peer `id` for three requests
+    /// in someone else's name (+2 each, threshold 6), its output in `buf`.
+    fn coordinator_quarantining(id: u64, rng: &mut StdRng, buf: &mut StepBuf) -> RoleNode {
+        let mut node = coordinator_node();
+        for local_tag in 0..3 {
+            node.on_message(
+                0,
+                Address::Peer { id },
+                ProtoMsg::CoordRequest {
+                    url: "https://amazon.com/product/1".into(),
+                    peer: PeerId(1),
+                    local_tag,
+                },
+                rng,
+                buf,
+            );
+        }
+        node
+    }
+
     #[test]
     fn coordinator_give_up_releases_the_origin_through_the_step() {
         let mut node = coordinator_node();
@@ -481,22 +509,8 @@ mod tests {
     fn defense_timers_of_the_widest_peer_id_come_back_as_themselves() {
         // The id is whatever an envelope claimed; no roster vetted it.
         const WIDE: u64 = u64::MAX;
-        let mut node = coordinator_node();
         let (mut rng, mut buf) = (StdRng::seed_from_u64(7), StepBuf::default());
-        // Three requests in someone else's name: +2 each, threshold 6.
-        for local_tag in 0..3 {
-            node.on_message(
-                0,
-                Address::Peer { id: WIDE },
-                ProtoMsg::CoordRequest {
-                    url: "https://amazon.com/product/1".into(),
-                    peer: PeerId(1),
-                    local_tag,
-                },
-                &mut rng,
-                &mut buf,
-            );
-        }
+        let mut node = coordinator_quarantining(WIDE, &mut rng, &mut buf);
         let standing = |node: &RoleNode| match &node.role {
             Role::Coordinator(p) => p.defense.standing(WIDE),
             _ => unreachable!(),
@@ -589,6 +603,73 @@ mod tests {
             buf,
         );
         (node, job)
+    }
+
+    fn digest(node: &RoleNode) -> u64 {
+        let mut d = Digest::new();
+        match &node.role {
+            Role::Coordinator(p) => p.state_digest(&mut d),
+            Role::Measurement(p) => p.state_digest(&mut d),
+            Role::Database(p) => p.state_digest(&mut d),
+            Role::Aggregator(_) | Role::Ipc { .. } | Role::Peer { .. } => {}
+        }
+        node.chan.state_digest(&mut d);
+        d.finish()
+    }
+
+    #[test]
+    fn every_timer_a_role_arms_is_consumed_when_it_fires_back() {
+        // An explicit ignore arm compiles even for a kind the same
+        // machine arms. So one timer of each kind in `buf.out`, and of
+        // each new kind those firings arm, fires an hour in — all long
+        // due — and the node must act: state, output or events change.
+        let mut walked = Vec::new();
+        let mut walk = |node: &mut RoleNode, rng: &mut StdRng, buf: &mut StepBuf| loop {
+            let fresh = |o: &Output| match o {
+                Output::Timer { kind, .. } if !walked.contains(&discriminant(kind)) => Some(*kind),
+                Output::Timer { .. } | Output::Send { .. } | Output::SendFetched { .. } => None,
+            };
+            let Some(kind) = buf.out.iter().find_map(fresh) else {
+                return;
+            };
+            let lens = |b: &StepBuf| (b.out.len(), b.meas.len(), b.db.len());
+            let before = (digest(node), lens(buf));
+            node.on_timer(3_600_000, kind, rng, buf);
+            let after = (digest(node), lens(buf));
+            assert!(before != after, "{:?} ignored {kind:?}", node.me);
+            walked.push(discriminant(&kind));
+        };
+        let at_start = |kind| Output::Timer { delay_ms: 0, kind };
+        let mut rng = StdRng::seed_from_u64(7);
+
+        // Coordinator: sweep (driver-armed), quarantine → parole, and the
+        // reject replies' retransmits.
+        let mut buf = StepBuf::default();
+        let mut node = coordinator_quarantining(5, &mut rng, &mut buf);
+        buf.out.push(at_start(TimerKind::CoordSweep));
+        walk(&mut node, &mut rng, &mut buf);
+
+        // Measurement: beacon (driver-armed), deadline → assembly → store.
+        let (chan, mut buf) = (Channel::new(ReliableConfig::default()), StepBuf::default());
+        let (mut node, _) = measurement_node_with_open_job(chan, &mut rng, &mut buf);
+        buf.out.push(at_start(TimerKind::Heartbeat));
+        walk(&mut node, &mut rng, &mut buf);
+
+        // Database: handed that store.
+        let store = buf.out.into_iter().find_map(|o| match o {
+            Output::Send { to, msg } => (to == Address::Database).then_some(msg),
+            Output::SendFetched { .. } | Output::Timer { .. } => None,
+        });
+        let mut node = RoleNode {
+            me: Address::Database,
+            role: Role::Database(Box::new(DbProto::new(DbCostModel::dedicated()))),
+            chan: Channel::new(ReliableConfig::default()),
+        };
+        let (server, mut buf) = (Address::Server { index: 0 }, StepBuf::default());
+        node.on_message(0, server, store.unwrap(), &mut rng, &mut buf);
+        walk(&mut node, &mut rng, &mut buf);
+
+        assert_eq!(walked.len(), 8, "a `TimerKind` no role armed: {walked:?}");
     }
 
     fn open_jobs(node: &RoleNode) -> usize {

@@ -65,6 +65,7 @@ pub struct PeerProto {
     pub quarantine_notices: Vec<u64>,
 }
 
+#[deny(clippy::wildcard_enum_match_arm)]
 impl PeerProto {
     /// Wraps a configured engine.
     pub fn new(
@@ -161,7 +162,28 @@ impl PeerProto {
             ProtoMsg::DoppIdRequest { job, .. } | ProtoMsg::DoppStateRequest { job, .. } => {
                 self.dopp_pending.remove(job);
             }
-            _ => {}
+            // No other send pins state here.
+            ProtoMsg::StartCheck { .. }
+            | ProtoMsg::CoordAssign { .. }
+            | ProtoMsg::CoordReject { .. }
+            | ProtoMsg::PpcList { .. }
+            | ProtoMsg::FetchOrder { .. }
+            | ProtoMsg::FetchReply { .. }
+            | ProtoMsg::DoppIdReply { .. }
+            | ProtoMsg::DoppStateReply { .. }
+            | ProtoMsg::TokenRotated { .. }
+            | ProtoMsg::StoreCheck { .. }
+            | ProtoMsg::DbAck { .. }
+            | ProtoMsg::JobComplete { .. }
+            | ProtoMsg::Results { .. }
+            | ProtoMsg::Heartbeat { .. }
+            | ProtoMsg::RemoveServer { .. }
+            | ProtoMsg::ServerRemoved { .. }
+            | ProtoMsg::MisbehaviorReport { .. }
+            | ProtoMsg::QuarantineNotice { .. }
+            | ProtoMsg::Reliable { .. }
+            | ProtoMsg::Ack { .. }
+            | ProtoMsg::Shutdown => {}
         }
     }
 
@@ -366,7 +388,23 @@ impl PeerProto {
             ProtoMsg::QuarantineNotice { peer } => {
                 self.quarantine_notices.push(peer);
             }
-            _ => {}
+            // For another role, the channel or the driver.
+            ProtoMsg::CoordRequest { .. }
+            | ProtoMsg::PpcList { .. }
+            | ProtoMsg::JobSubmit { .. }
+            | ProtoMsg::FetchReply { .. }
+            | ProtoMsg::DoppIdRequest { .. }
+            | ProtoMsg::DoppStateRequest { .. }
+            | ProtoMsg::TokenRotated { .. }
+            | ProtoMsg::StoreCheck { .. }
+            | ProtoMsg::DbAck { .. }
+            | ProtoMsg::JobComplete { .. }
+            | ProtoMsg::Heartbeat { .. }
+            | ProtoMsg::RemoveServer { .. }
+            | ProtoMsg::MisbehaviorReport { .. }
+            | ProtoMsg::Reliable { .. }
+            | ProtoMsg::Ack { .. }
+            | ProtoMsg::Shutdown => {}
         }
     }
 }

@@ -31,6 +31,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use sheriff_netsim::fault::splitmix64;
 use sheriff_telemetry::{Counter, Registry};
 
 use crate::protocol::digest::Digest;
@@ -90,26 +91,36 @@ pub struct Channel {
     telemetry: Option<ChannelTelemetry>,
 }
 
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Whether the channel wraps this message in a reliable envelope.
+#[deny(clippy::wildcard_enum_match_arm)]
 pub fn needs_reliability(msg: &ProtoMsg) -> bool {
-    !matches!(
-        msg,
+    match msg {
         ProtoMsg::StartCheck { .. }
-            | ProtoMsg::FetchOrder { .. }
-            | ProtoMsg::FetchReply { .. }
-            | ProtoMsg::Heartbeat { .. }
-            | ProtoMsg::RemoveServer { .. }
-            | ProtoMsg::Reliable { .. }
-            | ProtoMsg::Ack { .. }
-            | ProtoMsg::Shutdown
-    )
+        | ProtoMsg::FetchOrder { .. }
+        | ProtoMsg::FetchReply { .. }
+        | ProtoMsg::Heartbeat { .. }
+        | ProtoMsg::RemoveServer { .. }
+        | ProtoMsg::Reliable { .. }
+        | ProtoMsg::Ack { .. }
+        | ProtoMsg::Shutdown => false,
+        ProtoMsg::CoordRequest { .. }
+        | ProtoMsg::CoordAssign { .. }
+        | ProtoMsg::CoordReject { .. }
+        | ProtoMsg::PpcList { .. }
+        | ProtoMsg::JobSubmit { .. }
+        | ProtoMsg::DoppIdRequest { .. }
+        | ProtoMsg::DoppIdReply { .. }
+        | ProtoMsg::DoppStateRequest { .. }
+        | ProtoMsg::DoppStateReply { .. }
+        | ProtoMsg::TokenRotated { .. }
+        | ProtoMsg::StoreCheck { .. }
+        | ProtoMsg::DbAck { .. }
+        | ProtoMsg::JobComplete { .. }
+        | ProtoMsg::Results { .. }
+        | ProtoMsg::ServerRemoved { .. }
+        | ProtoMsg::MisbehaviorReport { .. }
+        | ProtoMsg::QuarantineNotice { .. } => true,
+    }
 }
 
 impl Channel {

@@ -1,6 +1,6 @@
 //! The policy tables: where each rule does (and does not) apply, the
-//! privacy-taint source/sink/sanitizer declarations, the protocol
-//! routing matrix, and the call-graph resolution stoplist.
+//! privacy-taint source/sink/sanitizer declarations, and the call-graph
+//! resolution stoplist.
 //!
 //! Matching is by normalized-path substring (`/` separators), so the
 //! tables work whether the analyzer is handed `crates`, an absolute
@@ -148,7 +148,7 @@ pub const METHOD_STOPLIST: &[&str] = &[
 ///
 /// Observation price fields (`core/src/records.rs`) are *not* sources:
 /// prices travel to Measurement servers in `ProtoMsg` by §3.2 design,
-/// and that flow is governed by the routing matrix, not by taint.
+/// and that flow is the machines' `match` arms, not a taint question.
 pub const TAINT_SOURCE_FIELDS: &[&str] = &[
     "affluence",
     "logged_in_domains",
@@ -233,93 +233,7 @@ pub fn taint_sink(name: &str) -> bool {
 pub const TAINT_LABEL_SINKS: &[&str] = &["counter", "gauge", "histogram"];
 
 // ---------------------------------------------------------------------
-// Protocol routing matrix (crate::routing)
-// ---------------------------------------------------------------------
-
-/// Directory holding the sans-IO state machines; one machine per file.
-pub const PROTOCOL_DIR: &str = "core/src/protocol/";
-
-/// Functions inside a machine file that count as message handlers —
-/// a `ProtoMsg::Variant` *pattern* inside one of these claims the
-/// variant for that machine. (`needs_reliability`'s exemption list in
-/// `reliable.rs` is deliberately not a handler.)
-pub const PROTOCOL_HANDLER_FNS: &[&str] = &["on_message", "on_timer", "on_restart", "accept"];
-
-/// The declared routing matrix: which machine(s) handle each `ProtoMsg`
-/// variant. Machines are named by file stem under [`PROTOCOL_DIR`]. An
-/// empty list declares a variant as driver-handled (the backends' event
-/// loops consume it before any machine sees it). The routing pass fails
-/// when the matrix extracted from the source diverges in either
-/// direction — a variant handled by an undeclared machine is as much a
-/// bug as a declared handler that no longer matches it.
-pub const ROUTING_TABLE: &[(&str, &[&str])] = &[
-    ("StartCheck", &["peer"]),
-    ("CoordRequest", &["coordinator"]),
-    ("CoordAssign", &["peer"]),
-    ("CoordReject", &["peer"]),
-    ("PpcList", &["measurement"]),
-    ("JobSubmit", &["measurement"]),
-    ("FetchOrder", &["ipc", "peer"]),
-    ("FetchReply", &["measurement"]),
-    ("DoppIdRequest", &["aggregator"]),
-    ("DoppIdReply", &["peer"]),
-    ("DoppStateRequest", &["coordinator"]),
-    ("DoppStateReply", &["peer"]),
-    ("TokenRotated", &["aggregator"]),
-    ("StoreCheck", &["database"]),
-    ("DbAck", &["measurement"]),
-    ("JobComplete", &["coordinator"]),
-    ("Results", &["peer"]),
-    ("Heartbeat", &["coordinator"]),
-    ("RemoveServer", &["coordinator"]),
-    ("ServerRemoved", &["peer"]),
-    // Defense escalation plane: Measurement servers report misbehavior
-    // scores upstream; the Coordinator folds them and notifies the
-    // peer of its standing. Both carry only a peer id and a score —
-    // no browsing-identity fields — so they add no taint sources.
-    ("MisbehaviorReport", &["coordinator"]),
-    ("QuarantineNotice", &["peer"]),
-    // The at-least-once envelope and its ack terminate in the shared
-    // reliable channel on every node; machines never see them.
-    ("Reliable", &["reliable"]),
-    ("Ack", &["reliable"]),
-    // Driver control plane: both backends' event loops exit on it.
-    ("Shutdown", &[]),
-];
-
-// ---------------------------------------------------------------------
-// Timer obligation pass (crate::timers)
-// ---------------------------------------------------------------------
-
-/// Functions that count as *release* sites for an armed timer: a
-/// `TimerKind::Variant` pattern inside one of these (in the same
-/// machine file) discharges the obligation the arm created. `on_timer`
-/// is the canonical release handler; `on_retransmit` exists because the
-/// shared node step matches `Retransmit` itself and hands the channel
-/// only the sequence number.
-pub const TIMER_RELEASE_FNS: &[&str] = &["on_timer", "on_retransmit"];
-
-/// Per-file sanctions for timer variants released outside the arming
-/// file. The reliable channel arms `TimerKind::Retransmit(seq)` but
-/// never matches the variant itself: the shared node step
-/// (`core/src/protocol/node.rs`, `RoleNode::on_timer`) matches the
-/// variant and calls `Channel::on_retransmit(seq, …)` with its sequence
-/// number — the give-up policy lives in the channel, the pattern lives
-/// in the step every backend calls. Every entry here must name
-/// its match site; an unmatched arm anywhere else is an SL105 finding.
-pub const TIMER_DRIVER_HANDLED: &[(&str, &str)] =
-    &[("core/src/protocol/reliable.rs", "Retransmit")];
-
-/// True when `path`'s machine file sanctions arming `variant` without a
-/// local release pattern (the shared node step releases it instead).
-pub fn timer_driver_handled(path: &str, variant: &str) -> bool {
-    TIMER_DRIVER_HANDLED
-        .iter()
-        .any(|(p, v)| path.contains(p) && *v == variant)
-}
-
-// ---------------------------------------------------------------------
-// Concurrency-safety passes (crate::locks): SL201–SL204
+// Concurrency-safety passes (crate::locks): SL201–SL203
 // ---------------------------------------------------------------------
 
 /// Type names whose appearance in a struct field's (or `static`'s) type
@@ -386,37 +300,12 @@ pub const PROTOCOL_CALLBACK_FNS: &[&str] =
 /// the reactor/deploy tree (and its fixture twins).
 pub const CALLBACK_SCOPE: &[&str] = &["wire/src/"];
 
-/// The region anchor marking a hot loop for SL204. Written as a line
-/// comment immediately before the `for`/`while`/`loop` keyword.
-pub const HOT_LOOP_ANCHOR: &str = "sheriff-lint: hot-loop";
-
-/// Method-call names that count as allocation inside an anchored hot
-/// loop. `push_back` is included: a `VecDeque` grows exactly like a
-/// `Vec` when capacity runs out.
-pub const HOT_LOOP_ALLOC_METHODS: &[&str] = &[
-    "push",
-    "push_back",
-    "to_vec",
-    "to_string",
-    "to_owned",
-    "clone",
-    "with_capacity",
-];
-
-/// Macros that allocate.
-pub const HOT_LOOP_ALLOC_MACROS: &[&str] = &["vec", "format"];
-
-/// Types whose `::new`/`::with_capacity` inside an anchored loop is an
-/// allocation (or, for `Vec::new`, a capacity-zero constructor that
-/// defers the allocation to the first push *inside the same loop
-/// body*).
-pub const HOT_LOOP_ALLOC_TYPES: &[&str] = &[
-    "Vec", "VecDeque", "String", "Box", "BTreeMap", "BTreeSet", "HashMap", "HashSet",
-];
-
 // ---------------------------------------------------------------------
 // Transitive panic-freedom pass (crate::reach)
 // ---------------------------------------------------------------------
+
+/// Directory holding the sans-IO state machines; one machine per file.
+pub const PROTOCOL_DIR: &str = "core/src/protocol/";
 
 /// Entry points of the reachability walk: the protocol surface the
 /// drivers invoke. Everything these can reach — in any crate — must be
@@ -487,28 +376,6 @@ mod tests {
         for driver in ["crates/core/src/system.rs", "crates/wire/src/deploy.rs"] {
             assert!(!matches_any(driver, TAINT_SEED_EXEMPT), "{driver}");
         }
-    }
-
-    #[test]
-    fn routing_table_has_no_duplicate_variants() {
-        for (i, (v, _)) in ROUTING_TABLE.iter().enumerate() {
-            assert!(
-                !ROUTING_TABLE[i + 1..].iter().any(|(w, _)| w == v),
-                "duplicate routing entry for {v}"
-            );
-        }
-    }
-
-    #[test]
-    fn defense_plane_messages_are_routed() {
-        let machines = |variant: &str| {
-            ROUTING_TABLE
-                .iter()
-                .find(|(v, _)| *v == variant)
-                .map(|(_, m)| *m)
-        };
-        assert_eq!(machines("MisbehaviorReport"), Some(&["coordinator"][..]));
-        assert_eq!(machines("QuarantineNotice"), Some(&["peer"][..]));
     }
 
     #[test]

@@ -5,26 +5,26 @@
 //! The reproduction's central promise — same seed + same world ⇒
 //! identical observations on the DES and TCP backends — rests on
 //! invariants the Rust compiler cannot see: no wall-clock reads outside
-//! the TCP adapter, no ambient entropy anywhere, no hash-order
-//! iteration where order leaks into command emission, no panics in the
-//! protocol machines, and metric names that the panel/exporter joins
-//! can rely on. The parity and chaos tests enforce all of this
-//! *dynamically*, but only for the seeds they run; a latent
-//! `Instant::now()` can hide until a rare schedule exposes it. This
-//! crate enforces the same contract *statically*, over every line, on
-//! every CI run.
+//! the TCP adapter, no hash-order iteration where order leaks into
+//! command emission, no panics in the protocol machines, and metric
+//! names that the panel/exporter joins can rely on. The parity and
+//! chaos tests enforce all of this *dynamically*, but only for the
+//! seeds they run; a latent `Instant::now()` can hide until a rare
+//! schedule exposes it. This crate enforces the same contract
+//! *statically*, over every line, on every CI run.
 //!
 //! Two layers:
 //!
-//! * **Per-file token rules** ([`rules`]) — the original five, run over
-//!   each file's token stream in isolation.
+//! * **Per-file token rules** ([`rules`]) — run over each file's token
+//!   stream in isolation.
 //! * **Flow-aware passes** — an item parser ([`parser`]) and a
-//!   workspace call graph ([`graph`]) feed four cross-file rules:
-//!   privacy taint ([`taint`]), the protocol routing matrix
-//!   ([`routing`]), transitive panic-freedom ([`reach`]), and the
-//!   timer-obligation pass ([`timers`]): armed-without-release leaks —
-//!   the static shadow of the model checker's `timer.obligation_leak`
-//!   invariant (`crates/model`).
+//!   workspace call graph ([`graph`]) feed the cross-file rules:
+//!   privacy taint ([`taint`]), transitive panic-freedom ([`reach`]),
+//!   and the lock passes ([`locks`]).
+//!
+//! What the compiler *can* see is left to it: who handles each
+//! `ProtoMsg` and `TimerKind` is the machines' exhaustive `match` arms
+//! (DESIGN.md "Static analysis & invariants").
 //!
 //! Every file is lexed exactly once; the same token stream feeds the
 //! per-file rules, the `#[cfg(test)]` region marks, and the parser.
@@ -51,10 +51,8 @@ pub mod lexer;
 pub mod locks;
 pub mod parser;
 pub mod reach;
-pub mod routing;
 pub mod rules;
 pub mod taint;
-pub mod timers;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -116,12 +114,8 @@ pub fn analyze_observed(root: &Path, mark: &mut dyn FnMut(&'static str)) -> io::
     let mut cross = Vec::new();
     cross.extend(taint::check(&call_graph));
     mark("taint");
-    cross.extend(routing::check(&files));
-    mark("routing");
     cross.extend(reach::check(&files, &call_graph));
     mark("reach");
-    cross.extend(timers::check(&files));
-    mark("timers");
     cross.extend(locks::check(&files, &call_graph));
     mark("locks");
     suppress_cross(&files, &mut cross, &mut used);
@@ -296,7 +290,7 @@ pub fn render_json(report: &Report) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"tool\": \"sheriff-lint\",\n");
-    out.push_str("  \"schema_version\": 5,\n");
+    out.push_str("  \"schema_version\": 6,\n");
     out.push_str(&format!("  \"files_scanned\": {},\n", report.files));
     out.push_str("  \"findings\": [");
     for (i, f) in report.findings.iter().enumerate() {

@@ -1,4 +1,4 @@
-//! Concurrency-safety passes over the threaded wire layer: SL201–SL204.
+//! Concurrency-safety passes over the threaded wire layer: SL201–SL203.
 //!
 //! The sans-IO protocol machines are covered by the model checker and
 //! the flow passes, but the layer that *hosts* them — the sharded
@@ -27,10 +27,6 @@
 //!   guard is live runs sans-IO code inside a critical section it
 //!   cannot see. Scoped to [`config::CALLBACK_SCOPE`]: the DES backend
 //!   legitimately drives machines under its single-threaded world lock.
-//! * **SL204 hot-loop-allocation** — allocation calls inside a loop
-//!   anchored by a `// sheriff-lint: hot-loop` comment. The reactor
-//!   sweep loops run once per event per peer; a per-iteration `Vec` or
-//!   `format!` there is the allocation the throughput roadmap hoists.
 //!
 //! Like the rest of the graph layer, resolution is name-based and
 //! conservative: the lock identity is `(crate, field name)` — two
@@ -122,9 +118,13 @@ struct FnFacts {
     guarded_calls: Vec<(String, u32, HeldLocks)>,
 }
 
-/// Runs all four passes. Findings are unsuppressed; the caller routes
+/// Runs all three passes. Findings are unsuppressed; the caller routes
 /// them through the shared cross-file pragma machinery.
 pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<Finding> {
+    let registry = build_registry(files);
+    if registry.is_empty() {
+        return Vec::new();
+    }
     let mut findings = Vec::new();
     let mut dedup: BTreeSet<(String, u32, Rule, String)> = BTreeSet::new();
     let mut push = |findings: &mut Vec<Finding>, f: Finding| {
@@ -132,22 +132,6 @@ pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<Finding> {
             findings.push(f);
         }
     };
-
-    // SL204 needs no registry or graph: it is anchored lexically.
-    for file in files {
-        if config::matches_any(&file.path, config::TEST_TREE_MARKERS) {
-            continue;
-        }
-        for f in hot_loops(file) {
-            push(&mut findings, f);
-        }
-    }
-
-    let registry = build_registry(files);
-    if registry.is_empty() {
-        findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-        return findings;
-    }
 
     // Intra-function stage: guard tracking, direct SL202/SL203
     // findings, lock-order edges observed inside one body, and the
@@ -891,121 +875,4 @@ fn find_cycles(edges: &BTreeMap<(LockKey, LockKey), EdgeWit>) -> Vec<Finding> {
         });
     }
     findings
-}
-
-// ---------------------------------------------------------------------
-// SL204: hot-loop allocation
-// ---------------------------------------------------------------------
-
-/// Scans one file for `// sheriff-lint: hot-loop` anchors and flags
-/// allocation calls inside the anchored loop body.
-fn hot_loops(file: &SourceFile) -> Vec<Finding> {
-    let toks = &file.toks;
-    let mut findings = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::LineComment || t.text.trim() != config::HOT_LOOP_ANCHOR {
-            continue;
-        }
-        if file.test_marks.get(i).copied().unwrap_or(false) {
-            continue;
-        }
-        // The anchor must sit immediately before a loop (an optional
-        // `'label:` is allowed in between).
-        let mut j = i + 1;
-        while toks
-            .get(j)
-            .is_some_and(|u| matches!(u.kind, TokKind::LineComment | TokKind::BlockComment))
-        {
-            j += 1;
-        }
-        if toks.get(j).is_some_and(|u| u.kind == TokKind::Lifetime) {
-            j += 1;
-            if toks.get(j).is_some_and(|u| u.is_punct(':')) {
-                j += 1;
-            }
-        }
-        let is_loop = toks
-            .get(j)
-            .is_some_and(|u| matches!(u.text.as_str(), "for" | "while" | "loop"));
-        if !is_loop {
-            findings.push(Finding {
-                path: file.path.clone(),
-                line: t.line,
-                rule: Rule::HotLoopAlloc,
-                message: "orphan `sheriff-lint: hot-loop` anchor: no loop follows it".into(),
-            });
-            continue;
-        }
-        // Body: first `{` after the loop keyword to its matching `}`.
-        let mut k = j;
-        while k < toks.len() && !toks[k].is_punct('{') {
-            k += 1;
-        }
-        let mut depth = 0i32;
-        let mut b = k;
-        while b < toks.len() {
-            if toks[b].is_punct('{') {
-                depth += 1;
-            } else if toks[b].is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            b += 1;
-        }
-        scan_loop_body(file, &toks[k..b.min(toks.len())], k, &mut findings);
-    }
-    findings
-}
-
-/// Flags the allocation forms of [`config`]'s SL204 tables inside one
-/// anchored loop body.
-fn scan_loop_body(file: &SourceFile, body: &[Tok], _offset: usize, findings: &mut Vec<Finding>) {
-    for (x, t) in body.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let name = t.text.as_str();
-        let next = body.get(x + 1);
-        let prev_dot = x > 0 && body[x - 1].is_punct('.');
-        if prev_dot
-            && next.is_some_and(|n| n.is_punct('('))
-            && config::HOT_LOOP_ALLOC_METHODS.contains(&name)
-        {
-            findings.push(Finding {
-                path: file.path.clone(),
-                line: t.line,
-                rule: Rule::HotLoopAlloc,
-                message: format!("allocation in hot loop: `.{name}(...)`"),
-            });
-        }
-        if next.is_some_and(|n| n.is_punct('!')) && config::HOT_LOOP_ALLOC_MACROS.contains(&name) {
-            findings.push(Finding {
-                path: file.path.clone(),
-                line: t.line,
-                rule: Rule::HotLoopAlloc,
-                message: format!("allocating macro `{name}!` in hot loop"),
-            });
-        }
-        if config::HOT_LOOP_ALLOC_TYPES.contains(&name)
-            && body.get(x + 1).is_some_and(|n| n.is_punct(':'))
-            && body.get(x + 2).is_some_and(|n| n.is_punct(':'))
-            && body
-                .get(x + 3)
-                .is_some_and(|n| matches!(n.text.as_str(), "new" | "with_capacity"))
-            && body.get(x + 4).is_some_and(|n| n.is_punct('('))
-        {
-            findings.push(Finding {
-                path: file.path.clone(),
-                line: t.line,
-                rule: Rule::HotLoopAlloc,
-                message: format!(
-                    "constructor `{}::{}` in hot loop — hoist the buffer out of the sweep",
-                    name,
-                    body[x + 3].text
-                ),
-            });
-        }
-    }
 }

@@ -1,14 +1,14 @@
 //! The determinism-contract rules and the machinery they share: path
 //! scoping, `#[cfg(test)]`-region detection, and pragma suppression.
 //!
-//! The five original rules are per-file and deliberately token-level —
+//! The four per-file rules are deliberately token-level —
 //! no type information, no name resolution. That buys zero dependencies
 //! and sub-second runs at the cost of precision, which the scoping
 //! rules and the per-line `// sheriff-lint: allow(<rule>)` pragma buy
-//! back. The three flow-aware rules ([`Rule::PrivacyTaint`],
-//! [`Rule::ProtoRouting`], [`Rule::TransitivePanic`]) are cross-file:
+//! back. The flow-aware rules ([`Rule::PrivacyTaint`],
+//! [`Rule::TransitivePanic`], the SL2xx family) are cross-file:
 //! they run over the workspace call graph in [`crate::taint`],
-//! [`crate::routing`], and [`crate::reach`], and only their identity
+//! [`crate::reach`] and [`crate::locks`], and only their identity
 //! (name, id, severity) lives here. The allowlist lives in
 //! [`crate::config`]; policy questions (why is a file sanctioned?)
 //! belong in DESIGN.md "Static analysis & invariants".
@@ -22,9 +22,6 @@ pub enum Rule {
     /// `Instant::now` / `SystemTime` outside sanctioned boundary files:
     /// wall-clock reads make runs time-dependent.
     WallClock,
-    /// `thread_rng` / `from_entropy` / `OsRng` anywhere: all randomness
-    /// must flow from the run's seeded RNG.
-    AmbientEntropy,
     /// `HashMap` / `HashSet` in order-sensitive subsystems: iteration
     /// order can leak into command emission.
     HashIter,
@@ -38,18 +35,9 @@ pub enum Rule {
     /// a wire, telemetry, or report sink without passing through a
     /// `crypto::elgamal`/`crypto::ipfe` encryption entry point.
     PrivacyTaint,
-    /// Cross-file: the `ProtoMsg` handling matrix extracted from the
-    /// protocol machines diverges from the declared routing table.
-    ProtoRouting,
     /// Cross-file: a panic site in any crate reachable from the
     /// protocol entry points via the workspace call graph.
     TransitivePanic,
-    /// A protocol machine arms a `TimerKind` it never releases: no
-    /// pattern for the variant in any of the file's release handlers
-    /// and no driver-handled sanction in the config table — the static
-    /// shadow of the model checker's timer-obligation-linearity
-    /// invariant.
-    ObligationLeak,
     /// A `// sheriff-lint: allow(...)` / `allow-item(...)` pragma that
     /// suppresses no finding. Stale pragmas are deleted policy: every
     /// surviving pragma must still be load-bearing, or a repaired
@@ -68,30 +56,20 @@ pub enum Rule {
     /// `on_timer` / …) invoked while a wire-layer guard is live — the
     /// invariant that keeps the sans-IO layer actually sans-IO.
     CallbackUnderLock,
-    /// Perf: allocation-family calls (`Vec::new`, `push`, `to_vec`,
-    /// `clone`, `format!`, …) inside a loop marked with a
-    /// `// sheriff-lint: hot-loop` anchor — the reactor sweep loops run
-    /// per frame per peer, so per-iteration allocation is a throughput
-    /// regression the benches only catch after the fact.
-    HotLoopAlloc,
 }
 
 /// Every rule, in reporting order.
-pub const ALL_RULES: [Rule; 14] = [
+pub const ALL_RULES: [Rule; 10] = [
     Rule::WallClock,
-    Rule::AmbientEntropy,
     Rule::HashIter,
     Rule::NoPanicProtocol,
     Rule::TelemetryNaming,
     Rule::UnusedPragma,
     Rule::PrivacyTaint,
-    Rule::ProtoRouting,
     Rule::TransitivePanic,
-    Rule::ObligationLeak,
     Rule::LockOrderCycle,
     Rule::BlockingUnderLock,
     Rule::CallbackUnderLock,
-    Rule::HotLoopAlloc,
 ];
 
 impl Rule {
@@ -99,43 +77,35 @@ impl Rule {
     pub fn name(self) -> &'static str {
         match self {
             Rule::WallClock => "wall-clock",
-            Rule::AmbientEntropy => "ambient-entropy",
             Rule::HashIter => "hash-iter",
             Rule::NoPanicProtocol => "no-panic-protocol",
             Rule::TelemetryNaming => "telemetry-naming",
             Rule::PrivacyTaint => "privacy-taint",
-            Rule::ProtoRouting => "proto-routing",
             Rule::TransitivePanic => "transitive-panic",
-            Rule::ObligationLeak => "obligation-leak",
             Rule::UnusedPragma => "unused-pragma",
             Rule::LockOrderCycle => "lock-order-cycle",
             Rule::BlockingUnderLock => "blocking-under-lock",
             Rule::CallbackUnderLock => "callback-under-lock",
-            Rule::HotLoopAlloc => "hot-loop-allocation",
         }
     }
 
     /// The stable rule id used in machine-readable reports. Per-file
     /// token rules are `SL0xx`; flow-aware cross-file rules are
     /// `SL1xx`; the concurrency-safety family over the threaded wire
-    /// layer is `SL2xx`. Ids never change meaning; retired ids are not
-    /// reused.
+    /// layer is `SL2xx`. Ids never change meaning; retired ids (SL002,
+    /// SL006, SL102, SL105, SL204) are not reused.
     pub fn id(self) -> &'static str {
         match self {
             Rule::WallClock => "SL001",
-            Rule::AmbientEntropy => "SL002",
             Rule::HashIter => "SL003",
             Rule::NoPanicProtocol => "SL004",
             Rule::TelemetryNaming => "SL005",
             Rule::UnusedPragma => "SL007",
             Rule::PrivacyTaint => "SL101",
-            Rule::ProtoRouting => "SL102",
             Rule::TransitivePanic => "SL103",
-            Rule::ObligationLeak => "SL105",
             Rule::LockOrderCycle => "SL201",
             Rule::BlockingUnderLock => "SL202",
             Rule::CallbackUnderLock => "SL203",
-            Rule::HotLoopAlloc => "SL204",
         }
     }
 
@@ -157,9 +127,6 @@ impl Rule {
             Rule::WallClock => {
                 "wall-clock reads (Instant::now / SystemTime) outside sanctioned adapters"
             }
-            Rule::AmbientEntropy => {
-                "ambient entropy (thread_rng / from_entropy / OsRng); seed your RNG"
-            }
             Rule::HashIter => {
                 "HashMap/HashSet in order-sensitive code; use BTreeMap/BTreeSet or sort"
             }
@@ -172,12 +139,8 @@ impl Rule {
             Rule::PrivacyTaint => {
                 "peer plaintext reaching a wire/telemetry/report sink without encryption"
             }
-            Rule::ProtoRouting => "ProtoMsg handling diverges from the declared routing matrix",
             Rule::TransitivePanic => {
                 "panic site reachable from a protocol entry point, in any crate"
-            }
-            Rule::ObligationLeak => {
-                "timer armed without a release handler arm or driver-handled sanction"
             }
             Rule::UnusedPragma => "allow()/allow-item() pragma that suppresses nothing; delete it",
             Rule::LockOrderCycle => {
@@ -189,7 +152,6 @@ impl Rule {
             Rule::CallbackUnderLock => {
                 "protocol entry point (on_message/on_timer) invoked while a wire guard is live"
             }
-            Rule::HotLoopAlloc => "allocation inside a `sheriff-lint: hot-loop` anchored loop body",
         }
     }
 
@@ -199,29 +161,16 @@ impl Rule {
     fn applies_to(self, path: &str) -> bool {
         match self {
             Rule::WallClock => !config::matches_any(path, config::WALL_CLOCK_ALLOWED),
-            Rule::AmbientEntropy | Rule::TelemetryNaming => true,
+            Rule::TelemetryNaming => true,
             Rule::HashIter => config::matches_any(path, config::HASH_ITER_SCOPE),
             Rule::NoPanicProtocol => config::matches_any(path, config::NO_PANIC_SCOPE),
             Rule::PrivacyTaint
-            | Rule::ProtoRouting
             | Rule::TransitivePanic
-            | Rule::ObligationLeak
             | Rule::UnusedPragma
             | Rule::LockOrderCycle
             | Rule::BlockingUnderLock
-            | Rule::CallbackUnderLock
-            | Rule::HotLoopAlloc => false,
+            | Rule::CallbackUnderLock => false,
         }
-    }
-
-    /// Whether the rule also applies inside `#[cfg(test)]` regions and
-    /// `tests/`/`benches/` trees. Ambient entropy does — a test drawing
-    /// OS randomness is exactly the flake the contract exists to stop.
-    /// The rest don't: tests may panic (that is what asserts do), may
-    /// hold HashMaps they never emit from, and register throwaway
-    /// metric names.
-    fn applies_in_tests(self) -> bool {
-        matches!(self, Rule::AmbientEntropy)
     }
 }
 
@@ -279,7 +228,12 @@ pub(crate) fn check_tokens_tracked(
     test_tok: &[bool],
     used: &mut Vec<u32>,
 ) -> Vec<Finding> {
-    let whole_file_test = config::matches_any(norm, config::TEST_TREE_MARKERS);
+    // No per-file rule applies to test code: tests may panic (that is
+    // what asserts do), may hold HashMaps they never emit from, and
+    // register throwaway metric names.
+    if config::matches_any(norm, config::TEST_TREE_MARKERS) {
+        return Vec::new();
+    }
     let allowed = pragma_lines(toks);
 
     let mut findings = Vec::new();
@@ -287,32 +241,24 @@ pub(crate) fn check_tokens_tracked(
         if !rule.applies_to(norm) {
             continue;
         }
-        if whole_file_test && !rule.applies_in_tests() {
-            continue;
-        }
         let mut hits = Vec::new();
         match rule {
             Rule::WallClock => wall_clock(toks, &mut hits),
-            Rule::AmbientEntropy => ambient_entropy(toks, &mut hits),
             Rule::HashIter => hash_iter(toks, &mut hits),
             Rule::NoPanicProtocol => no_panic(toks, &mut hits),
             Rule::TelemetryNaming => telemetry_naming(toks, &mut hits),
-            // Cross-file rules run from crate::taint / crate::routing /
-            // crate::reach / crate::timers / crate::locks, and the
-            // unused-pragma audit runs centrally in crate::analyze;
-            // applies_to already filtered them out.
+            // Cross-file rules run from crate::taint / crate::reach /
+            // crate::locks, and the unused-pragma audit runs centrally
+            // in crate::analyze; applies_to already filtered them out.
             Rule::PrivacyTaint
-            | Rule::ProtoRouting
             | Rule::TransitivePanic
-            | Rule::ObligationLeak
             | Rule::UnusedPragma
             | Rule::LockOrderCycle
             | Rule::BlockingUnderLock
-            | Rule::CallbackUnderLock
-            | Rule::HotLoopAlloc => {}
+            | Rule::CallbackUnderLock => {}
         }
         for (idx, msg) in hits {
-            if test_tok[idx] && !rule.applies_in_tests() {
+            if test_tok[idx] {
                 continue;
             }
             let line = toks[idx].line;
@@ -536,16 +482,6 @@ fn wall_clock(toks: &[Tok], hits: &mut Hits) {
     }
 }
 
-fn ambient_entropy(toks: &[Tok], hits: &mut Hits) {
-    for (i, t) in toks.iter().enumerate() {
-        for name in ["thread_rng", "from_entropy", "OsRng"] {
-            if t.is_ident(name) {
-                hits.push((i, format!("ambient entropy source `{name}`")));
-            }
-        }
-    }
-}
-
 fn hash_iter(toks: &[Tok], hits: &mut Hits) {
     for (i, t) in toks.iter().enumerate() {
         for name in ["HashMap", "HashSet"] {
@@ -678,8 +614,8 @@ mod tests {
             Some(vec![Rule::WallClock])
         );
         assert_eq!(
-            parse_pragma(" sheriff-lint: allow(hash-iter, ambient-entropy)"),
-            Some(vec![Rule::HashIter, Rule::AmbientEntropy])
+            parse_pragma(" sheriff-lint: allow(hash-iter, wall-clock)"),
+            Some(vec![Rule::HashIter, Rule::WallClock])
         );
         assert_eq!(parse_pragma(" just a comment"), None);
         assert_eq!(
@@ -717,13 +653,6 @@ let v = SystemTime::now();
             0
         );
         assert_eq!(check_file("crates/core/src/system.rs", src).len(), 1);
-    }
-
-    #[test]
-    fn ambient_entropy_fires_even_in_tests() {
-        let src = "#[cfg(test)]\nmod tests {\n fn f() { let r = rand::thread_rng(); }\n}\n";
-        let findings = check_file("crates/demo/src/lib.rs", src);
-        assert_eq!(rules_of(&findings), vec![Rule::AmbientEntropy]);
     }
 
     #[test]
@@ -765,11 +694,11 @@ let v = SystemTime::now();
 
     #[test]
     fn findings_sort_by_line() {
-        let src = "let a = SystemTime::now();\nlet r = rand::thread_rng();\n";
+        let src = "let a = SystemTime::now();\nr.counter(\"jobs\");\n";
         let findings = check_file("crates/demo/src/lib.rs", src);
         assert_eq!(
             rules_of(&findings),
-            vec![Rule::WallClock, Rule::AmbientEntropy]
+            vec![Rule::WallClock, Rule::TelemetryNaming]
         );
     }
 }

@@ -1,7 +1,7 @@
 //! The contract this crate exists to keep: the workspace source tree
 //! has zero determinism-contract findings. Any regression — a new
-//! `Instant::now()`, an ambient RNG, a HashMap in an order-sensitive
-//! path — fails here (and in the `sheriff-lint` ci.sh stage) with the
+//! `Instant::now()`, a HashMap in an order-sensitive path, a panic
+//! reachable from a machine — fails here (and in the `sheriff-lint` ci.sh stage) with the
 //! exact file and line.
 
 use std::path::PathBuf;

@@ -325,7 +325,7 @@ mod tests {
                 let (tag, class) = crate::page::price_markup(0);
                 assert!(doc.find_by_class(tag, class).is_some());
             }
-            other => panic!("expected page, got {other:?}"),
+            other @ FetchResult::Captcha { .. } => panic!("expected page, got {other:?}"),
         }
     }
 
@@ -340,7 +340,7 @@ mod tests {
             .unwrap();
         match result {
             FetchResult::Page { currency, .. } => assert_eq!(currency, "USD"),
-            other => panic!("{other:?}"),
+            other @ FetchResult::Captcha { .. } => panic!("{other:?}"),
         }
     }
 

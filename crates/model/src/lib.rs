@@ -16,10 +16,9 @@
 //! * **Timer obligations** — every pending Database store has a live
 //!   `DbDone` timer, every unacked reliable send a live `Retransmit`
 //!   timer, and every open Measurement job a live `JobDeadline` or
-//!   `ProcDone` (`timer.obligation_leak`) — the dynamic twin of the
-//!   SL105 lint. The last is what a store torn off by a Database crash
-//!   would break: the requester's deadline keeps re-sending it, so no
-//!   finding is accepted anywhere.
+//!   `ProcDone` (`timer.obligation_leak`). The last is what a store
+//!   torn off by a Database crash would break: the requester's
+//!   deadline keeps re-sending it, so no finding is accepted anywhere.
 //! * **Quiescence** — when nothing is in flight and no timer armed, no
 //!   job origins, open jobs, pending stores, or unacked sends remain
 //!   (`quiesce.leaked_state`).

@@ -106,8 +106,8 @@ impl WorldKind {
     }
 }
 
-/// A seeded defect, used to prove the checker (and its static shadow,
-/// sheriff-lint SL105) actually catch dropped obligations.
+/// A seeded defect, used to prove the checker actually catches dropped
+/// obligations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mutation {
     /// The Database driver "forgets" to arm `DbDone` for accepted

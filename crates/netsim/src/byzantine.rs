@@ -26,6 +26,8 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::fault::splitmix64;
+
 /// How one Byzantine node corrupts its outbound traffic. All
 /// probabilities are per-eligible-message; `flood_copies` is a count.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -152,13 +154,6 @@ pub struct ByzStats {
     /// Frames destroyed at the codec boundary (garbage + oversize +
     /// slow-loris).
     pub codec_attacks: u64,
-}
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Per-node misbehavior schedule. Nodes are identified by the same

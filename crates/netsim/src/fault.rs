@@ -140,7 +140,9 @@ pub struct FaultPlan {
     pub stats: FaultStats,
 }
 
-fn splitmix64(x: u64) -> u64 {
+/// The splitmix64 finalizer: the hash behind every seeded per-message
+/// decision (fault and Byzantine plans, retransmit jitter).
+pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -1,8 +1,7 @@
 //! Per-connection state machines for the reactor.
 //!
-//! The transport contract is unchanged from the blocking backend: one
-//! [`Envelope`] per connection, connect–write–close. What changes is
-//! *how* the bytes move — both directions are nonblocking and
+//! The transport contract is one [`Envelope`] per connection,
+//! connect–write–close. Both directions are nonblocking and
 //! incremental, so a shard's event loop is never parked on a socket:
 //!
 //! * [`Inbound`] feeds each readiness burst to the crate's one
@@ -25,8 +24,7 @@ use crate::frame::{encode_frame, FrameAssembler, MAX_FRAME_LEN, READ_CHUNK};
 use crate::proto::Envelope;
 use crate::telemetry::WireTelemetry;
 
-/// How long a silent inbound connection may sit before the reactor reaps
-/// it — the same guard the blocking acceptor expressed as a read timeout.
+/// How long a silent inbound connection may sit before the reactor reaps it.
 pub(crate) const IDLE_CONN_MS: u64 = 5_000;
 
 /// What one pump pass over an [`Inbound`] connection produced.
@@ -37,9 +35,8 @@ pub(crate) enum InboundEvent {
     /// (the transport is one frame per connection).
     Frame(Box<Envelope>),
     /// The connection is over: EOF, an oversized length prefix, a
-    /// payload that failed to parse, or a transport error. The blocking
-    /// acceptor treated all of these as "the transport's problem, not
-    /// the protocol's" and so does the reactor.
+    /// payload that failed to parse, or a transport error — all the
+    /// transport's problem, not the protocol's.
     Closed,
 }
 
@@ -103,8 +100,7 @@ pub(crate) enum OutboundEvent {
     /// The whole frame is on the wire (and counted); close the stream.
     Done,
     /// The destination vanished mid-write (a post-shutdown send). The
-    /// frame is dropped silently and *uncounted*, matching the blocking
-    /// path's `let _ = env.send_counted(..)` on a failed connect.
+    /// frame is dropped silently and *uncounted*.
     Failed,
 }
 
@@ -123,7 +119,7 @@ impl Outbound {
     /// listener's accept queue — it completes immediately whether or not
     /// the destination shard has accepted yet, so the event loop is not
     /// stalled. `None` means the destination is gone (or the envelope is
-    /// oversized); the caller drops the frame, as the blocking path did.
+    /// oversized); the caller drops the frame.
     pub(crate) fn open(addr: SocketAddr, env: &Envelope) -> Option<Outbound> {
         let payload = serde_json::to_vec(env).ok()?;
         let frame = encode_frame(&payload).ok()?.into();

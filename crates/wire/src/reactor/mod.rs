@@ -1,10 +1,8 @@
 //! The nonblocking, readiness-driven wire backend.
 //!
-//! The first TCP deployment spawned one acceptor + worker thread pair
-//! per node — fine for a localhost roster, hopeless for the paper's
-//! deployed population (1265 installed add-ons, §8) or the heavier
-//! crowds the ROADMAP aims at. This module replaces that architecture
-//! with **sharded reactors**:
+//! A thread pair per node cannot hold the paper's deployed population
+//! (1265 installed add-ons, §8), so the backend is **sharded
+//! reactors**:
 //!
 //! * the roster is partitioned over a small set of *shards* by a
 //!   deterministic hash of each node's logical address
@@ -16,18 +14,15 @@
 //!   doorbell ([`shard::Doorbell`]) until a peer shard rings or a
 //!   bounded wait runs out;
 //! * the sans-IO protocol machines from `sheriff_core::protocol` are
-//!   driven byte-for-byte as before: the reliable channel wraps
-//!   inbound frames, outputs become per-link FIFO writes, timer
+//!   driven as on the DES: the reliable channel wraps inbound
+//!   frames, outputs become per-link FIFO writes, timer
 //!   requests land on the shard's agenda, and the deployment's one
 //!   `sheriff_netsim::FaultGate` — the type the DES engine asks —
 //!   applies the *same* deterministic schedule to deliveries, timers,
 //!   restarts and sends.
 //!
-//! The parity, chaos-parity and durability-soak suites run unchanged on
-//! this backend — that invariance is the proof the refactor is a pure
-//! driver swap. What changed is capacity: a deployment's thread count
-//! is now `O(shards)`, not `O(nodes)`, so thousand-peer rosters run on
-//! eight threads.
+//! A deployment's thread count is `O(shards)`, not `O(nodes)`, so
+//! thousand-peer rosters run on eight threads.
 
 pub(crate) mod conn;
 #[allow(clippy::module_inception)]

@@ -16,8 +16,7 @@
 //!    backend shares: the reliable channel first, then the role
 //!    machine);
 //! 4. **outbound** — flush per-link write queues, one frame in flight
-//!    per `(node, destination)` pair so the blocking backend's per-link
-//!    FIFO order is preserved.
+//!    per `(node, destination)` pair so per-link FIFO order holds.
 //!
 //! Every socket call is nonblocking. An iteration that did any work
 //! counts one `wire.reactor_wakeups` and sweeps again; an idle one waits
@@ -88,8 +87,7 @@ struct OwnedNode {
     idx: usize,
     /// Received its Shutdown frame; listener closed, timers discarded.
     stopped: bool,
-    /// `None` once the node received Shutdown (stop accepting, exactly
-    /// like the blocking acceptor breaking out of its loop).
+    /// `None` once the node received Shutdown (stop accepting).
     listener: Option<TcpListener>,
 }
 
@@ -103,10 +101,8 @@ impl OwnedNode {
     }
 }
 
-/// A per-link outbound FIFO: only the head frame is in flight, so two
-/// frames from one node to one destination can never overtake each
-/// other — the property the blocking connect–write–close path provided
-/// implicitly.
+/// A per-link outbound FIFO: only the head frame is in flight, so two frames
+/// from one node to one destination can never overtake each other.
 struct OutLink {
     local: usize,
     to: Address,
@@ -124,8 +120,7 @@ enum Due {
     Restart {
         local: usize,
     },
-    /// A send the fault schedule held back. (The first TCP backend
-    /// parked these on detached sleeper threads.)
+    /// A send the fault schedule held back.
     Send {
         local: usize,
         to: Address,
@@ -252,7 +247,6 @@ impl Reactor {
     /// Pops everything due on the agenda, in due order.
     fn run_due(&mut self, now_ms: u64) -> usize {
         let mut work = 0;
-        // sheriff-lint: hot-loop
         while let Some((_, due)) = self.agenda.pop_due(now_ms) {
             self.fire(due, now_ms);
             work += 1;
@@ -356,7 +350,6 @@ impl Reactor {
     fn pump_inbound(&mut self, now_ms: u64) -> usize {
         let mut work = 0;
         let mut i = 0;
-        // sheriff-lint: hot-loop
         while i < self.inbound.len() {
             let Some(conn) = self.inbound.get_mut(i) else {
                 break;
@@ -365,7 +358,7 @@ impl Reactor {
                 InboundEvent::Pending => {
                     if now_ms.saturating_sub(conn.opened_ms) > IDLE_CONN_MS {
                         // A connected-but-silent client must not wedge
-                        // the node (the old acceptor's read timeout).
+                        // the node.
                         self.inbound.remove(i);
                         work += 1;
                     } else {
@@ -542,7 +535,6 @@ impl Reactor {
     /// on that link opens immediately.
     fn pump_outbound(&mut self) -> usize {
         let mut work = 0;
-        // sheriff-lint: hot-loop
         for link in &mut self.links {
             loop {
                 if link.inflight.is_none() {
@@ -554,8 +546,7 @@ impl Reactor {
                         continue;
                     };
                     // A `None` here is a destination gone post-shutdown:
-                    // the frame is dropped, like the blocking path's
-                    // failed connect.
+                    // the frame is dropped.
                     if let Some(o) = Outbound::open(addr, &env) {
                         link.inflight = Some(o);
                         // Something to accept over there.
