@@ -7,6 +7,9 @@
 //! grouped by geolocation. The `system` module drives this over the
 //! discrete-event network; unit tests drive it directly.
 
+// Iteration order is observable here: `clippy.toml` bans HashMap/HashSet.
+#![deny(clippy::disallowed_types)]
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
 

@@ -23,6 +23,9 @@
 //!
 //! [`SimTime`]: sheriff_netsim::SimTime
 
+// Iteration order is observable here: `clippy.toml` bans HashMap/HashSet.
+#![deny(clippy::disallowed_types)]
+
 use serde::{Deserialize, Serialize};
 
 use crate::coordinator::JobId;

@@ -10,6 +10,9 @@
 //! vantage fetches from, and with it the observation sets the parity
 //! tests compare.
 
+// Iteration order is observable here: `clippy.toml` bans HashMap/HashSet.
+#![deny(clippy::disallowed_types)]
+
 use std::sync::Arc;
 
 use parking_lot::Mutex;

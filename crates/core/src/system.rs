@@ -18,6 +18,9 @@
 //! edge. The TCP deployment in `sheriff-wire` steps the *same*
 //! `RoleNode`s, so both backends execute one protocol implementation.
 
+// Iteration order is observable here: `clippy.toml` bans HashMap/HashSet.
+#![deny(clippy::disallowed_types)]
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
 

@@ -6,6 +6,11 @@
 //!
 //! `cargo run --release -p sheriff-experiments --bin fig8c_private_kmeans_timing`
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "Fig. 8c reports wall time per k-means iteration"
+)]
+
 use std::time::Instant;
 
 use rand::rngs::StdRng;

@@ -52,11 +52,48 @@ impl Scale {
 }
 
 /// Parses `--seed N` from the CLI (default 1742 — every experiment binary
-/// is bit-reproducible under a fixed seed).
+/// is bit-reproducible under a fixed seed). A `--seed` whose value is
+/// missing or not a `u64` prints usage and exits 2: falling back to the
+/// default would run — and compare — the wrong seed silently.
 pub fn seed_from_args() -> u64 {
     let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .find(|w| w[0] == "--seed")
-        .and_then(|w| w[1].parse().ok())
-        .unwrap_or(1742)
+    parse_seed(&args).unwrap_or_else(|problem| {
+        eprintln!("{problem}\nusage: --seed N (an unsigned 64-bit integer; default 1742)");
+        std::process::exit(2);
+    })
+}
+
+fn parse_seed(args: &[String]) -> Result<u64, String> {
+    let Some(at) = args.iter().position(|a| a == "--seed") else {
+        return Ok(1742);
+    };
+    let value = args.get(at + 1).ok_or("--seed needs a value")?;
+    value
+        .parse()
+        .map_err(|_| format!("--seed {value}: not an unsigned 64-bit integer"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_seed;
+
+    fn args(rest: &[&str]) -> Vec<String> {
+        std::iter::once("bin")
+            .chain(rest.iter().copied())
+            .map(String::from)
+            .collect()
+    }
+
+    #[test]
+    fn seed_defaults_parses_and_rejects_what_it_cannot_read() {
+        assert_eq!(parse_seed(&args(&[])), Ok(1742));
+        assert_eq!(parse_seed(&args(&["--full"])), Ok(1742));
+        assert_eq!(parse_seed(&args(&["--full", "--seed", "7"])), Ok(7));
+        // Falling back to 1742 on any of these would run, and compare,
+        // the wrong seed without a word.
+        assert!(parse_seed(&args(&["--seed"])).is_err());
+        assert!(parse_seed(&args(&["--seed", "l742"])).is_err());
+        assert!(parse_seed(&args(&["--seed", "-3"])).is_err());
+        assert!(parse_seed(&args(&["--seed", "--full"])).is_err());
+    }
 }

@@ -5,6 +5,11 @@
 //! the commit before ISSUE 22 (stack overflow at 80 000 nested elements;
 //! 40 s for 80 000 unmatched end tags under 80 000 open elements).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the test bounds how long a hostile page may take"
+)]
+
 use std::time::{Duration, Instant};
 
 use sheriff_html::tagspath::{extract_text_by_path, MatchQuality, PathStep, TagsPath};

@@ -1,10 +1,14 @@
 //! Fixture: panics in protocol code (the path places this under
-//! `core/src/protocol/`). Must trip `no-panic-protocol` exactly five
-//! times — unwrap, expect, panic!, unreachable!, and one index
-//! expression — and nothing else.
+//! `core/src/protocol/`, so `step` is a seed of the walk without being
+//! a handler). Must trip `transitive-panic` exactly six times — unwrap,
+//! expect, panic!, unreachable!, a slice index and a map index (the one
+//! `clippy::indexing_slicing` cannot see) — and nothing else.
+
+use std::collections::BTreeMap;
 
 struct Machine {
     slots: Vec<u64>,
+    bonus: BTreeMap<usize, u64>,
 }
 
 impl Machine {
@@ -17,6 +21,7 @@ impl Machine {
         if *first == u64::MAX {
             unreachable!();
         }
-        self.slots[selector] + value
+        let bonus = self.bonus[&selector];
+        self.slots[selector] + bonus + value
     }
 }

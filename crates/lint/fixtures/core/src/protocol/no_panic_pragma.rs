@@ -7,18 +7,18 @@ struct Machine {
 
 impl Machine {
     fn step(&mut self, input: Option<u64>, selector: usize) -> u64 {
-        let value = input.unwrap(); // sheriff-lint: allow(no-panic-protocol) — driver guarantees Some
+        let value = input.unwrap(); // sheriff-lint: allow(transitive-panic) — driver guarantees Some
         let first = self
             .slots
             .first()
-            .expect("at least one slot"); // sheriff-lint: allow(no-panic-protocol) — non-empty by construction
+            .expect("at least one slot"); // sheriff-lint: allow(transitive-panic) — non-empty by construction
         if selector > self.slots.len() {
-            // sheriff-lint: allow(no-panic-protocol) — config error, not a protocol state
+            // sheriff-lint: allow(transitive-panic) — config error, not a protocol state
             panic!("selector out of range");
         }
         if *first == u64::MAX {
-            unreachable!(); // sheriff-lint: allow(no-panic-protocol) — excluded by admission check
+            unreachable!(); // sheriff-lint: allow(transitive-panic) — excluded by admission check
         }
-        self.slots[selector] + value // sheriff-lint: allow(no-panic-protocol) — selector bounds-checked above
+        self.slots[selector] + value // sheriff-lint: allow(transitive-panic) — selector bounds-checked above
     }
 }

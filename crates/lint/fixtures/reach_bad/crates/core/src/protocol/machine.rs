@@ -1,6 +1,5 @@
-//! Known-bad reachability fixture entry point: the handler itself is
-//! panic-free (the per-file rule sees nothing), but it calls into a
-//! helper crate that is not.
+//! Known-bad reachability fixture seed: the handler itself is
+//! panic-free, but it calls into a helper crate that is not.
 
 pub struct Machine;
 

@@ -1,5 +1,5 @@
 //! Known-bad reachability fixture helpers: an `expect` one hop from the
-//! protocol entry and a bare index two hops out. Must trip
+//! protocol machine and a bare index two hops out. Must trip
 //! transitive-panic exactly twice, the second with a `via` witness.
 
 pub fn decode(frames: &[Vec<u8>]) -> u8 {

@@ -1,11 +1,14 @@
 //! Fixture: panics in reactor code (the path places this under
 //! `wire/src/reactor/`, which joined the panic-freedom scope when the
 //! wire backend moved onto sharded event loops). Must trip
-//! `no-panic-protocol` exactly five times — unwrap, expect, panic!,
-//! unreachable!, and one index expression — and nothing else.
+//! `transitive-panic` exactly six times — unwrap, expect, panic!,
+//! unreachable!, a slice index and a map index — and nothing else.
+
+use std::collections::BTreeMap;
 
 struct Shard {
     queues: Vec<usize>,
+    credit: BTreeMap<usize, usize>,
 }
 
 impl Shard {
@@ -18,6 +21,7 @@ impl Shard {
         if *head == usize::MAX {
             unreachable!();
         }
-        self.queues[slot] + len
+        let credit = self.credit[&slot];
+        self.queues[slot] + credit + len
     }
 }

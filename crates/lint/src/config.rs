@@ -1,4 +1,4 @@
-//! The policy tables: where each rule does (and does not) apply, the
+//! The policy tables: where each pass does (and does not) apply, the
 //! privacy-taint source/sink/sanitizer declarations, and the call-graph
 //! resolution stoplist.
 //!
@@ -14,44 +14,14 @@
 /// self-tests point at those files explicitly, which bypasses the walk.
 pub const SKIP_DIR_NAMES: &[&str] = &["vendor", "target", "fixtures", ".git"];
 
-/// Files sanctioned to read the wall clock. The TCP adapter is split
-/// between `wire/src/deploy.rs` (deployment setup, shutdown deadlines)
-/// and the `wire/src/reactor/` event loops — together the one place
-/// virtual milliseconds are *produced* from real elapsed time. The
-/// reactor entry is prefix-free so the fixture twin under
-/// `fixtures/wire/src/reactor/` exercises the same match. Bench and
-/// experiment binaries measure their own runtime by design, and
-/// `lint/src/main.rs` times its own passes for the CI regression line
-/// (the timing never feeds a finding).
-pub const WALL_CLOCK_ALLOWED: &[&str] = &[
-    "crates/wire/src/deploy.rs",
-    "wire/src/reactor/",
-    "crates/bench/",
-    "crates/experiments/src/bin/",
-    "crates/lint/src/main.rs",
-    "examples/",
-];
-
-/// Order-sensitive subsystems: anything that emits protocol commands or
-/// schedules deliveries, where container iteration order can leak into
-/// the observable event sequence. The linter's own sources are in scope
-/// too: finding order is part of its output contract (reports are
-/// diffed in CI), so no hash-ordered container may feed it.
-pub const HASH_ITER_SCOPE: &[&str] = &[
-    "core/src/protocol/",
-    "core/src/roster.rs",
-    "core/src/system.rs",
-    "core/src/coordinator.rs",
-    "netsim/src/",
-    "lint/src/",
-];
-
-/// The sans-IO protocol machines: under chaos schedules they must
-/// degrade (drop, requeue, re-admit), never crash the driver. The wire
-/// reactor joins them: a panic in a shard's event loop takes down
-/// *every* node that shard owns, so its connection pumps and timer
-/// queue hold the same bar (and the fixture twin under
-/// `fixtures/wire/src/reactor/` pins the rule there).
+/// Where the transitive panic-freedom walk ([`crate::reach`]) starts:
+/// every non-test function under these trees is a seed. The sans-IO
+/// protocol machines must degrade (drop, requeue, re-admit) under chaos
+/// schedules, never crash the driver. The wire reactor joins them: a
+/// panic in a shard's event loop takes down *every* node that shard
+/// owns, so its connection pumps and timer queue hold the same bar.
+/// Prefix-free, so the fixture twins under `fixtures/core/src/protocol/`
+/// and `fixtures/wire/src/reactor/` match too.
 pub const NO_PANIC_SCOPE: &[&str] = &["core/src/protocol/", "wire/src/reactor/"];
 
 /// Path fragments marking whole files as test/bench code.
@@ -66,12 +36,6 @@ pub fn matches_any(path: &str, fragments: &[&str]) -> bool {
 // Call-graph resolution (crate::graph)
 // ---------------------------------------------------------------------
 
-/// Method names never resolved by bare name. Each collides with a
-/// ubiquitous `std` (or vendored-dep) method, so a `.get(...)` call in
-/// one crate would otherwise grow an edge to every first-party `get`
-/// in the workspace and wire unrelated subsystems together. Calls to
-/// these still resolve when written with an explicit qualifier
-/// (`Type::get(...)`).
 /// Topological layering of the workspace crates, mirroring the Cargo
 /// dependency DAG: a call site in crate X can only dispatch to a
 /// function defined in the same crate or in a crate of *strictly
@@ -79,9 +43,9 @@ pub fn matches_any(path: &str, fragments: &[&str]) -> bool {
 /// of false call-graph edges — e.g. the coordinator state machine
 /// "calling" `MiniDeployment::remove_server` in the TCP harness via a
 /// shared method name, which would wire the protocol to the harness's
-/// panics and sinks. Keep in sync with the `[dependencies]` sections;
-/// crates absent from the table (fixture trees, new crates) resolve
-/// unconstrained.
+/// panics and sinks. `tests/clean_tree.rs` holds the table to the
+/// `[dependencies]` sections; paths outside `crates/<name>/` (fixture
+/// trees) resolve unconstrained.
 pub const CRATE_LAYERS: &[(&str, u32)] = &[
     ("bigint", 0),
     ("currency", 0),
@@ -120,7 +84,8 @@ pub fn crate_name(path: &str) -> Option<&str> {
 
 /// Method names too generic to resolve by name alone: a bare `.get(` or
 /// `.insert(` call would edge into every impl in the workspace, so the
-/// graph drops these rather than fabricate edges.
+/// graph drops these rather than fabricate edges. Calls to these still
+/// resolve when written with an explicit qualifier (`Type::get(...)`).
 pub const METHOD_STOPLIST: &[&str] = &[
     "add", "apply", "clear", "clone", "cmp", "contains", "count", "default", "describe", "drain",
     "eq", "extend", "find", "fmt", "from", "get", "hash", "insert", "into", "is_empty", "iter",
@@ -300,46 +265,16 @@ pub const PROTOCOL_CALLBACK_FNS: &[&str] =
 /// the reactor/deploy tree (and its fixture twins).
 pub const CALLBACK_SCOPE: &[&str] = &["wire/src/"];
 
-// ---------------------------------------------------------------------
-// Transitive panic-freedom pass (crate::reach)
-// ---------------------------------------------------------------------
-
-/// Directory holding the sans-IO state machines; one machine per file.
-pub const PROTOCOL_DIR: &str = "core/src/protocol/";
-
-/// Entry points of the reachability walk: the protocol surface the
-/// drivers invoke. Everything these can reach — in any crate — must be
-/// panic-free, because a panic there takes down the driver thread under
-/// exactly the chaos schedules the protocol is supposed to absorb.
-pub const REACH_ENTRY_FNS: &[&str] = &[
-    "on_message",
-    "on_timer",
-    "on_restart",
-    "accept",
-    "harden",
-    "on_retransmit",
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn substring_matching_is_root_agnostic() {
-        assert!(matches_any("crates/wire/src/deploy.rs", WALL_CLOCK_ALLOWED));
-        assert!(matches_any(
-            "/abs/repo/crates/wire/src/deploy.rs",
-            WALL_CLOCK_ALLOWED
-        ));
-        assert!(!matches_any("crates/wire/src/frame.rs", WALL_CLOCK_ALLOWED));
-        assert!(matches_any(
-            "crates/wire/src/reactor/conn.rs",
-            WALL_CLOCK_ALLOWED
-        ));
-        assert!(matches_any(
-            "crates/core/src/protocol/peer.rs",
-            NO_PANIC_SCOPE
-        ));
+        let peer = "crates/core/src/protocol/peer.rs";
+        assert!(matches_any(peer, NO_PANIC_SCOPE));
+        assert!(matches_any(&format!("/abs/repo/{peer}"), NO_PANIC_SCOPE));
+        assert!(!matches_any("crates/wire/src/frame.rs", NO_PANIC_SCOPE));
         assert!(matches_any(
             "crates/wire/src/reactor/reactor.rs",
             NO_PANIC_SCOPE
@@ -356,23 +291,15 @@ mod tests {
     }
 
     #[test]
-    fn linter_is_inside_its_own_hash_iter_scope() {
-        assert!(matches_any("crates/lint/src/graph.rs", HASH_ITER_SCOPE));
-    }
-
-    #[test]
     fn shared_node_step_and_roster_builder_are_in_scope() {
         // The one host of the protocol machines holds the machines' bar.
-        let step = "crates/core/src/protocol/node.rs";
-        assert!(matches_any(step, NO_PANIC_SCOPE));
-        assert!(matches_any(step, HASH_ITER_SCOPE));
-        assert!(step.contains(PROTOCOL_DIR));
-        // Roster order is the node numbering fault plans are phrased
-        // against, so the builder is order-sensitive; it is also the only
-        // driver-side code left that reads `PpcSpec` fields.
-        let roster = "crates/core/src/roster.rs";
-        assert!(matches_any(roster, HASH_ITER_SCOPE));
-        assert!(matches_any(roster, TAINT_SEED_EXEMPT));
+        assert!(matches_any(
+            "crates/core/src/protocol/node.rs",
+            NO_PANIC_SCOPE
+        ));
+        // The roster builder is the only driver-side code left that
+        // reads `PpcSpec` fields.
+        assert!(matches_any("crates/core/src/roster.rs", TAINT_SEED_EXEMPT));
         for driver in ["crates/core/src/system.rs", "crates/wire/src/deploy.rs"] {
             assert!(!matches_any(driver, TAINT_SEED_EXEMPT), "{driver}");
         }

@@ -3,7 +3,7 @@
 //! Built once per run from every parsed file, then shared by the
 //! cross-file passes: [`crate::taint`] walks it forward from functions
 //! that touch declared privacy sources, [`crate::reach`] walks it
-//! forward from the protocol entry points. Nodes are functions; edges
+//! forward from the panic-freedom scope. Nodes are functions; edges
 //! are *resolved* calls.
 //!
 //! Resolution is name-based and deliberately conservative — the linter
@@ -29,8 +29,8 @@ use crate::lexer::{Tok, TokKind};
 use crate::parser::{Item, ItemKind};
 
 /// One analyzed file: its path, token stream, and parsed items. The
-/// walk produces these once and every pass — per-file and cross-file —
-/// shares them (see the `lex once` note in [`crate::analyze_tree`]).
+/// walk produces these once ([`crate::collect_sources`]) and every pass
+/// shares them.
 pub struct SourceFile {
     /// Normalized (`/`-separated) path as given to the analyzer.
     pub path: String,
@@ -181,16 +181,6 @@ impl CallGraph {
             fns,
             edges: edges.into_iter().map(|s| s.into_iter().collect()).collect(),
         }
-    }
-
-    /// Functions matching `(path fragment, name)` — entry-point lookup.
-    pub fn find(&self, path_frag: &str, name: &str) -> Vec<FnId> {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.path.contains(path_frag) && f.name == name && !f.in_tests)
-            .map(|(id, _)| id)
-            .collect()
     }
 }
 
@@ -431,15 +421,5 @@ mod tests {
         let g = CallGraph::build(&files);
         let go = g.fns.iter().position(|n| n.name == "go").unwrap();
         assert!(g.edges[go].is_empty());
-    }
-
-    #[test]
-    fn find_skips_test_functions() {
-        let files = vec![file(
-            "crates/core/src/protocol/demo.rs",
-            "impl P { pub fn on_message(&self) {} }\n#[cfg(test)]\nmod t { fn on_message() {} }",
-        )];
-        let g = CallGraph::build(&files);
-        assert_eq!(g.find("core/src/protocol/", "on_message").len(), 1);
     }
 }

@@ -1,44 +1,33 @@
 #![forbid(unsafe_code)]
-//! `sheriff-lint` — a workspace invariant checker that statically
-//! enforces the determinism and privacy contracts.
+// Finding order is output: `clippy.toml` bans HashMap/HashSet.
+#![deny(clippy::disallowed_types)]
+//! `sheriff-lint` — the workspace invariant checker for what needs a
+//! call graph.
 //!
 //! The reproduction's central promise — same seed + same world ⇒
-//! identical observations on the DES and TCP backends — rests on
-//! invariants the Rust compiler cannot see: no wall-clock reads outside
-//! the TCP adapter, no hash-order iteration where order leaks into
-//! command emission, no panics in the protocol machines, and metric
-//! names that the panel/exporter joins can rely on. The parity and
-//! chaos tests enforce all of this *dynamically*, but only for the
-//! seeds they run; a latent `Instant::now()` can hide until a rare
-//! schedule exposes it. This crate enforces the same contract
-//! *statically*, over every line, on every CI run.
-//!
-//! Two layers:
-//!
-//! * **Per-file token rules** ([`rules`]) — run over each file's token
-//!   stream in isolation.
-//! * **Flow-aware passes** — an item parser ([`parser`]) and a
-//!   workspace call graph ([`graph`]) feed the cross-file rules:
-//!   privacy taint ([`taint`]), transitive panic-freedom ([`reach`]),
-//!   and the lock passes ([`locks`]).
-//!
-//! What the compiler *can* see is left to it: who handles each
-//! `ProtoMsg` and `TimerKind` is the machines' exhaustive `match` arms
-//! (DESIGN.md "Static analysis & invariants").
-//!
-//! Every file is lexed exactly once; the same token stream feeds the
-//! per-file rules, the `#[cfg(test)]` region marks, and the parser.
+//! identical observations on the DES and TCP backends — and the §4
+//! privacy contract rest on invariants spread over many files. Each is
+//! owned by the one mechanism that resolves it best (DESIGN.md "Static
+//! analysis & invariants"): rustc's exhaustive `match` for who handles
+//! each `ProtoMsg` and `TimerKind`; clippy (`clippy.toml` plus module
+//! attributes) for wall-clock reads and hash-ordered containers, which
+//! it resolves by name through aliases and re-exports; the telemetry
+//! `Registry` for metric names. What is left here is what none of them
+//! can see, because it crosses function and crate boundaries: privacy
+//! taint ([`taint`]), panic-freedom of the protocol machines, the
+//! reactor and everything they reach ([`reach`]), and the lock passes
+//! ([`locks`]) — all over one item parser ([`parser`]) and one workspace
+//! call graph ([`graph`]), every file lexed exactly once.
 //!
 //! Deliberately dependency-free: see [`config`] for the policy tables
 //! and the fixture corpus under `fixtures/` for known-bad and
 //! pragma-suppressed specimens per rule. Suppression is per-line:
 //!
 //! ```text
-//! let t = Instant::now(); // sheriff-lint: allow(wall-clock) — adapter boundary
+//! let first = slots[0]; // sheriff-lint: allow(transitive-panic) — non-empty by construction
 //! ```
 //!
-//! or per-item for the cross-file rules, whose findings span whole
-//! functions:
+//! or per-item, for findings that span whole functions:
 //!
 //! ```text
 //! // sheriff-lint: allow-item(privacy-taint) — offline study, synthetic profiles
@@ -60,7 +49,7 @@ use std::io;
 use std::path::Path;
 
 pub use graph::{CallGraph, SourceFile};
-pub use rules::{check_file, Finding, Rule, ALL_RULES};
+pub use rules::{Finding, Rule, ALL_RULES};
 
 /// The result of analyzing a tree: what was scanned and what was found.
 pub struct Report {
@@ -70,60 +59,23 @@ pub struct Report {
     pub findings: Vec<Finding>,
 }
 
-/// Analyzes a file or directory tree with every pass — per-file rules
-/// plus the cross-file flow passes — and reports what it scanned.
-/// Directories are walked in sorted order, descending into everything
-/// except [`config::SKIP_DIR_NAMES`]; only `.rs` files are read. A path
-/// given explicitly is always scanned, even when a walk would have
-/// skipped it — that is how the self-tests reach the `fixtures/`
-/// corpus.
+/// Analyzes a file or directory tree with every pass and reports what
+/// it scanned. Directories are walked in sorted order, descending into
+/// everything except [`config::SKIP_DIR_NAMES`]; only `.rs` files are
+/// read. A path given explicitly is always scanned, even when a walk
+/// would have skipped it — that is how the self-tests reach the
+/// `fixtures/` corpus.
 pub fn analyze(root: &Path) -> io::Result<Report> {
-    analyze_observed(root, &mut |_| {})
-}
-
-/// [`analyze`] with a pass-boundary observer: `mark(name)` is called
-/// when the named pass completes. The library never reads a clock (the
-/// SL001 contract applies to the linter's own sources); the CLI turns
-/// the callbacks into the per-pass timing lines of the CI
-/// `lint-concurrency` stage.
-pub fn analyze_observed(root: &Path, mark: &mut dyn FnMut(&'static str)) -> io::Result<Report> {
     let files = collect_sources(root)?;
-    mark("walk+lex+parse");
-
-    // Layer 1: per-file token rules, over the already-lexed streams.
-    // Every pragma that fires is credited for the SL007 audit.
-    let mut used: BTreeSet<(String, u32)> = BTreeSet::new();
-    let mut findings = Vec::new();
-    for f in &files {
-        let mut fired = Vec::new();
-        findings.extend(rules::check_tokens_tracked(
-            &f.path,
-            &f.toks,
-            &f.test_marks,
-            &mut fired,
-        ));
-        for line in fired {
-            used.insert((f.path.clone(), line));
-        }
-    }
-    mark("token-rules");
-
-    // Layer 2: flow-aware passes over the workspace call graph.
     let call_graph = CallGraph::build(&files);
-    mark("call-graph");
-    let mut cross = Vec::new();
-    cross.extend(taint::check(&call_graph));
-    mark("taint");
-    cross.extend(reach::check(&files, &call_graph));
-    mark("reach");
-    cross.extend(locks::check(&files, &call_graph));
-    mark("locks");
-    suppress_cross(&files, &mut cross, &mut used);
-    findings.extend(cross);
+    let mut findings = taint::check(&call_graph);
+    findings.extend(reach::check(&files, &call_graph));
+    findings.extend(locks::check(&files, &call_graph));
 
-    // SL007: every pragma in the tree must have suppressed something.
+    // Every pragma that fires is credited for the SL007 audit: every
+    // pragma in the tree must have suppressed something.
+    let used = suppress(&files, &mut findings);
     findings.extend(unused_pragmas(&files, &used));
-    mark("suppression-audit");
 
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Ok(Report {
@@ -184,18 +136,14 @@ fn walk(dir: &Path, paths: &mut Vec<std::path::PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Applies pragma suppression to cross-file findings. Per-line
-/// `allow(...)` pragmas work exactly as for the token rules; per-item
-/// `allow-item(...)` pragmas on (or one line above) an item's first
-/// line suppress across the item's whole line span — cross-file
-/// findings are attributed to functions, not tokens, so the function is
+/// Applies pragma suppression. A per-line `allow(...)` pragma covers
+/// its own line and the next; a per-item `allow-item(...)` pragma on
+/// (or one line above) an item's first line covers the item's whole
+/// line span — findings are attributed to functions, so the function is
 /// the natural suppression unit. Every pragma that suppresses a finding
-/// is credited into `used` (by its own line) for the SL007 audit.
-fn suppress_cross(
-    files: &[SourceFile],
-    findings: &mut Vec<Finding>,
-    used: &mut BTreeSet<(String, u32)>,
-) {
+/// is credited (by its own line) in the returned set, for the SL007
+/// audit.
+fn suppress(files: &[SourceFile], findings: &mut Vec<Finding>) -> BTreeSet<(String, u32)> {
     struct FileSuppression {
         lines: Vec<(u32, Vec<Rule>)>,
         /// `(pragma line, span start, span end, rules)`.
@@ -227,6 +175,7 @@ fn suppress_cross(
         }
     }
 
+    let mut used = BTreeSet::new();
     findings.retain(|f| {
         let Some(s) = by_path.get(f.path.as_str()) else {
             return true;
@@ -243,6 +192,7 @@ fn suppress_cross(
         }
         true
     });
+    used
 }
 
 /// The SL007 audit: every `allow(...)` / `allow-item(...)` pragma in
@@ -281,67 +231,6 @@ fn unused_pragmas(files: &[SourceFile], used: &BTreeSet<(String, u32)>) -> Vec<F
     findings
 }
 
-/// Renders a report as deterministic machine-readable JSON: stable key
-/// order, findings pre-sorted, one object per finding with the stable
-/// rule `id`. Hand-rolled (the crate is dependency-free); strings are
-/// escaped per RFC 8259. Timing never appears here — the report is
-/// byte-for-byte reproducible for a given tree, so CI can diff it.
-pub fn render_json(report: &Report) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"tool\": \"sheriff-lint\",\n");
-    out.push_str("  \"schema_version\": 6,\n");
-    out.push_str(&format!("  \"files_scanned\": {},\n", report.files));
-    out.push_str("  \"findings\": [");
-    for (i, f) in report.findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {");
-        out.push_str(&format!("\"id\": \"{}\", ", f.rule.id()));
-        out.push_str(&format!("\"rule\": \"{}\", ", f.rule.name()));
-        out.push_str(&format!("\"severity\": \"{}\", ", f.rule.severity()));
-        out.push_str(&format!("\"path\": {}, ", json_str(&f.path)));
-        out.push_str(&format!("\"line\": {}, ", f.line));
-        out.push_str(&format!("\"message\": {}", json_str(&f.message)));
-        out.push('}');
-    }
-    if !report.findings.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n");
-    out.push_str("  \"counts_by_rule\": {");
-    for (i, rule) in ALL_RULES.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let n = report.findings.iter().filter(|f| f.rule == *rule).count();
-        out.push_str(&format!("\"{}\": {}", rule.name(), n));
-    }
-    out.push_str("}\n");
-    out.push_str("}\n");
-    out
-}
-
-/// JSON string literal with RFC 8259 escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,9 +238,7 @@ mod tests {
     #[test]
     fn walk_skips_vendor_and_fixture_dirs() {
         // The crate's own fixtures directory is full of violations by
-        // construction; a walk over the crate must not see them. The
-        // linter lints its own sources with every pass (satellite
-        // contract: the tree below is in HASH_ITER_SCOPE).
+        // construction; a walk over the crate must not see them.
         let here = Path::new(env!("CARGO_MANIFEST_DIR"));
         let findings = analyze_path(here).unwrap();
         assert!(
@@ -362,27 +249,8 @@ mod tests {
 
     #[test]
     fn explicit_fixture_path_is_scanned() {
-        let bad = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/wall_clock_bad.rs");
+        let bad = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/unused_pragma_bad.rs");
         let findings = analyze_path(&bad).unwrap();
         assert!(!findings.is_empty());
-    }
-
-    #[test]
-    fn json_report_escapes_and_counts() {
-        let report = Report {
-            files: 2,
-            findings: vec![Finding {
-                path: "crates/a\\b.rs".into(),
-                line: 7,
-                rule: Rule::PrivacyTaint,
-                message: "say \"no\"".into(),
-            }],
-        };
-        let json = render_json(&report);
-        assert!(json.contains("\"id\": \"SL101\""));
-        assert!(json.contains("\"path\": \"crates/a\\\\b.rs\""));
-        assert!(json.contains("\"message\": \"say \\\"no\\\"\""));
-        assert!(json.contains("\"privacy-taint\": 1"));
-        assert!(json.contains("\"wall-clock\": 0"));
     }
 }

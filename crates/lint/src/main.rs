@@ -1,22 +1,15 @@
 #![forbid(unsafe_code)]
-//! CLI: `sheriff-lint [--list-rules] [--json] [--timings] <path>...`
+//! CLI: `sheriff-lint [--list-rules] <path>...`
 //!
 //! Exits 0 when every given tree is clean, 1 when any finding is
 //! reported, 2 on usage or I/O errors. `ci.sh` runs it over `crates`
-//! as a named stage and archives the `--json` report.
-//!
-//! Human findings go to stdout (or the JSON report, with `--json`);
-//! the bench-style timing line always goes to stderr so the report
-//! stays byte-for-byte deterministic.
+//! as a named stage (which also times it). Findings go to stdout, the
+//! summary line to stderr.
 
 use std::path::Path;
 use std::process::ExitCode;
-// Timing the analyzer's own run is the one sanctioned wall-clock read
-// in this crate (see config::WALL_CLOCK_ALLOWED): it feeds the CI
-// regression line, never a finding.
-use std::time::Instant;
 
-use sheriff_lint::{analyze, analyze_observed, render_json, Report, ALL_RULES};
+use sheriff_lint::{analyze, ALL_RULES};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -26,45 +19,21 @@ fn main() -> ExitCode {
     }
     if args.iter().any(|a| a == "--list-rules") {
         for rule in ALL_RULES {
-            println!("{:<7} {:<18} {}", rule.id(), rule.name(), rule.describe());
+            println!("{:<7} {:<19} {}", rule.id(), rule.name(), rule.describe());
         }
         return ExitCode::SUCCESS;
     }
-    let json = args.iter().any(|a| a == "--json");
-    let timings = args.iter().any(|a| a == "--timings");
-    let paths: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    if paths.is_empty() {
+    if args.is_empty() || args.iter().any(|a| a.starts_with("--")) {
         usage();
         return ExitCode::from(2);
     }
 
-    let started = Instant::now();
-    let mut report = Report {
-        files: 0,
-        findings: Vec::new(),
-    };
-    for arg in &paths {
-        // With --timings, the library's pass-boundary callbacks become
-        // per-pass lines on stderr (the CI `lint-concurrency` stage);
-        // the library itself never reads the clock.
-        let result = if timings {
-            let mut last = Instant::now();
-            analyze_observed(Path::new(arg.as_str()), &mut |pass| {
-                let now = Instant::now();
-                eprintln!(
-                    "sheriff-lint: pass {:<18} {:>8.1} ms  ({arg})",
-                    pass,
-                    (now - last).as_secs_f64() * 1e3
-                );
-                last = now;
-            })
-        } else {
-            analyze(Path::new(arg.as_str()))
-        };
-        match result {
+    let (mut files, mut findings) = (0, Vec::new());
+    for arg in &args {
+        match analyze(Path::new(arg)) {
             Ok(r) => {
-                report.files += r.files;
-                report.findings.extend(r.findings);
+                files += r.files;
+                findings.extend(r.findings);
             }
             Err(e) => {
                 eprintln!("sheriff-lint: {arg}: {e}");
@@ -72,26 +41,16 @@ fn main() -> ExitCode {
             }
         }
     }
-    report
-        .findings
-        .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    if json {
-        print!("{}", render_json(&report));
-    } else {
-        for f in &report.findings {
-            println!("{f}");
-        }
+    findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
+    for f in &findings {
+        println!("{f}");
     }
     eprintln!(
-        "sheriff-lint: {} file(s), {} rules, {} finding(s) in {:.1} ms (lexed once per file)",
-        report.files,
+        "sheriff-lint: {files} file(s), {} rules, {} finding(s)",
         ALL_RULES.len(),
-        report.findings.len(),
-        elapsed_ms
+        findings.len()
     );
-    if report.findings.is_empty() {
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
@@ -99,6 +58,6 @@ fn main() -> ExitCode {
 }
 
 fn usage() {
-    eprintln!("usage: sheriff-lint [--list-rules] [--json] [--timings] <path>...");
+    eprintln!("usage: sheriff-lint [--list-rules] <path>...");
     eprintln!("       checks .rs files for determinism/privacy-contract violations");
 }

@@ -1,12 +1,12 @@
-//! Item-level parsing on top of the token stream: fn/struct/enum/impl
+//! Item-level parsing on top of the token stream: fn/struct/impl
 //! extraction with brace-matched bodies.
 //!
 //! This is the second layer of the analyzer. The [`crate::lexer`] gives
 //! every rule a flat token stream; this module recovers just enough
 //! *structure* from that stream for the cross-file passes — which
 //! function a token belongs to, which type an `impl` block extends,
-//! which fields a struct declares, which variants an enum carries — all
-//! without name resolution or type checking. Bodies are delimited by
+//! where a struct's declaration starts and ends — all without name
+//! resolution or type checking. Bodies are delimited by
 //! brace matching, so the parser never needs to understand expressions.
 //!
 //! Like the lexer, it degrades instead of failing: source it cannot
@@ -20,10 +20,9 @@ use crate::lexer::{Tok, TokKind};
 pub enum ItemKind {
     /// A function or method (`body` spans its block).
     Fn,
-    /// A struct declaration (`fields` holds its named fields).
+    /// A struct declaration (the lock pass reads field types off its
+    /// token span).
     Struct,
-    /// An enum declaration (`variants` holds its variant names).
-    Enum,
 }
 
 /// One top-level or impl-nested item recovered from a file.
@@ -31,7 +30,7 @@ pub enum ItemKind {
 pub struct Item {
     /// Classification.
     pub kind: ItemKind,
-    /// Item name (`fn name`, `struct Name`, `enum Name`).
+    /// Item name (`fn name`, `struct Name`).
     pub name: String,
     /// For methods: the `impl` block's self type. `None` for free
     /// functions and type declarations.
@@ -43,19 +42,14 @@ pub struct Item {
     pub end: usize,
     /// 1-based line of the item's name token.
     pub line: u32,
-    /// Named fields (structs only).
-    pub fields: Vec<String>,
-    /// Variant names (enums only).
-    pub variants: Vec<String>,
     /// True when the item sits inside a `#[cfg(test)]` region or is
     /// itself gated by one.
     pub in_tests: bool,
 }
 
-/// Extracts every fn/struct/enum item from a lexed file. `test_marks`
-/// is the per-token `#[cfg(test)]` map from the rules layer; items
-/// whose name token is marked are tagged `in_tests` (the cross-file
-/// passes skip them, mirroring the per-file rules).
+/// Extracts every fn/struct item from a lexed file. `test_marks` is
+/// the per-token `#[cfg(test)]` map from the rules layer; items whose
+/// first token is marked are tagged `in_tests` (the passes skip them).
 pub fn parse_items(toks: &[Tok], test_marks: &[bool]) -> Vec<Item> {
     let mut items = Vec::new();
     let mut i = 0usize;
@@ -95,8 +89,8 @@ pub fn parse_items(toks: &[Tok], test_marks: &[bool]) -> Vec<Item> {
                     i += 1;
                 }
             }
-            TokKind::Ident if (t.text == "struct" || t.text == "enum") && depth == 0 => {
-                if let Some(item) = parse_type_decl(toks, test_marks, i) {
+            TokKind::Ident if t.text == "struct" && depth == 0 => {
+                if let Some(item) = parse_struct(toks, test_marks, i) {
                     i = item.end;
                     items.push(item);
                 } else {
@@ -220,112 +214,33 @@ fn parse_fn(
         start: at,
         end: body_close + 1,
         line: name_tok.line,
-        fields: Vec::new(),
-        variants: Vec::new(),
         in_tests: test_marks.get(at).copied().unwrap_or(false),
     })
 }
 
-/// At a `struct`/`enum` token, parses the declaration. Tuple structs and
-/// unit structs end at `;`; braced declarations collect field or
-/// variant names at nesting depth 1.
-fn parse_type_decl(toks: &[Tok], test_marks: &[bool], at: usize) -> Option<Item> {
-    let is_enum = toks[at].is_ident("enum");
+/// At a `struct` token, finds the declaration's span. Tuple and unit
+/// structs end at `;`, braced ones at the matching `}`.
+fn parse_struct(toks: &[Tok], test_marks: &[bool], at: usize) -> Option<Item> {
     let name_tok = toks.get(at + 1)?;
     if name_tok.kind != TokKind::Ident {
         return None;
     }
     let mut j = skip_angle_group(toks, at + 2);
-    // `struct S;` / `struct S(T);`
-    while j < toks.len() && !toks[j].is_punct('{') {
-        if toks[j].is_punct(';') {
-            return Some(Item {
-                kind: if is_enum {
-                    ItemKind::Enum
-                } else {
-                    ItemKind::Struct
-                },
-                name: name_tok.text.clone(),
-                self_ty: None,
-                start: at,
-                end: j + 1,
-                line: name_tok.line,
-                fields: Vec::new(),
-                variants: Vec::new(),
-                in_tests: test_marks.get(at).copied().unwrap_or(false),
-            });
-        }
+    while j < toks.len() && !toks[j].is_punct('{') && !toks[j].is_punct(';') {
         j += 1;
     }
-    let open = j;
-    let close = match_brace(toks, open)?;
-    let mut fields = Vec::new();
-    let mut variants = Vec::new();
-    let mut depth = 0i32;
-    let mut k = open;
-    while k <= close {
-        let t = &toks[k];
-        if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-        } else if depth == 1 && t.kind == TokKind::Ident {
-            if is_enum {
-                // A variant name is an ident at depth 1 followed by
-                // `{`, `(`, `,`, `=` (discriminant) or the closing `}`.
-                let next = toks.get(k + 1);
-                let is_variant = next.is_none_or(|n| {
-                    n.is_punct('{')
-                        || n.is_punct('(')
-                        || n.is_punct(',')
-                        || n.is_punct('=')
-                        || n.is_punct('}')
-                });
-                if is_variant {
-                    variants.push(t.text.clone());
-                }
-            } else {
-                // A field name is an ident at depth 1 followed by `:`
-                // (and not `::`, which would be a path in an attr).
-                let colon = toks.get(k + 1).is_some_and(|n| n.is_punct(':'))
-                    && !toks.get(k + 2).is_some_and(|n| n.is_punct(':'));
-                if colon && !t.text.eq("pub") {
-                    fields.push(t.text.clone());
-                }
-            }
-        }
-        // Skip attributes (`#[serde(...)]`) wholesale at any depth.
-        if t.is_punct('#') && toks.get(k + 1).is_some_and(|n| n.is_punct('[')) {
-            let mut adepth = 0i32;
-            let mut a = k + 1;
-            while a <= close {
-                if toks[a].is_punct('[') {
-                    adepth += 1;
-                } else if toks[a].is_punct(']') {
-                    adepth -= 1;
-                    if adepth == 0 {
-                        break;
-                    }
-                }
-                a += 1;
-            }
-            k = a;
-        }
-        k += 1;
-    }
+    let last = if toks.get(j)?.is_punct(';') {
+        j
+    } else {
+        match_brace(toks, j)?
+    };
     Some(Item {
-        kind: if is_enum {
-            ItemKind::Enum
-        } else {
-            ItemKind::Struct
-        },
+        kind: ItemKind::Struct,
         name: name_tok.text.clone(),
         self_ty: None,
         start: at,
-        end: close + 1,
+        end: last + 1,
         line: name_tok.line,
-        fields,
-        variants,
         in_tests: test_marks.get(at).copied().unwrap_or(false),
     })
 }
@@ -392,22 +307,18 @@ mod tests {
     }
 
     #[test]
-    fn struct_fields_and_enum_variants() {
+    fn struct_spans_cover_the_declaration() {
         let src = "pub struct Obs { pub amount: f64, city: Option<String> }\n\
-                   enum Msg { Start { tag: u64 }, Stop, Data(Vec<u8>) }\n\
-                   struct Unit;\n";
+                   enum Msg { Start { tag: u64 }, Stop }\n\
+                   struct Pair(u8, u8);\nstruct Unit;\nfn after() {}";
         let items = items_of(src);
-        assert_eq!(items[0].fields, vec!["amount", "city"]);
-        assert_eq!(items[1].variants, vec!["Start", "Stop", "Data"]);
-        assert_eq!(items[2].kind, ItemKind::Struct);
-        assert!(items[2].fields.is_empty());
-    }
-
-    #[test]
-    fn serde_attrs_inside_enums_are_not_variants() {
-        let src = "enum M {\n #[serde(rename = \"a\")]\n A { x: u64 },\n B,\n}";
-        let items = items_of(src);
-        assert_eq!(items[0].variants, vec!["A", "B"]);
+        let names: Vec<&str> = items.iter().map(|i| i.name.as_str()).collect();
+        assert_eq!(names, ["Obs", "Pair", "Unit", "after"]);
+        assert!(items[..3].iter().all(|i| i.kind == ItemKind::Struct));
+        let toks = lex(src);
+        assert!(toks[items[0].end - 1].is_punct('}'));
+        assert!(toks[items[1].end - 1].is_punct(';'));
+        assert_eq!(items[2].end, items[2].start + 3);
     }
 
     #[test]

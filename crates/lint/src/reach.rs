@@ -1,20 +1,18 @@
-//! Transitive panic-freedom: nothing the protocol machines can reach
-//! may panic.
+//! Transitive panic-freedom: nothing in the protocol machines or the
+//! reactor, and nothing they can reach, may panic.
 //!
-//! The per-file `no-panic-protocol` rule covers `core/src/protocol/`
-//! itself, but a state machine that calls into a helper crate inherits
-//! that helper's panics: an `unwrap` in `crypto` or `wire` takes down
-//! the driver thread under exactly the chaos schedules the protocol is
-//! supposed to absorb. This pass walks the workspace call graph from
-//! the protocol entry points ([`crate::config::REACH_ENTRY_FNS`] inside
-//! [`crate::config::PROTOCOL_DIR`]) and applies the same panic-token
-//! scan to every reachable function body, wherever it lives.
+//! A state machine that calls into a helper crate inherits that
+//! helper's panics: an `unwrap` in `crypto` or `wire` takes down the
+//! driver thread under exactly the chaos schedules the protocol is
+//! supposed to absorb. This pass seeds a walk of the workspace call
+//! graph with *every* non-test function under
+//! [`crate::config::NO_PANIC_SCOPE`] — so one rule covers "in the
+//! machines" and "reachable from them" — and applies the panic-token
+//! scan to each reached function body, wherever it lives.
 //!
-//! Files already inside [`crate::config::NO_PANIC_SCOPE`] are skipped —
-//! the per-file rule owns those and reports with tighter context — as
-//! are test trees and `#[cfg(test)]` items. Each finding carries its
-//! witness: the entry point it is reachable from and the direct caller
-//! the taint arrived through.
+//! Test trees and `#[cfg(test)]` items are skipped. A finding outside
+//! the scope carries its witness: the scope function it is reachable
+//! from and the direct caller the walk arrived through.
 
 use std::collections::BTreeMap;
 
@@ -24,17 +22,11 @@ use crate::rules::{no_panic, Finding, Hits, Rule};
 
 /// Runs the pass over a built call graph.
 pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<Finding> {
-    // Entry points: handler surface of the protocol machines.
     let mut reachable: BTreeMap<FnId, FnId> = BTreeMap::new(); // fn → caller
     let mut queue = Vec::new();
     for (id, f) in graph.fns.iter().enumerate() {
-        if f.in_tests {
-            continue;
-        }
-        if f.path.contains(config::PROTOCOL_DIR)
-            && config::REACH_ENTRY_FNS.contains(&f.name.as_str())
-        {
-            reachable.insert(id, id); // entries are their own caller
+        if !f.in_tests && config::matches_any(&f.path, config::NO_PANIC_SCOPE) {
+            reachable.insert(id, id); // seeds are their own caller
             queue.push(id);
         }
     }
@@ -54,33 +46,34 @@ pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (&id, &caller) in &reachable {
         let f = &graph.fns[id];
-        // The per-file rule owns the protocol dir; test trees may panic.
-        if config::matches_any(&f.path, config::NO_PANIC_SCOPE)
-            || config::matches_any(&f.path, config::TEST_TREE_MARKERS)
-        {
+        if config::matches_any(&f.path, config::TEST_TREE_MARKERS) {
             continue;
         }
-        let entry = entry_of(&reachable, id);
         let toks = &files[f.file].toks;
         let end = f.end.min(toks.len());
         let mut hits: Hits = Vec::new();
         no_panic(&toks[f.start..end], &mut hits);
-        for (idx, msg) in hits {
-            let tok = &toks[f.start + idx];
-            let e = &graph.fns[entry];
-            let via = if caller == id {
+        if hits.is_empty() {
+            continue;
+        }
+        let why = if caller == id {
+            "is in the panic-freedom scope".to_string()
+        } else {
+            let seed = seed_of(&reachable, id);
+            let via = if caller == seed {
                 String::new()
             } else {
                 format!(" via `{}`", graph.fns[caller].name)
             };
+            let s = &graph.fns[seed];
+            format!("is reachable from `{}::{}`{via}", s.module, s.name)
+        };
+        for (idx, msg) in hits {
             findings.push(Finding {
                 path: f.path.clone(),
-                line: tok.line,
+                line: toks[f.start + idx].line,
                 rule: Rule::TransitivePanic,
-                message: format!(
-                    "`{}` is reachable from protocol entry `{}::{}`{via}: {msg}",
-                    f.name, e.module, e.name
-                ),
+                message: format!("`{}` {why}: {msg}", f.name),
             });
         }
     }
@@ -89,8 +82,8 @@ pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<Finding> {
     findings
 }
 
-/// Walks the caller chain back to the entry point.
-fn entry_of(reachable: &BTreeMap<FnId, FnId>, mut id: FnId) -> FnId {
+/// Walks the caller chain back to the seed.
+fn seed_of(reachable: &BTreeMap<FnId, FnId>, mut id: FnId) -> FnId {
     loop {
         let Some(&parent) = reachable.get(&id) else {
             return id;
@@ -159,13 +152,22 @@ mod tests {
     }
 
     #[test]
-    fn protocol_dir_itself_is_left_to_the_per_file_rule() {
-        let findings = run(vec![file(
-            "crates/core/src/protocol/peer.rs",
-            "impl P { pub fn on_message(&mut self) { self.helper(); }\n\
-             fn helper(&self) { let x: Option<u8> = None; x.unwrap(); } }",
-        )]);
-        assert!(findings.is_empty(), "{findings:?}");
+    fn every_fn_in_the_scope_dirs_is_a_seed() {
+        // Neither is a handler entry point, neither is called.
+        let findings = run(vec![
+            file(
+                "crates/core/src/protocol/peer.rs",
+                "impl P { fn helper(&self) { let x: Option<u8> = None; x.unwrap(); } }",
+            ),
+            file(
+                "crates/wire/src/reactor/conn.rs",
+                "fn pump(m: &BTreeMap<u8, u8>, k: u8) -> u8 { m[&k] }",
+            ),
+        ]);
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert!(findings
+            .iter()
+            .all(|f| f.message.contains("is in the panic-freedom scope")));
     }
 
     #[test]

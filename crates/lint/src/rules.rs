@@ -1,42 +1,25 @@
-//! The determinism-contract rules and the machinery they share: path
-//! scoping, `#[cfg(test)]`-region detection, and pragma suppression.
+//! The rules' identity (name, id, description) and the machinery the
+//! passes share: `#[cfg(test)]`-region detection, pragma suppression,
+//! and the panic-site scanner.
 //!
-//! The four per-file rules are deliberately token-level —
-//! no type information, no name resolution. That buys zero dependencies
-//! and sub-second runs at the cost of precision, which the scoping
-//! rules and the per-line `// sheriff-lint: allow(<rule>)` pragma buy
-//! back. The flow-aware rules ([`Rule::PrivacyTaint`],
-//! [`Rule::TransitivePanic`], the SL2xx family) are cross-file:
-//! they run over the workspace call graph in [`crate::taint`],
-//! [`crate::reach`] and [`crate::locks`], and only their identity
-//! (name, id, severity) lives here. The allowlist lives in
-//! [`crate::config`]; policy questions (why is a file sanctioned?)
-//! belong in DESIGN.md "Static analysis & invariants".
+//! Every rule is cross-file: the passes run over the workspace call
+//! graph in [`crate::taint`], [`crate::reach`] and [`crate::locks`].
+//! The scope tables live in [`crate::config`]; policy questions (why is
+//! a tree in scope?) belong in DESIGN.md "Static analysis & invariants".
 
-use crate::config;
 use crate::lexer::{Tok, TokKind};
 
-/// One rule of the determinism contract.
+/// One rule of the determinism and privacy contracts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// `Instant::now` / `SystemTime` outside sanctioned boundary files:
-    /// wall-clock reads make runs time-dependent.
-    WallClock,
-    /// `HashMap` / `HashSet` in order-sensitive subsystems: iteration
-    /// order can leak into command emission.
-    HashIter,
-    /// `unwrap` / `expect` / panic-family macros / indexing in the
-    /// protocol state machines, which must degrade rather than crash.
-    NoPanicProtocol,
-    /// Counter/gauge/histogram names must follow `subsystem.snake_case`
-    /// so panel and exporter joins never drift.
-    TelemetryNaming,
-    /// Cross-file: peer plaintext / doppelganger profile data reaching
-    /// a wire, telemetry, or report sink without passing through a
+    /// Peer plaintext / doppelganger profile data reaching a wire,
+    /// telemetry, or report sink without passing through a
     /// `crypto::elgamal`/`crypto::ipfe` encryption entry point.
     PrivacyTaint,
-    /// Cross-file: a panic site in any crate reachable from the
-    /// protocol entry points via the workspace call graph.
+    /// A panic site (`unwrap` / `expect` / panic-family macros /
+    /// indexing) in the protocol machines or the reactor, or in any
+    /// crate reachable from them via the workspace call graph: they
+    /// must degrade rather than crash.
     TransitivePanic,
     /// A `// sheriff-lint: allow(...)` / `allow-item(...)` pragma that
     /// suppresses no finding. Stale pragmas are deleted policy: every
@@ -59,11 +42,7 @@ pub enum Rule {
 }
 
 /// Every rule, in reporting order.
-pub const ALL_RULES: [Rule; 10] = [
-    Rule::WallClock,
-    Rule::HashIter,
-    Rule::NoPanicProtocol,
-    Rule::TelemetryNaming,
+pub const ALL_RULES: [Rule; 6] = [
     Rule::UnusedPragma,
     Rule::PrivacyTaint,
     Rule::TransitivePanic,
@@ -76,10 +55,6 @@ impl Rule {
     /// The kebab-case name used in findings and pragmas.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::WallClock => "wall-clock",
-            Rule::HashIter => "hash-iter",
-            Rule::NoPanicProtocol => "no-panic-protocol",
-            Rule::TelemetryNaming => "telemetry-naming",
             Rule::PrivacyTaint => "privacy-taint",
             Rule::TransitivePanic => "transitive-panic",
             Rule::UnusedPragma => "unused-pragma",
@@ -89,17 +64,12 @@ impl Rule {
         }
     }
 
-    /// The stable rule id used in machine-readable reports. Per-file
-    /// token rules are `SL0xx`; flow-aware cross-file rules are
-    /// `SL1xx`; the concurrency-safety family over the threaded wire
-    /// layer is `SL2xx`. Ids never change meaning; retired ids (SL002,
-    /// SL006, SL102, SL105, SL204) are not reused.
+    /// The stable rule id. The pragma audit is `SL0xx`; the flow rules
+    /// are `SL1xx`; the concurrency-safety family over the threaded
+    /// wire layer is `SL2xx`. Ids never change meaning; retired ids
+    /// (SL001–SL006, SL102, SL105, SL204) are not reused.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::WallClock => "SL001",
-            Rule::HashIter => "SL003",
-            Rule::NoPanicProtocol => "SL004",
-            Rule::TelemetryNaming => "SL005",
             Rule::UnusedPragma => "SL007",
             Rule::PrivacyTaint => "SL101",
             Rule::TransitivePanic => "SL103",
@@ -107,13 +77,6 @@ impl Rule {
             Rule::BlockingUnderLock => "SL202",
             Rule::CallbackUnderLock => "SL203",
         }
-    }
-
-    /// Severity in machine-readable reports. Every current rule is a
-    /// CI gate (`error`); the field exists so a future advisory rule
-    /// can report `warning` without changing the report schema.
-    pub fn severity(self) -> &'static str {
-        "error"
     }
 
     /// Parses a pragma/CLI rule name.
@@ -124,23 +87,11 @@ impl Rule {
     /// One-line description shown by `--list-rules`.
     pub fn describe(self) -> &'static str {
         match self {
-            Rule::WallClock => {
-                "wall-clock reads (Instant::now / SystemTime) outside sanctioned adapters"
-            }
-            Rule::HashIter => {
-                "HashMap/HashSet in order-sensitive code; use BTreeMap/BTreeSet or sort"
-            }
-            Rule::NoPanicProtocol => {
-                "unwrap/expect/panic!/indexing in protocol machines; degrade, don't crash"
-            }
-            Rule::TelemetryNaming => {
-                "metric names must be subsystem.snake_case (dotted, lowercase)"
-            }
             Rule::PrivacyTaint => {
                 "peer plaintext reaching a wire/telemetry/report sink without encryption"
             }
             Rule::TransitivePanic => {
-                "panic site reachable from a protocol entry point, in any crate"
+                "panic site in the protocol machines or the reactor, or reachable from them"
             }
             Rule::UnusedPragma => "allow()/allow-item() pragma that suppresses nothing; delete it",
             Rule::LockOrderCycle => {
@@ -152,24 +103,6 @@ impl Rule {
             Rule::CallbackUnderLock => {
                 "protocol entry point (on_message/on_timer) invoked while a wire guard is live"
             }
-        }
-    }
-
-    /// Whether the rule fires inside this file at all, per the
-    /// [`crate::config`] scoping tables. `path` uses `/` separators.
-    /// Cross-file rules never fire from the per-file loop.
-    fn applies_to(self, path: &str) -> bool {
-        match self {
-            Rule::WallClock => !config::matches_any(path, config::WALL_CLOCK_ALLOWED),
-            Rule::TelemetryNaming => true,
-            Rule::HashIter => config::matches_any(path, config::HASH_ITER_SCOPE),
-            Rule::NoPanicProtocol => config::matches_any(path, config::NO_PANIC_SCOPE),
-            Rule::PrivacyTaint
-            | Rule::TransitivePanic
-            | Rule::UnusedPragma
-            | Rule::LockOrderCycle
-            | Rule::BlockingUnderLock
-            | Rule::CallbackUnderLock => false,
         }
     }
 }
@@ -200,84 +133,6 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// Analyzes one file's source. `path` is used for scoping and reporting
-/// and should be workspace-relative where possible. Convenience wrapper
-/// around [`check_tokens`] for callers that hold raw source; the tree
-/// analyzer lexes once per file and calls [`check_tokens`] directly so
-/// the same token stream feeds every per-file rule *and* the parser.
-pub fn check_file(path: &str, src: &str) -> Vec<Finding> {
-    let norm = path.replace('\\', "/");
-    let toks = crate::lexer::lex(src);
-    let test_tok = test_regions(&toks);
-    check_tokens(&norm, &toks, &test_tok)
-}
-
-/// Runs every per-file rule over an already-lexed token stream. `norm`
-/// must be `/`-separated; `test_tok` marks `#[cfg(test)]` regions (from
-/// [`test_regions`] over the same stream).
-pub fn check_tokens(norm: &str, toks: &[Tok], test_tok: &[bool]) -> Vec<Finding> {
-    check_tokens_tracked(norm, toks, test_tok, &mut Vec::new())
-}
-
-/// [`check_tokens`], additionally recording into `used` the line of
-/// every pragma that suppressed at least one finding — the raw material
-/// of the SL007 unused-pragma audit in [`crate::analyze`].
-pub(crate) fn check_tokens_tracked(
-    norm: &str,
-    toks: &[Tok],
-    test_tok: &[bool],
-    used: &mut Vec<u32>,
-) -> Vec<Finding> {
-    // No per-file rule applies to test code: tests may panic (that is
-    // what asserts do), may hold HashMaps they never emit from, and
-    // register throwaway metric names.
-    if config::matches_any(norm, config::TEST_TREE_MARKERS) {
-        return Vec::new();
-    }
-    let allowed = pragma_lines(toks);
-
-    let mut findings = Vec::new();
-    for rule in ALL_RULES {
-        if !rule.applies_to(norm) {
-            continue;
-        }
-        let mut hits = Vec::new();
-        match rule {
-            Rule::WallClock => wall_clock(toks, &mut hits),
-            Rule::HashIter => hash_iter(toks, &mut hits),
-            Rule::NoPanicProtocol => no_panic(toks, &mut hits),
-            Rule::TelemetryNaming => telemetry_naming(toks, &mut hits),
-            // Cross-file rules run from crate::taint / crate::reach /
-            // crate::locks, and the unused-pragma audit runs centrally
-            // in crate::analyze; applies_to already filtered them out.
-            Rule::PrivacyTaint
-            | Rule::TransitivePanic
-            | Rule::UnusedPragma
-            | Rule::LockOrderCycle
-            | Rule::BlockingUnderLock
-            | Rule::CallbackUnderLock => {}
-        }
-        for (idx, msg) in hits {
-            if test_tok[idx] {
-                continue;
-            }
-            let line = toks[idx].line;
-            if let Some(pline) = suppressing_line(&allowed, rule, line) {
-                used.push(pline);
-                continue;
-            }
-            findings.push(Finding {
-                path: norm.to_string(),
-                line,
-                rule,
-                message: msg,
-            });
-        }
-    }
-    findings.sort_by_key(|a| (a.line, a.rule));
-    findings
-}
-
 // ----- pragma suppression -----
 
 /// Lines carrying `// sheriff-lint: allow(rule, ...)`, mapped to the
@@ -300,9 +155,8 @@ pub(crate) fn pragma_lines(toks: &[Tok]) -> Vec<(u32, Vec<Rule>)> {
 /// Lines carrying `// sheriff-lint: allow-item(rule, ...)`. An item
 /// pragma on (or one line above) an item's first line suppresses the
 /// listed rules across the item's whole span — the unit the flow-aware
-/// passes report at. Per-line `allow(...)` stays the right tool for the
-/// token rules; `allow-item` exists because a cross-file finding often
-/// has no single line the author controls.
+/// passes report at: a cross-file finding often has no single line the
+/// author controls.
 pub(crate) fn item_pragma_lines(toks: &[Tok]) -> Vec<(u32, Vec<Rule>)> {
     let mut out = Vec::new();
     for t in toks {
@@ -371,7 +225,7 @@ pub(crate) fn suppressing_line(allowed: &[(u32, Vec<Rule>)], rule: Rule, line: u
 /// after such an attribute, the next item is skipped — to the matching
 /// `}` of its first `{`, or to a top-relative `;` for braceless items.
 /// Public because the tree analyzer computes this once per file and
-/// shares it between the per-file rules and the item parser.
+/// shares it between the item parser and the lock pass.
 pub fn test_regions(toks: &[Tok]) -> Vec<bool> {
     let mut marks = vec![false; toks.len()];
     let mut i = 0usize;
@@ -463,40 +317,9 @@ fn cfg_test_attr_end(toks: &[Tok], i: usize) -> Option<usize> {
     None
 }
 
-// ----- the rules themselves -----
+// ----- the panic-site scan -----
 
 pub(crate) type Hits = Vec<(usize, String)>;
-
-fn wall_clock(toks: &[Tok], hits: &mut Hits) {
-    for (i, t) in toks.iter().enumerate() {
-        if t.is_ident("SystemTime") {
-            hits.push((i, "SystemTime read".into()));
-        }
-        if t.is_ident("Instant")
-            && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 3).is_some_and(|t| t.is_ident("now"))
-        {
-            hits.push((i, "Instant::now() call".into()));
-        }
-    }
-}
-
-fn hash_iter(toks: &[Tok], hits: &mut Hits) {
-    for (i, t) in toks.iter().enumerate() {
-        for name in ["HashMap", "HashSet"] {
-            if t.is_ident(name) {
-                hits.push((
-                    i,
-                    format!(
-                        "`{name}` in order-sensitive code; use BTree{} or sort before emitting",
-                        &name[4..]
-                    ),
-                ));
-            }
-        }
-    }
-}
 
 /// Keywords that legitimately precede `[` without forming an index
 /// expression (`return [..]`, `match x { .. => [..] }`, …).
@@ -505,8 +328,10 @@ const NON_INDEX_KEYWORDS: [&str; 14] = [
     "dyn", "where",
 ];
 
-/// Shared with [`crate::reach`], which applies the same scan to
-/// function-body token slices reachable from the protocol entry points.
+/// The scan [`crate::reach`] applies to every function body in, or
+/// reachable from, the panic-freedom scope. Token-level on purpose: a
+/// map index (`m[&k]`) is a `[` after an identifier like any other,
+/// where a type-aware lint sees only slice indexing.
 pub(crate) fn no_panic(toks: &[Tok], hits: &mut Hits) {
     for (i, t) in toks.iter().enumerate() {
         // .unwrap( / .expect( and their _err twins.
@@ -545,81 +370,33 @@ pub(crate) fn no_panic(toks: &[Tok], hits: &mut Hits) {
     }
 }
 
-fn telemetry_naming(toks: &[Tok], hits: &mut Hits) {
-    for (i, t) in toks.iter().enumerate() {
-        let registers = ["counter", "gauge", "histogram"]
-            .iter()
-            .any(|m| t.is_ident(m));
-        if !(registers && i > 0 && toks[i - 1].is_punct('.')) {
-            continue;
-        }
-        let Some(open) = toks.get(i + 1) else {
-            continue;
-        };
-        if !open.is_punct('(') {
-            continue;
-        }
-        // First argument: an optional `&` then a string literal. Names
-        // built with format!/helpers are out of reach for a token lint
-        // (their *templates* still get checked wherever they are
-        // literal).
-        let mut j = i + 2;
-        while toks.get(j).is_some_and(|t| t.is_punct('&')) {
-            j += 1;
-        }
-        let Some(arg) = toks.get(j) else { continue };
-        if arg.kind == TokKind::Str && !well_formed_metric_name(&arg.text) {
-            hits.push((
-                j,
-                format!("metric name `{}` is not subsystem.snake_case", arg.text),
-            ));
-        }
-    }
-}
-
-/// `subsystem.snake_case`: two or more dot-separated segments, each of
-/// lowercase letters, digits, or underscores, starting with a letter
-/// or digit. (`{index:03}` interpolations in format templates are
-/// tolerated segment-internally.)
-fn well_formed_metric_name(name: &str) -> bool {
-    let segments: Vec<&str> = name.split('.').collect();
-    if segments.len() < 2 {
-        return false;
-    }
-    segments.iter().all(|seg| {
-        !seg.is_empty()
-            && seg.chars().all(|c| {
-                c.is_ascii_lowercase()
-                    || c.is_ascii_digit()
-                    || c == '_'
-                    || c == '{'
-                    || c == '}'
-                    || c == ':'
-            })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
 
-    fn rules_of(findings: &[Finding]) -> Vec<Rule> {
-        findings.iter().map(|f| f.rule).collect()
+    /// Lines of `src` the panic scan hits.
+    fn panic_lines(src: &str) -> Vec<u32> {
+        let toks = lex(src);
+        let mut hits = Hits::new();
+        no_panic(&toks, &mut hits);
+        hits.iter().map(|(i, _)| toks[*i].line).collect()
     }
 
     #[test]
     fn pragma_parses_one_or_many_rules() {
         assert_eq!(
-            parse_pragma(" sheriff-lint: allow(wall-clock)"),
-            Some(vec![Rule::WallClock])
+            parse_pragma(" sheriff-lint: allow(transitive-panic)"),
+            Some(vec![Rule::TransitivePanic])
         );
         assert_eq!(
-            parse_pragma(" sheriff-lint: allow(hash-iter, wall-clock)"),
-            Some(vec![Rule::HashIter, Rule::WallClock])
+            parse_pragma(" sheriff-lint: allow(privacy-taint, transitive-panic)"),
+            Some(vec![Rule::PrivacyTaint, Rule::TransitivePanic])
         );
         assert_eq!(parse_pragma(" just a comment"), None);
+        // Retired and unknown names allow nothing.
         assert_eq!(
-            parse_pragma(" sheriff-lint: allow(no-such-rule)"),
+            parse_pragma(" sheriff-lint: allow(wall-clock, no-such-rule)"),
             Some(vec![])
         );
     }
@@ -627,78 +404,48 @@ mod tests {
     #[test]
     fn pragma_suppresses_same_line_and_next_line() {
         let src = "\
-let t = SystemTime::now(); // sheriff-lint: allow(wall-clock)
-// sheriff-lint: allow(wall-clock)
-let u = SystemTime::now();
-let v = SystemTime::now();
+let t = a.unwrap(); // sheriff-lint: allow(transitive-panic)
+// sheriff-lint: allow(transitive-panic)
+let u = b.unwrap();
+let v = c.unwrap();
 ";
-        let findings = check_file("crates/demo/src/lib.rs", src);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].line, 4);
+        let allowed = pragma_lines(&lex(src));
+        let open: Vec<u32> = panic_lines(src)
+            .into_iter()
+            .filter(|l| !suppressed(&allowed, Rule::TransitivePanic, *l))
+            .collect();
+        assert_eq!(open, vec![4]);
     }
 
     #[test]
     fn typod_pragma_does_not_suppress() {
-        let src = "let t = SystemTime::now(); // sheriff-lint: allow(wallclock)\n";
-        let findings = check_file("crates/demo/src/lib.rs", src);
-        assert_eq!(findings.len(), 1);
-    }
-
-    #[test]
-    fn wall_clock_scoping_honors_allowlist() {
-        let src = "let t = Instant::now();\n";
-        assert_eq!(check_file("crates/wire/src/deploy.rs", src).len(), 0);
-        assert_eq!(
-            check_file("crates/experiments/src/bin/fig1.rs", src).len(),
-            0
-        );
-        assert_eq!(check_file("crates/core/src/system.rs", src).len(), 1);
+        let src = "let t = a.unwrap(); // sheriff-lint: allow(transitivepanic)\n";
+        let allowed = pragma_lines(&lex(src));
+        assert!(!suppressed(&allowed, Rule::TransitivePanic, 1));
     }
 
     #[test]
     fn panics_in_cfg_test_are_fine() {
-        let src = "#[cfg(test)]\nmod tests {\n fn f() { x.unwrap(); panic!(\"boom\"); }\n}\n";
-        let findings = check_file("crates/core/src/protocol/demo.rs", src);
-        assert!(findings.is_empty(), "{findings:?}");
+        let src =
+            "fn p() {}\n#[cfg(test)]\nmod tests {\n fn f() { x.unwrap(); panic!(\"boom\"); }\n}\n";
+        let toks = lex(src);
+        let marks = test_regions(&toks);
+        for (t, marked) in toks.iter().zip(&marks) {
+            assert_eq!(*marked, t.line >= 3, "{t:?}");
+        }
     }
 
     #[test]
     fn index_heuristic() {
-        let path = "crates/core/src/protocol/demo.rs";
-        assert_eq!(check_file(path, "let x = arr[0];").len(), 1);
-        assert_eq!(check_file(path, "let x = f()[0];").len(), 1);
-        assert!(check_file(path, "let x: [u64; 3] = [0; 3];").is_empty());
-        assert!(check_file(path, "let v = vec![1, 2];").is_empty());
-        assert!(check_file(path, "#[derive(Debug)]\nstruct S;").is_empty());
-        assert!(check_file(path, "for x in [1, 2] {}").is_empty());
-        assert!(check_file(path, "fn f(x: &[u8]) {}").is_empty());
-    }
-
-    #[test]
-    fn hash_iter_only_in_scope() {
-        let src = "use std::collections::HashMap;\n";
-        assert_eq!(check_file("crates/core/src/protocol/peer.rs", src).len(), 1);
-        assert_eq!(check_file("crates/netsim/src/fault.rs", src).len(), 1);
-        assert!(check_file("crates/market/src/world.rs", src).is_empty());
-    }
-
-    #[test]
-    fn telemetry_names_must_be_dotted_snake_case() {
-        let path = "crates/demo/src/lib.rs";
-        assert!(check_file(path, r#"r.counter("coordinator.requests_total");"#).is_empty());
-        assert!(check_file(path, r#"r.gauge(&format!("a.{i}.b"));"#).is_empty());
-        assert_eq!(check_file(path, r#"r.counter("jobs");"#).len(), 1);
-        assert_eq!(check_file(path, r#"r.gauge("Bad.Name");"#).len(), 1);
-        assert_eq!(check_file(path, r#"r.histogram("lat", &[1.0]);"#).len(), 1);
-    }
-
-    #[test]
-    fn findings_sort_by_line() {
-        let src = "let a = SystemTime::now();\nr.counter(\"jobs\");\n";
-        let findings = check_file("crates/demo/src/lib.rs", src);
-        assert_eq!(
-            rules_of(&findings),
-            vec![Rule::WallClock, Rule::TelemetryNaming]
-        );
+        assert_eq!(panic_lines("let x = arr[0];").len(), 1);
+        assert_eq!(panic_lines("let x = f()[0];").len(), 1);
+        // A map index is an index: clippy's `indexing_slicing` cannot
+        // see this one, which is why the scan stays here.
+        assert_eq!(panic_lines("let x = m[&k];").len(), 1);
+        assert!(panic_lines("let x: [u64; 3] = [0; 3];").is_empty());
+        assert!(panic_lines("let v = vec![1, 2];").is_empty());
+        assert!(panic_lines("#[derive(Debug)]\nstruct S;").is_empty());
+        assert!(panic_lines("for x in [1, 2] {}").is_empty());
+        assert!(panic_lines("fn f(x: &[u8]) {}").is_empty());
     }
 }

@@ -19,7 +19,7 @@
 //!
 //! The pass is flow-insensitive inside a function (one sanitizer call
 //! cleanses the whole function) and name-based across them; what it
-//! buys is the cross-file guarantee the per-line rules cannot give —
+//! buys is the cross-file guarantee no per-line check can give —
 //! a refactor that pipes `PpcEngine::browser` into a frame writer three
 //! crates away fails CI with the witness path.
 

@@ -218,15 +218,16 @@ impl SimTelemetry {
         }
     }
 
-    fn backlog(&mut self, node: NodeId) -> &Arc<Gauge> {
-        while self.node_backlog.len() <= node.0 {
-            let idx = self.node_backlog.len();
+    fn add_backlog(&mut self, node: NodeId, delta: i64) {
+        for idx in self.node_backlog.len()..=node.0 {
             self.node_backlog.push(
                 self.registry
                     .gauge(&format!("netsim.node.{idx:03}.backlog")),
             );
         }
-        &self.node_backlog[node.0]
+        if let Some(gauge) = self.node_backlog.get(node.0) {
+            gauge.add(delta);
+        }
     }
 
     /// An event entered the queue (`deliver_to` set for message events).
@@ -234,7 +235,7 @@ impl SimTelemetry {
         self.queue_depth.add(1);
         self.queue_depth_max.raise_to(self.queue_depth.get());
         if let Some(to) = deliver_to {
-            self.backlog(to).add(1);
+            self.add_backlog(to, 1);
         }
     }
 
@@ -242,7 +243,7 @@ impl SimTelemetry {
     fn popped(&mut self, deliver_to: Option<NodeId>) {
         self.queue_depth.add(-1);
         if let Some(to) = deliver_to {
-            self.backlog(to).add(-1);
+            self.add_backlog(to, -1);
         }
     }
 }

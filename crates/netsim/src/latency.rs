@@ -1,9 +1,9 @@
 //! Latency models.
 //!
-//! §5 notes that "some PlanetLab servers are sometimes overloaded, imposing
-//! delay on our proxy servers response time" — a heavy tail the production
-//! system bounded with a 2-minute per-request kill. The models here let the
-//! performance experiments reproduce those shapes deterministically.
+//! The [`LatencyModel`] trait and the generic models (constant,
+//! lognormal). The deployment's own model — geography-aware, its
+//! lognormal tail standing in for §5's "sometimes overloaded" PlanetLab
+//! servers — is `sheriff_core::latency::GeoLatency`.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -50,35 +50,6 @@ impl LatencyModel for LognormalLatency {
     }
 }
 
-/// Lognormal body with an overload tail: with probability `p_overload` the
-/// message instead takes `overload_latency` (an overloaded PlanetLab node),
-/// optionally clipped by the production system's kill bound.
-#[derive(Clone, Copy, Debug)]
-pub struct HeavyTailLatency {
-    /// The well-behaved body.
-    pub body: LognormalLatency,
-    /// Probability of hitting an overloaded node.
-    pub p_overload: f64,
-    /// Latency in the overloaded case.
-    pub overload_latency: SimTime,
-    /// Upper clip (the 2-minute kill bound); `None` = unbounded.
-    pub kill_bound: Option<SimTime>,
-}
-
-impl LatencyModel for HeavyTailLatency {
-    fn latency(&mut self, _from: NodeId, _to: NodeId, rng: &mut StdRng) -> SimTime {
-        let raw = if rng.gen::<f64>() < self.p_overload {
-            self.overload_latency
-        } else {
-            self.body.sample(rng)
-        };
-        match self.kill_bound {
-            Some(bound) if raw > bound => bound,
-            _ => raw,
-        }
-    }
-}
-
 /// Box–Muller standard normal sample.
 pub fn sample_standard_normal(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
@@ -122,43 +93,6 @@ mod tests {
         let median = sorted[sorted.len() / 2];
         assert!((median - 100.0).abs() < 10.0, "median={median}");
         assert!(samples.iter().all(|&s| s > 0.0));
-    }
-
-    #[test]
-    fn heavy_tail_produces_overloads() {
-        let mut m = HeavyTailLatency {
-            body: LognormalLatency {
-                base: SimTime::from_millis(100),
-                sigma: 0.3,
-            },
-            p_overload: 0.1,
-            overload_latency: SimTime::from_secs(300),
-            kill_bound: None,
-        };
-        let mut r = rng();
-        let overloads = (0..2000)
-            .filter(|_| m.latency(NodeId(0), NodeId(1), &mut r) == SimTime::from_secs(300))
-            .count();
-        let frac = overloads as f64 / 2000.0;
-        assert!((frac - 0.1).abs() < 0.03, "frac={frac}");
-    }
-
-    #[test]
-    fn kill_bound_clips_tail() {
-        let mut m = HeavyTailLatency {
-            body: LognormalLatency {
-                base: SimTime::from_millis(100),
-                sigma: 0.3,
-            },
-            p_overload: 1.0,
-            overload_latency: SimTime::from_secs(600),
-            kill_bound: Some(SimTime::from_mins(2)),
-        };
-        let mut r = rng();
-        assert_eq!(
-            m.latency(NodeId(0), NodeId(1), &mut r),
-            SimTime::from_mins(2)
-        );
     }
 
     #[test]

@@ -18,6 +18,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Iteration order is observable here: `clippy.toml` bans HashMap/HashSet.
+#![deny(clippy::disallowed_types)]
 
 pub mod agenda;
 pub mod byzantine;
@@ -31,4 +33,4 @@ pub use byzantine::{ByzDecision, ByzProfile, ByzStats, ByzantinePlan, CodecAttac
 pub use engine::{Ctx, Node, NodeId, SimTime, Simulator};
 pub use fault::{CrashWindow, FaultDecision, FaultPlan, FaultStats, LinkFaults, Partition};
 pub use gate::FaultGate;
-pub use latency::{ConstantLatency, HeavyTailLatency, LatencyModel, LognormalLatency};
+pub use latency::{ConstantLatency, LatencyModel, LognormalLatency};

@@ -49,6 +49,28 @@ struct EventBuf {
     dropped: u64,
 }
 
+/// `subsystem.snake_case`: two or more dot-separated segments of
+/// lowercase letters, digits and `_`, plus `-`/`:` for the host address in
+/// `coordinator.server.{idx:03}.{addr}:{port}.{key}`. Panel and exporter
+/// joins rely on it; it is checked (debug builds) where every name passes,
+/// so names built with `format!` are covered too.
+fn well_formed(name: &str) -> bool {
+    let segment = |seg: &str| {
+        !seg.is_empty()
+            && seg
+                .bytes()
+                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b"_-:".contains(&b))
+    };
+    name.contains('.') && name.split('.').all(segment)
+}
+
+fn assert_well_formed(name: &str) {
+    debug_assert!(
+        well_formed(name),
+        "metric name `{name}` is not subsystem.snake_case"
+    );
+}
+
 /// Central metric store. Cloneable via `Arc<Registry>`; all methods take
 /// `&self` so one registry can be shared across every subsystem of a run.
 pub struct Registry {
@@ -86,6 +108,7 @@ impl Registry {
 
     /// The counter named `name`, created at zero on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
+        assert_well_formed(name);
         Arc::clone(
             self.counters
                 .lock()
@@ -96,6 +119,7 @@ impl Registry {
 
     /// The gauge named `name`, created at zero on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+        assert_well_formed(name);
         Arc::clone(
             self.gauges
                 .lock()
@@ -110,6 +134,7 @@ impl Registry {
     /// # Panics
     /// If a histogram of the same name already exists with different edges.
     pub fn histogram(&self, name: &str, edges: &[f64]) -> Arc<Histogram> {
+        assert_well_formed(name);
         let mut map = self.histograms.lock();
         let h = map
             .entry(name.to_string())
@@ -238,7 +263,7 @@ mod tests {
             let r = Registry::new();
             r.counter("z.last").inc();
             r.counter("a.first").add(2);
-            r.histogram("h", &[1.0, 10.0]).observe(3.5);
+            r.histogram("test.lat_ms", &[1.0, 10.0]).observe(3.5);
             r.event(42, "tick", vec![("node", FieldValue::Str("db".into()))]);
             r.snapshot().to_json()
         };
@@ -249,10 +274,32 @@ mod tests {
     }
 
     #[test]
+    fn metric_names_are_dotted_lowercase_segments() {
+        for bad in ["jobs", "Bad.Name", "a..b", ".a", "a.", "a.b c", ""] {
+            assert!(!well_formed(bad), "{bad:?}");
+        }
+        for good in [
+            "coordinator.requests_total",
+            "coordinator.server.000.192.168.1.11:8080.online",
+            &panel::server_metric(1, "ms-0", 80, "pending_jobs"),
+            "netsim.node.007.backlog",
+        ] {
+            assert!(well_formed(good), "{good:?}");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "metric name `jobs`")]
+    fn registering_a_malformed_name_panics_in_debug_builds() {
+        Registry::new().counter("jobs");
+    }
+
+    #[test]
     #[should_panic(expected = "different bucket edges")]
     fn histogram_edge_conflict_panics() {
         let r = Registry::new();
-        r.histogram("h", &[1.0, 2.0]);
-        r.histogram("h", &[1.0, 3.0]);
+        r.histogram("test.lat_ms", &[1.0, 2.0]);
+        r.histogram("test.lat_ms", &[1.0, 3.0]);
     }
 }

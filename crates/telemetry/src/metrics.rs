@@ -89,7 +89,8 @@ impl Histogram {
             "histogram needs at least one bucket edge"
         );
         assert!(
-            edges.windows(2).all(|w| w[0] < w[1]) && edges.iter().all(|e| e.is_finite()),
+            edges.iter().zip(edges.iter().skip(1)).all(|(a, b)| a < b)
+                && edges.iter().all(|e| e.is_finite()),
             "histogram edges must be finite and strictly increasing"
         );
         Histogram {
@@ -115,7 +116,9 @@ impl Histogram {
             .position(|&e| v <= e)
             .unwrap_or(self.edges.len());
         let mut s = self.state.lock();
-        s.counts[idx] += 1;
+        if let Some(bucket) = s.counts.get_mut(idx) {
+            *bucket += 1;
+        }
         s.count += 1;
         s.sum += v;
     }

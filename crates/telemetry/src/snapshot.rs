@@ -78,9 +78,9 @@ mod tests {
 
     fn sample(seed: u64) -> Snapshot {
         let r = Registry::new();
-        r.counter("jobs").add(seed);
-        r.gauge("depth").set(seed as i64);
-        let h = r.histogram("lat", &[10.0, 100.0]);
+        r.counter("test.jobs").add(seed);
+        r.gauge("test.depth").set(seed as i64);
+        let h = r.histogram("test.lat_ms", &[10.0, 100.0]);
         h.observe(seed as f64);
         r.event(seed, "tick", vec![("n", FieldValue::U64(seed))]);
         r.snapshot()
@@ -99,10 +99,10 @@ mod tests {
         let mut a = sample(5);
         let b = sample(200);
         a.merge(&b).unwrap();
-        assert_eq!(a.counters["jobs"], 205);
-        assert_eq!(a.gauges["depth"], 205);
-        assert_eq!(a.histograms["lat"].count, 2);
-        assert_eq!(a.histograms["lat"].counts, vec![1, 0, 1]);
+        assert_eq!(a.counters["test.jobs"], 205);
+        assert_eq!(a.gauges["test.depth"], 205);
+        assert_eq!(a.histograms["test.lat_ms"].count, 2);
+        assert_eq!(a.histograms["test.lat_ms"].counts, vec![1, 0, 1]);
         let times: Vec<u64> = a.events.iter().map(|e| e.at_ms).collect();
         assert_eq!(times, vec![5, 200]);
     }
@@ -111,10 +111,13 @@ mod tests {
     fn merge_rejects_mismatched_grids_without_mutating() {
         let mut a = sample(1);
         let r = Registry::new();
-        r.counter("jobs").add(100);
-        r.histogram("lat", &[1.0]).observe(0.5);
+        r.counter("test.jobs").add(100);
+        r.histogram("test.lat_ms", &[1.0]).observe(0.5);
         let b = r.snapshot();
         assert_eq!(a.merge(&b), Err(MergeError::EdgeMismatch));
-        assert_eq!(a.counters["jobs"], 1, "failed merge left self untouched");
+        assert_eq!(
+            a.counters["test.jobs"], 1,
+            "failed merge left self untouched"
+        );
     }
 }

@@ -19,6 +19,11 @@
 //! the protocol machines cannot tell the backends apart, and the
 //! `backend_parity` test pins both to identical observation sets.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the TCP adapter turns real elapsed time into virtual milliseconds and bounds its waits"
+)]
+
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};

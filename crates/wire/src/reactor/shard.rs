@@ -206,6 +206,10 @@ pub(crate) fn default_shard_count(n_nodes: usize) -> usize {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the doorbell tests bound real waits"
+)]
 mod tests {
     use super::*;
 

@@ -3,6 +3,11 @@
 //! found by the bounded fallback sweep — the bell is an accelerator,
 //! never the only path.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the test bounds how long an un-rung frame may wait"
+)]
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

@@ -22,6 +22,11 @@
 //! (`shard_of`), so the crash arm *recomputes* it from a fault-free
 //! twin deployment: same roster, same placement, by construction.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the soak gates on wall time per wave"
+)]
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
