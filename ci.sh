@@ -38,30 +38,31 @@ else
     echo "rustfmt not installed; skipping"
 fi
 
-# Besides style, this stage holds three invariants. The routing matrix
+# Besides style, this stage holds four invariants. The routing matrix
 # stays closed: every per-variant decision over `ProtoMsg` and
 # `TimerKind` denies `clippy::wildcard_enum_match_arm`, and the workspace
 # lint table warns on `match_wildcard_for_single_variants`, so a
 # catch-all arm that would swallow a new message or timer fails here
 # (rustc's E0004 does the rest). And `clippy.toml` bans wall-clock reads
-# everywhere but the files that `#[expect]` them, and hash-ordered
-# containers in the modules that deny `clippy::disallowed_types` —
-# resolved by name, so an alias does not slip through. A missing clippy
-# therefore fails the gate. `--no-deps` is what "vendor excluded" means:
-# the vendored stubs are path dependencies under the same `clippy.toml`.
+# and the exits of a peer's `Private` plaintext everywhere but the files
+# that `#[expect]` them, and hash-ordered containers in the modules that
+# deny `clippy::disallowed_types` — resolved by name, so an alias does
+# not slip through. A missing clippy therefore fails the gate.
+# `--no-deps` is what "vendor excluded" means: the vendored stubs are
+# path dependencies under the same `clippy.toml`.
 stage "cargo clippy -D warnings (workspace, vendor excluded)"
 if ! cargo clippy --version >/dev/null 2>&1; then
-    echo "clippy not installed — three invariants would go unchecked" >&2
+    echo "clippy not installed — four invariants would go unchecked" >&2
     exit 1
 fi
 cargo clippy "${SHERIFF_CRATES[@]/#/-p}" --all-targets --no-deps -- -D warnings
 
-# The invariant checker, for what needs a call graph: privacy taint,
-# panic-freedom of the protocol machines, the reactor and everything
-# they reach, lock order / blocking / callbacks under a guard, and the
-# audit that every suppression pragma still suppresses something. That
-# it can still fail — on known-bad fixtures, through this binary's exit
-# code — is pinned by `cargo test -p sheriff-lint` (tier-1 tests below).
+# The invariant checker, for what needs a call graph: panic-freedom of
+# the protocol machines, the reactor and everything they reach, lock
+# order / blocking / callbacks under a guard, and the audit that every
+# suppression pragma still suppresses something. That it can still
+# fail — on known-bad fixtures, through this binary's exit code — is
+# pinned by `cargo test -p sheriff-lint` (tier-1 tests below).
 # See DESIGN.md "Static analysis & invariants" and crates/lint.
 stage "sheriff-lint"
 cargo run --release -q -p sheriff-lint -- crates

@@ -27,6 +27,7 @@
 //! * [`durability`] — the Database server's WAL + snapshot persistence
 //!   and deterministic crash recovery;
 //! * [`proxy`] — IPC and PPC fetch engines against the synthetic web;
+//!   a PPC's browsing identity is [`private::Private`] plaintext;
 //! * [`roster`] — the one builder of a deployment's node roster, in the
 //!   order both backends and both fault plans number nodes;
 //! * [`system`] — the whole distributed system wired over the
@@ -49,6 +50,7 @@ pub mod durability;
 pub mod latency;
 pub mod measurement;
 pub mod pollution;
+pub mod private;
 pub mod protocol;
 pub mod proxy;
 pub mod records;

@@ -417,16 +417,11 @@ mod tests {
     use sheriff_market::UserAgent;
 
     use super::*;
-    use crate::browser::BrowserProfile;
-    use crate::pollution::PollutionLedger;
+    use crate::system::PpcSpec;
 
     fn peer() -> PeerProto {
-        let mut alloc = IpAllocator::new();
-        let engine = PpcEngine {
+        let spec = PpcSpec {
             peer_id: 7,
-            browser: BrowserProfile::new(),
-            ledger: PollutionLedger::new(),
-            ip: alloc.allocate(Country::ES, 0),
             country: Country::ES,
             city_idx: 0,
             user_agent: UserAgent {
@@ -436,6 +431,7 @@ mod tests {
             affluence: 0.5,
             logged_in_domains: vec![],
         };
+        let engine = PpcEngine::new(&spec, IpAllocator::new().allocate(Country::ES, 0));
         PeerProto::new(engine, None, "EUR".to_string(), true)
     }
 

@@ -7,11 +7,18 @@
 //! local state clean (sandbox) and its server-side pollution bounded
 //! (ledger + doppelganger swap-in).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a PPC shows the retailer its real state (§3.6)"
+)]
+
 use sheriff_geo::{Country, IpV4};
 use sheriff_market::{CookieJar, FetchContext, FetchResult, ProductId, UserAgent, World};
 
 use crate::browser::{BrowserProfile, SandboxReport};
 use crate::pollution::{FetchMode, PollutionLedger};
+use crate::private::Private;
+use crate::system::PpcSpec;
 
 /// What a proxy fetch produced.
 #[derive(Clone, Debug)]
@@ -91,15 +98,15 @@ impl IpcEngine {
     }
 }
 
-/// Peer Proxy Client: a real user's browser.
-#[derive(Debug)]
+/// Peer Proxy Client: a real user's browser. Its browsing identity is
+/// [`Private`]: it leaves only through this file's fetches.
 pub struct PpcEngine {
     /// Peer identifier.
     pub peer_id: u64,
     /// The user's browser (history + cookies).
-    pub browser: BrowserProfile,
-    /// Server-side pollution ledger.
-    pub ledger: PollutionLedger,
+    pub browser: Private<BrowserProfile>,
+    /// Server-side pollution ledger: per-domain real visits.
+    pub ledger: Private<PollutionLedger>,
     /// Current IP (churns).
     pub ip: IpV4,
     /// Country.
@@ -109,12 +116,27 @@ pub struct PpcEngine {
     /// Browser platform.
     pub user_agent: UserAgent,
     /// The user's affluence score (drives tracker profiles).
-    pub affluence: f64,
+    pub affluence: Private<f64>,
     /// Domains where the user has an account and stays signed in.
-    pub logged_in_domains: Vec<String>,
+    pub logged_in_domains: Private<Vec<String>>,
 }
 
 impl PpcEngine {
+    /// `spec`'s user at `ip`, with a fresh browser and ledger.
+    pub fn new(spec: &PpcSpec, ip: IpV4) -> Self {
+        PpcEngine {
+            peer_id: spec.peer_id,
+            browser: Private::new(BrowserProfile::new()),
+            ledger: Private::new(PollutionLedger::new()),
+            ip,
+            country: spec.country,
+            city_idx: spec.city_idx,
+            user_agent: spec.user_agent,
+            affluence: Private::new(spec.affluence),
+            logged_in_domains: Private::new(spec.logged_in_domains.clone()),
+        }
+    }
+
     /// The user browses a product page *for themselves*: history, ledger,
     /// cookies all update — this is what builds pollution budget.
     pub fn user_visit(
@@ -126,33 +148,16 @@ impl PpcEngine {
         now_ms: u64,
         request_seq: u64,
     ) {
-        let logged_in = self.logged_in_domains.iter().any(|d| d == domain);
-        let jar = self.browser.cookies.snapshot();
-        let ctx = FetchContext {
-            ip: self.ip,
-            country: self.country,
-            cookies: &jar,
-            user_agent: self.user_agent,
-            logged_in,
-            day,
-            time_quarter: 0,
-            request_seq,
-            client_id: self.peer_id,
-        };
-        let Some((retailer, rates)) = world.retailer_and_rates(domain) else {
-            return;
-        };
-        let Some(result) =
-            retailer.fetch(product, &ctx, now_ms, rates, self.affluence, self.peer_id)
+        let Some(result) = self.own_fetch(world, domain, product, day, 0, now_ms, request_seq)
         else {
             return;
         };
+        let browser = self.browser.expose_mut();
         if let FetchResult::Page { set_cookies, .. } = result {
-            self.browser.apply_cookies(&set_cookies);
+            browser.apply_cookies(&set_cookies);
         }
-        self.browser
-            .visit(domain, &format!("{domain}/product/{}", product.0));
-        self.ledger.record_real_visits(domain, 1);
+        browser.visit(domain, &format!("{domain}/product/{}", product.0));
+        self.ledger.expose_mut().record_real_visits(domain, 1);
     }
 
     /// Like [`PpcEngine::user_visit`] but returns the fetched page: the
@@ -165,47 +170,61 @@ impl PpcEngine {
         domain: &str,
         product: ProductId,
         day: u32,
-        time_quarter: u8,
+        quarter: u8,
         now_ms: u64,
         request_seq: u64,
     ) -> Option<String> {
-        let logged_in = self.logged_in_domains.iter().any(|d| d == domain);
-        let jar = self.browser.cookies.snapshot();
-        let ctx = FetchContext {
-            ip: self.ip,
-            country: self.country,
-            cookies: &jar,
-            user_agent: self.user_agent,
-            logged_in,
-            day,
-            time_quarter,
-            request_seq,
-            client_id: self.peer_id,
-        };
-        let (retailer, rates) = world.retailer_and_rates(domain)?;
-        let result = retailer.fetch(product, &ctx, now_ms, rates, self.affluence, self.peer_id)?;
-        match result {
+        match self.own_fetch(world, domain, product, day, quarter, now_ms, request_seq)? {
             FetchResult::Page {
                 html, set_cookies, ..
             } => {
-                self.browser.apply_cookies(&set_cookies);
-                self.browser
-                    .visit(domain, &format!("{domain}/product/{}", product.0));
-                self.ledger.record_real_visits(domain, 1);
+                let browser = self.browser.expose_mut();
+                browser.apply_cookies(&set_cookies);
+                browser.visit(domain, &format!("{domain}/product/{}", product.0));
+                self.ledger.expose_mut().record_real_visits(domain, 1);
                 Some(html)
             }
             FetchResult::Captcha { html } => Some(html),
         }
     }
 
+    /// A fetch as the user: their own cookies, sign-in and affluence.
+    #[allow(clippy::too_many_arguments)]
+    fn own_fetch(
+        &self,
+        world: &mut World,
+        domain: &str,
+        product: ProductId,
+        day: u32,
+        time_quarter: u8,
+        now_ms: u64,
+        request_seq: u64,
+    ) -> Option<FetchResult> {
+        let jar = self.browser.expose().cookies.snapshot();
+        let ctx = FetchContext {
+            ip: self.ip,
+            country: self.country,
+            cookies: &jar,
+            user_agent: self.user_agent,
+            logged_in: self.logged_in_domains.expose().iter().any(|d| d == domain),
+            day,
+            time_quarter,
+            request_seq,
+            client_id: self.peer_id,
+        };
+        let (retailer, rates) = world.retailer_and_rates(domain)?;
+        let affluence = *self.affluence.expose();
+        retailer.fetch(product, &ctx, now_ms, rates, affluence, self.peer_id)
+    }
+
     /// Predicts (without charging) which [`FetchMode`] a remote fetch
     /// towards `domain` would use — the add-on needs this *before* the
     /// doppelganger round-trip (Fig. 1 steps 3.3/3.4).
     pub fn peek_mode(&self, domain: &str) -> FetchMode {
-        let visits = self.ledger.real_visits(domain);
-        if visits == 0 {
+        let ledger = self.ledger.expose();
+        if ledger.real_visits(domain) == 0 {
             FetchMode::CleanOwnState
-        } else if self.ledger.remote_fetches(domain) < self.ledger.budget(domain) {
+        } else if ledger.remote_fetches(domain) < ledger.budget(domain) {
             FetchMode::RealOwnState
         } else {
             FetchMode::Doppelganger
@@ -228,15 +247,15 @@ impl PpcEngine {
         request_seq: u64,
         doppelganger_state: Option<&CookieJar>,
     ) -> Option<ProxyFetch> {
-        let mode = self.ledger.decide_and_charge(domain);
-        let logged_in =
-            mode == FetchMode::RealOwnState && self.logged_in_domains.iter().any(|d| d == domain);
+        let mode = self.ledger.expose_mut().decide_and_charge(domain);
+        let logged_in = mode == FetchMode::RealOwnState
+            && self.logged_in_domains.expose().iter().any(|d| d == domain);
 
         // Select the jar the fetch will expose.
         let empty = CookieJar::new();
         let dopp_jar;
         let jar_for_fetch: &CookieJar = match mode {
-            FetchMode::RealOwnState | FetchMode::CleanOwnState => &self.browser.cookies,
+            FetchMode::RealOwnState | FetchMode::CleanOwnState => &self.browser.expose().cookies,
             FetchMode::Doppelganger => match doppelganger_state {
                 Some(j) => {
                     dopp_jar = j.clone();
@@ -274,7 +293,7 @@ impl PpcEngine {
         let affluence = if mode == FetchMode::Doppelganger {
             0.5 // the doppelganger's own (cluster-average) persona
         } else {
-            self.affluence
+            *self.affluence.expose()
         };
         let result = retailer.fetch(product, &ctx, now_ms, rates, affluence, client_id)?;
 
@@ -291,7 +310,8 @@ impl PpcEngine {
         // Sandbox the local state: replay the cookie installs through the
         // sandbox so they are intercepted and the URL trace removed.
         let url = format!("{domain}/product/{}", product.0);
-        let report = self.browser.sandboxed_fetch(move |_| (set_cookies, url));
+        let browser = self.browser.expose_mut();
+        let report = browser.sandboxed_fetch(move |_| (set_cookies, url));
 
         Some(ProxyFetch {
             html,
@@ -322,18 +342,15 @@ mod tests {
     }
 
     fn ppc(country: Country) -> PpcEngine {
-        let mut alloc = IpAllocator::new();
-        PpcEngine {
+        let spec = PpcSpec {
             peer_id: 7,
-            browser: BrowserProfile::new(),
-            ledger: PollutionLedger::new(),
-            ip: alloc.allocate(country, 0),
             country,
             city_idx: 0,
             user_agent: ua(),
             affluence: 0.4,
             logged_in_domains: vec![],
-        }
+        };
+        PpcEngine::new(&spec, IpAllocator::new().allocate(country, 0))
     }
 
     #[test]
@@ -362,8 +379,8 @@ mod tests {
         for i in 0..4 {
             p.user_visit(&mut w, "jcpenney.com", ProductId(i), 0, 0, i as u64);
         }
-        assert_eq!(p.ledger.budget("jcpenney.com"), 1);
-        assert!(!p.browser.cookies.get("jcpenney.com").is_empty());
+        assert_eq!(p.ledger.expose().budget("jcpenney.com"), 1);
+        assert!(!p.browser.expose().cookies.get("jcpenney.com").is_empty());
 
         let f = p
             .remote_fetch(&mut w, "jcpenney.com", ProductId(9), 0, 0, 100, 50, None)
@@ -386,8 +403,9 @@ mod tests {
             .unwrap();
         assert_eq!(f.mode, FetchMode::CleanOwnState);
         assert!(f.sandbox.unwrap().is_clean());
-        assert!(p.browser.cookies.is_empty(), "no state left behind");
-        assert_eq!(p.browser.history.count("amazon.com"), 0);
+        let browser = p.browser.expose();
+        assert!(browser.cookies.is_empty(), "no state left behind");
+        assert_eq!(browser.history.count("amazon.com"), 0);
     }
 
     #[test]
@@ -426,6 +444,7 @@ mod tests {
         // The user's own jar must be untouched by the doppelganger fetch.
         assert!(p
             .browser
+            .expose()
             .cookies
             .value("jcpenney.com", "session_id")
             .is_some());
@@ -450,7 +469,7 @@ mod tests {
                 .unwrap();
             assert!(f.sandbox.unwrap().is_clean(), "fetch {i}");
         }
-        assert_eq!(p.browser.history.count("chegg.com"), 0);
-        assert!(p.browser.cookies.is_empty());
+        assert_eq!(p.browser.expose().history.count("chegg.com"), 0);
+        assert!(p.browser.expose().cookies.is_empty());
     }
 }

@@ -21,10 +21,8 @@ use sheriff_market::pricing::{Browser, Os};
 use sheriff_market::{UserAgent, World};
 use sheriff_telemetry::Registry;
 
-use crate::browser::BrowserProfile;
 use crate::coordinator::{Coordinator, PeerId};
 use crate::durability::Storage;
-use crate::pollution::PollutionLedger;
 use crate::protocol::{
     Address, AggregatorProto, Channel, CoordinatorProto, DbProto, DefenseBook, IpcProto,
     MeasurementParams, MeasurementProto, PeerProto, ReliableConfig, Role, RoleNode,
@@ -154,22 +152,11 @@ pub fn build_roster(
     }
 
     for (spec, ip, city) in peers {
-        let engine = PpcEngine {
-            peer_id: spec.peer_id,
-            browser: BrowserProfile::new(),
-            ledger: PollutionLedger::new(),
-            ip,
-            country: spec.country,
-            city_idx: spec.city_idx,
-            user_agent: spec.user_agent,
-            affluence: spec.affluence,
-            logged_in_domains: spec.logged_in_domains.clone(),
-        };
         push(
             Address::Peer { id: spec.peer_id },
             Role::Peer {
                 proto: Box::new(PeerProto::new(
-                    engine,
+                    PpcEngine::new(spec, ip),
                     city,
                     cfg.target_currency.clone(),
                     cfg.enable_doppelgangers,

@@ -9,13 +9,18 @@
 //!
 //! `cargo run --release -p sheriff-experiments --bin ablation_doppelganger`
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the unprotected baseline shows the peer's real cookies to the retailer"
+)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sheriff_core::browser::BrowserProfile;
 use sheriff_core::doppelganger::DoppelgangerStore;
-use sheriff_core::pollution::{FetchMode, PollutionLedger};
+use sheriff_core::pollution::FetchMode;
 use sheriff_core::proxy::PpcEngine;
+use sheriff_core::system::PpcSpec;
 use sheriff_experiments::report::{write_json, Table};
 use sheriff_experiments::seed_from_args;
 use sheriff_geo::{Country, IpAllocator};
@@ -38,11 +43,8 @@ fn run(protected: bool, seed: u64) -> Outcome {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut world = World::build(&WorldConfig::small(), seed);
     let mut alloc = IpAllocator::new();
-    let mut peer = PpcEngine {
+    let spec = PpcSpec {
         peer_id: 500,
-        browser: BrowserProfile::new(),
-        ledger: PollutionLedger::new(),
-        ip: alloc.allocate(Country::ES, 0),
         country: Country::ES,
         city_idx: 0,
         user_agent: UserAgent {
@@ -52,6 +54,7 @@ fn run(protected: bool, seed: u64) -> Outcome {
         affluence: 0.5,
         logged_in_domains: vec![],
     };
+    let mut peer = PpcEngine::new(&spec, alloc.allocate(Country::ES, 0));
 
     // The user's own shopping.
     for i in 0..REAL_VISITS {
@@ -102,7 +105,7 @@ fn run(protected: bool, seed: u64) -> Outcome {
             // Unprotected: always expose the real identity (what v1-era
             // tools effectively did).
             let rates = world.rates.clone();
-            let jar = peer.browser.cookies.snapshot();
+            let jar = peer.browser.expose().cookies.snapshot();
             let ctx = sheriff_market::FetchContext {
                 ip: peer.ip,
                 country: peer.country,

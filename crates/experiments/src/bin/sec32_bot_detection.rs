@@ -13,9 +13,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sheriff_core::browser::BrowserProfile;
-use sheriff_core::pollution::PollutionLedger;
 use sheriff_core::proxy::{IpcEngine, PpcEngine};
+use sheriff_core::system::PpcSpec;
 use sheriff_experiments::report::{write_json, Table};
 use sheriff_experiments::seed_from_args;
 use sheriff_geo::{Country, IpAllocator, ProductCategory};
@@ -88,16 +87,16 @@ fn main() {
     // (b) Five PPCs sharing the load, addresses churning every ~15 requests
     //     (ISP lease renewal).
     let mut peers: Vec<PpcEngine> = (0..5u64)
-        .map(|i| PpcEngine {
-            peer_id: 400 + i,
-            browser: BrowserProfile::new(),
-            ledger: PollutionLedger::new(),
-            ip: alloc.allocate(Country::ES, 0),
-            country: Country::ES,
-            city_idx: 0,
-            user_agent: ua,
-            affluence: 0.2,
-            logged_in_domains: vec![],
+        .map(|i| {
+            let spec = PpcSpec {
+                peer_id: 400 + i,
+                country: Country::ES,
+                city_idx: 0,
+                user_agent: ua,
+                affluence: 0.2,
+                logged_in_domains: vec![],
+            };
+            PpcEngine::new(&spec, alloc.allocate(Country::ES, 0))
         })
         .collect();
     let mut ppc_blocked = 0;

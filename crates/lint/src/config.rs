@@ -1,6 +1,5 @@
-//! The policy tables: where each pass does (and does not) apply, the
-//! privacy-taint source/sink/sanitizer declarations, and the call-graph
-//! resolution stoplist.
+//! The policy tables: where each pass does (and does not) apply, and
+//! the call-graph resolution stoplist.
 //!
 //! Matching is by normalized-path substring (`/` separators), so the
 //! tables work whether the analyzer is handed `crates`, an absolute
@@ -93,109 +92,6 @@ pub const METHOD_STOPLIST: &[&str] = &[
     "read", "record", "recv", "remove", "render", "reset", "run", "send", "set", "sort", "tick",
     "value", "write",
 ];
-
-// ---------------------------------------------------------------------
-// Privacy-taint pass (crate::taint)
-// ---------------------------------------------------------------------
-
-/// Field names whose *read* marks a function as handling peer plaintext
-/// or doppelganger profile data (§4's "never leaves as plaintext"
-/// contract). Names are chosen to be distinctive workspace-wide:
-///
-/// * `affluence`, `logged_in_domains`, `browser` — the PPC's personal
-///   browsing identity (`core/src/proxy.rs::PpcEngine`).
-/// * `profile_vector`, `client_state` — doppelganger profile data
-///   (`core/src/doppelganger.rs`); the profile vector *is* a cluster of
-///   peers' browsing histories.
-/// * `history` is deliberately absent: the name is too generic for
-///   token-level matching — its accessors are covered by
-///   [`TAINT_SOURCE_FNS`] instead.
-///
-/// Observation price fields (`core/src/records.rs`) are *not* sources:
-/// prices travel to Measurement servers in `ProtoMsg` by §3.2 design,
-/// and that flow is the machines' `match` arms, not a taint question.
-pub const TAINT_SOURCE_FIELDS: &[&str] = &[
-    "affluence",
-    "logged_in_domains",
-    "browser",
-    "profile_vector",
-    "client_state",
-];
-
-/// Function names whose *call* taints the caller: accessors that hand
-/// out *individual* peer profile data. `profile_vector` turns one
-/// peer's raw browsing history into a cluster-input vector; `train_all`
-/// consumes those vectors. `DoppStore::client_state` is deliberately
-/// absent: it returns the *trained cluster's* cookie jar — the
-/// k-anonymized output the coordinator hands to peers by design (§4),
-/// not an individual's plaintext.
-pub const TAINT_SOURCE_FNS: &[&str] = &["profile_vector", "train_all"];
-
-/// Sanctioning entry points: a function that routes its data through
-/// one of these is considered to emit ciphertext, not plaintext. These
-/// are the `crypto::elgamal` / `crypto::ipfe` encryption APIs.
-pub const TAINT_SANITIZERS: &[&str] = &[
-    "encrypt",
-    "client_vector",
-    "server_vector",
-    "derive_function_key",
-];
-
-/// Sink call names: wire frame serialization, telemetry label
-/// registration, and experiment report writers. A tainted function
-/// calling any of these (without sanitizing) is a hard CI failure.
-pub const TAINT_SINKS: &[&str] = &[
-    "write_frame",
-    "send_counted",
-    "counter",
-    "gauge",
-    "histogram",
-    "write_json",
-];
-
-/// Paths exempt from the taint pass: test trees and the offline study
-/// pipeline, which processes synthetic profiles by design. Per-item
-/// pragmas (not this table) sanction individual experiment binaries.
-pub const TAINT_EXEMPT: &[&str] = &["/tests/", "/benches/"];
-
-/// Paths whose *own* source-field reads do not seed taint. These are
-/// the roster builder and the offline study pipeline: they read
-/// `PpcSpec`/population fields to *construct* the simulated peers
-/// (synthetic spec plumbing), which is not a peer divulging data.
-/// Functions here still become tainted transitively — a protocol
-/// function handing them real peer plaintext flags their sinks as
-/// usual — they just are not origins. The backend drivers
-/// (`core/src/system.rs`, `wire/src/deploy.rs`) left this table when
-/// the roster builder took over peer construction: they no longer read
-/// a spec field.
-pub const TAINT_SEED_EXEMPT: &[&str] = &["core/src/roster.rs", "experiments/src/"];
-
-/// True when reading field `name` counts as touching a taint source.
-pub fn taint_source_field(_path: &str, name: &str) -> bool {
-    TAINT_SOURCE_FIELDS.contains(&name)
-}
-
-/// True when calling function `name` counts as touching a taint source.
-pub fn taint_source_fn(name: &str) -> bool {
-    TAINT_SOURCE_FNS.contains(&name)
-}
-
-/// True when `name` is a sanctioning (encryption) entry point.
-pub fn taint_sanitizer(name: &str) -> bool {
-    TAINT_SANITIZERS.contains(&name)
-}
-
-/// True when `name` is a declared sink.
-pub fn taint_sink(name: &str) -> bool {
-    TAINT_SINKS.contains(&name)
-}
-
-/// Sinks that only leak through *label construction*. A call like
-/// `registry.counter("coordinator.requests_total")` with a literal
-/// name carries no peer data no matter how tainted the caller is; the
-/// §4 exposure is a label *built from* peer fields. The graph scanner
-/// drops these sink hits when the name argument is a string literal.
-pub const TAINT_LABEL_SINKS: &[&str] = &["counter", "gauge", "histogram"];
 
 // ---------------------------------------------------------------------
 // Concurrency-safety passes (crate::locks): SL201–SL203
@@ -291,26 +187,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_node_step_and_roster_builder_are_in_scope() {
+    fn shared_node_step_is_in_scope() {
         // The one host of the protocol machines holds the machines' bar.
         assert!(matches_any(
             "crates/core/src/protocol/node.rs",
             NO_PANIC_SCOPE
         ));
-        // The roster builder is the only driver-side code left that
-        // reads `PpcSpec` fields.
-        assert!(matches_any("crates/core/src/roster.rs", TAINT_SEED_EXEMPT));
-        for driver in ["crates/core/src/system.rs", "crates/wire/src/deploy.rs"] {
-            assert!(!matches_any(driver, TAINT_SEED_EXEMPT), "{driver}");
-        }
-    }
-
-    #[test]
-    fn taint_tables_answer_by_name() {
-        assert!(taint_source_field("any/path.rs", "affluence"));
-        assert!(!taint_source_field("any/path.rs", "amount_eur"));
-        assert!(taint_sanitizer("client_vector"));
-        assert!(taint_sink("write_frame"));
-        assert!(!taint_sink("push"));
     }
 }

@@ -1,10 +1,9 @@
-//! The workspace call graph and field-access map.
+//! The workspace call graph.
 //!
 //! Built once per run from every parsed file, then shared by the
-//! cross-file passes: [`crate::taint`] walks it forward from functions
-//! that touch declared privacy sources, [`crate::reach`] walks it
-//! forward from the panic-freedom scope. Nodes are functions; edges
-//! are *resolved* calls.
+//! cross-file passes: [`crate::reach`] walks it forward from the
+//! panic-freedom scope, [`crate::locks`] follows it from guard scopes.
+//! Nodes are functions; edges are *resolved* calls.
 //!
 //! Resolution is name-based and deliberately conservative — the linter
 //! has no type information, so an edge is added only when the target is
@@ -65,15 +64,6 @@ pub struct FnNode {
     pub end: usize,
     /// Index of the owning file in the build input.
     pub file: usize,
-    /// Declared source fields this function reads (`.field` accesses
-    /// matching the taint source table).
-    pub reads: Vec<String>,
-    /// Call-site names that hit the sink tables, as `(name, line)`.
-    pub sink_calls: Vec<(String, u32)>,
-    /// True when the function calls a declared sanitizer.
-    pub sanitizes: bool,
-    /// True when the function calls a declared taint source *function*.
-    pub calls_source_fn: bool,
     /// True for `#[cfg(test)]` / test-tree functions.
     pub in_tests: bool,
 }
@@ -122,44 +112,17 @@ impl CallGraph {
                     start: item.start,
                     end: item.end,
                     file: fi,
-                    reads: Vec::new(),
-                    sink_calls: Vec::new(),
-                    sanitizes: false,
-                    calls_source_fn: false,
                     in_tests: item.in_tests,
                 });
             }
         }
 
-        // Scan every body once: collect call sites, field reads, and
-        // table hits (sources / sinks / sanitizers by call-site name).
-        // (reads, sink_calls, sanitizes, calls_source_fn) per function.
-        type BodyFacts = (Vec<String>, Vec<(String, u32)>, bool, bool);
+        // Scan every body once for its call sites.
         let mut sites = Vec::new();
-        let mut facts: Vec<BodyFacts> = Vec::new();
         for (id, f) in fns.iter().enumerate() {
-            let file = files.get(f.file);
-            let (mut reads, mut sink_calls, mut sanitizes, mut calls_source_fn) =
-                (Vec::new(), Vec::new(), false, false);
-            if let Some(file) = file {
-                scan_body(
-                    file,
-                    f,
-                    id,
-                    &mut sites,
-                    &mut reads,
-                    &mut sink_calls,
-                    &mut sanitizes,
-                    &mut calls_source_fn,
-                );
+            if let Some(file) = files.get(f.file) {
+                scan_body(file, f, id, &mut sites);
             }
-            facts.push((reads, sink_calls, sanitizes, calls_source_fn));
-        }
-        for (f, (reads, sink_calls, sanitizes, calls_source_fn)) in fns.iter_mut().zip(facts) {
-            f.reads = reads;
-            f.sink_calls = sink_calls;
-            f.sanitizes = sanitizes;
-            f.calls_source_fn = calls_source_fn;
         }
 
         // Resolve call sites into edges.
@@ -184,83 +147,31 @@ impl CallGraph {
     }
 }
 
-/// Scans one function body for call sites, source-field reads, and
-/// sink/sanitizer/source-fn call names.
-#[allow(clippy::too_many_arguments)] // one out-param per collected fact
-fn scan_body(
-    file: &SourceFile,
-    f: &FnNode,
-    id: FnId,
-    sites: &mut Vec<CallSite>,
-    reads: &mut Vec<String>,
-    sink_calls: &mut Vec<(String, u32)>,
-    sanitizes: &mut bool,
-    calls_source_fn: &mut bool,
-) {
+/// Scans one function body for call sites.
+fn scan_body(file: &SourceFile, f: &FnNode, id: FnId, sites: &mut Vec<CallSite>) {
     let toks = &file.toks;
-    let end = f.end.min(toks.len());
-    let mut i = f.start;
-    while i < end {
+    for i in f.start.max(1)..f.end.min(toks.len()) {
         let t = &toks[i];
-        if t.kind != TokKind::Ident {
-            i += 1;
-            continue;
-        }
         let next_is_call = toks.get(i + 1).is_some_and(|n| n.is_punct('('));
-        let prev_dot = i > 0 && toks[i - 1].is_punct('.');
-        let prev_path = i >= 2 && toks[i - 1].is_punct(':') && toks[i - 2].is_punct(':');
-
-        if prev_dot && !next_is_call {
-            // Field access `.field` (not a method call).
-            if config::taint_source_field(&f.path, &t.text) {
-                reads.push(t.text.clone());
-            }
-            i += 1;
+        if t.kind != TokKind::Ident || !next_is_call || toks[i - 1].is_ident("fn") {
             continue;
         }
-        if next_is_call && !toks[i - 1].is_ident("fn") {
-            // Determine the qualifier for `a::b::name(`-style calls.
-            let qualifier = if prev_path {
-                toks.get(i.wrapping_sub(3))
-                    .filter(|q| q.kind == TokKind::Ident)
-                    .map(|q| q.text.clone())
-            } else {
-                None
-            };
-            let is_method = prev_dot;
-            if config::taint_sanitizer(&t.text) {
-                *sanitizes = true;
-            }
-            if config::taint_source_fn(&t.text) {
-                *calls_source_fn = true;
-            }
-            if config::taint_sink(&t.text) && !literal_label_sink(toks, i) {
-                sink_calls.push((t.text.clone(), t.line));
-            }
-            sites.push(CallSite {
-                caller: id,
-                qualifier,
-                name: t.text.clone(),
-                is_method,
-            });
-        }
-        i += 1;
+        // The qualifier of `a::b::name(`-style calls.
+        let prev_path = i >= 2 && toks[i - 1].is_punct(':') && toks[i - 2].is_punct(':');
+        let qualifier = if prev_path {
+            toks.get(i.wrapping_sub(3))
+                .filter(|q| q.kind == TokKind::Ident)
+                .map(|q| q.text.clone())
+        } else {
+            None
+        };
+        sites.push(CallSite {
+            caller: id,
+            qualifier,
+            name: t.text.clone(),
+            is_method: toks[i - 1].is_punct('.'),
+        });
     }
-}
-
-/// True when the call at ident index `i` is a telemetry-label sink
-/// whose name argument is a plain string literal (after optional `&`s):
-/// a fixed label carries no data, so it is not a taint sink no matter
-/// who calls it. Labels built with `format!` or helpers keep counting.
-fn literal_label_sink(toks: &[Tok], i: usize) -> bool {
-    if !config::TAINT_LABEL_SINKS.contains(&toks[i].text.as_str()) {
-        return false;
-    }
-    let mut j = i + 2; // past the name and the `(`
-    while toks.get(j).is_some_and(|t| t.is_punct('&')) {
-        j += 1;
-    }
-    toks.get(j).is_some_and(|t| t.kind == TokKind::Str)
 }
 
 /// True when crate layering permits `caller` to call `callee`: same

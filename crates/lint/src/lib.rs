@@ -9,15 +9,17 @@
 //! privacy contract rest on invariants spread over many files. Each is
 //! owned by the one mechanism that resolves it best (DESIGN.md "Static
 //! analysis & invariants"): rustc's exhaustive `match` for who handles
-//! each `ProtoMsg` and `TimerKind`; clippy (`clippy.toml` plus module
-//! attributes) for wall-clock reads and hash-ordered containers, which
-//! it resolves by name through aliases and re-exports; the telemetry
-//! `Registry` for metric names. What is left here is what none of them
-//! can see, because it crosses function and crate boundaries: privacy
-//! taint ([`taint`]), panic-freedom of the protocol machines, the
-//! reactor and everything they reach ([`reach`]), and the lock passes
-//! ([`locks`]) — all over one item parser ([`parser`]) and one workspace
-//! call graph ([`graph`]), every file lexed exactly once.
+//! each `ProtoMsg` and `TimerKind`; rustc's trait checks on
+//! `sheriff_core::private::Private` for peer plaintext; clippy
+//! (`clippy.toml` plus file and module attributes) for wall-clock reads,
+//! hash-ordered containers and the exits of `Private`, which it resolves
+//! by name through aliases and re-exports; the telemetry `Registry` for
+//! metric names. What is left here is what none of them can see, because
+//! it crosses function and crate boundaries: panic-freedom of the
+//! protocol machines, the reactor and everything they reach ([`reach`]),
+//! and the lock passes ([`locks`]) — all over one item parser
+//! ([`parser`]) and one workspace call graph ([`graph`]), every file
+//! lexed exactly once.
 //!
 //! Deliberately dependency-free: see [`config`] for the policy tables
 //! and the fixture corpus under `fixtures/` for known-bad and
@@ -30,8 +32,8 @@
 //! or per-item, for findings that span whole functions:
 //!
 //! ```text
-//! // sheriff-lint: allow-item(privacy-taint) — offline study, synthetic profiles
-//! fn export_profiles(...) { ... }
+//! // sheriff-lint: allow-item(transitive-panic) — ids are dense by construction
+//! fn slot_of(...) { ... }
 //! ```
 
 pub mod config;
@@ -41,7 +43,6 @@ pub mod locks;
 pub mod parser;
 pub mod reach;
 pub mod rules;
-pub mod taint;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -68,8 +69,7 @@ pub struct Report {
 pub fn analyze(root: &Path) -> io::Result<Report> {
     let files = collect_sources(root)?;
     let call_graph = CallGraph::build(&files);
-    let mut findings = taint::check(&call_graph);
-    findings.extend(reach::check(&files, &call_graph));
+    let mut findings = reach::check(&files, &call_graph);
     findings.extend(locks::check(&files, &call_graph));
 
     // Every pragma that fires is credited for the SL007 audit: every

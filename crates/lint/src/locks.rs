@@ -1,7 +1,7 @@
 //! Concurrency-safety passes over the threaded wire layer: SL201–SL203.
 //!
 //! The sans-IO protocol machines are covered by the model checker and
-//! the flow passes, but the layer that *hosts* them — the sharded
+//! the panic pass, but the layer that *hosts* them — the sharded
 //! reactors, the deployment harness, the completion sink — is real
 //! threads holding real locks, and a mistake there stalls every peer an
 //! event-loop thread owns. These passes give that layer the same static
@@ -14,8 +14,7 @@
 //!   `drop(guard)`; un-bound temporaries die at the end of their
 //!   statement), acquisition sets propagate over the workspace call
 //!   graph, and any cycle in the resulting lock-order graph is reported
-//!   with one witness per edge — the same two-witness style as the
-//!   SL101 taint paths.
+//!   with one witness per edge, as SL103 names its `via` hop.
 //! * **SL202 blocking-under-lock** — a guard scope that reaches a
 //!   declared blocking sink ([`config::BLOCKING_SINKS`]), directly or
 //!   through the call graph, pins the reactor thread for the duration

@@ -59,5 +59,5 @@ fn main() -> ExitCode {
 
 fn usage() {
     eprintln!("usage: sheriff-lint [--list-rules] <path>...");
-    eprintln!("       checks .rs files for determinism/privacy-contract violations");
+    eprintln!("       checks .rs files for panic sites the protocol reaches and lock misuse");
 }

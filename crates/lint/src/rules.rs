@@ -3,19 +3,15 @@
 //! and the panic-site scanner.
 //!
 //! Every rule is cross-file: the passes run over the workspace call
-//! graph in [`crate::taint`], [`crate::reach`] and [`crate::locks`].
+//! graph in [`crate::reach`] and [`crate::locks`].
 //! The scope tables live in [`crate::config`]; policy questions (why is
 //! a tree in scope?) belong in DESIGN.md "Static analysis & invariants".
 
 use crate::lexer::{Tok, TokKind};
 
-/// One rule of the determinism and privacy contracts.
+/// One rule of the robustness and concurrency contracts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// Peer plaintext / doppelganger profile data reaching a wire,
-    /// telemetry, or report sink without passing through a
-    /// `crypto::elgamal`/`crypto::ipfe` encryption entry point.
-    PrivacyTaint,
     /// A panic site (`unwrap` / `expect` / panic-family macros /
     /// indexing) in the protocol machines or the reactor, or in any
     /// crate reachable from them via the workspace call graph: they
@@ -42,9 +38,8 @@ pub enum Rule {
 }
 
 /// Every rule, in reporting order.
-pub const ALL_RULES: [Rule; 6] = [
+pub const ALL_RULES: [Rule; 5] = [
     Rule::UnusedPragma,
-    Rule::PrivacyTaint,
     Rule::TransitivePanic,
     Rule::LockOrderCycle,
     Rule::BlockingUnderLock,
@@ -55,7 +50,6 @@ impl Rule {
     /// The kebab-case name used in findings and pragmas.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::PrivacyTaint => "privacy-taint",
             Rule::TransitivePanic => "transitive-panic",
             Rule::UnusedPragma => "unused-pragma",
             Rule::LockOrderCycle => "lock-order-cycle",
@@ -67,11 +61,10 @@ impl Rule {
     /// The stable rule id. The pragma audit is `SL0xx`; the flow rules
     /// are `SL1xx`; the concurrency-safety family over the threaded
     /// wire layer is `SL2xx`. Ids never change meaning; retired ids
-    /// (SL001–SL006, SL102, SL105, SL204) are not reused.
+    /// (SL001–SL006, SL101, SL102, SL105, SL204) are not reused.
     pub fn id(self) -> &'static str {
         match self {
             Rule::UnusedPragma => "SL007",
-            Rule::PrivacyTaint => "SL101",
             Rule::TransitivePanic => "SL103",
             Rule::LockOrderCycle => "SL201",
             Rule::BlockingUnderLock => "SL202",
@@ -87,9 +80,6 @@ impl Rule {
     /// One-line description shown by `--list-rules`.
     pub fn describe(self) -> &'static str {
         match self {
-            Rule::PrivacyTaint => {
-                "peer plaintext reaching a wire/telemetry/report sink without encryption"
-            }
             Rule::TransitivePanic => {
                 "panic site in the protocol machines or the reactor, or reachable from them"
             }
@@ -390,13 +380,13 @@ mod tests {
             Some(vec![Rule::TransitivePanic])
         );
         assert_eq!(
-            parse_pragma(" sheriff-lint: allow(privacy-taint, transitive-panic)"),
-            Some(vec![Rule::PrivacyTaint, Rule::TransitivePanic])
+            parse_pragma(" sheriff-lint: allow(lock-order-cycle, transitive-panic)"),
+            Some(vec![Rule::LockOrderCycle, Rule::TransitivePanic])
         );
         assert_eq!(parse_pragma(" just a comment"), None);
         // Retired and unknown names allow nothing.
         assert_eq!(
-            parse_pragma(" sheriff-lint: allow(wall-clock, no-such-rule)"),
+            parse_pragma(" sheriff-lint: allow(wall-clock, privacy-taint, no-such-rule)"),
             Some(vec![])
         );
     }

@@ -20,7 +20,7 @@ fn run(args: &[&str]) -> (Option<i32>, String) {
 #[test]
 fn exit_code_tells_known_bad_trees_from_their_clean_twins() {
     for (bad, ok, rule) in [
-        ("taint_bad", "taint_ok", "privacy-taint"),
+        ("reach_bad", "reach_pragma", "transitive-panic"),
         ("locks_bad", "locks_ok", "lock-order-cycle"),
     ] {
         let (code, stdout) = run(&[bad]);
@@ -29,16 +29,16 @@ fn exit_code_tells_known_bad_trees_from_their_clean_twins() {
         assert_eq!(run(&[ok]), (Some(0), String::new()), "{ok} must pass");
     }
     // One bad tree among clean ones still fails the run.
-    assert_eq!(run(&["taint_ok", "locks_bad"]).0, Some(1));
+    assert_eq!(run(&["reach_pragma", "locks_bad"]).0, Some(1));
 }
 
 #[test]
-fn six_rules_are_listed_and_unknown_flags_are_usage_errors() {
+fn five_rules_are_listed_and_unknown_flags_are_usage_errors() {
     let (code, stdout) = run(&["--list-rules"]);
     assert_eq!(code, Some(0));
     let ids: Vec<&str> = stdout.lines().filter_map(|l| l.split(' ').next()).collect();
-    assert_eq!(ids, ["SL007", "SL101", "SL103", "SL201", "SL202", "SL203"]);
+    assert_eq!(ids, ["SL007", "SL103", "SL201", "SL202", "SL203"]);
     // A retired flag must not be read as "no paths, nothing to report".
-    assert_eq!(run(&["--json", "taint_bad"]).0, Some(2));
+    assert_eq!(run(&["--json", "reach_bad"]).0, Some(2));
     assert_eq!(run(&[]).0, Some(2));
 }

@@ -64,30 +64,6 @@ fn pragma_suppressed_twins_all_pass() {
 // ------------------------------------------------------------------
 
 #[test]
-fn taint_fixture_trips_only_privacy_taint() {
-    // One in-function leak plus one cross-file leak whose finding lands
-    // in the helper crate.
-    check_bad("taint_bad", Rule::PrivacyTaint, 2);
-}
-
-#[test]
-fn taint_cross_file_finding_names_its_origin() {
-    let findings = sheriff_lint::analyze_path(&fixture("taint_bad")).expect("fixture readable");
-    let cross = findings
-        .iter()
-        .find(|f| f.path.contains("crypto/src/emit.rs"))
-        .expect("cross-file finding lands in the helper");
-    assert!(cross.message.contains("tainted via `relay`"), "{cross}");
-}
-
-#[test]
-fn ipfe_routed_twin_passes_taint() {
-    // The acceptance pair to `taint_bad`: same data, same sink, but the
-    // profile vector goes through the IPFE client encryption first.
-    check_clean("taint_ok");
-}
-
-#[test]
 fn reach_fixture_trips_only_transitive_panic() {
     // `expect` one hop from the entry, bare index two hops out.
     check_bad("reach_bad", Rule::TransitivePanic, 2);
@@ -106,7 +82,6 @@ fn reach_fixture_second_hop_carries_a_via_witness() {
 
 #[test]
 fn cross_pass_pragma_twins_all_pass() {
-    check_clean("taint_pragma");
     check_clean("reach_pragma");
 }
 
@@ -161,8 +136,8 @@ fn callback_fixture_trips_only_callback_under_lock() {
 
 #[test]
 fn unused_pragma_fixture_trips_only_unused_pragma() {
-    // A stale allow, a stale trailing allow, a typo'd rule name, and a
-    // stale allow-item.
+    // An allow naming a retired rule (SL101), a stale trailing allow, a
+    // typo'd rule name, and a stale allow-item.
     check_bad("unused_pragma_bad.rs", Rule::UnusedPragma, 4);
 }
 

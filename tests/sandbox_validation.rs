@@ -2,22 +2,22 @@
 //! "We did not observe any cookies installed nor any traces of remote
 //! product page requests in any VM."
 
-use sheriff_core::browser::BrowserProfile;
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the test inspects the peer's real browser state to prove it clean"
+)]
+
 use sheriff_core::pollution::FetchMode;
-use sheriff_core::pollution::PollutionLedger;
 use sheriff_core::proxy::PpcEngine;
+use sheriff_core::system::PpcSpec;
 use sheriff_geo::{Country, IpAllocator};
 use sheriff_market::pricing::{Browser, Os};
 use sheriff_market::world::WorldConfig;
 use sheriff_market::{ProductId, UserAgent, World};
 
 fn fresh_vm(country: Country, peer_id: u64) -> PpcEngine {
-    let mut alloc = IpAllocator::new();
-    PpcEngine {
+    let spec = PpcSpec {
         peer_id,
-        browser: BrowserProfile::new(),
-        ledger: PollutionLedger::new(),
-        ip: alloc.allocate(country, 0),
         country,
         city_idx: 0,
         user_agent: UserAgent {
@@ -26,7 +26,8 @@ fn fresh_vm(country: Country, peer_id: u64) -> PpcEngine {
         },
         affluence: 0.0,
         logged_in_domains: vec![],
-    }
+    };
+    PpcEngine::new(&spec, IpAllocator::new().allocate(country, 0))
 }
 
 #[test]
@@ -63,13 +64,14 @@ fn clean_vm_stays_clean_after_serving_many_requests() {
 
     // No cookies, no history, no URL traces — the VM is indistinguishable
     // from freshly installed.
+    let browser = vm.browser.expose();
     assert!(
-        vm.browser.cookies.is_empty(),
+        browser.cookies.is_empty(),
         "cookies leaked: {:?}",
-        vm.browser.cookies
+        browser.cookies
     );
-    assert_eq!(vm.browser.history.total_visits(), 0, "history polluted");
-    assert!(vm.browser.url_trace().is_empty(), "cache traces left");
+    assert_eq!(browser.history.total_visits(), 0, "history polluted");
+    assert!(browser.url_trace().is_empty(), "cache traces left");
 }
 
 #[test]
@@ -88,9 +90,10 @@ fn real_user_state_preserved_exactly_while_serving() {
             p as u64,
         );
     }
-    let cookies_before = user.browser.cookies.snapshot();
-    let history_before = user.browser.history.total_visits();
-    let trace_before = user.browser.url_trace().len();
+    let before = user.browser.expose();
+    let cookies_before = before.cookies.snapshot();
+    let history_before = before.history.total_visits();
+    let trace_before = before.url_trace().len();
 
     // Then serves a burst of remote requests (real-state and doppelganger
     // modes both occur because the budget is finite).
@@ -118,9 +121,10 @@ fn real_user_state_preserved_exactly_while_serving() {
     );
 
     // Local state identical to before serving.
-    assert_eq!(user.browser.cookies, cookies_before);
-    assert_eq!(user.browser.history.total_visits(), history_before);
-    assert_eq!(user.browser.url_trace().len(), trace_before);
+    let after = user.browser.expose();
+    assert_eq!(after.cookies, cookies_before);
+    assert_eq!(after.history.total_visits(), history_before);
+    assert_eq!(after.url_trace().len(), trace_before);
 }
 
 #[test]
