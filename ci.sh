@@ -96,14 +96,9 @@ echo "seeded mutations correctly rejected"
 stage "tier-1 build"
 cargo build --workspace --all-targets
 
+# Also runs `backend_parity` and `chaos_parity` (neither reads an env var).
 stage "tier-1 tests"
 cargo test --workspace --quiet
-
-# The protocol refactor's contract: the DES and TCP backends run the same
-# sans-IO machines, so same seed + same world must yield identical
-# observations. Kept as a named stage so a parity break is unmissable.
-stage "cross-backend parity"
-cargo test -p sheriff-wire --test backend_parity --quiet
 
 # DES goldens: what `table1_performance` and `fig6_distribution` print
 # and count at the pinned seed is committed under ci/golden/ — stdout and
@@ -132,13 +127,13 @@ echo "stdout and telemetry of both experiments match ci/golden/"
 
 # Chaos gate: seed-deterministic fault schedules (drops, dups, delays, a
 # server crash, a partition) must leave no leaked jobs and no duplicate
-# observations, and the same schedule must produce identical observation
-# sets on the DES and TCP backends. Seeds are pinned so the CI schedule
-# is reproducible; explore locally with CHAOS_SEEDS=....
+# observations. Seeds are pinned so the CI schedule is reproducible;
+# explore locally with CHAOS_SEEDS=.... That the same schedule gives
+# identical observation sets on both backends is `chaos_parity`, run by
+# the tier-1 stage.
 stage "chaos"
 CHAOS_SEEDS="11,23,37,41,53,67,79,97" \
     cargo test -p sheriff-core --test chaos_soak --quiet
-cargo test -p sheriff-wire --test chaos_parity --quiet
 
 # Durability gate: the crash-point matrix re-runs recovery from every WAL
 # record boundary (and every mid-record byte) and must reconstruct exactly

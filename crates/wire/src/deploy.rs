@@ -11,13 +11,16 @@
 //! Since the reactor refactor the transport tier is *sharded*: the node
 //! roster is hashed over a small set of single-threaded event loops
 //! (see [`crate::reactor`]), each owning its nodes' nonblocking
-//! listeners, live connections and a time-ordered agenda. Thread
+//! listeners, streams and a time-ordered agenda. Thread
 //! count is `O(shards)` instead of `O(nodes)`, which is what lets the
 //! TCP backend host rosters past the paper's 1265-peer deployment.
-//! Sends are still one [`Envelope`] per connection (connect–write–close)
-//! and time is still real elapsed milliseconds since deployment start —
-//! the protocol machines cannot tell the backends apart, and the
-//! `backend_parity` test pins both to identical observation sets.
+//! Between nodes, each shard keeps one long-lived stream per destination
+//! and writes [`Envelope`] frames back to back on it; what the deployment
+//! injects from outside (a check's start, a server removal, Shutdown)
+//! still takes one connection per frame. Time is real elapsed
+//! milliseconds since deployment start — the protocol machines cannot
+//! tell the backends apart, and the `backend_parity` test pins both to
+//! identical observation sets.
 
 #![expect(
     clippy::disallowed_methods,
@@ -495,7 +498,8 @@ impl MiniDeployment {
         }
         // One Shutdown frame per node: its shard stops accepting on that
         // listener and discards the node; a shard exits once every node
-        // it owns is down and its write queues drained.
+        // it owns is down, its links are flushed and half-closed, and
+        // every stream toward it has ended.
         for to in self.dir.keys() {
             let _ = self.inject(Address::Coordinator, *to, ProtoMsg::Shutdown);
         }

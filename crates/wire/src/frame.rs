@@ -9,7 +9,7 @@ use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 
 /// Upper bound on a frame payload (product pages are a few KiB; 8 MiB is
 /// generous headroom).
@@ -48,21 +48,22 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Encodes one frame — prefix, then payload — the byte layout every
-/// honest sender in this crate puts on a stream.
-pub(crate) fn encode_frame(payload: &[u8]) -> Result<BytesMut, FrameError> {
+/// Appends one frame — prefix, then payload — to `buf`: the byte layout
+/// every honest sender in this crate puts on a stream.
+pub(crate) fn append_frame(buf: &mut Vec<u8>, payload: &[u8]) -> Result<(), FrameError> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(FrameError::TooLarge(payload.len()));
     }
-    let mut buf = BytesMut::with_capacity(4 + payload.len());
     buf.put_u32(payload.len() as u32);
     buf.put_slice(payload);
-    Ok(buf)
+    Ok(())
 }
 
 /// Writes one frame.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), FrameError> {
-    w.write_all(&encode_frame(payload)?)?;
+    let mut buf = Vec::new();
+    append_frame(&mut buf, payload)?;
+    w.write_all(&buf)?;
     w.flush()?;
     Ok(())
 }
@@ -120,6 +121,11 @@ impl FrameAssembler {
     /// Takes in bytes the transport delivered.
     pub(crate) fn feed(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Nothing is buffered: the stream sits on a frame boundary.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.buf.is_empty()
     }
 
     /// The next complete payload, `Ok(None)` while it is still short,

@@ -15,11 +15,11 @@ use sheriff_core::records::{PriceCheck, VantageKind};
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::telemetry::WireTelemetry;
 
-/// One framed protocol message plus its sender. The TCP transport is
-/// connect–write–close per message, so the source socket address is
-/// meaningless; the logical sender rides inside the frame instead (the
-/// discrete-event backend gets the same information from the simulator's
-/// delivery metadata).
+/// One framed protocol message plus its sender. Over TCP a shard's
+/// stream to a node carries the frames of every node on that shard, so
+/// the source socket address does not name the sender; the logical
+/// sender rides inside the frame instead (the discrete-event backend gets
+/// the same information from the simulator's delivery metadata).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Envelope {
     /// Logical sender.

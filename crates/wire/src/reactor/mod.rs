@@ -8,14 +8,15 @@
 //!   deterministic hash of each node's logical address
 //!   ([`shard::shard_of`]);
 //! * each shard is one thread running an event loop
-//!   ([`reactor::Reactor`]) that owns its nodes' listeners, live
-//!   connections ([`conn`]), and one time-ordered agenda — no
+//!   ([`reactor::Reactor`]) that owns its nodes' listeners, its
+//!   streams ([`conn`]: one long-lived stream per destination node out,
+//!   every accepted stream in), and one time-ordered agenda — no
 //!   per-node threads, no blocking reads; an idle shard parks on its
 //!   doorbell ([`shard::Doorbell`]) until a peer shard rings or a
 //!   bounded wait runs out;
 //! * the sans-IO protocol machines from `sheriff_core::protocol` are
 //!   driven as on the DES: the reliable channel wraps inbound
-//!   frames, outputs become per-link FIFO writes, timer
+//!   frames, outputs become frames on the destination's stream, timer
 //!   requests land on the shard's agenda, and the deployment's one
 //!   `sheriff_netsim::FaultGate` — the type the DES engine asks —
 //!   applies the *same* deterministic schedule to deliveries, timers,

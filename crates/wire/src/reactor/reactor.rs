@@ -11,12 +11,13 @@
 //!    its node's restart and whether a restart really brings the node
 //!    back;
 //! 2. **accept** — drain every listener's accept queue;
-//! 3. **inbound** — pump live connections; each completed frame the
-//!    gate admits is one `RoleNode::on_message` step (the step every
-//!    backend shares: the reliable channel first, then the role
-//!    machine);
-//! 4. **outbound** — flush per-link write queues, one frame in flight
-//!    per `(node, destination)` pair so per-link FIFO order holds.
+//! 3. **inbound** — pump every open stream; each whole frame the gate
+//!    admits is one `RoleNode::on_message` step (the step every backend
+//!    shares: the reliable channel first, then the role machine), in
+//!    stream order;
+//! 4. **outbound** — flush the links: one long-lived stream per
+//!    destination node, everything the sweep queued on it offered in one
+//!    `write`, so the shard's sends to one node keep their order.
 //!
 //! Every socket call is nonblocking. An iteration that did any work
 //! counts one `wire.reactor_wakeups` and sweeps again; an idle one waits
@@ -24,13 +25,21 @@
 //! [`IDLE_SLEEP`].
 //!
 //! **Who rings.** The outbound stage rings the destination's shard when
-//! it opens a connection toward a node of a *foreign* shard and again
-//! when that frame's last byte is written — the two moments the
-//! destination's accept and inbound stages have something new to find.
-//! Fault-delayed and duplicated copies pass through the same stage, so
-//! they ring too. The deployment rings after each frame it injects from
-//! outside. A ring carries nothing: the sweep finds the work on the
-//! sockets, and the frame and byte books are untouched by it.
+//! a link toward a node of a *foreign* shard first connects, and after
+//! every write that completes at least one frame on such a link — the
+//! two moments the destination's accept and inbound stages have
+//! something new to find. Fault-delayed and duplicated copies pass
+//! through the same stage, so they ring too. The deployment rings after
+//! each frame it injects from outside. A ring carries nothing: the sweep
+//! finds the work on the sockets, and the frame and byte books are
+//! untouched by it.
+//!
+//! **When a shard exits.** Once its nodes are stopped, a shard half-closes
+//! every link whose buffer is empty (and holds no fault-delayed send), and
+//! exits when all of them are closed and every inbound stream has read
+//! EOF — or when [`DRAIN_GRACE_MS`] runs out. Every frame a sibling wrote
+//! is therefore read, and counted, before the shard that owns its
+//! destination goes away.
 //!
 //! **No lost wake-up.** The bell's flag is set under its mutex and
 //! cleared only by the waiter, which checks it under that mutex before
@@ -47,7 +56,7 @@
 //! multi-process deployment would swap the bell for OS readiness
 //! (`epoll` on the shard's descriptors) without touching the sweep.
 
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
@@ -58,16 +67,18 @@ use sheriff_core::byzantine;
 use sheriff_core::protocol::{Address, Output, ProtoMsg, Role, RoleNode, StepBuf, TimerKind};
 use sheriff_netsim::{Agenda, CodecAttack, FaultGate};
 
-use super::conn::{Inbound, InboundEvent, Outbound, OutboundEvent, RawOutbound, IDLE_CONN_MS};
+use super::conn::{Inbound, OutLink};
 use super::shard::{drain_peer, ShardCtx};
 use crate::deploy::Sink;
+use crate::frame::READ_CHUNK;
 use crate::proto::Envelope;
 
 /// Longest idle wait between readiness sweeps when nobody rings.
 const IDLE_SLEEP: Duration = Duration::from_millis(1);
 
-/// How long a finished shard keeps flushing its outbound queues before
-/// giving up on destinations that already exited.
+/// How long a shard whose nodes are all stopped keeps flushing its links
+/// and reading its inbound streams before it gives up on siblings that
+/// never finish.
 const DRAIN_GRACE_MS: u64 = 250;
 
 /// What the deployment hands a shard per node: the protocol node, its
@@ -101,15 +112,6 @@ impl OwnedNode {
     }
 }
 
-/// A per-link outbound FIFO: only the head frame is in flight, so two frames
-/// from one node to one destination can never overtake each other.
-struct OutLink {
-    local: usize,
-    to: Address,
-    inflight: Option<Outbound>,
-    queue: VecDeque<Envelope>,
-}
-
 /// What a shard schedules against its clock.
 enum Due {
     Timer {
@@ -122,7 +124,6 @@ enum Due {
     },
     /// A send the fault schedule held back.
     Send {
-        local: usize,
         to: Address,
         env: Envelope,
         copies: usize,
@@ -141,12 +142,21 @@ pub(crate) struct Reactor {
     /// wire, so they count as queue depth and hold up the final drain.
     held_sends: usize,
     inbound: Vec<Inbound>,
-    links: Vec<OutLink>,
-    /// Byzantine codec-attack connections (garbage / oversize /
-    /// slow-loris raw frames). Deliberately *outside* the per-link
-    /// FIFOs: the DES backend drops the message entirely, so an attack
-    /// frame must never delay the attacker's own later honest sends.
-    raw: Vec<RawOutbound>,
+    /// One long-lived stream per destination node, opened on its first
+    /// frame.
+    links: BTreeMap<Address, OutLink>,
+    /// Byzantine codec attacks (garbage / oversize / slow-loris bytes),
+    /// each on a connection of its own, and whether it stays open once
+    /// written (a slow loris: the victim's idle reaping ends it).
+    /// Deliberately *outside* the links: the DES backend drops the
+    /// message entirely, so an attack must never delay the attacker's own
+    /// later honest sends.
+    raw: Vec<(Address, OutLink, bool)>,
+    /// Read buffer every inbound pump borrows.
+    chunk: Vec<u8>,
+    /// Envelopes one inbound pump completed, delivered before the next
+    /// stream is pumped.
+    arrived: Vec<Envelope>,
     /// Local high-water of pending work, mirrored into the shared
     /// `wire.shard_queue_depth` gauge when it grows.
     depth_hiwater: usize,
@@ -172,8 +182,10 @@ impl Reactor {
             agenda: Agenda::new(),
             held_sends: 0,
             inbound: Vec::new(),
-            links: Vec::new(),
+            links: BTreeMap::new(),
             raw: Vec::new(),
+            chunk: vec![0; READ_CHUNK],
+            arrived: Vec::new(),
             depth_hiwater: 0,
             scratch: StepBuf::default(),
         };
@@ -201,7 +213,8 @@ impl Reactor {
     }
 
     /// Runs until every node in the shard has been shut down and the
-    /// outbound queues drained (or the drain grace expired).
+    /// shard's streams are finished both ways (or the drain grace
+    /// expired).
     pub(crate) fn run(mut self) {
         let mut stop_deadline: Option<u64> = None;
         loop {
@@ -216,8 +229,7 @@ impl Reactor {
 
             if self.nodes.iter().all(|n| n.stopped) {
                 let deadline = *stop_deadline.get_or_insert(now_ms + DRAIN_GRACE_MS);
-                let drained = self.links.is_empty() && self.held_sends == 0;
-                if drained || now_ms >= deadline {
+                if self.drained() || now_ms >= deadline {
                     break;
                 }
             }
@@ -229,15 +241,24 @@ impl Reactor {
         }
     }
 
+    /// The exit rule, asked once every node is stopped: every link is
+    /// flushed and half-closed, no fault-held send is left to join one,
+    /// and every inbound stream has read EOF. Attack streams are dropped
+    /// here, so a victim does not sit out its grace waiting on them.
+    fn drained(&mut self) -> bool {
+        self.raw.clear();
+        let mut closed = self.held_sends == 0;
+        if closed {
+            for link in self.links.values_mut() {
+                closed &= link.finish();
+            }
+        }
+        closed && self.inbound.is_empty()
+    }
+
     /// Publishes the queue-depth high-water mark.
     fn note_depth(&mut self) {
-        let depth = self.inbound.len()
-            + self.held_sends
-            + self
-                .links
-                .iter()
-                .map(|l| l.queue.len() + usize::from(l.inflight.is_some()))
-                .sum::<usize>();
+        let depth = self.held_sends + self.links.values().map(OutLink::queued).sum::<usize>();
         if depth > self.depth_hiwater {
             self.depth_hiwater = depth;
             self.ctx.queue_depth.raise_to(depth as i64);
@@ -258,14 +279,9 @@ impl Reactor {
     /// window could change the answer.
     fn fire(&mut self, due: Due, now_ms: u64) {
         match due {
-            Due::Send {
-                local,
-                to,
-                env,
-                copies,
-            } => {
+            Due::Send { to, env, copies } => {
                 self.held_sends -= 1;
-                self.enqueue_out(local, to, env, copies);
+                self.enqueue_out(to, &env, copies);
             }
             Due::Timer { local, kind } => {
                 match self.ask_gate(local, None, |g, idx| g.defer_timer(idx, now_ms)) {
@@ -345,38 +361,28 @@ impl Reactor {
         n
     }
 
-    /// Pumps every live inbound connection; completed frames are
-    /// delivered in accept order.
+    /// Pumps every open inbound stream and delivers its whole frames in
+    /// stream order. A stream that ended, or that the idle rule reaps (a
+    /// silent or stalled client must not wedge the node), is closed.
     fn pump_inbound(&mut self, now_ms: u64) -> usize {
         let mut work = 0;
+        let mut arrived = std::mem::take(&mut self.arrived);
         let mut i = 0;
-        while i < self.inbound.len() {
-            let Some(conn) = self.inbound.get_mut(i) else {
-                break;
-            };
-            match conn.pump(&self.ctx.wire) {
-                InboundEvent::Pending => {
-                    if now_ms.saturating_sub(conn.opened_ms) > IDLE_CONN_MS {
-                        // A connected-but-silent client must not wedge
-                        // the node.
-                        self.inbound.remove(i);
-                        work += 1;
-                    } else {
-                        i += 1;
-                    }
-                }
-                InboundEvent::Closed => {
-                    self.inbound.remove(i);
-                    work += 1;
-                }
-                InboundEvent::Frame(env) => {
-                    let local = conn.slot;
-                    self.inbound.remove(i);
-                    work += 1;
-                    self.deliver(local, *env, now_ms);
-                }
+        while let Some(conn) = self.inbound.get_mut(i) {
+            let open = conn.pump(now_ms, &mut self.chunk, &self.ctx.wire, &mut arrived);
+            let local = conn.slot;
+            if open && !conn.idle_expired(now_ms) {
+                i += 1;
+            } else {
+                self.inbound.remove(i);
+                work += 1;
+            }
+            work += arrived.len();
+            for env in arrived.drain(..) {
+                self.deliver(local, env, now_ms);
             }
         }
+        self.arrived = arrived;
         work
     }
 
@@ -444,8 +450,8 @@ impl Reactor {
     }
 
     /// The fault-gate half of the write edge, once per emitted message:
-    /// eaten, or queued on its link as one or two copies — at once, or
-    /// via the agenda when the schedule holds it back.
+    /// eaten, or queued on its destination's link as one or two copies —
+    /// at once, or via the agenda when the schedule holds it back.
     fn send_copy(&mut self, local: usize, to: Address, to_idx: usize, msg: ProtoMsg, now_ms: u64) {
         let Some(from) = self.nodes.get(local).map(|n| n.node.me) else {
             return;
@@ -456,122 +462,58 @@ impl Reactor {
         };
         let env = Envelope { from, msg };
         if delay_ms == 0 {
-            self.enqueue_out(local, to, env, copies);
+            self.enqueue_out(to, &env, copies);
         } else {
             self.held_sends += 1;
-            let held = Due::Send {
-                local,
-                to,
-                env,
-                copies,
-            };
-            self.agenda.push(now_ms + delay_ms, held);
+            self.agenda
+                .push(now_ms + delay_ms, Due::Send { to, env, copies });
         }
     }
 
-    /// Opens a raw adversarial connection toward `to`: a garbage
+    /// Queues a raw adversarial connection toward `to`: a garbage
     /// payload, a lying oversized length prefix, or a slow-loris
     /// half-frame. The receiver's codec hardening (length cap, parse
     /// failure, idle reaping) is exactly what these exercise.
     fn launch_codec_attack(&mut self, to: Address, attack: CodecAttack, occurrence: u64) {
-        let Some(&addr) = self.ctx.dir.get(&to) else {
-            return;
-        };
-        if let Some(conn) = RawOutbound::open(addr, attack, occurrence) {
-            self.raw.push(conn);
-        }
+        let hold_open = attack == CodecAttack::SlowLoris;
+        self.raw
+            .push((to, OutLink::attack(attack, occurrence), hold_open));
     }
 
-    /// Pumps the raw attack connections. Finished slow-loris streams
-    /// stay parked (held open, never written again) until the victim
-    /// reaps them; everything else retires once flushed.
+    /// Writes the attack bytes; an attack connection retires once
+    /// written, except a slow loris, parked until the shard stops.
     fn pump_raw(&mut self) -> usize {
-        let mut work = 0;
-        let mut i = 0;
-        while i < self.raw.len() {
-            let Some(conn) = self.raw.get_mut(i) else {
-                break;
-            };
-            match conn.pump() {
-                Some(true) => {
-                    work += 1;
-                    i += 1;
-                }
-                Some(false) => i += 1,
-                None => {
-                    self.raw.remove(i);
-                    work += 1;
-                }
-            }
-        }
-        work
+        let before = self.raw.len();
+        let (dir, wire) = (&self.ctx.dir, &self.ctx.wire);
+        self.raw.retain_mut(|(to, link, hold_open)| {
+            link.flush(dir.get(to).copied(), wire);
+            *hold_open || !link.is_flushed()
+        });
+        before - self.raw.len()
     }
 
-    fn enqueue_out(&mut self, local: usize, to: Address, env: Envelope, copies: usize) {
-        let idx = match self
-            .links
-            .iter()
-            .position(|l| l.local == local && l.to == to)
-        {
-            Some(i) => i,
-            None => {
-                self.links.push(OutLink {
-                    local,
-                    to,
-                    inflight: None,
-                    queue: VecDeque::new(),
-                });
-                self.links.len() - 1
-            }
-        };
-        if let Some(link) = self.links.get_mut(idx) {
-            for _ in 0..copies {
-                link.queue.push_back(env.clone());
-            }
+    /// Encodes `env` once and appends its frame `copies` times to the
+    /// link toward `to`, opening the link's book on its first frame.
+    fn enqueue_out(&mut self, to: Address, env: &Envelope, copies: usize) {
+        if let Ok(payload) = serde_json::to_vec(env) {
+            self.links.entry(to).or_default().push(&payload, copies);
         }
     }
 
-    /// Flushes the per-link queues; when a frame finishes, the next one
-    /// on that link opens immediately.
+    /// Flushes every link. A ring goes to a foreign destination's shard
+    /// when its link connects and when a write completes a frame.
     fn pump_outbound(&mut self) -> usize {
         let mut work = 0;
-        for link in &mut self.links {
-            loop {
-                if link.inflight.is_none() {
-                    let Some(env) = link.queue.pop_front() else {
-                        break;
-                    };
-                    let Some(&addr) = self.ctx.dir.get(&link.to) else {
-                        work += 1;
-                        continue;
-                    };
-                    // A `None` here is a destination gone post-shutdown:
-                    // the frame is dropped.
-                    if let Some(o) = Outbound::open(addr, &env) {
-                        link.inflight = Some(o);
-                        // Something to accept over there.
-                        self.ctx.ring_foreign(link.to);
-                    }
-                    work += 1;
-                }
-                match link.inflight.as_mut().map(|o| o.pump(&self.ctx.wire)) {
-                    Some(OutboundEvent::Done) => {
-                        link.inflight = None;
-                        work += 1;
-                        // Something to read over there.
-                        self.ctx.ring_foreign(link.to);
-                    }
-                    Some(OutboundEvent::Failed) => {
-                        link.inflight = None;
-                        work += 1;
-                    }
-                    Some(OutboundEvent::Pending) => break,
-                    None => {}
-                }
+        for (&to, link) in &mut self.links {
+            let flushed = link.flush(self.ctx.dir.get(&to).copied(), &self.ctx.wire);
+            if flushed.connected {
+                self.ctx.wire.connects.inc();
             }
+            if flushed.connected || flushed.frames > 0 {
+                self.ctx.ring_foreign(to);
+            }
+            work += usize::from(flushed.connected) + flushed.frames + flushed.dropped;
         }
-        self.links
-            .retain(|l| l.inflight.is_some() || !l.queue.is_empty());
         work
     }
 }

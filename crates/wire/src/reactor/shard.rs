@@ -3,8 +3,8 @@
 //! gate and the one Byzantine plan of the deployment.
 //!
 //! A *shard* is a single-threaded event loop (see
-//! [`Reactor`](super::reactor::Reactor)) owning the listeners, live
-//! connections and agenda of a subset of the deployment's nodes.
+//! [`Reactor`](super::reactor::Reactor)) owning the listeners, streams
+//! and agenda of a subset of the deployment's nodes.
 //! Placement is [`shard_of`]: a seed-free FNV-1a hash over a stable
 //! encoding of the logical [`Address`], so the same roster always
 //! shards the same way — the soak tests recompute the layout to kill a
@@ -30,9 +30,9 @@ use crate::deploy::Sink;
 use crate::telemetry::WireTelemetry;
 
 /// A shard's wake-up line: whoever hands the shard work (a foreign
-/// shard opening or finishing a frame toward one of its nodes, the
-/// deployment injecting one) rings it, and the shard's idle wait returns
-/// at once instead of running out its nap.
+/// shard connecting a stream to one of its nodes or finishing a frame on
+/// one, the deployment injecting one) rings it, and the shard's idle wait
+/// returns at once instead of running out its nap.
 ///
 /// No wake-up is lost: the flag is set under the mutex and cleared only
 /// by the waiter, which checks it under the same mutex before parking —
@@ -119,9 +119,9 @@ pub(crate) struct ShardCtx {
     pub(crate) seed: u64,
     /// `wire.reactor_wakeups`: iterations that found work to do.
     pub(crate) wakeups: Arc<Counter>,
-    /// `wire.shard_queue_depth`: high-water mark of pending work
-    /// (inbound connections + queued frames + fault-held sends) across all
-    /// shards.
+    /// `wire.shard_queue_depth`: high-water mark of pending work (frames
+    /// queued on links and not yet wholly written + fault-held sends)
+    /// across all shards.
     pub(crate) queue_depth: Arc<Gauge>,
     /// `wire.reactor_doorbell_wakes`: idle waits ended by a ring.
     pub(crate) doorbell_wakes: Arc<Counter>,

@@ -13,10 +13,10 @@
 //! "nothing became durable", which recovery already tolerates.
 
 use std::fs;
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
-use sheriff_core::durability::Storage;
+use sheriff_core::durability::{Storage, SNAPSHOT_MAGIC};
 
 /// Snapshot file name inside the storage directory.
 const SNAPSHOT_FILE: &str = "snapshot.bin";
@@ -66,6 +66,17 @@ impl FileStorage {
     pub fn io_errors(&self) -> u64 {
         self.io_errors
     }
+
+    /// Once the new image is durable (`image` is `Ok`), truncates the WAL.
+    fn fold_wal(&mut self, image: io::Result<()>) {
+        match image.and_then(|()| fs::write(self.wal_path(), b"")) {
+            Ok(()) => {
+                self.wal_flushed = 0;
+                self.unflushed.clear();
+            }
+            Err(_) => self.io_errors += 1,
+        }
+    }
 }
 
 impl Storage for FileStorage {
@@ -108,20 +119,33 @@ impl Storage for FileStorage {
     }
 
     fn install_snapshot(&mut self, bytes: &[u8]) {
-        // Write-then-rename so a crash mid-install leaves the previous
-        // snapshot intact; only after the snapshot is durable is the WAL
-        // truncated.
+        // Write, fsync, rename: a crash mid-install leaves the previous
+        // snapshot intact, and no rename outruns the bytes it names.
         let tmp = self.dir.join("snapshot.tmp");
-        let res = fs::write(&tmp, bytes)
-            .and_then(|()| fs::rename(&tmp, self.snapshot_path()))
-            .and_then(|()| fs::write(self.wal_path(), b""));
-        match res {
-            Ok(()) => {
-                self.wal_flushed = 0;
-                self.unflushed.clear();
-            }
-            Err(_) => self.io_errors += 1,
-        }
+        let image = fs::File::create(&tmp)
+            .and_then(|mut f| {
+                f.write_all(bytes)?;
+                f.sync_all()
+            })
+            .and_then(|()| fs::rename(&tmp, self.snapshot_path()));
+        self.fold_wal(image);
+    }
+
+    fn extend_snapshot(&mut self, frames: &[u8]) {
+        // Grow the image in place. A crash mid-append leaves a torn tail
+        // recovery cuts off, and the WAL still holds those records.
+        let image = fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(self.snapshot_path())
+            .and_then(|mut f| {
+                if f.metadata()?.len() == 0 {
+                    f.write_all(&SNAPSHOT_MAGIC)?;
+                }
+                f.write_all(frames)?;
+                f.sync_all()
+            });
+        self.fold_wal(image);
     }
 
     fn lose_unflushed(&mut self) -> usize {
@@ -138,7 +162,10 @@ impl Storage for FileStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sheriff_core::durability::{decode_records, encode_record, recover};
+    use sheriff_core::coordinator::JobId;
+    use sheriff_core::db::DbCostModel;
+    use sheriff_core::durability::{decode_records, encode_record, recover, MemStorage};
+    use sheriff_core::protocol::{Address, DbProto, ProtoMsg, TimerKind};
     use sheriff_core::records::PriceCheck;
 
     fn check(job: u64) -> PriceCheck {
@@ -203,5 +230,48 @@ mod tests {
         assert_eq!(s.read_snapshot(), b"SNP1\x00\x00\x00\x00");
         assert_eq!(s.wal_len(), (0, 0));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The Database's whole store path — append, barrier, and a fold of
+    /// the WAL into the image every `snapshot_every` records — over 300
+    /// stores: the file-backed image must grow to the very bytes the
+    /// in-memory one does, and recover to the same records.
+    #[test]
+    fn appended_image_matches_the_in_memory_one() {
+        for snapshot_every in [64, 2] {
+            let dir = temp_dir(&format!("extend-{snapshot_every}"));
+            let mut on_disk = DbProto::with_storage(
+                DbCostModel::dedicated(),
+                Box::new(FileStorage::open(&dir)),
+                snapshot_every,
+            );
+            let mut in_memory = DbProto::with_storage(
+                DbCostModel::dedicated(),
+                Box::new(MemStorage::new()),
+                snapshot_every,
+            );
+            for job in 1..=300 {
+                for proto in [&mut on_disk, &mut in_memory] {
+                    let (mut out, mut events) = (Vec::new(), Vec::new());
+                    let store = ProtoMsg::StoreCheck {
+                        job: JobId(job),
+                        check: Box::new(check(job)),
+                    };
+                    let server = Address::Server { index: 0 };
+                    proto.on_message(job * 10, server, store, &mut out, &mut events);
+                    proto.on_timer(TimerKind::DbDone(JobId(job)), &mut out, &mut events);
+                }
+            }
+            let image = in_memory.snapshot_bytes();
+            assert!(image.len() > 4, "every {snapshot_every}: no snapshot taken");
+            assert_eq!(on_disk.snapshot_bytes(), image, "every {snapshot_every}");
+            assert_eq!(on_disk.wal_bytes(), in_memory.wal_bytes());
+
+            let from_disk = recover(&FileStorage::open(&dir));
+            let from_memory = recover(&MemStorage::with_contents(image, in_memory.wal_bytes()));
+            assert_eq!(from_disk.records.len(), 300);
+            assert_eq!(from_disk.records, from_memory.records);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Frame and byte accounting for the TCP deployment.
 //!
 //! Every frame the mini-deployment sends — the reactor's outbound
-//! connections, and [`Envelope::send_counted`] for what the deployment
-//! injects from outside — and every frame a reactor's inbound connection
+//! links, and [`Envelope::send_counted`] for what the deployment
+//! injects from outside — and every frame a reactor's inbound stream
 //! completes is recorded in one shared [`WireTelemetry`], so over
 //! loopback the invariant *frames out == frames in* (and likewise for
 //! bytes) holds once the deployment drains — the concurrency tests
@@ -25,6 +25,9 @@ pub struct WireTelemetry {
     pub frames_in: Arc<Counter>,
     /// Bytes read including the length prefix (`wire.bytes_in`).
     pub bytes_in: Arc<Counter>,
+    /// Links the reactor connected (`wire.connects`), reconnects included;
+    /// injected frames and Byzantine raw streams are not counted.
+    pub connects: Arc<Counter>,
 }
 
 impl WireTelemetry {
@@ -35,6 +38,7 @@ impl WireTelemetry {
             bytes_out: registry.counter("wire.bytes_out"),
             frames_in: registry.counter("wire.frames_in"),
             bytes_in: registry.counter("wire.bytes_in"),
+            connects: registry.counter("wire.connects"),
         }
     }
 

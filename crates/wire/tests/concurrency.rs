@@ -1,6 +1,7 @@
 //! Concurrency tests for the TCP deployment: simultaneous add-on clients
-//! must all be served correctly (each on its own connection), and the
-//! deployment must survive rude or malformed clients.
+//! must all be served correctly (each on its own connection), the frame
+//! books must balance, the reactor must keep one stream per destination,
+//! and the deployment must survive rude or malformed clients.
 //!
 //! PPC selection is location-local (§6.1: peers fan out to peers in the
 //! *same* country), so these tests use four Spanish peers — every
@@ -10,10 +11,13 @@ use std::sync::Arc;
 
 use sheriff_core::coordinator::PeerId;
 use sheriff_core::protocol::{Address, ProtoMsg};
+use sheriff_core::system::{PpcSpec, SheriffConfig};
 use sheriff_geo::Country;
+use sheriff_market::pricing::{Browser, Os};
 use sheriff_market::world::WorldConfig;
-use sheriff_market::{ProductId, World};
-use sheriff_wire::{Envelope, MiniDeployment};
+use sheriff_market::{ProductId, UserAgent, World};
+use sheriff_netsim::FaultPlan;
+use sheriff_wire::{DeployOptions, Envelope, MiniDeployment};
 
 const PEERS: [(u64, Country); 4] = [
     (20, Country::ES),
@@ -104,6 +108,60 @@ fn frame_counters_balance_under_concurrent_clients() {
 
     // Each frame carries a 4-byte length prefix plus a nonempty payload.
     assert!(bytes_out > frames_out * 4, "{bytes_out} vs {frames_out}");
+}
+
+/// A shard keeps one stream per destination node for its whole life: two
+/// hundred serial checks open at most one per node of the roster, not one
+/// per hop (≈ 31 a check), and the frame books still balance.
+#[test]
+fn serial_checks_open_one_stream_per_destination() {
+    let mut cfg = SheriffConfig::v2(97, 2);
+    cfg.ipc_locations.clear();
+    cfg.proc_per_reply_ms = 0.0;
+    cfg.context_switch_alpha = 0.0;
+    cfg.db_cost.write_ms = 0.0;
+    cfg.db_cost.connection_setup_ms = 0.0;
+    cfg.db_cost.wal_append_ms_per_row = 0.0;
+    cfg.db_cost.barrier_ms = 0.0;
+    cfg.db_cost.compaction_ms_per_check = 0.0;
+    let specs: Vec<PpcSpec> = (0..8)
+        .map(|i| PpcSpec {
+            peer_id: 50 + i,
+            country: Country::ES,
+            city_idx: 0,
+            user_agent: UserAgent {
+                os: Os::Linux,
+                browser: Browser::Firefox,
+            },
+            affluence: 0.3,
+            logged_in_domains: vec![],
+        })
+        .collect();
+    let opts = DeployOptions {
+        shards: 1,
+        ..DeployOptions::default()
+    };
+    let world = World::build(&WorldConfig::small(), 97);
+    let d = MiniDeployment::start_with_options(world, cfg, &specs, FaultPlan::new(0), opts)
+        .expect("deployment starts");
+    let destinations = d.shard_members(0).len() as u64;
+    let telemetry = Arc::clone(d.telemetry());
+    for i in 0..200u64 {
+        d.run_check(50 + i % 8, "amazon.com", ProductId((i % 5) as u32))
+            .unwrap_or_else(|e| panic!("check {i}: {e}"));
+    }
+    d.shutdown();
+
+    let snap = telemetry.snapshot();
+    let connects = snap.counters["wire.connects"];
+    assert!(
+        (1..=destinations).contains(&connects),
+        "{connects} connects for {destinations} destinations"
+    );
+    assert_eq!(
+        snap.counters["wire.frames_out"],
+        snap.counters["wire.frames_in"]
+    );
 }
 
 #[test]
