@@ -77,23 +77,18 @@ impl IpcEngine {
         };
         let (retailer, rates) = world.retailer_and_rates(domain)?;
         let result = retailer.fetch(product, &ctx, now_ms, rates, 0.0, ctx.client_id)?;
-        Some(match result {
+        let (html, truth_eur) = match result {
             FetchResult::Page {
                 html, price_eur, ..
-            } => ProxyFetch {
-                html,
-                captcha: false,
-                truth_eur: Some(price_eur),
-                mode: FetchMode::CleanOwnState,
-                sandbox: None,
-            },
-            FetchResult::Captcha { html } => ProxyFetch {
-                html,
-                captcha: true,
-                truth_eur: None,
-                mode: FetchMode::CleanOwnState,
-                sandbox: None,
-            },
+            } => (html, Some(price_eur)),
+            FetchResult::Captcha { html } => (html, None),
+        };
+        Some(ProxyFetch {
+            html,
+            captcha: truth_eur.is_none(),
+            truth_eur,
+            mode: FetchMode::CleanOwnState,
+            sandbox: None,
         })
     }
 }
@@ -154,7 +149,7 @@ impl PpcEngine {
         };
         let browser = self.browser.expose_mut();
         if let FetchResult::Page { set_cookies, .. } = result {
-            browser.apply_cookies(&set_cookies);
+            browser.apply_cookies(set_cookies);
         }
         browser.visit(domain, &format!("{domain}/product/{}", product.0));
         self.ledger.expose_mut().record_real_visits(domain, 1);
@@ -179,7 +174,7 @@ impl PpcEngine {
                 html, set_cookies, ..
             } => {
                 let browser = self.browser.expose_mut();
-                browser.apply_cookies(&set_cookies);
+                browser.apply_cookies(set_cookies);
                 browser.visit(domain, &format!("{domain}/product/{}", product.0));
                 self.ledger.expose_mut().record_real_visits(domain, 1);
                 Some(html)
@@ -200,11 +195,10 @@ impl PpcEngine {
         now_ms: u64,
         request_seq: u64,
     ) -> Option<FetchResult> {
-        let jar = self.browser.expose().cookies.snapshot();
         let ctx = FetchContext {
             ip: self.ip,
             country: self.country,
-            cookies: &jar,
+            cookies: &self.browser.expose().cookies,
             user_agent: self.user_agent,
             logged_in: self.logged_in_domains.expose().iter().any(|d| d == domain),
             day,
@@ -253,16 +247,9 @@ impl PpcEngine {
 
         // Select the jar the fetch will expose.
         let empty = CookieJar::new();
-        let dopp_jar;
         let jar_for_fetch: &CookieJar = match mode {
             FetchMode::RealOwnState | FetchMode::CleanOwnState => &self.browser.expose().cookies,
-            FetchMode::Doppelganger => match doppelganger_state {
-                Some(j) => {
-                    dopp_jar = j.clone();
-                    &dopp_jar
-                }
-                None => &empty,
-            },
+            FetchMode::Doppelganger => doppelganger_state.unwrap_or(&empty),
         };
 
         let client_id = match mode {

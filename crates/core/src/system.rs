@@ -787,7 +787,8 @@ impl PriceSheriff {
     }
 
     /// Total sandbox violations observed across peers (must be 0 — the
-    /// §3.6.1 validation).
+    /// §3.6.1 validation). The TCP twin is
+    /// `sheriff_wire::MiniDeployment::sandbox_violations`.
     pub fn sandbox_violations(&self) -> usize {
         self.peers().map(|(_, p)| p.sandbox_violations).sum()
     }

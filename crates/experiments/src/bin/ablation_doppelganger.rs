@@ -88,7 +88,7 @@ fn run(protected: bool, seed: u64) -> Outcome {
                     0,
                     1_000_000 + i * 30_000,
                     100 + i,
-                    store.client_state(&token).cloned().as_ref(),
+                    store.client_state(&token),
                 )
                 .expect("fetch");
             match fetch.mode {
@@ -105,11 +105,10 @@ fn run(protected: bool, seed: u64) -> Outcome {
             // Unprotected: always expose the real identity (what v1-era
             // tools effectively did).
             let rates = world.rates.clone();
-            let jar = peer.browser.expose().cookies.snapshot();
             let ctx = sheriff_market::FetchContext {
                 ip: peer.ip,
                 country: peer.country,
-                cookies: &jar,
+                cookies: &peer.browser.expose().cookies,
                 user_agent: peer.user_agent,
                 logged_in: false,
                 day: 0,

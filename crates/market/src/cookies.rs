@@ -33,14 +33,29 @@ impl CookieJar {
         Self::default()
     }
 
-    /// Sets (or replaces) a cookie for `domain`.
-    pub fn set(&mut self, domain: &str, cookie: Cookie) {
-        let cookies = self.store.entry(domain.to_string()).or_default();
+    /// Sets a cookie for `domain`, replacing a same-named one in place (a
+    /// new one goes last), and returns what it replaced, like `BTreeMap::insert`.
+    pub fn set(&mut self, domain: &str, cookie: Cookie) -> Option<Cookie> {
+        let Some(cookies) = self.store.get_mut(domain) else {
+            self.store.insert(domain.to_string(), vec![cookie]);
+            return None;
+        };
         if let Some(existing) = cookies.iter_mut().find(|c| c.name == cookie.name) {
-            *existing = cookie;
-        } else {
-            cookies.push(cookie);
+            return Some(std::mem::replace(existing, cookie));
         }
+        cookies.push(cookie);
+        None
+    }
+
+    /// Removes `domain`'s cookie called `name` and returns it; a domain
+    /// left without cookies is dropped, so no domain maps to nothing.
+    pub fn remove(&mut self, domain: &str, name: &str) -> Option<Cookie> {
+        let cookies = self.store.get_mut(domain)?;
+        let removed = cookies.remove(cookies.iter().position(|c| c.name == name)?);
+        if cookies.is_empty() {
+            self.store.remove(domain);
+        }
+        Some(removed)
     }
 
     /// Cookies stored for `domain`.
@@ -84,29 +99,6 @@ impl CookieJar {
             .filter(|(_, cs)| cs.iter().any(|c| c.third_party))
             .map(|(d, _)| d.as_str())
             .collect()
-    }
-
-    /// Snapshot for sandboxing: the restore target.
-    pub fn snapshot(&self) -> CookieJar {
-        self.clone()
-    }
-
-    /// Difference: cookies present here but not in `before`. This is what
-    /// the sandbox must delete after a remote fetch (§3.6.1).
-    pub fn added_since(&self, before: &CookieJar) -> Vec<(String, Cookie)> {
-        let mut out = Vec::new();
-        for (domain, cookies) in &self.store {
-            for c in cookies {
-                let pre_existing = before
-                    .get(domain)
-                    .iter()
-                    .any(|b| b.name == c.name && b.value == c.value);
-                if !pre_existing {
-                    out.push((domain.clone(), c.clone()));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -167,23 +159,35 @@ mod tests {
     }
 
     #[test]
-    fn added_since_detects_new_cookies() {
+    fn set_returns_what_it_replaced() {
         let mut jar = CookieJar::new();
-        jar.set("shop.com", c("session", "x"));
-        let before = jar.snapshot();
-        jar.set("shop.com", c("viewed", "p1"));
-        jar.set("tracker.example", c("uid", "9"));
-        let added = jar.added_since(&before);
-        assert_eq!(added.len(), 2);
-        assert!(added
+        jar.set("shop.com", c("a", "1"));
+        assert_eq!(jar.set("shop.com", c("b", "2")), None);
+        assert_eq!(jar.set("shop.com", c("a", "3")), Some(c("a", "1")));
+        let names: Vec<&str> = jar
+            .get("shop.com")
             .iter()
-            .any(|(d, ck)| d == "shop.com" && ck.name == "viewed"));
-        // Value change counts as added (must be cleaned too).
-        jar.set("shop.com", c("session", "polluted"));
-        assert!(jar
-            .added_since(&before)
-            .iter()
-            .any(|(_, ck)| ck.name == "session" && ck.value == "polluted"));
+            .map(|k| k.name.as_str())
+            .collect();
+        assert_eq!(names, vec!["a", "b"], "a replaced cookie keeps its place");
+    }
+
+    #[test]
+    fn remove_drops_an_emptied_domain() {
+        let mut jar = CookieJar::new();
+        jar.set("shop.com", c("a", "1"));
+        jar.set("shop.com", c("b", "2"));
+        jar.set("keep.com", c("c", "3"));
+        let before = jar.clone();
+        assert_eq!(jar.remove("shop.com", "x"), None);
+        assert_eq!(jar.remove("none.com", "a"), None);
+        assert_eq!(jar, before);
+        assert_eq!(jar.remove("shop.com", "a"), Some(c("a", "1")));
+        assert_eq!(jar.remove("shop.com", "b"), Some(c("b", "2")));
+        assert_eq!(jar.domains().collect::<Vec<_>>(), vec!["keep.com"]);
+        let mut only_keep = CookieJar::new();
+        only_keep.set("keep.com", c("c", "3"));
+        assert_eq!(jar, only_keep, "no domain maps to an empty list");
     }
 
     #[test]

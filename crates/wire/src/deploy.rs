@@ -68,6 +68,8 @@ pub(crate) struct SinkState {
     pub(crate) rejected: Vec<(u64, String)>,
     /// `(server_index, removed)` acks.
     pub(crate) removals: Vec<(usize, bool)>,
+    /// Remote fetches whose sandbox left a trace (§3.6.1; must stay 0).
+    pub(crate) sandbox_violations: usize,
 }
 
 /// The sink uses `std::sync` primitives (the vendored `parking_lot` has
@@ -412,6 +414,17 @@ impl MiniDeployment {
             }
             None => Err("price check timed out".into()),
         }
+    }
+
+    /// Remote fetches, across every peer, whose sandbox left a trace
+    /// (must be 0 — the §3.6.1 validation). The DES twin is
+    /// `PriceSheriff::sandbox_violations`.
+    pub fn sandbox_violations(&self) -> usize {
+        self.sink
+            .state
+            .lock()
+            .expect("sink poisoned")
+            .sandbox_violations
     }
 
     /// Running totals of the installed fault plan (`None` without one).

@@ -161,10 +161,15 @@ impl ShardCtx {
     }
 }
 
-/// Moves a peer add-on's freshly observable outcomes into the shared
-/// sink, waking any `await_check` caller.
+/// Moves a peer add-on's freshly observable outcomes (and its §3.6.1
+/// sandbox violations) into the shared sink, waking any `await_check`
+/// caller.
 pub(crate) fn drain_peer(proto: &mut PeerProto, sink: &Sink) {
-    if proto.completed.is_empty() && proto.rejected.is_empty() && proto.server_removals.is_empty() {
+    if proto.completed.is_empty()
+        && proto.rejected.is_empty()
+        && proto.server_removals.is_empty()
+        && proto.sandbox_violations == 0
+    {
         return;
     }
     let Ok(mut st) = sink.state.lock() else {
@@ -173,6 +178,7 @@ pub(crate) fn drain_peer(proto: &mut PeerProto, sink: &Sink) {
     st.completed.append(&mut proto.completed);
     st.rejected.append(&mut proto.rejected);
     st.removals.append(&mut proto.server_removals);
+    st.sandbox_violations += std::mem::take(&mut proto.sandbox_violations);
     sink.cv.notify_all();
 }
 
@@ -265,6 +271,40 @@ mod tests {
             !bell.wait(Duration::from_millis(1)),
             "second ring must not survive the wake"
         );
+    }
+
+    #[test]
+    fn drain_peer_carries_a_sandbox_violation_that_comes_alone() {
+        use sheriff_core::proxy::PpcEngine;
+        use sheriff_core::system::PpcSpec;
+        use sheriff_geo::{Country, IpAllocator};
+        use sheriff_market::pricing::{Browser, Os};
+        use sheriff_market::UserAgent;
+
+        let spec = PpcSpec {
+            peer_id: 7,
+            country: Country::ES,
+            city_idx: 0,
+            user_agent: UserAgent {
+                os: Os::Linux,
+                browser: Browser::Firefox,
+            },
+            affluence: 0.3,
+            logged_in_domains: vec![],
+        };
+        let engine = PpcEngine::new(&spec, IpAllocator::new().allocate(Country::ES, 0));
+        let mut proto = PeerProto::new(engine, None, "EUR".to_string(), true);
+        let sink = Sink {
+            state: std::sync::Mutex::default(),
+            cv: std::sync::Condvar::new(),
+        };
+        // No check finished in this step: only the violation is new.
+        proto.sandbox_violations = 2;
+        drain_peer(&mut proto, &sink);
+        drain_peer(&mut proto, &sink);
+        assert_eq!(proto.sandbox_violations, 0);
+        let st = sink.state.lock().expect("not poisoned");
+        assert_eq!(st.sandbox_violations, 2, "counted once, not dropped");
     }
 
     #[test]

@@ -73,6 +73,7 @@ fn same_seed_same_world_identical_observations_on_both_backends() {
     let des: Vec<_> = sheriff.completed();
     assert_eq!(des.len(), CHECKS.len(), "DES completed all checks");
     assert!(sheriff.rejections().is_empty());
+    assert_eq!(sheriff.sandbox_violations(), 0, "§3.6.1 on the DES backend");
     let des_snap = sheriff.telemetry().snapshot();
 
     // --- TCP run over the same world and configuration.
@@ -88,6 +89,11 @@ fn same_seed_same_world_identical_observations_on_both_backends() {
         );
     }
     let tcp_snap = deployment.telemetry().snapshot();
+    assert_eq!(
+        deployment.sandbox_violations(),
+        0,
+        "§3.6.1 on the TCP backend"
+    );
     deployment.shutdown();
 
     // --- Same work, same books.

@@ -150,6 +150,7 @@ fn serial_checks_open_one_stream_per_destination() {
         d.run_check(50 + i % 8, "amazon.com", ProductId((i % 5) as u32))
             .unwrap_or_else(|e| panic!("check {i}: {e}"));
     }
+    assert_eq!(d.sandbox_violations(), 0);
     d.shutdown();
 
     let snap = telemetry.snapshot();

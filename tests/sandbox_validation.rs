@@ -91,7 +91,7 @@ fn real_user_state_preserved_exactly_while_serving() {
         );
     }
     let before = user.browser.expose();
-    let cookies_before = before.cookies.snapshot();
+    let cookies_before = before.cookies.clone();
     let history_before = before.history.total_visits();
     let trace_before = before.url_trace().len();
 
