@@ -202,18 +202,22 @@ for group in "${BENCH_GROUPS[@]}"; do
     diff -u "BENCH_${group}.json" "target/bench/BENCH_${group}.json" || true
 done
 
-# First-party line counts per crate, so a PR's size delta is read off
-# two CI logs instead of asserted in its description. A file's product
-# lines end at its first module-level `#[cfg(test)]`; the rest are test
-# lines.
+# Line counts per crate, first-party then vendored, so a change's size delta
+# is read off two CI logs instead of asserted in its description. A
+# file's product lines end at its first module-level `#[cfg(test)]`; the
+# rest are test lines.
 stage "first-party src/ line counts"
-printf '%-12s %8s %6s\n' crate product test
-for d in crates/*/; do
-    find "${d}src" -name '*.rs' -exec awk -v crate="$(basename "$d")" '
+printf '%-20s %8s %6s\n' crate product test
+for d in crates/*/ vendor/*/; do
+    case "$d" in
+        vendor/*) name="${d%/}" ;;
+        *) name="$(basename "$d")" ;;
+    esac
+    find "${d}src" -name '*.rs' -exec awk -v crate="$name" '
         FNR == 1 { in_test = 0 }
         /^#\[cfg\(test\)\]/ { in_test = 1 }
         { if (in_test) test++; else product++ }
-        END { printf "%-12s %8d %6d\n", crate, product, test }' {} +
+        END { printf "%-20s %8d %6d\n", crate, product, test }' {} +
 done
 
 stage "CI green"

@@ -48,23 +48,25 @@ impl std::fmt::Debug for DoppelgangerId {
 // Bearer tokens travel inside protocol messages as 64-char hex strings
 // (the vendored serde has no `Deserialize for [u8; 32]`).
 impl serde::Serialize for DoppelgangerId {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::String(self.to_hex())
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        w.str(&self.to_hex());
     }
 }
 
 impl serde::Deserialize for DoppelgangerId {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let serde::Value::String(s) = v else {
-            return Err(serde::DeError::new("DoppelgangerId: expected hex string"));
-        };
+    fn deserialize(p: &mut serde::Parser<'_>) -> Result<Self, serde::DeError> {
+        let s = p
+            .string()
+            .map_err(|_| serde::DeError::new("DoppelgangerId: expected hex string"))?;
         if s.len() != 64 {
             return Err(serde::DeError::new("DoppelgangerId: expected 64 hex chars"));
         }
         let mut id = [0u8; 32];
         for (i, byte) in id.iter_mut().enumerate() {
-            *byte = u8::from_str_radix(&s[2 * i..2 * i + 2], 16)
-                .map_err(|_| serde::DeError::new("DoppelgangerId: bad hex"))?;
+            *byte = s
+                .get(2 * i..2 * i + 2)
+                .and_then(|pair| u8::from_str_radix(pair, 16).ok())
+                .ok_or_else(|| serde::DeError::new("DoppelgangerId: bad hex"))?;
         }
         Ok(DoppelgangerId(id))
     }

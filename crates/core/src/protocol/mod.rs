@@ -246,8 +246,12 @@ mod tests {
             Address::Ipc { index: 17 },
             Address::Peer { id: 42 },
         ] {
-            let v = serde::Serialize::to_value(&a);
-            assert_eq!(<Address as serde::Deserialize>::from_value(&v), Ok(a));
+            let mut text = Vec::new();
+            serde::Serialize::serialize(&a, &mut serde::Writer::compact(&mut text));
+            let text = std::str::from_utf8(&text).expect("JSON is UTF-8");
+            let mut p = serde::Parser::new(text);
+            assert_eq!(<Address as serde::Deserialize>::deserialize(&mut p), Ok(a));
+            assert_eq!(p.end(), Ok(()));
         }
     }
 }

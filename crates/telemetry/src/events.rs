@@ -1,6 +1,6 @@
 //! Structured event log entries.
 
-use serde::{DeError, Deserialize, Number, Serialize, Value};
+use serde::{DeError, Deserialize, Number, Parser, Serialize, Writer};
 
 /// One field value on a structured event. Serialises as the bare JSON
 /// value (no enum tagging) so event logs stay human-readable.
@@ -19,33 +19,28 @@ pub enum FieldValue {
 }
 
 impl Serialize for FieldValue {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer<'_>) {
         match self {
-            FieldValue::U64(v) => Value::Number(Number::PosInt(*v)),
-            FieldValue::I64(v) => {
-                if *v >= 0 {
-                    Value::Number(Number::PosInt(*v as u64))
-                } else {
-                    Value::Number(Number::NegInt(*v))
-                }
-            }
-            FieldValue::F64(v) => Value::Number(Number::Float(*v)),
-            FieldValue::Str(s) => Value::String(s.clone()),
-            FieldValue::Bool(b) => Value::Bool(*b),
+            FieldValue::U64(v) => w.u64(*v),
+            FieldValue::I64(v) => w.i64(*v),
+            FieldValue::F64(v) => w.f64(*v),
+            FieldValue::Str(s) => w.str(s),
+            FieldValue::Bool(b) => w.bool(*b),
         }
     }
 }
 
 impl Deserialize for FieldValue {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Bool(b) => Ok(FieldValue::Bool(*b)),
-            Value::Number(Number::PosInt(n)) => Ok(FieldValue::U64(*n)),
-            Value::Number(Number::NegInt(n)) => Ok(FieldValue::I64(*n)),
-            Value::Number(Number::Float(f)) => Ok(FieldValue::F64(*f)),
-            Value::String(s) => Ok(FieldValue::Str(s.clone())),
-            _ => Err(DeError::new("FieldValue: expected scalar")),
-        }
+    fn deserialize(p: &mut Parser<'_>) -> Result<Self, DeError> {
+        Ok(match p.peek() {
+            Some(b't' | b'f') => FieldValue::Bool(p.bool()?),
+            Some(b'"') => FieldValue::Str(p.string()?.into_owned()),
+            _ => match p.number()? {
+                Number::PosInt(n) => FieldValue::U64(n),
+                Number::NegInt(n) => FieldValue::I64(n),
+                Number::Float(f) => FieldValue::F64(f),
+            },
+        })
     }
 }
 
@@ -116,11 +111,12 @@ mod tests {
             FieldValue::Str("es".into()),
             FieldValue::Bool(true),
         ] {
-            let v = fv.to_value();
-            assert_eq!(FieldValue::from_value(&v).unwrap(), fv);
+            let json = serde_json::to_string(&fv).unwrap();
+            assert_eq!(serde_json::from_str::<FieldValue>(&json).unwrap(), fv);
         }
         // Bare value, not an enum-tagged object.
-        assert!(matches!(FieldValue::U64(1).to_value(), Value::Number(_)));
+        assert_eq!(serde_json::to_string(&FieldValue::U64(1)).unwrap(), "1");
+        assert!(serde_json::from_str::<FieldValue>("null").is_err());
     }
 
     #[test]

@@ -9,8 +9,6 @@ use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use bytes::BufMut;
-
 /// Upper bound on a frame payload (product pages are a few KiB; 8 MiB is
 /// generous headroom).
 pub const MAX_FRAME_LEN: usize = 8 * 1024 * 1024;
@@ -48,21 +46,35 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Appends one frame — prefix, then payload — to `buf`: the byte layout
-/// every honest sender in this crate puts on a stream.
-pub(crate) fn append_frame(buf: &mut Vec<u8>, payload: &[u8]) -> Result<(), FrameError> {
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(FrameError::TooLarge(payload.len()));
+/// Appends one frame to `buf`: a 4-byte prefix, then the payload that
+/// `encode` appends in place behind it, and the prefix patched once the
+/// length is known — the byte layout every honest sender in this crate
+/// puts on a stream. A payload over [`MAX_FRAME_LEN`] leaves `buf` as it
+/// was. Returns the payload length.
+pub(crate) fn append_frame(
+    buf: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> Result<usize, FrameError> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    encode(buf);
+    let len = buf.len() - start - 4;
+    match (u32::try_from(len), buf.get_mut(start..start + 4)) {
+        (Ok(prefix), Some(at)) if len <= MAX_FRAME_LEN => {
+            at.copy_from_slice(&prefix.to_be_bytes());
+            Ok(len)
+        }
+        _ => {
+            buf.truncate(start);
+            Err(FrameError::TooLarge(len))
+        }
     }
-    buf.put_u32(payload.len() as u32);
-    buf.put_slice(payload);
-    Ok(())
 }
 
 /// Writes one frame.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), FrameError> {
     let mut buf = Vec::new();
-    append_frame(&mut buf, payload)?;
+    append_frame(&mut buf, |b| b.extend_from_slice(payload))?;
     w.write_all(&buf)?;
     w.flush()?;
     Ok(())
@@ -76,10 +88,10 @@ pub(crate) const READ_CHUNK: usize = 16 * 1024;
 /// The receiving half of the byte rule, with no I/O in it: bytes go in
 /// through [`feed`](FrameAssembler::feed) in whatever pieces the
 /// transport delivered them, whole payloads come out of
-/// [`take`](FrameAssembler::take). Both readers in this crate — the
-/// blocking [`read_frame`] and the reactor's nonblocking inbound pump —
-/// are loops around one of these, so what the fuzz suites establish for
-/// one holds for the other.
+/// [`next`](FrameAssembler::next) as slices of the assembler's own
+/// buffer. Both readers in this crate — the blocking [`read_frame`] and
+/// the reactor's nonblocking inbound pump — are loops around one of
+/// these, so what the fuzz suites establish for one holds for the other.
 ///
 /// Memory follows *delivered* bytes only: nothing is reserved on the
 /// strength of an announced length, and a prefix above
@@ -87,16 +99,23 @@ pub(crate) const READ_CHUNK: usize = 16 * 1024;
 /// fed past the end of a frame stay buffered as the start of the next.
 #[derive(Debug, Default)]
 pub(crate) struct FrameAssembler {
-    /// Every byte fed and not yet taken: prefix first.
+    /// Bytes fed: frames already handed out, then what is not yet.
     buf: Vec<u8>,
+    /// Length of the handed-out front of `buf`, dropped at the next feed.
+    taken: usize,
 }
 
 impl FrameAssembler {
+    /// Bytes fed and not yet handed out: prefix first.
+    fn pending(&self) -> &[u8] {
+        self.buf.get(self.taken..).unwrap_or_default()
+    }
+
     /// Payload length the buffered prefix announces, once all four of
     /// its bytes are in; [`FrameError::TooLarge`] when that is more than
     /// a frame may carry.
     fn announced(&self) -> Result<Option<usize>, FrameError> {
-        let Some(prefix) = self.buf.get(..4).and_then(|p| p.try_into().ok()) else {
+        let Some(prefix) = self.pending().get(..4).and_then(|p| p.try_into().ok()) else {
             return Ok(None);
         };
         match u32::from_be_bytes(prefix) as usize {
@@ -108,40 +127,42 @@ impl FrameAssembler {
     /// How many bytes to ask the transport for next so as never to read
     /// past the current frame: what is missing of the prefix, then of
     /// the payload, at most [`READ_CHUNK`] at a time. Zero when
-    /// [`take`](FrameAssembler::take) has something to report.
+    /// [`next`](FrameAssembler::next) has something to report.
     pub(crate) fn wants(&self) -> usize {
         let end = match self.announced() {
             Ok(None) => 4,
             Ok(Some(len)) => 4 + len,
             Err(_) => 0,
         };
-        end.saturating_sub(self.buf.len()).min(READ_CHUNK)
+        end.saturating_sub(self.pending().len()).min(READ_CHUNK)
     }
 
     /// Takes in bytes the transport delivered.
     pub(crate) fn feed(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.taken);
+        self.taken = 0;
         self.buf.extend_from_slice(bytes);
     }
 
     /// Nothing is buffered: the stream sits on a frame boundary.
     pub(crate) fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.pending().is_empty()
     }
 
-    /// The next complete payload, `Ok(None)` while it is still short,
-    /// [`FrameError::TooLarge`] when the prefix announces more than a
-    /// frame may carry (the stream is unusable from there on).
-    pub(crate) fn take(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
+    /// The next complete payload, borrowed until the next call;
+    /// `Ok(None)` while it is still short, [`FrameError::TooLarge`] when
+    /// the prefix announces more than a frame may carry (the stream is
+    /// unusable from there on).
+    pub(crate) fn next(&mut self) -> Result<Option<&[u8]>, FrameError> {
         let Some(len) = self.announced()? else {
             return Ok(None);
         };
-        if self.buf.len() < 4 + len {
+        let start = self.taken + 4;
+        let Some(payload) = self.buf.get(start..start + len) else {
             return Ok(None);
-        }
-        let next = self.buf.split_off(4 + len);
-        let mut frame = std::mem::replace(&mut self.buf, next);
-        frame.drain(..4);
-        Ok(Some(frame))
+        };
+        self.taken = start + len;
+        Ok(Some(payload))
     }
 }
 
@@ -163,8 +184,8 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, FrameError> {
     frame.feed(&prefix);
     let mut chunk = Vec::new();
     loop {
-        if let Some(payload) = frame.take()? {
-            return Ok(Some(payload));
+        if let Some(payload) = frame.next()? {
+            return Ok(Some(payload.to_vec()));
         }
         chunk.resize(frame.wants(), 0);
         r.read_exact(&mut chunk)?;
@@ -316,8 +337,8 @@ mod tests {
         let (mut rest, mut sizes) = (bytes, pattern.iter().cycle());
         loop {
             loop {
-                match frame.take() {
-                    Ok(Some(payload)) => frames.push(payload),
+                match frame.next() {
+                    Ok(Some(payload)) => frames.push(payload.to_vec()),
                     Ok(None) => break,
                     Err(e) => return (frames, Some(e), frame),
                 }
@@ -365,7 +386,7 @@ mod tests {
             prop_assert_eq!(frames, expected);
             match end {
                 // Clean end of stream: nothing left over.
-                Ok(_) => prop_assert!(refusal.is_none() && frame.buf.is_empty()),
+                Ok(_) => prop_assert!(refusal.is_none() && frame.is_empty()),
                 Err(FrameError::TooLarge(n)) => {
                     prop_assert!(n > MAX_FRAME_LEN);
                     prop_assert!(matches!(refusal, Some(FrameError::TooLarge(m)) if m == n));

@@ -12,7 +12,10 @@
 //!   back-end spoke PHP/JS, §10.5);
 //! * [`proto`] — the [`Envelope`] wrapper that carries
 //!   `sheriff_core::protocol::ProtoMsg` (the one unified message enum)
-//!   over frames, plus the Fig. 2 [`ResultRow`] view;
+//!   over frames, plus the Fig. 2 [`ResultRow`] view. An envelope's JSON
+//!   is written straight into the outgoing buffer behind its length
+//!   prefix and parsed straight from the bytes the frame arrived in,
+//!   with no JSON tree and no per-frame `Vec` on either side;
 //! * [`deploy`] — the full node roster (Coordinator, Aggregator,
 //!   Measurement/Database servers, IPCs, PPC add-ons) on ephemeral
 //!   localhost ports, partitioned over a small set of reactor shards,

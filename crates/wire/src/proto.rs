@@ -6,13 +6,18 @@
 //! There is deliberately no wire-only message set any more: both backends
 //! speak `sheriff_core::protocol::ProtoMsg`, so the TCP deployment cannot
 //! drift from the simulated protocol.
+//!
+//! Encoding writes the JSON straight into the outgoing buffer behind the
+//! frame's length prefix, and decoding parses straight from the received
+//! bytes into typed values: no intermediate JSON tree on either side.
+//! The bytes are pinned by `tests/golden/envelopes.jsonl`.
 
 use serde::{Deserialize, Serialize};
 
 use sheriff_core::protocol::{Address, ProtoMsg};
 use sheriff_core::records::{PriceCheck, VantageKind};
 
-use crate::frame::{read_frame, write_frame, FrameError};
+use crate::frame::{append_frame, read_frame, FrameError};
 use crate::telemetry::WireTelemetry;
 
 /// One framed protocol message plus its sender. Over TCP a shard's
@@ -29,10 +34,25 @@ pub struct Envelope {
 }
 
 impl Envelope {
+    /// Appends self to `buf` as one frame, the JSON written straight into
+    /// the buffer behind its length prefix; returns the payload length.
+    /// An envelope too large for a frame leaves `buf` as it was.
+    pub(crate) fn append_frame(&self, buf: &mut Vec<u8>) -> Result<usize, FrameError> {
+        append_frame(buf, |b| self.serialize(&mut serde::Writer::compact(b)))
+    }
+
+    /// Writes self as one frame; returns the payload length.
+    fn write<W: std::io::Write>(&self, w: &mut W) -> Result<usize, FrameError> {
+        let mut frame = Vec::new();
+        let len = self.append_frame(&mut frame)?;
+        w.write_all(&frame)?;
+        w.flush()?;
+        Ok(len)
+    }
+
     /// Writes self as one frame.
     pub fn send<W: std::io::Write>(&self, w: &mut W) -> Result<(), FrameError> {
-        let payload = serde_json::to_vec(self).expect("Envelope serializes");
-        write_frame(w, &payload)
+        self.write(w).map(drop)
     }
 
     /// Writes self as one frame, recording it in the wire counters.
@@ -41,9 +61,7 @@ impl Envelope {
         w: &mut W,
         telemetry: &WireTelemetry,
     ) -> Result<(), FrameError> {
-        let payload = serde_json::to_vec(self).expect("Envelope serializes");
-        write_frame(w, &payload)?;
-        telemetry.sent(payload.len());
+        telemetry.sent(self.write(w)?);
         Ok(())
     }
 
@@ -52,12 +70,18 @@ impl Envelope {
         let Some(payload) = read_frame(r)? else {
             return Ok(None);
         };
-        serde_json::from_slice(&payload).map(Some).map_err(|e| {
-            FrameError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("bad message: {e}"),
-            ))
-        })
+        Ok(Some(serde_json::from_slice(&payload)?))
+    }
+}
+
+/// A payload that is not a well-formed envelope spoils the stream the way
+/// bad bytes do.
+impl From<serde_json::Error> for FrameError {
+    fn from(e: serde_json::Error) -> Self {
+        FrameError::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("bad message: {e}"),
+        ))
     }
 }
 

@@ -22,7 +22,7 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 
 use sheriff_netsim::CodecAttack;
 
-use crate::frame::{append_frame, FrameAssembler, MAX_FRAME_LEN};
+use crate::frame::{FrameAssembler, MAX_FRAME_LEN};
 use crate::proto::Envelope;
 use crate::telemetry::WireTelemetry;
 
@@ -67,11 +67,11 @@ impl Inbound {
         out: &mut Vec<Envelope>,
     ) -> bool {
         let open = loop {
-            while let Some(payload) = self.frame.take().ok().flatten() {
+            while let Some(payload) = self.frame.next().ok().flatten() {
                 // Counted once whole, even if it then fails to parse.
                 wire.received(payload.len());
                 self.framed = true;
-                match serde_json::from_slice::<Envelope>(&payload) {
+                match serde_json::from_slice::<Envelope>(payload) {
                     Ok(env) => out.push(env),
                     Err(_) => return false,
                 }
@@ -158,14 +158,22 @@ impl OutLink {
         }
     }
 
-    /// Queues `copies` frames of the already-encoded `payload`; an
-    /// oversized payload is dropped.
-    pub(crate) fn push(&mut self, payload: &[u8], copies: usize) {
-        for _ in 0..copies {
-            if append_frame(&mut self.pending, payload).is_err() {
-                return;
-            }
-            self.ends.push_back((self.pending.len(), payload.len()));
+    /// Queues `copies` frames of `env`: encoded once, straight into the
+    /// link's buffer, and copied byte for byte from there. An envelope
+    /// too large for a frame is dropped.
+    pub(crate) fn push(&mut self, env: &Envelope, copies: usize) {
+        if copies == 0 {
+            return;
+        }
+        let start = self.pending.len();
+        let Ok(len) = env.append_frame(&mut self.pending) else {
+            return;
+        };
+        let end = self.pending.len();
+        self.ends.push_back((end, len));
+        for _ in 1..copies {
+            self.pending.extend_from_within(start..end);
+            self.ends.push_back((self.pending.len(), len));
         }
     }
 
@@ -310,7 +318,7 @@ mod tests {
 
     fn frame_of(env: &Envelope) -> Vec<u8> {
         let mut frame = Vec::new();
-        append_frame(&mut frame, &serde_json::to_vec(env).expect("encodes")).expect("fits");
+        env.append_frame(&mut frame).expect("fits");
         frame
     }
 
@@ -372,7 +380,7 @@ mod tests {
         let mut link = OutLink::default();
         let mut ends = Vec::new();
         for env in &sent {
-            link.push(&serde_json::to_vec(env).expect("encodes"), 1);
+            link.push(env, 1);
             ends.push(link.pending.len());
         }
         let total = link.pending.len();

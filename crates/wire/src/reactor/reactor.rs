@@ -492,12 +492,11 @@ impl Reactor {
         before - self.raw.len()
     }
 
-    /// Encodes `env` once and appends its frame `copies` times to the
-    /// link toward `to`, opening the link's book on its first frame.
+    /// Encodes `env` once, straight into the buffer of the link toward
+    /// `to`, and queues its frame `copies` times, opening the link's book
+    /// on its first frame.
     fn enqueue_out(&mut self, to: Address, env: &Envelope, copies: usize) {
-        if let Ok(payload) = serde_json::to_vec(env) {
-            self.links.entry(to).or_default().push(&payload, copies);
-        }
+        self.links.entry(to).or_default().push(env, copies);
     }
 
     /// Flushes every link. A ring goes to a foreign destination's shard

@@ -2,8 +2,12 @@
 //! `sheriff-core` exercises in simulation (heartbeat expiry mid-job,
 //! refusing to decommission a busy server) must hold when the protocol
 //! machines run behind real sockets, because the decisions live in
-//! `sheriff_core::protocol`, not in either transport.
+//! `sheriff_core::protocol`, not in either transport. A hostile frame
+//! nested past the JSON parser's depth cap must cost its sender the
+//! stream, never the deployment.
 
+use std::io::Write as _;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -114,4 +118,47 @@ fn remove_server_refused_while_busy_over_tcp() {
         Ok(d) => d.shutdown(),
         Err(_) => panic!("deployment still shared"),
     }
+}
+
+/// Any peer may connect to the Coordinator and send one well-framed
+/// payload nested far deeper than `serde::MAX_DEPTH`: 100 000 bytes of
+/// `[`, then 100 000 bytes of `{"a":`. Each is refused as a bad payload —
+/// the stream is dropped, not the process (a parser without the cap
+/// recursed once per byte and overflowed the stack). Serial checks are
+/// served afterwards, and the books balance: the two hostile frames are
+/// the only ones received that no node sent.
+#[test]
+fn frames_nested_past_the_depth_cap_are_refused_not_a_crash() {
+    let world = World::build(&WorldConfig::small(), 43);
+    let peers = [(60, Country::ES), (61, Country::ES), (62, Country::ES)];
+    let deployment = MiniDeployment::start(world, &peers).expect("deployment starts");
+    let telemetry = Arc::clone(deployment.telemetry());
+
+    let hostile = [b"[".repeat(100_000), br#"{"a":"#.repeat(20_000)];
+    for payload in &hostile {
+        let mut s = TcpStream::connect(deployment.coordinator_addr()).expect("connect");
+        s.write_all(&(payload.len() as u32).to_be_bytes())
+            .expect("prefix written");
+        s.write_all(payload).expect("payload written");
+    }
+
+    for i in 0..3u32 {
+        let check = deployment
+            .run_check(60 + u64::from(i), "amazon.com", ProductId(i))
+            .unwrap_or_else(|e| panic!("check {i} after the hostile frames: {e}"));
+        assert!(!check.observations.is_empty());
+    }
+    deployment.shutdown();
+
+    let snap = telemetry.snapshot();
+    // A frame counts its 4-byte prefix too.
+    let hostile_bytes: u64 = hostile.iter().map(|p| 4 + p.len() as u64).sum();
+    assert_eq!(
+        snap.counters["wire.frames_in"],
+        snap.counters["wire.frames_out"] + 2
+    );
+    assert_eq!(
+        snap.counters["wire.bytes_in"],
+        snap.counters["wire.bytes_out"] + hostile_bytes
+    );
 }

@@ -2,12 +2,49 @@
 //! lying length prefixes, truncations, pathological fragmentation — the
 //! reader must return `Ok`/`Err`, never panic, and never commit memory
 //! proportional to an *announced* (as opposed to *delivered*) length.
+//! The same holds one layer up, for the JSON inside a whole frame:
+//! `Envelope::recv` on any payload yields an envelope or an error.
 
 use std::io::{self, Cursor, Read};
 
 use proptest::prelude::*;
 
-use sheriff_wire::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};
+use sheriff_wire::{read_frame, write_frame, Envelope, FrameError, MAX_FRAME_LEN};
+
+/// Valid encodings of every message variant (see `envelope_golden.rs`).
+const GOLDEN: &str = include_str!("golden/envelopes.jsonl");
+
+/// Bytes JSON is made of, so soup built from them gets past the first
+/// byte often enough to reach deep into the parser.
+const JSON_BYTES: &[u8] =
+    b"{}[]{}[]\"\"::,,,  0123456789-+.eEtrufalsn\\/bu\x00\xe2\x80\xa8\xf0\x9f\x98\x80";
+
+/// One whole frame carrying `payload`, through the blocking receiver:
+/// never a panic, and — a frame being there — never clean EOF.
+fn recv_payload(payload: &[u8]) -> Result<Envelope, FrameError> {
+    let mut buf = Vec::new();
+    write_frame(&mut buf, payload).expect("fits");
+    match Envelope::recv(&mut Cursor::new(buf)) {
+        Ok(Some(env)) => Ok(env),
+        Ok(None) => panic!("a whole frame read as clean EOF"),
+        Err(e) => Err(e),
+    }
+}
+
+/// Every strict prefix of every valid encoding is an error: an envelope
+/// is an object, and no prefix of one closes it.
+#[test]
+fn every_truncation_of_a_valid_encoding_is_an_error() {
+    for (i, line) in GOLDEN.lines().enumerate() {
+        for cut in 0..line.len() {
+            assert!(
+                recv_payload(&line.as_bytes()[..cut]).is_err(),
+                "line {i} cut at {cut}"
+            );
+        }
+        assert!(recv_payload(line.as_bytes()).is_ok(), "line {i} whole");
+    }
+}
 
 /// Wraps a byte stream and serves it in caller-hostile fragments whose
 /// sizes cycle through `pattern` (0 entries are skipped — a `Read`
@@ -126,5 +163,41 @@ proptest! {
         let keep = cut_sel % (buf.len() - 1) + 1; // 1..=len-1: mid-frame
         let mut cur = Cursor::new(&buf[..keep]);
         prop_assert!(matches!(read_frame(&mut cur), Err(FrameError::UnexpectedEof)));
+    }
+
+    /// Arbitrary bytes as a whole frame's payload: an envelope or an
+    /// error, never a panic.
+    #[test]
+    fn arbitrary_payloads_decode_or_fail(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
+        let _ = recv_payload(&bytes);
+    }
+
+    /// The same for soup of JSON's own bytes, which gets deeper into the
+    /// parser than uniform bytes do.
+    #[test]
+    fn json_soup_payloads_decode_or_fail(
+        picks in proptest::collection::vec(0..JSON_BYTES.len(), 0..512),
+    ) {
+        let bytes: Vec<u8> = picks.iter().map(|&i| JSON_BYTES[i]).collect();
+        let _ = recv_payload(&bytes);
+    }
+
+    /// A valid encoding with one byte replaced: an envelope or an error,
+    /// never a panic; and an envelope that decodes re-encodes to JSON
+    /// that decodes to it again.
+    #[test]
+    fn single_byte_flips_decode_or_fail(
+        line_sel in any::<usize>(),
+        at_sel in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let lines: Vec<&str> = GOLDEN.lines().collect();
+        let mut bytes = lines[line_sel % lines.len()].as_bytes().to_vec();
+        let at = at_sel % bytes.len();
+        bytes[at] = byte;
+        if let Ok(env) = recv_payload(&bytes) {
+            let again = serde_json::to_vec(&env).expect("encodes");
+            prop_assert_eq!(recv_payload(&again).expect("re-decodes"), env);
+        }
     }
 }
