@@ -106,18 +106,22 @@ cargo test --workspace --quiet
 # `db.*` key, timer and event counts, and the schedule behind them are
 # compared byte for byte. `ablation_doppelganger` and
 # `sec32_bot_detection` call `PpcEngine::remote_fetch` directly, outside
-# the DES, so their stdout and JSON pin the sandboxed fetch path too. A
-# change that is not meant to move the simulation must pass this
+# the DES, so their stdout and JSON pin the sandboxed fetch path too.
+# `ablation_diffstorage` pins the bytes DiffStorage keeps for a 30-IPC
+# fan-out on four retailers, so a diff or page-render change that moves
+# them shows here. A change that is not meant to move the simulation must pass this
 # untouched; one that is says so by re-baselining in the same reviewed
 # commit.
 stage "des goldens"
 mkdir -p target/golden
-for bin in table1_performance fig6_distribution ablation_doppelganger sec32_bot_detection; do
+for bin in table1_performance fig6_distribution ablation_doppelganger sec32_bot_detection \
+    ablation_diffstorage; do
     cargo run -q --release -p sheriff-experiments --bin "$bin" -- --seed 1742 \
         > "target/golden/${bin}.stdout"
 done
 cp target/experiments/{table1_performance,fig6_distribution}_telemetry.json \
-    target/experiments/{ablation_doppelganger,sec32_bot_detection}.json target/golden/
+    target/experiments/{ablation_doppelganger,sec32_bot_detection,ablation_diffstorage}.json \
+    target/golden/
 for want in ci/golden/*; do
     got="target/golden/$(basename "$want")"
     if ! cmp -s "$want" "$got"; then
@@ -127,7 +131,7 @@ for want in ci/golden/*; do
         exit 1
     fi
 done
-echo "stdout and JSON of all four experiments match ci/golden/"
+echo "stdout and JSON of all five experiments match ci/golden/"
 
 # Chaos gate: seed-deterministic fault schedules (drops, dups, delays, a
 # server crash, a partition) must leave no leaked jobs and no duplicate

@@ -232,11 +232,14 @@ impl PeerProto {
                 local_tag,
             } => {
                 // Any failure to produce a selection (CAPTCHA on the
-                // initiator's own fetch, vanished product page) must
-                // release the job at the Coordinator, or its pending
-                // counter would leak (§10.3's corrective concern).
-                let abort = |me: &mut Self, out: &mut Vec<Output>| {
-                    me.own_pending.remove(&local_tag);
+                // initiator's own fetch, vanished product page) ends the
+                // check with a rejection the user sees, and must release
+                // the job at the Coordinator, or its pending counter would
+                // leak (§10.3's corrective concern).
+                let abort = |me: &mut Self, out: &mut Vec<Output>, reason: &str| {
+                    if me.own_pending.remove(&local_tag).is_some() {
+                        me.rejected.push((local_tag, reason.to_string()));
+                    }
                     me.job_tags.remove(&job);
                     out.push(Output::send(
                         Address::Coordinator,
@@ -264,7 +267,7 @@ impl PeerProto {
                     now_ms,
                     job.0 * 100,
                 ) else {
-                    abort(self, out);
+                    abort(self, out, "product page unavailable");
                     return;
                 };
                 let template = world.retailer(&domain).map_or(0, |r| r.template);
@@ -272,7 +275,7 @@ impl PeerProto {
                 let doc = Document::parse(&html);
                 let price_el = doc.find_by_class(selection_el.0, selection_el.1);
                 let Some(tags_path) = price_el.and_then(|el| TagsPath::from_node(&doc, el)) else {
-                    abort(self, out);
+                    abort(self, out, "no price on the page (CAPTCHA?)");
                     return;
                 };
                 let meta = VantageMeta {
@@ -468,6 +471,46 @@ mod tests {
         assert_eq!(p.pending_counts(), (0, 0, 0));
         assert_eq!(p.rejected.len(), 1);
         assert!(p.rejected[0].1.contains("unreachable"), "{:?}", p.rejected);
+    }
+
+    #[test]
+    fn captcha_on_the_initiators_own_fetch_rejects_the_check() {
+        // The initiator's fetch draws a CAPTCHA, so there is no price to
+        // build a Tags Path from: the check must end in a rejection the
+        // user sees, not in a slot nobody ever answers.
+        let mut world = World::build(&WorldConfig::small(), 11);
+        world.retailer_mut("jcpenney.com").expect("listed").bot =
+            Some(sheriff_market::bot::BotDetector::new(60_000, 0));
+        let mut p = peer();
+        let mut out = Vec::new();
+        let start = ProtoMsg::StartCheck {
+            domain: "jcpenney.com".to_string(),
+            product: ProductId(1),
+            local_tag: 42,
+        };
+        p.on_message(0, Address::Peer { id: 7 }, start, &mut world, &mut out);
+        out.clear();
+        let assign = ProtoMsg::CoordAssign {
+            job: JobId(5),
+            server: Address::Server { index: 0 },
+            local_tag: 42,
+        };
+        p.on_message(10, Address::Coordinator, assign, &mut world, &mut out);
+
+        assert_eq!(p.pending_counts(), (0, 0, 0));
+        assert_eq!(p.rejected.len(), 1, "{:?}", p.rejected);
+        assert_eq!(p.rejected[0].0, 42);
+        assert!(!p.rejected[0].1.is_empty());
+        assert!(p.completed.is_empty());
+        // The Coordinator still learns the job is over.
+        assert!(out.iter().any(|o| matches!(
+            o,
+            Output::Send {
+                to: Address::Coordinator,
+                msg: ProtoMsg::JobComplete { job: JobId(5) },
+                ..
+            }
+        )));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 )]
 
 use sheriff_geo::{Country, IpV4};
-use sheriff_market::{CookieJar, FetchContext, FetchResult, ProductId, UserAgent, World};
+use sheriff_market::{Cookie, CookieJar, FetchContext, FetchResult, ProductId, UserAgent, World};
 
 use crate::browser::{BrowserProfile, SandboxReport};
 use crate::pollution::{FetchMode, PollutionLedger};
@@ -76,7 +76,9 @@ impl IpcEngine {
             client_id: 0xffff_0000 | self.id, // infrastructure namespace
         };
         let (retailer, rates) = world.retailer_and_rates(domain)?;
-        let result = retailer.fetch(product, &ctx, now_ms, rates, 0.0, ctx.client_id)?;
+        // A clean browser keeps nothing, so the response's cookies are
+        // never built.
+        let result = retailer.fetch(product, &ctx, now_ms, rates)?;
         let (html, truth_eur) = match result {
             FetchResult::Page {
                 html, price_eur, ..
@@ -143,14 +145,13 @@ impl PpcEngine {
         now_ms: u64,
         request_seq: u64,
     ) {
-        let Some(result) = self.own_fetch(world, domain, product, day, 0, now_ms, request_seq)
+        let Some((_, set_cookies)) =
+            self.own_fetch(world, domain, product, day, 0, now_ms, request_seq)
         else {
             return;
         };
         let browser = self.browser.expose_mut();
-        if let FetchResult::Page { set_cookies, .. } = result {
-            browser.apply_cookies(set_cookies);
-        }
+        browser.apply_cookies(set_cookies);
         browser.visit(domain, &format!("{domain}/product/{}", product.0));
         self.ledger.expose_mut().record_real_visits(domain, 1);
     }
@@ -170,20 +171,19 @@ impl PpcEngine {
         request_seq: u64,
     ) -> Option<String> {
         match self.own_fetch(world, domain, product, day, quarter, now_ms, request_seq)? {
-            FetchResult::Page {
-                html, set_cookies, ..
-            } => {
+            (FetchResult::Page { html, .. }, set_cookies) => {
                 let browser = self.browser.expose_mut();
                 browser.apply_cookies(set_cookies);
                 browser.visit(domain, &format!("{domain}/product/{}", product.0));
                 self.ledger.expose_mut().record_real_visits(domain, 1);
                 Some(html)
             }
-            FetchResult::Captcha { html } => Some(html),
+            (FetchResult::Captcha { html }, _) => Some(html),
         }
     }
 
-    /// A fetch as the user: their own cookies, sign-in and affluence.
+    /// A fetch as the user: their own cookies, sign-in and affluence. The
+    /// page comes with the cookies it sets (none for a CAPTCHA).
     #[allow(clippy::too_many_arguments)]
     fn own_fetch(
         &self,
@@ -194,7 +194,7 @@ impl PpcEngine {
         time_quarter: u8,
         now_ms: u64,
         request_seq: u64,
-    ) -> Option<FetchResult> {
+    ) -> Option<(FetchResult, Vec<(String, Cookie)>)> {
         let ctx = FetchContext {
             ip: self.ip,
             country: self.country,
@@ -207,8 +207,17 @@ impl PpcEngine {
             client_id: self.peer_id,
         };
         let (retailer, rates) = world.retailer_and_rates(domain)?;
-        let affluence = *self.affluence.expose();
-        retailer.fetch(product, &ctx, now_ms, rates, affluence, self.peer_id)
+        let result = retailer.fetch(product, &ctx, now_ms, rates)?;
+        let set_cookies = match result {
+            FetchResult::Page { .. } => retailer.response_cookies(
+                product,
+                ctx.client_id,
+                *self.affluence.expose(),
+                self.peer_id,
+            ),
+            FetchResult::Captcha { .. } => Vec::new(),
+        };
+        Some((result, set_cookies))
     }
 
     /// Predicts (without charging) which [`FetchMode`] a remote fetch
@@ -282,15 +291,16 @@ impl PpcEngine {
         } else {
             *self.affluence.expose()
         };
-        let result = retailer.fetch(product, &ctx, now_ms, rates, affluence, client_id)?;
+        let result = retailer.fetch(product, &ctx, now_ms, rates)?;
 
         let (html, captcha, truth_eur, set_cookies) = match result {
             FetchResult::Page {
-                html,
-                price_eur,
-                set_cookies,
-                ..
-            } => (html, false, Some(price_eur), set_cookies),
+                html, price_eur, ..
+            } => {
+                let set_cookies =
+                    retailer.response_cookies(product, client_id, affluence, client_id);
+                (html, false, Some(price_eur), set_cookies)
+            }
             FetchResult::Captcha { html } => (html, true, None, Vec::new()),
         };
 

@@ -48,7 +48,7 @@ fn main() {
             match world
                 .retailer_mut(domain)
                 .expect("domain")
-                .fetch(ProductId(0), &ctx, 0, &rates, 0.0, seq)
+                .fetch(ProductId(0), &ctx, 0, &rates)
                 .expect("product")
             {
                 FetchResult::Page { html, .. } => html,

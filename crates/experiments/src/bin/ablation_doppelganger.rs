@@ -122,8 +122,6 @@ fn run(protected: bool, seed: u64) -> Outcome {
                 &ctx,
                 1_000_000 + i * 30_000,
                 &rates,
-                0.5,
-                500,
             );
             real_identity_fetches += 1;
         }

@@ -8,13 +8,13 @@
 //! user's add-on and just saving the difference" for the proxy responses.
 //!
 //! The diff is a classic LCS line diff: ops either copy a run of base lines
-//! or insert new lines. Reconstruction is exact. The table is only built
-//! for the lines between the pages' common head and tail.
-
-use serde::{Deserialize, Serialize};
+//! or insert new lines. Reconstruction is exact. The base page's line
+//! starts are indexed once per [`DiffStorage`]; each variant is compared
+//! with it byte for byte from both ends, and only the lines between the
+//! pages' common head and tail are split out and run through the table.
 
 /// One diff operation against the base page.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DiffOp {
     /// Copy `len` lines of the base starting at `start`.
     Copy {
@@ -28,38 +28,101 @@ pub enum DiffOp {
 }
 
 /// A line-level diff of one variant page against the base.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LineDiff {
     ops: Vec<DiffOp>,
 }
 
+/// Where each line of a page starts, lines numbered as `str::split('\n')`
+/// numbers them: `starts[i]` is line `i`'s first byte, and one closing
+/// entry `len + 1` follows the last line, so line `i` is
+/// `page[starts[i]..starts[i + 1] - 1]` and a page has `starts.len() - 1`
+/// lines.
+#[derive(Clone, Debug)]
+struct LineIndex {
+    starts: Vec<usize>,
+}
+
+impl LineIndex {
+    fn new(page: &str) -> Self {
+        let mut starts = Vec::with_capacity(page.len() / 32 + 2);
+        starts.push(0);
+        starts.extend(page.match_indices('\n').map(|(i, _)| i + 1));
+        starts.push(page.len() + 1);
+        LineIndex { starts }
+    }
+}
+
 impl LineDiff {
     /// Computes the diff turning `base` into `variant`.
+    pub fn compute(base: &str, variant: &str) -> LineDiff {
+        Self::against(base, &LineIndex::new(base), variant)
+    }
+
+    /// The diff turning `base` (whose lines `index` holds) into `variant`.
     ///
     /// The table is filled for the differing middle only, and trimming
     /// changes no op (DESIGN.md, "HTML"): the backtrack consumes the common
     /// suffix first anyway, and copies a common prefix line for line once
     /// that prefix's last line occurs in neither remaining middle — so the
     /// prefix is shortened until that holds (`A B` → `A A B` needs it).
-    // Textbook LCS backtrack: `i`/`j` only decrease from the middle's
-    // lengths and every index is guarded by `i > 0`/`j > 0`; rewriting
-    // with `.get` would bury the algorithm under plumbing.
+    /// Both are found on bytes and mapped to base lines through `index`:
+    /// the variant is split only where it differs.
+    // `starts` holds `lines + 1` entries and every index below is a line
+    // number in `0..=lines`; `b_cut`/`v_cut` are line starts (or one past
+    // the end) of their page, so `v_cut - 1` and the byte just before a
+    // tail are in range. The backtrack is the textbook one: `i`/`j` only
+    // decrease from the middle's lengths and every index is guarded by
+    // `i > 0`/`j > 0`; rewriting with `.get` would bury the algorithm
+    // under plumbing.
     // sheriff-lint: allow-item(transitive-panic)
-    pub fn compute(base: &str, variant: &str) -> LineDiff {
-        let b: Vec<&str> = base.split('\n').collect();
-        let v: Vec<&str> = variant.split('\n').collect();
-        let same = |(x, y): &(&&str, &&str)| x == y;
-        let suffix = b.iter().rev().zip(v.iter().rev()).take_while(same).count();
-        let (b_end, v_end) = (b.len() - suffix, v.len() - suffix);
-        let mut prefix = b[..b_end].iter().zip(&v[..v_end]).take_while(same).count();
-        while prefix > 0
-            && (b[prefix..b_end].contains(&b[prefix - 1])
-                || v[prefix..v_end].contains(&b[prefix - 1]))
-        {
-            prefix -= 1;
+    fn against(base: &str, index: &LineIndex, variant: &str) -> LineDiff {
+        let (b, v) = (base.as_bytes(), variant.as_bytes());
+        let starts = &index.starts;
+        let lines = starts.len() - 1;
+        let line = |i: usize| &base[starts[i]..starts[i + 1] - 1];
+
+        // Common tail: base lines that start inside the byte tail, less the
+        // first of them if the variant has no line break there.
+        let tail = common_suffix(b, v);
+        let mut b_end = starts.partition_point(|&s| s < b.len() - tail);
+        if b_end < lines {
+            let at = v.len() + starts[b_end] - b.len();
+            if at > 0 && v[at - 1] != b'\n' {
+                b_end += 1;
+            }
         }
-        let (b_mid, v_mid) = (&b[prefix..b_end], &v[prefix..v_end]);
-        let lcs = lcs_table(b_mid, v_mid);
+        let suffix = lines - b_end;
+        // Where the tail starts in each page (one past the end if empty).
+        let b_cut = starts[b_end];
+        let v_cut = v.len() + b_cut - b.len();
+
+        // Common head: base lines whose `\n` lies inside the byte head and
+        // before both tails, plus the next line if it ends exactly where
+        // the head does and so does a variant line.
+        let head = common_prefix(b, v);
+        let cut = b_cut.min(v_cut);
+        let mut prefix = starts[1..].partition_point(|&s| s <= head.min(cut));
+        let next = starts[prefix + 1];
+        if next - 1 == head && next <= cut && v.get(head).is_none_or(|&c| c == b'\n') {
+            prefix += 1;
+        }
+        let from = starts[prefix];
+        let mut v_mid: Vec<&str> = if from < v_cut {
+            variant[from..v_cut - 1].split('\n').collect()
+        } else {
+            Vec::new()
+        };
+        while prefix > 0 {
+            let last = line(prefix - 1);
+            if !((prefix..b_end).any(|i| line(i) == last) || v_mid.contains(&last)) {
+                break;
+            }
+            prefix -= 1;
+            v_mid.insert(0, last);
+        }
+        let b_mid: Vec<&str> = (prefix..b_end).map(line).collect();
+        let lcs = lcs_table(&b_mid, &v_mid);
         let width = v_mid.len() + 1;
 
         // Walk the table back (ops come out last first), then coalesce
@@ -147,6 +210,25 @@ impl LineDiff {
     }
 }
 
+/// Length of the longest common prefix of `a` and `b`, compared 16 bytes
+/// at a time up to the first differing block.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let blocks = a.as_chunks::<16>().0.iter().zip(b.as_chunks::<16>().0);
+    let whole = 16 * blocks.take_while(|(x, y)| x == y).count();
+    let rest = a.iter().skip(whole).zip(b.iter().skip(whole));
+    whole + rest.take_while(|(x, y)| x == y).count()
+}
+
+/// Length of the longest common suffix of `a` and `b`, compared 16 bytes
+/// at a time back to the first differing block.
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    let (a16, b16) = (a.as_rchunks::<16>().1, b.as_rchunks::<16>().1);
+    let blocks = a16.iter().rev().zip(b16.iter().rev());
+    let whole = 16 * blocks.take_while(|(x, y)| x == y).count();
+    let rest = a.iter().rev().skip(whole).zip(b.iter().rev().skip(whole));
+    whole + rest.take_while(|(x, y)| x == y).count()
+}
+
 // The table is (a.len()+1) × (b.len()+1), row-major in one allocation;
 // every index below stays inside those bounds by loop construction.
 // sheriff-lint: allow-item(transitive-panic)
@@ -166,9 +248,11 @@ fn lcs_table(a: &[&str], b: &[&str]) -> Vec<u32> {
 }
 
 /// DiffStorage: one full base page plus diffs for each variant.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DiffStorage {
     base: String,
+    /// The base's line starts, built once for every `store`.
+    index: LineIndex,
     variants: Vec<LineDiff>,
     /// Bytes of every stored page as received (a diff reconstructs its
     /// page exactly, so this is what full copies would take).
@@ -178,8 +262,10 @@ pub struct DiffStorage {
 impl DiffStorage {
     /// Creates storage around the initiator's full page.
     pub fn new(base_page: impl Into<String>) -> Self {
+        let base = base_page.into();
         DiffStorage {
-            base: base_page.into(),
+            index: LineIndex::new(&base),
+            base,
             variants: Vec::new(),
             full_bytes: 0,
         }
@@ -187,9 +273,15 @@ impl DiffStorage {
 
     /// Stores a proxy response as a diff; returns its index.
     pub fn store(&mut self, page: &str) -> usize {
-        self.variants.push(LineDiff::compute(&self.base, page));
+        self.variants
+            .push(LineDiff::against(&self.base, &self.index, page));
         self.full_bytes += page.len();
         self.variants.len() - 1
+    }
+
+    /// The diff stored as variant `idx`.
+    pub fn diff(&self, idx: usize) -> Option<&LineDiff> {
+        self.variants.get(idx)
     }
 
     /// Reconstructs variant `idx`.

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use sheriff_geo::{Country, IpAllocator};
-use sheriff_html::diff::LineDiff;
+use sheriff_html::diff::{DiffStorage, LineDiff};
 use sheriff_html::tagspath::{extract_by_path, MatchQuality, TagsPath};
 use sheriff_html::{Document, NodeId, NodeKind};
 use sheriff_market::page::{price_markup, render_captcha};
@@ -146,7 +146,7 @@ fn pages_of(world: &mut World, domain: &str, requests: u64) -> Vec<String> {
             let retailer = world.retailer_mut(domain).expect("listed domain");
             // A day apart, so bot detectors let every request through.
             let now_ms = (c as u64 * requests + seq) * 86_400_000;
-            match retailer.fetch(ProductId(1), &ctx, now_ms, &rates, 0.3, seq) {
+            match retailer.fetch(ProductId(1), &ctx, now_ms, &rates) {
                 Some(FetchResult::Page { html, .. } | FetchResult::Captcha { html }) => {
                     pages.push(html);
                 }
@@ -383,6 +383,95 @@ fn same_domain_page_pairs_diff_to_the_same_ops() {
         }
     }
     assert!(pairs >= 5_000, "{pairs} pairs");
+}
+
+#[test]
+fn indexed_diff_edge_cases_diff_to_the_same_ops() {
+    let mut world = World::build(&WorldConfig::small(), 5);
+    let page = pages_of(&mut world, "jcpenney.com", 1).remove(0);
+    let captcha = render_captcha("jcpenney.com");
+    let trimmed = page.strip_suffix('\n').expect("pages end in a newline");
+    let cases: Vec<(String, String)> = vec![
+        // The variant is the base plus one line: its tail starts past the
+        // base's last line start.
+        (page.clone(), format!("{page}extra")),
+        (page.clone(), format!("{page}extra\n")),
+        (trimmed.to_string(), page.clone()),
+        (page.clone(), trimmed.to_string()),
+        (page.clone(), format!("head\n{page}")),
+        ("A\nB".into(), "A\nB\nC".into()),
+        ("A\nB".into(), "A\nBC".into()),
+        ("A\nBC".into(), "A\nB".into()),
+        ("A\nB\n".into(), "A\nB".into()),
+        ("A\nB".into(), "A\nB\n".into()),
+        ("\n".into(), "".into()),
+        ("".into(), "\n".into()),
+        ("\n\n".into(), "\n".into()),
+        // Empty base or variant.
+        (String::new(), page.clone()),
+        (page.clone(), String::new()),
+        (String::new(), String::new()),
+        // The variant equals the base.
+        (page.clone(), page.clone()),
+        // A CAPTCHA interstitial against a product page, both ways.
+        (page.clone(), captcha.clone()),
+        (captcha.clone(), page.clone()),
+    ];
+    for (base, variant) in &cases {
+        assert_same_ops(base, variant);
+        let mut store = DiffStorage::new(base.as_str());
+        let idx = store.store(variant);
+        assert_eq!(store.diff(idx), Some(&LineDiff::compute(base, variant)));
+        assert_eq!(store.load(idx).as_deref(), Some(variant.as_str()));
+    }
+}
+
+#[test]
+fn stored_fan_out_matches_computed_diffs_and_accounting() {
+    // Every page of a 30-vantage fan-out, stored against the initiator's
+    // page, gives the ops and the byte accounting that diffing each page
+    // on its own gives.
+    let mut world = World::build(&WorldConfig::small(), 5);
+    let rates = world.rates.clone();
+    let jar = CookieJar::new();
+    let countries: Vec<Country> = Country::all().take(30).collect();
+    let domains: Vec<String> = world.domains().map(str::to_string).collect();
+    for domain in &domains {
+        let mut fetch = |country: Country, seq: u64| {
+            let ctx = FetchContext {
+                ip: IpAllocator::new().allocate(country, 0),
+                country,
+                cookies: &jar,
+                user_agent: UserAgent {
+                    os: Os::Linux,
+                    browser: Browser::Firefox,
+                },
+                logged_in: false,
+                day: 0,
+                time_quarter: 0,
+                request_seq: seq,
+                client_id: seq,
+            };
+            let retailer = world.retailer_mut(domain).expect("listed domain");
+            match retailer.fetch(ProductId(0), &ctx, seq * 86_400_000, &rates) {
+                Some(FetchResult::Page { html, .. } | FetchResult::Captcha { html }) => html,
+                None => panic!("{domain} has no product 0"),
+            }
+        };
+        let base = fetch(Country::ES, 1);
+        let mut store = DiffStorage::new(base.as_str());
+        let mut stored = base.len();
+        let mut full = base.len();
+        for (i, &country) in countries.iter().enumerate() {
+            let page = fetch(country, 100 + i as u64);
+            let idx = store.store(&page);
+            let computed = LineDiff::compute(&base, &page);
+            assert_eq!(store.diff(idx), Some(&computed), "{domain} vantage {i}");
+            stored += computed.stored_bytes();
+            full += page.len();
+        }
+        assert_eq!(store.storage_accounting(), (stored, full), "{domain}");
+    }
 }
 
 proptest! {

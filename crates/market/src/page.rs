@@ -81,10 +81,100 @@ pub fn price_markup(template: u8) -> (&'static str, &'static str) {
         .unwrap_or(("span", "price-value"))
 }
 
+/// A retailer's static site chrome: identical on every fetch of the
+/// retailer, like the navigation/footer boilerplate dominating real
+/// product pages — and the reason DiffStorage pays off (§10.5). Built
+/// once per retailer; [`render`] splices the per-fetch lines into it.
+#[derive(Clone, Debug)]
+pub struct Chrome {
+    /// From the charset through the nav bar: stylesheets, tracker scripts.
+    head: String,
+    /// The footer through `</html>`.
+    foot: String,
+}
+
+impl Chrome {
+    /// The chrome of `domain`'s pages, embedding `trackers` as
+    /// third-party script tags.
+    pub fn new(domain: &str, trackers: &[Tracker]) -> Self {
+        let mut head = String::new();
+        let mut foot = String::new();
+        // `fmt::Write` into a `String` cannot fail.
+        macro_rules! put {
+            ($out:ident, $($arg:tt)*) => {{ let _ = write!($out, $($arg)*); }};
+        }
+        put!(head, "<meta charset=\"utf-8\">\n");
+        for i in 0..18 {
+            put!(
+                head,
+                "<link rel=\"stylesheet\" href=\"/static/css/part-{i:02}.css\">\n"
+            );
+        }
+        for t in trackers {
+            put!(
+                head,
+                "<script src=\"https://{}/tag.js\"></script>\n",
+                t.domain
+            );
+        }
+        put!(head, "</head>\n<body>\n<nav class=\"site-nav\">\n");
+        for section in [
+            "home",
+            "new-arrivals",
+            "clothing",
+            "electronics",
+            "books",
+            "games",
+            "cosmetics",
+            "jewelry",
+            "household",
+            "furniture",
+            "sale",
+            "gift-cards",
+            "stores",
+            "help",
+            "account",
+        ] {
+            put!(
+                head,
+                "<a class=\"nav-item nav-{section}\" href=\"/{section}\">{section}</a>\n"
+            );
+        }
+        put!(head, "</nav>\n");
+
+        put!(foot, "<footer class=\"site-footer\">\n");
+        for line in [
+            "About us",
+            "Careers",
+            "Press",
+            "Investors",
+            "Sustainability",
+            "Shipping &amp; returns",
+            "Size guides",
+            "Contact",
+            "Privacy policy",
+            "Terms of service",
+            "Cookie settings",
+            "Accessibility statement",
+            "Store locator",
+            "Gift registry",
+            "Affiliate program",
+        ] {
+            put!(foot, "<div class=\"footer-line\">{line}</div>\n");
+        }
+        put!(
+            foot,
+            "<div class=\"copyright\">&copy; {domain} — all rights reserved</div>\n"
+        );
+        put!(foot, "</footer>\n</body>\n</html>\n");
+        Chrome { head, foot }
+    }
+}
+
 /// Everything needed to render one product page.
 #[derive(Debug)]
 pub struct PageSpec<'a> {
-    /// Retailer domain (for titles and tracker URLs).
+    /// Retailer domain (for the title).
     pub domain: &'a str,
     /// The product shown.
     pub product: &'a Product,
@@ -94,17 +184,19 @@ pub struct PageSpec<'a> {
     pub template: u8,
     /// Seed for fetch-dependent noise (ads, banners).
     pub noise_seed: u64,
-    /// Trackers to embed as third-party script tags.
-    pub trackers: &'a [Tracker],
+    /// The retailer's static chrome (stylesheets, trackers, nav, footer).
+    pub chrome: &'a Chrome,
     /// Recommendation strip: (name, price text) of other products.
     pub recommendations: &'a [(String, String)],
 }
 
-/// Renders the page.
+/// Renders the page: the per-fetch title, ads, product block and
+/// recommendation strip, inside the retailer's chrome.
 pub fn render(spec: &PageSpec<'_>) -> String {
     let (tag, class) = price_markup(spec.template);
     let name = &spec.product.name;
-    let mut html = String::with_capacity(8192);
+    let chrome = spec.chrome;
+    let mut html = String::with_capacity(chrome.head.len() + chrome.foot.len() + 1024);
     // `fmt::Write` into a `String` cannot fail; one `put!` per line keeps
     // the page readable here and allocates nothing.
     macro_rules! put {
@@ -112,37 +204,7 @@ pub fn render(spec: &PageSpec<'_>) -> String {
     }
     put!("<!DOCTYPE html>\n<html>\n<head>\n");
     put!("<title>{name} - {}</title>\n", spec.domain);
-    // Static site chrome: identical on every fetch of this retailer, like
-    // the navigation/footer boilerplate dominating real product pages —
-    // and the reason DiffStorage pays off (§10.5).
-    put!("<meta charset=\"utf-8\">\n");
-    for i in 0..18 {
-        put!("<link rel=\"stylesheet\" href=\"/static/css/part-{i:02}.css\">\n");
-    }
-    for t in spec.trackers {
-        put!("<script src=\"https://{}/tag.js\"></script>\n", t.domain);
-    }
-    put!("</head>\n<body>\n<nav class=\"site-nav\">\n");
-    for section in [
-        "home",
-        "new-arrivals",
-        "clothing",
-        "electronics",
-        "books",
-        "games",
-        "cosmetics",
-        "jewelry",
-        "household",
-        "furniture",
-        "sale",
-        "gift-cards",
-        "stores",
-        "help",
-        "account",
-    ] {
-        put!("<a class=\"nav-item nav-{section}\" href=\"/{section}\">{section}</a>\n");
-    }
-    put!("</nav>\n");
+    html.push_str(&chrome.head);
 
     // Location/user-tailored banner noise: count and flavor vary by seed.
     let n_ads = hash_mix(&[spec.noise_seed, 0xad]) % 4;
@@ -191,31 +253,7 @@ pub fn render(spec: &PageSpec<'_>) -> String {
         put!("</div>\n");
     }
 
-    put!("<footer class=\"site-footer\">\n");
-    for line in [
-        "About us",
-        "Careers",
-        "Press",
-        "Investors",
-        "Sustainability",
-        "Shipping &amp; returns",
-        "Size guides",
-        "Contact",
-        "Privacy policy",
-        "Terms of service",
-        "Cookie settings",
-        "Accessibility statement",
-        "Store locator",
-        "Gift registry",
-        "Affiliate program",
-    ] {
-        put!("<div class=\"footer-line\">{line}</div>\n");
-    }
-    put!(
-        "<div class=\"copyright\">&copy; {} — all rights reserved</div>\n",
-        spec.domain
-    );
-    put!("</footer>\n</body>\n</html>\n");
+    html.push_str(&chrome.foot);
     html
 }
 
@@ -289,7 +327,7 @@ mod tests {
                 price_text: "EUR654.00".into(),
                 template,
                 noise_seed: 42,
-                trackers: &[Tracker::by_index(0)],
+                chrome: &Chrome::new("shop.example", &[Tracker::by_index(0)]),
                 recommendations: &[],
             };
             let html = render(&spec);
@@ -310,7 +348,7 @@ mod tests {
                 price_text: "EUR654.00".into(),
                 template: 0,
                 noise_seed: seed,
-                trackers: &[],
+                chrome: &Chrome::new("shop.example", &[]),
                 recommendations: &[],
             })
         };
@@ -330,7 +368,10 @@ mod tests {
             price_text: "EUR1.00".into(),
             template: 1,
             noise_seed: 0,
-            trackers: &[Tracker::by_index(0), Tracker::by_index(1)],
+            chrome: &Chrome::new(
+                "shop.example",
+                &[Tracker::by_index(0), Tracker::by_index(1)],
+            ),
             recommendations: &[],
         };
         let html = render(&spec);
@@ -347,7 +388,7 @@ mod tests {
             price_text: "EUR654.00".into(),
             template: 0,
             noise_seed: 1,
-            trackers: &[],
+            chrome: &Chrome::new("shop.example", &[]),
             recommendations: &[("other thing".into(), "EUR9.99".into())],
         };
         let html = render(&spec);

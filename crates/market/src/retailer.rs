@@ -5,7 +5,7 @@ use sheriff_geo::Country;
 
 use crate::bot::BotDetector;
 use crate::cookies::Cookie;
-use crate::page::{self, PageSpec, PriceFormat};
+use crate::page::{self, Chrome, PageSpec, PriceFormat};
 use crate::pricing::{compute_price_eur, FetchContext, PricingStrategy};
 use crate::product::{Product, ProductId};
 use crate::tracker::Tracker;
@@ -16,7 +16,9 @@ pub use crate::page::PriceFormat as RetailerPriceFormat;
 /// Result of fetching a product page.
 #[derive(Clone, Debug)]
 pub enum FetchResult {
-    /// The product page, plus the cookies the response sets.
+    /// The product page. The cookies the response sets are
+    /// [`Retailer::response_cookies`], built only by the fetches that keep
+    /// them.
     Page {
         /// Full HTML.
         html: String,
@@ -26,8 +28,6 @@ pub enum FetchResult {
         price_quoted: f64,
         /// The shown price converted to EUR (ground truth for analyses).
         price_eur: f64,
-        /// Cookies the response sets: (domain, cookie).
-        set_cookies: Vec<(String, Cookie)>,
     },
     /// Bot detection tripped; a CAPTCHA page came back instead.
     Captcha {
@@ -54,10 +54,12 @@ pub struct Retailer {
     pub products: Vec<Product>,
     /// Pricing stack, applied in order.
     pub strategies: Vec<PricingStrategy>,
-    /// Embedded third-party trackers.
-    pub trackers: Vec<Tracker>,
     /// Optional bot defense.
     pub bot: Option<BotDetector>,
+    /// Embedded third-party trackers; `chrome` embeds their scripts.
+    trackers: Vec<Tracker>,
+    /// The static page chrome, rendered once from domain and trackers.
+    chrome: Chrome,
     salt: u64,
 }
 
@@ -78,6 +80,7 @@ impl Retailer {
     ) -> Self {
         Retailer {
             salt: hash_str(domain),
+            chrome: Chrome::new(domain, &trackers),
             domain: domain.to_string(),
             home_country,
             localizes_currency,
@@ -124,16 +127,13 @@ impl Retailer {
 
     /// Fetches the product page as seen through `ctx`.
     ///
-    /// `now_ms` feeds bot detection; `user_affluence`/`user_id` feed the
-    /// trackers embedded on the page. Returns `None` for unknown products.
+    /// `now_ms` feeds bot detection. Returns `None` for unknown products.
     pub fn fetch(
         &mut self,
         id: ProductId,
         ctx: &FetchContext<'_>,
         now_ms: u64,
         rates: &FixedRates,
-        user_affluence: f64,
-        user_id: u64,
     ) -> Option<FetchResult> {
         // Bot defense first — a CAPTCHA'd request never reaches pricing.
         if let Some(bot) = &mut self.bot {
@@ -201,18 +201,35 @@ impl Retailer {
             price_text,
             template: self.template,
             noise_seed,
-            trackers: &self.trackers,
+            chrome: &self.chrome,
             recommendations: &recommendations,
         });
 
-        // Response cookies: a first-party session/viewed cookie plus every
-        // embedded tracker's third-party cookie.
-        let mut set_cookies = vec![
+        Some(FetchResult::Page {
+            html,
+            currency,
+            price_quoted,
+            price_eur: shown_eur,
+        })
+    }
+
+    /// The cookies a product page response sets, as (domain, cookie): a
+    /// first-party session/viewed cookie for `client_id` plus every
+    /// embedded tracker's third-party cookie, which profiles
+    /// `user_affluence`/`user_id`. A CAPTCHA sets none.
+    pub fn response_cookies(
+        &self,
+        id: ProductId,
+        client_id: u64,
+        user_affluence: f64,
+        user_id: u64,
+    ) -> Vec<(String, Cookie)> {
+        let mut cookies = vec![
             (
                 self.domain.clone(),
                 Cookie {
                     name: "session_id".into(),
-                    value: format!("{:016x}", hash_mix(&[self.salt, ctx.client_id])),
+                    value: format!("{:016x}", hash_mix(&[self.salt, client_id])),
                     third_party: false,
                 },
             ),
@@ -227,7 +244,7 @@ impl Retailer {
         ];
         for t in &self.trackers {
             let score = t.score_for(user_affluence, user_id);
-            set_cookies.push((
+            cookies.push((
                 t.domain.clone(),
                 Cookie {
                     name: "profile_score".into(),
@@ -235,7 +252,7 @@ impl Retailer {
                     third_party: true,
                 },
             ));
-            set_cookies.push((
+            cookies.push((
                 t.domain.clone(),
                 Cookie {
                     name: "uid".into(),
@@ -244,14 +261,7 @@ impl Retailer {
                 },
             ));
         }
-
-        Some(FetchResult::Page {
-            html,
-            currency,
-            price_quoted,
-            price_eur: shown_eur,
-            set_cookies,
-        })
+        cookies
     }
 }
 
@@ -305,7 +315,7 @@ mod tests {
         let jar = CookieJar::new();
         let rates = FixedRates::paper_era();
         let result = r
-            .fetch(ProductId(0), &ctx(&jar, Country::ES), 0, &rates, 0.5, 1)
+            .fetch(ProductId(0), &ctx(&jar, Country::ES), 0, &rates)
             .unwrap();
         match result {
             FetchResult::Page {
@@ -313,13 +323,13 @@ mod tests {
                 currency,
                 price_quoted,
                 price_eur,
-                set_cookies,
             } => {
                 assert_eq!(currency, "EUR", "localized to Spanish customer");
                 assert!(price_quoted > 0.0 && price_eur > 0.0);
                 assert!(html.contains("EUR") || html.contains('€'));
-                assert!(set_cookies.iter().any(|(d, _)| d == "shop.example"));
-                assert!(set_cookies.iter().any(|(_, c)| c.third_party));
+                let cookies = r.response_cookies(ProductId(0), 99, 0.5, 1);
+                assert!(cookies.iter().any(|(d, _)| d == "shop.example"));
+                assert!(cookies.iter().any(|(_, c)| c.third_party));
                 // The page parses and holds an extractable price element.
                 let doc = sheriff_html::Document::parse(&html);
                 let (tag, class) = crate::page::price_markup(0);
@@ -330,13 +340,40 @@ mod tests {
     }
 
     #[test]
+    fn every_retailer_renders_the_same_through_a_fresh_chrome() {
+        // The chrome rendered in `Retailer::new` must be the one its domain
+        // and trackers give now: swap in a fresh one and every page of
+        // every retailer of the small world comes out byte-equal.
+        let mut world = crate::world::World::build(&crate::world::WorldConfig::small(), 5);
+        let rates = world.rates.clone();
+        let jar = CookieJar::new();
+        let domains: Vec<String> = world.domains().map(str::to_string).collect();
+        for domain in &domains {
+            let r = world.retailer_mut(domain).expect("listed");
+            // A day apart, so a bot detector lets every request through.
+            let page = |r: &mut Retailer, day: u64| match r.fetch(
+                ProductId(1),
+                &ctx(&jar, Country::DE),
+                day * 86_400_000,
+                &rates,
+            ) {
+                Some(FetchResult::Page { html, .. }) => html,
+                other => panic!("{domain}: {other:?}"),
+            };
+            let cached = page(r, 0);
+            r.chrome = Chrome::new(&r.domain, &r.trackers);
+            assert_eq!(cached, page(r, 1), "{domain}");
+        }
+    }
+
+    #[test]
     fn non_localizing_site_quotes_home_currency() {
         let mut r = retailer(vec![]);
         r.localizes_currency = false;
         let jar = CookieJar::new();
         let rates = FixedRates::paper_era();
         let result = r
-            .fetch(ProductId(0), &ctx(&jar, Country::JP), 0, &rates, 0.5, 1)
+            .fetch(ProductId(0), &ctx(&jar, Country::JP), 0, &rates)
             .unwrap();
         match result {
             FetchResult::Page { currency, .. } => assert_eq!(currency, "USD"),
@@ -377,10 +414,10 @@ mod tests {
         let rates = FixedRates::paper_era();
         let c = ctx(&jar, Country::ES);
         for i in 0..2 {
-            let res = r.fetch(ProductId(0), &c, i * 100, &rates, 0.5, 1).unwrap();
+            let res = r.fetch(ProductId(0), &c, i * 100, &rates).unwrap();
             assert!(matches!(res, FetchResult::Page { .. }), "request {i}");
         }
-        let res = r.fetch(ProductId(0), &c, 300, &rates, 0.5, 1).unwrap();
+        let res = r.fetch(ProductId(0), &c, 300, &rates).unwrap();
         assert!(matches!(res, FetchResult::Captcha { .. }));
     }
 
@@ -390,7 +427,7 @@ mod tests {
         let jar = CookieJar::new();
         let rates = FixedRates::paper_era();
         assert!(r
-            .fetch(ProductId(999), &ctx(&jar, Country::ES), 0, &rates, 0.5, 1)
+            .fetch(ProductId(999), &ctx(&jar, Country::ES), 0, &rates)
             .is_none());
     }
 
@@ -406,7 +443,7 @@ mod tests {
             price_quoted,
             price_eur,
             ..
-        }) = r.fetch(ProductId(3), &ctx(&jar, Country::JP), 0, &rates, 0.5, 1)
+        }) = r.fetch(ProductId(3), &ctx(&jar, Country::JP), 0, &rates)
         {
             let back = rates.convert(price_quoted, currency, "EUR").unwrap();
             assert!((back - price_eur).abs() < 1e-9);

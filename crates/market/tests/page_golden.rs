@@ -1,5 +1,6 @@
 //! `page::render` must keep producing the bytes it produced before it
-//! was rewritten to write into one buffer: every structural template
+//! was rewritten to write into one buffer and again before a retailer's
+//! static chrome was rendered once (`page::Chrome`): every structural template
 //! (0–5 covers both `template % 3` and all five price markups) under
 //! every price format, with 0–3 ad banners, trackers, a recommendation
 //! strip whose names need escaping, and the CAPTCHA interstitial.
@@ -9,7 +10,7 @@
 //! into that file from a commit you trust.
 
 use sheriff_geo::ProductCategory;
-use sheriff_market::page::{render, render_captcha, PageSpec};
+use sheriff_market::page::{render, render_captcha, Chrome, PageSpec};
 use sheriff_market::tracker::Tracker;
 use sheriff_market::{format_price, PriceFormat, Product, ProductId};
 
@@ -29,6 +30,9 @@ fn pages() -> String {
         popularity: 0.5,
     };
     let trackers = [Tracker::by_index(0), Tracker::by_index(3)];
+    let chromes: Vec<Chrome> = (0..3)
+        .map(|n| Chrome::new("shop.example", &trackers[..n]))
+        .collect();
     let mut out = String::new();
     for template in 0..6u8 {
         for (k, (format, currency)) in FORMATS.into_iter().enumerate() {
@@ -50,7 +54,7 @@ fn pages() -> String {
                 price_text: format_price(1234.56, currency, format),
                 template,
                 noise_seed,
-                trackers: &trackers[..k % 3],
+                chrome: &chromes[k % 3],
                 recommendations: &recommendations[..(k + usize::from(template)) % 3],
             };
             out.push_str(&format!("==== template {template} format {k}\n"));

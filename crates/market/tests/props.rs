@@ -90,7 +90,7 @@ proptest! {
             let template = world.retailer(domain).expect("d").template;
             let r = world.retailer_mut(domain).expect("domain");
             let result = r
-                .fetch(ProductId(product), &c, 0, &rates, 0.3, seq)
+                .fetch(ProductId(product), &c, 0, &rates)
                 .expect("product");
             let FetchResult::Page { html, price_quoted, currency, .. } = result else {
                 continue; // no bot detectors in this set

@@ -1,5 +1,12 @@
 //! The per-shard event loop: one thread, all the sockets and timers of
-//! its nodes, and exactly one place it ever parks — its own doorbell.
+//! its nodes, and one place it waits for work — its own doorbell.
+//!
+//! It is not the only place the thread blocks: a Database node's step
+//! runs on this thread, and its flush-before-ack `FileStorage::barrier` writes the WAL and `fsync`s
+//! it there: the shard sweeps nothing else until the disk answers. With
+//! 8 checks in flight on one shard (2-vCPU host) that came to 0.4–0.66
+//! barriers a check, 119–226 µs of wall time a check, of which only
+//! ≈ 45 µs was on-CPU.
 //!
 //! Each iteration of [`Reactor::run`] is one readiness sweep:
 //!

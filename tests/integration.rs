@@ -39,7 +39,7 @@ fn fetch_from(
     };
     let retailer = world.retailer_mut(domain).expect("domain exists");
     match retailer
-        .fetch(product, &ctx, 0, &rates, 0.0, seq)
+        .fetch(product, &ctx, 0, &rates)
         .expect("product exists")
     {
         FetchResult::Page { html, .. } => html,
