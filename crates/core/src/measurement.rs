@@ -90,21 +90,6 @@ pub fn process_document(
     obs
 }
 
-/// Builds the initiator's Tags Path from their own page by locating the
-/// highlighted text (the add-on's step-1 price selection, Fig. 4).
-///
-/// Walks the DOM for the deepest element whose text equals the selection
-/// and constructs the path from it.
-pub fn tags_path_for_selection(html: &str, selection: &str) -> Option<TagsPath> {
-    let doc = Document::parse(html);
-    let target = doc
-        .descendants(doc.root())
-        .rev() // deepest-last in DFS order — prefer the innermost element
-        .filter(|&id| doc.name(id).is_some())
-        .find(|&id| doc.text_content(id).trim() == selection.trim())?;
-    TagsPath::from_node(&doc, target)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,8 +112,12 @@ mod tests {
         }
     }
 
-    fn path_for(html: &str, selection: &str) -> TagsPath {
-        tags_path_for_selection(html, selection).expect("path")
+    /// The Tags Path of `html`'s price element, recorded as `PeerProto`
+    /// records the initiator's.
+    fn path_for(html: &str) -> TagsPath {
+        let doc = Document::parse(html);
+        let price = doc.find_by_class("span", "price").expect("price element");
+        TagsPath::from_node(&doc, price).expect("path")
     }
 
     #[test]
@@ -136,7 +125,7 @@ mod tests {
         // $699 seen in the US converts to €617.65 (Fig. 2).
         let rates = FixedRates::paper_era();
         let html = page("$699");
-        let path = path_for(&html, "$699");
+        let path = path_for(&html);
         let obs = process_response(&html, &path, &meta(), "EUR", &rates);
         assert!(!obs.failed);
         assert_eq!(obs.currency, "USD");
@@ -149,7 +138,7 @@ mod tests {
     fn remote_page_with_different_price_extracts() {
         let rates = FixedRates::paper_era();
         let local = page("EUR100.00");
-        let path = path_for(&local, "EUR100.00");
+        let path = path_for(&local);
         let remote = page("CAD912.00");
         let obs = process_response(&remote, &path, &meta(), "EUR", &rates);
         assert!(!obs.failed);
@@ -161,7 +150,7 @@ mod tests {
     fn captcha_page_fails_gracefully() {
         let rates = FixedRates::paper_era();
         let local = page("EUR5.00");
-        let path = path_for(&local, "EUR5.00");
+        let path = path_for(&local);
         let captcha = sheriff_market::page::render_captcha("shop.example");
         let obs = process_response(&captcha, &path, &meta(), "EUR", &rates);
         assert!(obs.failed);
@@ -179,7 +168,7 @@ mod tests {
         ] {
             let text = format_price(1234.5, cur, fmt);
             let html = page(&text);
-            let path = path_for(&html, &text);
+            let path = path_for(&html);
             let obs = process_response(&html, &path, &meta(), "EUR", &rates);
             assert!(!obs.failed, "{fmt:?} {cur}: {text}");
             assert_eq!(obs.currency, cur, "{text}");
@@ -192,7 +181,7 @@ mod tests {
         // <b>s. Reactor shards run on 2 MiB thread stacks; a subtree walk
         // that recursed per level would abort the whole process there.
         let html = format!("<span class=\"price\">{}EUR9.00", "<b>".repeat(200_000));
-        let path = path_for(&page("EUR1.00"), "EUR1.00");
+        let path = path_for(&page("EUR1.00"));
         let obs = std::thread::Builder::new()
             .stack_size(256 * 1024)
             .spawn(move || process_response(&html, &path, &meta(), "EUR", &FixedRates::paper_era()))
@@ -202,17 +191,5 @@ mod tests {
         assert!(!obs.failed);
         assert_eq!(obs.raw_text, "EUR9.00");
         assert!((obs.amount_eur - 9.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn selection_finds_innermost_element() {
-        let html = r#"<html><body><div class="wrap"><span class="price">EUR9.99</span></div></body></html>"#;
-        let path = tags_path_for_selection(html, "EUR9.99").unwrap();
-        assert_eq!(path.steps.last().unwrap().name, "span");
-    }
-
-    #[test]
-    fn missing_selection_yields_no_path() {
-        assert!(tags_path_for_selection("<p>hello</p>", "EUR1.00").is_none());
     }
 }

@@ -4,6 +4,7 @@
 //! stack — and names, values and text are byte ranges, so parsing
 //! allocates nothing per node. DESIGN.md ("HTML") has the reasoning.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use crate::tokenizer;
@@ -73,10 +74,24 @@ pub struct Document {
 const MAX_PAGE_BYTES: usize = (u32::MAX / 2) as usize;
 
 /// Elements that never have children.
-const VOID: [&str; 13] = [
-    "img", "br", "hr", "input", "meta", "link", "area", "base", "col", "embed", "source", "track",
-    "wbr",
-];
+fn is_void(name: &str) -> bool {
+    matches!(
+        name,
+        "img"
+            | "br"
+            | "hr"
+            | "input"
+            | "meta"
+            | "link"
+            | "area"
+            | "base"
+            | "col"
+            | "embed"
+            | "source"
+            | "track"
+            | "wbr"
+    )
+}
 
 /// The tree under construction: what [`tokenizer::tokenize`] feeds.
 pub(crate) struct TreeBuilder {
@@ -91,19 +106,20 @@ pub(crate) struct TreeBuilder {
 }
 
 impl TreeBuilder {
-    /// The page's bytes `start..end` as a lower-cased name. The copy this
-    /// document owns is lowered in place: nothing else reads a name's bytes.
-    pub(crate) fn lowered(&mut self, start: usize, end: usize) -> Span {
-        if let Some(name) = self.doc.text.get_mut(start..end) {
+    /// The page's bytes `start..end` as a name, lowered if the scanner saw
+    /// an `upper`-case byte in them. The copy this document owns is
+    /// lowered in place: nothing else reads a name's bytes.
+    pub(crate) fn name(&mut self, start: usize, end: usize, upper: bool) -> Span {
+        if let Some(name) = self.doc.text.get_mut(start..end).filter(|_| upper) {
             name.make_ascii_lowercase();
         }
         Span::new(start, end)
     }
 
-    /// The span of `s` (at byte `at` of the page) with entities decoded:
-    /// the source range itself unless it holds an `&`.
-    pub(crate) fn decoded(&mut self, at: usize, s: &str) -> Span {
-        if !s.contains('&') {
+    /// The span of `s` (at byte `at` of the page), entity-decoded if the
+    /// scanner saw an `amp` in it: else the source range itself.
+    pub(crate) fn decoded(&mut self, at: usize, s: &str, amp: bool) -> Span {
+        if !amp {
             return Span::new(at, at + s.len());
         }
         let start = self.doc.text.len();
@@ -122,25 +138,38 @@ impl TreeBuilder {
     // sheriff-lint: allow-item(transitive-panic)
     pub(crate) fn start_tag(&mut self, name: Span, n_attrs: usize, self_closing: bool) {
         // Rows in name order, first occurrence of a name wins (the sort
-        // is stable): what `attr` searches and `serialize` prints.
+        // is stable): what `attr` searches and `serialize` prints. Two
+        // rows (the most any synthetic-web tag has) are settled by one
+        // comparison; fewer need nothing.
         let from = self.doc.attrs.len() - n_attrs;
-        if n_attrs > 1 {
-            let text = &self.doc.text;
-            let key = |row: &(Span, Span)| text.get(row.0.range()).unwrap_or_default();
-            let rows = self.doc.attrs.get_mut(from..).unwrap_or_default();
-            rows.sort_by(|a, b| key(a).cmp(key(b)));
-            let mut kept = 1;
-            for r in 1..rows.len() {
-                if key(&rows[r]) != key(&rows[kept - 1]) {
-                    rows[kept] = rows[r];
-                    kept += 1;
+        let text = self.doc.text.as_bytes();
+        let key = |row: &(Span, Span)| text.get(row.0.range()).unwrap_or_default();
+        let kept = match self.doc.attrs.get_mut(from..).unwrap_or_default() {
+            [a, b] => match key(a).cmp(key(b)) {
+                Ordering::Less => 2,
+                Ordering::Greater => {
+                    std::mem::swap(a, b);
+                    2
                 }
+                Ordering::Equal => 1,
+            },
+            rows if rows.len() < 2 => rows.len(),
+            rows => {
+                rows.sort_by(|a, b| key(a).cmp(key(b)));
+                let mut kept = 1;
+                for r in 1..rows.len() {
+                    if key(&rows[r]) != key(&rows[kept - 1]) {
+                        rows[kept] = rows[r];
+                        kept += 1;
+                    }
+                }
+                kept
             }
-            self.doc.attrs.truncate(from + kept);
-        }
+        };
+        self.doc.attrs.truncate(from + kept);
         let attrs = Span::new(from, self.doc.attrs.len());
         let id = self.push(NodeKind::Element, name, attrs);
-        if !self_closing && !VOID.contains(&self.name_of(id)) {
+        if !self_closing && !is_void(self.doc.str(name)) {
             self.stack.push(id);
             self.count_open(id, 1);
         }
@@ -171,12 +200,11 @@ impl TreeBuilder {
         }
     }
 
-    /// Adds a text node for `s`, which starts at byte `at` of the page.
-    /// Between tags (`drop_blank`) whitespace-only text is no node.
-    pub(crate) fn text(&mut self, at: usize, s: &str, drop_blank: bool) {
-        let span = self.decoded(at, s);
-        if !(drop_blank && self.doc.str(span).trim().is_empty()) {
-            self.push(NodeKind::Text, span, Span::default());
+    /// Adds a text node for `text`; when it `may_be_blank`, only if it
+    /// holds more than whitespace.
+    pub(crate) fn text(&mut self, text: Span, may_be_blank: bool) {
+        if !(may_be_blank && self.doc.str(text).trim().is_empty()) {
+            self.push(NodeKind::Text, text, Span::default());
         }
     }
 
@@ -393,7 +421,7 @@ impl Document {
                         out.push('"');
                     }
                     out.push('>');
-                    if !VOID.contains(&name) {
+                    if !is_void(name) {
                         open.push(n);
                     }
                 }

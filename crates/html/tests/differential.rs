@@ -321,6 +321,107 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// The scanner's fast paths (byte classes, the 8-byte quote search, the
+// two-row attribute path and the trim-free runs of the tree builder)
+// ---------------------------------------------------------------------
+
+/// What a quoted value's scan has to notice, wherever it falls.
+const VALUE_BYTES: [&str; 10] = [
+    "&", "&amp;", "&lt", "\"", "'", ">", "é", "€", "😀", "\u{a0}",
+];
+
+/// A start tag whose first attribute is quoted with `quote` and holds
+/// `value`.
+fn quoted(quote: char, value: &str) -> String {
+    format!("<p t={quote}{value}{quote} u=v>x</p>")
+}
+
+#[test]
+fn scanner_fast_paths_parse_to_the_same_tree() {
+    let mut cases = Vec::new();
+    // The quote search: every special byte at every offset mod 8 of a
+    // value up to 40 bytes long, before the closing quote and after it.
+    for special in VALUE_BYTES {
+        for at in 0..=24 {
+            for quote in ['"', '\''] {
+                let value = format!("{}{special}{}", "x".repeat(at), "y".repeat(40 - at));
+                cases.push(quoted(quote, &value));
+                cases.push(quoted(quote, &value[..at + special.len()]));
+                cases.push(format!(
+                    "<p t={quote}{}{quote}{special}x>y</p>",
+                    "x".repeat(at)
+                ));
+            }
+        }
+    }
+    // Runs that are blank only after `trim` or after decoding.
+    for blank in [
+        "\u{a0}", "\u{2003}", "&#32;", "&nbsp;", "\u{b}", "&#x20;", "\t",
+    ] {
+        for around in ["", " ", "\n", "\u{a0}"] {
+            cases.push(format!("<p>x</p>{around}{blank}{around}<p>y</p>{blank}"));
+        }
+    }
+    cases.extend(
+        [
+            // End tags `trim` must still see.
+            "<div>a</div\u{a0}>b</div>",
+            "<div>a</\u{a0}div>b</div>",
+            "<div>a</ div>b</div>",
+            "<div>a</DIV >b",
+            "<div>a</div\t>b",
+            "<div>a</div\u{b}>b</div>",
+            "<div>a</é>b</div>",
+            // Names in mixed case: lowered, or already lower.
+            "<DiV ClAsS=x DATA-Y='1' data-z=2>t</dIv>",
+            "<SPAN CLASS=\"price\" Id=P>9</span>",
+            "<h1 H1=1 h2=2><H2>x</h2></H1>",
+            // Attribute rows already sorted, reverse sorted, duplicated.
+            "<a a=1 b=2 c=3>t</a>",
+            "<a c=3 b=2 a=1>t</a>",
+            "<a a=1 a=2>t</a>",
+            "<a a=1 b=2 b=3>t</a>",
+            "<a b=1 a=2 b=3>t</a>",
+            "<a A=1 a=2 B=3>t</a>",
+            "<a ab=1 a=2>t</a>",
+            "<a a=1 ab=2 a-b=3>t</a>",
+        ]
+        .map(str::to_string),
+    );
+    for html in &cases {
+        assert_same_tree(html);
+    }
+}
+
+/// A quoted value of up to 40 bytes built from the bytes its scan must
+/// notice.
+fn quoted_value() -> impl Strategy<Value = String> {
+    let piece = (0..VALUE_BYTES.len() + 3).prop_map(|pick| match VALUE_BYTES.get(pick) {
+        Some(p) => (*p).to_string(),
+        None => ["ab", "c", "defgh"][pick - VALUE_BYTES.len()].to_string(),
+    });
+    (0..2u8, proptest::collection::vec(piece, 0..20)).prop_map(|(quote, pieces)| {
+        let mut value = String::new();
+        for piece in pieces {
+            if value.len() + piece.len() > 40 {
+                break;
+            }
+            value.push_str(&piece);
+        }
+        quoted(if quote == 0 { '"' } else { '\'' }, &value)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn quoted_values_parse_to_the_same_tree(html in quoted_value()) {
+        assert_same_tree(&html);
+    }
+}
+
+// ---------------------------------------------------------------------
 // Line diff
 // ---------------------------------------------------------------------
 

@@ -1,9 +1,11 @@
 //! A hostile page can neither abort nor stall whoever parses it. A
 //! Byzantine PPC's `FetchReply` carries up to a frame (8 MiB) of markup
 //! that a Measurement server parses on a 2 MiB reactor-shard stack; the
-//! reply quota counts replies, not what one costs. Each test fails at
-//! the commit before ISSUE 22 (stack overflow at 80 000 nested elements;
-//! 40 s for 80 000 unmatched end tags under 80 000 open elements).
+//! reply quota counts replies, not what one costs. Each test fails
+//! against a parser that recursed per level (stack overflow at 80 000
+//! nested elements), walked the open-element stack per end tag (40 s for
+//! 80 000 unmatched end tags under 80 000 open elements) or looked for an
+//! entity's `;` in the whole rest of its run (minutes for a MiB of `&`).
 
 #![expect(
     clippy::disallowed_methods,
@@ -138,4 +140,40 @@ fn parse_time_grows_linearly_up_to_a_full_frame() {
         small.len(),
         large.len()
     );
+}
+
+/// `bytes` of `&` in a text run.
+fn text_flood(bytes: usize) -> String {
+    format!("<p>{}</p>", "&".repeat(bytes))
+}
+
+/// `bytes` of `&a` in a quoted attribute value.
+fn value_flood(bytes: usize) -> String {
+    format!("<p t=\"{}\">x</p>", "&a".repeat(bytes / 2))
+}
+
+#[test]
+fn entity_floods_parse_in_linear_time() {
+    // Every `&` opens an entity reference, and none is ever closed.
+    let floods = [
+        ("text run", text_flood as fn(usize) -> String),
+        ("quoted value", value_flood),
+    ];
+    for (what, flood) in floods {
+        let (small, large) = (flood(128 << 10), flood(4 << 20));
+        let doc = Document::parse(&large);
+        let p = doc.elements_named("p")[0];
+        let decoded = doc.text_content(p).len() + doc.attr(p, "t").map_or(0, str::len);
+        assert!(decoded >= 4 << 20, "{what}: the flood is kept as written");
+        let ratio = large.len() as f64 / small.len() as f64;
+        let t_small = best_parse_time(&small, 5);
+        let t_large = best_parse_time(&large, 2);
+        let growth = t_large.as_secs_f64() / t_small.as_secs_f64();
+        assert!(
+            growth < 4.0 * ratio,
+            "{what}: {} B in {t_small:?}, {} B in {t_large:?}: {growth:.0}× the time for {ratio:.0}× the bytes",
+            small.len(),
+            large.len()
+        );
+    }
 }
