@@ -147,8 +147,11 @@ CHAOS_SEEDS="11,23,37,41,53,67,79,97" \
 # record boundary (and every mid-record byte) and must reconstruct exactly
 # the durable prefix; the TCP soak then kills the Database under a pinned
 # seed bank and re-opens its on-disk files cold, proving zero observation
-# loss on the real-file Storage backend too. See DESIGN.md, "Durability &
-# recovery".
+# loss on the real-file Storage backend too — once with checks one at a
+# time, once with eight in flight (begin_check/await_check) while the
+# crash window opens, so acks held behind the WAL flusher's group commit
+# meet the crash; every acked check must be among the recovered ones.
+# See DESIGN.md, "Durability & recovery".
 stage "durability"
 cargo test -p sheriff-core --test durability --quiet
 CHAOS_SEEDS="11,23,37,41,53,67,79,97" \

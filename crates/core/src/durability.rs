@@ -16,8 +16,11 @@
 //!   the in-memory [`MemStorage`], `wire::deploy` against real files.
 //!
 //! The crash-consistency contract: bytes appended to the WAL are
-//! *volatile* until a [`Storage::barrier`] (the fsync-equivalent); a
-//! crash discards the un-barriered tail, deterministically. Recovery
+//! *volatile* until a barrier hands them to the medium
+//! ([`Storage::begin_barrier`]) and the medium reports them durable
+//! ([`Storage::durable_ticket`]); [`Storage::barrier`] does both and
+//! waits. A crash discards the bytes never handed off, deterministically.
+//! Recovery
 //! replays the snapshot plus every *whole, checksummed* log record and
 //! cleanly ignores a truncated or corrupted tail — never panics, so the
 //! workspace's transitive panic-freedom invariant holds through the
@@ -54,18 +57,38 @@ pub struct WalRecord {
 /// The durable byte store behind the Database server.
 ///
 /// Two append-only regions — a snapshot image and a WAL — with an
-/// explicit durability barrier. Implementations must make
-/// [`Storage::lose_unflushed`] discard exactly the bytes appended since
-/// the last barrier (or snapshot install), so crash truncation is
-/// deterministic for a deterministic append/barrier schedule.
+/// explicit durability barrier in two halves: [`Storage::begin_barrier`]
+/// hands every byte appended so far to the medium and returns a
+/// *ticket*; the bytes are durable once [`Storage::durable_ticket`] has
+/// reached it. Tickets only grow. A medium may complete a ticket at once
+/// ([`MemStorage`]) or later, on a flush path of its own (the TCP
+/// backend's file store, which group-commits every hand-off queued
+/// behind a running `fsync`). Whoever acknowledges a store holds the
+/// acknowledgement until its ticket is durable.
+///
+/// Implementations must make [`Storage::lose_unflushed`] discard exactly
+/// the bytes appended since the last hand-off (or snapshot install), so
+/// crash truncation is deterministic for a deterministic append/barrier
+/// schedule. Bytes already handed off are the medium's: a crash does not
+/// take them back.
 pub trait Storage: Send {
     /// The durable snapshot image (empty when none was ever installed).
     fn read_snapshot(&self) -> Vec<u8>;
-    /// The durable (barrier-flushed) WAL bytes.
+    /// The durable WAL bytes. A medium with a flush in progress waits for
+    /// it first, so everything handed off that could be made durable is.
     fn read_wal(&self) -> Vec<u8>;
-    /// Appends bytes at the WAL tail; volatile until [`Storage::barrier`].
+    /// Appends bytes at the WAL tail; volatile until a barrier hands
+    /// them off.
     fn append_wal(&mut self, bytes: &[u8]);
-    /// Fsync-equivalent: every byte appended so far becomes durable.
+    /// Hands every byte appended so far to the medium and returns the
+    /// ticket that covers them (the previous ticket when there was
+    /// nothing new). Does not wait.
+    fn begin_barrier(&mut self) -> u64;
+    /// The newest ticket whose bytes are durable. A failed flush leaves
+    /// it where it was.
+    fn durable_ticket(&self) -> u64;
+    /// Fsync-equivalent: [`Storage::begin_barrier`], then wait until that
+    /// ticket is durable (or its flush failed).
     fn barrier(&mut self);
     /// Atomically replaces the snapshot and truncates the WAL to empty.
     fn install_snapshot(&mut self, bytes: &[u8]);
@@ -78,20 +101,23 @@ pub trait Storage: Send {
         extend_image(&mut image, frames);
         self.install_snapshot(&image);
     }
-    /// Power-loss: the un-barriered WAL tail is gone. Returns how many
-    /// bytes were discarded.
+    /// Power-loss: the WAL bytes never handed off are gone. Returns how
+    /// many bytes were discarded.
     fn lose_unflushed(&mut self) -> usize;
     /// `(durable, buffered)` WAL byte counts, for telemetry and tests.
     fn wal_len(&self) -> (usize, usize);
 }
 
 /// In-memory [`Storage`] for the discrete-event backend: a byte vector
-/// per region plus a flushed watermark. Same schedule → same bytes.
+/// per region plus a flushed watermark. Same schedule → same bytes. A
+/// barrier is durable the moment it begins, so its ticket is complete at
+/// once.
 #[derive(Debug, Default)]
 pub struct MemStorage {
     snapshot: Vec<u8>,
     wal: Vec<u8>,
     flushed: usize,
+    ticket: u64,
 }
 
 impl MemStorage {
@@ -107,6 +133,7 @@ impl MemStorage {
             snapshot,
             wal,
             flushed,
+            ticket: 0,
         }
     }
 }
@@ -124,8 +151,20 @@ impl Storage for MemStorage {
         self.wal.extend_from_slice(bytes);
     }
 
+    fn begin_barrier(&mut self) -> u64 {
+        if self.flushed < self.wal.len() {
+            self.flushed = self.wal.len();
+            self.ticket += 1;
+        }
+        self.ticket
+    }
+
+    fn durable_ticket(&self) -> u64 {
+        self.ticket
+    }
+
     fn barrier(&mut self) {
-        self.flushed = self.wal.len();
+        self.begin_barrier();
     }
 
     fn install_snapshot(&mut self, bytes: &[u8]) {
@@ -574,7 +613,9 @@ mod tests {
     fn mem_storage_loses_exactly_the_unflushed_tail() {
         let mut s = MemStorage::new();
         s.append_wal(b"abc");
-        s.barrier();
+        assert_eq!(s.begin_barrier(), 1);
+        assert_eq!(s.durable_ticket(), 1, "complete at once");
+        assert_eq!(s.begin_barrier(), 1, "nothing new: the same ticket");
         s.append_wal(b"defg");
         assert_eq!(s.wal_len(), (3, 7));
         assert_eq!(s.lose_unflushed(), 4);

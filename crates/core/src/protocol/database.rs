@@ -5,8 +5,11 @@
 //! **WAL-then-store, flush-before-ack.** A `StoreCheck` appends one
 //! [`crate::durability::WalRecord`] (volatile until a barrier) and
 //! enters the in-memory table; the `DbDone` timer that models the
-//! query's I/O cost runs a durability barrier *before* the `DbAck`
-//! leaves, so an acknowledged store is always on disk. Every
+//! query's I/O cost begins a durability barrier and emits the `DbAck`,
+//! which the backend holds until that barrier's ticket is durable
+//! ([`DbProto::barrier_ticket`], [`DbProto::durable_ticket`]), so an
+//! acknowledged store is always on disk. The DES's in-memory storage
+//! completes a ticket at once, so nothing is ever held there. Every
 //! `snapshot_every` records the log is folded into the snapshot and
 //! truncated, with the compaction I/O charged to the triggering query;
 //! a WAL record is already an image frame, so nothing is re-encoded.
@@ -92,6 +95,8 @@ pub struct DbProto {
     /// Jobs with a record in the WAL or snapshot — the at-least-once
     /// dedup set, rebuilt on recovery.
     stored_jobs: BTreeSet<JobId>,
+    /// The newest barrier ticket this machine began.
+    ticket: u64,
 }
 
 #[deny(clippy::wildcard_enum_match_arm)]
@@ -119,6 +124,7 @@ impl DbProto {
             snapshot_every: snapshot_every.max(1),
             since_snapshot: 0,
             stored_jobs: BTreeSet::new(),
+            ticket: 0,
         };
         proto.replay();
         proto
@@ -227,14 +233,16 @@ impl DbProto {
         let Some(requester) = self.pending.remove(&job) else {
             return;
         };
-        // Flush-before-ack: group-commit everything appended so far,
-        // then (at the cadence) fold the log into the snapshot — both
-        // already charged into this query's cost at schedule time. Both
-        // regions are whole here: images are installed atomically, `replay`
-        // dropped any torn tail it found, and every append since was one
-        // whole frame, now barriered.
-        self.storage.barrier();
+        // Flush-before-ack: hand everything appended so far to the
+        // storage's group commit, then (at the cadence) fold the log into
+        // the snapshot — both already charged into this query's cost at
+        // schedule time. The ack below leaves once the ticket is durable.
+        // Both regions are whole here: images are installed atomically,
+        // `replay` dropped any torn tail it found, and every append since
+        // was one whole frame, now handed off.
+        self.ticket = self.storage.begin_barrier();
         if self.since_snapshot >= self.snapshot_every {
+            // Waits for the flush to land, so the fold takes every record.
             let log = self.storage.read_wal();
             self.storage.extend_snapshot(&log);
             self.since_snapshot = 0;
@@ -260,6 +268,18 @@ impl DbProto {
             records,
             lost_wal_bytes: lost as u64,
         });
+    }
+
+    /// The newest barrier ticket this machine began. Whatever it sends
+    /// after beginning it — the `DbAck`s above all — must not leave
+    /// before [`DbProto::durable_ticket`] reaches it.
+    pub fn barrier_ticket(&self) -> u64 {
+        self.ticket
+    }
+
+    /// The newest barrier ticket its storage reports durable.
+    pub fn durable_ticket(&self) -> u64 {
+        self.storage.durable_ticket()
     }
 
     /// The durable (barrier-flushed) WAL bytes — what a crash right now
@@ -375,6 +395,11 @@ mod tests {
             .iter()
             .any(|o| matches!(o, Output::Send { msg: ProtoMsg::DbAck { job }, .. } if job.0 == 1)));
         assert!(!proto.wal_bytes().is_empty(), "ack implies durable");
+        assert_eq!(
+            (proto.barrier_ticket(), proto.durable_ticket()),
+            (1, 1),
+            "in-memory storage completes its ticket at once"
+        );
     }
 
     #[test]

@@ -90,7 +90,8 @@ impl FaultGate {
         self.plan.as_ref().filter(|_| self.active)
     }
 
-    fn crashed(&self, node: usize, now_ms: u64) -> bool {
+    /// Is `node` inside a crash window at `now_ms`? Counts nothing.
+    pub fn crashed(&self, node: usize, now_ms: u64) -> bool {
         self.active_plan()
             .is_some_and(|p| p.is_crashed(node, now_ms))
     }

@@ -125,6 +125,9 @@ pub struct MiniDeployment {
     /// On-disk home of the Database server's WAL + snapshot (v2 only);
     /// removed on shutdown unless recovered first.
     db_dir: Option<PathBuf>,
+    /// The Database's WAL flusher, for tests that pause it.
+    #[cfg(test)]
+    db_flusher: Option<crate::storage::FlushHandle>,
 }
 
 impl MiniDeployment {
@@ -222,8 +225,13 @@ impl MiniDeployment {
                 DB_DIR_SEQ.fetch_add(1, Ordering::Relaxed)
             ))
         });
+        let mut db_flusher = None;
         let db_storage: Box<dyn Storage> = match &db_dir {
-            Some(dir) => Box::new(FileStorage::open(dir)),
+            Some(dir) => {
+                let storage = FileStorage::open_published(dir, &telemetry);
+                db_flusher = Some(storage.flush_handle());
+                Box::new(storage)
+            }
             None => Box::new(MemStorage::new()),
         };
         // The same roster, in the same order, as the DES backend: same
@@ -271,6 +279,12 @@ impl MiniDeployment {
             opts.shards.clamp(1, n_nodes.max(1))
         };
         let bells: Arc<[Doorbell]> = (0..n_shards).map(|_| Doorbell::new()).collect();
+        // A durable flush releases the Database's held acks: wake its
+        // shard for them.
+        if let Some(flusher) = &db_flusher {
+            let bells = Arc::clone(&bells);
+            flusher.ring_with(move || ring_owner(&bells, Address::Database));
+        }
         let ctx = ShardCtx {
             dir: Arc::clone(&dir),
             wire: Arc::clone(&wire),
@@ -327,6 +341,8 @@ impl MiniDeployment {
             bells,
             in_flight: Mutex::new(Vec::new()),
             db_dir,
+            #[cfg(test)]
+            db_flusher,
         })
     }
 
@@ -425,6 +441,18 @@ impl MiniDeployment {
             .lock()
             .expect("sink poisoned")
             .sandbox_violations
+    }
+
+    /// Every `ServerRemoved` answer an add-on received so far, as
+    /// `(server_index, removed)` in arrival order — also answers to
+    /// requests sent from outside the deployment.
+    pub fn server_removals(&self) -> Vec<(usize, bool)> {
+        self.sink
+            .state
+            .lock()
+            .expect("sink poisoned")
+            .removals
+            .clone()
     }
 
     /// Running totals of the installed fault plan (`None` without one).
@@ -583,6 +611,7 @@ mod tests {
     use super::*;
     use sheriff_market::world::WorldConfig;
     use sheriff_netsim::LinkFaults;
+    use sheriff_telemetry::Snapshot;
 
     /// Four same-country peers (PPC fan-out is location-local, §6.1) and
     /// two far-away IPC vantages for cross-country rows.
@@ -609,6 +638,149 @@ mod tests {
 
     fn deployment() -> MiniDeployment {
         deployment_with(FaultPlan::new(0))
+    }
+
+    /// v2 over the same four peers, no IPCs, every modeled delay zeroed
+    /// and a 3 s job deadline. Node layout: coordinator 0, aggregator 1,
+    /// db 2, server 3, peers 4–7.
+    fn v2_deployment(plan: FaultPlan) -> MiniDeployment {
+        let world = World::build(&WorldConfig::small(), 77);
+        let mut cfg = SheriffConfig::v2(7, 1);
+        cfg.ipc_locations.clear();
+        cfg.proc_per_reply_ms = 0.0;
+        cfg.context_switch_alpha = 0.0;
+        cfg.db_cost.write_ms = 0.0;
+        cfg.db_cost.connection_setup_ms = 0.0;
+        cfg.db_cost.wal_append_ms_per_row = 0.0;
+        cfg.db_cost.barrier_ms = 0.0;
+        cfg.db_cost.compaction_ms_per_check = 0.0;
+        cfg.job_deadline_ms = 3_000;
+        let specs: Vec<PpcSpec> = (10u64..14)
+            .map(|peer_id| PpcSpec {
+                peer_id,
+                country: Country::ES,
+                city_idx: 0,
+                user_agent: UserAgent {
+                    os: Os::Linux,
+                    browser: Browser::Firefox,
+                },
+                affluence: 0.3,
+                logged_in_domains: vec![],
+            })
+            .collect();
+        MiniDeployment::start_with_faults(world, cfg, &specs, plan).expect("deployment starts")
+    }
+
+    /// Polls the deployment's telemetry until `ready` holds (≤ 10 s).
+    fn wait_until(d: &MiniDeployment, what: &str, ready: impl Fn(&Snapshot) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !ready(&d.telemetry.snapshot()) {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    fn completed(d: &MiniDeployment) -> usize {
+        d.sink.state.lock().expect("sink").completed.len()
+    }
+
+    /// The store reached the Database and its `DbDone` fired: the ack
+    /// exists, and only the hold keeps it in.
+    fn store_done(s: &Snapshot) -> bool {
+        s.counters["db.queries_total"] == 1 && s.gauges["db.active_queries"] == 0
+    }
+
+    #[test]
+    fn no_ack_leaves_while_its_flush_is_paused() {
+        let d = v2_deployment(FaultPlan::new(0));
+        let paused = d.db_flusher.as_ref().expect("v2 runs a Database").pause();
+        let tag = d
+            .begin_check(10, "amazon.com", ProductId(0))
+            .expect("begins");
+        wait_until(&d, "the store's DbDone", store_done);
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(completed(&d), 0, "a DbAck left ahead of its fsync");
+        assert_eq!(d.telemetry.snapshot().counters["wire.storage.flushes"], 0);
+
+        drop(paused);
+        d.await_check(tag).expect("acked once durable");
+        assert!(d.telemetry.snapshot().counters["wire.storage.flushes"] >= 1);
+        assert_eq!(d.shutdown_and_recover_db().len(), 1);
+    }
+
+    /// The Database crashes while its flush is paused: the ack the old
+    /// incarnation held dies with it, recovery waits for the flush, and
+    /// the requester's re-sent `StoreCheck` is acked exactly once.
+    #[test]
+    fn crash_while_flushing_drops_the_held_ack_and_acks_the_resend_once() {
+        let started = Instant::now();
+        let d = v2_deployment(FaultPlan::new(5).with_crash(2, 800, 1_400));
+        let paused = d.db_flusher.as_ref().expect("v2 runs a Database").pause();
+        let tag = d
+            .begin_check(10, "amazon.com", ProductId(0))
+            .expect("begins");
+        wait_until(&d, "the store's DbDone", store_done);
+        assert!(
+            started.elapsed() < Duration::from_millis(700),
+            "the store must land before the crash window opens"
+        );
+        // The restart is counted before its step, which now waits in
+        // recovery for the paused flush.
+        wait_until(&d, "the restart", |s| {
+            s.counters["faults.node_restarts"] == 1
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(completed(&d), 0, "a held ack left before its fsync");
+
+        drop(paused);
+        d.await_check(tag).expect("the re-sent store is acked");
+        let snap = d.telemetry.snapshot();
+        assert_eq!(
+            snap.counters["db.recovered_records"], 1,
+            "the flush landed first"
+        );
+        assert_eq!(
+            snap.counters["db.duplicate_stores"], 1,
+            "one re-send, re-acked"
+        );
+        assert_eq!(snap.counters["measurement.jobs_finished"], 1);
+        assert_eq!(d.shutdown_and_recover_db().len(), 1);
+    }
+
+    /// The storage directory is swapped for a plain file (permission
+    /// bits do not stop root) before the first flush, then put back.
+    #[test]
+    fn failed_flush_acks_nothing_until_the_disk_is_back() {
+        let d = v2_deployment(FaultPlan::new(0));
+        let dir = d.db_dir.clone().expect("v2 keeps its files");
+        let away = dir.with_extension("away");
+        std::fs::rename(&dir, &away).expect("move the directory away");
+        std::fs::write(&dir, b"not a directory").expect("block its path");
+
+        let first = d
+            .begin_check(10, "amazon.com", ProductId(0))
+            .expect("begins");
+        wait_until(&d, "a failed flush", |s| {
+            store_done(s) && s.counters["wire.storage.io_errors"] >= 1
+        });
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(completed(&d), 0, "acked a store that is not on disk");
+
+        std::fs::remove_file(&dir).expect("unblock");
+        std::fs::rename(&away, &dir).expect("restore the directory");
+        // The next hand-off retries the failed batch.
+        let second = d
+            .begin_check(11, "amazon.com", ProductId(1))
+            .expect("begins");
+        let mut acked = [first, second].map(|tag| d.await_check(tag).expect("acked").job_id);
+        acked.sort_unstable();
+        let mut recovered: Vec<u64> = d
+            .shutdown_and_recover_db()
+            .iter()
+            .map(|c| c.job_id)
+            .collect();
+        recovered.sort_unstable();
+        assert_eq!(recovered, acked);
     }
 
     #[test]

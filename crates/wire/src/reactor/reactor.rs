@@ -1,12 +1,15 @@
 //! The per-shard event loop: one thread, all the sockets and timers of
 //! its nodes, and one place it waits for work — its own doorbell.
 //!
-//! It is not the only place the thread blocks: a Database node's step
-//! runs on this thread, and its flush-before-ack `FileStorage::barrier` writes the WAL and `fsync`s
-//! it there: the shard sweeps nothing else until the disk answers. With
-//! 8 checks in flight on one shard (2-vCPU host) that came to 0.4–0.66
-//! barriers a check, 119–226 µs of wall time a check, of which only
-//! ≈ 45 µs was on-CPU.
+//! Nothing else on the thread waits for the disk. A Database node's
+//! flush-before-ack hands the WAL to its storage's flusher thread
+//! (`FileStorage`, group commit) and gets a ticket back; the shard holds
+//! the node's sends, in order, behind the newest ticket that is not yet
+//! durable, and sends them when the flusher reports it and rings the
+//! shard. A `DbAck` therefore still never leaves before the `fsync` that
+//! covers its record, and the shard sweeps on meanwhile. A crash drops
+//! what the old incarnation held. Only a snapshot fold (one store in
+//! 64) and recovery wait for the flusher to drain.
 //!
 //! Each iteration of [`Reactor::run`] is one readiness sweep:
 //!
@@ -17,14 +20,20 @@
 //!    DES engine's, not a copy — says whether a timer fires or waits for
 //!    its node's restart and whether a restart really brings the node
 //!    back;
-//! 2. **accept** — drain every listener's accept queue;
+//! 2. **accept** — drain every listener's accept queue, when the sweep
+//!    has reason to look: the shard's bell rang since the last poll (the
+//!    flag is taken without parking), the sweep follows an idle wait, or
+//!    [`ACCEPT_BACKSTOP_SWEEPS`] sweeps went by without a poll. Every
+//!    link connect rings its destination's shard, this one's own
+//!    included;
 //! 3. **inbound** — pump every open stream; each whole frame the gate
 //!    admits is one `RoleNode::on_message` step (the step every backend
 //!    shares: the reliable channel first, then the role machine), in
 //!    stream order;
-//! 4. **outbound** — flush the links: one long-lived stream per
-//!    destination node, everything the sweep queued on it offered in one
-//!    `write`, so the shard's sends to one node keep their order.
+//! 4. **outbound** — send what a durable barrier released, then flush
+//!    the links: one long-lived stream per destination node, everything
+//!    the sweep queued on it offered in one `write`, so the shard's sends
+//!    to one node keep their order.
 //!
 //! Every socket call is nonblocking. An iteration that did any work
 //! counts one `wire.reactor_wakeups` and sweeps again; an idle one waits
@@ -32,38 +41,42 @@
 //! [`IDLE_SLEEP`].
 //!
 //! **Who rings.** The outbound stage rings the destination's shard when
-//! a link toward a node of a *foreign* shard first connects, and after
-//! every write that completes at least one frame on such a link — the
-//! two moments the destination's accept and inbound stages have
-//! something new to find. Fault-delayed and duplicated copies pass
+//! a link first connects (its own shard too), and a *foreign*
+//! destination's after every write that completes at least one frame on
+//! the link — the moments the destination's accept and inbound stages
+//! have something new to find. Fault-delayed and duplicated copies pass
 //! through the same stage, so they ring too. The deployment rings after
-//! each frame it injects from outside. A ring carries nothing: the sweep
-//! finds the work on the sockets, and the frame and byte books are
-//! untouched by it.
+//! each frame it injects from outside, and the Database's WAL flusher
+//! after each flush that makes a ticket durable. A ring carries nothing:
+//! the sweep finds the work on the sockets (or the ticket), and the frame
+//! and byte books are untouched by it.
 //!
 //! **When a shard exits.** Once its nodes are stopped, a shard half-closes
-//! every link whose buffer is empty (and holds no fault-delayed send), and
-//! exits when all of them are closed and every inbound stream has read
-//! EOF — or when [`DRAIN_GRACE_MS`] runs out. Every frame a sibling wrote
-//! is therefore read, and counted, before the shard that owns its
-//! destination goes away.
+//! every link whose buffer is empty (and holds no fault-delayed or
+//! flush-held send), and exits when all of them are closed and every
+//! inbound stream has read EOF — or when [`DRAIN_GRACE_MS`] runs out.
+//! Every frame a sibling wrote is therefore read, and counted, before
+//! the shard that owns its destination goes away.
 //!
 //! **No lost wake-up.** The bell's flag is set under its mutex and
-//! cleared only by the waiter, which checks it under that mutex before
-//! parking. A ring that lands while the shard is mid-sweep therefore
-//! makes the next wait return at once; the cost is at most one sweep
-//! that finds nothing.
+//! cleared only by the shard that owns it: by its wait, which checks the
+//! flag under that mutex before parking, or by the accept stage's take at
+//! the top of a sweep, which then looks at everything a ring announces. A
+//! ring that lands later in the sweep therefore makes the next wait
+//! return at once; the cost is at most one sweep that finds nothing.
 //!
 //! **Why the wait stays bounded.** The bell is an accelerator, never the
 //! only path. Sockets nobody rings for — an outside client connecting
 //! straight to a listener, a Byzantine raw stream, the tail of a frame
-//! larger than one socket buffer — are found by the same ≤ 1 ms sweep
-//! as before, which is far inside every protocol timeout (the retransmit
-//! backoff floor is 250 ms even in test configurations). A
-//! multi-process deployment would swap the bell for OS readiness
-//! (`epoll` on the shard's descriptors) without touching the sweep.
+//! larger than one socket buffer — are found by the sweep after a ≤ 1 ms
+//! idle wait, or on a shard too busy to park by the backstop poll every
+//! [`ACCEPT_BACKSTOP_SWEEPS`] sweeps; both are far inside every protocol
+//! timeout (the retransmit backoff floor is 250 ms even in test
+//! configurations). A multi-process deployment would swap the bell for
+//! OS readiness (`epoll` on the shard's descriptors) without touching
+//! the sweep.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
@@ -75,13 +88,18 @@ use sheriff_core::protocol::{Address, Output, ProtoMsg, Role, RoleNode, StepBuf,
 use sheriff_netsim::{Agenda, CodecAttack, FaultGate};
 
 use super::conn::{Inbound, OutLink};
-use super::shard::{drain_peer, ShardCtx};
+use super::shard::{drain_peer, ring_owner, ShardCtx};
 use crate::deploy::Sink;
 use crate::frame::READ_CHUNK;
 use crate::proto::Envelope;
 
 /// Longest idle wait between readiness sweeps when nobody rings.
 const IDLE_SLEEP: Duration = Duration::from_millis(1);
+
+/// Sweeps after which a shard polls its listeners although nothing
+/// asked it to: the backstop for a connection nobody rings for on a shard
+/// too busy to park.
+const ACCEPT_BACKSTOP_SWEEPS: u32 = 64;
 
 /// How long a shard whose nodes are all stopped keeps flushing its links
 /// and reading its inbound streams before it gives up on siblings that
@@ -119,6 +137,15 @@ impl OwnedNode {
     }
 }
 
+/// A send a Database node made after beginning barrier `ticket`, held
+/// until that ticket is durable.
+struct HeldSend {
+    ticket: u64,
+    local: usize,
+    to: Address,
+    msg: ProtoMsg,
+}
+
 /// What a shard schedules against its clock.
 enum Due {
     Timer {
@@ -148,6 +175,14 @@ pub(crate) struct Reactor {
     /// How many `Due::Send`s sit on the agenda: frames still owed to the
     /// wire, so they count as queue depth and hold up the final drain.
     held_sends: usize,
+    /// A Database node's sends waiting for their barrier to be durable,
+    /// in send order (so in ticket order). Owed to the wire like
+    /// `held_sends`.
+    behind_flush: VecDeque<HeldSend>,
+    /// The next sweep polls the listeners: it follows an idle wait.
+    accept_next: bool,
+    /// Sweeps since the listeners were last polled.
+    sweeps_unpolled: u32,
     inbound: Vec<Inbound>,
     /// One long-lived stream per destination node, opened on its first
     /// frame.
@@ -188,6 +223,9 @@ impl Reactor {
             nodes: Vec::new(),
             agenda: Agenda::new(),
             held_sends: 0,
+            behind_flush: VecDeque::new(),
+            accept_next: true,
+            sweeps_unpolled: 0,
             inbound: Vec::new(),
             links: BTreeMap::new(),
             raw: Vec::new(),
@@ -228,8 +266,11 @@ impl Reactor {
             let now_ms = self.ctx.now_ms();
             let mut work = 0usize;
             work += self.run_due(now_ms);
-            work += self.poll_accept(now_ms);
+            if self.accept_due() {
+                work += self.poll_accept(now_ms);
+            }
             work += self.pump_inbound(now_ms);
+            work += self.release_durable(now_ms);
             work += self.pump_outbound();
             work += self.pump_raw();
             self.note_depth();
@@ -244,6 +285,7 @@ impl Reactor {
                 self.ctx.wakeups.inc();
             } else {
                 self.ctx.idle_wait(IDLE_SLEEP);
+                self.accept_next = true;
             }
         }
     }
@@ -254,7 +296,7 @@ impl Reactor {
     /// here, so a victim does not sit out its grace waiting on them.
     fn drained(&mut self) -> bool {
         self.raw.clear();
-        let mut closed = self.held_sends == 0;
+        let mut closed = self.held_sends == 0 && self.behind_flush.is_empty();
         if closed {
             for link in self.links.values_mut() {
                 closed &= link.finish();
@@ -265,7 +307,9 @@ impl Reactor {
 
     /// Publishes the queue-depth high-water mark.
     fn note_depth(&mut self) {
-        let depth = self.held_sends + self.links.values().map(OutLink::queued).sum::<usize>();
+        let depth = self.held_sends
+            + self.behind_flush.len()
+            + self.links.values().map(OutLink::queued).sum::<usize>();
         if depth > self.depth_hiwater {
             self.depth_hiwater = depth;
             self.ctx.queue_depth.raise_to(depth as i64);
@@ -300,6 +344,8 @@ impl Reactor {
             }
             Due::Restart { local } => {
                 if self.ask_gate(local, true, |g, idx| g.admit_restart(idx, now_ms)) {
+                    // What the old incarnation held died with it.
+                    self.behind_flush.retain(|h| h.local != local);
                     self.step(local, now_ms, |node, _, buf| node.on_restart(now_ms, buf));
                 }
             }
@@ -340,6 +386,23 @@ impl Reactor {
         }
         self.dispatch(local, &mut buf.out, now_ms);
         self.scratch = buf;
+    }
+
+    /// Whether this sweep polls the listeners: when the shard's bell rang
+    /// since the last poll, after an idle wait, or once
+    /// [`ACCEPT_BACKSTOP_SWEEPS`] sweeps went by without a poll. Every
+    /// connect rings the destination's shard, this one included, so a
+    /// sweep that finds nothing to accept is the exception.
+    fn accept_due(&mut self) -> bool {
+        let rung = self.ctx.take_ring();
+        self.sweeps_unpolled += 1;
+        let due = rung
+            || std::mem::take(&mut self.accept_next)
+            || self.sweeps_unpolled >= ACCEPT_BACKSTOP_SWEEPS;
+        if due {
+            self.sweeps_unpolled = 0;
+        }
+        due
     }
 
     /// Drains every live listener's accept queue.
@@ -413,21 +476,66 @@ impl Reactor {
         }
     }
 
-    /// Applies a machine's outputs: sends go to the write edge, timers
-    /// join the agenda. Drains the buffer so callers can hand the same
-    /// scratch `Vec` back in on the next event.
+    /// Applies a machine's outputs: sends go to the write edge — or wait
+    /// behind the node's barrier ticket — and timers join the agenda.
+    /// Drains the buffer so callers can hand the same scratch `Vec` back
+    /// in on the next event.
     fn dispatch(&mut self, local: usize, out: &mut Vec<Output>, now_ms: u64) {
+        let hold = self.flush_ticket(local);
         for o in out.drain(..) {
             match o {
-                Output::Send { to, msg } | Output::SendFetched { to, msg } => {
-                    self.send_from(local, to, msg, now_ms);
-                }
+                Output::Send { to, msg } | Output::SendFetched { to, msg } => match hold {
+                    Some(ticket) => self.behind_flush.push_back(HeldSend {
+                        ticket,
+                        local,
+                        to,
+                        msg,
+                    }),
+                    None => self.send_from(local, to, msg, now_ms),
+                },
                 Output::Timer { delay_ms, kind } => {
                     self.agenda
                         .push(now_ms + delay_ms, Due::Timer { local, kind });
                 }
             }
         }
+    }
+
+    /// The ticket `local`'s sends must wait for: a Database node's newest
+    /// barrier, while it is not durable or sends of the node are already
+    /// waiting (they keep their order). `None` sends at once.
+    fn flush_ticket(&self, local: usize) -> Option<u64> {
+        let Some(Role::Database(db)) = self.nodes.get(local).map(|n| &n.node.role) else {
+            return None;
+        };
+        let ticket = db.barrier_ticket();
+        let waiting =
+            ticket > db.durable_ticket() || self.behind_flush.iter().any(|h| h.local == local);
+        waiting.then_some(ticket)
+    }
+
+    /// Sends, in order, what waited for a barrier that is now durable
+    /// (the flusher rings this shard when one is). A node inside a crash
+    /// window sends nothing: what it held died with it.
+    fn release_durable(&mut self, now_ms: u64) -> usize {
+        let mut released = 0;
+        while let Some(held) = self.behind_flush.front() {
+            let durable = match self.nodes.get(held.local).map(|n| &n.node.role) {
+                Some(Role::Database(db)) => db.durable_ticket(),
+                _ => u64::MAX,
+            };
+            if held.ticket > durable {
+                break;
+            }
+            let Some(HeldSend { local, to, msg, .. }) = self.behind_flush.pop_front() else {
+                break;
+            };
+            if !self.ask_gate(local, false, |g, idx| g.crashed(idx, now_ms)) {
+                self.send_from(local, to, msg, now_ms);
+            }
+            released += 1;
+        }
+        released
     }
 
     /// The reactor's write edge. The Byzantine edge comes first — the
@@ -487,13 +595,16 @@ impl Reactor {
             .push((to, OutLink::attack(attack, occurrence), hold_open));
     }
 
-    /// Writes the attack bytes; an attack connection retires once
-    /// written, except a slow loris, parked until the shard stops.
+    /// Writes the attack bytes, ringing the victim's shard on connect like
+    /// any link; an attack connection retires once written, except a
+    /// slow loris, parked until the shard stops.
     fn pump_raw(&mut self) -> usize {
         let before = self.raw.len();
-        let (dir, wire) = (&self.ctx.dir, &self.ctx.wire);
+        let (dir, wire, bells) = (&self.ctx.dir, &self.ctx.wire, &self.ctx.bells);
         self.raw.retain_mut(|(to, link, hold_open)| {
-            link.flush(dir.get(to).copied(), wire);
+            if link.flush(dir.get(to).copied(), wire).connected {
+                ring_owner(bells, *to);
+            }
             *hold_open || !link.is_flushed()
         });
         before - self.raw.len()
@@ -506,16 +617,18 @@ impl Reactor {
         self.links.entry(to).or_default().push(env, copies);
     }
 
-    /// Flushes every link. A ring goes to a foreign destination's shard
-    /// when its link connects and when a write completes a frame.
+    /// Flushes every link. A ring goes to the destination's shard when
+    /// its link connects — this shard's own too, whose accept stage polls
+    /// only when rung — and to a foreign one when a write completes a
+    /// frame.
     fn pump_outbound(&mut self) -> usize {
         let mut work = 0;
         for (&to, link) in &mut self.links {
             let flushed = link.flush(self.ctx.dir.get(&to).copied(), &self.ctx.wire);
             if flushed.connected {
                 self.ctx.wire.connects.inc();
-            }
-            if flushed.connected || flushed.frames > 0 {
+                ring_owner(&self.ctx.bells, to);
+            } else if flushed.frames > 0 {
                 self.ctx.ring_foreign(to);
             }
             work += usize::from(flushed.connected) + flushed.frames + flushed.dropped;

@@ -35,10 +35,11 @@ use crate::telemetry::WireTelemetry;
 /// returns at once instead of running out its nap.
 ///
 /// No wake-up is lost: the flag is set under the mutex and cleared only
-/// by the waiter, which checks it under the same mutex before parking —
-/// a ring that lands mid-sweep makes the next wait return immediately,
-/// at the price of at most one sweep that finds nothing. A ring carries
-/// no frame; the sweep still finds the work on the sockets.
+/// by the owning shard — by its wait, which checks it under the same
+/// mutex before parking, or by the take that precedes a sweep's look at
+/// the sockets. A ring that lands mid-sweep makes the next wait return
+/// immediately, at the price of at most one sweep that finds nothing. A
+/// ring carries no frame; the sweep still finds the work on the sockets.
 pub(crate) struct Doorbell {
     rung: std::sync::Mutex<bool>,
     cv: std::sync::Condvar,
@@ -63,6 +64,14 @@ impl Doorbell {
         if !std::mem::replace(&mut *rung, true) {
             self.cv.notify_one();
         }
+    }
+
+    /// Takes the flag without parking: `true` when a ring came since the
+    /// last wait or take.
+    pub(crate) fn take(&self) -> bool {
+        self.rung
+            .lock()
+            .is_ok_and(|mut rung| std::mem::take(&mut *rung))
     }
 
     /// Parks until rung or `timeout`, whichever is first, and clears the
@@ -148,6 +157,11 @@ impl ShardCtx {
                 bell.ring();
             }
         }
+    }
+
+    /// Whether this shard's bell rang since its last wait or take.
+    pub(crate) fn take_ring(&self) -> bool {
+        self.bells.get(self.shard).is_some_and(Doorbell::take)
     }
 
     /// The idle wait on this shard's own bell; counts how it ended.
@@ -259,6 +273,19 @@ mod tests {
         assert!(!bell.wait(Duration::from_millis(5)));
         assert!(!*bell.rung.lock().expect("not poisoned"));
         assert!(!bell.wait(Duration::from_millis(1)));
+    }
+
+    #[test]
+    fn take_clears_a_ring_without_parking() {
+        let bell = Doorbell::new();
+        assert!(!bell.take());
+        bell.ring();
+        assert!(bell.take(), "the ring is seen");
+        assert!(!bell.take(), "and taken");
+        assert!(
+            !bell.wait(Duration::from_millis(1)),
+            "nothing left to wake on"
+        );
     }
 
     #[test]

@@ -3,20 +3,45 @@
 //! The DES runs [`sheriff_core::durability::MemStorage`]; the TCP
 //! mini-deployment backs the same `DbProto` with real files so a crash
 //! window followed by a restart exercises genuine read-back-from-disk
-//! recovery. The contract mirrors the in-memory store exactly:
-//! `append_wal` only buffers in memory, and bytes reach the file (and
-//! are fsynced) at [`Storage::barrier`] — so [`Storage::lose_unflushed`]
-//! models a crash by discarding the buffer, never touching the file.
+//! recovery.
 //!
-//! I/O errors are counted, not propagated: the protocol layer is
-//! panic-free and has no error channel, so a failing disk degrades to
-//! "nothing became durable", which recovery already tolerates.
+//! **One flush path.** `append_wal` only buffers in memory.
+//! [`Storage::begin_barrier`] hands the buffer to the store's one flusher
+//! thread and returns a ticket. The flusher takes every hand-off queued
+//! when it wakes as one batch, writes it through its one append handle
+//! on `wal.bin` and `sync_all`s it — a group commit — then publishes the
+//! batch's newest ticket ([`Storage::durable_ticket`]) and rings whoever
+//! asked to be told (`FlushHandle::ring_with`). [`Storage::barrier`] is
+//! `begin_barrier` plus a wait for that ticket, on the same path.
+//! Reads and snapshot folds first wait for the flusher to go idle, so
+//! they see every byte it could make durable. Dropping the store joins
+//! the flusher: every handed-off byte is on disk (or failed) before the
+//! directory can be reopened.
+//!
+//! **Crashes.** [`Storage::lose_unflushed`] discards only the bytes never
+//! handed off. Bytes the flusher holds are the disk's now, as they would
+//! be once a `write` had returned; what a crash may destroy is therefore
+//! what a barrier has not yet begun to cover, and no acknowledgement was
+//! ever promised for that.
+//!
+//! **Failures.** I/O errors are counted, not propagated: the protocol
+//! layer is panic-free and has no error channel. A failed flush leaves
+//! the durable ticket where it was, so no acknowledgement held behind it
+//! leaves. The flusher drops its handle and keeps the batch; with the
+//! next hand-off it reopens `wal.bin`, cuts it back to its durable length
+//! — a partial write left in place would be a torn frame that hides every
+//! record written behind it from recovery — and writes the batch again
+//! with the new bytes behind it.
 
-use std::fs;
+use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 
 use sheriff_core::durability::{Storage, SNAPSHOT_MAGIC};
+use sheriff_telemetry::{Counter, Registry};
 
 /// Snapshot file name inside the storage directory.
 const SNAPSHOT_FILE: &str = "snapshot.bin";
@@ -26,32 +51,166 @@ const WAL_FILE: &str = "wal.bin";
 /// Durable storage rooted at a directory holding `snapshot.bin` and
 /// `wal.bin`. Opening an existing directory resumes its contents, which
 /// is how a restarted Database worker recovers.
-#[derive(Debug)]
 pub struct FileStorage {
     dir: PathBuf,
-    /// Appends not yet flushed by a barrier — volatile, like page cache.
+    /// Appends not yet handed to the flusher — volatile, like the
+    /// process's own buffers.
     unflushed: Vec<u8>,
-    /// Bytes of WAL currently durable in `wal.bin`.
-    wal_flushed: usize,
-    /// I/O errors swallowed (disk full, permissions, ...).
-    io_errors: u64,
+    /// The newest ticket handed off.
+    ticket: u64,
+    flusher: FlushHandle,
+    thread: Option<JoinHandle<()>>,
+}
+
+/// What the flusher and the store's owner share.
+struct Shared {
+    state: Mutex<FlushState>,
+    /// Signalled on every hand-off and every finished flush: the flusher
+    /// waits here for work, and `barrier`/reads wait here for progress.
+    cv: Condvar,
+    /// The newest ticket whose bytes are durable. Written under `state`,
+    /// read without it.
+    durable: AtomicU64,
+    /// Called after each flush that made a ticket durable.
+    ring: OnceLock<Box<dyn Fn() + Send + Sync>>,
+    /// `wire.storage.flushes`: one per `sync_all` of the WAL.
+    flushes: Arc<Counter>,
+    /// `wire.storage.io_errors`: I/O errors swallowed (disk full,
+    /// permissions, …).
+    io_errors: Arc<Counter>,
+}
+
+#[derive(Default)]
+struct FlushState {
+    /// Handed off, not yet durable.
+    queued: Vec<u8>,
+    /// The ticket covering every byte in `queued`.
+    queued_ticket: u64,
+    /// Bytes of `wal.bin` that are durable.
+    durable_len: u64,
+    /// The flusher is writing a batch it took from `queued`.
+    writing: bool,
+    /// `queued` starts with a batch whose flush failed; it is retried
+    /// with the next hand-off, not before.
+    stalled: bool,
+    /// The newest ticket whose flush failed.
+    failed_ticket: u64,
+    /// Test latch: the flusher takes no batch while set.
+    paused: bool,
+    /// The store is being dropped: flush what is queued, then exit.
+    stop: bool,
+}
+
+impl FlushState {
+    /// The flusher is not writing and has nothing it may take.
+    fn idle(&self) -> bool {
+        !self.writing && (self.queued.is_empty() || self.stalled)
+    }
+}
+
+/// A handle on a [`FileStorage`]'s flusher that outlives the store being
+/// boxed behind `dyn Storage`.
+#[derive(Clone)]
+pub(crate) struct FlushHandle(Arc<Shared>);
+
+impl FlushHandle {
+    fn lock(&self) -> MutexGuard<'_, FlushState> {
+        // Every update leaves the state whole, so a poisoned guard is
+        // still a valid one.
+        self.0.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, guard: MutexGuard<'a, FlushState>) -> MutexGuard<'a, FlushState> {
+        self.0
+            .cv
+            .wait(guard)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Calls `ring` after every flush that makes a ticket durable — the
+    /// owner's cue to release what it held behind that ticket. The first
+    /// call wins.
+    pub(crate) fn ring_with(&self, ring: impl Fn() + Send + Sync + 'static) {
+        let _ = self.0.ring.set(Box::new(ring));
+    }
+
+    /// Stops the flusher between batches until the returned latch drops,
+    /// so a test can hold a barrier open (a failing test resumes it too).
+    #[cfg(test)]
+    pub(crate) fn pause(&self) -> Paused {
+        self.lock().paused = true;
+        Paused(self.clone())
+    }
+
+    /// Waits until the flusher is idle and returns the state, still
+    /// locked.
+    fn settle(&self) -> MutexGuard<'_, FlushState> {
+        let mut st = self.lock();
+        while !st.idle() {
+            st = self.wait(st);
+        }
+        st
+    }
+}
+
+/// A paused flusher; dropping this resumes it.
+#[cfg(test)]
+pub(crate) struct Paused(FlushHandle);
+
+#[cfg(test)]
+impl Drop for Paused {
+    fn drop(&mut self) {
+        self.0.lock().paused = false;
+        self.0 .0.cv.notify_all();
+    }
 }
 
 impl FileStorage {
     /// Opens (creating if needed) a storage directory. Pre-existing
     /// snapshot/WAL files are kept: recovery reads them back.
     pub fn open(dir: &Path) -> Self {
-        let mut s = FileStorage {
+        Self::open_counted(dir, Arc::default(), Arc::default())
+    }
+
+    /// Like [`FileStorage::open`], counting into `registry`'s
+    /// `wire.storage.flushes` and `wire.storage.io_errors`.
+    pub(crate) fn open_published(dir: &Path, registry: &Registry) -> Self {
+        Self::open_counted(
+            dir,
+            registry.counter("wire.storage.flushes"),
+            registry.counter("wire.storage.io_errors"),
+        )
+    }
+
+    fn open_counted(dir: &Path, flushes: Arc<Counter>, io_errors: Arc<Counter>) -> Self {
+        if fs::create_dir_all(dir).is_err() {
+            io_errors.inc();
+        }
+        let wal = dir.join(WAL_FILE);
+        let state = FlushState {
+            durable_len: fs::metadata(&wal).map_or(0, |m| m.len()),
+            ..FlushState::default()
+        };
+        let flusher = FlushHandle(Arc::new(Shared {
+            state: Mutex::new(state),
+            cv: Condvar::new(),
+            durable: AtomicU64::new(0),
+            ring: OnceLock::new(),
+            flushes,
+            io_errors,
+        }));
+        let handle = flusher.clone();
+        let thread = std::thread::Builder::new()
+            .name("wal-flusher".into())
+            .spawn(move || run_flusher(&handle, &wal))
+            .expect("the WAL flusher thread starts");
+        FileStorage {
             dir: dir.to_path_buf(),
             unflushed: Vec::new(),
-            wal_flushed: 0,
-            io_errors: 0,
-        };
-        if fs::create_dir_all(dir).is_err() {
-            s.io_errors += 1;
+            ticket: 0,
+            flusher,
+            thread: Some(thread),
         }
-        s.wal_flushed = fs::metadata(s.wal_path()).map_or(0, |m| m.len() as usize);
-        s
     }
 
     fn snapshot_path(&self) -> PathBuf {
@@ -64,17 +223,104 @@ impl FileStorage {
 
     /// I/O errors swallowed so far.
     pub fn io_errors(&self) -> u64 {
-        self.io_errors
+        self.flusher.0.io_errors.get()
+    }
+
+    /// A handle on this store's flusher.
+    pub(crate) fn flush_handle(&self) -> FlushHandle {
+        self.flusher.clone()
     }
 
     /// Once the new image is durable (`image` is `Ok`), truncates the WAL.
+    /// Called with the flusher idle, and only this thread hands it work,
+    /// so nothing writes `wal.bin` meanwhile.
     fn fold_wal(&mut self, image: io::Result<()>) {
         match image.and_then(|()| fs::write(self.wal_path(), b"")) {
             Ok(()) => {
-                self.wal_flushed = 0;
+                self.flusher.lock().durable_len = 0;
                 self.unflushed.clear();
             }
-            Err(_) => self.io_errors += 1,
+            Err(_) => self.flusher.0.io_errors.inc(),
+        }
+    }
+}
+
+/// The flusher thread: take every queued hand-off as one batch, write
+/// and `sync_all` it, publish its ticket, ring; until the store drops.
+fn run_flusher(flusher: &FlushHandle, path: &Path) {
+    let shared = &flusher.0;
+    let mut file: Option<File> = None;
+    loop {
+        let (mut batch, ticket, durable_len) = {
+            let mut st = flusher.lock();
+            loop {
+                let ready = !st.queued.is_empty() && !st.stalled;
+                if ready && (st.stop || !st.paused) {
+                    break;
+                }
+                if st.stop && !ready {
+                    return;
+                }
+                st = flusher.wait(st);
+            }
+            st.writing = true;
+            (
+                std::mem::take(&mut st.queued),
+                st.queued_ticket,
+                st.durable_len,
+            )
+        };
+        let res = append(&mut file, path, durable_len, &batch);
+        let flushed = res.is_ok();
+        {
+            let mut st = flusher.lock();
+            st.writing = false;
+            if flushed {
+                st.durable_len += batch.len() as u64;
+                shared.durable.store(ticket, Ordering::Release);
+                shared.flushes.inc();
+            } else {
+                shared.io_errors.inc();
+                // The next open cuts the file back; hand-offs that came
+                // in meanwhile go behind the failed batch and retry it.
+                file = None;
+                batch.append(&mut st.queued);
+                st.queued = batch;
+                st.stalled = st.queued_ticket == ticket;
+                st.failed_ticket = ticket;
+            }
+        }
+        shared.cv.notify_all();
+        if flushed {
+            if let Some(ring) = shared.ring.get() {
+                ring();
+            }
+        }
+    }
+}
+
+/// Appends `batch` to the WAL and makes it durable. A handle is opened
+/// on first use and after a failure, and each open first cuts the file
+/// back to `durable_len`.
+fn append(file: &mut Option<File>, path: &Path, durable_len: u64, batch: &[u8]) -> io::Result<()> {
+    let f = match file {
+        Some(f) => f,
+        None => {
+            let f = OpenOptions::new().create(true).append(true).open(path)?;
+            f.set_len(durable_len)?;
+            file.insert(f)
+        }
+    };
+    f.write_all(batch)?;
+    f.sync_all()
+}
+
+impl Drop for FileStorage {
+    fn drop(&mut self) {
+        self.flusher.lock().stop = true;
+        self.flusher.0.cv.notify_all();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
     }
 }
@@ -85,11 +331,12 @@ impl Storage for FileStorage {
     }
 
     fn read_wal(&self) -> Vec<u8> {
+        let durable_len = self.flusher.settle().durable_len;
         let mut bytes = fs::read(self.wal_path()).unwrap_or_default();
-        // Only the flushed prefix is durable; a dying process may have
-        // raced a partial write, and recovery must not see more than a
-        // barrier made durable.
-        bytes.truncate(self.wal_flushed);
+        // Only the flushed prefix is durable; a failed or raced write may
+        // lie past it, and recovery must not see more than a flush made
+        // durable.
+        bytes.truncate(usize::try_from(durable_len).unwrap_or(usize::MAX));
         bytes
     }
 
@@ -97,28 +344,33 @@ impl Storage for FileStorage {
         self.unflushed.extend_from_slice(bytes);
     }
 
-    fn barrier(&mut self) {
-        if self.unflushed.is_empty() {
-            return;
+    fn begin_barrier(&mut self) -> u64 {
+        if !self.unflushed.is_empty() {
+            self.ticket += 1;
+            let mut st = self.flusher.lock();
+            st.queued.append(&mut self.unflushed);
+            st.queued_ticket = self.ticket;
+            st.stalled = false;
+            drop(st);
+            self.flusher.0.cv.notify_all();
         }
-        let res = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.wal_path())
-            .and_then(|mut f| {
-                f.write_all(&self.unflushed)?;
-                f.sync_all()
-            });
-        match res {
-            Ok(()) => {
-                self.wal_flushed += self.unflushed.len();
-                self.unflushed.clear();
-            }
-            Err(_) => self.io_errors += 1,
+        self.ticket
+    }
+
+    fn durable_ticket(&self) -> u64 {
+        self.flusher.0.durable.load(Ordering::Acquire)
+    }
+
+    fn barrier(&mut self) {
+        let ticket = self.begin_barrier();
+        let mut st = self.flusher.lock();
+        while self.durable_ticket() < ticket && st.failed_ticket < ticket {
+            st = self.flusher.wait(st);
         }
     }
 
     fn install_snapshot(&mut self, bytes: &[u8]) {
+        drop(self.flusher.settle());
         // Write, fsync, rename: a crash mid-install leaves the previous
         // snapshot intact, and no rename outruns the bytes it names.
         let tmp = self.dir.join("snapshot.tmp");
@@ -132,6 +384,7 @@ impl Storage for FileStorage {
     }
 
     fn extend_snapshot(&mut self, frames: &[u8]) {
+        drop(self.flusher.settle());
         // Grow the image in place. A crash mid-append leaves a torn tail
         // recovery cuts off, and the WAL still holds those records.
         let image = fs::OpenOptions::new()
@@ -155,7 +408,9 @@ impl Storage for FileStorage {
     }
 
     fn wal_len(&self) -> (usize, usize) {
-        (self.wal_flushed, self.unflushed.len())
+        let st = self.flusher.lock();
+        let durable = usize::try_from(st.durable_len).unwrap_or(usize::MAX);
+        (durable, st.queued.len() + self.unflushed.len())
     }
 }
 
@@ -164,7 +419,9 @@ mod tests {
     use super::*;
     use sheriff_core::coordinator::JobId;
     use sheriff_core::db::DbCostModel;
-    use sheriff_core::durability::{decode_records, encode_record, recover, MemStorage};
+    use sheriff_core::durability::{
+        decode_records, encode_record, recover, MemStorage, RECORD_MAGIC,
+    };
     use sheriff_core::protocol::{Address, DbProto, ProtoMsg, TimerKind};
     use sheriff_core::records::PriceCheck;
 
@@ -216,6 +473,82 @@ mod tests {
         let rec = recover(&s);
         assert_eq!(rec.records.len(), 1);
         assert_eq!(s.io_errors(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn queued_hand_offs_share_one_flush_and_outlive_a_crash() {
+        let dir = temp_dir("group");
+        let records: Vec<Vec<u8>> = (1..=3).map(|j| encode_record(j, j, &check(j))).collect();
+        {
+            let mut s = FileStorage::open(&dir);
+            let paused = s.flusher.pause();
+            for (ticket, rec) in (1..).zip(&records) {
+                s.append_wal(rec);
+                assert_eq!(s.begin_barrier(), ticket);
+            }
+            assert_eq!(
+                s.durable_ticket(),
+                0,
+                "nothing is durable behind a paused flusher"
+            );
+            // A crash now takes only what was never handed off.
+            let tail = encode_record(4, 4, &check(4));
+            s.append_wal(&tail);
+            assert_eq!(s.lose_unflushed(), tail.len());
+            drop(paused);
+            s.barrier();
+            assert_eq!(s.durable_ticket(), 3);
+            assert_eq!(
+                s.flusher.0.flushes.get(),
+                1,
+                "one write + fsync for three barriers"
+            );
+        }
+        let rec = recover(&FileStorage::open(&dir));
+        let jobs: Vec<u64> = rec.records.iter().map(|r| r.job).collect();
+        assert_eq!(jobs, [1, 2, 3]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The directory is swapped for a plain file — unwritable even for
+    /// root, whom permission bits do not stop — and then put back.
+    #[test]
+    fn failed_flush_keeps_its_ticket_and_retries_with_the_next_hand_off() {
+        let dir = temp_dir("fail");
+        let away = dir.with_extension("away");
+        let _ = fs::remove_dir_all(&away);
+        let mut s = FileStorage::open(&dir);
+        fs::rename(&dir, &away).expect("move the directory away");
+        fs::write(&dir, b"not a directory").expect("block its path");
+
+        let first = encode_record(1, 1, &check(1));
+        s.append_wal(&first);
+        s.barrier();
+        assert_eq!(s.durable_ticket(), 0, "a failed flush completes nothing");
+        assert!(s.io_errors() >= 1);
+        assert_eq!(
+            s.read_wal(),
+            Vec::<u8>::new(),
+            "reads do not wait on a stalled batch"
+        );
+
+        fs::remove_file(&dir).expect("unblock");
+        fs::rename(&away, &dir).expect("restore the directory");
+        // What a partial write would have left behind the durable length.
+        fs::write(dir.join(WAL_FILE), [RECORD_MAGIC, 9, 9]).expect("torn tail");
+        let second = encode_record(2, 2, &check(2));
+        s.append_wal(&second);
+        s.barrier();
+        assert_eq!(s.durable_ticket(), 2, "the retry covers both tickets");
+        let on_disk = fs::read(dir.join(WAL_FILE)).expect("wal.bin");
+        assert_eq!(
+            on_disk,
+            [first, second].concat(),
+            "the torn tail was cut first"
+        );
+        drop(s);
+        assert_eq!(recover(&FileStorage::open(&dir)).records.len(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 

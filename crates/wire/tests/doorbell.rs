@@ -8,6 +8,8 @@
     reason = "the test bounds how long an un-rung frame may wait"
 )]
 
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -94,33 +96,77 @@ fn serial_checks_across_two_shards_are_rung_through() {
     );
 }
 
-#[test]
-fn unrung_external_client_is_still_served() {
+/// A raw client connects straight to the Coordinator's listener, behind
+/// the deployment's back: it rings no bell and its frame is not in the
+/// `frames_out` book. With `window == 0` nothing else is in flight and
+/// the one shard is parked, so the sweep after its bounded idle wait
+/// must find the socket. With `window == 8` a generator thread keeps
+/// eight checks in flight, so the shard seldom parks: its listeners are
+/// polled when a ring asks (the generator's own injections ring) or when
+/// 64 sweeps passed without a poll — either must find the socket while
+/// the load runs.
+fn serve_unrung_client(window: usize) {
     let world = World::build(&WorldConfig::small(), 63);
-    let d = MiniDeployment::start(world, &[(30, Country::ES)]).expect("deployment starts");
+    let d = MiniDeployment::start_with_options(
+        world,
+        transport_only_cfg(63),
+        &es_peers(8),
+        FaultPlan::new(0),
+        DeployOptions {
+            shards: 1,
+            ..DeployOptions::default()
+        },
+    )
+    .expect("deployment starts");
     let telemetry = Arc::clone(d.telemetry());
+    let stop = AtomicBool::new(false);
 
-    // Straight onto the Coordinator's listener, behind the deployment's
-    // back: no bell is rung and the send is not in the `frames_out`
-    // book. Every shard is parked (nothing else is in flight), so only
-    // the bounded fallback sweep can find this socket.
-    {
-        let mut s = std::net::TcpStream::connect(d.coordinator_addr()).expect("connect");
-        Envelope {
-            from: Address::Peer { id: 30 },
-            msg: ProtoMsg::RemoveServer { index: 99 },
+    std::thread::scope(|scope| {
+        let (d, stop) = (&d, &stop);
+        let load = scope.spawn(move || {
+            let mut in_flight = VecDeque::new();
+            let mut i = 0u64;
+            while window > 0 && !(stop.load(Ordering::Relaxed) && in_flight.is_empty()) {
+                while !stop.load(Ordering::Relaxed) && in_flight.len() < window {
+                    i += 1;
+                    let product = ProductId((i % 5) as u32);
+                    let tag = d
+                        .begin_check(71 + i % 7, "amazon.com", product)
+                        .expect("begins");
+                    in_flight.push_back(tag);
+                }
+                if let Some(tag) = in_flight.pop_front() {
+                    d.await_check(tag).expect("a load check fails");
+                }
+            }
+        });
+        if window > 0 {
+            // The load is under way before the client connects.
+            while telemetry.snapshot().counters["wire.frames_out"] < 100 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
         }
-        .send(&mut s)
-        .expect("frame written");
-    }
-
-    // Served = the Coordinator answered (ServerRemoved toward peer 30
-    // is the first frame any shard writes in this deployment).
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while telemetry.snapshot().counters["wire.frames_out"] == 0 {
-        assert!(Instant::now() < deadline, "un-rung frame was never served");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+        {
+            let mut s = std::net::TcpStream::connect(d.coordinator_addr()).expect("connect");
+            Envelope {
+                from: Address::Peer { id: 70 },
+                msg: ProtoMsg::RemoveServer { index: 99 },
+            }
+            .send(&mut s)
+            .expect("frame written");
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !d.server_removals().contains(&(99, false)) {
+            assert!(Instant::now() < deadline, "un-rung frame was never served");
+            assert!(
+                window == 0 || !load.is_finished(),
+                "the load ended before the frame was served"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        stop.store(true, Ordering::Relaxed);
+        load.join().expect("load thread");
+    });
     d.shutdown();
 
     let snap = telemetry.snapshot();
@@ -129,4 +175,10 @@ fn unrung_external_client_is_still_served() {
         snap.counters["wire.frames_out"] + 1,
         "exactly the one uncounted outside frame was read"
     );
+}
+
+#[test]
+fn unrung_external_client_is_still_served() {
+    serve_unrung_client(0);
+    serve_unrung_client(8);
 }
