@@ -100,6 +100,13 @@ cargo build --workspace --all-targets
 stage "tier-1 tests"
 cargo test --workspace --quiet
 
+# The Coordinator's shared multi-exponentiation and the Fermat decryption
+# against the per-factor, dividing forms they replaced, in the 512-bit
+# and RFC 3526 2048-bit groups: `#[ignore]`d in the debug sweep above,
+# about a second here.
+stage "crypto wide-group oracles (release)"
+cargo test --release -p sheriff-crypto --quiet -- --ignored
+
 # DES goldens: what `table1_performance` and `fig6_distribution` print
 # and count at the pinned seed is committed under ci/golden/ — stdout and
 # the telemetry snapshot, so `measurement.diff_bytes_stored`, every

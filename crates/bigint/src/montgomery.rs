@@ -125,6 +125,12 @@ impl Montgomery {
         self.kernel(a, Some(b), t);
     }
 
+    /// `a = a²` for a residue in Montgomery form; `t` as for
+    /// [`Montgomery::mul_assign`].
+    pub fn square_assign(&self, a: &mut [u64], t: &mut [u64]) {
+        self.kernel(a, None, t);
+    }
+
     /// Dispatches to the one kernel. The limb counts of the baked groups up
     /// to 512 bits pass theirs as a constant, so the compiler emits a copy
     /// with the loops unrolled and no `memset`/`memcpy` call (1.8× on two

@@ -68,10 +68,7 @@ impl DlogTable {
         for i in 0..=giants {
             if let Some(&j) = self.baby.get(&gamma) {
                 let m = i * self.t + j;
-                if m < self.bound.max(self.t) {
-                    return Some(m);
-                }
-                return None;
+                return (m < self.bound).then_some(m);
             }
             mont.mul_assign(&mut gamma, &self.giant_step, &mut scratch);
         }
@@ -121,8 +118,17 @@ mod tests {
     #[test]
     fn tiny_bound() {
         let gp = GroupParams::test_64();
-        let table = DlogTable::build(&gp, 1);
-        assert_eq!(table.solve(&Big::one()), Some(0));
+        let power = |m| gp.g_pow(&Big::from_u64(m));
+        let one = DlogTable::build(&gp, 1);
+        assert_eq!(one.solve(&Big::one()), Some(0));
+        assert_eq!(one.solve(&power(1)), None);
+        assert_eq!(one.solve_signed(&power(1)), None);
+        let two = DlogTable::build(&gp, 2);
+        assert_eq!(two.solve(&Big::one()), Some(0));
+        assert_eq!(two.solve(&power(1)), Some(1));
+        assert_eq!(two.solve(&power(2)), None);
+        assert_eq!(two.solve(&power(3)), None);
+        assert_eq!(two.solve_signed(&gp.inv(&power(1))), Some(-1));
     }
 
     #[test]

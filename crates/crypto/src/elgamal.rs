@@ -74,9 +74,17 @@ impl SecretKey {
     /// # Panics
     /// If `i` is out of range for the ciphertext or the key.
     pub fn decrypt_component(&self, ct: &Ciphertext, i: usize) -> Big {
+        self.unmask(&ct.alpha, &ct.betas[i], i)
+    }
+
+    /// `β / α^{x_i}` for `α, β ∈ [1, p)`, computed as `β · α^{p−1−x_i}`:
+    /// `α^{p−1} = 1` for every such `α` (Fermat), so this is the same
+    /// element at the cost of the same exponentiation and no inversion.
+    /// (`α^{q−x_i}` would be it only for `α` in the order-`q` subgroup.)
+    pub(crate) fn unmask(&self, alpha: &Big, beta: &Big, i: usize) -> Big {
         let gp = &self.params;
-        let mask = gp.pow(&ct.alpha, &self.x[i]);
-        gp.div(&ct.betas[i], &mask)
+        let e = gp.p.sub(&Big::one()).sub(&self.x[i]);
+        gp.mul(beta, &gp.pow(alpha, &e))
     }
 }
 
@@ -155,9 +163,10 @@ impl Ciphertext {
         self.betas.len()
     }
 
-    /// True when every component lies in `[1, p)`. Decryption and
-    /// inner-product evaluation divide by powers of the components, so a
-    /// ciphertext from another party is checked before it reaches them.
+    /// True when every component lies in `[1, p)`. Inner-product
+    /// evaluation divides by powers of the components, and decryption's
+    /// `α^{p−1−x}` is `α^{−x}` only for `α ≢ 0`, so a ciphertext from
+    /// another party is checked before it reaches them.
     pub fn is_well_formed(&self, params: &GroupParams) -> bool {
         params.contains(&self.alpha) && self.betas.iter().all(|b| params.contains(b))
     }

@@ -11,9 +11,11 @@
 //!
 //! without learning `c`. In the $heriff protocol the Coordinator holds both
 //! the keys and `s` (the centroid-derived vector), so it evaluates the
-//! product itself on a *blinded* ciphertext — see [`crate::protocol`].
+//! product itself on a *blinded* ciphertext — see [`crate::protocol`] —
+//! against every centroid. [`eval_inner_products`] takes the ciphertext and
+//! all the centroids' `(s, f)` at once, so what they share is done once.
 
-use sheriff_bigint::{mod_add, mod_mul, Big};
+use sheriff_bigint::{mod_add, mod_mul, Big, Montgomery};
 
 use crate::elgamal::{Ciphertext, SecretKey};
 use crate::group::GroupParams;
@@ -33,29 +35,105 @@ pub fn derive_function_key(sk: &SecretKey, s: &[i64]) -> Big {
 }
 
 /// Evaluates `g^{c·s}` from a ciphertext of `c`, the function vector `s`,
-/// and its function key `f`.
-///
-/// Factors with `s_i < 0` are raised to `|s_i|` and join `α^f` below the
-/// line, so every exponent but `f` is as small as the entry itself: the same
-/// element as `β_i^{q − |s_i|}` above the line whenever `β_i` lies in the
-/// order-`q` subgroup, as every component of an honest ciphertext does.
+/// and its function key `f`: [`eval_inner_products`] for one function.
 ///
 /// # Panics
-/// If dimensions disagree, or what ends up below the line is `≡ 0 (mod p)`:
-/// callers check [`Ciphertext::is_well_formed`] first.
+/// As [`eval_inner_products`].
 pub fn eval_inner_product(params: &GroupParams, ct: &Ciphertext, s: &[i64], f: &Big) -> Big {
-    assert_eq!(
-        s.len(),
-        ct.betas.len(),
-        "function vector dimension mismatch"
-    );
-    let (mut num, mut denom) = (Big::one(), params.pow(&ct.alpha, f));
-    for (&si, beta) in s.iter().zip(&ct.betas) {
-        let factor = params.pow(beta, &Big::from_u64(si.unsigned_abs()));
-        let side = if si >= 0 { &mut num } else { &mut denom };
-        *side = params.mul(side, &factor);
+    let mut gamma = eval_inner_products(params, ct, [(s, f)]);
+    gamma.pop().expect("one function in, one element out")
+}
+
+/// Evaluates `g^{c·s}` for every `(s, f)` in `functions`, in order, from
+/// one ciphertext `(α, (β_i))` of `c`.
+///
+/// Each value is `N / D` with `N = Π_{s_i > 0} β_i^{s_i}` and
+/// `D = α^f · Π_{s_i < 0} β_i^{|s_i|}`, so every exponent but `f` is as
+/// small as its entry. That is the element `Π β_i^{s_i mod q} / α^f`
+/// whenever each `β_i` lies in the order-`q` subgroup, as every component
+/// of an honest ciphertext does. The `β_i` enter Montgomery form once for
+/// all functions; each function's `N` and small part of `D` come from one
+/// left-to-right pass over the bits of its `|s_i|`, whose squarings all
+/// `m + 2` entries share; and all the `D`s are inverted by one inversion.
+///
+/// # Panics
+/// If a vector's dimension differs from the ciphertext's, or some `D` is
+/// `≡ 0 (mod p)`: callers check [`Ciphertext::is_well_formed`] first.
+pub fn eval_inner_products<'a>(
+    params: &GroupParams,
+    ct: &Ciphertext,
+    functions: impl IntoIterator<Item = (&'a [i64], &'a Big)>,
+) -> Vec<Big> {
+    let mont = &params.mont_p;
+    let mut t = mont.scratch();
+    let betas: Vec<Vec<u64>> = ct.betas.iter().map(|b| mont.enter(b)).collect();
+    let (mut nums, mut denoms) = (Vec::new(), Vec::new());
+    for (s, f) in functions {
+        assert_eq!(s.len(), betas.len(), "function vector dimension mismatch");
+        let [num, below] = signed_products(mont, &betas, s, &mut t);
+        let mut denom = mont.enter(&params.pow(&ct.alpha, f));
+        if let Some(below) = below {
+            mont.mul_assign(&mut denom, &below, &mut t);
+        }
+        nums.push(num);
+        denoms.push(denom);
     }
-    params.div(&num, &denom)
+    // Montgomery's batch inversion: with P_j = D_0⋯D_j, invert P_last once;
+    // walking down, D_j⁻¹ = P_j⁻¹·P_{j−1} and P_{j−1}⁻¹ = P_j⁻¹·D_j.
+    let mut prefix: Vec<Vec<u64>> = Vec::with_capacity(denoms.len());
+    for d in &denoms {
+        let mut p = d.clone();
+        if let Some(before) = prefix.last() {
+            mont.mul_assign(&mut p, before, &mut t);
+        }
+        prefix.push(p);
+    }
+    let Some(product) = prefix.last() else {
+        return Vec::new();
+    };
+    let mut inv = mont.enter(&params.inv(&mont.leave(product)));
+    let mut out = vec![Big::zero(); denoms.len()];
+    for j in (0..denoms.len()).rev() {
+        let mut quotient = inv.clone();
+        if j > 0 {
+            mont.mul_assign(&mut quotient, &prefix[j - 1], &mut t);
+            mont.mul_assign(&mut inv, &denoms[j], &mut t);
+        }
+        if let Some(num) = &nums[j] {
+            mont.mul_assign(&mut quotient, num, &mut t);
+        }
+        out[j] = mont.leave(&quotient);
+    }
+    out
+}
+
+/// `[Π_{s_i > 0} β_i^{s_i}, Π_{s_i < 0} β_i^{|s_i|}]` for `β_i` in
+/// Montgomery form, `None` for an empty product, by one pass over the bits
+/// of the `|s_i|` from the top (Straus): at each bit both sides are squared
+/// once — from their first factor on — and take the `β_i` whose `|s_i|`
+/// has that bit.
+fn signed_products(
+    mont: &Montgomery,
+    betas: &[Vec<u64>],
+    s: &[i64],
+    t: &mut [u64],
+) -> [Option<Vec<u64>>; 2] {
+    let widest = s.iter().map(|si| si.unsigned_abs()).max().unwrap_or(0);
+    let mut sides: [Option<Vec<u64>>; 2] = [None, None];
+    for bit in (0..u64::BITS - widest.leading_zeros()).rev() {
+        for side in sides.iter_mut().flatten() {
+            mont.square_assign(side, t);
+        }
+        for (&si, beta) in s.iter().zip(betas) {
+            if si.unsigned_abs() >> bit & 1 == 1 {
+                match &mut sides[usize::from(si < 0)] {
+                    Some(side) => mont.mul_assign(side, beta, t),
+                    empty => *empty = Some(beta.clone()),
+                }
+            }
+        }
+    }
+    sides
 }
 
 /// Builds the client-side vector `c = (Σ a_i², 1, a_1, …, a_m)` from a

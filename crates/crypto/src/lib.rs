@@ -15,7 +15,7 @@
 //! * [`dlog`] — baby-step/giant-step discrete logarithm for recovering
 //!   small plaintexts from `g^m`.
 //! * [`ipfe`] — function keys `f = Σ x_i s_i` and inner-product evaluation
-//!   `Π β_i^{s_i} / α^f = g^{c·s}`.
+//!   `Π β_i^{s_i} / α^f = g^{c·s}`, for one ciphertext against many `s`.
 //! * [`protocol`] — the two-party blinded distance protocol between the
 //!   Aggregator (ciphertext holder) and the Coordinator (key and centroid
 //!   holder), plus the centroid-update aggregation of Fig. 18.
@@ -38,4 +38,4 @@ pub mod protocol;
 pub use dlog::DlogTable;
 pub use elgamal::{Ciphertext, PublicKey, SecretKey};
 pub use group::GroupParams;
-pub use ipfe::{derive_function_key, eval_inner_product};
+pub use ipfe::{derive_function_key, eval_inner_product, eval_inner_products};

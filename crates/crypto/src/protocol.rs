@@ -43,8 +43,10 @@
 //!
 //! ### Well-formedness
 //!
-//! Both protocols divide by powers of what the other party sent, so every
-//! element crossing between the roles must lie in `[1, p)`
+//! Both protocols invert powers of what the other party sent (the distance
+//! round divides; decryption multiplies by `α^{p−1−x}`, which is `α^{−x}`
+//! only for `α ≢ 0`), so every element crossing between the roles must lie
+//! in `[1, p)`
 //! ([`Ciphertext::is_well_formed`], `GroupParams::contains`).
 //! [`BlindedQuery::unblind`] and [`decrypt_centroid`] answer `None` for
 //! input that does not; [`coordinator_evaluate`] returns a bare element, so
@@ -156,8 +158,7 @@ pub fn decrypt_centroid(
     }
     let mut centroid = Vec::with_capacity(aggregate.dims());
     for (i, beta) in aggregate.betas.iter().enumerate() {
-        let mask = gp.pow(&aggregate.alpha, &sk.x[key_offset + i]);
-        let gamma = gp.div(beta, &mask);
+        let gamma = sk.unmask(&aggregate.alpha, beta, key_offset + i);
         let sum = table.solve(&gamma)?;
         // Round-to-nearest division keeps centroids on the quantized grid.
         centroid.push((sum + cardinality / 2) / cardinality);

@@ -3,12 +3,14 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use sheriff_bigint::Big;
 use sheriff_crypto::dlog::DlogTable;
 use sheriff_crypto::elgamal::{Ciphertext, SecretKey};
-use sheriff_crypto::ipfe::{client_vector, eval_inner_product, server_vector, squared_distance};
+use sheriff_crypto::ipfe::{
+    client_vector, eval_inner_product, eval_inner_products, server_vector, squared_distance,
+};
 use sheriff_crypto::protocol::{
     aggregate_cluster, coordinator_evaluate, decrypt_centroid, BlindedQuery,
 };
@@ -47,6 +49,119 @@ proptest! {
             eval_inner_product(&gp, &ct, &s, &f),
             eval_inner_product_unsplit(&gp, &ct, &s, &f)
         );
+    }
+}
+
+/// `eval_inner_product` as it was before one ciphertext served every
+/// centroid: one `pow` per factor, `|s_i|` below the line for `s_i < 0`,
+/// one division per function.
+fn eval_inner_product_per_factor(params: &GroupParams, ct: &Ciphertext, s: &[i64], f: &Big) -> Big {
+    let (mut num, mut denom) = (Big::one(), params.pow(&ct.alpha, f));
+    for (&si, beta) in s.iter().zip(&ct.betas) {
+        let factor = params.pow(beta, &Big::from_u64(si.unsigned_abs()));
+        let side = if si >= 0 { &mut num } else { &mut denom };
+        *side = params.mul(side, &factor);
+    }
+    params.div(&num, &denom)
+}
+
+/// `SecretKey::decrypt_component` as it was: divide by `α^{x_i}`.
+fn decrypt_by_division(sk: &SecretKey, ct: &Ciphertext, i: usize) -> Big {
+    let gp = &sk.params;
+    gp.div(&ct.betas[i], &gp.pow(&ct.alpha, &sk.x[i]))
+}
+
+/// An element of `[1, p)`, not necessarily of the order-`q` subgroup: `1`
+/// and `p − 1` (of order 2) often, otherwise uniform.
+fn any_element(gp: &GroupParams, rng: &mut StdRng) -> Big {
+    match rng.gen_range(0..6) {
+        0 => Big::one(),
+        1 => gp.p.sub(&Big::one()),
+        _ => loop {
+            let a = Big::random_below(rng, &gp.p);
+            if !a.is_zero() {
+                break a;
+            }
+        },
+    }
+}
+
+/// Compares the multi-function evaluation with the per-factor oracle on
+/// `k` functions, and decryption with division, for a ciphertext of
+/// arbitrary elements with `m + 2` components. Function `j` is, by
+/// `j mod 4`: the all-`scale` centroid (`Σb² = m·scale²`), the all-zero
+/// centroid (no entry below the line), a centroid with zeros, extremes and
+/// random coordinates, or a vector with no entry above the line.
+fn check_against_oracles(gp: &GroupParams, m: usize, k: usize, scale: u64, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let ct = Ciphertext {
+        alpha: any_element(gp, &mut rng),
+        betas: (0..m + 2).map(|_| any_element(gp, &mut rng)).collect(),
+    };
+    let functions: Vec<(Vec<i64>, Big)> = (0..k)
+        .map(|j| {
+            let s = match j % 4 {
+                0 => server_vector(&vec![scale; m]),
+                1 => server_vector(&vec![0; m]),
+                2 => {
+                    let mut coordinate = || match rng.gen_range(0..4) {
+                        0 => 0,
+                        1 => scale,
+                        _ => rng.gen_range(0..=scale),
+                    };
+                    server_vector(&(0..m).map(|_| coordinate()).collect::<Vec<_>>())
+                }
+                _ => (0..m + 2)
+                    .map(|_| -rng.gen_range(0..=2 * scale as i64))
+                    .collect(),
+            };
+            (s, gp.random_exponent(&mut rng))
+        })
+        .collect();
+    let got = eval_inner_products(gp, &ct, functions.iter().map(|(s, f)| (s.as_slice(), f)));
+    let want: Vec<Big> = functions
+        .iter()
+        .map(|(s, f)| eval_inner_product_per_factor(gp, &ct, s, f))
+        .collect();
+    assert_eq!(got, want, "m = {m}, k = {k}, seed {seed}");
+
+    let sk = SecretKey::generate(gp, m + 2, &mut rng);
+    for i in 0..m + 2 {
+        let want = decrypt_by_division(&sk, &ct, i);
+        assert_eq!(
+            sk.decrypt_component(&ct, i),
+            want,
+            "component {i}, seed {seed}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn shared_evaluation_and_fermat_decryption_equal_their_oracles(
+        m in 1usize..24,
+        k in 1usize..=8,
+        scale in 1u64..=16,
+        seed in 0u64..1_000,
+    ) {
+        let gp = if seed.is_multiple_of(2) { GroupParams::test_64() } else { GroupParams::test_128() };
+        check_against_oracles(&gp, m, k, scale, seed);
+    }
+}
+
+/// The same comparison in the 512-bit group (the kernel's widest unrolled
+/// instance) and the RFC 3526 2048-bit group (its general path). About a
+/// second in a release build: `cargo test --release -p sheriff-crypto --
+/// --ignored`.
+#[test]
+#[ignore = "wide groups: run in release by ci.sh"]
+fn shared_evaluation_and_fermat_decryption_equal_their_oracles_in_wide_groups() {
+    for gp in [GroupParams::bits_512(), GroupParams::modp_2048()] {
+        for (seed, k) in [(1u64, 1usize), (2, 4), (3, 8)] {
+            check_against_oracles(&gp, 20, k, 16, seed);
+        }
     }
 }
 

@@ -16,8 +16,10 @@
 //! mapping; centroid update) until the fraction of clients that changed
 //! cluster falls below the halting threshold, exactly as §3.8 describes.
 //! Distance evaluation dominates the cost (`n·k` inner products per
-//! iteration, each `m + 2` exponentiations), and parallelizes trivially
-//! across clients — the property behind Fig. 8c's multi-threaded speedup.
+//! iteration, each one full-width exponentiation and a shared pass over
+//! `m + 2` small ones; one inversion per client), and parallelizes
+//! trivially across clients — the property behind Fig. 8c's
+//! multi-threaded speedup.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,7 +29,7 @@ use sheriff_crypto::dlog::DlogTable;
 use sheriff_crypto::elgamal::{Ciphertext, SecretKey};
 use sheriff_crypto::ipfe::{client_vector, server_vector};
 use sheriff_crypto::protocol::{aggregate_cluster, decrypt_centroid, BlindedQuery};
-use sheriff_crypto::{derive_function_key, eval_inner_product, GroupParams};
+use sheriff_crypto::{derive_function_key, eval_inner_products, GroupParams};
 
 /// Configuration for a private k-means run.
 #[derive(Clone, Debug)]
@@ -132,10 +134,8 @@ impl Coordinator {
         if !blinded.is_well_formed(&self.sk.params) {
             return Vec::new();
         }
-        self.functions
-            .iter()
-            .map(|(s, f)| eval_inner_product(&self.sk.params, blinded, s, f))
-            .collect()
+        let functions = self.functions.iter().map(|(s, f)| (s.as_slice(), f));
+        eval_inner_products(&self.sk.params, blinded, functions)
     }
 
     /// Phase (b), Coordinator side: decrypt a cluster aggregate into a new
