@@ -100,12 +100,15 @@ cargo build --workspace --all-targets
 stage "tier-1 tests"
 cargo test --workspace --quiet
 
-# The Coordinator's shared multi-exponentiation and the Fermat decryption
-# against the per-factor, dividing forms they replaced, in the 512-bit
-# and RFC 3526 2048-bit groups: `#[ignore]`d in the debug sweep above,
-# about a second here.
+# The Coordinator's shared multi-exponentiation, the Fermat decryption,
+# and encryption, blinding, unblinding, aggregation and decryption over
+# fixed-base combs and shared window tables, against the per-factor forms
+# they replaced, in the 256-, 512-bit and RFC 3526 2048-bit groups; and
+# the window ladder and the comb against bit-by-bit square-and-multiply
+# on the 2048-bit prime and its q. `#[ignore]`d in the debug sweep above,
+# about ten seconds here.
 stage "crypto wide-group oracles (release)"
-cargo test --release -p sheriff-crypto --quiet -- --ignored
+cargo test --release -p sheriff-crypto -p sheriff-bigint --quiet -- --ignored
 
 # DES goldens: what `table1_performance` and `fig6_distribution` print
 # and count at the pinned seed is committed under ci/golden/ — stdout and

@@ -10,9 +10,9 @@
 //! Algorithm D division, parsing, and [`prime`] (Miller–Rabin, safe-prime
 //! generation): written to be audited, and the oracle the other half is
 //! tested against. The fast half is [`montgomery`]: multiplication,
-//! windowed exponentiation and binary-GCD inversion modulo one odd modulus
-//! over `u64` limbs without division. [`modular`] offers both behind
-//! one-shot functions that are total over moduli.
+//! windowed and fixed-base-comb exponentiation and binary-GCD inversion
+//! modulo one odd modulus over `u64` limbs without division. [`modular`]
+//! offers both behind one-shot functions that are total over moduli.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,5 +24,5 @@ pub mod prime;
 
 pub use big::Big;
 pub use modular::{mod_add, mod_inv, mod_mul, mod_pow, mod_sub};
-pub use montgomery::Montgomery;
+pub use montgomery::{Comb, Montgomery, Table, Windows};
 pub use prime::{gen_prime, gen_safe_prime, is_prime};

@@ -6,6 +6,20 @@
 //! allocation (the caller owns the scratch). `k` is a run-time property of
 //! the modulus, so one kernel serves a 32-bit test group and the 2048-bit
 //! RFC 3526 group. Building a context takes no division either.
+//!
+//! Exponentiation comes in parts, so that what several exponentiations
+//! share is done once and their residues stay in Montgomery form until
+//! each output leaves it:
+//!
+//! * [`Windows`] recodes an exponent into 4-bit windows, once, from its
+//!   limbs; [`Montgomery::table`] holds a base's first powers;
+//!   [`Montgomery::pow_table`] is the one window ladder over the two.
+//!   [`Montgomery::pow`] is the three in a row.
+//! * [`Montgomery::comb`] precomputes a fixed base's Lim–Lee comb, after
+//!   which [`Montgomery::comb_pow`] raises it to an exponent of the
+//!   comb's width in about a sixth of the ladder's squarings. A comb
+//!   costs about one ladder to build, so it pays from a base's second
+//!   exponentiation on.
 
 use crate::big::Big;
 
@@ -18,6 +32,75 @@ pub struct Montgomery {
     n0_inv: u64,
     /// `R² mod n`: multiplying by it enters Montgomery form.
     r2: Vec<u64>,
+    /// `R mod n`: 1 in Montgomery form.
+    one: Vec<u64>,
+}
+
+/// Rows of a [`Comb`]: its table holds `2^COMB_ROWS − 1` products. Six
+/// keep a comb's build at about one window ladder at every baked width
+/// (64 to 2048 bits) while cutting each exponentiation's squarings
+/// sixfold.
+const COMB_ROWS: usize = 6;
+
+/// An exponent recoded into 4-bit windows, least significant first, with
+/// no zero window on top (none at all for 0): what
+/// [`Montgomery::pow_table`] reads. Recoding once lets one exponent serve
+/// many bases.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Windows {
+    digits: Vec<u8>,
+}
+
+impl Windows {
+    /// The largest window value: a [`Montgomery::table`] this wide serves
+    /// every exponent.
+    pub const WIDEST: usize = 15;
+
+    /// Recodes `exp`.
+    pub fn new(exp: &Big) -> Self {
+        let limbs = exp.limbs();
+        let mut digits = Vec::with_capacity(8 * limbs.len());
+        for &l in limbs {
+            digits.extend((0..8).map(|i| (l >> (4 * i) & 0xf) as u8));
+        }
+        while digits.last() == Some(&0) {
+            digits.pop();
+        }
+        Windows { digits }
+    }
+
+    /// The largest window of the exponent (0 for 0): the powers a
+    /// [`Montgomery::table`] needs to serve it.
+    pub fn widest(&self) -> usize {
+        self.digits.iter().max().map_or(0, |&w| usize::from(w))
+    }
+}
+
+/// A base's powers `base^1 …` in Montgomery form, from
+/// [`Montgomery::table`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Table {
+    /// `base^w` at limbs `(w − 1)·k .. w·k`.
+    powers: Vec<u64>,
+}
+
+/// A fixed base's Lim–Lee comb, from [`Montgomery::comb`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Comb {
+    /// Bits per row.
+    cols: usize,
+    /// For `u` in `1 .. 2^COMB_ROWS`, limbs `(u − 1)·k .. u·k` hold
+    /// `Π_{i: bit i of u} base^(2^(i·cols))` in Montgomery form; entry 0 is
+    /// the base itself.
+    table: Vec<u64>,
+}
+
+impl Comb {
+    /// The widest exponent, in bits, the comb serves without falling back
+    /// to the window ladder: `COMB_ROWS · cols`.
+    pub fn width(&self) -> usize {
+        COMB_ROWS * self.cols
+    }
 }
 
 fn pack(a: &Big) -> Vec<u64> {
@@ -82,13 +165,18 @@ impl Montgomery {
             n,
             n0_inv,
             r2: Vec::new(),
+            one: Vec::new(),
         };
+        for _ in 0..s {
+            ctx.double(&mut r2);
+        }
+        ctx.one = r2.clone();
         // R² = 2^(64k)·R. Squaring 2^j·R in Montgomery form gives 2^(2j)·R
         // and doubling gives 2^(j+1)·R: reach j = 64k from its top four
         // bits by doubling, then square-and-double over the bits below.
         let (e, mut t) = (64 * k, ctx.scratch());
         let low_bits = (usize::BITS - e.leading_zeros()).saturating_sub(4);
-        for _ in 0..s + (e >> low_bits) {
+        for _ in 0..e >> low_bits {
             ctx.double(&mut r2);
         }
         for i in (0..low_bits).rev() {
@@ -212,36 +300,120 @@ impl Montgomery {
         unpack(&v)
     }
 
-    /// `base^exp mod n` (1 for `exp == 0`) by a fixed 4-bit window. The
-    /// table of powers and the scratch are allocated once per call, and the
-    /// table stops at the widest window `exp` contains, so a 5-bit exponent
-    /// does not pay for fifteen powers.
+    /// `base^exp mod n` (1 for `exp == 0`): [`Windows::new`], a
+    /// [`Montgomery::table`] that stops at the widest window `exp`
+    /// contains (a 5-bit exponent does not pay for fifteen powers), and
+    /// [`Montgomery::pow_table`]. Callers that raise one base to many
+    /// exponents, or many bases to one exponent, call those three
+    /// themselves and keep what repeats.
     pub fn pow(&self, base: &Big, exp: &Big) -> Big {
-        let window = |i: usize| (0..4).fold(0, |w, b| w | usize::from(exp.bit(4 * i + b)) << b);
-        let windows = exp.bit_len().div_ceil(4);
-        let Some(widest) = (0..windows).map(window).max() else {
-            return Big::one();
-        };
+        let exp = Windows::new(exp);
+        let table = self.table(&self.enter(base), exp.widest());
+        self.leave(&self.pow_table(&table, &exp))
+    }
+
+    /// `base^1 … base^widest` for `base` in Montgomery form (`widest ≤`
+    /// [`Windows::WIDEST`]): `widest − 1` kernel calls.
+    pub fn table(&self, base: &[u64], widest: usize) -> Table {
         let (k, mut t) = (self.n.len(), self.scratch());
-        // table[(w − 1)·k..w·k] = base^w in Montgomery form.
-        let mut table = self.enter(base);
-        table.resize(widest * k, 0);
-        for w in 1..widest {
-            let (done, next) = table.split_at_mut(w * k);
-            next[..k].copy_from_slice(&done[(w - 1) * k..]);
-            self.mul_assign(&mut next[..k], &done[..k], &mut t);
+        let mut powers = Vec::with_capacity(widest * k);
+        let mut power = base.to_vec();
+        for w in 1..=widest {
+            if w > 1 {
+                self.mul_assign(&mut power, base, &mut t);
+            }
+            powers.extend_from_slice(&power);
         }
-        let power = |w: usize| &table[(w - 1) * k..w * k];
-        let mut acc = power(window(windows - 1)).to_vec();
-        for i in (0..windows - 1).rev() {
+        Table { powers }
+    }
+
+    /// `base^exp` in Montgomery form, by the fixed 4-bit window ladder over
+    /// a `table` of `base` that covers [`Windows::widest`] of `exp`: four
+    /// squarings per window below the top one, and one multiplication per
+    /// nonzero window.
+    ///
+    /// # Panics
+    /// If `table` stops below a window of `exp`.
+    pub fn pow_table(&self, table: &Table, exp: &Windows) -> Vec<u64> {
+        let (k, mut t) = (self.n.len(), self.scratch());
+        let power = |w: u8| &table.powers[(usize::from(w) - 1) * k..usize::from(w) * k];
+        let Some((&top, below)) = exp.digits.split_last() else {
+            return self.one.clone();
+        };
+        let mut acc = power(top).to_vec();
+        for &w in below.iter().rev() {
             for _ in 0..4 {
-                self.kernel(&mut acc, None, &mut t);
+                self.square_assign(&mut acc, &mut t);
             }
-            if window(i) != 0 {
-                self.mul_assign(&mut acc, power(window(i)), &mut t);
+            if w != 0 {
+                self.mul_assign(&mut acc, power(w), &mut t);
             }
         }
-        self.leave(&acc)
+        acc
+    }
+
+    /// The fixed-base comb of `base` (Montgomery form) for exponents of up
+    /// to `bits` bits, Lim–Lee with `COMB_ROWS = 6` rows of
+    /// `cols = ⌈bits / COMB_ROWS⌉` bits. Row `i` is
+    /// `base^(2^(i·cols))`, `cols` squarings above row `i − 1`; the table
+    /// holds the product of every nonempty set of rows. Building it costs
+    /// about `bits` squarings and `2^COMB_ROWS − COMB_ROWS − 1`
+    /// multiplications, about one window ladder.
+    pub fn comb(&self, base: &[u64], bits: usize) -> Comb {
+        let (k, mut t) = (self.n.len(), self.scratch());
+        let cols = bits.div_ceil(COMB_ROWS).max(1);
+        let mut table = vec![0; ((1 << COMB_ROWS) - 1) * k];
+        let mut row = base.to_vec();
+        for i in 0..COMB_ROWS {
+            if i > 0 {
+                for _ in 0..cols {
+                    self.square_assign(&mut row, &mut t);
+                }
+            }
+            // Entry u − 1 holds the product of the rows whose bits u has:
+            // row i alone, then row i times each entry below it.
+            let top = 1 << i;
+            table[(top - 1) * k..top * k].copy_from_slice(&row);
+            for u in 1..top {
+                let (below, above) = table.split_at_mut((top + u - 1) * k);
+                above[..k].copy_from_slice(&below[(u - 1) * k..u * k]);
+                self.mul_assign(&mut above[..k], &row, &mut t);
+            }
+        }
+        Comb { cols, table }
+    }
+
+    /// `base^exp` in Montgomery form from `base`'s comb: `cols` squarings
+    /// and at most `cols` multiplications, each taking the table entry of
+    /// the bits `j, j + cols, j + 2·cols, …` of `exp`. An exponent wider
+    /// than [`Comb::width`] goes through the window ladder instead.
+    pub fn comb_pow(&self, comb: &Comb, exp: &Big) -> Vec<u64> {
+        let k = self.n.len();
+        if exp.bit_len() > comb.width() {
+            let exp = Windows::new(exp);
+            return self.pow_table(&self.table(&comb.table[..k], exp.widest()), &exp);
+        }
+        let (limbs, mut t) = (exp.limbs(), self.scratch());
+        let bit = |i: usize| {
+            limbs
+                .get(i / 32)
+                .map_or(0, |&l| (l >> (i % 32)) as usize & 1)
+        };
+        let mut acc: Option<Vec<u64>> = None;
+        for j in (0..comb.cols).rev() {
+            if let Some(acc) = &mut acc {
+                self.square_assign(acc, &mut t);
+            }
+            let u = (0..COMB_ROWS).fold(0, |u, i| u | bit(i * comb.cols + j) << i);
+            if u != 0 {
+                let entry = &comb.table[(u - 1) * k..u * k];
+                match &mut acc {
+                    Some(acc) => self.mul_assign(acc, entry, &mut t),
+                    none => *none = Some(entry.to_vec()),
+                }
+            }
+        }
+        acc.unwrap_or_else(|| self.one.clone())
     }
 
     /// `a⁻¹ mod n` by the binary extended GCD (shifts and subtractions

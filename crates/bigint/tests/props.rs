@@ -4,10 +4,12 @@
 //! the division identity, shift/multiply equivalence, and the group laws of
 //! modular exponentiation — and, differentially, that the Montgomery paths
 //! behind `mod_mul` / `mod_pow` / `mod_inv` compute what `Big::mul` +
-//! `Big::rem` (which they replaced and which stay in the crate) compute.
+//! `Big::rem` (which they replaced and which stay in the crate) compute,
+//! and that the split window ladder (`Windows`, `table`, `pow_table`) and
+//! the fixed-base comb (`comb`, `comb_pow`) compute what `mod_pow` did.
 
 use proptest::prelude::*;
-use sheriff_bigint::{mod_inv, mod_mul, mod_pow, Big};
+use sheriff_bigint::{mod_inv, mod_mul, mod_pow, Big, Montgomery, Windows};
 
 fn big_from_bytes(bytes: &[u8]) -> Big {
     // Interpret arbitrary bytes as a hex-ish number by mapping each byte to a
@@ -130,6 +132,66 @@ fn oracle_pow(base: &Big, exp: &Big, m: &Big) -> Big {
     acc
 }
 
+/// `bits` bits taken from `limbs` (repeated as needed), the top one set.
+fn exactly_bits(limbs: &[u64], bits: usize) -> Big {
+    let words: Vec<u64> = limbs
+        .iter()
+        .copied()
+        .cycle()
+        .take(bits.div_ceil(64))
+        .collect();
+    let value = from_u64_limbs(&words).shr(64 * words.len() - bits);
+    value
+        .sub(&value.shr(bits - 1).shl(bits - 1))
+        .add(&Big::one().shl(bits - 1))
+}
+
+/// Exponents at the edges of a comb `width` bits wide over an odd modulus
+/// `m > 1`: 0, 1, `q − 1` for `q = (m − 1)/2`, all ones and random bits exactly
+/// `width` wide, one bit wider (the window-ladder fallback), and random
+/// bits below `width`.
+fn comb_exponent((class, limbs): Seed, m: &Big, width: usize) -> Big {
+    match class {
+        0 => Big::zero(),
+        1 => Big::one(),
+        2 => m.shr(1).sub(&Big::one()),
+        3 => Big::one().shl(width).sub(&Big::one()),
+        4 => exactly_bits(&limbs, width),
+        5 => exactly_bits(&limbs, width + 1),
+        _ => exactly_bits(&limbs, width).shr(1 + (limbs[0] as usize) % width),
+    }
+}
+
+/// Checks one base and exponent through every path against
+/// [`oracle_pow`]: `mod_pow`, `pow_table` over a table cut at the
+/// exponent's widest window and over a full one, and `comb_pow` over a
+/// comb for `bits`-bit exponents.
+fn check_split_paths(ctx: &Montgomery, m: &Big, a: &Big, e: &Big, bits: usize) {
+    let base = ctx.enter(a);
+    let want = oracle_pow(a, e, m);
+    assert_eq!(mod_pow(a, e, m), want, "mod_pow, {e:?}");
+    let windows = Windows::new(e);
+    let cut = ctx.table(&base, windows.widest());
+    assert_eq!(
+        ctx.leave(&ctx.pow_table(&cut, &windows)),
+        want,
+        "cut table, {e:?}"
+    );
+    let full = ctx.table(&base, Windows::WIDEST);
+    assert_eq!(
+        ctx.leave(&ctx.pow_table(&full, &windows)),
+        want,
+        "full table, {e:?}"
+    );
+    let comb = ctx.comb(&base, bits);
+    assert!(comb.width() >= bits);
+    assert_eq!(
+        ctx.leave(&ctx.comb_pow(&comb, e)),
+        want,
+        "{bits}-bit comb, {e:?}"
+    );
+}
+
 /// Euclid over `Big::rem`: decides which operands have no inverse.
 fn gcd(mut a: Big, mut b: Big) -> Big {
     while !b.is_zero() {
@@ -170,6 +232,55 @@ proptest! {
         let m = modulus(m);
         let (a, e) = (operand(a, &m), exponent(e, &m));
         prop_assert_eq!(mod_pow(&a, &e, &m), oracle_pow(&a, &e, &m));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn pow_table_and_comb_pow_match_square_and_multiply(
+        m in arb_seed(),
+        a in arb_seed(),
+        e in arb_seed(),
+        narrow in 0usize..=64,
+    ) {
+        let m = modulus(m);
+        // Even moduli and 1 have no Montgomery form.
+        let Some(ctx) = Montgomery::new(&m) else {
+            continue;
+        };
+        let a = operand(a, &m);
+        // A comb for the modulus' width, as the groups build them, or for
+        // a few bits (down to one per row, and fewer bits than rows).
+        let bits = if narrow == 0 { m.bit_len() } else { narrow };
+        let width = ctx.comb(&ctx.enter(&a), bits).width();
+        check_split_paths(&ctx, &m, &a, &comb_exponent(e, &m, width), bits);
+    }
+}
+
+/// The same comparison on the RFC 3526 2048-bit prime and its `q`, for
+/// every exponent class: about a second in a release build, `cargo test
+/// --release -p sheriff-bigint -- --ignored`.
+#[test]
+#[ignore = "2048-bit oracles: run in release by ci.sh"]
+fn pow_table_and_comb_pow_match_square_and_multiply_at_2048_bits() {
+    let p = Big::from_hex(BAKED_PRIMES[4]).unwrap();
+    for m in [p.clone(), p.shr(1)] {
+        let ctx = Montgomery::new(&m).unwrap();
+        let limbs: Vec<u64> = (1..=32u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .collect();
+        for (i, a) in [Big::from_u64(4), m.sub(&Big::one()), from_u64_limbs(&limbs)]
+            .iter()
+            .enumerate()
+        {
+            let width = ctx.comb(&ctx.enter(a), m.bit_len()).width();
+            for class in 0..8 {
+                let e = comb_exponent((class, limbs[i..].to_vec()), &m, width);
+                check_split_paths(&ctx, &m, a, &e, m.bit_len());
+            }
+        }
     }
 }
 

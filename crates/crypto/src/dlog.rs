@@ -17,9 +17,15 @@ use crate::group::GroupParams;
 #[derive(Clone, Debug)]
 pub struct DlogTable {
     params: GroupParams,
-    /// Baby steps: `g^j → j` for `j in [0, t)`, keyed in the Montgomery
-    /// form the giant steps are walked in.
-    baby: HashMap<Vec<u64>, u64>,
+    /// Baby steps `g^j` for `j in [0, t)`, `k` limbs each, in the
+    /// Montgomery form the giant steps are walked in.
+    steps: Vec<u64>,
+    /// Low limb of a baby step → its `j` (the least, for equal steps). A
+    /// hit is confirmed against the whole step in `steps`.
+    baby: HashMap<u64, u64>,
+    /// Baby steps whose low limb a different, earlier step took: `g^j → j`.
+    /// Empty but for a `t²/2⁶⁴`-rare coincidence.
+    collided: HashMap<Vec<u64>, u64>,
     /// Step size `t = ⌈√bound⌉`.
     t: u64,
     /// `g^{-t}` for giant stepping, in Montgomery form.
@@ -38,22 +44,48 @@ impl DlogTable {
         let bound = bound.max(1);
         let t = (bound as f64).sqrt().ceil() as u64 + 1;
         let mont = &params.mont_p;
-        let mut baby = HashMap::with_capacity(t as usize);
         let (g, mut scratch) = (mont.enter(&params.g), mont.scratch());
         let mut cur = mont.enter(&Big::one());
+        let mut table = DlogTable {
+            params: params.clone(),
+            steps: Vec::with_capacity(t as usize * cur.len()),
+            baby: HashMap::with_capacity(t as usize),
+            collided: HashMap::new(),
+            t,
+            giant_step: Vec::new(),
+            bound,
+        };
         for j in 0..t {
-            baby.entry(cur.clone()).or_insert(j);
+            table.steps.extend_from_slice(&cur);
+            table.file(&cur, j);
             mont.mul_assign(&mut cur, &g, &mut scratch);
         }
         // g^{-t} = (g^t)^{-1}; cur currently holds g^t.
-        let giant_step = mont.enter(&params.inv(&mont.leave(&cur)));
-        DlogTable {
-            params: params.clone(),
-            baby,
-            t,
-            giant_step,
-            bound,
+        table.giant_step = mont.enter(&params.inv(&mont.leave(&cur)));
+        table
+    }
+
+    /// Baby step `j` of `k` limbs.
+    fn baby_step(&self, j: u64, k: usize) -> &[u64] {
+        &self.steps[j as usize * k..][..k]
+    }
+
+    /// Files `residue` as baby step `j` under its low limb, or among the
+    /// collided steps if a different residue holds that limb.
+    fn file(&mut self, residue: &[u64], j: u64) {
+        let first = *self.baby.entry(residue[0]).or_insert(j);
+        if self.baby_step(first, residue.len()) != residue {
+            self.collided.entry(residue.to_vec()).or_insert(j);
         }
+    }
+
+    /// The `j` of the baby step equal to `gamma`, if any.
+    fn lookup(&self, gamma: &[u64]) -> Option<u64> {
+        let &j = self.baby.get(&gamma[0])?;
+        if self.baby_step(j, gamma.len()) == gamma {
+            return Some(j);
+        }
+        self.collided.get(gamma).copied()
     }
 
     /// Finds `m ∈ [0, bound)` with `g^m == target`, or `None` if the value
@@ -66,7 +98,7 @@ impl DlogTable {
         let (mut gamma, mut scratch) = (mont.enter(target), mont.scratch());
         let giants = self.bound / self.t + 1;
         for i in 0..=giants {
-            if let Some(&j) = self.baby.get(&gamma) {
+            if let Some(j) = self.lookup(&gamma) {
                 let m = i * self.t + j;
                 return (m < self.bound).then_some(m);
             }
@@ -150,6 +182,22 @@ mod tests {
             assert_eq!(table.solve(&bad), None);
             assert_eq!(table.solve_signed(&bad), None);
         }
+    }
+
+    #[test]
+    fn residues_sharing_a_low_limb_solve_to_their_own_m() {
+        let gp = GroupParams::test_128();
+        let mont = &gp.mont_p;
+        let mut table = DlogTable::build(&gp, 100);
+        // A residue with g^5's low limb and another high limb, filed as
+        // step 7; a third with that low limb was never filed.
+        let five = mont.enter(&gp.g_pow(&Big::from_u64(5)));
+        let twin = |high: u64| vec![five[0], five[1] ^ high];
+        table.file(&twin(1), 7);
+        assert_eq!(table.collided.len(), 1);
+        assert_eq!(table.solve(&gp.g_pow(&Big::from_u64(5))), Some(5));
+        assert_eq!(table.solve(&mont.leave(&twin(1))), Some(7));
+        assert_eq!(table.solve(&mont.leave(&twin(2))), None);
     }
 
     #[test]

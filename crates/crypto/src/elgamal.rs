@@ -15,7 +15,7 @@
 
 use rand::Rng;
 
-use sheriff_bigint::Big;
+use sheriff_bigint::{Big, Comb, Windows};
 
 use crate::group::GroupParams;
 
@@ -28,13 +28,17 @@ pub struct SecretKey {
     pub x: Vec<Big>,
 }
 
-/// Per-dimension public keys `h_i = g^{x_i}`.
+/// Per-dimension public keys `h_i = g^{x_i}`, each with its comb: every
+/// encryption raises every `h_i` to a fresh `r`.
 #[derive(Clone, Debug)]
 pub struct PublicKey {
-    /// The group these keys live in.
-    pub params: GroupParams,
+    /// The group these keys live in. This field and `h` are private so
+    /// that `combs` cannot go stale.
+    params: GroupParams,
     /// Public elements, one per vector dimension.
-    pub h: Vec<Big>,
+    h: Vec<Big>,
+    /// `h_i`'s comb for exponents as wide as `q`.
+    combs: Vec<Comb>,
 }
 
 /// An ElGamal-at-the-exponent ciphertext `(α, (β_i))`.
@@ -56,11 +60,18 @@ impl SecretKey {
         }
     }
 
-    /// Derives the matching public key.
+    /// Derives the matching public key, with a comb per `h_i`: about one
+    /// exponentiation each, repaid by the first encryptions.
     pub fn public_key(&self) -> PublicKey {
+        let (gp, mont) = (&self.params, &self.params.mont_p);
+        let h: Vec<Big> = self.x.iter().map(|xi| gp.g_pow(xi)).collect();
         PublicKey {
-            params: self.params.clone(),
-            h: self.x.iter().map(|xi| self.params.g_pow(xi)).collect(),
+            combs: h
+                .iter()
+                .map(|hi| mont.comb(&mont.enter(hi), gp.q.bit_len()))
+                .collect(),
+            params: gp.clone(),
+            h,
         }
     }
 
@@ -74,28 +85,45 @@ impl SecretKey {
     /// # Panics
     /// If `i` is out of range for the ciphertext or the key.
     pub fn decrypt_component(&self, ct: &Ciphertext, i: usize) -> Big {
-        self.unmask(&ct.alpha, &ct.betas[i], i)
+        self.unmask(&self.alpha_comb(&ct.alpha), &ct.betas[i], i)
     }
 
-    /// `β / α^{x_i}` for `α, β ∈ [1, p)`, computed as `β · α^{p−1−x_i}`:
-    /// `α^{p−1} = 1` for every such `α` (Fermat), so this is the same
-    /// element at the cost of the same exponentiation and no inversion.
-    /// (`α^{q−x_i}` would be it only for `α` in the order-`q` subgroup.)
-    pub(crate) fn unmask(&self, alpha: &Big, beta: &Big, i: usize) -> Big {
-        let gp = &self.params;
+    /// The comb of a ciphertext's `α`, which every [`SecretKey::unmask`]
+    /// of its components shares.
+    pub(crate) fn alpha_comb(&self, alpha: &Big) -> Comb {
+        let mont = &self.params.mont_p;
+        mont.comb(&mont.enter(alpha), self.params.p.bit_len())
+    }
+
+    /// `β / α^{x_i}` for `α, β ∈ [1, p)`, computed as `β · α^{p−1−x_i}`
+    /// from `α`'s [`SecretKey::alpha_comb`]: `α^{p−1} = 1` for every such
+    /// `α` (Fermat), so this is the same element at the cost of the same
+    /// exponentiation and no inversion. (`α^{q−x_i}` would be it only for
+    /// `α` in the order-`q` subgroup.)
+    pub(crate) fn unmask(&self, alpha: &Comb, beta: &Big, i: usize) -> Big {
+        let (gp, mont) = (&self.params, &self.params.mont_p);
         let e = gp.p.sub(&Big::one()).sub(&self.x[i]);
-        gp.mul(beta, &gp.pow(alpha, &e))
+        let mut gamma = mont.comb_pow(alpha, &e);
+        mont.mul_assign(&mut gamma, &mont.enter(beta), &mut mont.scratch());
+        mont.leave(&gamma)
     }
 }
 
 impl PublicKey {
+    /// Public elements `h_i`, one per vector dimension.
+    pub fn h(&self) -> &[Big] {
+        &self.h
+    }
+
     /// Number of dimensions.
     pub fn dims(&self) -> usize {
         self.h.len()
     }
 
     /// Encrypts the non-negative integer vector `msgs` (one value per
-    /// dimension) with fresh shared randomness.
+    /// dimension) with fresh shared randomness: `h_i^r` from `h_i`'s comb,
+    /// `g^{c_i}` from `g`'s window table, and one exit from Montgomery form
+    /// per component.
     ///
     /// # Panics
     /// If `msgs.len()` differs from the key dimension.
@@ -105,15 +133,18 @@ impl PublicKey {
             self.h.len(),
             "message dimension must match key dimension"
         );
-        let gp = &self.params;
+        let (gp, mont) = (&self.params, &self.params.mont_p);
         let r = gp.random_exponent(rng);
         let alpha = gp.g_pow(&r);
+        let mut t = mont.scratch();
         let betas = msgs
             .iter()
-            .zip(&self.h)
-            .map(|(&m, hi)| {
-                let mask = gp.pow(hi, &r);
-                gp.mul(&mask, &gp.g_pow(&Big::from_u64(m)))
+            .zip(&self.combs)
+            .map(|(&m, comb)| {
+                let mut beta = mont.comb_pow(comb, &r);
+                let g_m = mont.pow_table(&gp.g_table, &Windows::new(&Big::from_u64(m)));
+                mont.mul_assign(&mut beta, &g_m, &mut t);
+                mont.leave(&beta)
             })
             .collect();
         Ciphertext { alpha, betas }
@@ -140,11 +171,17 @@ impl Ciphertext {
     }
 
     /// Raises every component to the power ρ, turning `Enc(c)` into
-    /// `Enc(ρ·c mod q)`. This is the Aggregator's blinding step.
+    /// `Enc(ρ·c mod q)`. This is the Aggregator's blinding step; ρ is
+    /// recoded once for all components.
     pub fn pow_all(&self, rho: &Big, params: &GroupParams) -> Ciphertext {
+        let rho = Windows::new(rho);
         Ciphertext {
-            alpha: params.pow(&self.alpha, rho),
-            betas: self.betas.iter().map(|b| params.pow(b, rho)).collect(),
+            alpha: params.pow_windows(&self.alpha, &rho),
+            betas: self
+                .betas
+                .iter()
+                .map(|b| params.pow_windows(b, &rho))
+                .collect(),
         }
     }
 

@@ -7,7 +7,7 @@
 
 use rand::Rng;
 
-use sheriff_bigint::{gen_safe_prime, mod_mul, Big, Montgomery};
+use sheriff_bigint::{gen_safe_prime, mod_mul, Big, Comb, Montgomery, Table, Windows};
 
 /// Parameters of a prime-order DDH group: subgroup of `Z_p^*` of order `q`
 /// where `p = 2q + 1` is a safe prime and `g` generates the subgroup.
@@ -23,6 +23,11 @@ pub struct GroupParams {
     /// (exponent arithmetic), built once.
     pub(crate) mont_p: Montgomery,
     mont_q: Montgomery,
+    /// `g`'s comb for exponents as wide as `q` ([`GroupParams::g_pow`]),
+    /// and its window table for short ones (an encryption's `g^{c_i}`),
+    /// both in Montgomery form modulo `p`.
+    g_comb: Comb,
+    pub(crate) g_table: Table,
 }
 
 /// 64-bit safe-prime group — *test only*, trivially breakable.
@@ -50,9 +55,13 @@ impl GroupParams {
     fn assemble(p: Big, g: Big) -> Self {
         let q = p.sub(&Big::one()).shr(1);
         let context = |m| Montgomery::new(m).expect("p and q are odd primes");
+        let mont_p = context(&p);
+        let entered = mont_p.enter(&g);
         GroupParams {
-            mont_p: context(&p),
+            g_comb: mont_p.comb(&entered, q.bit_len()),
+            g_table: mont_p.table(&entered, Windows::WIDEST),
             mont_q: context(&q),
+            mont_p,
             p,
             q,
             g,
@@ -137,9 +146,17 @@ impl GroupParams {
         self.mont_p.pow(base, e)
     }
 
-    /// `g^e mod p`.
+    /// `g^e mod p`, from `g`'s comb.
     pub fn g_pow(&self, e: &Big) -> Big {
-        self.pow(&self.g, e)
+        self.mont_p.leave(&self.mont_p.comb_pow(&self.g_comb, e))
+    }
+
+    /// `base^e mod p` for an exponent already recoded: one exponent
+    /// serves many bases without recoding it for each.
+    pub(crate) fn pow_windows(&self, base: &Big, e: &Windows) -> Big {
+        let mont = &self.mont_p;
+        let table = mont.table(&mont.enter(base), e.widest());
+        mont.leave(&mont.pow_table(&table, e))
     }
 
     /// Multiplicative inverse in `Z_p^*`; panics on `a ≡ 0 (mod p)`.
@@ -160,6 +177,11 @@ impl GroupParams {
                 return r;
             }
         }
+    }
+
+    /// `a·b mod q`: exponent arithmetic.
+    pub(crate) fn exponent_mul(&self, a: &Big, b: &Big) -> Big {
+        self.mont_q.mul(a, b)
     }
 
     /// `e⁻¹ mod q` for an exponent `e ≢ 0`: undoes a blinding by `e`.
@@ -216,6 +238,17 @@ mod tests {
         assert!(!gp.g.is_one());
         // Order is not 2 (g² ≠ 1) so it must be exactly q (q prime).
         assert!(!gp.mul(&gp.g, &gp.g).is_one());
+    }
+
+    #[test]
+    fn g_pow_from_the_comb_equals_the_window_ladder() {
+        for gp in [GroupParams::test_64(), GroupParams::test_128()] {
+            let wide = Big::one().shl(200).add(&Big::from_u64(12345));
+            let exponents = [Big::zero(), Big::one(), gp.q.sub(&Big::one()), gp.q.clone()];
+            for e in exponents.iter().chain([&gp.p, &wide]) {
+                assert_eq!(gp.g_pow(e), gp.pow(&gp.g, e), "e = {e:?}");
+            }
+        }
     }
 
     #[test]

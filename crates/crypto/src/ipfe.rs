@@ -15,7 +15,7 @@
 //! against every centroid. [`eval_inner_products`] takes the ciphertext and
 //! all the centroids' `(s, f)` at once, so what they share is done once.
 
-use sheriff_bigint::{mod_add, mod_mul, Big, Montgomery};
+use sheriff_bigint::{mod_add, Big, Montgomery};
 
 use crate::elgamal::{Ciphertext, SecretKey};
 use crate::group::GroupParams;
@@ -27,10 +27,10 @@ use crate::group::GroupParams;
 /// If `s.len()` differs from the key dimension.
 pub fn derive_function_key(sk: &SecretKey, s: &[i64]) -> Big {
     assert_eq!(s.len(), sk.x.len(), "function vector dimension mismatch");
-    let q = &sk.params.q;
+    let gp = &sk.params;
     s.iter().zip(&sk.x).fold(Big::zero(), |acc, (&si, xi)| {
-        let si = sk.params.exponent_from_i64(si);
-        mod_add(&acc, &mod_mul(&si, xi, q), q)
+        let si = gp.exponent_from_i64(si);
+        mod_add(&acc, &gp.exponent_mul(&si, xi), &gp.q)
     })
 }
 
@@ -52,9 +52,10 @@ pub fn eval_inner_product(params: &GroupParams, ct: &Ciphertext, s: &[i64], f: &
 /// small as its entry. That is the element `Π β_i^{s_i mod q} / α^f`
 /// whenever each `β_i` lies in the order-`q` subgroup, as every component
 /// of an honest ciphertext does. The `β_i` enter Montgomery form once for
-/// all functions; each function's `N` and small part of `D` come from one
-/// left-to-right pass over the bits of its `|s_i|`, whose squarings all
-/// `m + 2` entries share; and all the `D`s are inverted by one inversion.
+/// all functions, and one comb of `α` serves every `α^f`; each
+/// function's `N` and small part of `D` come from one left-to-right pass
+/// over the bits of its `|s_i|`, whose squarings all `m + 2` entries
+/// share; and all the `D`s are inverted by one inversion.
 ///
 /// # Panics
 /// If a vector's dimension differs from the ciphertext's, or some `D` is
@@ -67,11 +68,12 @@ pub fn eval_inner_products<'a>(
     let mont = &params.mont_p;
     let mut t = mont.scratch();
     let betas: Vec<Vec<u64>> = ct.betas.iter().map(|b| mont.enter(b)).collect();
+    let alpha = mont.comb(&mont.enter(&ct.alpha), params.q.bit_len());
     let (mut nums, mut denoms) = (Vec::new(), Vec::new());
     for (s, f) in functions {
         assert_eq!(s.len(), betas.len(), "function vector dimension mismatch");
         let [num, below] = signed_products(mont, &betas, s, &mut t);
-        let mut denom = mont.enter(&params.pow(&ct.alpha, f));
+        let mut denom = mont.comb_pow(&alpha, f);
         if let Some(below) = below {
             mont.mul_assign(&mut denom, &below, &mut t);
         }

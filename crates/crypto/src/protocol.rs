@@ -54,7 +54,7 @@
 
 use rand::Rng;
 
-use sheriff_bigint::Big;
+use sheriff_bigint::{Big, Windows};
 
 use crate::dlog::DlogTable;
 use crate::elgamal::{Ciphertext, SecretKey};
@@ -91,8 +91,9 @@ use crate::ipfe::{derive_function_key, eval_inner_product};
 pub struct BlindedQuery {
     /// The blinded ciphertext to forward to the Coordinator.
     pub blinded: Ciphertext,
-    /// ρ⁻¹ mod q, kept by the Aggregator for unblinding.
-    rho_inv: Big,
+    /// ρ⁻¹ mod q, kept by the Aggregator for unblinding, recoded once for
+    /// the `k` responses it unblinds.
+    rho_inv: Windows,
 }
 
 impl BlindedQuery {
@@ -101,7 +102,7 @@ impl BlindedQuery {
         let rho = params.random_exponent(rng);
         BlindedQuery {
             blinded: ct.pow_all(&rho, params),
-            rho_inv: params.exponent_inv(&rho),
+            rho_inv: Windows::new(&params.exponent_inv(&rho)),
         }
     }
 
@@ -109,7 +110,7 @@ impl BlindedQuery {
     /// the squared distance, if it falls within `table`'s range and the
     /// response is a group element (not `0`, not `>= p`).
     pub fn unblind(&self, params: &GroupParams, response: &Big, table: &DlogTable) -> Option<i64> {
-        let gamma = params.pow(response, &self.rho_inv);
+        let gamma = params.pow_windows(response, &self.rho_inv);
         table.solve_signed(&gamma)
     }
 }
@@ -124,17 +125,36 @@ pub fn coordinator_evaluate(sk: &SecretKey, blinded: &Ciphertext, s: &[i64]) -> 
 
 /// Aggregator side of the centroid update (Fig. 18): component-wise product
 /// of all member ciphertexts, restricted to the profile dimensions `[2, t)`.
+/// Each component enters Montgomery form once, and each product leaves it
+/// once.
 ///
 /// Returns `None` for an empty cluster.
+///
+/// # Panics
+/// If the members' dimensions differ.
 pub fn aggregate_cluster(params: &GroupParams, members: &[&Ciphertext]) -> Option<Ciphertext> {
-    let mut iter = members.iter();
-    let first = iter.next()?;
-    let t = first.dims();
-    let mut acc = first.slice(2, t);
-    for ct in iter {
-        acc = acc.add(&ct.slice(2, ct.dims()), params);
+    let mont = &params.mont_p;
+    // α and the profile components, entered.
+    let entered = |ct: &Ciphertext| -> Vec<Vec<u64>> {
+        let profile = &ct.betas[2..];
+        std::iter::once(&ct.alpha)
+            .chain(profile)
+            .map(|c| mont.enter(c))
+            .collect()
+    };
+    let (first, rest) = members.split_first()?;
+    let mut acc = entered(first);
+    let mut t = mont.scratch();
+    for ct in rest {
+        assert_eq!(ct.dims(), first.dims(), "dimension mismatch");
+        for (a, c) in acc.iter_mut().zip(entered(ct)) {
+            mont.mul_assign(a, &c, &mut t);
+        }
     }
-    Some(acc)
+    Some(Ciphertext {
+        alpha: mont.leave(&acc[0]),
+        betas: acc[1..].iter().map(|b| mont.leave(b)).collect(),
+    })
 }
 
 /// Coordinator side of the centroid update: decrypt the aggregated profile
@@ -156,9 +176,10 @@ pub fn decrypt_centroid(
     if !aggregate.is_well_formed(gp) {
         return None;
     }
+    let alpha = sk.alpha_comb(&aggregate.alpha);
     let mut centroid = Vec::with_capacity(aggregate.dims());
     for (i, beta) in aggregate.betas.iter().enumerate() {
-        let gamma = sk.unmask(&aggregate.alpha, beta, key_offset + i);
+        let gamma = sk.unmask(&alpha, beta, key_offset + i);
         let sum = table.solve(&gamma)?;
         // Round-to-nearest division keeps centroids on the quantized grid.
         centroid.push((sum + cardinality / 2) / cardinality);

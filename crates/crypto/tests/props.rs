@@ -1,11 +1,13 @@
 //! Property tests for the crypto layer: the encrypted protocol must agree
-//! with plain arithmetic on random inputs, and blinding must be lossless.
+//! with plain arithmetic on random inputs, blinding must be lossless, and
+//! each step must compute what its per-factor form (one `pow` or `mul` per
+//! factor, kept here as the oracle) computed.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sheriff_bigint::Big;
+use sheriff_bigint::{mod_mul, Big};
 use sheriff_crypto::dlog::DlogTable;
 use sheriff_crypto::elgamal::{Ciphertext, SecretKey};
 use sheriff_crypto::ipfe::{
@@ -151,16 +153,197 @@ proptest! {
     }
 }
 
-/// The same comparison in the 512-bit group (the kernel's widest unrolled
-/// instance) and the RFC 3526 2048-bit group (its general path). About a
-/// second in a release build: `cargo test --release -p sheriff-crypto --
-/// --ignored`.
+/// `PublicKey::encrypt` as it was before combs: `g^r`, and per component
+/// `h_i^r · g^{c_i}` from two `pow`s and a `mul`.
+fn encrypt_per_factor(gp: &GroupParams, h: &[Big], msgs: &[u64], rng: &mut StdRng) -> Ciphertext {
+    let r = gp.random_exponent(rng);
+    Ciphertext {
+        alpha: gp.pow(&gp.g, &r),
+        betas: msgs
+            .iter()
+            .zip(h)
+            .map(|(&m, hi)| gp.mul(&gp.pow(hi, &r), &gp.pow(&gp.g, &Big::from_u64(m))))
+            .collect(),
+    }
+}
+
+/// `Ciphertext::pow_all` as it was: one `pow` per component.
+fn pow_all_per_factor(gp: &GroupParams, ct: &Ciphertext, rho: &Big) -> Ciphertext {
+    Ciphertext {
+        alpha: gp.pow(&ct.alpha, rho),
+        betas: ct.betas.iter().map(|b| gp.pow(b, rho)).collect(),
+    }
+}
+
+/// `aggregate_cluster` as it was: `GroupParams::mul` per product over
+/// `α` and the components `[2, t)`.
+fn aggregate_per_product(gp: &GroupParams, members: &[&Ciphertext]) -> Option<Ciphertext> {
+    let (first, rest) = members.split_first()?;
+    let mut acc = first.slice(2, first.dims());
+    for ct in rest {
+        acc.alpha = gp.mul(&acc.alpha, &ct.alpha);
+        for (a, b) in acc.betas.iter_mut().zip(&ct.betas[2..]) {
+            *a = gp.mul(a, b);
+        }
+    }
+    Some(acc)
+}
+
+/// `decrypt_centroid` as it was before one `α` table served every
+/// component: divide each `β_i` by `α^{x_{2+i}}`, then solve and round.
+fn decrypt_centroid_by_division(
+    sk: &SecretKey,
+    agg: &Ciphertext,
+    n: u64,
+    table: &DlogTable,
+) -> Option<Vec<u64>> {
+    if !agg.is_well_formed(&sk.params) {
+        return None;
+    }
+    let gp = &sk.params;
+    (agg.betas.iter().zip(&sk.x[2..]))
+        .map(|(beta, x)| {
+            let sum = table.solve(&gp.div(beta, &gp.pow(&agg.alpha, x)))?;
+            Some((sum + n / 2) / n)
+        })
+        .collect()
+}
+
+/// Compares, in `gp`, key derivation, `encrypt` (values and RNG draws),
+/// `pow_all` (ρ random, 1 and `q − 1`), `blind`/`unblind` (honest and
+/// chosen responses, non-elements), `aggregate_cluster` and
+/// `decrypt_centroid` with their per-factor forms, for `members`
+/// encryptions of `m`-dimensional profiles on the grid `0..=scale`, one
+/// of arbitrary messages, and one ciphertext of arbitrary elements.
+fn check_protocol_against_oracles(gp: &GroupParams, m: usize, members: usize, seed: u64) {
+    let scale = 16u64;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let sk = SecretKey::generate(gp, m + 2, &mut rng);
+    let pk = sk.public_key();
+    for (hi, xi) in pk.h().iter().zip(&sk.x) {
+        assert_eq!(*hi, gp.pow(&gp.g, xi), "h = g^x, seed {seed}");
+    }
+
+    let mut cts = Vec::new();
+    let mut profiles = Vec::new();
+    for j in 0..=members {
+        let msgs = if j < members {
+            let profile: Vec<u64> = (0..m).map(|_| rng.gen_range(0..=scale)).collect();
+            profiles.push(profile.clone());
+            client_vector(&profile)
+        } else {
+            (0..m + 2).map(|_| rng.gen_range(0..1u64 << 40)).collect()
+        };
+        let mut twin = rng.clone();
+        let want = encrypt_per_factor(gp, pk.h(), &msgs, &mut twin);
+        let ct = pk.encrypt(&msgs, &mut rng);
+        assert_eq!(ct, want, "encrypt, seed {seed}");
+        assert_eq!(
+            rng.gen::<u64>(),
+            twin.gen::<u64>(),
+            "RNG draws, seed {seed}"
+        );
+        cts.push(ct);
+    }
+
+    let arbitrary = Ciphertext {
+        alpha: any_element(gp, &mut rng),
+        betas: (0..m + 2).map(|_| any_element(gp, &mut rng)).collect(),
+    };
+    let rhos = [
+        gp.random_exponent(&mut rng),
+        Big::one(),
+        gp.q.sub(&Big::one()),
+    ];
+    for ct in [&cts[0], &arbitrary] {
+        for rho in &rhos {
+            assert_eq!(
+                ct.pow_all(rho, gp),
+                pow_all_per_factor(gp, ct, rho),
+                "pow_all, seed {seed}"
+            );
+        }
+    }
+
+    let table = DlogTable::build(gp, m as u64 * scale * scale + 1);
+    let rho = gp.random_exponent(&mut rng.clone());
+    let query = BlindedQuery::blind(gp, &cts[0], &mut rng);
+    assert_eq!(query.blinded, pow_all_per_factor(gp, &cts[0], &rho));
+    let rho_inv = gp.exponent_inv(&rho);
+    let blinded = |v: i64| gp.g_pow(&mod_mul(&rho, &gp.exponent_from_i64(v), &gp.q));
+    let centroid = profiles.last().expect("one profile at least");
+    let responses = [
+        coordinator_evaluate(&sk, &query.blinded, &server_vector(centroid)),
+        blinded(0),
+        blinded(-3),
+        blinded(m as i64 * 256),
+        any_element(gp, &mut rng),
+        Big::zero(),
+        gp.p.clone(),
+    ];
+    for resp in &responses {
+        let want = if gp.contains(resp) {
+            table.solve_signed(&gp.pow(resp, &rho_inv))
+        } else {
+            None
+        };
+        assert_eq!(
+            query.unblind(gp, resp, &table),
+            want,
+            "unblind, seed {seed}"
+        );
+    }
+
+    let sums = DlogTable::build(gp, members as u64 * scale + 1);
+    let refs: Vec<&Ciphertext> = cts[..members].iter().collect();
+    let agg = aggregate_cluster(gp, &refs).expect("members");
+    assert_eq!(Some(agg.clone()), aggregate_per_product(gp, &refs));
+    let n = members as u64;
+    let centroid = decrypt_centroid(&sk, &agg, n, 2, &sums);
+    assert_eq!(centroid, decrypt_centroid_by_division(&sk, &agg, n, &sums));
+    assert!(centroid.is_some(), "honest aggregate decrypts, seed {seed}");
+    let odd = [&arbitrary, &cts[members]];
+    let agg = aggregate_cluster(gp, &odd).expect("two members");
+    assert_eq!(Some(agg.clone()), aggregate_per_product(gp, &odd));
+    assert_eq!(
+        decrypt_centroid(&sk, &agg, 2, 2, &sums),
+        decrypt_centroid_by_division(&sk, &agg, 2, &sums)
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn protocol_steps_equal_their_per_factor_oracles(
+        m in 1usize..24,
+        members in 1usize..6,
+        seed in 0u64..1_000,
+    ) {
+        let gp = if seed.is_multiple_of(2) { GroupParams::test_64() } else { GroupParams::test_128() };
+        check_protocol_against_oracles(&gp, m, members, seed);
+    }
+}
+
+/// The same comparisons in the 256- and 512-bit groups (the kernel's
+/// widest unrolled instances) and the RFC 3526 2048-bit group (its general
+/// path). A few seconds in a release build: `cargo test --release -p
+/// sheriff-crypto -- --ignored`.
 #[test]
 #[ignore = "wide groups: run in release by ci.sh"]
 fn shared_evaluation_and_fermat_decryption_equal_their_oracles_in_wide_groups() {
     for gp in [GroupParams::bits_512(), GroupParams::modp_2048()] {
         for (seed, k) in [(1u64, 1usize), (2, 4), (3, 8)] {
             check_against_oracles(&gp, 20, k, 16, seed);
+        }
+    }
+    for gp in [
+        GroupParams::bits_256(),
+        GroupParams::bits_512(),
+        GroupParams::modp_2048(),
+    ] {
+        for (seed, members) in [(4u64, 1usize), (5, 3)] {
+            check_protocol_against_oracles(&gp, 20, members, seed);
         }
     }
 }

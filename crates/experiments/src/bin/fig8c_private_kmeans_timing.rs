@@ -2,7 +2,8 @@
 //! single-threaded vs 4 threads, for m ∈ {50, 100} and k ∈ {50..200}.
 //!
 //! The paper timed ≈500 clients against its deployment group; sizes here
-//! scale with `--full` and the group size with `--bits {64,128,256,512}`.
+//! scale with `--full` and the group size with
+//! `--bits {64,128,256,512,2048}` (2048 is the RFC 3526 group).
 //!
 //! `cargo run --release -p sheriff-experiments --bin fig8c_private_kmeans_timing`
 
