@@ -188,9 +188,9 @@ pub fn ab_test_analysis(bias: &[PeerBias], min_samples: usize) -> AbVerdict {
     let mut max_d: f64 = 0.0;
     let mut min_p: f64 = 1.0;
     let mut pairs = 0;
-    for i in 0..eligible.len() {
-        for j in i + 1..eligible.len() {
-            let r = ks_test(&eligible[i].diffs, &eligible[j].diffs);
+    for (i, a) in eligible.iter().enumerate() {
+        for b in eligible.iter().skip(i + 1) {
+            let r = ks_test(&a.diffs, &b.diffs);
             max_d = max_d.max(r.d);
             min_p = min_p.min(r.p_value);
             pairs += 1;

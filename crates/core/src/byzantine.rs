@@ -364,7 +364,7 @@ mod tests {
             .iter()
             .map(|j| match j {
                 ProtoMsg::Ack { seq } => *seq,
-                _ => unreachable!(),
+                other => panic!("junk is acks only, got {other:?}"),
             })
             .collect();
         let mut uniq = seqs.clone();

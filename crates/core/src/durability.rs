@@ -23,8 +23,7 @@
 //! Recovery
 //! replays the snapshot plus every *whole, checksummed* log record and
 //! cleanly ignores a truncated or corrupted tail — never panics, so the
-//! workspace's transitive panic-freedom invariant holds through the
-//! protocol entry points that call into this module.
+//! Database machine that calls into this module does not either.
 
 use std::collections::BTreeSet;
 

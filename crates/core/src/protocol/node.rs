@@ -494,7 +494,7 @@ mod tests {
         );
         let open = |node: &RoleNode| match &node.role {
             Role::Coordinator(p) => (p.open_origins(), p.coordinator.pending_jobs(0)),
-            _ => unreachable!(),
+            _ => panic!("not the Coordinator"),
         };
         // Admitted: CoordAssign and PpcList are both awaiting acks.
         assert_eq!(open(&node), (1, 1));
@@ -513,7 +513,7 @@ mod tests {
         let mut node = coordinator_quarantining(WIDE, &mut rng, &mut buf);
         let standing = |node: &RoleNode| match &node.role {
             Role::Coordinator(p) => p.defense.standing(WIDE),
-            _ => unreachable!(),
+            _ => panic!("not the Coordinator"),
         };
         // The defense timers the last step armed (the reject replies'
         // retransmit timers are not this test's business).
@@ -675,7 +675,7 @@ mod tests {
     fn open_jobs(node: &RoleNode) -> usize {
         match &node.role {
             Role::Measurement(p) => p.open_jobs().count(),
-            _ => unreachable!(),
+            _ => panic!("not a Measurement server"),
         }
     }
 

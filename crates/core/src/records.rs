@@ -79,14 +79,14 @@ impl PriceCheck {
     pub fn min_eur(&self) -> Option<f64> {
         self.confident()
             .map(|o| o.amount_eur)
-            .min_by(|a, b| a.partial_cmp(b).expect("NaN price"))
+            .min_by(f64::total_cmp)
     }
 
     /// Maximum observed EUR price among confident observations.
     pub fn max_eur(&self) -> Option<f64> {
         self.confident()
             .map(|o| o.amount_eur)
-            .max_by(|a, b| a.partial_cmp(b).expect("NaN price"))
+            .max_by(f64::total_cmp)
     }
 
     /// Relative spread `(max - min) / min` over confident observations;
@@ -123,14 +123,8 @@ impl PriceCheck {
         if obs.len() < 2 {
             return None;
         }
-        let min = obs
-            .iter()
-            .map(|o| o.amount_eur)
-            .min_by(|a, b| a.partial_cmp(b).expect("NaN"))?;
-        let max = obs
-            .iter()
-            .map(|o| o.amount_eur)
-            .max_by(|a, b| a.partial_cmp(b).expect("NaN"))?;
+        let min = obs.iter().map(|o| o.amount_eur).min_by(f64::total_cmp)?;
+        let max = obs.iter().map(|o| o.amount_eur).max_by(f64::total_cmp)?;
         if min <= 0.0 {
             return None;
         }
@@ -140,14 +134,14 @@ impl PriceCheck {
     /// Country where the cheapest confident observation sits.
     pub fn cheapest_country(&self) -> Option<Country> {
         self.confident()
-            .min_by(|a, b| a.amount_eur.partial_cmp(&b.amount_eur).expect("NaN"))
+            .min_by(|a, b| a.amount_eur.total_cmp(&b.amount_eur))
             .map(|o| o.country)
     }
 
     /// Country where the most expensive confident observation sits.
     pub fn most_expensive_country(&self) -> Option<Country> {
         self.confident()
-            .max_by(|a, b| a.amount_eur.partial_cmp(&b.amount_eur).expect("NaN"))
+            .max_by(|a, b| a.amount_eur.total_cmp(&b.amount_eur))
             .map(|o| o.country)
     }
 }
@@ -240,5 +234,22 @@ mod tests {
         assert_eq!(c.relative_spread(), None);
         assert!(!c.has_difference(0.0));
         assert_eq!(c.cheapest_country(), None);
+    }
+
+    #[test]
+    fn a_nan_price_orders_instead_of_panicking() {
+        // A NaN orders above every number under `total_cmp`.
+        let c = check(vec![
+            obs(Country::ES, 100.0, false),
+            obs(Country::ES, f64::NAN, false),
+            obs(Country::US, 150.0, false),
+        ]);
+        assert_eq!(c.min_eur(), Some(100.0));
+        assert!(c.max_eur().is_some_and(f64::is_nan));
+        assert!(c
+            .within_country_spread(Country::ES)
+            .is_some_and(f64::is_nan));
+        assert_eq!(c.cheapest_country(), Some(Country::ES));
+        assert_eq!(c.most_expensive_country(), Some(Country::ES));
     }
 }

@@ -36,6 +36,7 @@ use crate::whitelist::Whitelist;
 /// deployment's manual curation). `db_storage` backs the Database
 /// server's WAL + snapshot; v1 runs no Database node and drops it
 /// unused.
+#[expect(clippy::expect_used, reason = "allocated IPs always geolocate")]
 pub fn build_roster(
     cfg: &SheriffConfig,
     world: &Arc<Mutex<World>>,

@@ -662,6 +662,7 @@ impl PriceSheriff {
         }
     }
 
+    #[expect(clippy::panic, reason = "a harness bug: the peer is not in the roster")]
     fn peer_node(&self, peer: u64) -> NodeId {
         self.map
             .node(Address::Peer { id: peer })
@@ -688,6 +689,7 @@ impl PriceSheriff {
     /// Asks the Coordinator (through the protocol, from `peer`'s add-on)
     /// to decommission Measurement server `index`; the outcome lands in
     /// [`PriceSheriff::server_removals`].
+    #[expect(clippy::expect_used, reason = "every roster has a Coordinator")]
     pub fn request_remove_server(&mut self, at: SimTime, peer: u64, index: usize) {
         let node = self.peer_node(peer);
         let coordinator = self
@@ -700,6 +702,7 @@ impl PriceSheriff {
 
     /// Lets a peer browse a product page for themselves (builds pollution
     /// budget and realistic state).
+    #[expect(clippy::panic, reason = "a harness bug: the peer is not in the roster")]
     pub fn prime_visit(&mut self, peer: u64, domain: &str, product: ProductId, n: u64) {
         let Some(Role::Peer { proto, world }) = self.role_mut(Address::Peer { id: peer }) else {
             panic!("unknown peer {peer}");

@@ -18,6 +18,11 @@
 //! and at least one digit, the paper's anti-injection sanity check.
 
 #![forbid(unsafe_code)]
+// The protocol and the reactor reach this crate: it must not panic
+// (DESIGN.md, "Panic-freedom is clippy's, per crate").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
 #![warn(missing_docs)]
 
 pub mod catalog;

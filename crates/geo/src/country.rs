@@ -671,7 +671,7 @@ impl Country {
     // the IP allocator), so the index is in range by construction; a
     // fabricated byte would mask catalogue corruption if silently
     // remapped, so the direct index stays.
-    // sheriff-lint: allow-item(transitive-panic)
+    #[expect(clippy::indexing_slicing, reason = "in range by construction")]
     fn info(self) -> &'static CountryInfo {
         &TABLE[self.0 as usize]
     }

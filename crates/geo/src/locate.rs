@@ -69,6 +69,7 @@ impl GeoLocator {
 
     /// Locates a synthetic address. `None` for addresses outside the
     /// allocated space.
+    #[expect(clippy::indexing_slicing, reason = "the index is mod len")]
     pub fn locate(&self, ip: IpV4) -> Option<Location> {
         let country = country_of(ip)?;
         let city = if self.best >= Granularity::City {

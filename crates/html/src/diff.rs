@@ -75,7 +75,7 @@ impl LineDiff {
     // decrease from the middle's lengths and every index is guarded by
     // `i > 0`/`j > 0`; rewriting with `.get` would bury the algorithm
     // under plumbing.
-    // sheriff-lint: allow-item(transitive-panic)
+    #[expect(clippy::indexing_slicing, reason = "in range by construction")]
     fn against(base: &str, index: &LineIndex, variant: &str) -> LineDiff {
         let (b, v) = (base.as_bytes(), variant.as_bytes());
         let starts = &index.starts;
@@ -185,12 +185,7 @@ impl LineDiff {
         let mut out: Vec<&str> = Vec::new();
         for op in &self.ops {
             match op {
-                DiffOp::Copy { start, len } => {
-                    if start + len > b.len() {
-                        return None;
-                    }
-                    out.extend(&b[*start..start + len]);
-                }
+                DiffOp::Copy { start, len } => out.extend(b.get(*start..start + len)?),
                 DiffOp::Insert(lines) => out.extend(lines.iter().map(String::as_str)),
             }
         }
@@ -231,7 +226,7 @@ fn common_suffix(a: &[u8], b: &[u8]) -> usize {
 
 // The table is (a.len()+1) × (b.len()+1), row-major in one allocation;
 // every index below stays inside those bounds by loop construction.
-// sheriff-lint: allow-item(transitive-panic)
+#[expect(clippy::indexing_slicing, reason = "in range by construction")]
 fn lcs_table(a: &[&str], b: &[&str]) -> Vec<u32> {
     let width = b.len() + 1;
     let mut t = vec![0u32; (a.len() + 1) * width];

@@ -135,7 +135,7 @@ impl TreeBuilder {
     /// Adds an element owning the last `n_attrs` recorded attributes.
     // In-place compaction of the sorted rows: `kept <= r < rows.len()`
     // throughout, and `n_attrs` counts rows this tag's lexer just pushed.
-    // sheriff-lint: allow-item(transitive-panic)
+    #[expect(clippy::indexing_slicing, reason = "in range by construction")]
     pub(crate) fn start_tag(&mut self, name: Span, n_attrs: usize, self_closing: bool) {
         // Rows in name order, first occurrence of a name wins (the sort
         // is stable): what `attr` searches and `serialize` prints. Two
@@ -278,7 +278,7 @@ impl Document {
     // index is in range by construction; a handle from another document
     // is a caller bug that should fail loudly rather than silently
     // resolve to an arbitrary node.
-    // sheriff-lint: allow-item(transitive-panic)
+    #[expect(clippy::indexing_slicing, reason = "in range by construction")]
     fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.0]
     }

@@ -38,6 +38,7 @@ const INK: Class = 1 << 7;
 /// A byte of a multi-byte character, which may be a space `trim` strips.
 const HIGH: Class = 1 << 8;
 
+#[expect(clippy::indexing_slicing, reason = "checked at compile time")]
 const CLASS: [Class; 256] = {
     let mut table = [0; 256];
     let mut b = 0;

@@ -56,6 +56,7 @@ const PRICE_BANDS: &[(f64, f64, f64)] = &[
 
 /// Generates a catalogue of `n` products biased toward `main_category`
 /// (retailers have an identity: clothing stores sell mostly clothing).
+#[expect(clippy::indexing_slicing, reason = "gen_range(0..len) is in range")]
 pub fn generate_catalog<R: Rng + ?Sized>(
     n: usize,
     main_category: ProductCategory,
@@ -92,14 +93,16 @@ pub fn generate_catalog<R: Rng + ?Sized>(
 fn pick_band<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     let total: f64 = PRICE_BANDS.iter().map(|b| b.2).sum();
     let mut target = rng.gen::<f64>() * total;
+    // Rounding can leave `target` past the last weight: the last band.
+    let mut band = (0.0, 0.0);
     for &(lo, hi, w) in PRICE_BANDS {
+        band = (lo, hi);
         if target < w {
-            return (lo, hi);
+            break;
         }
         target -= w;
     }
-    let last = PRICE_BANDS[PRICE_BANDS.len() - 1];
-    (last.0, last.1)
+    band
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@ pub struct Tracker {
 
 impl Tracker {
     /// Tracker by roster index (wraps).
+    #[expect(clippy::indexing_slicing, reason = "the index is mod len")]
     pub fn by_index(i: usize) -> Tracker {
         Tracker {
             domain: TRACKER_DOMAINS[i % TRACKER_DOMAINS.len()].to_string(),

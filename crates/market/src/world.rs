@@ -257,11 +257,13 @@ impl World {
     }
 }
 
+#[expect(clippy::indexing_slicing, reason = "gen_range(0..len) is in range")]
 fn random_country(rng: &mut StdRng) -> Country {
     let all: Vec<Country> = Country::all().collect();
     all[rng.gen_range(0..all.len())]
 }
 
+#[expect(clippy::indexing_slicing, reason = "gen_range(0..len) is in range")]
 fn random_category(rng: &mut StdRng) -> ProductCategory {
     ProductCategory::ALL[rng.gen_range(0..ProductCategory::ALL.len())]
 }

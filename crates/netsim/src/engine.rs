@@ -443,10 +443,8 @@ impl<M: 'static> Simulator<M> {
             .plus(extra_delay)
             .plus(lat)
             .plus(SimTime::from_millis(held_ms));
-        let copy = (copies > 1).then(|| {
-            let clone = self.cloner.expect("cloner is set with the plan");
-            clone(&msg)
-        });
+        // `cloner` is set with the plan, so a duplicating plan has one.
+        let copy = self.cloner.filter(|_| copies > 1).map(|clone| clone(&msg));
         self.schedule(at, Event::Deliver { to, from, msg });
         if let Some(msg) = copy {
             self.schedule(at, Event::Deliver { to, from, msg });

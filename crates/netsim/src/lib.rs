@@ -17,6 +17,11 @@
 //!   the production system's 2-minute kill bound for it).
 
 #![forbid(unsafe_code)]
+// The protocol and the reactor reach this crate: it must not panic
+// (DESIGN.md, "Panic-freedom is clippy's, per crate").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
 #![warn(missing_docs)]
 // Iteration order is observable here: `clippy.toml` bans HashMap/HashSet.
 #![deny(clippy::disallowed_types)]

@@ -24,6 +24,11 @@
 //!   counters of its own.
 
 #![forbid(unsafe_code)]
+// The protocol and the reactor reach this crate: it must not panic
+// (DESIGN.md, "Panic-freedom is clippy's, per crate").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing)]
 
 mod events;
 mod metrics;
@@ -73,6 +78,8 @@ fn assert_well_formed(name: &str) {
 
 /// Central metric store. Cloneable via `Arc<Registry>`; all methods take
 /// `&self` so one registry can be shared across every subsystem of a run.
+/// Every lock here is a leaf: no method takes a second lock (a
+/// histogram's included) or blocks while it holds one.
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
@@ -193,11 +200,11 @@ impl Registry {
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
-        let histograms = self
-            .histograms
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.snapshot()))
+        // Copied out, so no histogram is locked under the map's guard.
+        let histograms = self.histograms.lock().clone();
+        let histograms = histograms
+            .into_iter()
+            .map(|(k, v)| (k, v.snapshot()))
             .collect();
         let buf = self.events.lock();
         Snapshot {
@@ -212,11 +219,16 @@ impl Registry {
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // One guard at a time (a guard in the chain would outlive it).
+        let counters = self.counters.lock().len();
+        let gauges = self.gauges.lock().len();
+        let histograms = self.histograms.lock().len();
+        let events = self.events.lock().events.len();
         f.debug_struct("Registry")
-            .field("counters", &self.counters.lock().len())
-            .field("gauges", &self.gauges.lock().len())
-            .field("histograms", &self.histograms.lock().len())
-            .field("events", &self.events.lock().events.len())
+            .field("counters", &counters)
+            .field("gauges", &gauges)
+            .field("histograms", &histograms)
+            .field("events", &events)
             .finish()
     }
 }

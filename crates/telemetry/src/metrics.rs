@@ -78,6 +78,7 @@ struct HistState {
 /// shards and runs.
 pub struct Histogram {
     edges: Vec<f64>,
+    /// Leaf: its guard only reads or bumps the buckets.
     state: Mutex<HistState>,
 }
 
@@ -187,13 +188,13 @@ impl HistogramSnapshot {
         let q = q.clamp(0.0, 1.0);
         let target = ((q * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        let bucket = self.counts.iter().position(|&c| {
             seen += c;
-            if seen >= target {
-                return self.edges[i.min(self.edges.len() - 1)];
-            }
-        }
-        *self.edges.last().expect("histogram has edges")
+            seen >= target
+        });
+        // Overflow reports the final edge.
+        let edge = bucket.and_then(|i| self.edges.get(i));
+        edge.or(self.edges.last()).copied().unwrap_or_default()
     }
 
     /// Mean observation (0 when empty).

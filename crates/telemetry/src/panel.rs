@@ -55,7 +55,10 @@ pub fn coordinator_panel(snap: &Snapshot) -> String {
                         jobs: 0,
                     },
                 ));
-                &mut rows.last_mut().expect("just pushed").1
+                let Some((_, row)) = rows.last_mut() else {
+                    continue;
+                };
+                row
             }
         };
         match key {

@@ -61,6 +61,7 @@ impl Snapshot {
     }
 
     /// Compact deterministic JSON.
+    #[expect(clippy::expect_used, reason = "the vendored writer cannot fail")]
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("snapshot serialises")
     }

@@ -49,6 +49,7 @@ use sheriff_market::{ProductId, UserAgent, World};
 use sheriff_netsim::{ByzStats, ByzantinePlan, FaultGate, FaultPlan, FaultStats};
 use sheriff_telemetry::Registry;
 
+use crate::leaf::LeafLock;
 use crate::proto::{rows_from_check, Envelope, ResultRow};
 use crate::reactor::reactor::{Reactor, Seat};
 use crate::reactor::shard::{default_shard_count, ring_owner, shard_of, Doorbell, ShardCtx};
@@ -72,48 +73,26 @@ pub(crate) struct SinkState {
     pub(crate) sandbox_violations: usize,
 }
 
-/// The sink uses `std::sync` primitives (the vendored `parking_lot` has
-/// no condvar); the world stays behind `parking_lot::Mutex` to match the
-/// core crate's types.
-pub(crate) struct Sink {
-    pub(crate) state: std::sync::Mutex<SinkState>,
-    pub(crate) cv: std::sync::Condvar,
-}
-
-impl Sink {
-    /// Blocks on the sink until `pick` yields, or `deadline` passes.
-    fn wait_for<T>(
-        &self,
-        deadline: Instant,
-        mut pick: impl FnMut(&mut SinkState) -> Option<T>,
-    ) -> Option<T> {
-        let mut st = self.state.lock().expect("sink poisoned");
-        loop {
-            if let Some(v) = pick(&mut st) {
-                return Some(v);
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            let (guard, _) = self.cv.wait_timeout(st, remaining).expect("sink poisoned");
-            st = guard;
-        }
-    }
-}
+/// The completion sink. Leaf: its guard only moves finished checks in
+/// (`drain_peer`) or out (the deployment's callers).
+pub(crate) type Sink = LeafLock<SinkState>;
 
 /// The running deployment.
 pub struct MiniDeployment {
     dir: Arc<HashMap<Address, SocketAddr>>,
     /// One join handle per reactor shard (not per node).
     handles: Vec<JoinHandle<()>>,
+    /// Locked only inside `sheriff_core` (see DESIGN.md "Concurrency
+    /// invariants in the wire layer"); this crate hands the `Arc` on.
     world: Arc<Mutex<World>>,
     telemetry: Arc<Registry>,
     wire: Arc<WireTelemetry>,
     sink: Arc<Sink>,
     next_tag: AtomicU64,
-    gate: Option<Arc<Mutex<FaultGate>>>,
-    byz: Option<Arc<Mutex<ByzantinePlan>>>,
+    /// Leaf: its guard asks the gate, plain data, one question.
+    gate: Option<Arc<LeafLock<FaultGate>>>,
+    /// Leaf: its guard runs the pure `sheriff_core::byzantine::outbound`.
+    byz: Option<Arc<LeafLock<ByzantinePlan>>>,
     /// Fault-plan node indices (bind order — the DES numbering) grouped
     /// by owning reactor shard.
     shards: Vec<Vec<usize>>,
@@ -121,7 +100,8 @@ pub struct MiniDeployment {
     /// frame so the owning shard does not sit out its idle wait.
     bells: Arc<[Doorbell]>,
     /// Local tags of checks begun but not yet completed or rejected.
-    in_flight: Mutex<Vec<u64>>,
+    /// Leaf: its guard pushes, removes or copies a tag.
+    in_flight: LeafLock<Vec<u64>>,
     /// On-disk home of the Database server's WAL + snapshot (v2 only);
     /// removed on shutdown unless recovered first.
     db_dir: Option<PathBuf>,
@@ -209,10 +189,7 @@ impl MiniDeployment {
         let world = Arc::new(Mutex::new(world));
         let telemetry = Arc::new(Registry::new());
         let wire = Arc::new(WireTelemetry::new(&telemetry));
-        let sink = Arc::new(Sink {
-            state: std::sync::Mutex::new(SinkState::default()),
-            cv: std::sync::Condvar::new(),
-        });
+        let sink = Arc::new(Sink::default());
 
         // Per-deployment on-disk home for the Database server's WAL +
         // snapshot; the pid/sequence pair keeps concurrent test binaries
@@ -262,13 +239,13 @@ impl MiniDeployment {
             let mut gate = FaultGate::default();
             gate.install(plan);
             gate.publish_to(&telemetry);
-            Arc::new(Mutex::new(gate))
+            Arc::new(LeafLock::new(gate))
         });
         let byz = opts
             .byzantine
             .clone()
             .filter(ByzantinePlan::is_active)
-            .map(|p| Arc::new(Mutex::new(p)));
+            .map(|p| Arc::new(LeafLock::new(p)));
 
         // Partition the roster over the reactor shards and spawn one
         // event-loop thread per shard.
@@ -278,7 +255,7 @@ impl MiniDeployment {
         } else {
             opts.shards.clamp(1, n_nodes.max(1))
         };
-        let bells: Arc<[Doorbell]> = (0..n_shards).map(|_| Doorbell::new()).collect();
+        let bells: Arc<[Doorbell]> = (0..n_shards).map(|_| Doorbell::default()).collect();
         // A durable flush releases the Database's held acks: wake its
         // shard for them.
         if let Some(flusher) = &db_flusher {
@@ -312,8 +289,10 @@ impl MiniDeployment {
                 _ => None,
             };
             let s = shard_of(node.me, n_shards);
-            groups[s].push((node, fault_idx, listener, first_timer));
-            shards[s].push(fault_idx);
+            if let (Some(group), Some(members)) = (groups.get_mut(s), shards.get_mut(s)) {
+                group.push((node, fault_idx, listener, first_timer));
+                members.push(fault_idx);
+            }
         }
         let handles = groups
             .into_iter()
@@ -339,7 +318,7 @@ impl MiniDeployment {
             byz,
             shards,
             bells,
-            in_flight: Mutex::new(Vec::new()),
+            in_flight: LeafLock::new(Vec::new()),
             db_dir,
             #[cfg(test)]
             db_flusher,
@@ -354,6 +333,7 @@ impl MiniDeployment {
 
     /// Coordinator address (exposed so tests can poke the socket
     /// directly, e.g. with rude or malformed clients).
+    #[expect(clippy::indexing_slicing, reason = "every roster has a Coordinator")]
     pub fn coordinator_addr(&self) -> SocketAddr {
         self.dir[&Address::Coordinator]
     }
@@ -398,7 +378,7 @@ impl MiniDeployment {
             return Err(format!("unknown peer {peer}"));
         }
         let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
-        self.in_flight.lock().push(tag);
+        self.in_flight.with(|tags| tags.push(tag));
         self.inject(
             me,
             me,
@@ -413,8 +393,7 @@ impl MiniDeployment {
 
     /// Blocks until the check behind `tag` completes or is rejected.
     pub fn await_check(&self, tag: u64) -> Result<PriceCheck, String> {
-        let deadline = Instant::now() + CHECK_TIMEOUT;
-        match self.sink.wait_for(deadline, |st| {
+        match self.sink.wait_timeout(CHECK_TIMEOUT, |st| {
             if let Some(pos) = st.completed.iter().position(|c| c.local_tag == tag) {
                 return Some(Ok(st.completed.swap_remove(pos).check));
             }
@@ -425,7 +404,7 @@ impl MiniDeployment {
             None
         }) {
             Some(res) => {
-                self.in_flight.lock().retain(|t| *t != tag);
+                self.in_flight.with(|tags| tags.retain(|t| *t != tag));
                 res
             }
             None => Err("price check timed out".into()),
@@ -436,34 +415,25 @@ impl MiniDeployment {
     /// (must be 0 — the §3.6.1 validation). The DES twin is
     /// `PriceSheriff::sandbox_violations`.
     pub fn sandbox_violations(&self) -> usize {
-        self.sink
-            .state
-            .lock()
-            .expect("sink poisoned")
-            .sandbox_violations
+        self.sink.with(|st| st.sandbox_violations)
     }
 
     /// Every `ServerRemoved` answer an add-on received so far, as
     /// `(server_index, removed)` in arrival order — also answers to
     /// requests sent from outside the deployment.
     pub fn server_removals(&self) -> Vec<(usize, bool)> {
-        self.sink
-            .state
-            .lock()
-            .expect("sink poisoned")
-            .removals
-            .clone()
+        self.sink.with(|st| st.removals.clone())
     }
 
     /// Running totals of the installed fault plan (`None` without one).
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.gate.as_ref().and_then(|g| g.lock().stats())
+        self.gate.as_ref().and_then(|g| g.with(|g| g.stats()))
     }
 
     /// Running totals of the installed Byzantine plan (`None` without
     /// an active one).
     pub fn byz_stats(&self) -> Option<ByzStats> {
-        self.byz.as_ref().map(|p| p.lock().stats)
+        self.byz.as_ref().map(|p| p.with(|p| p.stats))
     }
 
     /// Like [`MiniDeployment::run_check`] but rendered as Fig. 2 result
@@ -482,19 +452,13 @@ impl MiniDeployment {
     /// refuses while the server still has pending jobs.
     pub fn remove_server(&self, via_peer: u64, index: usize) -> Result<bool, String> {
         let from = Address::Peer { id: via_peer };
-        let before = self
-            .sink
-            .state
-            .lock()
-            .expect("sink poisoned")
-            .removals
-            .len();
+        let before = self.sink.with(|st| st.removals.len());
         self.inject(from, Address::Coordinator, ProtoMsg::RemoveServer { index })?;
-        let deadline = Instant::now() + CHECK_TIMEOUT;
         self.sink
-            .wait_for(deadline, |st| {
-                st.removals[before.min(st.removals.len())..]
+            .wait_timeout(CHECK_TIMEOUT, |st| {
+                st.removals
                     .iter()
+                    .skip(before)
                     .find(|&&(i, _)| i == index)
                     .map(|&(_, removed)| removed)
             })
@@ -582,18 +546,15 @@ impl MiniDeployment {
     /// way; an in-flight check must never wedge the teardown.
     pub fn shutdown_with_report(mut self) -> Vec<u64> {
         self.shutdown_impl();
-        // Snapshot each book under its own guard, never both at once:
-        // the report path imposes no ordering between the sink and
-        // in-flight locks, so the wire lock-order graph stays
-        // edge-free (SL201).
-        let (completed, rejected): (Vec<u64>, Vec<u64>) = {
-            let st = self.sink.state.lock().expect("sink poisoned");
+        // Each book under its own guard, never both at once: both are
+        // leaves.
+        let (completed, rejected): (Vec<u64>, Vec<u64>) = self.sink.with(|st| {
             (
                 st.completed.iter().map(|c| c.local_tag).collect(),
                 st.rejected.iter().map(|&(r, _)| r).collect(),
             )
-        };
-        let tags: Vec<u64> = self.in_flight.lock().clone();
+        });
+        let tags: Vec<u64> = self.in_flight.with(|tags| tags.clone());
         tags.into_iter()
             .filter(|t| !completed.contains(t) && !rejected.contains(t))
             .collect()
@@ -681,7 +642,7 @@ mod tests {
     }
 
     fn completed(d: &MiniDeployment) -> usize {
-        d.sink.state.lock().expect("sink").completed.len()
+        d.sink.with(|st| st.completed.len())
     }
 
     /// The store reached the Database and its `DbDone` fired: the ack

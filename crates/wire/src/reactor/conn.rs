@@ -13,8 +13,8 @@
 //!   runs on too — for the life of an accepted stream, and hands on every
 //!   whole frame in stream order.
 //!
-//! This file is inside the `sheriff-lint` panic-freedom scope: every
-//! slice access goes through `get`, every fallible call is handled.
+//! Like the rest of the crate (see its root), this file cannot panic:
+//! every slice access goes through `get`, every fallible call is handled.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -250,9 +250,7 @@ impl OutLink {
             return false;
         }
         if let Some(stream) = self.stream.as_ref().filter(|_| !self.closed) {
-            // Spelled out: `sheriff-lint` resolves calls by name, and a
-            // bare `.shutdown` reads as `MiniDeployment::shutdown`.
-            let _ = TcpStream::shutdown(stream, Shutdown::Write);
+            let _ = stream.shutdown(Shutdown::Write);
         }
         self.closed = true;
         true

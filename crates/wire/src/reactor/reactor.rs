@@ -248,7 +248,7 @@ impl Reactor {
             });
         }
         if let Some(gate) = &reactor.ctx.gate {
-            for window in gate.lock().crash_windows() {
+            for window in gate.with(|gate| gate.crash_windows().to_vec()) {
                 if let Some(local) = reactor.nodes.iter().position(|n| n.idx == window.node) {
                     reactor.agenda.push(window.until_ms, Due::Restart { local });
                 }
@@ -364,7 +364,7 @@ impl Reactor {
         ask: impl FnOnce(&mut FaultGate, usize) -> T,
     ) -> T {
         match (&self.ctx.gate, self.nodes.get(local).filter(|n| !n.stopped)) {
-            (Some(gate), Some(owned)) => ask(&mut gate.lock(), owned.idx),
+            (Some(gate), Some(owned)) => gate.with(|gate| ask(gate, owned.idx)),
             _ => absent,
         }
     }
@@ -553,7 +553,7 @@ impl Reactor {
             return;
         };
         let applied = match &self.ctx.byz {
-            Some(byz) => byzantine::outbound(&mut byz.lock(), from_idx, to_idx, msg),
+            Some(byz) => byz.with(|byz| byzantine::outbound(byz, from_idx, to_idx, msg)),
             None => return self.send_copy(local, to, to_idx, msg, now_ms),
         };
         if let Some((attack, occurrence)) = applied.codec {

@@ -20,13 +20,12 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
 use sheriff_core::protocol::{Address, NodeTelemetry, PeerProto};
 use sheriff_netsim::{ByzantinePlan, FaultGate};
 use sheriff_telemetry::{Counter, Gauge};
 
 use crate::deploy::Sink;
+use crate::leaf::LeafLock;
 use crate::telemetry::WireTelemetry;
 
 /// A shard's wake-up line: whoever hands the shard work (a foreign
@@ -40,53 +39,33 @@ use crate::telemetry::WireTelemetry;
 /// the sockets. A ring that lands mid-sweep makes the next wait return
 /// immediately, at the price of at most one sweep that finds nothing. A
 /// ring carries no frame; the sweep still finds the work on the sockets.
+#[derive(Default)]
 pub(crate) struct Doorbell {
-    rung: std::sync::Mutex<bool>,
-    cv: std::sync::Condvar,
+    /// Leaf: its guard only sets or takes the flag.
+    rung: LeafLock<bool>,
 }
 
 impl Doorbell {
-    pub(crate) fn new() -> Doorbell {
-        Doorbell {
-            rung: std::sync::Mutex::new(false),
-            cv: std::sync::Condvar::new(),
-        }
-    }
-
     /// Wakes the owning shard, now or at its next wait. Rings ahead of a
-    /// wait coalesce: the first one notified, and the flag is still up.
-    /// (The critical sections here cannot panic, so the poisoned arms
-    /// below are unreachable; they exist because this tree is panic-free.)
+    /// wait coalesce: the first one notifies, and the flag is still up.
     pub(crate) fn ring(&self) {
-        let Ok(mut rung) = self.rung.lock() else {
-            return;
-        };
-        if !std::mem::replace(&mut *rung, true) {
-            self.cv.notify_one();
+        if !self.rung.with(|rung| std::mem::replace(rung, true)) {
+            self.rung.notify_all();
         }
     }
 
     /// Takes the flag without parking: `true` when a ring came since the
     /// last wait or take.
     pub(crate) fn take(&self) -> bool {
-        self.rung
-            .lock()
-            .is_ok_and(|mut rung| std::mem::take(&mut *rung))
+        self.rung.with(std::mem::take)
     }
 
     /// Parks until rung or `timeout`, whichever is first, and clears the
     /// flag. `true` means a ring ended the wait.
     pub(crate) fn wait(&self, timeout: Duration) -> bool {
-        let Ok(mut rung) = self.rung.lock() else {
-            return false;
-        };
-        if !*rung {
-            match self.cv.wait_timeout(rung, timeout) {
-                Ok((guard, _)) => rung = guard,
-                Err(_) => return false,
-            }
-        }
-        std::mem::take(&mut *rung)
+        self.rung
+            .wait_timeout(timeout, |rung| std::mem::take(rung).then_some(()))
+            .is_some()
     }
 }
 
@@ -116,11 +95,11 @@ pub(crate) struct ShardCtx {
     /// The fault plan applied — the gate type the DES engine asks, here
     /// asked by every shard in elapsed real milliseconds. Installed
     /// only for an *active* plan, so the fault-free path takes no lock.
-    pub(crate) gate: Option<Arc<Mutex<FaultGate>>>,
+    pub(crate) gate: Option<Arc<LeafLock<FaultGate>>>,
     /// Installed only for an *active* Byzantine plan; the reactor's
     /// write edge passes sends through it with the function the DES
     /// uses, so both backends corrupt the same traffic.
-    pub(crate) byz: Option<Arc<Mutex<ByzantinePlan>>>,
+    pub(crate) byz: Option<Arc<LeafLock<ByzantinePlan>>>,
     /// The machine-event fold (`measurement.*`, `db.*`) — the DES
     /// backend's, not a copy.
     pub(crate) telemetry: Arc<NodeTelemetry>,
@@ -186,14 +165,13 @@ pub(crate) fn drain_peer(proto: &mut PeerProto, sink: &Sink) {
     {
         return;
     }
-    let Ok(mut st) = sink.state.lock() else {
-        return;
-    };
-    st.completed.append(&mut proto.completed);
-    st.rejected.append(&mut proto.rejected);
-    st.removals.append(&mut proto.server_removals);
-    st.sandbox_violations += std::mem::take(&mut proto.sandbox_violations);
-    sink.cv.notify_all();
+    sink.with(|st| {
+        st.completed.append(&mut proto.completed);
+        st.rejected.append(&mut proto.rejected);
+        st.removals.append(&mut proto.server_removals);
+        st.sandbox_violations += std::mem::take(&mut proto.sandbox_violations);
+    });
+    sink.notify_all();
 }
 
 /// Deterministic node→shard placement: FNV-1a over a stable
@@ -239,7 +217,7 @@ mod tests {
 
     #[test]
     fn ring_before_wait_returns_without_sleeping() {
-        let bell = Doorbell::new();
+        let bell = Doorbell::default();
         bell.ring();
         let t = Instant::now();
         assert!(bell.wait(LONG), "a ring that came first must end the wait");
@@ -252,7 +230,7 @@ mod tests {
         // either before the park or during it — the no-lost-wake-up
         // argument says both must end the wait, so the test does not
         // need to know which one it got.
-        let bell = Doorbell::new();
+        let bell = Doorbell::default();
         let (about_to_wait, go) = std::sync::mpsc::channel::<()>();
         std::thread::scope(|s| {
             let bell = &bell;
@@ -269,15 +247,15 @@ mod tests {
 
     #[test]
     fn unrung_wait_times_out_and_leaves_the_flag_clear() {
-        let bell = Doorbell::new();
+        let bell = Doorbell::default();
         assert!(!bell.wait(Duration::from_millis(5)));
-        assert!(!*bell.rung.lock().expect("not poisoned"));
+        assert!(!bell.rung.with(|rung| *rung));
         assert!(!bell.wait(Duration::from_millis(1)));
     }
 
     #[test]
     fn take_clears_a_ring_without_parking() {
-        let bell = Doorbell::new();
+        let bell = Doorbell::default();
         assert!(!bell.take());
         bell.ring();
         assert!(bell.take(), "the ring is seen");
@@ -290,7 +268,7 @@ mod tests {
 
     #[test]
     fn two_rings_coalesce_into_one_wake() {
-        let bell = Doorbell::new();
+        let bell = Doorbell::default();
         bell.ring();
         bell.ring();
         assert!(bell.wait(LONG));
@@ -321,22 +299,19 @@ mod tests {
         };
         let engine = PpcEngine::new(&spec, IpAllocator::new().allocate(Country::ES, 0));
         let mut proto = PeerProto::new(engine, None, "EUR".to_string(), true);
-        let sink = Sink {
-            state: std::sync::Mutex::default(),
-            cv: std::sync::Condvar::new(),
-        };
+        let sink = Sink::default();
         // No check finished in this step: only the violation is new.
         proto.sandbox_violations = 2;
         drain_peer(&mut proto, &sink);
         drain_peer(&mut proto, &sink);
         assert_eq!(proto.sandbox_violations, 0);
-        let st = sink.state.lock().expect("not poisoned");
-        assert_eq!(st.sandbox_violations, 2, "counted once, not dropped");
+        let violations = sink.with(|st| st.sandbox_violations);
+        assert_eq!(violations, 2, "counted once, not dropped");
     }
 
     #[test]
     fn ring_owner_rings_exactly_the_owning_shard() {
-        let bells: Vec<Doorbell> = (0..3).map(|_| Doorbell::new()).collect();
+        let bells: Vec<Doorbell> = (0..3).map(|_| Doorbell::default()).collect();
         let to = Address::Peer { id: 42 };
         ring_owner(&bells, to);
         for (i, bell) in bells.iter().enumerate() {

@@ -37,11 +37,13 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 use sheriff_core::durability::{Storage, SNAPSHOT_MAGIC};
 use sheriff_telemetry::{Counter, Registry};
+
+use crate::leaf::LeafLock;
 
 /// Snapshot file name inside the storage directory.
 const SNAPSHOT_FILE: &str = "snapshot.bin";
@@ -64,10 +66,11 @@ pub struct FileStorage {
 
 /// What the flusher and the store's owner share.
 struct Shared {
-    state: Mutex<FlushState>,
-    /// Signalled on every hand-off and every finished flush: the flusher
+    /// Notified on every hand-off and every finished flush: the flusher
     /// waits here for work, and `barrier`/reads wait here for progress.
-    cv: Condvar,
+    /// Leaf: its guard moves bytes and flags (and bumps atomic counters);
+    /// the file I/O and the ring both run after it is released.
+    state: LeafLock<FlushState>,
     /// The newest ticket whose bytes are durable. Written under `state`,
     /// read without it.
     durable: AtomicU64,
@@ -114,19 +117,6 @@ impl FlushState {
 pub(crate) struct FlushHandle(Arc<Shared>);
 
 impl FlushHandle {
-    fn lock(&self) -> MutexGuard<'_, FlushState> {
-        // Every update leaves the state whole, so a poisoned guard is
-        // still a valid one.
-        self.0.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn wait<'a>(&self, guard: MutexGuard<'a, FlushState>) -> MutexGuard<'a, FlushState> {
-        self.0
-            .cv
-            .wait(guard)
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Calls `ring` after every flush that makes a ticket durable — the
     /// owner's cue to release what it held behind that ticket. The first
     /// call wins.
@@ -138,18 +128,14 @@ impl FlushHandle {
     /// so a test can hold a barrier open (a failing test resumes it too).
     #[cfg(test)]
     pub(crate) fn pause(&self) -> Paused {
-        self.lock().paused = true;
+        self.0.state.with(|st| st.paused = true);
         Paused(self.clone())
     }
 
-    /// Waits until the flusher is idle and returns the state, still
-    /// locked.
-    fn settle(&self) -> MutexGuard<'_, FlushState> {
-        let mut st = self.lock();
-        while !st.idle() {
-            st = self.wait(st);
-        }
-        st
+    /// Waits until the flusher is idle; returns the durable length of
+    /// `wal.bin`.
+    fn settle(&self) -> u64 {
+        self.0.state.wait(|st| st.idle().then_some(st.durable_len))
     }
 }
 
@@ -160,8 +146,9 @@ pub(crate) struct Paused(FlushHandle);
 #[cfg(test)]
 impl Drop for Paused {
     fn drop(&mut self) {
-        self.0.lock().paused = false;
-        self.0 .0.cv.notify_all();
+        let state = &self.0 .0.state;
+        state.with(|st| st.paused = false);
+        state.notify_all();
     }
 }
 
@@ -182,6 +169,7 @@ impl FileStorage {
         )
     }
 
+    #[expect(clippy::expect_used, reason = "without a flusher no byte is durable")]
     fn open_counted(dir: &Path, flushes: Arc<Counter>, io_errors: Arc<Counter>) -> Self {
         if fs::create_dir_all(dir).is_err() {
             io_errors.inc();
@@ -192,8 +180,7 @@ impl FileStorage {
             ..FlushState::default()
         };
         let flusher = FlushHandle(Arc::new(Shared {
-            state: Mutex::new(state),
-            cv: Condvar::new(),
+            state: LeafLock::new(state),
             durable: AtomicU64::new(0),
             ring: OnceLock::new(),
             flushes,
@@ -237,7 +224,7 @@ impl FileStorage {
     fn fold_wal(&mut self, image: io::Result<()>) {
         match image.and_then(|()| fs::write(self.wal_path(), b"")) {
             Ok(()) => {
-                self.flusher.lock().durable_len = 0;
+                self.flusher.0.state.with(|st| st.durable_len = 0);
                 self.unflushed.clear();
             }
             Err(_) => self.flusher.0.io_errors.inc(),
@@ -251,29 +238,27 @@ fn run_flusher(flusher: &FlushHandle, path: &Path) {
     let shared = &flusher.0;
     let mut file: Option<File> = None;
     loop {
-        let (mut batch, ticket, durable_len) = {
-            let mut st = flusher.lock();
-            loop {
-                let ready = !st.queued.is_empty() && !st.stalled;
-                if ready && (st.stop || !st.paused) {
-                    break;
-                }
-                if st.stop && !ready {
-                    return;
-                }
-                st = flusher.wait(st);
+        let next = shared.state.wait(|st| {
+            let ready = !st.queued.is_empty() && !st.stalled;
+            if ready && (st.stop || !st.paused) {
+                st.writing = true;
+                let batch = std::mem::take(&mut st.queued);
+                Some(Some((batch, st.queued_ticket, st.durable_len)))
+            } else if st.stop && !ready {
+                Some(None)
+            } else {
+                None
             }
-            st.writing = true;
-            (
-                std::mem::take(&mut st.queued),
-                st.queued_ticket,
-                st.durable_len,
-            )
+        });
+        let Some((mut batch, ticket, durable_len)) = next else {
+            return;
         };
-        let res = append(&mut file, path, durable_len, &batch);
-        let flushed = res.is_ok();
-        {
-            let mut st = flusher.lock();
+        let flushed = append(&mut file, path, durable_len, &batch).is_ok();
+        if !flushed {
+            // The next open cuts the file back.
+            file = None;
+        }
+        shared.state.with(|st| {
             st.writing = false;
             if flushed {
                 st.durable_len += batch.len() as u64;
@@ -281,16 +266,15 @@ fn run_flusher(flusher: &FlushHandle, path: &Path) {
                 shared.flushes.inc();
             } else {
                 shared.io_errors.inc();
-                // The next open cuts the file back; hand-offs that came
-                // in meanwhile go behind the failed batch and retry it.
-                file = None;
+                // Hand-offs that came in meanwhile go behind the failed
+                // batch and retry it.
                 batch.append(&mut st.queued);
                 st.queued = batch;
                 st.stalled = st.queued_ticket == ticket;
                 st.failed_ticket = ticket;
             }
-        }
-        shared.cv.notify_all();
+        });
+        shared.state.notify_all();
         if flushed {
             if let Some(ring) = shared.ring.get() {
                 ring();
@@ -317,8 +301,9 @@ fn append(file: &mut Option<File>, path: &Path, durable_len: u64, batch: &[u8]) 
 
 impl Drop for FileStorage {
     fn drop(&mut self) {
-        self.flusher.lock().stop = true;
-        self.flusher.0.cv.notify_all();
+        let state = &self.flusher.0.state;
+        state.with(|st| st.stop = true);
+        state.notify_all();
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -331,7 +316,7 @@ impl Storage for FileStorage {
     }
 
     fn read_wal(&self) -> Vec<u8> {
-        let durable_len = self.flusher.settle().durable_len;
+        let durable_len = self.flusher.settle();
         let mut bytes = fs::read(self.wal_path()).unwrap_or_default();
         // Only the flushed prefix is durable; a failed or raced write may
         // lie past it, and recovery must not see more than a flush made
@@ -347,12 +332,13 @@ impl Storage for FileStorage {
     fn begin_barrier(&mut self) -> u64 {
         if !self.unflushed.is_empty() {
             self.ticket += 1;
-            let mut st = self.flusher.lock();
-            st.queued.append(&mut self.unflushed);
-            st.queued_ticket = self.ticket;
-            st.stalled = false;
-            drop(st);
-            self.flusher.0.cv.notify_all();
+            let state = &self.flusher.0.state;
+            state.with(|st| {
+                st.queued.append(&mut self.unflushed);
+                st.queued_ticket = self.ticket;
+                st.stalled = false;
+            });
+            state.notify_all();
         }
         self.ticket
     }
@@ -363,14 +349,14 @@ impl Storage for FileStorage {
 
     fn barrier(&mut self) {
         let ticket = self.begin_barrier();
-        let mut st = self.flusher.lock();
-        while self.durable_ticket() < ticket && st.failed_ticket < ticket {
-            st = self.flusher.wait(st);
-        }
+        let durable = &self.flusher.0.durable;
+        self.flusher.0.state.wait(|st| {
+            (durable.load(Ordering::Acquire) >= ticket || st.failed_ticket >= ticket).then_some(())
+        });
     }
 
     fn install_snapshot(&mut self, bytes: &[u8]) {
-        drop(self.flusher.settle());
+        self.flusher.settle();
         // Write, fsync, rename: a crash mid-install leaves the previous
         // snapshot intact, and no rename outruns the bytes it names.
         let tmp = self.dir.join("snapshot.tmp");
@@ -384,7 +370,7 @@ impl Storage for FileStorage {
     }
 
     fn extend_snapshot(&mut self, frames: &[u8]) {
-        drop(self.flusher.settle());
+        self.flusher.settle();
         // Grow the image in place. A crash mid-append leaves a torn tail
         // recovery cuts off, and the WAL still holds those records.
         let image = fs::OpenOptions::new()
@@ -408,9 +394,13 @@ impl Storage for FileStorage {
     }
 
     fn wal_len(&self) -> (usize, usize) {
-        let st = self.flusher.lock();
-        let durable = usize::try_from(st.durable_len).unwrap_or(usize::MAX);
-        (durable, st.queued.len() + self.unflushed.len())
+        let (durable_len, queued) = self
+            .flusher
+            .0
+            .state
+            .with(|st| (st.durable_len, st.queued.len()));
+        let durable = usize::try_from(durable_len).unwrap_or(usize::MAX);
+        (durable, queued + self.unflushed.len())
     }
 }
 

@@ -3,11 +3,10 @@
 //! unbalance the shared frame books, and never report a completed check
 //! as aborted.
 //!
-//! This is the runtime twin of the SL2xx static passes over the wire
-//! layer (DESIGN.md, "Concurrency invariants in the wire layer"): a
-//! lock-order or blocking-under-lock regression in the teardown path
-//! surfaces here as a hung join or a lost tag, while the linter pins
-//! the same invariants at the source level.
+//! This is the runtime twin of the wire layer's leaf-lock rule (DESIGN.md,
+//! "Concurrency invariants in the wire layer"): a lock held across a
+//! blocking call in the teardown path surfaces here as a hung join or a
+//! lost tag; debug builds also panic on a second lock taken under one.
 
 use std::sync::Arc;
 
