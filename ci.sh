@@ -64,8 +64,8 @@ fi
 cargo clippy "${SHERIFF_CRATES[@]/#/-p}" --all-targets --no-deps -- -D warnings
 
 # Bounded model checker: exhaustively explore the sans-IO protocol
-# worlds (delivery orderings, duplications, drops, timer firings, node
-# crash/restarts) to the CI-pinned depths. No finding is accepted: exit
+# worlds (delivery orderings, duplications, drops, timer firings, WAL
+# flushes, node crash/restarts) to the CI-pinned depths. No finding is accepted: exit
 # 1 means an invariant violation, with a minimized, replayable
 # counterexample in the report. See DESIGN.md "Model checking the
 # protocol layer" and crates/model.
@@ -74,15 +74,19 @@ cargo run --release -q -p sheriff-model -- --json target/model-report.json
 echo "model report archived at target/model-report.json"
 
 # Negative control: the explorer must still be able to fail. Each
-# seeded mutation — the Database never arming `DbDone`, the channel never
-# arming `Retransmit` — must be discovered; a clean run over a mutated
-# world means the checker itself is broken. These two are the only
-# check left for "armed but never released". Depth 8 is the first at
-# which a store lands on the Database.
+# seeded mutation must be discovered, at the smallest depth that can
+# show it; a clean run over a mutated world means the checker itself is
+# broken. The Database never arming `DbDone` and the channel never arming
+# `Retransmit` are the only check left for "armed but never released":
+# depth 8 is the first at which a store lands on the Database. A disk
+# that reports each ticket durable at hand-off lets a `DbAck` out ahead
+# of its flush: depth 10 is the first at which that ack reaches the
+# Measurement server, where "acked means durable" starts to bind.
 stage "sheriff-model negative control"
-for mutation in drop-db-done-arm drop-retransmit-arm; do
+for run in drop-db-done-arm:8 drop-retransmit-arm:8 ack-at-hand-off:10; do
+    mutation=${run%:*}
     if cargo run --release -q -p sheriff-model -- \
-        --world small --depth 8 --mutate "$mutation" >/dev/null 2>&1; then
+        --world small --depth "${run#*:}" --mutate "$mutation" >/dev/null 2>&1; then
         echo "world mutated by $mutation passed the model checker — explorer is broken" >&2
         exit 1
     fi

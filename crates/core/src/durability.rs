@@ -18,10 +18,8 @@
 //! The crash-consistency contract: bytes appended to the WAL are
 //! *volatile* until a barrier hands them to the medium
 //! ([`Storage::begin_barrier`]) and the medium reports them durable
-//! ([`Storage::durable_ticket`]); [`Storage::barrier`] does both and
-//! waits. A crash discards the bytes never handed off, deterministically.
-//! Recovery
-//! replays the snapshot plus every *whole, checksummed* log record and
+//! ([`Storage::durable_ticket`]). A crash discards the bytes never
+//! handed off, deterministically. Recovery replays the snapshot plus every *whole, checksummed* log record and
 //! cleanly ignores a truncated or corrupted tail — never panics, so the
 //! Database machine that calls into this module does not either.
 
@@ -62,8 +60,8 @@ pub struct WalRecord {
 /// reached it. Tickets only grow. A medium may complete a ticket at once
 /// ([`MemStorage`]) or later, on a flush path of its own (the TCP
 /// backend's file store, which group-commits every hand-off queued
-/// behind a running `fsync`). Whoever acknowledges a store holds the
-/// acknowledgement until its ticket is durable.
+/// behind a running `fsync`). [`crate::protocol::DbProto`] holds each
+/// acknowledgement until the ticket covering its record is durable.
 ///
 /// Implementations must make [`Storage::lose_unflushed`] discard exactly
 /// the bytes appended since the last hand-off (or snapshot install), so
@@ -86,9 +84,6 @@ pub trait Storage: Send {
     /// The newest ticket whose bytes are durable. A failed flush leaves
     /// it where it was.
     fn durable_ticket(&self) -> u64;
-    /// Fsync-equivalent: [`Storage::begin_barrier`], then wait until that
-    /// ticket is durable (or its flush failed).
-    fn barrier(&mut self);
     /// Atomically replaces the snapshot and truncates the WAL to empty.
     fn install_snapshot(&mut self, bytes: &[u8]);
     /// Atomically appends whole record `frames` to the snapshot image
@@ -103,8 +98,6 @@ pub trait Storage: Send {
     /// Power-loss: the WAL bytes never handed off are gone. Returns how
     /// many bytes were discarded.
     fn lose_unflushed(&mut self) -> usize;
-    /// `(durable, buffered)` WAL byte counts, for telemetry and tests.
-    fn wal_len(&self) -> (usize, usize);
 }
 
 /// In-memory [`Storage`] for the discrete-event backend: a byte vector
@@ -162,10 +155,6 @@ impl Storage for MemStorage {
         self.ticket
     }
 
-    fn barrier(&mut self) {
-        self.begin_barrier();
-    }
-
     fn install_snapshot(&mut self, bytes: &[u8]) {
         self.snapshot = bytes.to_vec();
         self.wal.clear();
@@ -182,10 +171,6 @@ impl Storage for MemStorage {
         let lost = self.wal.len().saturating_sub(self.flushed);
         self.wal.truncate(self.flushed);
         lost
-    }
-
-    fn wal_len(&self) -> (usize, usize) {
-        (self.flushed, self.wal.len())
     }
 }
 
@@ -616,12 +601,14 @@ mod tests {
         assert_eq!(s.durable_ticket(), 1, "complete at once");
         assert_eq!(s.begin_barrier(), 1, "nothing new: the same ticket");
         s.append_wal(b"defg");
-        assert_eq!(s.wal_len(), (3, 7));
+        assert_eq!(s.read_wal(), b"abc", "only the handed-off prefix reads");
         assert_eq!(s.lose_unflushed(), 4);
         assert_eq!(s.read_wal(), b"abc");
+        s.append_wal(b"hi");
         s.install_snapshot(b"img");
         assert_eq!(s.read_snapshot(), b"img");
-        assert_eq!(s.wal_len(), (0, 0));
+        assert_eq!(s.read_wal(), b"", "the install truncated the log");
+        assert_eq!(s.lose_unflushed(), 0, "and its unflushed tail");
     }
 
     #[test]

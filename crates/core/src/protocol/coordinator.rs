@@ -253,7 +253,7 @@ impl CoordinatorProto {
             d.write_str(&origin.url);
             d.write_u64(origin.peer.0);
             d.write_u64(origin.local_tag);
-            d.write_str(&format!("{:?}", origin.initiator));
+            origin.initiator.fold_digest(d);
         }
         self.coordinator.state_digest(d);
         self.defense.state_digest(d);

@@ -5,31 +5,30 @@
 //! **WAL-then-store, flush-before-ack.** A `StoreCheck` appends one
 //! [`crate::durability::WalRecord`] (volatile until a barrier) and
 //! enters the in-memory table; the `DbDone` timer that models the
-//! query's I/O cost begins a durability barrier and emits the `DbAck`,
-//! which the backend holds until that barrier's ticket is durable
-//! ([`DbProto::barrier_ticket`], [`DbProto::durable_ticket`]), so an
+//! query's I/O cost begins a durability barrier and acks. Every ack
+//! queues, in send order, behind the newest barrier at its sending, and
+//! leaves once [`DbProto::on_durable`] finds that barrier durable, so an
 //! acknowledged store is always on disk. The DES's in-memory storage
-//! completes a ticket at once, so nothing is ever held there. Every
+//! completes a ticket at hand-off, so its acks leave at once. Every
 //! `snapshot_every` records the log is folded into the snapshot and
 //! truncated, with the compaction I/O charged to the triggering query;
 //! a WAL record is already an image frame, so nothing is re-encoded.
 //!
 //! Crash recovery ([`DbProto::on_restart`]): volatile state — the
-//! memory table, in-flight queries, the reliable channel's windows — is
-//! gone; the un-barriered WAL tail is discarded deterministically; the
-//! snapshot plus the surviving log tail are replayed. Nobody here
-//! remembers whom a torn store was owed to, so the *requester* closes
-//! that window: a Measurement server sends its `StoreCheck` again every
-//! job deadline until the `DbAck` arrives. The rebuilt stored-job set
-//! makes that redelivery idempotent: a `StoreCheck` for a job that
-//! survived is re-acked without a second store (the per-job analogue of
-//! the measurement tier's per-`(kind, id)` vantage dedup), one whose
-//! record was torn off with the tail is simply stored again, and one
-//! whose first copy is still waiting for its barrier is absorbed
-//! without an ack — the `DbDone` already armed sends the only one, so
-//! no ack ever runs ahead of the flush.
+//! memory table, in-flight queries, queued acks, the reliable channel's
+//! windows — is gone; the un-barriered WAL tail is discarded
+//! deterministically; the snapshot plus the surviving log tail are
+//! replayed. Nobody here remembers whom a torn store was owed to, so the
+//! *requester* closes that window: a Measurement server sends its
+//! `StoreCheck` again every job deadline until the `DbAck` arrives. The
+//! rebuilt stored-job set makes that redelivery idempotent: a
+//! `StoreCheck` for a job that survived is re-acked without a second
+//! store (the per-job analogue of the measurement tier's per-`(kind,
+//! id)` vantage dedup), one whose record was torn off with the tail is
+//! simply stored again, and one still waiting for its `DbDone` is
+//! absorbed without an ack — that timer sends the only one.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::coordinator::JobId;
 use crate::db::{Database, DbCostModel};
@@ -97,6 +96,9 @@ pub struct DbProto {
     stored_jobs: BTreeSet<JobId>,
     /// The newest barrier ticket this machine began.
     ticket: u64,
+    /// Acks not yet sent, in send order: the ticket each waits for, its
+    /// requester, its job.
+    held: VecDeque<(u64, Address, JobId)>,
 }
 
 #[deny(clippy::wildcard_enum_match_arm)]
@@ -125,6 +127,7 @@ impl DbProto {
             since_snapshot: 0,
             stored_jobs: BTreeSet::new(),
             ticket: 0,
+            held: VecDeque::new(),
         };
         proto.replay();
         proto
@@ -169,13 +172,13 @@ impl DbProto {
             return;
         };
         if self.stored_jobs.contains(&job) {
-            // Redelivery: never store twice. A durable job is re-acked
-            // (the first ack was lost); one still pending is not — its
-            // record is appended but unflushed, and the `DbDone` already
-            // armed acks it after the barrier.
+            // Redelivery: never store twice. A job past its `DbDone` is
+            // re-acked (the first ack was lost), behind any ack still
+            // waiting; one still pending is not — its record is appended
+            // but unflushed, and the `DbDone` already armed acks it.
             events.push(DbEvent::DuplicateStoreAbsorbed { job });
             if !self.pending.contains_key(&job) {
-                out.push(Output::send(from, ProtoMsg::DbAck { job }));
+                self.ack(from, job, out);
             }
             return;
         }
@@ -236,7 +239,7 @@ impl DbProto {
         // Flush-before-ack: hand everything appended so far to the
         // storage's group commit, then (at the cadence) fold the log into
         // the snapshot — both already charged into this query's cost at
-        // schedule time. The ack below leaves once the ticket is durable.
+        // schedule time. The ack leaves once the ticket is durable.
         // Both regions are whole here: images are installed atomically,
         // `replay` dropped any torn tail it found, and every append since
         // was one whole frame, now handed off.
@@ -250,16 +253,38 @@ impl DbProto {
                 records: self.database.len() as u64,
             });
         }
-        out.push(Output::send(requester, ProtoMsg::DbAck { job }));
+        self.ack(requester, job, out);
+    }
+
+    /// Acks `job` to `to` behind the newest barrier and every earlier ack.
+    fn ack(&mut self, to: Address, job: JobId, out: &mut Vec<Output>) {
+        self.held.push_back((self.ticket, to, job));
+        self.on_durable(out);
+    }
+
+    /// Host input: the storage may report more of the log durable. Sends,
+    /// in order, every held ack its durable ticket now covers.
+    pub fn on_durable(&mut self, out: &mut Vec<Output>) {
+        let durable = self.storage.durable_ticket();
+        while let Some((_, to, job)) = self.held.pop_front_if(|(t, ..)| *t <= durable) {
+            out.push(Output::send(to, ProtoMsg::DbAck { job }));
+        }
+    }
+
+    /// Acks waiting for their barrier to become durable.
+    pub fn held_acks(&self) -> usize {
+        self.held.len()
     }
 
     /// Crash recovery: the process restarted. Volatile state (memory
-    /// table, in-flight queries) is gone, the un-barriered WAL tail is
-    /// discarded deterministically, and the durable prefix is replayed.
+    /// table, in-flight queries, held acks) is gone, the un-barriered WAL
+    /// tail is discarded deterministically, and the durable prefix is
+    /// replayed.
     pub fn on_restart(&mut self, events: &mut Vec<DbEvent>) {
         let lost = self.storage.lose_unflushed();
         self.active = 0;
         self.pending.clear();
+        self.held.clear();
         self.database = Database::new();
         self.stored_jobs.clear();
         self.since_snapshot = 0;
@@ -268,18 +293,6 @@ impl DbProto {
             records,
             lost_wal_bytes: lost as u64,
         });
-    }
-
-    /// The newest barrier ticket this machine began. Whatever it sends
-    /// after beginning it — the `DbAck`s above all — must not leave
-    /// before [`DbProto::durable_ticket`] reaches it.
-    pub fn barrier_ticket(&self) -> u64 {
-        self.ticket
-    }
-
-    /// The newest barrier ticket its storage reports durable.
-    pub fn durable_ticket(&self) -> u64 {
-        self.storage.durable_ticket()
     }
 
     /// The durable (barrier-flushed) WAL bytes — what a crash right now
@@ -306,17 +319,16 @@ impl DbProto {
     }
 
     /// Folds the machine's logical state into `d` for model-checker
-    /// state canonicalization. The WAL-record timestamps (the stamps
-    /// embedded in the durable byte images) carry absolute time, so durable contents are folded as the *job-id set* plus
-    /// table length — behaviorally complete for the checker because
-    /// dedup and recovery consult exactly `stored_jobs` and the record
-    /// count, never the stamps.
+    /// state canonicalization. The storage is the host's to fold: its
+    /// reads may wait for a flush, and its WAL records carry absolute
+    /// time stamps. Dedup and recovery consult `stored_jobs` and the
+    /// record count, never the stamps, so those stand in for the log.
     pub fn state_digest(&self, d: &mut Digest) {
         d.write_u64(u64::from(self.active));
         d.write_u64(self.pending.len() as u64);
         for (job, requester) in &self.pending {
             d.write_u64(job.0);
-            d.write_str(&format!("{requester:?}"));
+            requester.fold_digest(d);
         }
         d.write_u64(self.stored_jobs.len() as u64);
         for job in &self.stored_jobs {
@@ -324,8 +336,11 @@ impl DbProto {
         }
         d.write_u64(self.since_snapshot as u64);
         d.write_u64(self.database.len() as u64);
-        d.write_bool(self.snapshot_bytes().is_empty());
-        d.write_u64(self.wal_bytes().len() as u64);
+        d.write_u64(self.held.len() as u64);
+        for (_, requester, job) in &self.held {
+            d.write_u64(job.0);
+            requester.fold_digest(d);
+        }
     }
 }
 
@@ -334,6 +349,8 @@ mod tests {
     use super::*;
     use crate::records::{PriceCheck, PriceObservation, VantageKind};
     use sheriff_geo::{Country, IpV4};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn check(job: u64, n: usize) -> PriceCheck {
         PriceCheck {
@@ -396,9 +413,9 @@ mod tests {
             .any(|o| matches!(o, Output::Send { msg: ProtoMsg::DbAck { job }, .. } if job.0 == 1)));
         assert!(!proto.wal_bytes().is_empty(), "ack implies durable");
         assert_eq!(
-            (proto.barrier_ticket(), proto.durable_ticket()),
-            (1, 1),
-            "in-memory storage completes its ticket at once"
+            proto.held_acks(),
+            0,
+            "in-memory storage completes its ticket at once: the ack left in the same step"
         );
     }
 
@@ -513,5 +530,134 @@ mod tests {
         assert_eq!(acks(&out), 1);
         assert_eq!(out.len(), 1, "no query is scheduled for a duplicate");
         assert_eq!(proto.database.len(), 1);
+    }
+
+    /// In-memory storage whose flush lags its hand-off: a ticket is
+    /// durable once the test says so through the shared counter.
+    struct Lagging {
+        inner: MemStorage,
+        durable: Arc<AtomicU64>,
+    }
+
+    impl Storage for Lagging {
+        fn read_snapshot(&self) -> Vec<u8> {
+            self.inner.read_snapshot()
+        }
+        fn read_wal(&self) -> Vec<u8> {
+            self.inner.read_wal()
+        }
+        fn append_wal(&mut self, bytes: &[u8]) {
+            self.inner.append_wal(bytes);
+        }
+        fn begin_barrier(&mut self) -> u64 {
+            self.inner.begin_barrier()
+        }
+        fn durable_ticket(&self) -> u64 {
+            let flushed = self.durable.load(Ordering::Relaxed);
+            flushed.min(self.inner.durable_ticket())
+        }
+        fn install_snapshot(&mut self, bytes: &[u8]) {
+            self.inner.install_snapshot(bytes);
+        }
+        fn lose_unflushed(&mut self) -> usize {
+            self.inner.lose_unflushed()
+        }
+    }
+
+    fn lagging() -> (DbProto, Arc<AtomicU64>) {
+        let durable = Arc::new(AtomicU64::new(0));
+        let storage = Lagging {
+            inner: MemStorage::new(),
+            durable: Arc::clone(&durable),
+        };
+        let proto = DbProto::with_storage(
+            DbCostModel::dedicated(),
+            Box::new(storage),
+            DEFAULT_SNAPSHOT_EVERY,
+        );
+        (proto, durable)
+    }
+
+    /// The jobs of the `DbAck`s in `out`, in order.
+    fn acked(out: &[Output]) -> Vec<u64> {
+        out.iter()
+            .filter_map(|o| match o {
+                Output::Send {
+                    msg: ProtoMsg::DbAck { job },
+                    ..
+                } => Some(job.0),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn durable(proto: &mut DbProto) -> Vec<u64> {
+        let mut out = Vec::new();
+        proto.on_durable(&mut out);
+        acked(&out)
+    }
+
+    #[test]
+    fn ack_is_held_until_its_ticket_is_durable() {
+        let (mut proto, flushed) = lagging();
+        store(&mut proto, 100, 1, 3);
+        let (out, _) = finish(&mut proto, 1);
+        assert!(acked(&out).is_empty(), "no ack ahead of the flush");
+        assert_eq!(proto.held_acks(), 1);
+        assert!(durable(&mut proto).is_empty(), "still not durable");
+        flushed.store(1, Ordering::Relaxed);
+        assert_eq!(durable(&mut proto), [1]);
+        assert_eq!(proto.held_acks(), 0);
+    }
+
+    #[test]
+    fn reack_of_a_duplicate_waits_behind_a_held_ack() {
+        let (mut proto, flushed) = lagging();
+        store(&mut proto, 100, 1, 3);
+        finish(&mut proto, 1);
+        flushed.store(1, Ordering::Relaxed);
+        assert_eq!(durable(&mut proto), [1]);
+        store(&mut proto, 200, 2, 3);
+        finish(&mut proto, 2);
+        // Job 1 is durable, but an ack sent now would overtake job 2's.
+        let out = store(&mut proto, 300, 1, 3);
+        assert!(acked(&out).is_empty(), "the re-ack waits its turn");
+        assert_eq!(proto.held_acks(), 2);
+        flushed.store(2, Ordering::Relaxed);
+        assert_eq!(durable(&mut proto), [2, 1]);
+    }
+
+    #[test]
+    fn held_acks_leave_in_send_order() {
+        let (mut proto, flushed) = lagging();
+        for job in 1..=3 {
+            store(&mut proto, job * 100, job, 2);
+            finish(&mut proto, job);
+        }
+        assert_eq!(proto.held_acks(), 3);
+        flushed.store(2, Ordering::Relaxed);
+        assert_eq!(
+            durable(&mut proto),
+            [1, 2],
+            "what ticket 2 covers, in order"
+        );
+        flushed.store(3, Ordering::Relaxed);
+        assert_eq!(durable(&mut proto), [3]);
+    }
+
+    #[test]
+    fn restart_drops_the_held_acks() {
+        let (mut proto, flushed) = lagging();
+        store(&mut proto, 100, 1, 3);
+        finish(&mut proto, 1);
+        assert_eq!(proto.held_acks(), 1);
+        proto.on_restart(&mut Vec::new());
+        assert_eq!(proto.held_acks(), 0, "volatile: gone with the process");
+        flushed.store(1, Ordering::Relaxed);
+        assert!(durable(&mut proto).is_empty(), "nothing left to release");
+        // The record was handed off, so it survived; the requester's
+        // re-send is re-acked, and the flush has landed.
+        assert_eq!(proto.database.len(), 1);
+        assert_eq!(acked(&store(&mut proto, 200, 1, 3)), [1]);
     }
 }

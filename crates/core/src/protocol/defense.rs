@@ -367,7 +367,7 @@ impl DefenseBook {
         for (peer, record) in &self.records {
             d.write_u64(*peer);
             d.write_u64(u64::from(record.score));
-            d.write_str(&format!("{:?}", record.standing));
+            d.write_u64(record.standing as u64);
             d.write_u64(record.admitted);
             d.write_u64(record.job_replies.len() as u64);
             for (job, replies) in &record.job_replies {

@@ -714,8 +714,8 @@ impl MeasurementProto {
         for (job, s) in &self.jobs {
             d.write_u64(job.0);
             d.write_str(&s.domain);
-            d.write_str(&format!("{:?}", s.product));
-            d.write_str(&format!("{:?}", s.initiator));
+            d.write_u64(u64::from(s.product.0));
+            s.initiator.fold_digest(d);
             d.write_u64(s.received as u64);
             d.write_u64(s.expected as u64);
             d.write_u64(u64::from(s.day));
@@ -725,14 +725,13 @@ impl MeasurementProto {
             d.write_bool(s.submit.is_some());
             d.write_u64(s.observations.len() as u64);
             for o in &s.observations {
-                d.write_str(&format!(
-                    "{:?}/{}/{}",
-                    o.vantage, o.vantage_id, o.amount_eur
-                ));
+                d.write_u64(o.vantage as u64);
+                d.write_u64(o.vantage_id);
+                d.write_u64(o.amount_eur.to_bits());
             }
             d.write_u64(s.seen_vantages.len() as u64);
             for (kind, id) in &s.seen_vantages {
-                d.write_str(&format!("{kind:?}"));
+                d.write_u64(*kind as u64);
                 d.write_u64(*id);
             }
             match &s.ppcs {
@@ -741,7 +740,7 @@ impl MeasurementProto {
                     d.write_bool(true);
                     d.write_u64(ppcs.len() as u64);
                     for p in ppcs {
-                        d.write_str(&format!("{p:?}"));
+                        p.fold_digest(d);
                     }
                 }
             }

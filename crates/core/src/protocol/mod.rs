@@ -44,7 +44,7 @@ pub mod reliable;
 
 pub use aggregator::AggregatorProto;
 pub use coordinator::CoordinatorProto;
-pub use database::{DbEvent, DbProto};
+pub use database::{DbEvent, DbProto, DEFAULT_SNAPSHOT_EVERY};
 pub use defense::{
     defense_key, DefenseAction, DefenseBook, DefenseParams, DefenseTotals, Standing, IPC_KEY_BASE,
 };

@@ -4,7 +4,7 @@
 //! Every backend — the discrete-event simulator (`core::system`), the
 //! TCP reactor (`sheriff_wire::reactor`) and the model checker's worlds
 //! (`sheriff_model::world`) — holds [`RoleNode`]s and feeds them through
-//! the same three entry points:
+//! the same entry points:
 //!
 //! * [`RoleNode::on_message`] — channel `accept` (ack, dedup, unwrap),
 //!   the machine's `on_message`, channel `harden`;
@@ -15,7 +15,9 @@
 //! * [`RoleNode::on_restart`] — the §10.3 restart edge: a Measurement
 //!   server re-announces itself with state intact, the Database loses
 //!   its volatile state (channel windows included) and recovers from
-//!   snapshot + WAL.
+//!   snapshot + WAL;
+//! * [`RoleNode::on_durable`] — the Database sends the acks its storage
+//!   now reports durable, then `harden`.
 //!
 //! What comes back is a [`StepBuf`]: commands for the transport plus the
 //! machines' observable events. The backend owns everything else — how
@@ -176,6 +178,15 @@ impl RoleNode {
                 p.on_restart(&mut buf.db);
             }
             _ => {}
+        }
+        self.chan.harden(&mut buf.out);
+    }
+
+    /// The storage reports a flush: a Database sends the acks it made
+    /// durable. Other roles hold nothing.
+    pub fn on_durable(&mut self, buf: &mut StepBuf) {
+        if let Role::Database(p) = &mut self.role {
+            p.on_durable(&mut buf.out);
         }
         self.chan.harden(&mut buf.out);
     }

@@ -3,9 +3,11 @@
 //! Depth-first search over [`ModelWorld`] interleavings. The machines
 //! are deliberately not `Clone` (they own `Box<dyn Storage>`), so the
 //! search is *stateless*: each state is materialized by replaying its
-//! event prefix from [`ModelWorld::new`]. Replays are cheap (a handful
-//! of message handlers) and the approach guarantees the checker drives
-//! exactly the code the deployment runs — no shadow model to drift.
+//! event prefix from [`ModelWorld::new`], except that a state's first
+//! child is stepped from the state itself, which the search holds
+//! anyway. Replays are cheap (a handful of message handlers) and the
+//! approach guarantees the checker drives exactly the code the
+//! deployment runs — no shadow model to drift.
 //!
 //! Two reductions keep the small worlds tractable:
 //!
@@ -92,7 +94,8 @@ impl Outcome {
     }
 }
 
-/// Explores `cfg` to `depth_limit` events and returns everything found.
+/// Explores `cfg` to `depth_limit` events (flushes not counted, see
+/// [`Event::bounded`]) and returns everything found.
 pub fn explore(cfg: WorldCfg, depth_limit: usize) -> Outcome {
     let mut ex = Explorer {
         cfg,
@@ -112,12 +115,11 @@ pub fn explore(cfg: WorldCfg, depth_limit: usize) -> Outcome {
     let root = ModelWorld::new(cfg);
     let root_digest = root.digest();
     let root_enabled = root.enabled_events();
-    drop(root);
     ex.seen.insert(root_digest);
     ex.outcome.stats.states = 1;
     ex.expanded.insert(root_digest, vec![Vec::new().into()]);
     let mut prefix = Vec::new();
-    ex.expand(&mut prefix, &[], root_enabled);
+    ex.expand(&mut prefix, &[], root_enabled, Some(root));
     ex.outcome
 }
 
@@ -164,18 +166,26 @@ impl Explorer {
     /// Expands the state reached by `prefix` (already marked seen).
     /// `sleep` holds events whose exploration here would only permute
     /// an already-explored interleaving; `enabled` is this state's
-    /// event menu, computed by the caller (saves a replay per node).
-    fn expand(&mut self, prefix: &mut Vec<Event>, sleep: &[Event], enabled: Vec<Event>) {
-        if prefix.len() >= self.depth_limit {
+    /// event menu and `reached` the state itself, both from the caller:
+    /// the first child is stepped from it, the others from replays.
+    fn expand(
+        &mut self,
+        prefix: &mut Vec<Event>,
+        sleep: &[Event],
+        enabled: Vec<Event>,
+        mut reached: Option<ModelWorld>,
+    ) {
+        // At the bound only the flushes it does not count are left.
+        let at_bound = prefix.iter().filter(|e| e.bounded()).count() >= self.depth_limit;
+        if at_bound && enabled.iter().any(Event::bounded) {
             self.outcome.stats.truncated += 1;
-            return;
         }
         let mut explored: Vec<Event> = Vec::new();
         for e in enabled {
-            if sleep.contains(&e) {
+            if sleep.contains(&e) || (at_bound && e.bounded()) {
                 continue;
             }
-            let mut w = self.replay(prefix);
+            let mut w = reached.take().unwrap_or_else(|| self.replay(prefix));
             let findings = w.apply_event(e).expect("enabled event applies");
             self.outcome.stats.transitions += 1;
             let digest = w.digest();
@@ -215,8 +225,7 @@ impl Explorer {
                     .collect();
                 if self.needs_expansion(digest, &child_sleep) {
                     let child_enabled = w.enabled_events();
-                    drop(w);
-                    self.expand(prefix, &child_sleep, child_enabled);
+                    self.expand(prefix, &child_sleep, child_enabled, Some(w));
                 }
             }
             prefix.pop();

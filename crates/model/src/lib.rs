@@ -6,11 +6,14 @@
 //! them *model-checkable as-is*: this crate drives the very structs the
 //! DES and TCP deployments run (no shadow specification) through every
 //! interleaving of message delivery, duplication, loss, timer firing,
-//! and crash/restart that a small closed world admits, up to a depth
-//! bound, and checks a battery of invariants at every reached state:
+//! WAL flush (the `disk` module) and crash/restart that a small closed
+//! world admits, up to a bound on the events other than flushes, and
+//! checks a battery of invariants at every reached state:
 //!
-//! * **Durability** — once a `DbAck` is delivered, the acked record
-//!   survives any crash (`durability.acked_store_lost`).
+//! * **Durability** — every job whose `DbAck` reached the Measurement
+//!   server is in what a recovery from the Database's durable image
+//!   would rebuild, and in the Database's own recovered table
+//!   (`durability.acked_store_lost`).
 //! * **Vantage dedup** — no job ever folds in two observations from
 //!   the same `(kind, id)` vantage (`vantage.duplicate_observation`).
 //! * **Timer obligations** — every pending Database store has a live
@@ -19,9 +22,9 @@
 //!   `ProcDone` (`timer.obligation_leak`). The last is what a store
 //!   torn off by a Database crash would break: the requester's
 //!   deadline keeps re-sending it, so no finding is accepted anywhere.
-//! * **Quiescence** — when nothing is in flight and no timer armed, no
-//!   job origins, open jobs, pending stores, or unacked sends remain
-//!   (`quiesce.leaked_state`).
+//! * **Quiescence** — when nothing is in flight, no timer armed and no
+//!   flush pending, no job origins, open jobs, pending stores, held
+//!   acks, or unacked sends remain (`quiesce.leaked_state`).
 //! * **Defense ladder** — standings move only along legal edges:
 //!   scoring can only hold or raise severity, `Quarantined → Parole`
 //!   only on that peer's quarantine timer, `Parole → Good` only on its
@@ -32,6 +35,7 @@
 //! ([`trace::TraceStep`]), translatable to DES fault plans
 //! ([`replay::to_fault_plan`]) for pinned regression tests.
 
+mod disk;
 pub mod explore;
 pub mod replay;
 pub mod report;

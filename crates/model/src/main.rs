@@ -3,7 +3,8 @@
 //!
 //! ```text
 //! sheriff-model [--world small|giveup|byzantine]... [--depth N]
-//!               [--mutate drop-db-done-arm|drop-retransmit-arm|ignore-abandoned]
+//!               [--mutate drop-db-done-arm|drop-retransmit-arm|ignore-abandoned|
+//!                         ack-at-hand-off]
 //!               [--json PATH]
 //! ```
 //!

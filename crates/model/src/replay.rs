@@ -130,7 +130,12 @@ pub fn to_fault_plan(
                     plan = plan.with_crash(idx, from_ms, from_ms + crash_window_ms.max(1));
                 }
             }
-            Event::Deliver { .. } | Event::FireTimer { .. } | Event::Inject { .. } => {}
+            // The DES's in-memory storage flushes at hand-off: a model
+            // flush has nothing to script.
+            Event::Deliver { .. }
+            | Event::FireTimer { .. }
+            | Event::Flush
+            | Event::Inject { .. } => {}
         }
         if world.apply_event(event).is_err() {
             break;

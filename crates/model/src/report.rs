@@ -11,7 +11,7 @@ use crate::explore::{Outcome, Violation};
 use crate::world::Event;
 
 /// Bumped whenever the report shape changes.
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 fn esc(out: &mut String, s: &str) {
     out.push('"');
@@ -45,6 +45,7 @@ fn event_json(out: &mut String, event: Event) {
         Event::FireTimer { slot } => {
             let _ = write!(out, "{{\"kind\":\"fire_timer\",\"slot\":{slot}}}");
         }
+        Event::Flush => out.push_str("{\"kind\":\"flush\"}"),
         Event::CrashRestart { node } => {
             out.push_str("{\"kind\":\"crash_restart\",\"node\":");
             esc(out, &format!("{node:?}"));

@@ -9,11 +9,12 @@
 //! the protocol nodes (machine + reliable channel), a slot-stable
 //! in-flight message set, and a slot-stable armed-timer set; its
 //! transitions are [`Event`]s — deliver/duplicate/drop a message, fire
-//! an earliest-due timer, crash-and-restart a node, or inject a
-//! scripted Byzantine stimulus. Replaying the same event sequence from
-//! [`ModelWorld::new`] always reaches the same state, which is what
-//! lets the explorer enumerate interleavings without cloning machines
-//! (they hold `Box<dyn Storage>` and are deliberately not `Clone`).
+//! an earliest-due timer, land the Database's pending flush,
+//! crash-and-restart a node, or inject a scripted Byzantine stimulus.
+//! Replaying the same event sequence from [`ModelWorld::new`] always
+//! reaches the same state, which is what lets the explorer enumerate
+//! interleavings without cloning machines (they hold `Box<dyn Storage>`
+//! and are deliberately not `Clone`).
 //!
 //! Virtual time only advances when a timer fires (to that timer's due
 //! instant); message delivery is modeled as "any latency shorter than
@@ -21,11 +22,19 @@
 //! earliest-due timers are fireable, matching the DES scheduler.
 //! Crash+restart is atomic and leaves armed timers in place — the
 //! netsim engine defers a dead node's timers to after its restart, so a
-//! Database crash between a WAL append and its flush leaves a `DbDone`
+//! Database crash between a WAL append and its barrier leaves a `DbDone`
 //! that fires into a recovered machine with nobody to ack. The
 //! requester's `JobDeadline` closes that window by sending the store
 //! again; the job-coverage rule of `check_state` is what proves the
 //! checker looks there.
+//!
+//! The Database runs on a `Disk` whose flush is its own event, enabled
+//! while a barrier's bytes are handed off but not yet durable: the
+//! window in which `DbProto` holds its acks. The flush lands and hands
+//! the node `RoleNode::on_durable`, as the TCP reactor does when the
+//! file store's flusher rings. A crash inside the window lets the flush
+//! land first (recovery reads wait for it, as they wait for the file
+//! store's flusher) and drops the held acks.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -38,7 +47,7 @@ use sheriff_core::measurement::VantageMeta;
 use sheriff_core::protocol::{
     Address, Channel, CoordinatorProto, DbProto, DefenseParams, Digest, MeasurementParams,
     MeasurementProto, Output, ProtoMsg, ReliableConfig, Role, RoleNode, Standing, StepBuf,
-    TimerKind,
+    TimerKind, DEFAULT_SNAPSHOT_EVERY,
 };
 use sheriff_core::records::{PriceObservation, VantageKind};
 use sheriff_core::whitelist::Whitelist;
@@ -46,6 +55,8 @@ use sheriff_currency::FixedRates;
 use sheriff_geo::{Country, GeoLocator, Granularity, IpAllocator, IpV4};
 use sheriff_html::tagspath::TagsPath;
 use sheriff_market::ProductId;
+
+use crate::disk::Disk;
 
 /// Ghost peer acting as the requesting add-on (the initiator).
 pub const INITIATOR: u64 = 1;
@@ -91,9 +102,10 @@ impl WorldKind {
         }
     }
 
-    /// The CI-pinned exploration depth for this world: deep enough to
-    /// reach the behaviors the world exists to find (the small world's
-    /// 10-step crash between WAL append and flush, the giveup world's
+    /// The CI-pinned exploration depth for this world, flushes not
+    /// counted ([`Event::bounded`]): deep enough to reach the behaviors
+    /// the world exists to find (the small world's 10-step crash between
+    /// WAL append and barrier and its acked store, the giveup world's
     /// 13-step undeliverable-`StoreCheck` give-up, the byzantine world's
     /// quarantine→parole walk), shallow enough that all three finish
     /// inside one CI minute.
@@ -122,6 +134,11 @@ pub enum Mutation {
     /// an abandoned assignment leaks forever. (A job pinned on an
     /// abandoned `StoreCheck` does not: its deadline sends another.)
     IgnoreAbandoned,
+    /// The Database's disk reports each ticket durable as soon as it is
+    /// handed off — the acks leave before the flush, and one that
+    /// reaches the Measurement server names a record a crash can still
+    /// take.
+    AckAtHandOff,
 }
 
 impl Mutation {
@@ -131,6 +148,7 @@ impl Mutation {
             Mutation::DropDbDoneArm => "drop-db-done-arm",
             Mutation::DropRetransmitArm => "drop-retransmit-arm",
             Mutation::IgnoreAbandoned => "ignore-abandoned",
+            Mutation::AckAtHandOff => "ack-at-hand-off",
         }
     }
 
@@ -140,6 +158,7 @@ impl Mutation {
             "drop-db-done-arm" => Some(Mutation::DropDbDoneArm),
             "drop-retransmit-arm" => Some(Mutation::DropRetransmitArm),
             "ignore-abandoned" => Some(Mutation::IgnoreAbandoned),
+            "ack-at-hand-off" => Some(Mutation::AckAtHandOff),
             _ => None,
         }
     }
@@ -245,6 +264,9 @@ pub enum Event {
         /// Timer slot.
         slot: usize,
     },
+    /// Land the Database's pending flush and let it send the acks that
+    /// flush made durable.
+    Flush,
     /// Atomically crash and restart a node: volatile state is lost,
     /// durable state recovered, armed timers left in place (deferred).
     CrashRestart {
@@ -259,6 +281,15 @@ pub enum Event {
 }
 
 impl Event {
+    /// Counts toward the depth bound. A flush does not: the disk takes
+    /// at most one per barrier, and each barrier is a `DbDone` firing
+    /// that does count, so a bound on the other events still bounds
+    /// every schedule, and a schedule the bound admits without the disk
+    /// is admitted with it.
+    pub fn bounded(&self) -> bool {
+        !matches!(self, Event::Flush)
+    }
+
     fn touches_slot(&self, slot: usize) -> bool {
         match self {
             Event::Deliver { slot: s } | Event::Duplicate { slot: s } | Event::Drop { slot: s } => {
@@ -308,8 +339,9 @@ enum LadderCause {
     Scored,
     /// A timer firing of this kind.
     Timer(TimerKind),
-    /// A crash-restart (books survive untouched; no change is legal).
-    Crash,
+    /// A crash-restart or a flush (books survive untouched; no change
+    /// is legal).
+    Silent,
 }
 
 /// See the module docs.
@@ -318,6 +350,8 @@ pub struct ModelWorld {
     reliable: ReliableConfig,
     /// `[coordinator, measurement server, database?]`.
     nodes: Vec<RoleNode>,
+    /// The Database's disk, when the world has a Database.
+    disk: Option<Disk>,
     ghost_chans: BTreeMap<u64, Channel>,
     /// Slot-stable in-flight messages (`None` = consumed).
     pub in_flight: Vec<Option<Envelope>>,
@@ -419,7 +453,10 @@ impl ModelWorld {
         let measurement = MeasurementProto::new(MeasurementParams {
             index: 0,
             ipcs: vec![],
-            rates: FixedRates::paper_era(),
+            // Every page here is empty and every price the initiator's
+            // own, in euros: one rate is all a conversion can ask for, and
+            // a world is rebuilt for every replayed prefix.
+            rates: FixedRates::from_pairs(&[("EUR", 1.0)]),
             target_currency: "EUR".into(),
             proc_per_reply_ms: 10.0,
             context_switch_alpha: 0.0,
@@ -443,8 +480,13 @@ impl ModelWorld {
             ),
             node(SERVER, Role::Measurement(Box::new(measurement))),
         ];
-        if !integrated {
-            let db = DbProto::new(DbCostModel::dedicated());
+        let disk = (!integrated).then(|| Disk::new(cfg.mutation == Some(Mutation::AckAtHandOff)));
+        if let Some(disk) = &disk {
+            let db = DbProto::with_storage(
+                DbCostModel::dedicated(),
+                Box::new(disk.clone()),
+                DEFAULT_SNAPSHOT_EVERY,
+            );
             nodes.push(node(Address::Database, Role::Database(Box::new(db))));
         }
         let crashable = if cfg.crash_budget > 0 {
@@ -485,6 +527,7 @@ impl ModelWorld {
             cfg,
             reliable,
             nodes,
+            disk,
             ghost_chans: BTreeMap::new(),
             in_flight: vec![Some(stimulus)],
             timers: Vec::new(),
@@ -566,6 +609,9 @@ impl ModelWorld {
                 events.push(Event::Drop { slot });
             }
         }
+        if self.flush_pending() {
+            events.push(Event::Flush);
+        }
         if let Some(min_due) = self.timers.iter().flatten().map(|t| t.due_ms).min() {
             for (slot, entry) in self.timers.iter().enumerate() {
                 if entry.is_some_and(|t| t.due_ms == min_due) {
@@ -587,11 +633,19 @@ impl ModelWorld {
     }
 
     /// True when no protocol activity remains: nothing in flight, no
-    /// armed timer. (Unused crash/injection budgets do not count — a
-    /// quiescent system is quiescent even if the adversary still has
-    /// moves.)
+    /// armed timer, no pending flush. (Unused crash/injection budgets do
+    /// not count — a quiescent system is quiescent even if the adversary
+    /// still has moves.)
     pub fn protocol_quiescent(&self) -> bool {
-        self.in_flight.iter().all(Option::is_none) && self.timers.iter().all(Option::is_none)
+        self.in_flight.iter().all(Option::is_none)
+            && self.timers.iter().all(Option::is_none)
+            && !self.flush_pending()
+    }
+
+    /// The Database's disk holds handed-off bytes that are not yet
+    /// durable.
+    fn flush_pending(&self) -> bool {
+        self.disk.as_ref().is_some_and(Disk::flush_pending)
     }
 
     // -- event application ------------------------------------------------
@@ -635,6 +689,7 @@ impl ModelWorld {
                 Some(t) => format!("fire #{slot} {:?} {:?} @ {}ms", t.node, t.kind, t.due_ms),
                 None => format!("fire #{slot} <stale>"),
             },
+            Event::Flush => "flush the Database's WAL".into(),
             Event::CrashRestart { node } => format!("crash+restart {node:?}"),
             Event::Inject { index } => match self.injections.get(index) {
                 Some(env) => format!(
@@ -707,6 +762,16 @@ impl ModelWorld {
                 }
                 self.now_ms = self.now_ms.max(entry.due_ms);
                 self.fire(entry, &mut findings);
+            }
+            Event::Flush => {
+                let disk = self.disk.clone().filter(Disk::flush_pending);
+                disk.ok_or(StepError::NotEnabled)?.flush();
+                self.step(
+                    Address::Database,
+                    &LadderCause::Silent,
+                    &mut findings,
+                    |node, _, _, buf| node.on_durable(buf),
+                );
             }
             Event::CrashRestart { node } => {
                 if self.crash_used >= self.cfg.crash_budget || !self.crashable.contains(&node) {
@@ -859,7 +924,7 @@ impl ModelWorld {
     }
 
     fn crash_restart(&mut self, node: Address, findings: &mut Vec<Finding>) {
-        self.step(node, &LadderCause::Crash, findings, |node, now, _, buf| {
+        self.step(node, &LadderCause::Silent, findings, |node, now, _, buf| {
             node.on_restart(now, buf);
         });
     }
@@ -909,16 +974,26 @@ impl ModelWorld {
 
     /// Invariants checked at *every* state.
     fn check_state(&self, findings: &mut Vec<Finding>) {
-        // Channel-acked stores survive recovery: once the Measurement
-        // server has seen DbAck{job}, the record must be durable.
+        // Acked means durable: every job whose DbAck reached the
+        // Measurement server is in what a recovery from the disk as it
+        // stands would rebuild, and in the Database's own recovered table.
         if let Some(db) = self.db() {
-            let stored = self.stored_jobs();
-            for job in &self.acked_stores {
-                if !stored.contains(job) {
-                    findings.push(Finding {
-                        rule: "durability.acked_store_lost",
-                        detail: format!("job {job} was acked but its record did not survive"),
-                    });
+            if let Some(disk) = self.disk.as_ref().filter(|_| !self.acked_stores.is_empty()) {
+                let durable = disk.durable_jobs();
+                let stored = self.stored_jobs();
+                for job in &self.acked_stores {
+                    if !durable.contains(job) {
+                        findings.push(Finding {
+                            rule: "durability.acked_store_lost",
+                            detail: format!("job {job} was acked but its record is not durable"),
+                        });
+                    }
+                    if !stored.contains(job) {
+                        findings.push(Finding {
+                            rule: "durability.acked_store_lost",
+                            detail: format!("job {job} was acked but its record did not survive"),
+                        });
+                    }
                 }
             }
             // Timer-obligation linearity: every pending store is covered
@@ -1009,6 +1084,13 @@ impl ModelWorld {
                     detail: format!("database holds {pending} pending store(s) at quiescence"),
                 });
             }
+            let held = db.held_acks();
+            if held != 0 {
+                findings.push(Finding {
+                    rule: "quiesce.leaked_state",
+                    detail: format!("database holds {held} ack(s) at quiescence"),
+                });
+            }
         }
         for node in &self.nodes {
             if node.chan.in_flight() != 0 {
@@ -1041,6 +1123,9 @@ impl ModelWorld {
                 _ => {}
             }
             node.chan.state_digest(&mut d);
+        }
+        if let Some(disk) = &self.disk {
+            disk.state_digest(&mut d);
         }
         d.write_u64(self.ghost_chans.len() as u64);
         for (id, chan) in &self.ghost_chans {

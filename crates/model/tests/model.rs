@@ -43,6 +43,15 @@ fn torn_store_schedule() -> Vec<Event> {
     ]
 }
 
+/// The torn-store schedule's first eight steps, then the `DbDone` that
+/// hands the record to the flush and acks — behind the flush, unless
+/// the disk lies.
+fn handed_off_schedule() -> Vec<Event> {
+    let mut schedule = torn_store_schedule()[..8].to_vec();
+    schedule.push(Event::FireTimer { slot: 6 }); // DbDone: barrier, ack
+    schedule
+}
+
 /// The 13-step giveup-world schedule that makes a `StoreCheck`
 /// undeliverable: both copies are destroyed and the channel abandons
 /// the send, which is what finishes the job pinned on it.
@@ -94,14 +103,20 @@ fn torn_store_is_resent_by_the_requester_and_the_check_completes() {
     }
     assert!(w.stored_jobs().is_empty(), "the crash tore the record off");
     // From here the adversary is out of moves that matter: only what an
-    // undisturbed network and clock do — deliveries, timer firings.
+    // undisturbed network, disk and clock do — deliveries, flushes,
+    // timer firings.
     let mut steps = 0;
     while !w.protocol_quiescent() {
         let next = w
             .enabled_events()
             .into_iter()
-            .find(|e| matches!(e, Event::Deliver { .. } | Event::FireTimer { .. }))
-            .expect("not quiescent, so something is deliverable or armed");
+            .find(|e| {
+                matches!(
+                    e,
+                    Event::Deliver { .. } | Event::Flush | Event::FireTimer { .. }
+                )
+            })
+            .expect("not quiescent, so something is deliverable, flushing or armed");
         apply(&mut w, next);
         steps += 1;
         assert!(steps < 64, "the recovery must itself quiesce");
@@ -159,6 +174,80 @@ fn drop_db_done_arm_mutation_is_caught_when_the_store_lands() {
         false
     ));
     assert!(!reproduces(small, schedule, "timer.obligation_leak", false));
+}
+
+#[test]
+fn ack_at_hand_off_mutation_is_caught_with_a_replayable_trace() {
+    // The trace `sheriff-model --world small --depth 10 --mutate
+    // ack-at-hand-off` reports: the DbAck leaves with the DbDone and
+    // reaches the Measurement server while its record is only handed off.
+    let mut schedule = handed_off_schedule();
+    schedule.push(Event::Deliver { slot: 10 }); // Reliable(DbAck) → Server
+    let small = WorldCfg::preset(WorldKind::Small);
+    let rule = "durability.acked_store_lost";
+    assert!(reproduces(
+        small.with_mutation(Mutation::AckAtHandOff),
+        &schedule,
+        rule,
+        false
+    ));
+    // Honest, the ack waits for the flush: there is no slot 10 to deliver
+    // until the flush lands, and once it has, the delivery is clean.
+    assert!(!reproduces(small, &schedule, rule, false));
+    let mut flushed = handed_off_schedule();
+    flushed.extend([Event::Flush, Event::Deliver { slot: 10 }]);
+    let mut w = ModelWorld::new(small);
+    for e in flushed {
+        let findings = w.apply_event(e).expect("scheduled event applies");
+        assert!(findings.is_empty(), "{findings:?}");
+    }
+    assert!(w.acked_stores().contains(&1));
+}
+
+#[test]
+fn crash_with_the_flush_pending_lands_it_and_drops_the_held_ack() {
+    let mut w = ModelWorld::new(WorldCfg::preset(WorldKind::Small));
+    let apply = |w: &mut ModelWorld, e: Event| {
+        let findings = w.apply_event(e).expect("scheduled event applies");
+        assert!(findings.is_empty(), "{}: {findings:?}", w.describe(e));
+    };
+    for e in handed_off_schedule() {
+        apply(&mut w, e);
+    }
+    assert!(w.enabled_events().contains(&Event::Flush));
+    assert!(!w.protocol_quiescent(), "a pending flush is activity");
+    assert_eq!(w.in_flight.len(), 10, "the ack is held, not sent");
+    apply(
+        &mut w,
+        Event::CrashRestart {
+            node: Address::Database,
+        },
+    );
+    assert!(
+        !w.enabled_events().contains(&Event::Flush),
+        "recovery waited for the flush"
+    );
+    assert!(w.stored_jobs().contains(&1), "so the record survived");
+    assert_eq!(w.in_flight.len(), 10, "and the held ack died unsent");
+    // The requester's deadline re-sends; the recovered Database re-acks.
+    let mut steps = 0;
+    while !w.protocol_quiescent() {
+        let next = w
+            .enabled_events()
+            .into_iter()
+            .find(|e| {
+                matches!(
+                    e,
+                    Event::Deliver { .. } | Event::Flush | Event::FireTimer { .. }
+                )
+            })
+            .expect("not quiescent, so something is deliverable, flushing or armed");
+        apply(&mut w, next);
+        steps += 1;
+        assert!(steps < 64, "the recovery must itself quiesce");
+    }
+    assert_eq!(w.quiescence_findings(), [], "no job, origin or send left");
+    assert!(w.acked_stores().contains(&1), "the re-sent store was acked");
 }
 
 #[test]

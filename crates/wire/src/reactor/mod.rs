@@ -14,8 +14,8 @@
 //!   per-node threads, no blocking reads; an idle shard parks on its
 //!   doorbell ([`shard::Doorbell`]) until a peer shard rings or a
 //!   bounded wait runs out. A Database node's WAL `fsync` runs on its
-//!   storage's flusher thread; the shard holds the node's acks until the
-//!   flusher reports them durable (see [`reactor`]);
+//!   storage's flusher thread; the node holds its own acks until the
+//!   flusher reports them durable and rings the shard (see [`reactor`]);
 //! * the sans-IO protocol machines from `sheriff_core::protocol` are
 //!   driven as on the DES: the reliable channel wraps inbound
 //!   frames, outputs become frames on the destination's stream, timer

@@ -3,13 +3,11 @@
 //!
 //! Nothing else on the thread waits for the disk. A Database node's
 //! flush-before-ack hands the WAL to its storage's flusher thread
-//! (`FileStorage`, group commit) and gets a ticket back; the shard holds
-//! the node's sends, in order, behind the newest ticket that is not yet
-//! durable, and sends them when the flusher reports it and rings the
-//! shard. A `DbAck` therefore still never leaves before the `fsync` that
-//! covers its record, and the shard sweeps on meanwhile. A crash drops
-//! what the old incarnation held. Only a snapshot fold (one store in
-//! 64) and recovery wait for the flusher to drain.
+//! (`FileStorage`, group commit) and holds its acks itself until the
+//! flusher makes their ticket durable; the flusher then rings the shard,
+//! and the sweep hands the node `RoleNode::on_durable`. The shard sweeps
+//! on meanwhile. Only a snapshot fold (one store in 64) and recovery
+//! wait for the flusher to drain.
 //!
 //! Each iteration of [`Reactor::run`] is one readiness sweep:
 //!
@@ -30,10 +28,11 @@
 //!    admits is one `RoleNode::on_message` step (the step every backend
 //!    shares: the reliable channel first, then the role machine), in
 //!    stream order;
-//! 4. **outbound** — send what a durable barrier released, then flush
-//!    the links: one long-lived stream per destination node, everything
-//!    the sweep queued on it offered in one `write`, so the shard's sends
-//!    to one node keep their order.
+//! 4. **outbound** — let a Database holding acks send what its storage
+//!    now reports durable (`RoleNode::on_durable`; not inside a crash
+//!    window), then flush the links: one long-lived stream per
+//!    destination node, everything the sweep queued on it offered in one
+//!    `write`, so the shard's sends to one node keep their order.
 //!
 //! Every socket call is nonblocking. An iteration that did any work
 //! counts one `wire.reactor_wakeups` and sweeps again; an idle one waits
@@ -48,13 +47,15 @@
 //! through the same stage, so they ring too. The deployment rings after
 //! each frame it injects from outside, and the Database's WAL flusher
 //! after each flush that makes a ticket durable. A ring carries nothing:
-//! the sweep finds the work on the sockets (or the ticket), and the frame
-//! and byte books are untouched by it.
+//! the sweep finds the work on the sockets (or the Database's held acks),
+//! and the frame and byte books are untouched by it.
 //!
 //! **When a shard exits.** Once its nodes are stopped, a shard half-closes
-//! every link whose buffer is empty (and holds no fault-delayed or
-//! flush-held send), and exits when all of them are closed and every
-//! inbound stream has read EOF — or when [`DRAIN_GRACE_MS`] runs out.
+//! every link whose buffer is empty (no fault-delayed send or ack the
+//! Database still holds is left to join one), and exits when all of them
+//! are closed and every inbound stream has read EOF — or when
+//! [`DRAIN_GRACE_MS`] runs out. A stopped Database still sends the acks
+//! its flusher makes durable while its shard drains.
 //! Every frame a sibling wrote is therefore read, and counted, before
 //! the shard that owns its destination goes away.
 //!
@@ -76,7 +77,7 @@
 //! OS readiness (`epoll` on the shard's descriptors) without touching
 //! the sweep.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
@@ -137,15 +138,6 @@ impl OwnedNode {
     }
 }
 
-/// A send a Database node made after beginning barrier `ticket`, held
-/// until that ticket is durable.
-struct HeldSend {
-    ticket: u64,
-    local: usize,
-    to: Address,
-    msg: ProtoMsg,
-}
-
 /// What a shard schedules against its clock.
 enum Due {
     Timer {
@@ -175,10 +167,9 @@ pub(crate) struct Reactor {
     /// How many `Due::Send`s sit on the agenda: frames still owed to the
     /// wire, so they count as queue depth and hold up the final drain.
     held_sends: usize,
-    /// A Database node's sends waiting for their barrier to be durable,
-    /// in send order (so in ticket order). Owed to the wire like
-    /// `held_sends`.
-    behind_flush: VecDeque<HeldSend>,
+    /// The shard's Database node, if it owns one: its held acks are owed
+    /// to the wire like `held_sends`.
+    db: Option<usize>,
     /// The next sweep polls the listeners: it follows an idle wait.
     accept_next: bool,
     /// Sweeps since the listeners were last polled.
@@ -223,7 +214,7 @@ impl Reactor {
             nodes: Vec::new(),
             agenda: Agenda::new(),
             held_sends: 0,
-            behind_flush: VecDeque::new(),
+            db: None,
             accept_next: true,
             sweeps_unpolled: 0,
             inbound: Vec::new(),
@@ -239,6 +230,9 @@ impl Reactor {
             if let Some((due_ms, kind)) = first_timer {
                 let local = reactor.nodes.len();
                 reactor.agenda.push(due_ms, Due::Timer { local, kind });
+            }
+            if matches!(node.role, Role::Database(_)) {
+                reactor.db = Some(reactor.nodes.len());
             }
             reactor.nodes.push(OwnedNode {
                 node,
@@ -270,7 +264,7 @@ impl Reactor {
                 work += self.poll_accept(now_ms);
             }
             work += self.pump_inbound(now_ms);
-            work += self.release_durable(now_ms);
+            work += self.on_durable(now_ms);
             work += self.pump_outbound();
             work += self.pump_raw();
             self.note_depth();
@@ -291,12 +285,13 @@ impl Reactor {
     }
 
     /// The exit rule, asked once every node is stopped: every link is
-    /// flushed and half-closed, no fault-held send is left to join one,
-    /// and every inbound stream has read EOF. Attack streams are dropped
-    /// here, so a victim does not sit out its grace waiting on them.
+    /// flushed and half-closed, no fault-held send or held ack is left to
+    /// join one, and every inbound stream has read EOF. Attack streams
+    /// are dropped here, so a victim does not sit out its grace waiting
+    /// on them.
     fn drained(&mut self) -> bool {
         self.raw.clear();
-        let mut closed = self.held_sends == 0 && self.behind_flush.is_empty();
+        let mut closed = self.held_sends == 0 && self.db_held() == 0;
         if closed {
             for link in self.links.values_mut() {
                 closed &= link.finish();
@@ -308,7 +303,7 @@ impl Reactor {
     /// Publishes the queue-depth high-water mark.
     fn note_depth(&mut self) {
         let depth = self.held_sends
-            + self.behind_flush.len()
+            + self.db_held()
             + self.links.values().map(OutLink::queued).sum::<usize>();
         if depth > self.depth_hiwater {
             self.depth_hiwater = depth;
@@ -344,8 +339,6 @@ impl Reactor {
             }
             Due::Restart { local } => {
                 if self.ask_gate(local, true, |g, idx| g.admit_restart(idx, now_ms)) {
-                    // What the old incarnation held died with it.
-                    self.behind_flush.retain(|h| h.local != local);
                     self.step(local, now_ms, |node, _, buf| node.on_restart(now_ms, buf));
                 }
             }
@@ -476,23 +469,15 @@ impl Reactor {
         }
     }
 
-    /// Applies a machine's outputs: sends go to the write edge — or wait
-    /// behind the node's barrier ticket — and timers join the agenda.
-    /// Drains the buffer so callers can hand the same scratch `Vec` back
-    /// in on the next event.
+    /// Applies a machine's outputs: sends go to the write edge, timers
+    /// join the agenda. Drains the buffer so callers can hand the same
+    /// scratch `Vec` back in on the next event.
     fn dispatch(&mut self, local: usize, out: &mut Vec<Output>, now_ms: u64) {
-        let hold = self.flush_ticket(local);
         for o in out.drain(..) {
             match o {
-                Output::Send { to, msg } | Output::SendFetched { to, msg } => match hold {
-                    Some(ticket) => self.behind_flush.push_back(HeldSend {
-                        ticket,
-                        local,
-                        to,
-                        msg,
-                    }),
-                    None => self.send_from(local, to, msg, now_ms),
-                },
+                Output::Send { to, msg } | Output::SendFetched { to, msg } => {
+                    self.send_from(local, to, msg, now_ms);
+                }
                 Output::Timer { delay_ms, kind } => {
                     self.agenda
                         .push(now_ms + delay_ms, Due::Timer { local, kind });
@@ -501,41 +486,35 @@ impl Reactor {
         }
     }
 
-    /// The ticket `local`'s sends must wait for: a Database node's newest
-    /// barrier, while it is not durable or sends of the node are already
-    /// waiting (they keep their order). `None` sends at once.
-    fn flush_ticket(&self, local: usize) -> Option<u64> {
-        let Some(Role::Database(db)) = self.nodes.get(local).map(|n| &n.node.role) else {
-            return None;
-        };
-        let ticket = db.barrier_ticket();
-        let waiting =
-            ticket > db.durable_ticket() || self.behind_flush.iter().any(|h| h.local == local);
-        waiting.then_some(ticket)
+    /// Acks the shard's Database node holds until their flush is durable.
+    fn db_held(&self) -> usize {
+        let node = self.db.and_then(|local| self.nodes.get(local));
+        match node.map(|n| &n.node.role) {
+            Some(Role::Database(db)) => db.held_acks(),
+            _ => 0,
+        }
     }
 
-    /// Sends, in order, what waited for a barrier that is now durable
-    /// (the flusher rings this shard when one is). A node inside a crash
-    /// window sends nothing: what it held died with it.
-    fn release_durable(&mut self, now_ms: u64) -> usize {
-        let mut released = 0;
-        while let Some(held) = self.behind_flush.front() {
-            let durable = match self.nodes.get(held.local).map(|n| &n.node.role) {
-                Some(Role::Database(db)) => db.durable_ticket(),
-                _ => u64::MAX,
-            };
-            if held.ticket > durable {
-                break;
-            }
-            let Some(HeldSend { local, to, msg, .. }) = self.behind_flush.pop_front() else {
-                break;
-            };
-            if !self.ask_gate(local, false, |g, idx| g.crashed(idx, now_ms)) {
-                self.send_from(local, to, msg, now_ms);
-            }
-            released += 1;
+    /// Lets the shard's Database node send the acks its storage now
+    /// reports durable (the flusher rings this shard after each flush).
+    /// Inside a crash window it sends nothing: its restart drops them. A
+    /// stopped node still sends, so a drain loses no ack for a durable
+    /// store.
+    fn on_durable(&mut self, now_ms: u64) -> usize {
+        let held = self.db_held();
+        let Some(local) = self.db.filter(|_| held > 0) else {
+            return 0;
+        };
+        if self.ask_gate(local, false, |g, idx| g.crashed(idx, now_ms)) {
+            return 0;
         }
-        released
+        let mut buf = std::mem::take(&mut self.scratch);
+        if let Some(owned) = self.nodes.get_mut(local) {
+            owned.node.on_durable(&mut buf);
+        }
+        self.dispatch(local, &mut buf.out, now_ms);
+        self.scratch = buf;
+        held - self.db_held()
     }
 
     /// The reactor's write edge. The Byzantine edge comes first — the

@@ -108,8 +108,8 @@ pub(crate) struct ShardCtx {
     /// `wire.reactor_wakeups`: iterations that found work to do.
     pub(crate) wakeups: Arc<Counter>,
     /// `wire.shard_queue_depth`: high-water mark of pending work (frames
-    /// queued on links and not yet wholly written + fault-held sends)
-    /// across all shards.
+    /// queued on links and not yet wholly written + fault-held sends +
+    /// acks a Database holds until durable) across all shards.
     pub(crate) queue_depth: Arc<Gauge>,
     /// `wire.reactor_doorbell_wakes`: idle waits ended by a ring.
     pub(crate) doorbell_wakes: Arc<Counter>,

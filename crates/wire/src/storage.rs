@@ -11,8 +11,10 @@
 //! when it wakes as one batch, writes it through its one append handle
 //! on `wal.bin` and `sync_all`s it — a group commit — then publishes the
 //! batch's newest ticket ([`Storage::durable_ticket`]) and rings whoever
-//! asked to be told (`FlushHandle::ring_with`). [`Storage::barrier`] is
-//! `begin_barrier` plus a wait for that ticket, on the same path.
+//! asked to be told (`FlushHandle::ring_with`): the Database's shard,
+//! whose sweep then hands the Database node `RoleNode::on_durable`, and
+//! `DbProto` sends the acks that ticket covers. [`FileStorage::barrier`]
+//! is `begin_barrier` plus a wait for that ticket, on the same path.
 //! Reads and snapshot folds first wait for the flusher to go idle, so
 //! they see every byte it could make durable. Dropping the store joins
 //! the flusher: every handed-off byte is on disk (or failed) before the
@@ -118,8 +120,7 @@ pub(crate) struct FlushHandle(Arc<Shared>);
 
 impl FlushHandle {
     /// Calls `ring` after every flush that makes a ticket durable — the
-    /// owner's cue to release what it held behind that ticket. The first
-    /// call wins.
+    /// cue to tell the store's owner. The first call wins.
     pub(crate) fn ring_with(&self, ring: impl Fn() + Send + Sync + 'static) {
         let _ = self.0.ring.set(Box::new(ring));
     }
@@ -216,6 +217,16 @@ impl FileStorage {
     /// A handle on this store's flusher.
     pub(crate) fn flush_handle(&self) -> FlushHandle {
         self.flusher.clone()
+    }
+
+    /// Fsync-equivalent: [`Storage::begin_barrier`], then wait until that
+    /// ticket is durable or its flush failed.
+    pub fn barrier(&mut self) {
+        let ticket = self.begin_barrier();
+        let durable = &self.flusher.0.durable;
+        self.flusher.0.state.wait(|st| {
+            (durable.load(Ordering::Acquire) >= ticket || st.failed_ticket >= ticket).then_some(())
+        });
     }
 
     /// Once the new image is durable (`image` is `Ok`), truncates the WAL.
@@ -347,14 +358,6 @@ impl Storage for FileStorage {
         self.flusher.0.durable.load(Ordering::Acquire)
     }
 
-    fn barrier(&mut self) {
-        let ticket = self.begin_barrier();
-        let durable = &self.flusher.0.durable;
-        self.flusher.0.state.wait(|st| {
-            (durable.load(Ordering::Acquire) >= ticket || st.failed_ticket >= ticket).then_some(())
-        });
-    }
-
     fn install_snapshot(&mut self, bytes: &[u8]) {
         self.flusher.settle();
         // Write, fsync, rename: a crash mid-install leaves the previous
@@ -391,16 +394,6 @@ impl Storage for FileStorage {
         let lost = self.unflushed.len();
         self.unflushed.clear();
         lost
-    }
-
-    fn wal_len(&self) -> (usize, usize) {
-        let (durable_len, queued) = self
-            .flusher
-            .0
-            .state
-            .with(|st| (st.durable_len, st.queued.len()));
-        let durable = usize::try_from(durable_len).unwrap_or(usize::MAX);
-        (durable, queued + self.unflushed.len())
     }
 }
 
@@ -551,7 +544,8 @@ mod tests {
         s.install_snapshot(b"SNP1\x00\x00\x00\x00");
         assert_eq!(s.read_wal(), Vec::<u8>::new());
         assert_eq!(s.read_snapshot(), b"SNP1\x00\x00\x00\x00");
-        assert_eq!(s.wal_len(), (0, 0));
+        assert_eq!(s.lose_unflushed(), 0, "nothing left buffered");
+        assert_eq!(s.flusher.settle(), 0, "nor queued or on disk");
         let _ = fs::remove_dir_all(&dir);
     }
 
