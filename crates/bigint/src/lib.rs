@@ -24,5 +24,5 @@ pub mod prime;
 
 pub use big::Big;
 pub use modular::{mod_add, mod_inv, mod_mul, mod_pow, mod_sub};
-pub use montgomery::{Comb, Montgomery, Table, Windows};
+pub use montgomery::{Columns, Comb, Montgomery, Table, Windows};
 pub use prime::{gen_prime, gen_safe_prime, is_prime};

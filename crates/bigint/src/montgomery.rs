@@ -15,11 +15,12 @@
 //!   limbs; [`Montgomery::table`] holds a base's first powers;
 //!   [`Montgomery::pow_table`] is the one window ladder over the two.
 //!   [`Montgomery::pow`] is the three in a row.
-//! * [`Montgomery::comb`] precomputes a fixed base's Lim–Lee comb, after
-//!   which [`Montgomery::comb_pow`] raises it to an exponent of the
-//!   comb's width in about a sixth of the ladder's squarings. A comb
-//!   costs about one ladder to build, so it pays from a base's second
-//!   exponentiation on.
+//! * [`Montgomery::comb`] precomputes a fixed base's Lim–Lee comb;
+//!   [`Columns`] recodes an exponent, once, for every comb of one width;
+//!   [`Montgomery::pow_comb`] raises a comb to it in about a sixth of the
+//!   ladder's squarings. [`Montgomery::comb_pow`] is the last two in a
+//!   row. A comb costs about one ladder to build, so it pays from a
+//!   base's second exponentiation on.
 
 use crate::big::Big;
 
@@ -73,6 +74,70 @@ impl Windows {
     /// [`Montgomery::table`] needs to serve it.
     pub fn widest(&self) -> usize {
         self.digits.iter().max().map_or(0, |&w| usize::from(w))
+    }
+}
+
+/// An exponent recoded for every [`Comb`] built for one width: per
+/// column `j`, from the top, the table entry of the bits `j, j + cols,
+/// j + 2·cols, …` of the exponent, with no zero column on top (none at all
+/// for 0); or, for an exponent wider than such a comb, its [`Windows`] for
+/// the ladder fallback. What [`Montgomery::pow_comb`] reads: recoding once
+/// lets one exponent serve many fixed bases.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Columns {
+    /// Bits per row of the combs this recoding serves.
+    cols: usize,
+    recoded: Recoded,
+}
+
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Recoded {
+    /// Table entries (0 for none), most significant column first.
+    Comb(Vec<u8>),
+    /// An exponent wider than [`Comb::width`].
+    Ladder(Windows),
+}
+
+/// Bits per row of a comb for exponents of up to `bits` bits.
+fn comb_cols(bits: usize) -> usize {
+    bits.div_ceil(COMB_ROWS).max(1)
+}
+
+impl Columns {
+    /// Recodes `exp` for combs built for `bits`-bit exponents (the `bits`
+    /// of [`Montgomery::comb`]).
+    pub fn new(exp: &Big, bits: usize) -> Self {
+        let cols = comb_cols(bits);
+        if exp.bit_len() > COMB_ROWS * cols {
+            return Columns {
+                cols,
+                recoded: Recoded::Ladder(Windows::new(exp)),
+            };
+        }
+        // Column j's entry has bit i set when bit i·cols + j of exp is:
+        // read each row 64 columns at a time and spread its bits.
+        let limbs = exp.limbs();
+        let limb = |w: usize| u128::from(limbs.get(w).copied().unwrap_or(0));
+        let word = |b: usize| {
+            let w = b / 32;
+            ((limb(w) | limb(w + 1) << 32 | limb(w + 2) << 64) >> (b % 32)) as u64
+        };
+        let mut digits = vec![0u8; cols];
+        for (c, chunk) in digits.chunks_mut(64).enumerate() {
+            for i in 0..COMB_ROWS {
+                let row = word(i * cols + 64 * c);
+                for (j, u) in chunk.iter_mut().enumerate() {
+                    *u |= (((row >> j) & 1) as u8) << i;
+                }
+            }
+        }
+        let top = digits.iter().rposition(|&u| u != 0).map_or(0, |t| t + 1);
+        digits.truncate(top);
+        digits.reverse();
+        Columns {
+            cols,
+            recoded: Recoded::Comb(digits),
+        }
     }
 }
 
@@ -360,8 +425,21 @@ impl Montgomery {
     /// about `bits` squarings and `2^COMB_ROWS − COMB_ROWS − 1`
     /// multiplications, about one window ladder.
     pub fn comb(&self, base: &[u64], bits: usize) -> Comb {
-        let (k, mut t) = (self.n.len(), self.scratch());
-        let cols = bits.div_ceil(COMB_ROWS).max(1);
+        // Dispatched as the kernel is: with `k` a constant, the 63 table
+        // copies and slices compile to a few moves instead of calls.
+        match self.n.len() {
+            1 => self.comb_k(1, base, bits),
+            2 => self.comb_k(2, base, bits),
+            4 => self.comb_k(4, base, bits),
+            8 => self.comb_k(8, base, bits),
+            k => self.comb_k(k, base, bits),
+        }
+    }
+
+    #[inline(always)]
+    fn comb_k(&self, k: usize, base: &[u64], bits: usize) -> Comb {
+        let mut t = self.scratch();
+        let cols = comb_cols(bits);
         let mut table = vec![0; ((1 << COMB_ROWS) - 1) * k];
         let mut row = base.to_vec();
         for i in 0..COMB_ROWS {
@@ -383,37 +461,44 @@ impl Montgomery {
         Comb { cols, table }
     }
 
-    /// `base^exp` in Montgomery form from `base`'s comb: `cols` squarings
-    /// and at most `cols` multiplications, each taking the table entry of
-    /// the bits `j, j + cols, j + 2·cols, …` of `exp`. An exponent wider
-    /// than [`Comb::width`] goes through the window ladder instead.
+    /// `base^exp` in Montgomery form from `base`'s comb: [`Columns::new`]
+    /// for the comb's width, then [`Montgomery::pow_comb`]. Callers that
+    /// raise many combs to one exponent recode it once themselves.
     pub fn comb_pow(&self, comb: &Comb, exp: &Big) -> Vec<u64> {
+        self.pow_comb(comb, &Columns::new(exp, comb.width()))
+    }
+
+    /// `base^exp` in Montgomery form from `base`'s comb and `exp`'s
+    /// columns: one squaring per column below the top one, and one
+    /// multiplication per nonzero column. An exponent wider than
+    /// [`Comb::width`] goes through the window ladder instead.
+    ///
+    /// # Panics
+    /// If `exp` was recoded for combs of another width.
+    pub fn pow_comb(&self, comb: &Comb, exp: &Columns) -> Vec<u64> {
+        assert_eq!(
+            comb.cols, exp.cols,
+            "exponent recoded for another comb width"
+        );
         let k = self.n.len();
-        if exp.bit_len() > comb.width() {
-            let exp = Windows::new(exp);
-            return self.pow_table(&self.table(&comb.table[..k], exp.widest()), &exp);
-        }
-        let (limbs, mut t) = (exp.limbs(), self.scratch());
-        let bit = |i: usize| {
-            limbs
-                .get(i / 32)
-                .map_or(0, |&l| (l >> (i % 32)) as usize & 1)
+        let digits = match &exp.recoded {
+            Recoded::Comb(digits) => digits,
+            Recoded::Ladder(exp) => {
+                return self.pow_table(&self.table(&comb.table[..k], exp.widest()), exp);
+            }
         };
-        let mut acc: Option<Vec<u64>> = None;
-        for j in (0..comb.cols).rev() {
-            if let Some(acc) = &mut acc {
-                self.square_assign(acc, &mut t);
-            }
-            let u = (0..COMB_ROWS).fold(0, |u, i| u | bit(i * comb.cols + j) << i);
+        let entry = |u: u8| &comb.table[(usize::from(u) - 1) * k..usize::from(u) * k];
+        let Some((&top, below)) = digits.split_first() else {
+            return self.one.clone();
+        };
+        let (mut acc, mut t) = (entry(top).to_vec(), self.scratch());
+        for &u in below {
+            self.square_assign(&mut acc, &mut t);
             if u != 0 {
-                let entry = &comb.table[(u - 1) * k..u * k];
-                match &mut acc {
-                    Some(acc) => self.mul_assign(acc, entry, &mut t),
-                    none => *none = Some(entry.to_vec()),
-                }
+                self.mul_assign(&mut acc, entry(u), &mut t);
             }
         }
-        acc.unwrap_or_else(|| self.one.clone())
+        acc
     }
 
     /// `a⁻¹ mod n` by the binary extended GCD (shifts and subtractions
@@ -440,5 +525,93 @@ impl Montgomery {
             }
         }
         (v[0] == 1 && v[1..].iter().all(|&l| l == 0)).then(|| unpack(&x2))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `comb_pow` as it was before [`Columns`]: the bits of each column
+    /// read from `exp`'s limbs at every call.
+    fn comb_pow_by_bits(ctx: &Montgomery, comb: &Comb, exp: &Big) -> Vec<u64> {
+        let k = ctx.n.len();
+        if exp.bit_len() > comb.width() {
+            let exp = Windows::new(exp);
+            return ctx.pow_table(&ctx.table(&comb.table[..k], exp.widest()), &exp);
+        }
+        let (limbs, mut t) = (exp.limbs(), ctx.scratch());
+        let bit = |i: usize| {
+            limbs
+                .get(i / 32)
+                .map_or(0, |&l| (l >> (i % 32)) as usize & 1)
+        };
+        let mut acc: Option<Vec<u64>> = None;
+        for j in (0..comb.cols).rev() {
+            if let Some(acc) = &mut acc {
+                ctx.square_assign(acc, &mut t);
+            }
+            let u = (0..COMB_ROWS).fold(0, |u, i| u | bit(i * comb.cols + j) << i);
+            if u != 0 {
+                let entry = &comb.table[(u - 1) * k..u * k];
+                match &mut acc {
+                    Some(acc) => ctx.mul_assign(acc, entry, &mut t),
+                    none => *none = Some(entry.to_vec()),
+                }
+            }
+        }
+        acc.unwrap_or_else(|| ctx.one.clone())
+    }
+
+    /// One recoding serves every comb of a width, and each comb raised to
+    /// it is what the per-call bit reading gave: for 0, 1, sparse and
+    /// dense exponents up to the comb's width, one bit wider (the ladder
+    /// fallback), and widths of one bit per row up to three limbs.
+    #[test]
+    fn pow_comb_over_shared_columns_equals_comb_pow_by_bits() {
+        let moduli = [
+            Big::from_u64(0xa1c7_1aa2_e828_476b),
+            Big::from_hex("84221bf2e9f5d7bbe3c984f439570fc7").unwrap(),
+            Big::one().shl(150).sub(&Big::from_u64(3)),
+        ];
+        for m in &moduli {
+            let ctx = Montgomery::new(m).unwrap();
+            let bases: Vec<Vec<u64>> = [2u64, 0xdead_beef, 1 << 40]
+                .iter()
+                .map(|&b| ctx.enter(&Big::from_u64(b)))
+                .collect();
+            for bits in [1, 5, 6, 7, 64, m.bit_len()] {
+                let combs: Vec<Comb> = bases.iter().map(|b| ctx.comb(b, bits)).collect();
+                let width = combs[0].width();
+                let ones = Big::one().shl(width).sub(&Big::one());
+                let exps = [
+                    Big::zero(),
+                    Big::one(),
+                    Big::one().shl(width - 1),
+                    ones.clone(),
+                    ones.shr(width / 2),
+                    ones.add(&Big::from_u64(2)),
+                    m.sub(&Big::one()),
+                ];
+                for e in &exps {
+                    let columns = Columns::new(e, bits);
+                    for comb in &combs {
+                        assert_eq!(
+                            ctx.pow_comb(comb, &columns),
+                            comb_pow_by_bits(&ctx, comb, e),
+                            "{bits}-bit comb, {e:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another comb width")]
+    fn columns_for_another_width_are_refused() {
+        let ctx = Montgomery::new(&Big::from_u64(0xa1c7_1aa2_e828_476b)).unwrap();
+        let comb = ctx.comb(&ctx.enter(&Big::from_u64(4)), 64);
+        ctx.pow_comb(&comb, &Columns::new(&Big::from_u64(5), 128));
     }
 }

@@ -6,10 +6,11 @@
 //! behind `mod_mul` / `mod_pow` / `mod_inv` compute what `Big::mul` +
 //! `Big::rem` (which they replaced and which stay in the crate) compute,
 //! and that the split window ladder (`Windows`, `table`, `pow_table`) and
-//! the fixed-base comb (`comb`, `comb_pow`) compute what `mod_pow` did.
+//! the fixed-base comb (`comb`, `comb_pow`, and `Columns` with `pow_comb`
+//! over combs of several bases) compute what `mod_pow` did.
 
 use proptest::prelude::*;
-use sheriff_bigint::{mod_inv, mod_mul, mod_pow, Big, Montgomery, Windows};
+use sheriff_bigint::{mod_inv, mod_mul, mod_pow, Big, Columns, Montgomery, Windows};
 
 fn big_from_bytes(bytes: &[u8]) -> Big {
     // Interpret arbitrary bytes as a hex-ish number by mapping each byte to a
@@ -164,8 +165,9 @@ fn comb_exponent((class, limbs): Seed, m: &Big, width: usize) -> Big {
 
 /// Checks one base and exponent through every path against
 /// [`oracle_pow`]: `mod_pow`, `pow_table` over a table cut at the
-/// exponent's widest window and over a full one, and `comb_pow` over a
-/// comb for `bits`-bit exponents.
+/// exponent's widest window and over a full one, `comb_pow` over a
+/// comb for `bits`-bit exponents, and `pow_comb` over that comb and a
+/// second base's with the exponent's one `Columns`.
 fn check_split_paths(ctx: &Montgomery, m: &Big, a: &Big, e: &Big, bits: usize) {
     let base = ctx.enter(a);
     let want = oracle_pow(a, e, m);
@@ -190,6 +192,18 @@ fn check_split_paths(ctx: &Montgomery, m: &Big, a: &Big, e: &Big, bits: usize) {
         want,
         "{bits}-bit comb, {e:?}"
     );
+    let columns = Columns::new(e, bits);
+    let b = oracle_mul(a, a, m).add(&Big::one());
+    for (comb, want) in [
+        (comb, want),
+        (ctx.comb(&ctx.enter(&b), bits), oracle_pow(&b, e, m)),
+    ] {
+        assert_eq!(
+            ctx.leave(&ctx.pow_comb(&comb, &columns)),
+            want,
+            "{bits}-bit columns, {e:?}"
+        );
+    }
 }
 
 /// Euclid over `Big::rem`: decides which operands have no inverse.

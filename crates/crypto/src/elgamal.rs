@@ -15,9 +15,23 @@
 
 use rand::Rng;
 
-use sheriff_bigint::{Big, Comb, Windows};
+use sheriff_bigint::{Big, Columns, Comb, Windows};
 
 use crate::group::GroupParams;
+
+/// A ciphertext kept to be blinded round after round, as the Aggregator
+/// keeps each client's (§3.8): the ciphertext and one comb per component
+/// for exponents as wide as `q`, built once. A comb costs about one
+/// ladder, so it pays from a component's second blinding on; it holds 63
+/// residues.
+#[derive(Clone, Debug)]
+pub struct StoredCiphertext {
+    /// Private so that the combs cannot go stale.
+    ct: Ciphertext,
+    /// `α`'s comb and each `β_i`'s, in Montgomery form modulo `p`.
+    alpha: Comb,
+    betas: Vec<Comb>,
+}
 
 /// Per-dimension secret keys `x = (x_i)`.
 #[derive(Clone, Debug)]
@@ -121,9 +135,9 @@ impl PublicKey {
     }
 
     /// Encrypts the non-negative integer vector `msgs` (one value per
-    /// dimension) with fresh shared randomness: `h_i^r` from `h_i`'s comb,
-    /// `g^{c_i}` from `g`'s window table, and one exit from Montgomery form
-    /// per component.
+    /// dimension) with fresh shared randomness: `r` recoded once for `g`'s
+    /// comb and every `h_i`'s, `g^{c_i}` from `g`'s window table, and one
+    /// exit from Montgomery form per component.
     ///
     /// # Panics
     /// If `msgs.len()` differs from the key dimension.
@@ -134,20 +148,54 @@ impl PublicKey {
             "message dimension must match key dimension"
         );
         let (gp, mont) = (&self.params, &self.params.mont_p);
-        let r = gp.random_exponent(rng);
-        let alpha = gp.g_pow(&r);
+        let r = Columns::new(&gp.random_exponent(rng), gp.q.bit_len());
+        let alpha = mont.leave(&mont.pow_comb(&gp.g_comb, &r));
         let mut t = mont.scratch();
         let betas = msgs
             .iter()
             .zip(&self.combs)
             .map(|(&m, comb)| {
-                let mut beta = mont.comb_pow(comb, &r);
+                let mut beta = mont.pow_comb(comb, &r);
                 let g_m = mont.pow_table(&gp.g_table, &Windows::new(&Big::from_u64(m)));
                 mont.mul_assign(&mut beta, &g_m, &mut t);
                 mont.leave(&beta)
             })
             .collect();
         Ciphertext { alpha, betas }
+    }
+}
+
+impl StoredCiphertext {
+    /// Builds the combs of `ct`'s components in `params`. A component
+    /// outside `[1, p)` gets the comb of its residue, as
+    /// [`Ciphertext::pow_all`] raises its residue.
+    pub fn new(params: &GroupParams, ct: Ciphertext) -> Self {
+        let mont = &params.mont_p;
+        let comb = |c| mont.comb(&mont.enter(c), params.q.bit_len());
+        StoredCiphertext {
+            alpha: comb(&ct.alpha),
+            betas: ct.betas.iter().map(comb).collect(),
+            ct,
+        }
+    }
+
+    /// The ciphertext as received.
+    pub fn ciphertext(&self) -> &Ciphertext {
+        &self.ct
+    }
+
+    /// [`Ciphertext::pow_all`] from the combs, `params` being the group
+    /// they were built in: ρ is recoded once for all of them, and each
+    /// component costs one comb exponentiation, about a quarter of a
+    /// ladder.
+    pub fn pow_all(&self, rho: &Big, params: &GroupParams) -> Ciphertext {
+        let mont = &params.mont_p;
+        let rho = Columns::new(rho, params.q.bit_len());
+        let pow = |c| mont.leave(&mont.pow_comb(c, &rho));
+        Ciphertext {
+            alpha: pow(&self.alpha),
+            betas: self.betas.iter().map(pow).collect(),
+        }
     }
 }
 
@@ -172,7 +220,9 @@ impl Ciphertext {
 
     /// Raises every component to the power ρ, turning `Enc(c)` into
     /// `Enc(ρ·c mod q)`. This is the Aggregator's blinding step; ρ is
-    /// recoded once for all components.
+    /// recoded once for all components, each raised by a window ladder.
+    /// A ciphertext blinded more than once is cheaper as a
+    /// [`StoredCiphertext`].
     pub fn pow_all(&self, rho: &Big, params: &GroupParams) -> Ciphertext {
         let rho = Windows::new(rho);
         Ciphertext {

@@ -23,10 +23,10 @@ pub struct GroupParams {
     /// (exponent arithmetic), built once.
     pub(crate) mont_p: Montgomery,
     mont_q: Montgomery,
-    /// `g`'s comb for exponents as wide as `q` ([`GroupParams::g_pow`]),
-    /// and its window table for short ones (an encryption's `g^{c_i}`),
-    /// both in Montgomery form modulo `p`.
-    g_comb: Comb,
+    /// `g`'s comb for exponents as wide as `q` ([`GroupParams::g_pow`], an
+    /// encryption's `g^r`), and its window table for short ones (an
+    /// encryption's `g^{c_i}`), both in Montgomery form modulo `p`.
+    pub(crate) g_comb: Comb,
     pub(crate) g_table: Table,
 }
 

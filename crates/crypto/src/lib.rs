@@ -36,6 +36,6 @@ pub mod ipfe;
 pub mod protocol;
 
 pub use dlog::DlogTable;
-pub use elgamal::{Ciphertext, PublicKey, SecretKey};
+pub use elgamal::{Ciphertext, PublicKey, SecretKey, StoredCiphertext};
 pub use group::GroupParams;
 pub use ipfe::{derive_function_key, eval_inner_product, eval_inner_products};

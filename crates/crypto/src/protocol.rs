@@ -57,7 +57,7 @@ use rand::Rng;
 use sheriff_bigint::{Big, Windows};
 
 use crate::dlog::DlogTable;
-use crate::elgamal::{Ciphertext, SecretKey};
+use crate::elgamal::{Ciphertext, SecretKey, StoredCiphertext};
 use crate::group::GroupParams;
 use crate::ipfe::{derive_function_key, eval_inner_product};
 
@@ -97,12 +97,26 @@ pub struct BlindedQuery {
 }
 
 impl BlindedQuery {
-    /// Step 1 (Aggregator): blind a stored client ciphertext.
+    /// Step 1 (Aggregator): blind a client ciphertext by a fresh ρ, one
+    /// [`GroupParams::random_exponent`] draw.
     pub fn blind<R: Rng + ?Sized>(params: &GroupParams, ct: &Ciphertext, rng: &mut R) -> Self {
         let rho = params.random_exponent(rng);
+        Self::blinded_by(params, ct.pow_all(&rho, params), &rho)
+    }
+
+    /// Step 1 from a stored ciphertext's combs, by a `rho` the caller drew
+    /// as [`BlindedQuery::blind`] draws it: `params.random_exponent(rng)`.
+    /// With that ρ, the query is `blind`'s. Taking ρ rather than the RNG
+    /// lets the caller draw every client's in order and blind them on any
+    /// number of threads.
+    pub fn from_stored(params: &GroupParams, stored: &StoredCiphertext, rho: &Big) -> Self {
+        Self::blinded_by(params, stored.pow_all(rho, params), rho)
+    }
+
+    fn blinded_by(params: &GroupParams, blinded: Ciphertext, rho: &Big) -> Self {
         BlindedQuery {
-            blinded: ct.pow_all(&rho, params),
-            rho_inv: Windows::new(&params.exponent_inv(&rho)),
+            blinded,
+            rho_inv: Windows::new(&params.exponent_inv(rho)),
         }
     }
 
@@ -117,7 +131,8 @@ impl BlindedQuery {
 
 /// Step 2 (Coordinator): evaluate `g^{ρ·(c·s)}` on a blinded ciphertext for
 /// centroid function vector `s` (already in `(1, Σb², -2b..)` form).
-/// Panics unless `blinded` [`Ciphertext::is_well_formed`]: the caller checks.
+/// Panics unless `blinded` [`Ciphertext::is_well_formed`] and has the key's
+/// dimension: the caller checks.
 pub fn coordinator_evaluate(sk: &SecretKey, blinded: &Ciphertext, s: &[i64]) -> Big {
     let f = derive_function_key(sk, s);
     eval_inner_product(&sk.params, blinded, s, &f)
@@ -128,10 +143,9 @@ pub fn coordinator_evaluate(sk: &SecretKey, blinded: &Ciphertext, s: &[i64]) -> 
 /// Each component enters Montgomery form once, and each product leaves it
 /// once.
 ///
-/// Returns `None` for an empty cluster.
-///
-/// # Panics
-/// If the members' dimensions differ.
+/// Returns `None` for an empty cluster, and for members that have fewer
+/// than two components or differ in dimension: a client's ciphertext is
+/// not checked on receipt, so a malformed one freezes its cluster.
 pub fn aggregate_cluster(params: &GroupParams, members: &[&Ciphertext]) -> Option<Ciphertext> {
     let mont = &params.mont_p;
     // α and the profile components, entered.
@@ -143,10 +157,12 @@ pub fn aggregate_cluster(params: &GroupParams, members: &[&Ciphertext]) -> Optio
             .collect()
     };
     let (first, rest) = members.split_first()?;
+    if first.dims() < 2 || rest.iter().any(|ct| ct.dims() != first.dims()) {
+        return None;
+    }
     let mut acc = entered(first);
     let mut t = mont.scratch();
     for ct in rest {
-        assert_eq!(ct.dims(), first.dims(), "dimension mismatch");
         for (a, c) in acc.iter_mut().zip(entered(ct)) {
             mont.mul_assign(a, &c, &mut t);
         }
@@ -162,8 +178,9 @@ pub fn aggregate_cluster(params: &GroupParams, members: &[&Ciphertext]) -> Optio
 ///
 /// `key_offset` is the dimension offset of the aggregate inside the full key
 /// vector (always 2 in the paper's layout). Returns `None` if the aggregate
-/// is not well-formed or any component exceeds the discrete-log table's
-/// range, either of which indicates a protocol error.
+/// is not well-formed, does not cover exactly the key's dimensions from
+/// `key_offset` on, or has a component beyond the discrete-log table's
+/// range, any of which indicates a protocol error.
 pub fn decrypt_centroid(
     sk: &SecretKey,
     aggregate: &Ciphertext,
@@ -173,7 +190,7 @@ pub fn decrypt_centroid(
 ) -> Option<Vec<u64>> {
     assert!(cardinality > 0, "decrypt_centroid: empty cluster");
     let gp = &sk.params;
-    if !aggregate.is_well_formed(gp) {
+    if !aggregate.is_well_formed(gp) || key_offset + aggregate.dims() != sk.dims() {
         return None;
     }
     let alpha = sk.alpha_comb(&aggregate.alpha);

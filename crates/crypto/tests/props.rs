@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 
 use sheriff_bigint::{mod_mul, Big};
 use sheriff_crypto::dlog::DlogTable;
-use sheriff_crypto::elgamal::{Ciphertext, SecretKey};
+use sheriff_crypto::elgamal::{Ciphertext, SecretKey, StoredCiphertext};
 use sheriff_crypto::ipfe::{
     client_vector, eval_inner_product, eval_inner_products, server_vector, squared_distance,
 };
@@ -214,7 +214,10 @@ fn decrypt_centroid_by_division(
 /// chosen responses, non-elements), `aggregate_cluster` and
 /// `decrypt_centroid` with their per-factor forms, for `members`
 /// encryptions of `m`-dimensional profiles on the grid `0..=scale`, one
-/// of arbitrary messages, and one ciphertext of arbitrary elements.
+/// of arbitrary messages, and one ciphertext of arbitrary elements. The
+/// stored form's `pow_all` and `BlindedQuery::from_stored` are compared
+/// with `pow_all` and `blind` on those and on a ciphertext whose
+/// components are 0, `p` and above `p`.
 fn check_protocol_against_oracles(gp: &GroupParams, m: usize, members: usize, seed: u64) {
     let scale = 16u64;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -255,13 +258,22 @@ fn check_protocol_against_oracles(gp: &GroupParams, m: usize, members: usize, se
         Big::one(),
         gp.q.sub(&Big::one()),
     ];
-    for ct in [&cts[0], &arbitrary] {
+    let mut outside = cts[0].clone();
+    outside.alpha = Big::zero();
+    outside.betas[0] = gp.p.clone();
+    outside.betas[1] = gp.p.add(&any_element(gp, &mut rng));
+    let blindable = [&cts[0], &arbitrary, &outside];
+    let stored = blindable.map(|ct| StoredCiphertext::new(gp, ct.clone()));
+    for (ct, stored) in blindable.iter().zip(&stored) {
+        assert_eq!(stored.ciphertext(), *ct);
         for rho in &rhos {
+            let blinded = ct.pow_all(rho, gp);
             assert_eq!(
-                ct.pow_all(rho, gp),
+                blinded,
                 pow_all_per_factor(gp, ct, rho),
                 "pow_all, seed {seed}"
             );
+            assert_eq!(stored.pow_all(rho, gp), blinded, "stored, seed {seed}");
         }
     }
 
@@ -292,6 +304,20 @@ fn check_protocol_against_oracles(gp: &GroupParams, m: usize, members: usize, se
             want,
             "unblind, seed {seed}"
         );
+    }
+    for (ct, stored) in blindable.iter().zip(&stored) {
+        let mut twin = rng.clone();
+        let want = BlindedQuery::blind(gp, ct, &mut twin);
+        let got = BlindedQuery::from_stored(gp, stored, &gp.random_exponent(&mut rng));
+        assert_eq!(got.blinded, want.blinded, "from_stored, seed {seed}");
+        for resp in &responses {
+            assert_eq!(
+                got.unblind(gp, resp, &table),
+                want.unblind(gp, resp, &table),
+                "stored unblind, seed {seed}"
+            );
+        }
+        assert_eq!(rng.gen::<u64>(), twin.gen::<u64>(), "ρ draws, seed {seed}");
     }
 
     let sums = DlogTable::build(gp, members as u64 * scale + 1);

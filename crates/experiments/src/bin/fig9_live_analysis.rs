@@ -5,19 +5,17 @@
 //!
 //! `cargo run --release -p sheriff-experiments --bin fig9_live_analysis [--full]`
 
-use sheriff_core::analysis::{analyze_domains, classify, DomainVerdict};
-use sheriff_experiments::liveworld::run_live_study;
+use sheriff_core::analysis::analyze_domains;
+use sheriff_experiments::liveworld::{run_live_study, TruthCheck, FIG9_EPSILON};
 use sheriff_experiments::report::{ascii_box, write_json, Table};
 use sheriff_experiments::{seed_from_args, Scale};
 use sheriff_stats::BoxStats;
-
-const EPSILON: f64 = 0.005;
 
 fn main() {
     let scale = Scale::from_args();
     let seed = seed_from_args();
     let ds = run_live_study(scale, seed);
-    let analyses = analyze_domains(&ds.checks, EPSILON);
+    let analyses = analyze_domains(&ds.checks, FIG9_EPSILON);
 
     // §6.2 headline: how many of the checked domains showed any difference.
     let with_diff: Vec<_> = analyses
@@ -49,28 +47,17 @@ fn main() {
     println!("{}", table.render());
 
     // Validation against ground truth.
-    let mut tp = 0;
-    let mut fp = 0;
-    for a in &with_diff {
-        if ds.truth_discriminating.contains(&a.domain) {
-            tp += 1;
-        } else {
-            fp += 1;
-        }
-    }
-    let detected_within: Vec<&str> = analyses
-        .iter()
-        .filter(|a| classify(a, 3) == DomainVerdict::WithinCountry)
-        .map(|a| a.domain.as_str())
-        .collect();
+    let truth = TruthCheck::new(&ds, &analyses);
     println!("ground-truth validation:");
     println!(
-        "  location-PD detection: {tp} true positives, {fp} false positives (of {} true domains)",
+        "  location-PD detection: {} true positives, {} false positives (of {} true domains)",
+        truth.true_positives,
+        truth.false_positives,
         ds.truth_discriminating.len()
     );
     println!(
         "  within-country candidates: {:?} (truth: {:?})",
-        detected_within, ds.truth_within_country
+        truth.within_country, ds.truth_within_country
     );
     println!("\npaper: medians mostly 20–30% (digitalrev, luisaviaroma, overstock, steampowered,");
     println!(

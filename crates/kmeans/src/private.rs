@@ -15,18 +15,18 @@
 //! The driver [`run_private`] iterates the two phases (client–cluster
 //! mapping; centroid update) until the fraction of clients that changed
 //! cluster falls below the halting threshold, exactly as §3.8 describes.
-//! Distance evaluation dominates the cost (`n·k` inner products per
-//! iteration, each one full-width exponentiation and a shared pass over
-//! `m + 2` small ones; one inversion per client), and parallelizes
-//! trivially across clients — the property behind Fig. 8c's
-//! multi-threaded speedup.
+//! A distance round costs, per client, the blinding of its `m + 3`
+//! components (one comb exponentiation each, from combs the [`Aggregator`]
+//! builds once on receipt), then `k` inner products that share one comb of
+//! the blinded `α` and one pass over `m + 2` small exponents, and one
+//! inversion. Both parts parallelize trivially across clients — the
+//! property behind Fig. 8c's multi-threaded speedup.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use sheriff_bigint::Big;
 use sheriff_crypto::dlog::DlogTable;
-use sheriff_crypto::elgamal::{Ciphertext, SecretKey};
+use sheriff_crypto::elgamal::{Ciphertext, SecretKey, StoredCiphertext};
 use sheriff_crypto::ipfe::{client_vector, server_vector};
 use sheriff_crypto::protocol::{aggregate_cluster, decrypt_centroid, BlindedQuery};
 use sheriff_crypto::{derive_function_key, eval_inner_products, GroupParams};
@@ -129,9 +129,10 @@ impl Coordinator {
 
     /// Phase (a), Coordinator side: evaluate `g^{ρ·d²}` of a blinded client
     /// ciphertext against every centroid. A ciphertext that is not
-    /// well-formed gets no responses (evaluating it would divide by zero).
+    /// well-formed (evaluating it would divide by zero) or not of the key's
+    /// dimension gets no responses.
     pub fn evaluate_all(&self, blinded: &Ciphertext) -> Vec<Big> {
-        if !blinded.is_well_formed(&self.sk.params) {
+        if !blinded.is_well_formed(&self.sk.params) || blinded.dims() != self.sk.dims() {
             return Vec::new();
         }
         let functions = self.functions.iter().map(|(s, f)| (s.as_slice(), f));
@@ -161,17 +162,22 @@ impl Coordinator {
 /// Aggregator role: ciphertexts + mapping.
 pub struct Aggregator {
     params: GroupParams,
-    cts: Vec<Ciphertext>,
+    cts: Vec<StoredCiphertext>,
     assignments: Vec<usize>,
 }
 
 impl Aggregator {
-    /// Receives the encrypted client points.
+    /// Receives the encrypted client points and builds each one's stored
+    /// form: every component is blinded once per distance round, and its
+    /// comb pays from the second round on.
     pub fn new(params: &GroupParams, cts: Vec<Ciphertext>) -> Self {
         let n = cts.len();
         Aggregator {
+            cts: cts
+                .into_iter()
+                .map(|ct| StoredCiphertext::new(params, ct))
+                .collect(),
             params: params.clone(),
-            cts,
             assignments: vec![usize::MAX; n],
         }
     }
@@ -184,9 +190,12 @@ impl Aggregator {
     /// Phase (a): map every client to its nearest centroid via blinded
     /// queries. Returns the number of clients whose cluster changed.
     ///
-    /// `threads > 1` splits clients across crossbeam-scoped workers; the
-    /// Coordinator's evaluation is a pure function of shared state, so this
-    /// models `t` parallel protocol sessions.
+    /// Every client's ρ is drawn from `rng` first, in client order, as `n`
+    /// calls of [`BlindedQuery::blind`] would draw them, so the thread
+    /// count changes no draw. `threads > 1` then splits clients across
+    /// crossbeam-scoped workers; the Coordinator's evaluation is a pure
+    /// function of shared state, so this models `t` parallel protocol
+    /// sessions.
     pub fn map_clients<R: Rng + ?Sized>(
         &mut self,
         coordinator: &Coordinator,
@@ -194,42 +203,39 @@ impl Aggregator {
         threads: usize,
         rng: &mut R,
     ) -> usize {
+        let params = &self.params;
+        let rhos: Vec<Big> = self
+            .cts
+            .iter()
+            .map(|_| params.random_exponent(rng))
+            .collect();
+        let assign = |ct: &StoredCiphertext, rho: &Big| {
+            let query = BlindedQuery::from_stored(params, ct, rho);
+            let responses = coordinator.evaluate_all(&query.blinded);
+            nearest(params, &query, &responses, dist_table)
+        };
         let n = self.cts.len();
         let new_assignments: Vec<usize> = if threads <= 1 || n < 2 {
-            let mut out = Vec::with_capacity(n);
-            for ct in &self.cts {
-                out.push(assign_one(&self.params, coordinator, dist_table, ct, rng));
-            }
-            out
+            self.cts
+                .iter()
+                .zip(&rhos)
+                .map(|(ct, rho)| assign(ct, rho))
+                .collect()
         } else {
-            let seeds: Vec<u64> = (0..threads).map(|_| rng.gen()).collect();
             let chunk = n.div_ceil(threads);
             let mut out = vec![0usize; n];
-            let params = &self.params;
-            let cts = &self.cts;
+            let assign = &assign;
             crossbeam::scope(|scope| {
-                let mut handles = Vec::new();
-                for (w, slot) in out.chunks_mut(chunk).enumerate() {
-                    let seed = seeds[w];
-                    let start = w * chunk;
-                    handles.push(scope.spawn(move |_| {
-                        let mut trng = StdRng::seed_from_u64(seed);
-                        for (off, s) in slot.iter_mut().enumerate() {
-                            *s = assign_one(
-                                params,
-                                coordinator,
-                                dist_table,
-                                &cts[start + off],
-                                &mut trng,
-                            );
+                let work = self.cts.chunks(chunk).zip(rhos.chunks(chunk));
+                for (slot, (cts, rhos)) in out.chunks_mut(chunk).zip(work) {
+                    scope.spawn(move |_| {
+                        for (s, (ct, rho)) in slot.iter_mut().zip(cts.iter().zip(rhos)) {
+                            *s = assign(ct, rho);
                         }
-                    }));
-                }
-                for h in handles {
-                    h.join().expect("k-means worker panicked");
+                    });
                 }
             })
-            .expect("crossbeam scope failed");
+            .expect("k-means worker panicked");
             out
         };
 
@@ -251,25 +257,13 @@ impl Aggregator {
                 .iter()
                 .zip(&self.assignments)
                 .filter(|(_, &a)| a == cluster)
-                .map(|(ct, _)| ct)
+                .map(|(ct, _)| ct.ciphertext())
                 .collect();
             let n = members.len() as u64;
             let agg = aggregate_cluster(&self.params, &members);
             coordinator.update_centroid(cluster, agg.as_ref(), n, table);
         }
     }
-}
-
-fn assign_one<R: Rng + ?Sized>(
-    params: &GroupParams,
-    coordinator: &Coordinator,
-    dist_table: &DlogTable,
-    ct: &Ciphertext,
-    rng: &mut R,
-) -> usize {
-    let query = BlindedQuery::blind(params, ct, rng);
-    let responses = coordinator.evaluate_all(&query.blinded);
-    nearest(params, &query, &responses, dist_table)
 }
 
 /// Index of the smallest unblinded distance (ties to the lowest index). A
@@ -422,6 +416,8 @@ fn nearest_int(p: &[u64], centroids: &[Vec<u64>]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn grid_points() -> Vec<Vec<u64>> {
         // Two tight groups on the grid.
@@ -490,6 +486,70 @@ mod tests {
         assert_eq!(aggregator.map_clients(&coordinator, &table, 1, &mut rng), 1);
         aggregator.update_centroids(&mut coordinator, 2, &table);
         assert_eq!(coordinator.centroids(), before);
+    }
+
+    #[test]
+    fn ciphertext_of_the_wrong_dimension_gets_no_responses_and_freezes_its_cluster() {
+        let params = GroupParams::test_64();
+        let coordinator = || {
+            let mut rng = StdRng::seed_from_u64(79);
+            let mut c = Coordinator::setup(&params, 2, 2, 16, &mut rng);
+            c.set_centroids(vec![vec![0, 0], vec![16, 16]]);
+            c
+        };
+        let mut rng = StdRng::seed_from_u64(80);
+        let pk = coordinator().public_key();
+        let near = pk.encrypt(&client_vector(&[1, 2]), &mut rng);
+        let far = pk.encrypt(&client_vector(&[15, 16]), &mut rng);
+        let mut short = pk.encrypt(&client_vector(&[3, 4]), &mut rng);
+        short.betas.pop();
+        let mut long = near.clone();
+        long.betas.push(far.betas[0].clone());
+        for ct in [&short, &long] {
+            assert!(coordinator().evaluate_all(ct).is_empty());
+        }
+        // With no responses it maps to cluster 0: alone there, sharing it
+        // with an honest member, or one component long.
+        let table = DlogTable::build(&params, 2 * 16 * 16 + 1);
+        let clients = [
+            vec![short.clone()],
+            vec![near.clone(), short, far],
+            vec![long.clone()],
+            vec![long, near],
+        ];
+        for cts in clients {
+            let mut coordinator = coordinator();
+            let before = coordinator.centroids()[0].clone();
+            let mut aggregator = Aggregator::new(&params, cts);
+            aggregator.map_clients(&coordinator, &table, 1, &mut rng);
+            assert_eq!(aggregator.assignments()[0], 0);
+            aggregator.update_centroids(&mut coordinator, 2, &table);
+            assert_eq!(coordinator.centroids()[0], before);
+        }
+    }
+
+    #[test]
+    fn map_clients_draws_what_blinding_each_client_draws_at_any_thread_count() {
+        let params = GroupParams::test_64();
+        let mut rng = StdRng::seed_from_u64(81);
+        let coordinator = Coordinator::setup(&params, 3, 2, 16, &mut rng);
+        let pk = coordinator.public_key();
+        let cts: Vec<Ciphertext> = (0..7u64)
+            .map(|i| pk.encrypt(&client_vector(&[i, 2 * i, 16 - i]), &mut rng))
+            .collect();
+        let table = DlogTable::build(&params, 3 * 16 * 16 + 1);
+        let mut mapped = Vec::new();
+        for threads in [1, 4] {
+            let mut aggregator = Aggregator::new(&params, cts.clone());
+            let (mut got, mut want) = (rng.clone(), rng.clone());
+            aggregator.map_clients(&coordinator, &table, threads, &mut got);
+            for ct in &cts {
+                BlindedQuery::blind(&params, ct, &mut want);
+            }
+            assert_eq!(got.gen::<u64>(), want.gen::<u64>(), "{threads} threads");
+            mapped.push(aggregator.assignments().to_vec());
+        }
+        assert_eq!(mapped[0], mapped[1]);
     }
 
     #[test]
