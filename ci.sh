@@ -220,12 +220,12 @@ for group in "${BENCH_GROUPS[@]}"; do
 done
 
 # Line counts per crate, first-party then vendored, so a change's size delta
-# is read off two CI logs instead of asserted in its description. A
-# file's product lines end at its first module-level `#[cfg(test)]`; the
-# rest are test lines.
+# is read off two CI logs instead of asserted in its description; the two
+# closing rows total each side, so a change's net first-party product
+# delta is one number. A file's product lines end at its first
+# module-level `#[cfg(test)]`; the rest are test lines.
 stage "first-party src/ line counts"
-printf '%-20s %8s %6s\n' crate product test
-for d in crates/*/ vendor/*/; do
+counts="$(for d in crates/*/ vendor/*/; do
     case "$d" in
         vendor/*) name="${d%/}" ;;
         *) name="$(basename "$d")" ;;
@@ -235,7 +235,15 @@ for d in crates/*/ vendor/*/; do
         /^#\[cfg\(test\)\]/ { in_test = 1 }
         { if (in_test) test++; else product++ }
         END { printf "%-20s %8d %6d\n", crate, product, test }' {} +
-done
+done)"
+printf '%-20s %8s %6s\n' crate product test
+printf '%s\n' "$counts"
+printf '%s\n' "$counts" | awk '
+    { side = ($1 ~ /^vendor\//) ? "vendored" : "first-party"; p[side] += $2; t[side] += $3 }
+    END {
+        printf "%-20s %8d %6d\n", "total first-party", p["first-party"], t["first-party"]
+        printf "%-20s %8d %6d\n", "total vendored", p["vendored"], t["vendored"]
+    }'
 
 stage "CI green"
 for i in "${!STAGE_SECS[@]}"; do

@@ -58,8 +58,7 @@ fn price_bearing(msg: &ProtoMsg) -> bool {
         | ProtoMsg::MisbehaviorReport { .. }
         | ProtoMsg::QuarantineNotice { .. }
         | ProtoMsg::Reliable { .. }
-        | ProtoMsg::Ack { .. }
-        | ProtoMsg::Shutdown => false,
+        | ProtoMsg::Ack { .. } => false,
     }
 }
 
@@ -357,8 +356,8 @@ mod tests {
         let mut d = honest();
         d.flood_copies = 4;
         d.occurrence = 11;
-        let a = apply(&d, ProtoMsg::Shutdown);
-        let b = apply(&d, ProtoMsg::Shutdown);
+        let a = apply(&d, ProtoMsg::Ack { seq: 0 });
+        let b = apply(&d, ProtoMsg::Ack { seq: 0 });
         let seqs: Vec<u64> = a
             .junk
             .iter()

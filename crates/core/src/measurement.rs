@@ -25,28 +25,30 @@ pub struct VantageMeta {
     pub ip: IpV4,
 }
 
+/// The currency every result is converted into (Fig. 2's "Converted
+/// Value" column): [`PriceObservation::amount_eur`].
+pub const TARGET_CURRENCY: &str = "EUR";
+
 /// Processes one proxy response into a [`PriceObservation`]: parses
 /// `html`, then [`process_document`].
 pub fn process_response(
     html: &str,
     path: &TagsPath,
     meta: &VantageMeta,
-    target: &str,
     rates: &FixedRates,
 ) -> PriceObservation {
-    process_document(&Document::parse(html), path, meta, target, rates)
+    process_document(&Document::parse(html), path, meta, rates)
 }
 
 /// Processes one parsed proxy response into a [`PriceObservation`].
 ///
 /// `doc` is the fetched page (possibly a CAPTCHA page), `path` the
-/// initiator's Tags Path, `target` the currency the initiator wants results
-/// in (Fig. 2's "Converted Value" column).
+/// initiator's Tags Path; the price is converted into
+/// [`TARGET_CURRENCY`].
 pub fn process_document(
     doc: &Document,
     path: &TagsPath,
     meta: &VantageMeta,
-    target: &str,
     rates: &FixedRates,
 ) -> PriceObservation {
     // Failed until a price is extracted, detected and converted.
@@ -77,14 +79,12 @@ pub fn process_document(
         return obs;
     };
     let currency_iso = detected.currency.iso;
-    let Some(in_target) = rates.convert(detected.amount, currency_iso, target) else {
+    let Some(amount_eur) = rates.convert(detected.amount, currency_iso, TARGET_CURRENCY) else {
         return obs;
     };
     obs.currency = currency_iso.to_string();
     obs.amount = detected.amount;
-    obs.amount_eur = rates
-        .convert(detected.amount, currency_iso, "EUR")
-        .unwrap_or(in_target);
+    obs.amount_eur = amount_eur;
     obs.low_confidence = detected.confidence == Confidence::Low;
     obs.failed = false;
     obs
@@ -126,7 +126,7 @@ mod tests {
         let rates = FixedRates::paper_era();
         let html = page("$699");
         let path = path_for(&html);
-        let obs = process_response(&html, &path, &meta(), "EUR", &rates);
+        let obs = process_response(&html, &path, &meta(), &rates);
         assert!(!obs.failed);
         assert_eq!(obs.currency, "USD");
         assert!((obs.amount - 699.0).abs() < 1e-9);
@@ -140,7 +140,7 @@ mod tests {
         let local = page("EUR100.00");
         let path = path_for(&local);
         let remote = page("CAD912.00");
-        let obs = process_response(&remote, &path, &meta(), "EUR", &rates);
+        let obs = process_response(&remote, &path, &meta(), &rates);
         assert!(!obs.failed);
         assert_eq!(obs.currency, "CAD");
         assert!((obs.amount_eur - 646.26).abs() < 0.01);
@@ -152,7 +152,7 @@ mod tests {
         let local = page("EUR5.00");
         let path = path_for(&local);
         let captcha = sheriff_market::page::render_captcha("shop.example");
-        let obs = process_response(&captcha, &path, &meta(), "EUR", &rates);
+        let obs = process_response(&captcha, &path, &meta(), &rates);
         assert!(obs.failed);
     }
 
@@ -169,7 +169,7 @@ mod tests {
             let text = format_price(1234.5, cur, fmt);
             let html = page(&text);
             let path = path_for(&html);
-            let obs = process_response(&html, &path, &meta(), "EUR", &rates);
+            let obs = process_response(&html, &path, &meta(), &rates);
             assert!(!obs.failed, "{fmt:?} {cur}: {text}");
             assert_eq!(obs.currency, cur, "{text}");
         }
@@ -184,7 +184,7 @@ mod tests {
         let path = path_for(&page("EUR1.00"));
         let obs = std::thread::Builder::new()
             .stack_size(256 * 1024)
-            .spawn(move || process_response(&html, &path, &meta(), "EUR", &FixedRates::paper_era()))
+            .spawn(move || process_response(&html, &path, &meta(), &FixedRates::paper_era()))
             .expect("spawn")
             .join()
             .expect("no stack overflow");

@@ -65,8 +65,7 @@ impl AggregatorProto {
             | ProtoMsg::MisbehaviorReport { .. }
             | ProtoMsg::QuarantineNotice { .. }
             | ProtoMsg::Reliable { .. }
-            | ProtoMsg::Ack { .. }
-            | ProtoMsg::Shutdown => {}
+            | ProtoMsg::Ack { .. } => {}
         }
     }
 }

@@ -12,7 +12,7 @@ use crate::doppelganger::DoppelgangerStore;
 use crate::protocol::digest::Digest;
 use crate::protocol::{
     defense_key, Address, DefenseAction, DefenseBook, DefenseParams, Output, ProtoMsg, TimerKind,
-    IPC_KEY_BASE,
+    IPC_KEY_BASE, MAX_OUTSTANDING_REQUESTS,
 };
 
 /// Where a job came from — kept so a requeued job can be re-admitted
@@ -229,8 +229,7 @@ impl CoordinatorProto {
             | ProtoMsg::MisbehaviorReport { .. }
             | ProtoMsg::QuarantineNotice { .. }
             | ProtoMsg::Reliable { .. }
-            | ProtoMsg::Ack { .. }
-            | ProtoMsg::Shutdown => return,
+            | ProtoMsg::Ack { .. } => return,
         };
         self.coordinator.job_complete(job);
         self.origins.remove(&job);
@@ -305,7 +304,7 @@ impl CoordinatorProto {
                     // origin table so it stays consistent through
                     // requeues and completions with zero extra state.
                     let outstanding = self.origins.values().filter(|o| o.peer == peer).count();
-                    if outstanding >= self.defense.params().max_outstanding_requests {
+                    if outstanding >= MAX_OUTSTANDING_REQUESTS {
                         let action = self.defense.note_quota_trip(key);
                         self.escalate(action, out);
                         out.push(Output::send(
@@ -412,8 +411,7 @@ impl CoordinatorProto {
             | ProtoMsg::ServerRemoved { .. }
             | ProtoMsg::QuarantineNotice { .. }
             | ProtoMsg::Reliable { .. }
-            | ProtoMsg::Ack { .. }
-            | ProtoMsg::Shutdown => {}
+            | ProtoMsg::Ack { .. } => {}
         }
     }
 }

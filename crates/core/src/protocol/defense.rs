@@ -71,9 +71,6 @@ pub struct DefenseParams {
     pub quarantine_ms: u64,
     /// How long parole lasts before full reinstatement (ms).
     pub parole_ms: u64,
-    /// Coordinator bucket: concurrently outstanding (admitted,
-    /// unfinished) jobs a single peer may hold.
-    pub max_outstanding_requests: usize,
     /// Measurement bucket: inbound replies tolerated per `(peer, job)`.
     /// One is legitimate; fault plans can duplicate it once per copy, so
     /// the default leaves room before a trip.
@@ -81,12 +78,17 @@ pub struct DefenseParams {
     /// Per-peer influence budget: admitted observations beyond this are
     /// rejected as pollution. `u64::MAX` disables the bound.
     pub admit_budget: u64,
-    /// Plausibility band: a reply whose converted amount differs from
-    /// the initiator's own observation by more than this factor (either
-    /// direction) is rejected. Honest geo price discrimination is a few
-    /// ×; an 80×+ swing (one equivocation zero-run) is an attack.
-    pub plausibility_band: f64,
 }
+
+/// Coordinator bucket: concurrently outstanding (admitted, unfinished)
+/// jobs a single peer may hold.
+pub const MAX_OUTSTANDING_REQUESTS: usize = 8;
+
+/// Plausibility band: a reply whose converted amount differs from the
+/// initiator's own observation by more than this factor (either
+/// direction) is rejected. Honest geo price discrimination is a few ×;
+/// an 80×+ swing (one equivocation zero-run) is an attack.
+pub const PLAUSIBILITY_BAND: f64 = 25.0;
 
 impl Default for DefenseParams {
     fn default() -> Self {
@@ -94,10 +96,8 @@ impl Default for DefenseParams {
             quarantine_threshold: 6,
             quarantine_ms: 30_000,
             parole_ms: 15_000,
-            max_outstanding_requests: 8,
             replies_per_job: 3,
             admit_budget: u64::MAX,
-            plausibility_band: 25.0,
         }
     }
 }

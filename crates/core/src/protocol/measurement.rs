@@ -29,7 +29,7 @@ use crate::measurement::{process_document, VantageMeta};
 use crate::protocol::digest::Digest;
 use crate::protocol::{
     day_of_ms, defense_key, Address, DefenseAction, DefenseBook, DefenseParams, Output, ProtoMsg,
-    TimerKind,
+    TimerKind, PLAUSIBILITY_BAND,
 };
 use crate::records::{PriceCheck, PriceObservation, VantageKind};
 
@@ -126,8 +126,6 @@ pub struct MeasurementParams {
     pub ipcs: Vec<Address>,
     /// Conversion rates for extraction.
     pub rates: FixedRates,
-    /// Currency of the result page.
-    pub target_currency: String,
     /// Modeled CPU per response processed, ms.
     pub proc_per_reply_ms: f64,
     /// Context-switch degradation per concurrent job.
@@ -155,7 +153,6 @@ pub struct MeasurementProto {
     /// job-id order, never hash order.
     jobs: BTreeMap<JobId, JobState>,
     rates: FixedRates,
-    target_currency: String,
     proc_per_reply_ms: f64,
     context_switch_alpha: f64,
     job_deadline_ms: u64,
@@ -180,7 +177,6 @@ impl MeasurementProto {
             ipcs: params.ipcs,
             jobs: BTreeMap::new(),
             rates: params.rates,
-            target_currency: params.target_currency,
             proc_per_reply_ms: params.proc_per_reply_ms,
             context_switch_alpha: params.context_switch_alpha,
             job_deadline_ms: params.job_deadline_ms,
@@ -482,11 +478,9 @@ impl MeasurementProto {
                     &Document::parse(&html),
                     &state.tags_path,
                     &meta,
-                    &self.target_currency,
                     &self.rates,
                 );
-                let band = self.defense.params().plausibility_band;
-                let mut admit = plausible(&obs, state.observations.first(), band);
+                let mut admit = plausible(&obs, state.observations.first(), PLAUSIBILITY_BAND);
                 if !admit {
                     if let Some(peer) = sender {
                         let action = self.defense.note_validation_reject(peer);
@@ -533,8 +527,7 @@ impl MeasurementProto {
             | ProtoMsg::MisbehaviorReport { .. }
             | ProtoMsg::QuarantineNotice { .. }
             | ProtoMsg::Reliable { .. }
-            | ProtoMsg::Ack { .. }
-            | ProtoMsg::Shutdown => {}
+            | ProtoMsg::Ack { .. } => {}
         }
     }
 
@@ -680,8 +673,7 @@ impl MeasurementProto {
             | ProtoMsg::MisbehaviorReport { .. }
             | ProtoMsg::QuarantineNotice { .. }
             | ProtoMsg::Reliable { .. }
-            | ProtoMsg::Ack { .. }
-            | ProtoMsg::Shutdown => {}
+            | ProtoMsg::Ack { .. } => {}
         }
     }
 

@@ -208,8 +208,6 @@ pub enum ProtoMsg {
         /// Acknowledged sequence number.
         seq: u64,
     },
-    /// Deployment control: stop the receiving node's event loop.
-    Shutdown,
 }
 
 impl ProtoMsg {
@@ -385,7 +383,6 @@ impl ProtoMsg {
                 d.write_u64(23);
                 d.write_u64(*seq);
             }
-            ProtoMsg::Shutdown => d.write_u64(24),
         }
     }
 }

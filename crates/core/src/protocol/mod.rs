@@ -47,6 +47,7 @@ pub use coordinator::CoordinatorProto;
 pub use database::{DbEvent, DbProto, DEFAULT_SNAPSHOT_EVERY};
 pub use defense::{
     defense_key, DefenseAction, DefenseBook, DefenseParams, DefenseTotals, Standing, IPC_KEY_BASE,
+    MAX_OUTSTANDING_REQUESTS, PLAUSIBILITY_BAND,
 };
 pub use digest::Digest;
 pub use ipc::IpcProto;

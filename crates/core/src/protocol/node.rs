@@ -564,7 +564,6 @@ mod tests {
             index: 0,
             ipcs: vec![],
             rates: FixedRates::paper_era(),
-            target_currency: "EUR".into(),
             proc_per_reply_ms: 1.0,
             context_switch_alpha: 0.0,
             job_deadline_ms: 2_000,

@@ -40,8 +40,6 @@ pub struct PeerProto {
     pub engine: PpcEngine,
     /// City label for observations, when known.
     pub city: Option<String>,
-    /// Currency of the result page.
-    pub target_currency: String,
     /// Ask for doppelganger state when over budget.
     pub doppelgangers_enabled: bool,
     /// Own requests in flight: local_tag → (domain, product, submitted_ms).
@@ -68,16 +66,10 @@ pub struct PeerProto {
 #[deny(clippy::wildcard_enum_match_arm)]
 impl PeerProto {
     /// Wraps a configured engine.
-    pub fn new(
-        engine: PpcEngine,
-        city: Option<String>,
-        target_currency: String,
-        doppelgangers_enabled: bool,
-    ) -> Self {
+    pub fn new(engine: PpcEngine, city: Option<String>, doppelgangers_enabled: bool) -> Self {
         PeerProto {
             engine,
             city,
-            target_currency,
             doppelgangers_enabled,
             own_pending: BTreeMap::new(),
             job_tags: BTreeMap::new(),
@@ -182,8 +174,7 @@ impl PeerProto {
             | ProtoMsg::MisbehaviorReport { .. }
             | ProtoMsg::QuarantineNotice { .. }
             | ProtoMsg::Reliable { .. }
-            | ProtoMsg::Ack { .. }
-            | ProtoMsg::Shutdown => {}
+            | ProtoMsg::Ack { .. } => {}
         }
     }
 
@@ -285,8 +276,7 @@ impl PeerProto {
                     city: self.city.clone(),
                     ip: self.engine.ip,
                 };
-                let obs =
-                    process_document(&doc, &tags_path, &meta, &self.target_currency, &world.rates);
+                let obs = process_document(&doc, &tags_path, &meta, &world.rates);
                 out.push(Output::send(
                     server,
                     ProtoMsg::JobSubmit {
@@ -406,8 +396,7 @@ impl PeerProto {
             | ProtoMsg::RemoveServer { .. }
             | ProtoMsg::MisbehaviorReport { .. }
             | ProtoMsg::Reliable { .. }
-            | ProtoMsg::Ack { .. }
-            | ProtoMsg::Shutdown => {}
+            | ProtoMsg::Ack { .. } => {}
         }
     }
 }
@@ -435,7 +424,7 @@ mod tests {
             logged_in_domains: vec![],
         };
         let engine = PpcEngine::new(&spec, IpAllocator::new().allocate(Country::ES, 0));
-        PeerProto::new(engine, None, "EUR".to_string(), true)
+        PeerProto::new(engine, None, true)
     }
 
     #[test]
@@ -535,7 +524,7 @@ mod tests {
     #[test]
     fn abandoned_unrelated_message_is_a_noop() {
         let mut p = peer();
-        p.on_send_abandoned(&ProtoMsg::Shutdown);
+        p.on_send_abandoned(&ProtoMsg::Ack { seq: 0 });
         assert_eq!(p.pending_counts(), (0, 0, 0));
         assert!(p.rejected.is_empty());
     }

@@ -25,8 +25,8 @@
 //! Exempt from wrapping (see [`needs_reliability`]): page fetches
 //! (`FetchOrder`/`FetchReply`), whose loss is governed by the job
 //! deadline; periodic `Heartbeat`s, which are their own retry loop;
-//! and the control plane (`StartCheck`, `RemoveServer`, `Shutdown`),
-//! which is injected from outside the protocol.
+//! and the control plane (`StartCheck`, `RemoveServer`), which is
+//! injected from outside the protocol.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -101,8 +101,7 @@ pub fn needs_reliability(msg: &ProtoMsg) -> bool {
         | ProtoMsg::Heartbeat { .. }
         | ProtoMsg::RemoveServer { .. }
         | ProtoMsg::Reliable { .. }
-        | ProtoMsg::Ack { .. }
-        | ProtoMsg::Shutdown => false,
+        | ProtoMsg::Ack { .. } => false,
         ProtoMsg::CoordRequest { .. }
         | ProtoMsg::CoordAssign { .. }
         | ProtoMsg::CoordReject { .. }
@@ -176,7 +175,7 @@ impl Channel {
             }
             let seq = self.next_seq;
             self.next_seq += 1;
-            let inner = std::mem::replace(msg, ProtoMsg::Shutdown);
+            let inner = std::mem::replace(msg, ProtoMsg::Ack { seq });
             *msg = ProtoMsg::Reliable {
                 seq,
                 inner: Box::new(inner),

@@ -113,7 +113,6 @@ pub fn build_roster(
             index,
             ipcs: ipc_addrs.clone(),
             rates: rates.clone(),
-            target_currency: cfg.target_currency.clone(),
             proc_per_reply_ms: cfg.proc_per_reply_ms,
             context_switch_alpha: cfg.context_switch_alpha,
             job_deadline_ms: cfg.job_deadline_ms,
@@ -156,12 +155,7 @@ pub fn build_roster(
         push(
             Address::Peer { id: spec.peer_id },
             Role::Peer {
-                proto: Box::new(PeerProto::new(
-                    PpcEngine::new(spec, ip),
-                    city,
-                    cfg.target_currency.clone(),
-                    cfg.enable_doppelgangers,
-                )),
+                proto: Box::new(PeerProto::new(PpcEngine::new(spec, ip), city, !v1)),
                 world: Arc::clone(world),
             },
         );

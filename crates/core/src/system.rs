@@ -69,8 +69,6 @@ pub struct SheriffConfig {
     pub ipc_locations: Vec<(Country, usize)>,
     /// PPCs asked per request (§6.1: "approximately 3").
     pub ppc_per_request: usize,
-    /// Currency of the result page.
-    pub target_currency: String,
     /// RNG seed for the simulation.
     pub seed: u64,
     /// Median IPC page-fetch time, ms (PlanetLab vantage).
@@ -94,8 +92,6 @@ pub struct SheriffConfig {
     /// Database snapshot cadence: fold the WAL into a snapshot every
     /// this many stored records.
     pub db_snapshot_every: usize,
-    /// Serve doppelganger state to over-budget PPCs.
-    pub enable_doppelgangers: bool,
     /// Measurement-server liveness beacon period, ms.
     pub heartbeat_every_ms: u64,
     /// Coordinator: take a server offline after this long without a beacon.
@@ -117,7 +113,6 @@ impl SheriffConfig {
             n_measurement_servers: 1,
             ipc_locations: default_ipc_locations(),
             ppc_per_request: 3,
-            target_currency: "EUR".into(),
             seed,
             ipc_fetch_median_ms: 18_000,
             ipc_overload_prob: 0.005,
@@ -129,7 +124,6 @@ impl SheriffConfig {
             job_deadline_ms: 130_000,
             db_cost: DbCostModel::integrated(),
             db_snapshot_every: 64,
-            enable_doppelgangers: false,
             heartbeat_every_ms: 10_000,
             heartbeat_timeout_ms: 30_000,
             retransmit_base_ms: 2_000,
@@ -145,7 +139,6 @@ impl SheriffConfig {
             n_measurement_servers: n_servers.max(1),
             ipc_locations: default_ipc_locations(),
             ppc_per_request: 3,
-            target_currency: "EUR".into(),
             seed,
             ipc_fetch_median_ms: 18_000,
             ipc_overload_prob: 0.005,
@@ -157,7 +150,6 @@ impl SheriffConfig {
             job_deadline_ms: 130_000,
             db_cost: DbCostModel::dedicated(),
             db_snapshot_every: 64,
-            enable_doppelgangers: true,
             heartbeat_every_ms: 10_000,
             heartbeat_timeout_ms: 30_000,
             retransmit_base_ms: 2_000,
@@ -278,39 +270,18 @@ struct FetchTiming {
     kill_ms: u64,
 }
 
-/// The timers one node has armed and the engine has not fired yet, by
-/// the opaque slot id the engine carries for each. `netsim`'s timer API
-/// is generic and wants a `u64`; a counter-issued slot gives it one
-/// without doing arithmetic on a job, sequence or peer id, so every
-/// [`TimerKind`] — whatever its scope — comes back as itself. (The
-/// engine defers a crashed node's timers, never drops them, so each
-/// slot is removed exactly once.)
-#[derive(Default)]
-struct ArmedTimers {
-    slots: BTreeMap<u64, TimerKind>,
-    next_slot: u64,
-}
-
-impl ArmedTimers {
-    /// Remembers `kind` and returns the slot to hand the engine.
-    fn arm(&mut self, kind: TimerKind) -> u64 {
-        let slot = self.next_slot;
-        self.next_slot += 1;
-        self.slots.insert(slot, kind);
-        slot
-    }
-}
+/// The simulator's context for one protocol node: it carries
+/// [`ProtoMsg`]s and hands every [`TimerKind`] back as it was armed.
+type DesCtx<'a> = Ctx<'a, ProtoMsg, TimerKind>;
 
 /// Maps protocol outputs onto the simulator: sends become deliveries,
 /// `SendFetched` samples the proxy delay first, timers go to the engine
-/// under a fresh slot of `armed`. Drains `out` so the node's buffer is
-/// reused.
+/// as they are. Drains `out` so the node's buffer is reused.
 fn dispatch(
     map: &AddrMap,
-    ctx: &mut Ctx<'_, ProtoMsg>,
+    ctx: &mut DesCtx<'_>,
     out: &mut Vec<Output>,
     fetch: Option<FetchTiming>,
-    armed: &mut ArmedTimers,
 ) {
     for o in out.drain(..) {
         match o {
@@ -339,7 +310,7 @@ fn dispatch(
                 }
             }
             Output::Timer { delay_ms, kind } => {
-                ctx.set_timer(SimTime::from_millis(delay_ms), armed.arm(kind));
+                ctx.set_timer(SimTime::from_millis(delay_ms), kind);
             }
         }
     }
@@ -353,12 +324,12 @@ fn dispatch(
 /// parity is preserved.
 fn byz_send(
     map: &AddrMap,
-    ctx: &mut Ctx<'_, ProtoMsg>,
+    ctx: &mut DesCtx<'_>,
     to: NodeId,
     msg: ProtoMsg,
     fetched_delay: Option<SimTime>,
 ) {
-    let send = |ctx: &mut Ctx<'_, ProtoMsg>, m: ProtoMsg| match fetched_delay {
+    let send = |ctx: &mut DesCtx<'_>, m: ProtoMsg| match fetched_delay {
         Some(d) => ctx.send_after(d, to, m),
         None => ctx.send(to, m),
     };
@@ -388,27 +359,20 @@ struct DesNode {
     /// Set for the proxy roles (IPC, PPC), the only `SendFetched` sources.
     timing: Option<FetchTiming>,
     buf: StepBuf,
-    armed: ArmedTimers,
 }
 
 impl DesNode {
     /// Publishes the step's events, then hands its commands to the
     /// simulator.
-    fn finish(&mut self, ctx: &mut Ctx<'_, ProtoMsg>) {
+    fn finish(&mut self, ctx: &mut DesCtx<'_>) {
         self.telemetry
             .fold(self.node.me, ctx.now.as_millis(), &mut self.buf);
-        dispatch(
-            &self.map,
-            ctx,
-            &mut self.buf.out,
-            self.timing,
-            &mut self.armed,
-        );
+        dispatch(&self.map, ctx, &mut self.buf.out, self.timing);
     }
 }
 
-impl Node<ProtoMsg> for DesNode {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, ProtoMsg>, from: NodeId, msg: ProtoMsg) {
+impl Node<ProtoMsg, TimerKind> for DesNode {
+    fn on_message(&mut self, ctx: &mut DesCtx<'_>, from: NodeId, msg: ProtoMsg) {
         let Some(from) = self.map.addr(from) else {
             return;
         };
@@ -418,17 +382,13 @@ impl Node<ProtoMsg> for DesNode {
         self.finish(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, ProtoMsg>, slot: u64) {
-        // Every slot the engine holds was issued by `ArmedTimers::arm`.
-        let Some(kind) = self.armed.slots.remove(&slot) else {
-            return;
-        };
+    fn on_timer(&mut self, ctx: &mut DesCtx<'_>, kind: TimerKind) {
         let now = ctx.now.as_millis();
         self.node.on_timer(now, kind, ctx.rng(), &mut self.buf);
         self.finish(ctx);
     }
 
-    fn on_restart(&mut self, ctx: &mut Ctx<'_, ProtoMsg>) {
+    fn on_restart(&mut self, ctx: &mut DesCtx<'_>) {
         self.node.on_restart(ctx.now.as_millis(), &mut self.buf);
         self.finish(ctx);
     }
@@ -496,7 +456,7 @@ pub struct PpcSpec {
 /// ```
 pub struct PriceSheriff {
     /// The underlying simulator (exposed for custom drivers).
-    pub sim: Simulator<ProtoMsg>,
+    pub sim: Simulator<ProtoMsg, TimerKind>,
     world: Arc<Mutex<World>>,
     next_tag: u64,
     cfg: SheriffConfig,
@@ -529,7 +489,7 @@ impl PriceSheriff {
             })
             .collect();
         let latency = GeoLatency::new(node_countries);
-        let mut sim: Simulator<ProtoMsg> = Simulator::new(Box::new(latency), cfg.seed);
+        let mut sim: Simulator<ProtoMsg, TimerKind> = Simulator::new(Box::new(latency), cfg.seed);
         sim.set_telemetry(Arc::clone(&telemetry));
 
         let addr_of: Vec<Address> = roster.iter().map(|n| n.me).collect();
@@ -548,12 +508,9 @@ impl PriceSheriff {
             // The phase of the two self-sustaining timers is the
             // backend's to pick: the §10.3 recovery sweep one period in,
             // the first liveness beacon almost at once.
-            let mut armed = ArmedTimers::default();
             let first_timer = match me {
-                Address::Coordinator => {
-                    Some((cfg.coord_sweep_every_ms, armed.arm(TimerKind::CoordSweep)))
-                }
-                Address::Server { .. } => Some((100, armed.arm(TimerKind::Heartbeat))),
+                Address::Coordinator => Some((cfg.coord_sweep_every_ms, TimerKind::CoordSweep)),
+                Address::Server { .. } => Some((100, TimerKind::Heartbeat)),
                 _ => None,
             };
             let id = sim.add_node(Box::new(DesNode {
@@ -562,11 +519,10 @@ impl PriceSheriff {
                 telemetry: Arc::clone(&node_telemetry),
                 timing,
                 buf: StepBuf::default(),
-                armed,
             }));
             debug_assert_eq!(map.node(me), Some(id));
-            if let Some((due_ms, slot)) = first_timer {
-                sim.inject_timer(SimTime::from_millis(due_ms), id, slot);
+            if let Some((due_ms, kind)) = first_timer {
+                sim.inject_timer(SimTime::from_millis(due_ms), id, kind);
             }
         }
 

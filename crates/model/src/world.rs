@@ -457,7 +457,6 @@ impl ModelWorld {
             // own, in euros: one rate is all a conversion can ask for, and
             // a world is rebuilt for every replayed prefix.
             rates: FixedRates::from_pairs(&[("EUR", 1.0)]),
-            target_currency: "EUR".into(),
             proc_per_reply_ms: 10.0,
             context_switch_alpha: 0.0,
             job_deadline_ms: 2_000,

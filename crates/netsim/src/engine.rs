@@ -60,16 +60,18 @@ impl SimTime {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
-/// A simulated network endpoint: a pure event-driven state machine.
+/// A simulated network endpoint: a pure event-driven state machine over
+/// messages `M` and timer payloads `T` (the engine carries a timer's
+/// payload and hands it back as it was armed).
 ///
 /// Implementations must not block, sleep, or read wall-clock time — all
 /// temporal behaviour goes through [`Ctx::set_timer`].
-pub trait Node<M: 'static>: Any {
+pub trait Node<M: 'static, T: 'static = u64>: Any {
     /// A message arrived from `from`.
-    fn on_message(&mut self, ctx: &mut Ctx<'_, M>, from: NodeId, msg: M);
+    fn on_message(&mut self, ctx: &mut Ctx<'_, M, T>, from: NodeId, msg: M);
 
     /// A timer set via [`Ctx::set_timer`] fired.
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_, M>, _token: u64) {}
+    fn on_timer(&mut self, _ctx: &mut Ctx<'_, M, T>, _token: T) {}
 
     /// The node just came back from a scheduled crash window (see
     /// [`FaultPlan::with_crash`]): in-flight deliveries were lost and
@@ -79,11 +81,11 @@ pub trait Node<M: 'static>: Any {
     /// discard that state here and rebuild from whatever it considers
     /// persistent, so the same crash schedule yields the same recovery
     /// on every replay.
-    fn on_restart(&mut self, _ctx: &mut Ctx<'_, M>) {}
+    fn on_restart(&mut self, _ctx: &mut Ctx<'_, M, T>) {}
 }
 
 /// What a node may do during a callback.
-enum Action<M> {
+enum Action<M, T> {
     Send {
         to: NodeId,
         msg: M,
@@ -91,21 +93,21 @@ enum Action<M> {
     },
     Timer {
         delay: SimTime,
-        token: u64,
+        token: T,
     },
 }
 
 /// Callback context handed to nodes.
-pub struct Ctx<'a, M> {
+pub struct Ctx<'a, M, T = u64> {
     /// Current virtual time.
     pub now: SimTime,
     /// The node being invoked.
     pub self_id: NodeId,
-    actions: &'a mut Vec<Action<M>>,
+    actions: &'a mut Vec<Action<M, T>>,
     rng: &'a mut StdRng,
 }
 
-impl<'a, M> Ctx<'a, M> {
+impl<'a, M, T> Ctx<'a, M, T> {
     /// Sends `msg` to `to`; arrival is `now + latency(self, to)`.
     pub fn send(&mut self, to: NodeId, msg: M) {
         self.actions.push(Action::Send {
@@ -125,8 +127,9 @@ impl<'a, M> Ctx<'a, M> {
         });
     }
 
-    /// Arms a timer on the current node.
-    pub fn set_timer(&mut self, delay: SimTime, token: u64) {
+    /// Arms a timer on the current node; `token` comes back to
+    /// [`Node::on_timer`] when it fires.
+    pub fn set_timer(&mut self, delay: SimTime, token: T) {
         self.actions.push(Action::Timer { delay, token });
     }
 
@@ -136,13 +139,13 @@ impl<'a, M> Ctx<'a, M> {
     }
 }
 
-enum Event<M> {
+enum Event<M, T> {
     Deliver { to: NodeId, from: NodeId, msg: M },
-    Timer { node: NodeId, token: u64 },
+    Timer { node: NodeId, token: T },
     Restart { node: NodeId },
 }
 
-impl<M> Event<M> {
+impl<M, T> Event<M, T> {
     /// The receiver, for message events.
     fn deliver_to(&self) -> Option<NodeId> {
         match self {
@@ -175,11 +178,11 @@ impl<M> Event<M> {
 /// assert_eq!(sim.delivered(), 6);            // 5,4,3,2,1,0
 /// assert_eq!(sim.now(), SimTime::from_millis(50)); // 10 ms per hop
 /// ```
-pub struct Simulator<M: 'static> {
-    nodes: Vec<Box<dyn Node<M>>>,
+pub struct Simulator<M: 'static, T: 'static = u64> {
+    nodes: Vec<Box<dyn Node<M, T>>>,
     /// Same-instant events fire in the order they were scheduled (the
     /// [`Agenda`]'s rule), which is what makes a run replayable.
-    queue: Agenda<Event<M>>,
+    queue: Agenda<Event<M, T>>,
     latency: Box<dyn LatencyModel>,
     now: SimTime,
     rng: StdRng,
@@ -192,7 +195,7 @@ pub struct Simulator<M: 'static> {
     cloner: Option<fn(&M) -> M>,
     /// What the running callback asked for; drained after every event
     /// and kept for its capacity.
-    actions: Vec<Action<M>>,
+    actions: Vec<Action<M, T>>,
 }
 
 /// Cached metric handles: the per-event hot path touches only atomics,
@@ -248,7 +251,7 @@ impl SimTelemetry {
     }
 }
 
-impl<M: 'static> Simulator<M> {
+impl<M: 'static, T: 'static> Simulator<M, T> {
     /// Creates a simulator with the given latency model and RNG seed.
     pub fn new(latency: Box<dyn LatencyModel>, seed: u64) -> Self {
         Simulator {
@@ -286,7 +289,7 @@ impl<M: 'static> Simulator<M> {
     }
 
     /// Registers a node, returning its id.
-    pub fn add_node(&mut self, node: Box<dyn Node<M>>) -> NodeId {
+    pub fn add_node(&mut self, node: Box<dyn Node<M, T>>) -> NodeId {
         self.nodes.push(node);
         NodeId(self.nodes.len() - 1)
     }
@@ -308,15 +311,15 @@ impl<M: 'static> Simulator<M> {
 
     /// Typed access to a node's state (for test assertions and result
     /// harvesting; deployment code communicates only via messages).
-    pub fn node_ref<T: Node<M>>(&self, id: NodeId) -> Option<&T> {
+    pub fn node_ref<N: Node<M, T>>(&self, id: NodeId) -> Option<&N> {
         let node: &dyn Any = self.nodes.get(id.0)?.as_ref();
-        node.downcast_ref::<T>()
+        node.downcast_ref::<N>()
     }
 
     /// Mutable typed access to a node's state.
-    pub fn node_mut<T: Node<M>>(&mut self, id: NodeId) -> Option<&mut T> {
+    pub fn node_mut<N: Node<M, T>>(&mut self, id: NodeId) -> Option<&mut N> {
         let node: &mut dyn Any = self.nodes.get_mut(id.0)?.as_mut();
-        node.downcast_mut::<T>()
+        node.downcast_mut::<N>()
     }
 
     /// Injects a message from "outside" the simulation (e.g. a user click),
@@ -326,11 +329,11 @@ impl<M: 'static> Simulator<M> {
     }
 
     /// Arms a timer on `node` from outside the simulation.
-    pub fn inject_timer(&mut self, at: SimTime, node: NodeId, token: u64) {
+    pub fn inject_timer(&mut self, at: SimTime, node: NodeId, token: T) {
         self.schedule(at, Event::Timer { node, token });
     }
 
-    fn schedule(&mut self, at: SimTime, event: Event<M>) {
+    fn schedule(&mut self, at: SimTime, event: Event<M, T>) {
         if let Some(t) = &mut self.telemetry {
             t.pushed(event.deliver_to());
         }
@@ -403,7 +406,7 @@ impl<M: 'static> Simulator<M> {
     }
 
     /// Runs one callback of node `id`, then schedules what it asked for.
-    fn invoke(&mut self, id: NodeId, call: impl FnOnce(&mut dyn Node<M>, &mut Ctx<'_, M>)) {
+    fn invoke(&mut self, id: NodeId, call: impl FnOnce(&mut dyn Node<M, T>, &mut Ctx<'_, M, T>)) {
         let Some(node) = self.nodes.get_mut(id.0) else {
             return;
         };
@@ -452,7 +455,7 @@ impl<M: 'static> Simulator<M> {
     }
 }
 
-impl<M: Clone + 'static> Simulator<M> {
+impl<M: Clone + 'static, T: 'static> Simulator<M, T> {
     /// Installs a fault schedule. A restart event is queued for every crash
     /// window so nodes get their [`Node::on_restart`] callback the instant
     /// they come back. Requires `M: Clone` so duplicated deliveries can

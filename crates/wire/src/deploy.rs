@@ -15,12 +15,15 @@
 //! count is `O(shards)` instead of `O(nodes)`, which is what lets the
 //! TCP backend host rosters past the paper's 1265-peer deployment.
 //! Between nodes, each shard keeps one long-lived stream per destination
-//! and writes [`Envelope`] frames back to back on it; what the deployment
-//! injects from outside (a check's start, a server removal, Shutdown)
-//! still takes one connection per frame. Time is real elapsed
-//! milliseconds since deployment start — the protocol machines cannot
-//! tell the backends apart, and the `backend_parity` test pins both to
-//! identical observation sets.
+//! and writes [`Envelope`] frames back to back on it. The deployment
+//! itself never dials a node: what it injects from outside (a check's
+//! start, a server removal) is posted into the owning shard's doorbell
+//! and taken by the step an arrived frame takes — what
+//! `Simulator::inject` is on the DES — and its stop is one flag per
+//! shard in the same doorbell. Sockets carry only node-to-node links and
+//! outside clients. Time is real elapsed milliseconds since deployment
+//! start — the protocol machines cannot tell the backends apart, and the
+//! `backend_parity` test pins both to identical observation sets.
 
 #![expect(
     clippy::disallowed_methods,
@@ -29,7 +32,7 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -80,13 +83,14 @@ pub(crate) type Sink = LeafLock<SinkState>;
 /// The running deployment.
 pub struct MiniDeployment {
     dir: Arc<HashMap<Address, SocketAddr>>,
+    /// Logical address → (owning shard, slot in that shard's roster).
+    seats: HashMap<Address, (usize, usize)>,
     /// One join handle per reactor shard (not per node).
     handles: Vec<JoinHandle<()>>,
     /// Locked only inside `sheriff_core` (see DESIGN.md "Concurrency
     /// invariants in the wire layer"); this crate hands the `Arc` on.
     world: Arc<Mutex<World>>,
     telemetry: Arc<Registry>,
-    wire: Arc<WireTelemetry>,
     sink: Arc<Sink>,
     next_tag: AtomicU64,
     /// Leaf: its guard asks the gate, plain data, one question.
@@ -96,8 +100,8 @@ pub struct MiniDeployment {
     /// Fault-plan node indices (bind order — the DES numbering) grouped
     /// by owning reactor shard.
     shards: Vec<Vec<usize>>,
-    /// One wake-up line per reactor shard; rung after every injected
-    /// frame so the owning shard does not sit out its idle wait.
+    /// One doorbell per reactor shard: the deployment posts its inputs
+    /// and raises its stop there.
     bells: Arc<[Doorbell]>,
     /// Local tags of checks begun but not yet completed or rejected.
     /// Leaf: its guard pushes, removes or copies a tag.
@@ -188,7 +192,6 @@ impl MiniDeployment {
     ) -> io::Result<MiniDeployment> {
         let world = Arc::new(Mutex::new(world));
         let telemetry = Arc::new(Registry::new());
-        let wire = Arc::new(WireTelemetry::new(&telemetry));
         let sink = Arc::new(Sink::default());
 
         // Per-deployment on-disk home for the Database server's WAL +
@@ -264,7 +267,7 @@ impl MiniDeployment {
         }
         let ctx = ShardCtx {
             dir: Arc::clone(&dir),
-            wire: Arc::clone(&wire),
+            wire: Arc::new(WireTelemetry::new(&telemetry)),
             epoch,
             sink: Arc::clone(&sink),
             index: Arc::new(index),
@@ -277,10 +280,12 @@ impl MiniDeployment {
             doorbell_wakes: telemetry.counter("wire.reactor_doorbell_wakes"),
             idle_timeouts: telemetry.counter("wire.reactor_idle_timeouts"),
             bells: Arc::clone(&bells),
+            finished: Arc::default(),
             shard: 0,
         };
         let mut groups: Vec<Vec<Seat>> = (0..n_shards).map(|_| Vec::new()).collect();
         let mut shards: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
+        let mut seats = HashMap::with_capacity(n_nodes);
         for (fault_idx, (node, listener)) in roster.into_iter().zip(listeners).enumerate() {
             // Both self-sustaining timers first fire one period in.
             let first_timer = match node.me {
@@ -290,6 +295,7 @@ impl MiniDeployment {
             };
             let s = shard_of(node.me, n_shards);
             if let (Some(group), Some(members)) = (groups.get_mut(s), shards.get_mut(s)) {
+                seats.insert(node.me, (s, group.len()));
                 group.push((node, fault_idx, listener, first_timer));
                 members.push(fault_idx);
             }
@@ -308,10 +314,10 @@ impl MiniDeployment {
 
         Ok(MiniDeployment {
             dir,
+            seats,
             handles,
             world,
             telemetry,
-            wire,
             sink,
             next_tag: AtomicU64::new(1),
             gate,
@@ -374,20 +380,18 @@ impl MiniDeployment {
     /// [`MiniDeployment::shutdown_with_report`] tell you it was aborted.
     pub fn begin_check(&self, peer: u64, domain: &str, product: ProductId) -> Result<u64, String> {
         let me = Address::Peer { id: peer };
-        if !self.dir.contains_key(&me) {
-            return Err(format!("unknown peer {peer}"));
-        }
+        let seat = self.seat(me)?;
         let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
         self.in_flight.with(|tags| tags.push(tag));
         self.inject(
-            me,
+            seat,
             me,
             ProtoMsg::StartCheck {
                 domain: domain.to_string(),
                 product,
                 local_tag: tag,
             },
-        )?;
+        );
         Ok(tag)
     }
 
@@ -452,8 +456,9 @@ impl MiniDeployment {
     /// refuses while the server still has pending jobs.
     pub fn remove_server(&self, via_peer: u64, index: usize) -> Result<bool, String> {
         let from = Address::Peer { id: via_peer };
+        let seat = self.seat(Address::Coordinator)?;
         let before = self.sink.with(|st| st.removals.len());
-        self.inject(from, Address::Coordinator, ProtoMsg::RemoveServer { index })?;
+        self.inject(seat, from, ProtoMsg::RemoveServer { index });
         self.sink
             .wait_timeout(CHECK_TIMEOUT, |st| {
                 st.removals
@@ -465,48 +470,31 @@ impl MiniDeployment {
             .ok_or_else(|| "remove_server timed out".into())
     }
 
-    /// Sends one envelope into the deployment from the outside.
-    fn inject(&self, from: Address, to: Address, msg: ProtoMsg) -> Result<(), String> {
-        let addr = self.dir.get(&to).ok_or_else(|| format!("unknown {to:?}"))?;
-        let mut s = TcpStream::connect(addr).map_err(|e| e.to_string())?;
-        Envelope { from, msg }
-            .send_counted(&mut s, &self.wire)
-            .map_err(|e| e.to_string())?;
-        ring_owner(&self.bells, to);
-        Ok(())
+    /// Where node `to` sits: its shard and its slot there.
+    fn seat(&self, to: Address) -> Result<(usize, usize), String> {
+        self.seats
+            .get(&to)
+            .copied()
+            .ok_or_else(|| format!("unknown {to:?}"))
+    }
+
+    /// Posts one input from outside into the shard at `seat`, whose next
+    /// sweep delivers it as if it had arrived as a frame from `from`.
+    fn inject(&self, (shard, local): (usize, usize), from: Address, msg: ProtoMsg) {
+        if let Some(bell) = self.bells.get(shard) {
+            bell.post((local, Envelope { from, msg }));
+        }
     }
 
     fn shutdown_impl(&mut self) {
         if self.handles.is_empty() {
             return;
         }
-        // Let in-flight frames drain first: a client unblocks when the
-        // completion sink is updated, which can happen *before* the
-        // reactor's trailing Ack hits the wire — so a shard that reads
-        // its Shutdown frames ahead of that Ack would exit without ever
-        // counting it. Momentary balance is not enough (the Ack may not
-        // have been written yet); require the books to balance and stay
-        // still across several polls. Bounded wait, since a frame to a
-        // node that already vanished (crash tests) never arrives.
-        let deadline = Instant::now() + Duration::from_millis(500);
-        let mut last = (u64::MAX, u64::MAX);
-        let mut stable = 0u32;
-        while stable < 10 && Instant::now() < deadline {
-            let now = (self.wire.frames_out.get(), self.wire.frames_in.get());
-            if now.0 == now.1 && now == last {
-                stable += 1;
-            } else {
-                stable = 0;
-                last = now;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        // One Shutdown frame per node: its shard stops accepting on that
-        // listener and discards the node; a shard exits once every node
-        // it owns is down, its links are flushed and half-closed, and
-        // every stream toward it has ended.
-        for to in self.dir.keys() {
-            let _ = self.inject(Address::Coordinator, *to, ProtoMsg::Shutdown);
+        // Every shard stops stepping its nodes, finishes sending, reads
+        // every stream toward it to its end and exits (see
+        // `reactor::reactor`, "When a shard exits").
+        for bell in self.bells.iter() {
+            bell.stop();
         }
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -533,9 +521,9 @@ impl MiniDeployment {
         recovered.records.into_iter().map(|r| r.check).collect()
     }
 
-    /// Orderly shutdown: every node receives a Shutdown frame, every
-    /// reactor shard thread is joined. Also runs on [`Drop`], so a
-    /// deployment can never leak its threads.
+    /// Orderly shutdown: every reactor shard stops, drains and is
+    /// joined. Also runs on [`Drop`], so a deployment can never leak its
+    /// threads.
     pub fn shutdown(mut self) {
         self.shutdown_impl();
     }

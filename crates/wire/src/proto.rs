@@ -18,7 +18,6 @@ use sheriff_core::protocol::{Address, ProtoMsg};
 use sheriff_core::records::{PriceCheck, VantageKind};
 
 use crate::frame::{append_frame, read_frame, FrameError};
-use crate::telemetry::WireTelemetry;
 
 /// One framed protocol message plus its sender. Over TCP a shard's
 /// stream to a node carries the frames of every node on that shard, so
@@ -41,27 +40,12 @@ impl Envelope {
         append_frame(buf, |b| self.serialize(&mut serde::Writer::compact(b)))
     }
 
-    /// Writes self as one frame; returns the payload length.
-    fn write<W: std::io::Write>(&self, w: &mut W) -> Result<usize, FrameError> {
-        let mut frame = Vec::new();
-        let len = self.append_frame(&mut frame)?;
-        w.write_all(&frame)?;
-        w.flush()?;
-        Ok(len)
-    }
-
     /// Writes self as one frame.
     pub fn send<W: std::io::Write>(&self, w: &mut W) -> Result<(), FrameError> {
-        self.write(w).map(drop)
-    }
-
-    /// Writes self as one frame, recording it in the wire counters.
-    pub fn send_counted<W: std::io::Write>(
-        &self,
-        w: &mut W,
-        telemetry: &WireTelemetry,
-    ) -> Result<(), FrameError> {
-        telemetry.sent(self.write(w)?);
+        let mut frame = Vec::new();
+        self.append_frame(&mut frame)?;
+        w.write_all(&frame)?;
+        w.flush()?;
         Ok(())
     }
 
@@ -154,10 +138,6 @@ mod tests {
                     product: ProductId(3),
                     seq: 142,
                 },
-            },
-            Envelope {
-                from: Address::Coordinator,
-                msg: ProtoMsg::Shutdown,
             },
         ];
         let mut buf = Vec::new();

@@ -6,9 +6,9 @@
 //!
 //! * [`OutLink`] connects on its first bytes, keeps what is not yet
 //!   written in one buffer that each sweep offers the socket in one
-//!   `write`, and counts a frame once its last byte is written (where the
-//!   blocking `send_counted` counts). A Byzantine codec attack is an
-//!   `OutLink` of its own whose bytes count as no frame.
+//!   `write`, and counts a frame once its last byte is written. A
+//!   Byzantine codec attack is an `OutLink` of its own whose bytes count
+//!   as no frame.
 //! * [`Inbound`] keeps one [`FrameAssembler`] — the byte rule `read_frame`
 //!   runs on too — for the life of an accepted stream, and hands on every
 //!   whole frame in stream order.

@@ -12,10 +12,14 @@
 //!   streams ([`conn`]: one long-lived stream per destination node out,
 //!   every accepted stream in), and one time-ordered agenda — no
 //!   per-node threads, no blocking reads; an idle shard parks on its
-//!   doorbell ([`shard::Doorbell`]) until a peer shard rings or a
-//!   bounded wait runs out. A Database node's WAL `fsync` runs on its
-//!   storage's flusher thread; the node holds its own acks until the
-//!   flusher reports them durable and rings the shard (see [`reactor`]);
+//!   doorbell ([`shard::Doorbell`]) until a peer shard rings, the
+//!   deployment posts an input or raises its stop, or a bounded wait
+//!   runs out. The deployment never dials a node: its inputs (a check's
+//!   start, a server removal) take the step an arrived frame takes, as
+//!   an injected event does on the DES. A Database node's WAL `fsync`
+//!   runs on its storage's flusher thread; the node holds its own acks
+//!   until the flusher reports them durable and rings the shard (see
+//!   [`reactor`]);
 //! * the sans-IO protocol machines from `sheriff_core::protocol` are
 //!   driven as on the DES: the reliable channel wraps inbound
 //!   frames, outputs become frames on the destination's stream, timer

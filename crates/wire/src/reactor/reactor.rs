@@ -11,19 +11,25 @@
 //!
 //! Each iteration of [`Reactor::run`] is one readiness sweep:
 //!
+//! 0. **bell** — take what the shard's [`Doorbell`](super::shard::Doorbell)
+//!    holds, without parking: whether a sibling rang, whether the
+//!    deployment raised its stop, and the inputs it posted (a check's
+//!    start, a server removal);
 //! 1. **agenda** — pop everything due on the shard's one time-ordered
 //!    queue (a `sheriff_netsim::Agenda`, the DES engine's queue type):
 //!    timers, the restart that ends a scheduled crash window, and sends
 //!    whose fault-injected extra latency ran out. The fault gate — the
 //!    DES engine's, not a copy — says whether a timer fires or waits for
 //!    its node's restart and whether a restart really brings the node
-//!    back;
+//!    back. Then each posted input, in post order, takes the step an
+//!    arrived frame takes, the gate's `admit_delivery` included — what
+//!    `Simulator::inject` is on the DES;
 //! 2. **accept** — drain every listener's accept queue, when the sweep
-//!    has reason to look: the shard's bell rang since the last poll (the
-//!    flag is taken without parking), the sweep follows an idle wait, or
-//!    [`ACCEPT_BACKSTOP_SWEEPS`] sweeps went by without a poll. Every
-//!    link connect rings its destination's shard, this one's own
-//!    included;
+//!    has reason to look: a sibling rang, the sweep follows an idle wait
+//!    that ran out, [`ACCEPT_BACKSTOP_SWEEPS`] sweeps went by without a
+//!    poll, or the shard is draining. Every link connect rings its
+//!    destination's shard, this one's own included; a post alone is no
+//!    reason to look;
 //! 3. **inbound** — pump every open stream; each whole frame the gate
 //!    admits is one `RoleNode::on_message` step (the step every backend
 //!    shares: the reliable channel first, then the role machine), in
@@ -44,27 +50,33 @@
 //! destination's after every write that completes at least one frame on
 //! the link — the moments the destination's accept and inbound stages
 //! have something new to find. Fault-delayed and duplicated copies pass
-//! through the same stage, so they ring too. The deployment rings after
-//! each frame it injects from outside, and the Database's WAL flusher
-//! after each flush that makes a ticket durable. A ring carries nothing:
-//! the sweep finds the work on the sockets (or the Database's held acks),
-//! and the frame and byte books are untouched by it.
+//! through the same stage, so they ring too. The Database's WAL flusher
+//! rings after each flush that makes a ticket durable. A ring carries
+//! nothing: the sweep finds the work on the sockets (or the Database's
+//! held acks), and the frame and byte books are untouched by it. The
+//! deployment never rings and never dials: its inputs and its stop are
+//! posted into the bell, and they carry inputs, never a frame.
 //!
-//! **When a shard exits.** Once its nodes are stopped, a shard half-closes
-//! every link whose buffer is empty (no fault-delayed send or ack the
-//! Database still holds is left to join one), and exits when all of them
-//! are closed and every inbound stream has read EOF — or when
-//! [`DRAIN_GRACE_MS`] runs out. A stopped Database still sends the acks
-//! its flusher makes durable while its shard drains.
-//! Every frame a sibling wrote is therefore read, and counted, before
-//! the shard that owns its destination goes away.
+//! **When a shard exits.** A shard that takes the stop steps its nodes no
+//! more. It still reads and counts every frame that arrives, flushes its
+//! links, sends what the agenda's fault-held sends release, and lets a
+//! stopped Database send the acks its flusher makes durable. Once no
+//! held send or held ack is left and every link is flushed and
+//! half-closed, the shard has finished sending and records so in a
+//! counter all shards share. It exits once every shard has recorded
+//! that, an accept poll made after it saw so found no new stream, and
+//! every inbound stream has read EOF — or when [`DRAIN_GRACE_MS`] from
+//! its stop runs out, the backstop for a sibling that never finishes.
+//! Listeners stay open until then. A sibling's last connect completed
+//! against a listener's accept queue before it recorded its finish, so
+//! that poll sees it; every frame a sibling wrote is therefore read, and
+//! counted, before the shard that owns its destination goes away.
 //!
-//! **No lost wake-up.** The bell's flag is set under its mutex and
-//! cleared only by the shard that owns it: by its wait, which checks the
-//! flag under that mutex before parking, or by the accept stage's take at
-//! the top of a sweep, which then looks at everything a ring announces. A
-//! ring that lands later in the sweep therefore makes the next wait
-//! return at once; the cost is at most one sweep that finds nothing.
+//! **No lost wake-up.** The bell's flags and inputs are set under its
+//! mutex and taken only by the shard that owns it, at the top of a
+//! sweep; its wait checks them under that mutex before parking and takes
+//! nothing. Whatever lands later in the sweep therefore makes the next
+//! wait return at once; the cost is at most one sweep that finds nothing.
 //!
 //! **Why the wait stays bounded.** The bell is an accelerator, never the
 //! only path. Sockets nobody rings for — an outside client connecting
@@ -102,9 +114,8 @@ const IDLE_SLEEP: Duration = Duration::from_millis(1);
 /// too busy to park.
 const ACCEPT_BACKSTOP_SWEEPS: u32 = 64;
 
-/// How long a shard whose nodes are all stopped keeps flushing its links
-/// and reading its inbound streams before it gives up on siblings that
-/// never finish.
+/// How long a stopped shard keeps flushing its links and reading its
+/// inbound streams before it gives up on siblings that never finish.
 const DRAIN_GRACE_MS: u64 = 250;
 
 /// What the deployment hands a shard per node: the protocol node, its
@@ -122,10 +133,8 @@ struct OwnedNode {
     /// Roster position — the index the fault and Byzantine plans know
     /// this node by.
     idx: usize,
-    /// Received its Shutdown frame; listener closed, timers discarded.
-    stopped: bool,
-    /// `None` once the node received Shutdown (stop accepting).
-    listener: Option<TcpListener>,
+    /// Open until the shard exits.
+    listener: TcpListener,
 }
 
 impl OwnedNode {
@@ -170,6 +179,10 @@ pub(crate) struct Reactor {
     /// The shard's Database node, if it owns one: its held acks are owed
     /// to the wire like `held_sends`.
     db: Option<usize>,
+    /// The deployment's stop was taken: no node steps any more.
+    stopped: bool,
+    /// This shard recorded that it finished sending.
+    finished: bool,
     /// The next sweep polls the listeners: it follows an idle wait.
     accept_next: bool,
     /// Sweeps since the listeners were last polled.
@@ -215,6 +228,8 @@ impl Reactor {
             agenda: Agenda::new(),
             held_sends: 0,
             db: None,
+            stopped: false,
+            finished: false,
             accept_next: true,
             sweeps_unpolled: 0,
             inbound: Vec::new(),
@@ -237,8 +252,7 @@ impl Reactor {
             reactor.nodes.push(OwnedNode {
                 node,
                 idx,
-                stopped: false,
-                listener: Some(listener),
+                listener,
             });
         }
         if let Some(gate) = &reactor.ctx.gate {
@@ -251,45 +265,58 @@ impl Reactor {
         reactor
     }
 
-    /// Runs until every node in the shard has been shut down and the
-    /// shard's streams are finished both ways (or the drain grace
-    /// expired).
+    /// Runs until the deployment's stop, then until every shard has
+    /// finished sending and this one has read every stream toward it to
+    /// its end (or the drain grace expired).
     pub(crate) fn run(mut self) {
-        let mut stop_deadline: Option<u64> = None;
+        let mut drain_deadline: Option<u64> = None;
         loop {
             let now_ms = self.ctx.now_ms();
-            let mut work = 0usize;
-            work += self.run_due(now_ms);
-            if self.accept_due() {
-                work += self.poll_accept(now_ms);
+            let bell = self.ctx.take_bell();
+            let mut work = self.run_due(now_ms) + bell.inputs.len();
+            for (local, env) in bell.inputs {
+                self.deliver(local, env, now_ms);
             }
+            // After the inputs: they were posted before the stop.
+            self.stopped |= bell.stop;
+            // Read before the poll, so that a poll finding nothing new
+            // comes after every sibling's last connect.
+            let all_finished = self.finished && self.ctx.all_finished();
+            let mut accepted = 0;
+            if self.accept_due(bell.rung || all_finished) {
+                accepted = self.poll_accept(now_ms);
+            }
+            work += accepted;
             work += self.pump_inbound(now_ms);
             work += self.on_durable(now_ms);
             work += self.pump_outbound();
             work += self.pump_raw();
             self.note_depth();
 
-            if self.nodes.iter().all(|n| n.stopped) {
-                let deadline = *stop_deadline.get_or_insert(now_ms + DRAIN_GRACE_MS);
-                if self.drained() || now_ms >= deadline {
+            if self.stopped {
+                let deadline = *drain_deadline.get_or_insert(now_ms + DRAIN_GRACE_MS);
+                if !self.finished && self.sent_all() {
+                    self.finished = true;
+                    self.ctx.finish_sending();
+                }
+                let drained = all_finished && accepted == 0 && self.inbound.is_empty();
+                if drained || now_ms >= deadline {
                     break;
                 }
             }
             if work > 0 {
                 self.ctx.wakeups.inc();
-            } else {
-                self.ctx.idle_wait(IDLE_SLEEP);
+            } else if !self.ctx.idle_wait(IDLE_SLEEP) {
                 self.accept_next = true;
             }
         }
     }
 
-    /// The exit rule, asked once every node is stopped: every link is
-    /// flushed and half-closed, no fault-held send or held ack is left to
-    /// join one, and every inbound stream has read EOF. Attack streams
-    /// are dropped here, so a victim does not sit out its grace waiting
-    /// on them.
-    fn drained(&mut self) -> bool {
+    /// Whether a stopped shard has sent everything it ever will: no
+    /// fault-held send or held ack is left to join a link, and every link
+    /// is flushed and half-closed. Attack streams are dropped here, so a
+    /// victim does not sit out its grace waiting on them.
+    fn sent_all(&mut self) -> bool {
         self.raw.clear();
         let mut closed = self.held_sends == 0 && self.db_held() == 0;
         if closed {
@@ -297,7 +324,7 @@ impl Reactor {
                 closed &= link.finish();
             }
         }
-        closed && self.inbound.is_empty()
+        closed
     }
 
     /// Publishes the queue-depth high-water mark.
@@ -347,24 +374,24 @@ impl Reactor {
 
     /// Asks the fault gate about node `local` (handed to `ask` as its
     /// roster index); `absent` is the answer when no plan is installed,
-    /// and for a stopped node, which no schedule concerns any more. The
-    /// guard lasts for the one question only — never across a protocol
-    /// callback or a socket call.
+    /// and once the shard is stopped, as no schedule concerns its nodes
+    /// any more. The guard lasts for the one question only — never across
+    /// a protocol callback or a socket call.
     fn ask_gate<T>(
         &self,
         local: usize,
         absent: T,
         ask: impl FnOnce(&mut FaultGate, usize) -> T,
     ) -> T {
-        match (&self.ctx.gate, self.nodes.get(local).filter(|n| !n.stopped)) {
-            (Some(gate), Some(owned)) => gate.with(|gate| ask(gate, owned.idx)),
+        match (&self.ctx.gate, self.nodes.get(local)) {
+            (Some(gate), Some(owned)) if !self.stopped => gate.with(|gate| ask(gate, owned.idx)),
             _ => absent,
         }
     }
 
-    /// One step of node `local` (stopped nodes take none): run `call`,
-    /// hand a peer add-on's finished checks to whoever waits on them,
-    /// fold the step's events into telemetry, apply its commands.
+    /// One step of node `local` (none once the shard is stopped): run
+    /// `call`, hand a peer add-on's finished checks to whoever waits on
+    /// them, fold the step's events into telemetry, apply its commands.
     fn step(
         &mut self,
         local: usize,
@@ -372,7 +399,7 @@ impl Reactor {
         call: impl FnOnce(&mut RoleNode, &mut StdRng, &mut StepBuf),
     ) {
         let mut buf = std::mem::take(&mut self.scratch);
-        if let Some(owned) = self.nodes.get_mut(local).filter(|n| !n.stopped) {
+        if let Some(owned) = self.nodes.get_mut(local).filter(|_| !self.stopped) {
             call(&mut owned.node, &mut self.rng, &mut buf);
             owned.surface(&self.ctx.sink);
             self.ctx.telemetry.fold(owned.node.me, now_ms, &mut buf);
@@ -381,15 +408,14 @@ impl Reactor {
         self.scratch = buf;
     }
 
-    /// Whether this sweep polls the listeners: when the shard's bell rang
-    /// since the last poll, after an idle wait, or once
-    /// [`ACCEPT_BACKSTOP_SWEEPS`] sweeps went by without a poll. Every
-    /// connect rings the destination's shard, this one included, so a
-    /// sweep that finds nothing to accept is the exception.
-    fn accept_due(&mut self) -> bool {
-        let rung = self.ctx.take_ring();
+    /// Whether this sweep polls the listeners: when `asked` (a sibling
+    /// rang, or the shard is draining), after an idle wait that ran out,
+    /// or once [`ACCEPT_BACKSTOP_SWEEPS`] sweeps went by without a poll.
+    /// Every connect rings the destination's shard, this one included,
+    /// so a sweep that finds nothing to accept is the exception.
+    fn accept_due(&mut self, asked: bool) -> bool {
         self.sweeps_unpolled += 1;
-        let due = rung
+        let due = asked
             || std::mem::take(&mut self.accept_next)
             || self.sweeps_unpolled >= ACCEPT_BACKSTOP_SWEEPS;
         if due {
@@ -398,15 +424,12 @@ impl Reactor {
         due
     }
 
-    /// Drains every live listener's accept queue.
+    /// Drains every listener's accept queue.
     fn poll_accept(&mut self, now_ms: u64) -> usize {
         let mut accepted: Vec<(TcpStream, usize)> = Vec::new();
         for (local, node) in self.nodes.iter().enumerate() {
-            let Some(listener) = &node.listener else {
-                continue;
-            };
             loop {
-                match listener.accept() {
+                match node.listener.accept() {
                     Ok((stream, _)) => {
                         if stream.set_nonblocking(true).is_ok() {
                             accepted.push((stream, local));
@@ -449,19 +472,10 @@ impl Reactor {
         work
     }
 
-    /// Feeds one arrived envelope into its node — unless the node is
-    /// gone, or inside a crash window (the gate counts the loss).
+    /// Feeds one arrived envelope or posted input into its node (a
+    /// stopped shard steps none) — unless the node is inside a crash
+    /// window (the gate counts the loss).
     fn deliver(&mut self, local: usize, env: Envelope, now_ms: u64) {
-        let Some(owned) = self.nodes.get_mut(local).filter(|n| !n.stopped) else {
-            return;
-        };
-        if env.msg == ProtoMsg::Shutdown {
-            // Stop accepting and discard the node — but keep the
-            // loop running until every sibling is down too.
-            owned.stopped = true;
-            owned.listener = None;
-            return;
-        }
         if self.ask_gate(local, true, |g, idx| g.admit_delivery(idx, now_ms)) {
             self.step(local, now_ms, |node, rng, buf| {
                 node.on_message(now_ms, env.from, env.msg, rng, buf);

@@ -17,6 +17,7 @@
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -26,46 +27,91 @@ use sheriff_telemetry::{Counter, Gauge};
 
 use crate::deploy::Sink;
 use crate::leaf::LeafLock;
+use crate::proto::Envelope;
 use crate::telemetry::WireTelemetry;
 
-/// A shard's wake-up line: whoever hands the shard work (a foreign
-/// shard connecting a stream to one of its nodes or finishing a frame on
-/// one, the deployment injecting one) rings it, and the shard's idle wait
-/// returns at once instead of running out its nap.
+/// A shard's wake-up line and its inbox from the deployment. A sibling
+/// shard rings it when it connects a stream to one of its nodes or
+/// finishes a frame on one; the deployment posts its inputs into it and
+/// raises its stop. Any of the three ends the shard's idle wait at once.
 ///
-/// No wake-up is lost: the flag is set under the mutex and cleared only
-/// by the owning shard — by its wait, which checks it under the same
-/// mutex before parking, or by the take that precedes a sweep's look at
-/// the sockets. A ring that lands mid-sweep makes the next wait return
-/// immediately, at the price of at most one sweep that finds nothing. A
-/// ring carries no frame; the sweep still finds the work on the sockets.
+/// No wake-up is lost: everything is set under the mutex and taken only
+/// by the owning shard, at the top of a sweep, and its wait checks under
+/// the same mutex before parking. Whatever lands after a take makes the
+/// next wait return at once, at the price of at most one sweep that
+/// finds nothing. A ring carries no frame (the sweep finds the work on
+/// the sockets); a post carries an input, never a frame.
 #[derive(Default)]
 pub(crate) struct Doorbell {
-    /// Leaf: its guard only sets or takes the flag.
-    rung: LeafLock<bool>,
+    /// Leaf: its guard only sets or takes the flags and the inputs.
+    state: LeafLock<Bell>,
 }
 
+/// What a doorbell holds between two takes.
+#[derive(Default)]
+pub(crate) struct Bell {
+    /// A sibling rang: the next sweep polls the listeners.
+    pub(crate) rung: bool,
+    /// The deployment's inputs to the shard's nodes, in post order.
+    pub(crate) inputs: Vec<Input>,
+    /// The deployment is stopping.
+    pub(crate) stop: bool,
+}
+
+/// One input from outside — what the DES injects as an event — for the
+/// node in the given slot of the shard: a check's start or a server
+/// removal, taking the step an arrived frame takes.
+pub(crate) type Input = (usize, Envelope);
+
 impl Doorbell {
-    /// Wakes the owning shard, now or at its next wait. Rings ahead of a
-    /// wait coalesce: the first one notifies, and the flag is still up.
+    /// Wakes the owning shard for its sockets. Rings coalesce.
     pub(crate) fn ring(&self) {
-        if !self.rung.with(|rung| std::mem::replace(rung, true)) {
-            self.rung.notify_all();
+        self.raise(|bell| bell.rung = true);
+    }
+
+    /// Hands the owning shard one input. A post wakes the shard but is
+    /// no reason to poll the listeners.
+    pub(crate) fn post(&self, input: Input) {
+        self.raise(|bell| bell.inputs.push(input));
+    }
+
+    /// Tells the owning shard the deployment is stopping.
+    pub(crate) fn stop(&self) {
+        self.raise(|bell| bell.stop = true);
+    }
+
+    /// Applies `set` under the guard; wakes the shard if nothing was
+    /// pending, as it parks only then.
+    fn raise(&self, set: impl FnOnce(&mut Bell)) {
+        let was_pending = self.state.with(|bell| {
+            let was = bell.pending();
+            set(bell);
+            was
+        });
+        if !was_pending {
+            self.state.notify_all();
         }
     }
 
-    /// Takes the flag without parking: `true` when a ring came since the
-    /// last wait or take.
-    pub(crate) fn take(&self) -> bool {
-        self.rung.with(std::mem::take)
+    /// Takes everything rung, posted and raised since the last take,
+    /// without parking.
+    pub(crate) fn take(&self) -> Bell {
+        self.state.with(std::mem::take)
     }
 
-    /// Parks until rung or `timeout`, whichever is first, and clears the
-    /// flag. `true` means a ring ended the wait.
+    /// Parks until something is pending or `timeout` runs out; takes
+    /// nothing. `true` means something pending ended the wait.
     pub(crate) fn wait(&self, timeout: Duration) -> bool {
-        self.rung
-            .wait_timeout(timeout, |rung| std::mem::take(rung).then_some(()))
+        self.state
+            .wait_timeout(timeout, |bell| bell.pending().then_some(()))
             .is_some()
+    }
+}
+
+impl Bell {
+    /// Something waits for the owning shard's next take.
+    fn pending(&self) -> bool {
+        self.rung || self.stop || !self.inputs.is_empty()
     }
 }
 
@@ -111,13 +157,17 @@ pub(crate) struct ShardCtx {
     /// queued on links and not yet wholly written + fault-held sends +
     /// acks a Database holds until durable) across all shards.
     pub(crate) queue_depth: Arc<Gauge>,
-    /// `wire.reactor_doorbell_wakes`: idle waits ended by a ring.
+    /// `wire.reactor_doorbell_wakes`: idle waits ended by a ring, a post
+    /// or the stop.
     pub(crate) doorbell_wakes: Arc<Counter>,
     /// `wire.reactor_idle_timeouts`: idle waits that ran out (each one
     /// is followed by a fallback sweep nobody asked for).
     pub(crate) idle_timeouts: Arc<Counter>,
     /// One bell per shard, indexed like [`shard_of`].
     pub(crate) bells: Arc<[Doorbell]>,
+    /// How many shards have finished sending: stopped, links flushed
+    /// and half-closed, nothing fault-held or held by a Database.
+    pub(crate) finished: Arc<AtomicUsize>,
     /// The shard this copy of the context belongs to.
     pub(crate) shard: usize,
 }
@@ -138,19 +188,34 @@ impl ShardCtx {
         }
     }
 
-    /// Whether this shard's bell rang since its last wait or take.
-    pub(crate) fn take_ring(&self) -> bool {
-        self.bells.get(self.shard).is_some_and(Doorbell::take)
+    /// Takes what this shard's bell holds.
+    pub(crate) fn take_bell(&self) -> Bell {
+        self.bells
+            .get(self.shard)
+            .map(Doorbell::take)
+            .unwrap_or_default()
+    }
+
+    /// Records that this shard will send nothing more.
+    pub(crate) fn finish_sending(&self) {
+        self.finished.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Whether every shard of the deployment has finished sending.
+    pub(crate) fn all_finished(&self) -> bool {
+        self.finished.load(Ordering::SeqCst) >= self.bells.len()
     }
 
     /// The idle wait on this shard's own bell; counts how it ended.
-    pub(crate) fn idle_wait(&self, timeout: Duration) {
-        let rung = self.bells.get(self.shard).is_some_and(|b| b.wait(timeout));
-        if rung {
+    /// `false` when it ran out.
+    pub(crate) fn idle_wait(&self, timeout: Duration) -> bool {
+        let woken = self.bells.get(self.shard).is_some_and(|b| b.wait(timeout));
+        if woken {
             self.doorbell_wakes.inc();
         } else {
             self.idle_timeouts.inc();
         }
+        woken
     }
 }
 
@@ -245,21 +310,28 @@ mod tests {
         });
     }
 
+    /// Nothing rung, posted or raised.
+    fn is_empty(bell: &Bell) -> bool {
+        !bell.pending()
+    }
+
     #[test]
     fn unrung_wait_times_out_and_leaves_the_flag_clear() {
         let bell = Doorbell::default();
         assert!(!bell.wait(Duration::from_millis(5)));
-        assert!(!bell.rung.with(|rung| *rung));
+        assert!(is_empty(&bell.take()));
         assert!(!bell.wait(Duration::from_millis(1)));
     }
 
     #[test]
     fn take_clears_a_ring_without_parking() {
         let bell = Doorbell::default();
-        assert!(!bell.take());
+        assert!(!bell.take().rung);
         bell.ring();
-        assert!(bell.take(), "the ring is seen");
-        assert!(!bell.take(), "and taken");
+        let taken = bell.take();
+        assert!(taken.rung, "the ring is seen");
+        assert!(!taken.stop && taken.inputs.is_empty(), "and is only a ring");
+        assert!(!bell.take().rung, "and taken");
         assert!(
             !bell.wait(Duration::from_millis(1)),
             "nothing left to wake on"
@@ -272,10 +344,58 @@ mod tests {
         bell.ring();
         bell.ring();
         assert!(bell.wait(LONG));
+        assert!(bell.take().rung);
         assert!(
             !bell.wait(Duration::from_millis(1)),
-            "second ring must not survive the wake"
+            "second ring must not survive the take"
         );
+    }
+
+    fn input(local: usize, tag: u64) -> Input {
+        let from = Address::Peer { id: tag };
+        let msg = sheriff_core::protocol::ProtoMsg::Ack { seq: tag };
+        (local, Envelope { from, msg })
+    }
+
+    #[test]
+    fn a_post_before_a_wait_ends_it_at_once_and_posts_come_back_in_order() {
+        let bell = Doorbell::default();
+        for tag in 0..3 {
+            bell.post(input(tag as usize, tag));
+        }
+        let t = Instant::now();
+        assert!(bell.wait(LONG), "a post that came first must end the wait");
+        assert!(t.elapsed() < LONG / 10, "waited {:?}", t.elapsed());
+        let taken = bell.take();
+        let want: Vec<Input> = (0..3).map(|tag| input(tag as usize, tag)).collect();
+        assert_eq!(taken.inputs, want);
+        assert!(!taken.rung, "a post is no reason to poll the listeners");
+        assert!(!taken.stop);
+        assert!(!bell.wait(Duration::from_millis(1)), "all taken");
+    }
+
+    #[test]
+    fn a_post_after_a_take_goes_to_the_next_sweep() {
+        let bell = Doorbell::default();
+        bell.post(input(0, 1));
+        assert_eq!(bell.take().inputs, vec![input(0, 1)]);
+        // Mid-sweep, while the sweep delivers what it took.
+        bell.post(input(1, 2));
+        assert!(bell.wait(LONG), "the next wait returns at once");
+        assert_eq!(bell.take().inputs, vec![input(1, 2)]);
+    }
+
+    #[test]
+    fn a_stop_between_a_take_and_a_wait_is_still_seen() {
+        let bell = Doorbell::default();
+        assert!(is_empty(&bell.take()));
+        bell.stop();
+        let t = Instant::now();
+        assert!(bell.wait(LONG), "the stop ends the wait");
+        assert!(t.elapsed() < LONG / 10, "waited {:?}", t.elapsed());
+        let taken = bell.take();
+        assert!(taken.stop && !taken.rung);
+        assert!(!bell.take().stop, "taken once");
     }
 
     #[test]
@@ -298,7 +418,7 @@ mod tests {
             logged_in_domains: vec![],
         };
         let engine = PpcEngine::new(&spec, IpAllocator::new().allocate(Country::ES, 0));
-        let mut proto = PeerProto::new(engine, None, "EUR".to_string(), true);
+        let mut proto = PeerProto::new(engine, None, true);
         let sink = Sink::default();
         // No check finished in this step: only the violation is new.
         proto.sandbox_violations = 2;

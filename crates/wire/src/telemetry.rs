@@ -1,14 +1,13 @@
 //! Frame and byte accounting for the TCP deployment.
 //!
-//! Every frame the mini-deployment sends — the reactor's outbound
-//! links, and [`Envelope::send_counted`] for what the deployment
-//! injects from outside — and every frame a reactor's inbound stream
-//! completes is recorded in one shared [`WireTelemetry`], so over
+//! Every frame the mini-deployment's nodes send — all of it leaves on
+//! the reactor's outbound links — and every frame a reactor's inbound
+//! stream completes is recorded in one shared [`WireTelemetry`], so over
 //! loopback the invariant *frames out == frames in* (and likewise for
 //! bytes) holds once the deployment drains — the concurrency tests
-//! assert no increments are lost under parallel clients.
-//!
-//! [`Envelope::send_counted`]: crate::proto::Envelope::send_counted
+//! assert no increments are lost under parallel clients. What the
+//! deployment injects from outside is posted to the owning shard, not
+//! framed, and counts in neither book.
 
 use std::sync::Arc;
 
@@ -26,7 +25,7 @@ pub struct WireTelemetry {
     /// Bytes read including the length prefix (`wire.bytes_in`).
     pub bytes_in: Arc<Counter>,
     /// Links the reactor connected (`wire.connects`), reconnects included;
-    /// injected frames and Byzantine raw streams are not counted.
+    /// Byzantine raw streams are not counted.
     pub connects: Arc<Counter>,
 }
 

@@ -98,13 +98,13 @@ fn frame_counters_balance_under_concurrent_clients() {
     assert_eq!(frames_out, frames_in);
     assert_eq!(bytes_out, bytes_in);
 
-    // One successful check is exactly 19 frames: the injected StartCheck,
-    // CoordRequest, PpcList, CoordAssign, JobSubmit, 3 fetch orders,
-    // 3 fetch replies, JobComplete, Results — plus one Ack for each of
-    // the six reliable control messages (fetches and the injected start
-    // are exempt from at-least-once delivery). Shutdown adds one frame
-    // for each of the 7 nodes (coordinator, aggregator, server, 4 peers).
-    assert_eq!(frames_out, 19 * CLIENTS + 7);
+    // One successful check is exactly 18 frames: CoordRequest, PpcList,
+    // CoordAssign, JobSubmit, 3 fetch orders, 3 fetch replies,
+    // JobComplete, Results — plus one Ack for each of the six reliable
+    // control messages (fetches are exempt from at-least-once delivery).
+    // The check's start is posted to its peer's shard and the stop to
+    // every shard: neither is a frame.
+    assert_eq!(frames_out, 18 * CLIENTS);
 
     // Each frame carries a 4-byte length prefix plus a nonempty payload.
     assert!(bytes_out > frames_out * 4, "{bytes_out} vs {frames_out}");

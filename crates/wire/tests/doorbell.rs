@@ -102,9 +102,9 @@ fn serial_checks_across_two_shards_are_rung_through() {
 /// the one shard is parked, so the sweep after its bounded idle wait
 /// must find the socket. With `window == 8` a generator thread keeps
 /// eight checks in flight, so the shard seldom parks: its listeners are
-/// polled when a ring asks (the generator's own injections ring) or when
-/// 64 sweeps passed without a poll — either must find the socket while
-/// the load runs.
+/// polled when a ring asks or when 64 sweeps passed without a poll (the
+/// generator's own inputs are posted, and a post is no reason to poll) —
+/// either must find the socket while the load runs.
 fn serve_unrung_client(window: usize) {
     let world = World::build(&WorldConfig::small(), 63);
     let d = MiniDeployment::start_with_options(

@@ -107,11 +107,11 @@ fn jar(sel: u64) -> CookieJar {
     jar
 }
 
-/// Deterministically builds one of the 25 [`ProtoMsg`] variants from
+/// Deterministically builds one of the 24 [`ProtoMsg`] variants from
 /// sampled primitives (the vendored proptest has no `prop_oneof`, so
 /// variant choice rides on `sel`).
 fn build(sel: u64, n: u64, text: &str, amount: f64) -> ProtoMsg {
-    match sel % 25 {
+    match sel % 24 {
         0 => ProtoMsg::StartCheck {
             domain: format!("shop-{}.example", n % 5),
             product: ProductId(n as u32 % 40),
@@ -216,8 +216,7 @@ fn build(sel: u64, n: u64, text: &str, amount: f64) -> ProtoMsg {
             seq: n,
             inner: Box::new(build(n % 22, sel, text, amount)),
         },
-        23 => ProtoMsg::Ack { seq: n },
-        _ => ProtoMsg::Shutdown,
+        _ => ProtoMsg::Ack { seq: n },
     }
 }
 
@@ -262,23 +261,6 @@ proptest! {
             Err(FrameError::UnexpectedEof) => {}
             other => panic!("expected UnexpectedEof, got {other:?}"),
         }
-    }
-
-    /// Counted sends agree with the plain ones.
-    #[test]
-    fn counted_io_matches_uncounted(sel in any::<u64>(), n in any::<u64>()) {
-        let env = Envelope { from: address(n), msg: build(sel, n, "y", 2.0) };
-        let registry = std::sync::Arc::new(sheriff_telemetry::Registry::new());
-        let wire = sheriff_wire::WireTelemetry::new(&registry);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        env.send(&mut a).unwrap();
-        env.send_counted(&mut b, &wire).unwrap();
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(wire.frames_out.get(), 1);
-        prop_assert_eq!(wire.bytes_out.get(), b.len() as u64);
-        let got = Envelope::recv(&mut Cursor::new(b)).unwrap().unwrap();
-        prop_assert_eq!(got, env);
     }
 }
 

@@ -1,7 +1,8 @@
 //! Shutdown/join stress for the sharded reactor backend: twenty rapid
 //! start → check → teardown cycles must never wedge a shard join, never
 //! unbalance the shared frame books, and never report a completed check
-//! as aborted.
+//! as aborted. Each round also stops a fresh deployment right after its
+//! first check began, before any link toward that check's server exists.
 //!
 //! This is the runtime twin of the wire layer's leaf-lock rule (DESIGN.md,
 //! "Concurrency invariants in the wire layer"): a lock held across a
@@ -16,6 +17,7 @@ use sheriff_market::pricing::{Browser, Os};
 use sheriff_market::world::WorldConfig;
 use sheriff_market::{ProductId, UserAgent, World};
 use sheriff_netsim::FaultPlan;
+use sheriff_telemetry::Registry;
 use sheriff_wire::{DeployOptions, MiniDeployment};
 
 const PEERS: [(u64, Country); 2] = [(40, Country::ES), (41, Country::ES)];
@@ -96,14 +98,34 @@ fn rapid_shutdown_cycles(start: impl Fn(World) -> std::io::Result<MiniDeployment
         // Both teardown paths join every shard thread before returning,
         // so the books are final — and on loopback they must balance
         // exactly: every frame written was read, bit for bit.
-        let snap = telemetry.snapshot();
-        assert_eq!(
-            snap.counters["wire.frames_out"], snap.counters["wire.frames_in"],
-            "round {round}: frame books unbalanced after join"
+        assert_books_balance(&telemetry, round);
+
+        // Stopped at once: the check's start may still sit in its shard's
+        // doorbell, or its first hops may be on the wire toward shards
+        // that already took the stop.
+        let fresh = start(World::build(&WorldConfig::small(), 200 + round))
+            .expect("fresh deployment starts");
+        let fresh_telemetry = Arc::clone(fresh.telemetry());
+        let first_tag = fresh
+            .begin_check(41, "amazon.com", ProductId((round % 5) as u32))
+            .expect("begin first check");
+        let aborted = fresh.shutdown_with_report();
+        assert!(
+            aborted.iter().all(|&t| t == first_tag),
+            "round {round}: unknown tag in a fresh abort report: {aborted:?}"
         );
-        assert_eq!(
-            snap.counters["wire.bytes_out"], snap.counters["wire.bytes_in"],
-            "round {round}: byte books unbalanced after join"
-        );
+        assert_books_balance(&fresh_telemetry, round);
     }
+}
+
+fn assert_books_balance(telemetry: &Registry, round: u64) {
+    let snap = telemetry.snapshot();
+    assert_eq!(
+        snap.counters["wire.frames_out"], snap.counters["wire.frames_in"],
+        "round {round}: frame books unbalanced after join"
+    );
+    assert_eq!(
+        snap.counters["wire.bytes_out"], snap.counters["wire.bytes_in"],
+        "round {round}: byte books unbalanced after join"
+    );
 }

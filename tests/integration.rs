@@ -79,7 +79,7 @@ fn check_for(
             city: None,
             ip: alloc.allocate(country, 0),
         };
-        observations.push(process_response(&html, &path, &meta, "EUR", &rates));
+        observations.push(process_response(&html, &path, &meta, &rates));
     }
     PriceCheck {
         job_id: 1,
